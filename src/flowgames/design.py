@@ -104,13 +104,13 @@ def build_grid(game: GameSpec, resolution: int, seeds: tuple = ()) -> dict:
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    lattice = grid_flows(game, resolution)
     per_pop = math.prod(
         math.comb(resolution + len(p.actions) - 1, len(p.actions) - 1)
         for p in game.populations
     )
     if per_pop > 10**6:
         raise ValueError(f"grid of size {per_pop} exceeds the 1e6 cap")
+    lattice = grid_flows(game, resolution)
     out = {}
     for state in game.states:
         candidates = list(lattice) + list(seeds)

@@ -193,7 +193,7 @@ def full_disclosure_outcome(game: GameSpec, tol: float = 1e-8) -> Outcome:
             candidates = solve_we_multistart(game, s, tol=max(tol, 1e-6))
             if not candidates:
                 raise RuntimeError(f"no equilibrium found for state {s!r}")
-            flow = candidates[0]
+            flow = candidates[0].flow
         per_state[s] = ((flow, Fraction(1)),)
     return Outcome(per_state)
 

@@ -489,18 +489,6 @@ class CongestionSpec:
                     raise ValueError(f"no latency for resource {e!r} in state {s!r}")
                 if any(c < 0 for c in coeffs):
                     raise ValueError(f"negative latency coefficient on {e!r} in state {s!r}")
-        self._check_monotone()
-
-    def _check_monotone(self):
-        # redundant given nonnegative coefficients, but cheap: sample the
-        # derivative sign on [0, |populations|]
-        top = max(1, len(self.populations))
-        samples = [top * i / 16 for i in range(17)]
-        for (e, s), coeffs in self.latencies.items():
-            for x in samples:
-                d = sum(j * float(c) * x ** (j - 1) for j, c in enumerate(coeffs) if j >= 1)
-                if d < -1e-12:
-                    raise ValueError(f"latency on {e!r} in state {s!r} is decreasing at {x}")
 
     def latency_value(self, resource: str, state: str, load):
         """Evaluate one latency polynomial; exact on rational loads."""

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (
     CongestionSpec,
@@ -24,7 +23,6 @@ from .model import (
     congestion_to_game,
     eval_cost,
     flow_linf,
-    social_cost,
     uniform_flow,
 )
 
@@ -110,36 +108,96 @@ def verify_we(game: GameSpec, flow: FlowProfile, state: str):
 # ---------------------------------------------------------------------------
 
 
+def _horner(coef, loads):
+    """Evaluate every row's polynomial (ascending powers) at its own load."""
+    acc = coef[:, -1]
+    for j in range(coef.shape[1] - 2, -1, -1):
+        acc = acc * loads + coef[:, j]
+    return acc
+
+
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)
+
+
+def _brent_root(f, a, b, fa, fb, xtol=1e-14, rtol=_BRENT_RTOL, maxiter=100):
+    """Root of f on [a, b] by Brent's method, given fa = f(a) and fb = f(b).
+
+    A step-for-step port of scipy's ``brentq`` (``brentq.c``), so it returns
+    the same float for the same inputs; raises RuntimeError if it does not
+    converge in ``maxiter`` iterations.
+    """
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent root search failed to converge after {maxiter} iterations")
+
+
 class _PotentialCore:
     """Minimize sum_e F_e(M x) over a product of scaled simplexes.
 
     ``incidence`` is the dense resource-by-variable matrix (entries may be
     fractional when variables enter loads with weights), ``polys`` the
-    per-resource latency coefficient arrays (ascending powers), ``blocks``
-    the [start, end) variable ranges of each simplex, and ``masses`` the
-    simplex scales.
+    per-resource latency coefficient lists (ascending powers), ``blocks``
+    the [start, end) variable ranges of each simplex (nonempty, tiling the
+    variables in order), and ``masses`` the simplex scales. Latencies are
+    held as a zero-padded coefficient matrix ``coef`` and its derivative
+    ``dcoef``, both evaluated by Horner's rule.
     """
 
     def __init__(self, incidence, polys, blocks, masses):
         self.m = np.asarray(incidence, dtype=float)
-        self.polys = [np.asarray(p, dtype=float) for p in polys]
-        self.dpolys = [
-            np.array([j * p[j] for j in range(1, len(p))], dtype=float) if len(p) > 1 else np.zeros(1)
-            for p in self.polys
-        ]
+        # at least two columns, so the derivative matrix has one
+        width = max([2] + [len(p) for p in polys])
+        self.coef = np.zeros((len(polys), width))
+        for i, p in enumerate(polys):
+            self.coef[i, : len(p)] = [float(c) for c in p]
+        self.dcoef = self.coef[:, 1:] * np.arange(1, width)
         self.blocks = blocks
         self.masses = np.asarray(masses, dtype=float)
         self.n = self.m.shape[1]
-
-    def _polyvals(self, loads, arrays):
-        return np.array(
-            [sum(c * loads[i] ** j for j, c in enumerate(arr)) for i, arr in enumerate(arrays)]
-        )
+        sizes = [hi - lo for lo, hi in blocks]
+        self._starts = np.array([lo for lo, _ in blocks], dtype=int)
+        self._block_of = np.repeat(np.arange(len(blocks)), sizes)
+        # variables a violation can come from: blocks of two or more actions with positive mass
+        self._live = np.repeat(
+            [size >= 2 and mass > 0 for size, mass in zip(sizes, self.masses)], sizes
+        ).astype(bool)
 
     def costs(self, x):
-        loads = self.m @ x
-        vals = self._polyvals(loads, self.polys)
-        return self.m.T @ vals
+        return self.m.T @ _horner(self.coef, self.m @ x)
 
     def fw_vertex(self, g):
         s = np.zeros(self.n)
@@ -158,7 +216,7 @@ class _PotentialCore:
         h0 = h(0.0)
         if h0 >= 0:
             return 0.0
-        return brentq(h, 0.0, 1.0, xtol=1e-14)
+        return _brent_root(h, 0.0, 1.0, h0, h1)
 
     def frank_wolfe(self, x, iters):
         for t in range(iters):
@@ -174,16 +232,12 @@ class _PotentialCore:
         return x, iters, float(g @ (x - s))
 
     def violation(self, x):
+        counted = self._live & (x > 0)
+        if not counted.any():
+            return 0.0
         g = self.costs(x)
-        worst = 0.0
-        for (lo, hi), mass in zip(self.blocks, self.masses):
-            if hi - lo < 2 or mass <= 0:
-                continue
-            cheapest = float(np.min(g[lo:hi]))
-            for j in range(lo, hi):
-                if x[j] > 0:
-                    worst = max(worst, x[j] * (g[j] - cheapest))
-        return worst
+        cheapest = np.minimum.reduceat(g, self._starts)[self._block_of]
+        return max(0.0, float(np.max(x[counted] * (g[counted] - cheapest[counted]))))
 
     def newton_polish(self, x):
         """Solve the equal-cost system on the active support exactly.
@@ -240,20 +294,18 @@ class _PotentialCore:
         pos = {j: i for i, j in enumerate(index)}
         msub = self.m[:, index]
         size = len(index)
-        sub = np.array([float(x[j]) for j in index])
+        sub = np.asarray(x, dtype=float)[index]
 
         def embed(values):
             y = np.zeros(self.n)
-            for i, j in enumerate(index):
-                y[j] = values[i]
+            y[index] = values
             return y
 
         for _round in range(60):
             y = embed(sub)
             loads = self.m @ y
-            vals = self._polyvals(loads, self.polys)
-            dvals = self._polyvals(loads, self.dpolys)
-            g = self.m.T @ vals
+            g = self.m.T @ _horner(self.coef, loads)
+            dvals = _horner(self.dcoef, loads)
             hess = msub.T @ (dvals[:, None] * msub)
             rows = []
             rhs = []
@@ -528,7 +580,3 @@ def enumerate_we_grid(
         result.append(candidate)
     result.sort(key=lambda f: tuple(tuple(map(float, vec)) for vec in f.flows))
     return result
-
-
-def we_social_cost(game: GameSpec, flow: FlowProfile, state: str) -> float:
-    return float(social_cost(game, flow, state))

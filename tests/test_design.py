@@ -19,6 +19,15 @@ def test_build_grid_counts(elfarol, pigou_info):
     assert len(grid2["1"]) == 3
 
 
+def test_build_grid_checks_cap_before_building(elfarol, monkeypatch):
+    built = []
+    monkeypatch.setattr("flowgames.design.grid_flows", lambda *args: built.append(args))
+    # elfarol has two actions, so resolution r gives r + 1 lattice flows
+    with pytest.raises(ValueError, match="1e6 cap"):
+        fg.build_grid(elfarol, 10**6)
+    assert built == []
+
+
 def test_elfarol_optimal_distribution(elfarol):
     problem = fg.DesignerProblem(
         elfarol, fg.social_cost_expr(elfarol), fg.build_grid(elfarol, 4)

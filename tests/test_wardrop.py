@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowgames as fg
+from flowgames.generators import random_congestion_game, random_rational_flow
 from flowgames.model import CongestionSpec, Population
+from flowgames.wardrop import _brent_root, _PotentialCore, _spec_core, _vector_of
 
 
 def flow1(*vals):
@@ -142,3 +149,116 @@ def test_solver_input_validation(elfarol, pigou_network):
         fg.solve_we_br(elfarol, "0", flow1(1, 0), tol=0.0)
     with pytest.raises(ValueError):
         fg.solve_we_potential(pigou_network.congestion, "0", tol=-1.0)
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; a fresh interpreter shows it
+    package_root = str(Path(fg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, flowgames; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _monotone_polynomials(seed, count):
+    """Increasing polynomials on [0, 1] with a sign change, as the line search sees."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        degree = int(rng.integers(1, 6))
+        slopes = rng.lognormal(0.0, 2.0, degree) * (rng.random(degree) < 0.8)
+        slopes[0] += 1e-3
+        top = float(np.sum(slopes))
+        # root anywhere in (0, 1), sometimes pressed against either end
+        root_at = rng.choice([rng.random(), rng.random() * 1e-9, 1 - rng.random() * 1e-9])
+        coeffs = [-top * float(root_at)] + [float(c) for c in slopes]
+        yield coeffs
+
+
+def test_brent_root_matches_scipy_bit_for_bit():
+    optimize = pytest.importorskip("scipy.optimize")
+    checked = 0
+    for coeffs in _monotone_polynomials(3, 3000):
+        calls = {"ours": 0, "scipy": 0}
+
+        def make(name):
+            def f(t):
+                calls[name] += 1
+                total = 0.0
+                for c in reversed(coeffs):
+                    total = total * t + c
+                return total
+
+            return f
+
+        fa, fb = make("ours")(0.0), make("ours")(1.0)
+        if not (fa < 0 < fb):
+            continue
+        calls["ours"] = 0
+        ours = _brent_root(make("ours"), 0.0, 1.0, fa, fb)
+        theirs = optimize.brentq(make("scipy"), 0.0, 1.0, xtol=1e-14)
+        assert ours == theirs, coeffs
+        # scipy evaluates both ends itself; ours is handed them
+        assert calls["ours"] + 2 == calls["scipy"], coeffs
+        checked += 1
+    assert checked > 2500
+
+
+def test_brent_root_raises_when_not_converged():
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def f(t):
+        return t**3 - 0.3
+
+    with pytest.raises(RuntimeError):
+        optimize.brentq(f, 0.0, 1.0, xtol=1e-14, maxiter=2)
+    with pytest.raises(RuntimeError):
+        _brent_root(f, 0.0, 1.0, f(0.0), f(1.0), maxiter=2)
+    assert _brent_root(f, 0.0, 1.0, f(0.0), f(1.0)) == optimize.brentq(f, 0.0, 1.0, xtol=1e-14)
+
+
+@pytest.mark.parametrize("quadratic", [False, True])
+def test_core_costs_match_exact_gradient(quadratic):
+    worst = 0.0
+    for seed in range(60):
+        game = random_congestion_game(
+            seed, n_actions=2 + seed % 3, n_states=2, quadratic=quadratic, n_pops=1 + seed % 3
+        )
+        spec = game.congestion
+        for state in game.states:
+            core, columns = _spec_core(spec, state)
+            flow = random_rational_flow(game, seed, denominator=7 + seed % 5)
+            exact = [float(c) for row in fg.potential_gradient(spec, flow, state) for c in row]
+            got = core.costs(_vector_of(flow))
+            assert len(got) == len(columns) == len(exact)
+            worst = max(worst, float(np.max(np.abs(got - np.array(exact)))))
+    assert worst <= 1e-12
+
+
+def test_core_violation_is_the_blockwise_worst_gap():
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        sizes = rng.integers(1, 5, size=rng.integers(1, 5))
+        blocks, lo = [], 0
+        for size in sizes:
+            blocks.append((lo, lo + int(size)))
+            lo += int(size)
+        masses = rng.random(len(blocks)) * (rng.random(len(blocks)) < 0.8)
+        incidence = (rng.random((3, lo)) < 0.6).astype(float)
+        polys = [list(rng.integers(0, 4, size=rng.integers(1, 4))) for _ in range(3)]
+        core = _PotentialCore(incidence, polys, blocks, masses)
+        x = rng.random(lo) * (rng.random(lo) < 0.7)
+        g = core.costs(x)
+        want = 0.0
+        for (b_lo, b_hi), mass in zip(blocks, masses):
+            if b_hi - b_lo < 2 or mass <= 0:
+                continue
+            cheapest = float(np.min(g[b_lo:b_hi]))
+            for j in range(b_lo, b_hi):
+                if x[j] > 0:
+                    want = max(want, x[j] * (g[j] - cheapest))
+        assert core.violation(x) == want
