@@ -116,15 +116,13 @@ def _horner(coef, loads):
     return acc
 
 
-_BRENT_RTOL = 4 * float(np.finfo(float).eps)
-
-
-def _brent_root(f, a, b, fa, fb, xtol=1e-14, rtol=_BRENT_RTOL, maxiter=100):
+def _brent_root(f, a, b, fa, fb):
     """Root of f on [a, b] by Brent's method, given fa = f(a) and fb = f(b).
 
-    A step-for-step port of scipy's ``brentq`` (``brentq.c``), so it returns
+    A step-for-step port of scipy's ``brentq`` (``brentq.c``) called with
+    ``xtol=1e-14`` and its default ``rtol`` and ``maxiter``, so it returns
     the same float for the same inputs; raises RuntimeError if it does not
-    converge in ``maxiter`` iterations.
+    converge in 100 iterations.
     """
     xpre, xcur, fpre, fcur = a, b, fa, fb
     xblk = fblk = spre = scur = 0.0
@@ -134,14 +132,15 @@ def _brent_root(f, a, b, fa, fb, xtol=1e-14, rtol=_BRENT_RTOL, maxiter=100):
         return xcur
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        # scipy's brentq with xtol=1e-14 and its default rtol of 4 eps
+        delta = (1e-14 + 4 * float(np.finfo(float).eps) * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -162,7 +161,7 @@ def _brent_root(f, a, b, fa, fb, xtol=1e-14, rtol=_BRENT_RTOL, maxiter=100):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-    raise RuntimeError(f"Brent root search failed to converge after {maxiter} iterations")
+    raise RuntimeError("Brent root search failed to converge after 100 iterations")
 
 
 class _PotentialCore:
@@ -171,10 +170,9 @@ class _PotentialCore:
     ``incidence`` is the dense resource-by-variable matrix (entries may be
     fractional when variables enter loads with weights), ``polys`` the
     per-resource latency coefficient lists (ascending powers), ``blocks``
-    the [start, end) variable ranges of each simplex (nonempty, tiling the
-    variables in order), and ``masses`` the simplex scales. Latencies are
-    held as a zero-padded coefficient matrix ``coef`` and its derivative
-    ``dcoef``, both evaluated by Horner's rule.
+    the [start, end) variable ranges of each simplex, and ``masses`` the
+    simplex scales. Latencies are held as a zero-padded coefficient matrix
+    ``coef`` and its derivative ``dcoef``, both evaluated by Horner's rule.
     """
 
     def __init__(self, incidence, polys, blocks, masses):
@@ -188,13 +186,6 @@ class _PotentialCore:
         self.blocks = blocks
         self.masses = np.asarray(masses, dtype=float)
         self.n = self.m.shape[1]
-        sizes = [hi - lo for lo, hi in blocks]
-        self._starts = np.array([lo for lo, _ in blocks], dtype=int)
-        self._block_of = np.repeat(np.arange(len(blocks)), sizes)
-        # variables a violation can come from: blocks of two or more actions with positive mass
-        self._live = np.repeat(
-            [size >= 2 and mass > 0 for size, mass in zip(sizes, self.masses)], sizes
-        ).astype(bool)
 
     def costs(self, x):
         return self.m.T @ _horner(self.coef, self.m @ x)
@@ -232,12 +223,16 @@ class _PotentialCore:
         return x, iters, float(g @ (x - s))
 
     def violation(self, x):
-        counted = self._live & (x > 0)
-        if not counted.any():
-            return 0.0
         g = self.costs(x)
-        cheapest = np.minimum.reduceat(g, self._starts)[self._block_of]
-        return max(0.0, float(np.max(x[counted] * (g[counted] - cheapest[counted]))))
+        worst = 0.0
+        for (lo, hi), mass in zip(self.blocks, self.masses):
+            if hi - lo < 2 or mass <= 0:
+                continue
+            cheapest = float(np.min(g[lo:hi]))
+            for j in range(lo, hi):
+                if x[j] > 0:
+                    worst = max(worst, x[j] * (g[j] - cheapest))
+        return worst
 
     def newton_polish(self, x):
         """Solve the equal-cost system on the active support exactly.

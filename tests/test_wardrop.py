@@ -211,13 +211,18 @@ def test_brent_root_matches_scipy_bit_for_bit():
 def test_brent_root_raises_when_not_converged():
     optimize = pytest.importorskip("scipy.optimize")
 
+    def step(t):
+        # no root to home in on: the bracket only halves, from 2e300 wide
+        return 1.0 if t > 0.3 else -1.0
+
+    with pytest.raises(RuntimeError):
+        optimize.brentq(step, -1e300, 1e300, xtol=1e-14)
+    with pytest.raises(RuntimeError):
+        _brent_root(step, -1e300, 1e300, -1.0, 1.0)
+
     def f(t):
         return t**3 - 0.3
 
-    with pytest.raises(RuntimeError):
-        optimize.brentq(f, 0.0, 1.0, xtol=1e-14, maxiter=2)
-    with pytest.raises(RuntimeError):
-        _brent_root(f, 0.0, 1.0, f(0.0), f(1.0), maxiter=2)
     assert _brent_root(f, 0.0, 1.0, f(0.0), f(1.0)) == optimize.brentq(f, 0.0, 1.0, xtol=1e-14)
 
 
@@ -237,28 +242,3 @@ def test_core_costs_match_exact_gradient(quadratic):
             assert len(got) == len(columns) == len(exact)
             worst = max(worst, float(np.max(np.abs(got - np.array(exact)))))
     assert worst <= 1e-12
-
-
-def test_core_violation_is_the_blockwise_worst_gap():
-    rng = np.random.default_rng(5)
-    for trial in range(200):
-        sizes = rng.integers(1, 5, size=rng.integers(1, 5))
-        blocks, lo = [], 0
-        for size in sizes:
-            blocks.append((lo, lo + int(size)))
-            lo += int(size)
-        masses = rng.random(len(blocks)) * (rng.random(len(blocks)) < 0.8)
-        incidence = (rng.random((3, lo)) < 0.6).astype(float)
-        polys = [list(rng.integers(0, 4, size=rng.integers(1, 4))) for _ in range(3)]
-        core = _PotentialCore(incidence, polys, blocks, masses)
-        x = rng.random(lo) * (rng.random(lo) < 0.7)
-        g = core.costs(x)
-        want = 0.0
-        for (b_lo, b_hi), mass in zip(blocks, masses):
-            if b_hi - b_lo < 2 or mass <= 0:
-                continue
-            cheapest = float(np.min(g[b_lo:b_hi]))
-            for j in range(b_lo, b_hi):
-                if x[j] > 0:
-                    want = max(want, x[j] * (g[j] - cheapest))
-        assert core.violation(x) == want
