@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .checks import CheckReport, check_bce_flowlevel
+from .infostruct import _largest_remainder_counts
 from .lp import lp_solve
 from .model import FlowProfile, GameSpec, Outcome, eval_cost
 
@@ -154,7 +155,7 @@ class SymmetricBCE:
     """Count-based symmetric recommendation: states to flows to counts.
 
     ``outcome`` carries the recommended flows and weights; ``counts`` maps
-    each support flow (as nested tuples) to per-population integer counts
+    each support flow (by its ``flows`` tuple) to per-population integer counts
     realizing it with uniform players. ``delta`` is the rounding distance to
     the target flows and ``eps`` the realized obedience slack.
     """
@@ -170,10 +171,6 @@ class SymmetricBCE:
             for k, nk in enumerate(self.n):
                 if sum(per_pop[k]) != nk:
                     raise ValueError(f"counts for {key!r} do not total {nk}")
-
-
-def _flow_key(flow: FlowProfile) -> tuple:
-    return tuple(tuple(v for v in block) for block in flow.flows)
 
 
 def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
@@ -197,15 +194,7 @@ def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
             for k in range(len(agame.game.populations)):
                 nk = agame.counts[k]
                 vec = flow.flows[k]
-                scaled = [v * nk for v in vec]
-                floors = [_int_floor(s) for s in scaled]
-                cnt = list(floors)
-                short = nk - sum(cnt)
-                order = sorted(
-                    range(len(vec)), key=lambda j: (-(scaled[j] - floors[j]), j)
-                )
-                for j in order[:short]:
-                    cnt[j] += 1
+                cnt = _largest_remainder_counts(vec, nk)
                 per_pop.append(tuple(cnt))
                 for j, c in enumerate(cnt):
                     gap = Fraction(c, nk) - vec[j] if isinstance(vec[j], Fraction) else c / nk - vec[j]
@@ -218,12 +207,12 @@ def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
                     for k in range(len(per_pop))
                 )
             )
-            key = _flow_key(rounded)
+            key = rounded.flows
             counts[key] = tuple(per_pop)
             atoms.append((rounded, w))
         merged = {}
         for flow, w in atoms:
-            merged[_flow_key(flow)] = merged.get(_flow_key(flow), 0) + w
+            merged[flow.flows] = merged.get(flow.flows, 0) + w
         rounded_per_state[state] = tuple(
             (FlowProfile(key), w) for key, w in sorted(merged.items())
         )
@@ -233,12 +222,6 @@ def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
     eps = report.worst_violation
     eps = eps if eps > 0 else 0
     return SymmetricBCE(rounded_outcome, tuple(agame.counts), counts, delta, eps)
-
-
-def _int_floor(x) -> int:
-    if isinstance(x, Fraction):
-        return x.numerator // x.denominator
-    return int(np.floor(float(x) + 1e-12))
 
 
 def bce_to_profile_distribution(agame: AtomicGame, bce: SymmetricBCE) -> dict:
@@ -253,7 +236,7 @@ def bce_to_profile_distribution(agame: AtomicGame, bce: SymmetricBCE) -> dict:
         for flow, w in atoms:
             if w == 0:
                 continue
-            per_pop = bce.counts[_flow_key(flow)]
+            per_pop = bce.counts[flow.flows]
             pop_assignments = []
             for k, pop in enumerate(agame.game.populations):
                 pop_assignments.append(
@@ -307,8 +290,8 @@ def wasserstein_outcome_distance(mu1: Outcome, mu2: Outcome, prior) -> float:
             continue
         atoms1 = [(f, w) for f, w in mu1.per_state.get(state, ()) if w != 0]
         atoms2 = [(f, w) for f, w in mu2.per_state.get(state, ()) if w != 0]
-        key1 = sorted((_flow_key(f), w) for f, w in atoms1)
-        key2 = sorted((_flow_key(f), w) for f, w in atoms2)
+        key1 = sorted((f.flows, w) for f, w in atoms1)
+        key2 = sorted((f.flows, w) for f, w in atoms2)
         if key1 == key2:
             continue
         total += p * _w1(atoms1, atoms2)

@@ -190,7 +190,7 @@ def check_bce_flowlevel(game: GameSpec, bce) -> CheckReport:
             for state in game.states:
                 p = game.prior_of(state)
                 for f, w in outcome.per_state[state]:
-                    recommended_mass = recommended_mass + p * w * counts[_key(f)][k][ja]
+                    recommended_mass = recommended_mass + p * w * counts[f.flows][k][ja]
             if recommended_mass == 0:
                 continue
             for jb, b in enumerate(pop.actions):
@@ -202,7 +202,7 @@ def check_bce_flowlevel(game: GameSpec, bce) -> CheckReport:
                     for f, w in outcome.per_state[state]:
                         if w == 0:
                             continue
-                        count_vec = counts[_key(f)]
+                        count_vec = counts[f.flows]
                         n_a = count_vec[k][ja]
                         if n_a == 0:
                             continue
@@ -216,10 +216,6 @@ def check_bce_flowlevel(game: GameSpec, bce) -> CheckReport:
     if worst is None:
         return CheckReport("bce_flowlevel", 0, None)
     return CheckReport("bce_flowlevel", worst, witness)
-
-
-def _key(flow: FlowProfile):
-    return tuple(tuple(vec) for vec in flow.flows)
 
 
 def _rounded_profile(count_vec, n) -> FlowProfile:

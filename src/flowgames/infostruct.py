@@ -12,6 +12,7 @@ population, type) pairs weighted by the kernel.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,41 +141,65 @@ def bwe_violation(
     For every type with positive kernel marginal and every action carrying
     positive mass under it, compares the conditional expected cost of that
     action against each alternative at the realized aggregate flows. Raw and
-    signed; exact on rational data.
+    signed; exact on rational data. Each kernel atom is costed once (see
+    :func:`_conditional_costs`).
     """
     pop = _require_single_population(game)
-    actions = pop.actions
-    validate_strategies(structure, strategies, len(actions))
-    worst = None
-    for k in range(structure.population_count()):
-        for ti, t in enumerate(structure.type_sets[k]):
-            weights = []  # (weight, aggregate profile, state)
-            marginal = 0
-            for state in game.states:
-                p = game.prior_of(state)
-                for profile, w in structure.kernel.get(state, ()):
-                    if profile[k] != t or w == 0:
-                        continue
-                    weight = p * w
-                    marginal = marginal + weight
-                    weights.append((weight, profile, state))
-            if marginal == 0:
+    validate_strategies(structure, strategies, len(pop.actions))
+    _flows, conditional = _conditional_costs(game, structure, strategies)
+    return _max_gap(conditional, strategies)
+
+
+def _conditional_costs(game, structure, strategies) -> tuple[dict, dict]:
+    """Conditional expected cost of every action, per (sub-population, type).
+
+    Each positive-weight (state, type profile) atom is evaluated once: its
+    aggregate flow is built and every action costed, and the costs, weighted
+    by prior times kernel weight, are added into the sums of the types the
+    profile assigns. Sums keep the kernel order and weights stay exact, so
+    the table is exact on rational data. Returns the aggregate flow of each
+    positive-weight profile, and a map (k, type index) -> per-action
+    conditional costs over the types with positive kernel marginal.
+    """
+    pop = game.populations[0]
+    type_index = [{t: ti for ti, t in enumerate(types)} for types in structure.type_sets]
+    flows = {}
+    sums = {}  # (k, type index) -> [marginal, weighted cost sum per action]
+    for state in game.states:
+        p = game.prior_of(state)
+        for profile, w in structure.kernel.get(state, ()):
+            weight = p * w
+            if weight == 0:
                 continue
-            vec = strategies.strategies[k][ti]
-            cond_costs = []
-            for jb in range(len(actions)):
-                total = 0
-                for weight, profile, state in weights:
-                    agg = aggregate_flow(structure, strategies, profile)
-                    flow = FlowProfile((agg,))
-                    total = total + weight * eval_cost(game, pop.name, actions[jb], flow, state)
-                cond_costs.append(total / marginal)
-            cheapest = min(cond_costs)
-            for ja in range(len(actions)):
-                if vec[ja] > 0:
-                    gap = cond_costs[ja] - cheapest
-                    if worst is None or gap > worst:
-                        worst = gap
+            flow = flows.get(profile)
+            if flow is None:
+                flow = flows[profile] = FlowProfile(
+                    (aggregate_flow(structure, strategies, profile),)
+                )
+            costs = [eval_cost(game, pop.name, a, flow, state) for a in pop.actions]
+            row = [weight] + [weight * c for c in costs]
+            for k, t in enumerate(profile):
+                acc = sums.setdefault((k, type_index[k][t]), [0] * len(row))
+                for j, v in enumerate(row):
+                    acc[j] = acc[j] + v
+    conditional = {key: [total / acc[0] for total in acc[1:]] for key, acc in sums.items()}
+    return flows, conditional
+
+
+def _max_gap(conditional: dict, strategies: StrategyProfile):
+    """Largest gap between an action played with positive mass and the
+    cheapest action of its (k, type), or 0 when no type has positive
+    marginal. Types are visited in (k, type index) order, so among equal
+    gaps the first one found is returned."""
+    worst = None
+    for k, ti in sorted(conditional):
+        costs = conditional[(k, ti)]
+        cheapest = min(costs)
+        for cost, mass in zip(costs, strategies.strategies[k][ti]):
+            if mass > 0:
+                gap = cost - cheapest
+                if worst is None or gap > worst:
+                    worst = gap
     return 0 if worst is None else worst
 
 
@@ -200,9 +225,15 @@ def outcome_of_strategies(
 
 
 def _largest_remainder_counts(vector, denominator: int) -> list[int]:
-    """Integer counts summing to ``denominator`` proportional to the vector."""
+    """Integer counts summing to ``denominator`` proportional to the vector.
+
+    Each entry gets the floor of its scaled value (negatives count as 0),
+    and the shortfall goes to the largest remainders, ties to the smaller
+    index. An entry a rounding error below an integer has a remainder near
+    1 and so is raised to that integer before any other.
+    """
     scaled = [v * denominator for v in vector]
-    floors = [int(s) if s >= 0 else 0 for s in map(_floor, scaled)]
+    floors = [max(math.floor(s), 0) for s in scaled]
     counts = list(floors)
     shortfall = denominator - sum(counts)
     remainders = sorted(
@@ -212,12 +243,6 @@ def _largest_remainder_counts(vector, denominator: int) -> list[int]:
     for j in remainders[:shortfall]:
         counts[j] += 1
     return counts
-
-
-def _floor(x) -> int:
-    if isinstance(x, Fraction):
-        return x.numerator // x.denominator
-    return int(np.floor(x))
 
 
 def direct_structure_from_bcwe(
@@ -329,7 +354,7 @@ def _auxiliary_core(game: GameSpec, structure: InformationStructure, blocks):
         ranges.append((lo, lo + len(actions)))
         masses.append(float(structure.sizes[k]))
         lo += len(actions)
-    return _PotentialCore(m, polys, ranges, masses), columns
+    return _PotentialCore(m, polys, ranges, masses)
 
 
 def solve_bwe(
@@ -346,24 +371,35 @@ def solve_bwe(
     first action. Tiny solver dust below 1e-9 of a block's mass is snapped to
     zero so positivity checks in :func:`bwe_violation` see honest supports.
     """
+    blocks, core = _bwe_setup(game, structure)
+    return _bwe_solve(game, structure, blocks, core, tol, max_iter, start)
+
+
+def _bwe_setup(game: GameSpec, structure: InformationStructure):
+    """The (k, type index) blocks with positive kernel marginal, and the
+    auxiliary potential core over them; both depend only on the game and the
+    structure, and the core holds no state between solves."""
     if game.congestion is None:
         raise ValueError("solving needs a congestion backing")
-    pop = _require_single_population(game)
-    actions = pop.actions
-    blocks = []
-    for k in range(structure.population_count()):
-        if structure.sizes[k] == 0:
-            continue
-        for ti, t in enumerate(structure.type_sets[k]):
-            marginal = 0
-            for state in game.states:
-                p = game.prior_of(state)
-                for profile, w in structure.kernel.get(state, ()):
-                    if profile[k] == t:
-                        marginal = marginal + p * w
-            if marginal > 0:
-                blocks.append((k, ti))
-    core, columns = _auxiliary_core(game, structure, blocks)
+    _require_single_population(game)
+    positive = set()  # (k, type) pairs seen in a positive-weight atom
+    for state in game.states:
+        p = game.prior_of(state)
+        for profile, w in structure.kernel.get(state, ()):
+            if p * w > 0:
+                positive.update(enumerate(profile))
+    blocks = [
+        (k, ti)
+        for k in range(structure.population_count())
+        if structure.sizes[k] != 0
+        for ti, t in enumerate(structure.type_sets[k])
+        if (k, t) in positive
+    ]
+    return blocks, _auxiliary_core(game, structure, blocks)
+
+
+def _bwe_solve(game, structure, blocks, core, tol, max_iter, start) -> StrategyProfile:
+    actions = game.populations[0].actions
     if start is None:
         x0 = np.concatenate(
             [
@@ -436,15 +472,8 @@ def bwe_cost_uniqueness_probe(
     rng = _random.Random(seed)
     pop = _require_single_population(game)
     actions = pop.actions
-    atoms = []  # positive-weight kernel atoms, deduplicated
-    seen = set()
-    for state in game.states:
-        p = game.prior_of(state)
-        for profile, w in structure.kernel.get(state, ()):
-            if p * w > 0 and profile not in seen:
-                seen.add(profile)
-                atoms.append(profile)
-    runs = []
+    blocks, core = _bwe_setup(game, structure)
+    runs = []  # (solved strategies, aggregate flows, conditional costs)
     worst_violation = 0.0
     for _ in range(max(1, trials)):
         start_blocks = []
@@ -457,48 +486,19 @@ def bwe_cost_uniqueness_probe(
                 vecs.append(tuple(gamma * v / total for v in raw))
             start_blocks.append(tuple(vecs))
         start = StrategyProfile(tuple(start_blocks))
-        solved = solve_bwe(game, structure, tol=tol, start=start)
-        worst_violation = max(worst_violation, float(bwe_violation(game, structure, solved)))
-        aggregates = {
-            profile: aggregate_flow(structure, solved, profile) for profile in atoms
-        }
-        runs.append((aggregates, _conditional_costs(game, structure, solved)))
+        solved = _bwe_solve(game, structure, blocks, core, tol=tol, max_iter=400, start=start)
+        flows, conditional = _conditional_costs(game, structure, solved)
+        worst_violation = max(worst_violation, float(_max_gap(conditional, solved)))
+        runs.append((solved, flows, conditional))
     cost_dev = 0.0
     flow_dev = 0.0
-    for (agg1, c1), (agg2, c2) in itertools.combinations(runs, 2):
-        for key in c1:
-            if key in c2 and (c1[key][1] or c2[key][1]):
-                cost_dev = max(cost_dev, abs(c1[key][0] - c2[key][0]))
-        for profile in atoms:
-            for x1, x2 in zip(agg1[profile], agg2[profile]):
+    for (s1, flows1, c1), (s2, flows2, c2) in itertools.combinations(runs, 2):
+        for (k, ti), costs in c1.items():
+            played1, played2 = s1.strategies[k][ti], s2.strategies[k][ti]
+            for j, (x1, x2) in enumerate(zip(costs, c2[(k, ti)])):
+                if played1[j] > 1e-7 or played2[j] > 1e-7:
+                    cost_dev = max(cost_dev, abs(float(x1) - float(x2)))
+        for profile, flow in flows1.items():
+            for x1, x2 in zip(flow.flows[0], flows2[profile].flows[0]):
                 flow_dev = max(flow_dev, abs(float(x1) - float(x2)))
     return UniquenessProbeReport(cost_dev, flow_dev, trials, worst_violation)
-
-
-def _conditional_costs(game, structure, strategies) -> dict:
-    """Map (k, type, action) -> (conditional cost, has positive flow)."""
-    pop = game.populations[0]
-    actions = pop.actions
-    out = {}
-    for k in range(structure.population_count()):
-        for ti, t in enumerate(structure.type_sets[k]):
-            weights = []
-            marginal = 0.0
-            for state in game.states:
-                p = float(game.prior_of(state))
-                for profile, w in structure.kernel.get(state, ()):
-                    if profile[k] != t or w == 0:
-                        continue
-                    weights.append((p * float(w), profile, state))
-                    marginal += p * float(w)
-            if marginal == 0:
-                continue
-            vec = strategies.strategies[k][ti]
-            for j, action in enumerate(actions):
-                total = 0.0
-                for weight, profile, state in weights:
-                    agg = aggregate_flow(structure, strategies, profile)
-                    flow = FlowProfile((agg,))
-                    total += weight * float(eval_cost(game, pop.name, action, flow, state))
-                out[(k, t, action)] = (total / marginal, float(vec[j]) > 1e-7)
-    return out

@@ -43,6 +43,17 @@ def test_eps_bce_three_players(elfarol, elfarol_cwe):
     assert bce.counts[(((F(1), F(0)),))] == ((3, 0),)
 
 
+def test_eps_bce_rounds_float_flows_like_exact_ones(elfarol):
+    # 10 * 0.29999999999999993 is 2.999999999999999, within 1e-12 below 3;
+    # the float flow gets the counts of the exact flow (3/10, 7/10)
+    agame = fg.AtomicGame(elfarol, (10,))
+    near = fg.FlowProfile(((0.29999999999999993, 0.7000000000000001),))
+    bce = fg.construct_eps_bce(agame, fg.Outcome({"0": ((near, F(1)),)}))
+    exact = fg.construct_eps_bce(agame, fg.Outcome({"0": ((flow1("3/10", "7/10"), F(1)),)}))
+    assert list(bce.counts.values()) == list(exact.counts.values()) == [((3, 7),)]
+    assert bce.delta <= 1e-15
+
+
 def test_flowlevel_matches_bruteforce_three_players(elfarol, elfarol_cwe):
     agame = fg.AtomicGame(elfarol, (3,))
     bce = fg.construct_eps_bce(agame, elfarol_cwe)

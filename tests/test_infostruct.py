@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import flowgames as fg
+from flowgames import infostruct
 from flowgames.generators import random_bcwe, random_congestion_game, random_structure
 from flowgames.model import CongestionSpec, Population
 
@@ -89,6 +91,106 @@ def test_bwe_violation_when_everyone_defects(elfarol, elfarol_cwe):
     assert fg.bwe_violation(elfarol, structure, all_b) == 1
 
 
+
+def reference_bwe_violation(game, structure, strategies):
+    """bwe_violation term by term: one aggregate flow and one cost evaluation
+    per (sub-population, type, action, kernel atom)."""
+    pop = game.populations[0]
+    worst = None
+    for k in range(structure.population_count()):
+        for ti, t in enumerate(structure.type_sets[k]):
+            weights = []
+            marginal = 0
+            for state in game.states:
+                p = game.prior_of(state)
+                for profile, w in structure.kernel.get(state, ()):
+                    if profile[k] != t or w == 0:
+                        continue
+                    weights.append((p * w, profile, state))
+                    marginal = marginal + p * w
+            if marginal == 0:
+                continue
+            cond = []
+            for action in pop.actions:
+                total = 0
+                for weight, profile, state in weights:
+                    flow = fg.FlowProfile((fg.aggregate_flow(structure, strategies, profile),))
+                    total = total + weight * fg.eval_cost(game, pop.name, action, flow, state)
+                cond.append(total / marginal)
+            cheapest = min(cond)
+            for cost, mass in zip(cond, strategies.strategies[k][ti]):
+                if mass > 0 and (worst is None or cost - cheapest > worst):
+                    worst = cost - cheapest
+    return 0 if worst is None else worst
+
+
+def random_rational_strategies(structure, n_actions, rng):
+    blocks = []
+    for k, gamma in enumerate(structure.sizes):
+        vecs = []
+        for _ in structure.type_sets[k]:
+            raw = [rng.randint(0, 3) for _ in range(n_actions)]
+            raw[rng.randrange(n_actions)] += 1
+            vecs.append(tuple(gamma * F(r, sum(raw)) for r in raw))
+        blocks.append(tuple(vecs))
+    return fg.StrategyProfile(tuple(blocks))
+
+
+def oracle_cases():
+    for g in range(1, 9):
+        game = random_congestion_game(
+            g, n_actions=2 + g % 2, n_states=1 + g % 2, quadratic=g % 4 == 0
+        )
+        structure = random_structure(game, 10 * g, sub_pops=2 + g % 2, atoms=3 + g % 3)
+        yield game, structure
+    # one profile in both states, and an atom of weight 0
+    game = two_state_pigou()
+    both = ("t0", "t1")
+    yield game, fg.InformationStructure(
+        sizes=(F(1, 3), F(2, 3)),
+        type_sets=(("t0", "t1"), ("t0", "t1")),
+        kernel={
+            "0": ((both, F(1, 2)), (("t1", "t1"), F(1, 2)), (("t0", "t0"), F(0))),
+            "1": ((both, F(1)),),
+        },
+    )
+
+
+def test_bwe_violation_matches_reference_formula():
+    rng = random.Random(0)
+    for game, structure in oracle_cases():
+        n_actions = len(game.populations[0].actions)
+        for _ in range(3):
+            strategies = random_rational_strategies(structure, n_actions, rng)
+            got = fg.bwe_violation(game, structure, strategies)
+            assert isinstance(got, F) and got > 0
+            assert got == reference_bwe_violation(game, structure, strategies)
+        solved = fg.solve_bwe(game, structure, tol=1e-10)
+        got = fg.bwe_violation(game, structure, solved)
+        assert isinstance(got, float)
+        assert got.hex() == reference_bwe_violation(game, structure, solved).hex()
+
+
+def test_bwe_violation_costs_each_atom_once(elfarol, elfarol_cwe, monkeypatch):
+    structure, strategies, _ = fg.direct_structure_from_bcwe(elfarol, elfarol_cwe, 64)
+    atoms = {
+        (state, profile)
+        for state, entries in structure.kernel.items()
+        for profile, w in entries
+        if elfarol.prior_of(state) * w > 0
+    }
+    calls = []
+    aggregate_flow = infostruct.aggregate_flow
+
+    def counted(*args):
+        calls.append(args)
+        return aggregate_flow(*args)
+
+    monkeypatch.setattr(infostruct, "aggregate_flow", counted)
+    assert fg.bwe_violation(elfarol, structure, strategies) == 0
+    assert 0 < len(calls) <= len(atoms)
+
+
 def test_solve_bwe_uninformative_pools():
     game = two_state_pigou()
     structure = fg.InformationStructure(
@@ -159,6 +261,28 @@ def test_probe_reports_agreement():
     assert report.cost_deviation <= 1e-6
     assert report.flow_deviation <= 1e-6
     assert report.worst_violation <= 1e-8
+
+
+def test_probe_sets_up_auxiliary_core_once(monkeypatch):
+    game = random_congestion_game(0, n_actions=2, n_states=2)
+    structure = random_structure(game, 0)
+    cores = []
+    auxiliary_core = infostruct._auxiliary_core
+
+    def counted(*args):
+        cores.append(auxiliary_core(*args))
+        return cores[-1]
+
+    monkeypatch.setattr(infostruct, "_auxiliary_core", counted)
+    fg.bwe_cost_uniqueness_probe(game, structure, trials=5, tol=1e-9)
+    assert len(cores) == 1
+    # a core solved from several starts gives what fresh set-ups give
+    blocks, core = infostruct._bwe_setup(game, structure)
+    rng = random.Random(1)
+    for _ in range(3):
+        start = random_rational_strategies(structure, 2, rng)
+        shared = infostruct._bwe_solve(game, structure, blocks, core, 1e-9, 400, start)
+        assert shared == fg.solve_bwe(game, structure, tol=1e-9, start=start)
 
 
 def test_structure_validation():
