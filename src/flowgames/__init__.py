@@ -21,6 +21,7 @@ from .checks import (
     check_ccwe,
     check_cwe,
     check_sbcwe,
+    obedience_rows,
     sbcwe_from_bcwe,
 )
 from .design import (

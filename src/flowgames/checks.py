@@ -42,86 +42,98 @@ def _ensure_distribution(dist) -> tuple:
     return atoms
 
 
-def check_cwe(game: GameSpec, dist, state: str) -> CheckReport:
-    """Obedience under complete information: for each pair (a, b), switching
-    every a-recommendation to b must not lower the recommended players'
-    average cost."""
-    atoms = _ensure_distribution(dist)
-    worst = None
-    witness = None
+def obedience_rows(game: GameSpec, atoms, coarse: bool = False) -> list:
+    """The obedience inequalities over weighted flow atoms, one term per atom.
+
+    ``atoms`` is a sequence of (state, mass, flow), where mass is the atom's
+    prior times its weight. Each row is (witness, terms): for every
+    population with at least two actions and every pair a != b, witness
+    (pop, a, b) with terms ``mass * y_a * (c_a - c_b)``; when ``coarse``,
+    for every deviation b, witness (pop, b) with terms
+    ``mass * (sum_{y_j != 0} y_j c_j - c_b)``. A row's inequality is
+    sum(terms) <= 0. A zero-mass atom, or a zero y_a in a pairwise row,
+    gives the integer 0 without reading its costs. Each positive-mass atom
+    is costed once per population and action; on rational inputs every term
+    is exact.
+    """
+    atoms = tuple(atoms)
+    rows = []
     for k, pop in enumerate(game.populations):
         if len(pop.actions) < 2:
             continue
         costs = [
-            [eval_cost(game, pop.name, act, f, state) for act in pop.actions] for f, _ in atoms
+            None
+            if mass == 0
+            else [eval_cost(game, pop.name, act, flow, state) for act in pop.actions]
+            for state, mass, flow in atoms
         ]
+        if coarse:
+            own = [
+                None
+                if c is None
+                else sum(y * cj for y, cj in zip(flow.flows[k], c) if y != 0)
+                for (_, _, flow), c in zip(atoms, costs)
+            ]
+            for jb, b in enumerate(pop.actions):
+                terms = [
+                    0 if c is None else mass * (o - c[jb])
+                    for (_, mass, _), c, o in zip(atoms, costs, own)
+                ]
+                rows.append(((pop.name, b), terms))
+            continue
         for ja, a in enumerate(pop.actions):
             for jb, b in enumerate(pop.actions):
                 if ja == jb:
                     continue
-                value = 0
-                for (f, w), cvec in zip(atoms, costs):
-                    value = value + w * f.flows[k][ja] * (cvec[ja] - cvec[jb])
-                if worst is None or value > worst:
-                    worst, witness = value, (pop.name, a, b)
-    if worst is None:
-        return CheckReport("cwe", 0, None)
-    return CheckReport("cwe", worst, witness)
+                terms = [
+                    0
+                    if c is None or flow.flows[k][ja] == 0
+                    else mass * flow.flows[k][ja] * (c[ja] - c[jb])
+                    for (_, mass, flow), c in zip(atoms, costs)
+                ]
+                rows.append(((pop.name, a, b), terms))
+    return rows
+
+
+def _worst_row(concept: str, rows) -> CheckReport:
+    """The first row with the largest left-to-right sum of its terms."""
+    worst, witness = 0, None
+    for row_witness, terms in rows:
+        value = sum(terms)
+        if witness is None or value > worst:
+            worst, witness = value, row_witness
+    return CheckReport(concept, worst, witness)
+
+
+def _state_atoms(game: GameSpec, outcome: Outcome) -> list:
+    atoms = []
+    for state in game.states:
+        if state not in outcome.per_state:
+            raise ValueError(f"outcome missing state {state!r}")
+        p = game.prior_of(state)
+        atoms.extend((state, p * w, f) for f, w in outcome.per_state[state])
+    return atoms
+
+
+def check_cwe(game: GameSpec, dist, state: str) -> CheckReport:
+    """Obedience under complete information: for each pair (a, b), switching
+    every a-recommendation to b must not lower the recommended players'
+    average cost."""
+    atoms = [(state, w, f) for f, w in _ensure_distribution(dist)]
+    return _worst_row("cwe", obedience_rows(game, atoms))
 
 
 def check_ccwe(game: GameSpec, dist, state: str) -> CheckReport:
     """Coarse variant: opting out to a fixed action b is compared against the
     average social cost of following recommendations."""
-    atoms = _ensure_distribution(dist)
-    worst = None
-    witness = None
-    for k, pop in enumerate(game.populations):
-        if len(pop.actions) < 2:
-            continue
-        for jb, b in enumerate(pop.actions):
-            value = 0
-            for f, w in atoms:
-                own = sum(
-                    f.flows[k][ja] * eval_cost(game, pop.name, act, f, state)
-                    for ja, act in enumerate(pop.actions)
-                )
-                value = value + w * (own - eval_cost(game, pop.name, b, f, state))
-            if worst is None or value > worst:
-                worst, witness = value, (pop.name, b)
-    if worst is None:
-        return CheckReport("ccwe", 0, None)
-    return CheckReport("ccwe", worst, witness)
+    atoms = [(state, w, f) for f, w in _ensure_distribution(dist)]
+    return _worst_row("ccwe", obedience_rows(game, atoms, coarse=True))
 
 
 def check_bcwe(game: GameSpec, outcome: Outcome) -> CheckReport:
     """State-averaged obedience: recommendation-conditional deviations may not
     profit in prior expectation over states."""
-    worst = None
-    witness = None
-    for k, pop in enumerate(game.populations):
-        if len(pop.actions) < 2:
-            continue
-        for ja, a in enumerate(pop.actions):
-            for jb, b in enumerate(pop.actions):
-                if ja == jb:
-                    continue
-                value = 0
-                for state in game.states:
-                    p = game.prior_of(state)
-                    if state not in outcome.per_state:
-                        raise ValueError(f"outcome missing state {state!r}")
-                    for f, w in outcome.per_state[state]:
-                        y = f.flows[k][ja]
-                        if y == 0 or w == 0:
-                            continue
-                        ca = eval_cost(game, pop.name, a, f, state)
-                        cb = eval_cost(game, pop.name, b, f, state)
-                        value = value + p * w * y * (ca - cb)
-                if worst is None or value > worst:
-                    worst, witness = value, (pop.name, a, b)
-    if worst is None:
-        return CheckReport("bcwe", 0, None)
-    return CheckReport("bcwe", worst, witness)
+    return _worst_row("bcwe", obedience_rows(game, _state_atoms(game, outcome)))
 
 
 def check_sbcwe(game: GameSpec, flow_map: dict) -> CheckReport:
@@ -135,36 +147,7 @@ def check_cbcwe(game: GameSpec, outcome: Outcome) -> CheckReport:
     """Coarse Bayesian variant: the deviation action is fixed before any
     recommendation arrives, and both sides are averaged over states and the
     outcome."""
-    worst = None
-    witness = None
-    for k, pop in enumerate(game.populations):
-        if len(pop.actions) < 2:
-            continue
-        for b in pop.actions:
-            value = 0
-            for state in game.states:
-                p = game.prior_of(state)
-                if state not in outcome.per_state:
-                    raise ValueError(f"outcome missing state {state!r}")
-                for f, w in outcome.per_state[state]:
-                    own = social_cost_of_population(game, k, f, state)
-                    value = value + p * w * (own - eval_cost(game, pop.name, b, f, state))
-            if worst is None or value > worst:
-                worst, witness = value, (pop.name, b)
-    if worst is None:
-        return CheckReport("cbcwe", 0, None)
-    return CheckReport("cbcwe", worst, witness)
-
-
-def social_cost_of_population(game: GameSpec, k: int, flow: FlowProfile, state: str):
-    pop = game.populations[k]
-    total = 0
-    for j, action in enumerate(pop.actions):
-        y = flow.flows[k][j]
-        if y == 0:
-            continue
-        total = total + y * eval_cost(game, pop.name, action, flow, state)
-    return total
+    return _worst_row("cbcwe", obedience_rows(game, _state_atoms(game, outcome), coarse=True))
 
 
 def check_bce_flowlevel(game: GameSpec, bce) -> CheckReport:
@@ -174,10 +157,18 @@ def check_bce_flowlevel(game: GameSpec, bce) -> CheckReport:
     For each recommended/deviation pair (a, b), the (non-normalized) cost of
     obeying is compared with the cost of playing b instead, where the
     deviator's own 1/n mass shifts the realized flow from y to
-    y + (1/n)(1_b - 1_a).
+    y + (1/n)(1_b - 1_a). That shifted profile differs per (a, b), so this
+    check costs its atoms itself rather than through :func:`obedience_rows`.
     """
     outcome = bce.outcome
     counts = bce.counts
+    atoms = []  # (state, prior, weight, counts, rounded profile or None)
+    for state in game.states:
+        p = game.prior_of(state)
+        for f, w in outcome.per_state[state]:
+            count_vec = counts[f.flows]
+            rounded = _rounded_profile(count_vec, bce.n) if w != 0 else None
+            atoms.append((state, p, w, count_vec, rounded))
     worst = None
     witness = None
     for k, pop in enumerate(game.populations):
@@ -187,30 +178,25 @@ def check_bce_flowlevel(game: GameSpec, bce) -> CheckReport:
         share = Fraction(1, n_k)
         for ja, a in enumerate(pop.actions):
             recommended_mass = 0
-            for state in game.states:
-                p = game.prior_of(state)
-                for f, w in outcome.per_state[state]:
-                    recommended_mass = recommended_mass + p * w * counts[f.flows][k][ja]
+            for _, p, w, count_vec, _ in atoms:
+                recommended_mass = recommended_mass + p * w * count_vec[k][ja]
             if recommended_mass == 0:
                 continue
+            obeyed = []  # (state, mass of a-recommendations, rounded, obey cost)
+            for state, p, w, count_vec, rounded in atoms:
+                n_a = count_vec[k][ja]
+                if rounded is None or n_a == 0:
+                    continue
+                obey = eval_cost(game, pop.name, a, rounded, state)
+                obeyed.append((state, p * w * Fraction(n_a, n_k), rounded, obey))
             for jb, b in enumerate(pop.actions):
                 if ja == jb:
                     continue
                 value = 0
-                for state in game.states:
-                    p = game.prior_of(state)
-                    for f, w in outcome.per_state[state]:
-                        if w == 0:
-                            continue
-                        count_vec = counts[f.flows]
-                        n_a = count_vec[k][ja]
-                        if n_a == 0:
-                            continue
-                        rounded = _rounded_profile(count_vec, bce.n)
-                        obey = eval_cost(game, pop.name, a, rounded, state)
-                        shifted = _shift(rounded, k, ja, jb, share)
-                        dev = eval_cost(game, pop.name, b, shifted, state)
-                        value = value + p * w * Fraction(n_a, n_k) * (obey - dev)
+                for state, mass, rounded, obey in obeyed:
+                    shifted = _shift(rounded, k, ja, jb, share)
+                    dev = eval_cost(game, pop.name, b, shifted, state)
+                    value = value + mass * (obey - dev)
                 if worst is None or value > worst:
                     worst, witness = value, (pop.name, a, b)
     if worst is None:

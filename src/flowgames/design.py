@@ -14,15 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .checks import check_bcwe, check_ccwe
+from .checks import check_bcwe, obedience_rows
 from .lp import LPResult, lp_solve
 from .model import (
-    CostExpr,
     FlowProfile,
     GameSpec,
     Outcome,
-    eval_cost,
-    flow_linf,
+    flow_sort_key,
     social_cost,
 )
 from .wardrop import grid_flows, solve_we_multistart, solve_we_potential, verify_we
@@ -119,12 +117,12 @@ def build_grid(game: GameSpec, resolution: int, seeds: tuple = ()) -> dict:
         seen = set()
         unique = []
         for f in candidates:
-            key = tuple(tuple(float(v) for v in vec) for vec in f.flows)
+            key = flow_sort_key(f)
             if key in seen:
                 continue
             seen.add(key)
             unique.append(f)
-        unique.sort(key=lambda f: tuple(tuple(float(v) for v in vec) for vec in f.flows))
+        unique.sort(key=flow_sort_key)
         out[state] = tuple(unique)
     return out
 
@@ -181,36 +179,18 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
             columns.append((state, idx))
     ncols = len(columns)
     objective = np.zeros(ncols)
-    cost_cache = {}
+    atoms = []
     for col, (state, idx) in enumerate(columns):
         flow = problem.candidates[state][idx]
         p = game.prior_of(state)
         objective[col] = float(p * _designer_value(game, problem.designer_cost[state], flow, state))
-        cost_cache[(state, idx)] = {
-            (pop.name, a): eval_cost(game, pop.name, a, flow, state)
-            for pop in game.populations
-            for a in pop.actions
-        }
+        atoms.append((state, p, flow))
     a_eq = np.zeros((len(game.states), ncols))
     b_eq = np.ones(len(game.states))
     for col, (state, _) in enumerate(columns):
         a_eq[game.state_index(state), col] = 1.0
-    rows = []
-    for k, pop in enumerate(game.populations):
-        for ja, a in enumerate(pop.actions):
-            for b in pop.actions:
-                if a == b:
-                    continue
-                row = np.zeros(ncols)
-                for col, (state, idx) in enumerate(columns):
-                    flow = problem.candidates[state][idx]
-                    p = game.prior_of(state)
-                    costs = cost_cache[(state, idx)]
-                    row[col] = float(
-                        p * flow.flows[k][ja] * (costs[(pop.name, a)] - costs[(pop.name, b)])
-                    )
-                rows.append(row)
-    a_ub = np.vstack(rows) if rows else None
+    rows = [[float(t) for t in terms] for _, terms in obedience_rows(game, atoms)]
+    a_ub = np.array(rows) if rows else None
     b_ub = np.zeros(len(rows)) if rows else None
     result = lp_solve(objective, a_eq, b_eq, a_ub, b_ub)
     if result.status != "optimal":
@@ -305,36 +285,25 @@ def ccwe_grid_gap(game: GameSpec, state: str, resolution: int) -> tuple[float, f
     lattice = grid_flows(game, resolution)
     ncols = len(lattice)
     sc = np.array([float(social_cost(game, f, state)) for f in lattice])
-    rows = []
-    for k, pop in enumerate(game.populations):
-        for b in pop.actions:
-            row = np.zeros(ncols)
-            for col, f in enumerate(lattice):
-                own = sum(
-                    float(f.flows[k][ja]) * float(eval_cost(game, pop.name, act, f, state))
-                    for ja, act in enumerate(pop.actions)
-                )
-                row[col] = own - float(eval_cost(game, pop.name, b, f, state))
-            rows.append(row)
+    atoms = [(state, 1, f) for f in lattice]
+    rows = np.array(
+        [[float(t) for t in terms] for _, terms in obedience_rows(game, atoms, coarse=True)]
+    ).reshape(-1, ncols)
     nrows = len(rows)
     # variables: mu (ncols) then slack s
     a_eq = np.zeros((1, ncols + 1))
     a_eq[0, :ncols] = 1.0
-    a_ub = np.zeros((nrows, ncols + 1))
-    for i, row in enumerate(rows):
-        a_ub[i, :ncols] = row
-        a_ub[i, ncols] = -1.0
+    a_ub = np.hstack([rows, np.full((nrows, 1), -1.0)])
     c_slack = np.zeros(ncols + 1)
     c_slack[ncols] = 1.0
     first = lp_solve(c_slack, a_eq, np.ones(1), a_ub, np.zeros(nrows))
     if first.status != "optimal":
         raise RuntimeError("slack minimization failed")
     slack = max(0.0, float(first.objective))
-    a_ub2 = np.vstack(rows)
     b_ub2 = np.full(nrows, slack + 1e-12)
     gap = 0.0
     for sign in (1.0, -1.0):
-        res = lp_solve(sign * sc, np.ones((1, ncols)), np.ones(1), a_ub2, b_ub2)
+        res = lp_solve(sign * sc, np.ones((1, ncols)), np.ones(1), rows, b_ub2)
         if res.status != "optimal":
             raise RuntimeError("cost-range LP failed")
         value = float(sc @ res.x)

@@ -601,8 +601,10 @@ class FlowProfile:
                     f"population {k} flow sums to {float(total)!r}, expected {float(masses[k])!r}"
                 )
 
-    def value(self, pop_index: int, action_index: int):
-        return self.flows[pop_index][action_index]
+
+def flow_sort_key(flow: FlowProfile) -> tuple:
+    """Float key that orders profiles lexicographically by their entries."""
+    return tuple(tuple(map(float, vec)) for vec in flow.flows)
 
 
 def flow_linf(a: FlowProfile, b: FlowProfile) -> float:
@@ -645,12 +647,9 @@ class Outcome:
                 raise ValueError(f"weights in state {state!r} sum to {float(total)!r}")
             # canonical atom order makes structural equality order-free
             normalized[state] = tuple(
-                sorted(atoms, key=lambda fw: tuple(tuple(map(float, v)) for v in fw[0].flows))
+                sorted(atoms, key=lambda fw: flow_sort_key(fw[0]))
             )
         object.__setattr__(self, "per_state", normalized)
-
-    def states(self) -> tuple:
-        return tuple(self.per_state)
 
 
 # ---------------------------------------------------------------------------

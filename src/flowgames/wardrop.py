@@ -23,6 +23,7 @@ from .model import (
     congestion_to_game,
     eval_cost,
     flow_linf,
+    flow_sort_key,
     uniform_flow,
 )
 
@@ -506,7 +507,7 @@ def solve_we_multistart(
         if any(flow_linf(result.flow, r.flow) <= 10 * tol for r in found):
             continue
         found.append(result)
-    found.sort(key=lambda r: tuple(tuple(map(float, vec)) for vec in r.flow.flows))
+    found.sort(key=lambda r: flow_sort_key(r.flow))
     return found
 
 
@@ -573,5 +574,5 @@ def enumerate_we_grid(
         if any(flow_linf(candidate, r) <= 10 * tol for r in result):
             continue
         result.append(candidate)
-    result.sort(key=lambda f: tuple(tuple(map(float, vec)) for vec in f.flows))
+    result.sort(key=flow_sort_key)
     return result

@@ -127,3 +127,84 @@ def test_cbcwe_constant_map_fails(pigou_info):
     )
     report = fg.check_cbcwe(pigou_info, outcome)
     assert report.worst_violation == F(1, 2)
+
+
+SOLO_GAME = """\
+[populations]
+solo = a
+
+[states]
+names = 0, 1
+
+[prior]
+0 = 1/2
+1 = 1/2
+
+[costs]
+solo.a = 1 + theta
+"""
+
+
+@pytest.mark.parametrize("check", [fg.check_bcwe, fg.check_cbcwe])
+def test_bayesian_checks_reject_missing_state(check, pigou_info):
+    partial = fg.Outcome({"0": ((flow1(1, 0), F(1)),)})
+    with pytest.raises(ValueError, match="missing state '1'"):
+        check(pigou_info, partial)
+    # a one-action population has no obedience rows, but the outcome is
+    # still incomplete
+    solo = fg.parse_game_file(SOLO_GAME)
+    with pytest.raises(ValueError, match="missing state '1'"):
+        check(solo, fg.Outcome({"0": ((flow1(1), F(1)),)}))
+    assert check(solo, fg.Outcome({s: ((flow1(1), F(1)),) for s in "01"})).witness is None
+
+
+def test_obedience_rows_order_and_terms(pigou_info, pigou_bcwe):
+    atoms = [
+        (s, pigou_info.prior_of(s) * w, f)
+        for s in pigou_info.states
+        for f, w in pigou_bcwe.per_state[s]
+    ]
+    rows = fg.obedience_rows(pigou_info, atoms)
+    assert [witness for witness, _ in rows] == [("traffic", "a", "b"), ("traffic", "b", "a")]
+    # atoms: state 0 on (0, 1) and (1, 0), then state 1 on (1, 0); c_a is 3
+    # in state 0 and 0 in state 1, c_b is 1
+    assert rows[0][1] == [0, F(1, 4) * 1 * (3 - 1), F(1, 2) * 1 * (0 - 1)]
+    assert rows[1][1] == [F(1, 4) * 1 * (1 - 3), 0, 0]
+    coarse = fg.obedience_rows(pigou_info, atoms, coarse=True)
+    assert [witness for witness, _ in coarse] == [("traffic", "a"), ("traffic", "b")]
+    assert coarse[1][1] == [F(1, 4) * (1 - 1), F(1, 4) * (3 - 1), F(1, 2) * (0 - 1)]
+
+
+def test_obedience_rows_cost_each_positive_atom_once(elfarol, monkeypatch):
+    calls = []
+    real = fg.checks.eval_cost
+
+    def counting(game, pop, action, flow, state):
+        calls.append((action, flow.flows, state))
+        return real(game, pop, action, flow, state)
+
+    monkeypatch.setattr(fg.checks, "eval_cost", counting)
+    atoms = [("0", F(1, 2), flow1(F(1, 2), F(1, 2))), ("0", 0, flow1(0, 1)), ("0", F(1, 2), flow1(1, 0))]
+    rows = fg.obedience_rows(elfarol, atoms)
+    # two positive-mass atoms, two actions each; the zero-mass atom is not read
+    assert sorted(calls) == sorted(
+        (a, f.flows, "0") for _, m, f in atoms if m != 0 for a in ("a", "b")
+    )
+    assert all(terms[1] == 0 and isinstance(terms[1], int) for _, terms in rows)
+    # y_b = 0 at (1, 0): the (b, a) row's term there is the integer 0
+    assert rows[1][0] == ("crowd", "b", "a")
+    assert rows[1][1][2] == 0 and isinstance(rows[1][1][2], int)
+
+
+def test_checks_report_the_first_worst_row():
+    # equal constant costs: every row sums to 0, so the first row is the witness
+    game = fg.parse_game_file(
+        "[populations]\ncrowd = a, b\n\n[states]\nnames = 0\n\n[prior]\n0 = 1\n\n"
+        "[costs]\ncrowd.a = 1\ncrowd.b = 1\n"
+    )
+    dist = ((flow1(F(1, 2), F(1, 2)), F(1)),)
+    assert fg.check_cwe(game, dist, "0").witness == ("crowd", "a", "b")
+    assert fg.check_ccwe(game, dist, "0").witness == ("crowd", "a")
+    outcome = fg.Outcome({"0": dist})
+    assert fg.check_bcwe(game, outcome).witness == ("crowd", "a", "b")
+    assert fg.check_cbcwe(game, outcome).witness == ("crowd", "a")

@@ -1,6 +1,7 @@
 import csv
 import importlib
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -46,6 +47,20 @@ def test_check_bcwe_pigou_outcome(capsys):
     assert "witness-population = traffic" in out
     assert "witness-recommended = a" in out
     assert "witness-deviation = b" in out
+
+
+CHECK_GOLDEN = json.loads((Path(__file__).parent / "golden" / "check_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_GOLDEN))
+def test_check_stdout_matches_golden(case, capsys):
+    # exit status and stdout of `check` on both bundled (game, outcome) pairs
+    # under all five concepts; sbcwe rejects both outcomes (exit 1, no stdout)
+    game, outcome, concept = case.split()
+    rc, out, _ = run_cli(
+        ["check", "--game", game, "--outcome", outcome, "--concept", concept], capsys
+    )
+    assert (rc, out) == (CHECK_GOLDEN[case]["exit"], CHECK_GOLDEN[case]["stdout"])
 
 
 def test_check_cwe_reports_state(capsys):

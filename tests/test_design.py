@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import flowgames as fg
+import flowgames.design as design
 from flowgames.generators import random_congestion_game
 
 
@@ -85,6 +87,54 @@ def test_solution_outcomes_are_obedient():
         assert float(fg.check_bcwe(game, solution.outcome).worst_violation) <= 1e-9
 
 
+def _reference_obedience_rows(game, grid):
+    """The designer LP's obedience rows, assembled term by term: one row per
+    population k and actions a != b, one column per (state, candidate), entry
+    float(p(s) * y_a * (c_a - c_b))."""
+    columns = [(s, f) for s in game.states for f in grid[s]]
+    rows = []
+    for k, pop in enumerate(game.populations):
+        for ja, a in enumerate(pop.actions):
+            for b in pop.actions:
+                if b == a:
+                    continue
+                rows.append(
+                    [
+                        float(
+                            game.prior_of(s)
+                            * f.flows[k][ja]
+                            * (
+                                fg.eval_cost(game, pop.name, a, f, s)
+                                - fg.eval_cost(game, pop.name, b, f, s)
+                            )
+                        )
+                        for s, f in columns
+                    ]
+                )
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("name", ["pigou_info", "elfarol", "rcg0", "rcg1", "rcg2"])
+def test_lp_obedience_rows_match_reference(name, request, monkeypatch):
+    if name.startswith("rcg"):
+        game = random_congestion_game(int(name[3:]), n_actions=4, n_states=2)
+    else:
+        game = request.getfixturevalue(name)
+    grid = fg.build_grid(game, 4)
+    captured = []
+
+    def capture(c, a_eq, b_eq, a_ub, b_ub):
+        captured.append(a_ub)
+        return fg.LPResult("infeasible", None, None, None, None)
+
+    monkeypatch.setattr(design, "lp_solve", capture)
+    fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
+    (a_ub,) = captured
+    expected = _reference_obedience_rows(game, grid)
+    assert a_ub.dtype == expected.dtype and a_ub.shape == expected.shape
+    assert a_ub.tobytes() == expected.tobytes()
+
+
 def test_ccwe_gap_shrinks_off_grid():
     # WE at (2/3, 1/3) misses every power-of-two lattice, so the gap is real
     from flowgames.model import CongestionSpec, Population
@@ -108,6 +158,21 @@ def test_ccwe_gap_tiny_on_grid(pigou_network):
     slack, gap = fg.ccwe_grid_gap(pigou_network, "0", 8)
     assert slack <= 1e-9
     assert gap <= 1e-9
+
+
+def test_ccwe_gap_without_obedience_rows():
+    # a single one-action population has no coarse rows; both LPs still solve
+    from flowgames.model import CongestionSpec, Population
+
+    spec = CongestionSpec(
+        resources=("e1",),
+        latencies={("e1", "0"): (F(1), F(2))},
+        actions={("p", "a"): ("e1",)},
+        populations=(Population("p", ("a",)),),
+        states=("0",),
+        prior=(F(1),),
+    )
+    assert fg.ccwe_grid_gap(fg.congestion_to_game(spec), "0", 4) == (0.0, 0.0)
 
 
 def test_designer_problem_validation(elfarol):
