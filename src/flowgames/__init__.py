@@ -55,7 +55,7 @@ from .infostruct import (
     solve_bwe,
     validate_strategies,
 )
-from .lp import LPResult, lp_solve
+from .lp import Certificate, LPResult, certify, lp_solve
 from .model import (
     CongestionSpec,
     CostExpr,

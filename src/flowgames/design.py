@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .checks import check_bcwe, obedience_rows
-from .lp import LPResult, lp_solve
+from .checks import obedience_rows
+from .lp import certified_optimum, lp_solve
 from .model import (
     FlowProfile,
     GameSpec,
@@ -50,10 +50,10 @@ class DesignerProblem:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """An optimal outcome with its objective and basis certificate."""
+    """An optimal outcome with its exact objective and certified basis."""
 
     outcome: Outcome | None
-    objective: float | None
+    objective: Fraction | None
     basis: tuple | None
     status: str
 
@@ -168,9 +168,11 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     """Minimize expected designer cost over obedient state-conditional
     distributions supported on the candidate flows.
 
-    Weights in the returned outcome are snapped to small-denominator
-    rationals whenever the snapped outcome is verified exactly feasible with
-    a matching objective, so rational instances round-trip exactly.
+    The LP is solved in floats and its basis certified exactly against the
+    exact objective and obedience terms (see :mod:`flowgames.lp`); the
+    outcome weights and the objective are the certificate's exact values.
+    Status "uncertified" (no outcome) means neither the Bland solve nor the
+    Dantzig retry ended at a basis that certifies.
     """
     game = problem.game
     columns = []  # (state, candidate index)
@@ -178,70 +180,31 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
         for idx in range(len(problem.candidates[state])):
             columns.append((state, idx))
     ncols = len(columns)
-    objective = np.zeros(ncols)
+    cost = []
     atoms = []
-    for col, (state, idx) in enumerate(columns):
+    for state, idx in columns:
         flow = problem.candidates[state][idx]
         p = game.prior_of(state)
-        objective[col] = float(p * _designer_value(game, problem.designer_cost[state], flow, state))
+        cost.append(p * _designer_value(game, problem.designer_cost[state], flow, state))
         atoms.append((state, p, flow))
     a_eq = np.zeros((len(game.states), ncols))
     b_eq = np.ones(len(game.states))
     for col, (state, _) in enumerate(columns):
         a_eq[game.state_index(state), col] = 1.0
-    rows = [[float(t) for t in terms] for _, terms in obedience_rows(game, atoms)]
-    a_ub = np.array(rows) if rows else None
+    rows = [terms for _, terms in obedience_rows(game, atoms)]
+    a_ub = np.array([[float(t) for t in terms] for terms in rows]) if rows else None
     b_ub = np.zeros(len(rows)) if rows else None
+    objective = np.array([float(v) for v in cost])
     result = lp_solve(objective, a_eq, b_eq, a_ub, b_ub)
-    if result.status != "optimal":
-        return LPSolution(None, None, None, result.status)
-    outcome, value = _outcome_from_solution(problem, columns, result)
-    return LPSolution(outcome, value, result.basis, "optimal")
-
-
-def _outcome_from_solution(problem: DesignerProblem, columns, result: LPResult):
-    game = problem.game
+    certificate = certified_optimum(result, cost, a_eq, b_eq, rows or None, b_ub)
+    if certificate is None:
+        return LPSolution(None, None, None, "uncertified")
     per_state: dict = {state: [] for state in game.states}
-    for col, (state, idx) in enumerate(columns):
-        w = float(result.x[col])
-        if w > 1e-11:
+    for (state, idx), w in zip(columns, certificate.x):
+        if w > 0:
             per_state[state].append((problem.candidates[state][idx], w))
-    for state, atoms in per_state.items():
-        total = sum(w for _, w in atoms)
-        per_state[state] = tuple((f, w / total) for f, w in atoms)
-    rational = _rationalize(game, per_state, result.objective, problem)
-    if rational is not None:
-        return rational
-    return Outcome(per_state), result.objective
-
-
-def _rationalize(game, per_state, objective, problem):
-    """Try to snap float weights to small rationals and verify exactly.
-
-    Returns (outcome, exact objective) on success, None when the snapped
-    weights fail any exact feasibility or value check.
-    """
-    snapped = {}
-    for state, atoms in per_state.items():
-        weights = [Fraction(w).limit_denominator(10**6) for _, w in atoms]
-        if sum(weights) != 1 or any(w < 0 for w in weights):
-            return None
-        snapped[state] = tuple((f, w) for (f, _), w in zip(atoms, weights))
-    try:
-        outcome = Outcome(snapped)
-    except ValueError:
-        return None
-    report = check_bcwe(game, outcome)
-    if report.worst_violation > 0:
-        return None
-    value = 0
-    for state in game.states:
-        p = game.prior_of(state)
-        for f, w in snapped[state]:
-            value = value + p * w * _designer_value(game, problem.designer_cost[state], f, state)
-    if abs(float(value) - objective) > 1e-9:
-        return None
-    return outcome, value
+    outcome = Outcome({state: tuple(atoms) for state, atoms in per_state.items()})
+    return LPSolution(outcome, certificate.objective, certificate.basis, "optimal")
 
 
 def support_bound_check(solution: LPSolution, game: GameSpec) -> SupportBoundReport:

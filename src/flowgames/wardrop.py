@@ -431,7 +431,9 @@ def solve_we_br(
     flows = [list(map(float, vec)) for vec in start.flows]
     eta = 0.5
     best = [list(vec) for vec in flows]
-    best_v = _br_violation(game, flows, state)
+    # the validated profile of ``flows``, rebuilt after each population step
+    profile = _as_profile(flows)
+    best_v = float(verify_we(game, profile, state))
     prev_v = best_v
     iters = 0
     for iters in range(1, max_iter + 1):
@@ -440,7 +442,7 @@ def solve_we_br(
         for k, pop in enumerate(game.populations):
             if len(pop.actions) < 2:
                 continue
-            costs = [float(eval_cost(game, pop.name, a, _as_profile(flows), state)) for a in pop.actions]
+            costs = [float(eval_cost(game, pop.name, a, profile, state)) for a in pop.actions]
             cheapest = min(costs)
             winners = [j for j, c in enumerate(costs) if c <= cheapest + 1e-15]
             moved = 0.0
@@ -452,7 +454,8 @@ def solve_we_br(
                 moved += shift
             for j in winners:
                 flows[k][j] += moved / len(winners)
-        v = _br_violation(game, flows, state)
+            profile = _as_profile(flows)
+        v = float(verify_we(game, profile, state))
         if v < best_v:
             best = [list(vec) for vec in flows]
             best_v = v
@@ -473,10 +476,6 @@ def _as_profile(flows) -> FlowProfile:
         total = sum(clipped)
         out.append(tuple(v / total for v in clipped) if total > 0 else tuple(clipped))
     return FlowProfile(tuple(out))
-
-
-def _br_violation(game, flows, state) -> float:
-    return float(verify_we(game, _as_profile(flows), state))
 
 
 def solve_we_multistart(

@@ -135,6 +135,52 @@ def test_lp_obedience_rows_match_reference(name, request, monkeypatch):
     assert a_ub.tobytes() == expected.tobytes()
 
 
+# design-benchmark instances (n_actions, resolution, game seed) on which the
+# float-only solver failed, with their exact optima
+DEGENERATE_DESIGN_LPS = [
+    pytest.param(4, 8, 10, F(1), id="A4r8-g10-raised"),
+    pytest.param(3, 16, 15, F(43, 48), id="A3r16-g15-raised"),
+    pytest.param(4, 8, 19, F(162685, 86016), id="A4r8-g19-raised"),
+    pytest.param(4, 8, 8, F(28, 25), id="A4r8-g08-wrong-value"),
+    pytest.param(3, 16, 18, F(19, 6), id="A3r16-g18-wrong-value"),
+    pytest.param(4, 8, 11, F(13, 6), id="A4r8-g11-falsely-infeasible"),
+]
+
+
+@pytest.mark.parametrize("n_actions, resolution, seed, value", DEGENERATE_DESIGN_LPS)
+def test_degenerate_design_lp_is_certified(n_actions, resolution, seed, value):
+    game = random_congestion_game(seed, n_actions=n_actions, n_states=2)
+    grid = fg.build_grid(game, resolution)
+    solution = fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
+    assert solution.status == "optimal"
+    assert solution.objective == value
+    assert fg.check_bcwe(game, solution.outcome).worst_violation <= 0
+
+
+@pytest.mark.parametrize("n_actions, resolution, seed, value", DEGENERATE_DESIGN_LPS)
+def test_degenerate_design_optimum_agrees_with_highs(n_actions, resolution, seed, value):
+    optimize = pytest.importorskip("scipy.optimize")
+    game = random_congestion_game(seed, n_actions=n_actions, n_states=2)
+    grid = fg.build_grid(game, resolution)
+    columns = [(s, f) for s in game.states for f in grid[s]]
+    c = [float(game.prior_of(s) * fg.social_cost(game, f, s)) for s, f in columns]
+    a_eq = [[1.0 if s == t else 0.0 for s, _ in columns] for t in game.states]
+    a_ub = _reference_obedience_rows(game, grid)
+    res = optimize.linprog(
+        c, A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=a_eq, b_eq=np.ones(len(a_eq)), method="highs"
+    )
+    assert res.status == 0
+    assert abs(res.fun - float(value)) <= 1e-9
+
+
+def test_uncertified_program_has_no_outcome(elfarol, monkeypatch):
+    # neither the Bland solve nor the Dantzig retry certifies
+    monkeypatch.setattr("flowgames.lp.certify", lambda *args: None)
+    problem = fg.DesignerProblem(elfarol, fg.social_cost_expr(elfarol), fg.build_grid(elfarol, 4))
+    solution = fg.solve_program_p(problem)
+    assert solution == fg.LPSolution(None, None, None, "uncertified")
+
+
 def test_ccwe_gap_shrinks_off_grid():
     # WE at (2/3, 1/3) misses every power-of-two lattice, so the gap is real
     from flowgames.model import CongestionSpec, Population
