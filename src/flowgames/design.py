@@ -8,6 +8,7 @@ bound structurally: its support cannot exceed the LP row count.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,10 +51,11 @@ class DesignerProblem:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """An optimal outcome with its exact objective and certified basis."""
+    """An optimal outcome with its objective (a ``Fraction`` when certified
+    on exact data, else a float) and basis."""
 
     outcome: Outcome | None
-    objective: Fraction | None
+    objective: Fraction | float | None
     basis: tuple | None
     status: str
 
@@ -168,18 +170,20 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     """Minimize expected designer cost over obedient state-conditional
     distributions supported on the candidate flows.
 
-    The LP is solved in floats and its basis certified exactly against the
-    exact objective and obedience terms (see :mod:`flowgames.lp`); the
-    outcome weights and the objective are the certificate's exact values.
-    Status "uncertified" (no outcome) means neither the Bland solve nor the
-    Dantzig retry ended at a basis that certifies.
+    On exact data (every cost and obedience term an int or ``Fraction``) the
+    LP is solved in floats and its basis certified exactly (see
+    :func:`flowgames.lp.certified_optimum`); the outcome weights and the
+    objective are the certificate's ``Fraction``s, and status "uncertified"
+    (no outcome) means neither the Bland solve nor the Dantzig retry ended at
+    a basis that certifies. Float data (the irrational equilibria of
+    nonlinear latencies) carry roundoff no basis can be certified against;
+    they get the float solve's status, weights and objective.
     """
     game = problem.game
     columns = []  # (state, candidate index)
     for state in game.states:
         for idx in range(len(problem.candidates[state])):
             columns.append((state, idx))
-    ncols = len(columns)
     cost = []
     atoms = []
     for state, idx in columns:
@@ -187,24 +191,29 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
         p = game.prior_of(state)
         cost.append(p * _designer_value(game, problem.designer_cost[state], flow, state))
         atoms.append((state, p, flow))
-    a_eq = np.zeros((len(game.states), ncols))
-    b_eq = np.ones(len(game.states))
-    for col, (state, _) in enumerate(columns):
-        a_eq[game.state_index(state), col] = 1.0
-    rows = [terms for _, terms in obedience_rows(game, atoms)]
-    a_ub = np.array([[float(t) for t in terms] for terms in rows]) if rows else None
-    b_ub = np.zeros(len(rows)) if rows else None
-    objective = np.array([float(v) for v in cost])
-    result = lp_solve(objective, a_eq, b_eq, a_ub, b_ub)
-    certificate = certified_optimum(result, cost, a_eq, b_eq, rows or None, b_ub)
-    if certificate is None:
-        return LPSolution(None, None, None, "uncertified")
+    a_eq = [[int(s == state) for s, _ in columns] for state in game.states]
+    b_eq = [1] * len(game.states)
+    rows = [terms for _, terms in obedience_rows(game, atoms)] or None
+    b_ub = [0] * len(rows) if rows else None
+    if all(isinstance(v, (int, Fraction)) for v in itertools.chain(cost, *(rows or ()))):
+        certificate = certified_optimum(cost, a_eq, b_eq, rows, b_ub)
+        if certificate is None:
+            return LPSolution(None, None, None, "uncertified")
+        x, objective, basis, floor = certificate.x, certificate.objective, certificate.basis, 0
+    else:
+        result = lp_solve(cost, a_eq, b_eq, rows, b_ub)
+        if result.status != "optimal":
+            return LPSolution(None, None, None, result.status)
+        x, objective, basis, floor = result.x.tolist(), result.objective, result.basis, 1e-11
     per_state: dict = {state: [] for state in game.states}
-    for (state, idx), w in zip(columns, certificate.x):
-        if w > 0:
+    for (state, idx), w in zip(columns, x):
+        if w > floor:
             per_state[state].append((problem.candidates[state][idx], w))
-    outcome = Outcome({state: tuple(atoms) for state, atoms in per_state.items()})
-    return LPSolution(outcome, certificate.objective, certificate.basis, "optimal")
+    # renormalize float weights (exact ones already sum to 1)
+    for state, atoms in per_state.items():
+        total = sum(w for _, w in atoms)
+        per_state[state] = tuple((f, w / total) for f, w in atoms)
+    return LPSolution(Outcome(per_state), objective, basis, "optimal")
 
 
 def support_bound_check(solution: LPSolution, game: GameSpec) -> SupportBoundReport:

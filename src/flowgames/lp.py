@@ -5,16 +5,17 @@ solution (the returned basis certifies support bounds) and bit-reproducible
 tie-breaking, which off-the-shelf interior-point or presolving solvers do
 not guarantee. Scale target is desk-sized problems: hundreds of columns.
 
-``lp_solve`` pivots in floats with Bland's rule, or with Dantzig pricing that
+``lp_solve`` pivots in floats with Bland's rule. Bland's rule is finite only
+in exact arithmetic: on degenerate LPs (the design LP's obedience rows all
+have right-hand side 0) float roundoff can make it revisit a basis, so each
+phase records the bases it visits and stops with status "cycled" at the first
+revisit. ``certify`` decides exactly, in ``Fraction``s, whether a float basis
+is optimal for the exact data: it factors only the m x m basis, solves for
+x_B and the duals y, and prices every column once against y.
+``certified_optimum`` takes exact data, certifies a Bland solve of its float
+image and, when that fails, solves once more with Dantzig pricing, which
 falls back to Bland's entering rule after ``STALL_PIVOTS`` non-improving
-pivots. Bland's rule is finite only in exact arithmetic: on degenerate LPs
-(the design LP's obedience rows all have right-hand side 0) float roundoff
-can make it revisit a basis, so each phase records the bases it visits and
-stops with status "cycled" at the first revisit. ``certify`` then decides
-exactly, in ``Fraction``s, whether a float basis is optimal for the exact
-data: it factors only the m x m basis, solves for x_B and the duals y, and
-prices every column once against y. ``certified_optimum`` certifies a Bland
-solve and, when that fails, solves once more with Dantzig pricing.
+pivots.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ PIVOT_TOL = 1e-10
 MAX_PIVOTS = 50000
 # consecutive non-improving Dantzig pivots before Bland's entering rule
 STALL_PIVOTS = 30
-# _pivot updates all rows at once while the tableau is at most this size; the
-# temporaries of larger ones come from fresh pages on every pivot, and one row
-# at a time is faster there (8x per pivot at 6,546 columns)
-OUTER_UPDATE_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -67,15 +64,13 @@ class Certificate:
     basis: tuple[int, ...]
 
 
-def lp_solve(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, pricing: str = "bland") -> LPResult:
+def lp_solve(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, *, _dantzig: bool = False) -> LPResult:
     """Minimize c.x subject to a_eq x = b_eq, a_ub x <= b_ub, x >= 0.
 
-    ``pricing`` picks the entering rule: "bland" (smallest eligible index)
-    or "dantzig" (most negative reduced cost, Bland's rule after a stall).
+    Pivots with Bland's rule; ``_dantzig`` (the retry of
+    ``certified_optimum``) enters the most negative reduced cost instead,
+    with Bland's rule after a stall.
     """
-    if pricing not in ("bland", "dantzig"):
-        raise ValueError(f"unknown pricing {pricing!r}")
-    dantzig = pricing == "dantzig"
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     rhs = []
@@ -116,7 +111,7 @@ def lp_solve(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, pricing: str = "blan
     for i in range(m):
         tableau[m, : total + m] -= tableau[i, : total + m]
         tableau[m, -1] -= tableau[i, -1]
-    status, pivots = _pivot_loop(tableau, basis, total, dantzig)
+    status, pivots = _pivot_loop(tableau, basis, total, _dantzig)
     if status != "optimal":
         return LPResult(status, None, None, None, pivots)
     if -tableau[m, -1] > 1e-8:
@@ -129,7 +124,7 @@ def lp_solve(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, pricing: str = "blan
     for i, bi in enumerate(basis):
         if bi < total and tableau[m, bi] != 0.0:
             tableau[m, :] -= tableau[m, bi] * tableau[i, :]
-    status, phase2 = _pivot_loop(tableau, basis, total, dantzig)
+    status, phase2 = _pivot_loop(tableau, basis, total, _dantzig)
     pivots += phase2
     if status != "optimal":
         return LPResult(status, None, None, None, pivots)
@@ -188,13 +183,8 @@ def _pivot(tableau, row: int, col: int):
     pivot_row = tableau[row]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    rows = factors.nonzero()[0]
-    # both branches compute the same floats as a row-by-row update
-    if tableau.nbytes <= OUTER_UPDATE_BYTES:
-        tableau[rows] -= factors[rows, None] * pivot_row
-    else:
-        for i in rows.tolist():
-            tableau[i] -= factors[i] * pivot_row
+    for i in factors.nonzero()[0].tolist():
+        tableau[i] -= factors[i] * pivot_row
 
 
 def _drive_out_artificials(tableau, basis, total: int) -> int:
@@ -282,18 +272,20 @@ def certify(basis, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certificate
     return Certificate(tuple(x), tuple(y), objective, tuple(basis))
 
 
-def certified_optimum(result: LPResult, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certificate | None:
-    """Certify ``result``, a Bland solve of the float image of this exact LP;
-    if it did not end at a certifiable basis (it cycled, reported
-    infeasibility, or its basis fails ``certify``), solve once more from
-    scratch with Dantzig pricing and certify that. None when neither
-    certifies."""
-    certificate = certify(result.basis, c, a_eq, b_eq, a_ub, b_ub)
-    if certificate is None:
-        floats = [None if v is None else np.array(v, dtype=float) for v in (c, a_eq, b_eq, a_ub, b_ub)]
-        retry = lp_solve(*floats, pricing="dantzig")
-        certificate = certify(retry.basis, c, a_eq, b_eq, a_ub, b_ub)
-    return certificate
+def certified_optimum(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certificate | None:
+    """An exactly optimal basis of the LP with this exact data, or None.
+
+    Solves the float image of the data with Bland's rule and certifies the
+    final basis; if that solve did not end at a certifiable basis (it
+    cycled, reported infeasibility, or its basis fails ``certify``), solves
+    once more from scratch with Dantzig pricing and certifies that.
+    """
+    floats = [None if v is None else np.array(v, dtype=float) for v in (c, a_eq, b_eq, a_ub, b_ub)]
+    for dantzig in (False, True):
+        certificate = certify(lp_solve(*floats, _dantzig=dantzig).basis, c, a_eq, b_eq, a_ub, b_ub)
+        if certificate is not None:
+            return certificate
+    return None
 
 
 def _exact(v):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import flowgames as fg
-import flowgames.design as design
+import flowgames.lp as lp
+from flowgames.gamefile import format_quantity, write_outcome_file
 from flowgames.generators import random_congestion_game
 
 
@@ -123,16 +124,18 @@ def test_lp_obedience_rows_match_reference(name, request, monkeypatch):
     grid = fg.build_grid(game, 4)
     captured = []
 
-    def capture(c, a_eq, b_eq, a_ub, b_ub):
+    def capture(c, a_eq, b_eq, a_ub, b_ub, _dantzig=False):
         captured.append(a_ub)
         return fg.LPResult("infeasible", None, None, None, None)
 
-    monkeypatch.setattr(design, "lp_solve", capture)
+    # the game data are exact, so the float solves run inside certified_optimum
+    monkeypatch.setattr(lp, "lp_solve", capture)
     fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
-    (a_ub,) = captured
+    assert len(captured) == 2  # the Bland solve and the Dantzig retry
     expected = _reference_obedience_rows(game, grid)
-    assert a_ub.dtype == expected.dtype and a_ub.shape == expected.shape
-    assert a_ub.tobytes() == expected.tobytes()
+    for a_ub in captured:
+        assert a_ub.dtype == expected.dtype and a_ub.shape == expected.shape
+        assert a_ub.tobytes() == expected.tobytes()
 
 
 # design-benchmark instances (n_actions, resolution, game seed) on which the
@@ -171,6 +174,19 @@ def test_degenerate_design_optimum_agrees_with_highs(n_actions, resolution, seed
     )
     assert res.status == 0
     assert abs(res.fun - float(value)) <= 1e-9
+
+
+def test_float_design_data_give_float_results():
+    # quadratic latencies put this game's equilibrium at an irrational flow,
+    # whose float costs are not exact data: nothing is certified against them
+    game = random_congestion_game(0, n_actions=3, quadratic=True)
+    solution = fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), fg.build_grid(game, 8)))
+    assert solution.status == "optimal"
+    assert isinstance(solution.objective, float)
+    assert format_quantity(solution.objective) == "3.65683700211"
+    assert write_outcome_file(solution.outcome, game) == (
+        "[outcome.0]\n(0.452279896937, 0.28718180616, 0.260538296902) = 1\n"
+    )
 
 
 def test_uncertified_program_has_no_outcome(elfarol, monkeypatch):

@@ -1,5 +1,4 @@
 import itertools
-import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -80,14 +79,14 @@ BEALE_A = [[F(1, 4), F(-8), F(-1), F(9)], [F(1, 2), F(-12), F(-1, 2), F(3)], [F(
 BEALE_B = [F(0), F(0), F(1)]
 
 
-@pytest.mark.parametrize("pricing", ["bland", "dantzig"])
-def test_beale_cycling_example(pricing):
+@pytest.mark.parametrize("dantzig", [False, True])
+def test_beale_cycling_example(dantzig):
     # Beale (1955): Dantzig's rule with naive tie-breaking cycles here
     res = fg.lp_solve(
         [float(v) for v in BEALE_C],
         a_ub=np.array(BEALE_A, dtype=float),
         b_ub=[float(v) for v in BEALE_B],
-        pricing=pricing,
+        _dantzig=dantzig,
     )
     assert res.status == "optimal"
     assert np.allclose(res.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
@@ -110,13 +109,10 @@ def _float_design_lp(seed, n_actions, resolution):
 def test_float_bland_cycling_stops_at_first_revisited_basis():
     # A4r8-g10 of the design benchmark: float Bland pivots ran to the cap
     c, a_eq, b_eq, a_ub, b_ub = _float_design_lp(10, 4, 8)
-    start = time.perf_counter()
     res = fg.lp_solve(c, a_eq, b_eq, a_ub, b_ub)
-    elapsed = time.perf_counter() - start
     assert res.status == "cycled"
     assert res.x is None and res.basis is None
     assert res.pivots < 1000
-    assert elapsed < 1.0
 
 
 def test_pivot_cap_is_a_status(monkeypatch):
@@ -132,9 +128,12 @@ def test_pivots_are_counted():
     assert res.pivots == 2
 
 
-def test_unknown_pricing_rejected():
-    with pytest.raises(ValueError, match="pricing"):
-        fg.lp_solve([1.0], a_eq=[[1.0]], b_eq=[1.0], pricing="steepest")
+def test_certified_optimum_takes_exact_data():
+    cert = lp.certified_optimum(BEALE_C, a_ub=BEALE_A, b_ub=BEALE_B)
+    assert cert.objective == F(-5, 4)
+    assert cert.x == (1, 0, 1, 0)
+    # min x1 + x2 with x1 + x2 >= 1 and x1 + x2 <= 1/2 is infeasible
+    assert lp.certified_optimum([1, 1], a_ub=[[-1, -1], [1, 1]], b_ub=[-1, F(1, 2)]) is None
 
 
 def test_certify_rejects_bases_that_are_not_optimal():
