@@ -40,7 +40,7 @@ from .gamefile import (
 )
 from .generators import random_congestion_game
 from .infostruct import direct_structure_from_bcwe
-from .model import parse_cost, social_cost, validate_game
+from .model import EvaluationError, parse_cost, social_cost, validate_game
 from .wardrop import enumerate_we_grid, verify_we
 
 _BUNDLED_GAMES = ("elfarol", "pigou_info", "pigou_network")
@@ -355,16 +355,10 @@ def main(argv=None) -> int:
         if hasattr(args, "denominator") and args.denominator < 1:
             raise _UsageError("denominator must be at least 1")
         return args.func(args)
-    except _UsageError as err:
+    except (_UsageError, ValueError, EvaluationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (GameFileError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except _SolverFailure as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except RuntimeError as err:
+    except (_SolverFailure, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

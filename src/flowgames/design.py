@@ -21,6 +21,7 @@ from .model import (
     FlowProfile,
     GameSpec,
     Outcome,
+    compile_cost,
     flow_sort_key,
     social_cost,
 )
@@ -77,23 +78,6 @@ class SupportBoundReport:
 def social_cost_expr(game: GameSpec) -> dict:
     """Designer cost equal to realized social cost, encoded per state."""
     return {state: None for state in game.states}
-
-
-def _designer_value(game: GameSpec, expr, flow: FlowProfile, state: str):
-    if expr is None:
-        return social_cost(game, flow, state)
-    from .model import _eval_expr
-
-    def resolve(vpop, vaction):
-        if vpop is None:
-            if len(game.populations) != 1:
-                raise ValueError("bare flow variable in a multi-population game")
-            vpop = game.populations[0].name
-        i = game.population_index(vpop)
-        j = game.action_index(vpop, vaction)
-        return flow.flows[i][j]
-
-    return _eval_expr(expr, resolve, state)
 
 
 def build_grid(game: GameSpec, resolution: int, seeds: tuple = ()) -> dict:
@@ -184,12 +168,18 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     for state in game.states:
         for idx in range(len(problem.candidates[state])):
             columns.append((state, idx))
+    designer = {}  # state -> compiled designer cost; None means social cost
+    for state in game.states:
+        expr = problem.designer_cost[state]
+        designer[state] = None if expr is None else compile_cost(game, expr, state)
     cost = []
     atoms = []
     for state, idx in columns:
         flow = problem.candidates[state][idx]
         p = game.prior_of(state)
-        cost.append(p * _designer_value(game, problem.designer_cost[state], flow, state))
+        compiled = designer[state]
+        value = social_cost(game, flow, state) if compiled is None else compiled(flow.flows)
+        cost.append(p * value)
         atoms.append((state, p, flow))
     a_eq = [[int(s == state) for s, _ in columns] for state in game.states]
     b_eq = [1] * len(game.states)

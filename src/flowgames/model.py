@@ -137,61 +137,6 @@ class Pow(CostExpr):
             raise ValueError(f"exponent must be a nonnegative integer, got {self.exponent!r}")
 
 
-def flow_vars(expr: CostExpr) -> set[tuple[str | None, str]]:
-    """Collect the (pop, action) pairs referenced by an expression."""
-    out: set[tuple[str | None, str]] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, FlowVar):
-            out.add((node.pop, node.action))
-        elif isinstance(node, Neg):
-            stack.append(node.arg)
-        elif isinstance(node, (Add, Sub, Mul)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (MaxOf, MinOf)):
-            stack.extend(node.args)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-    return out
-
-
-def _eval_expr(expr: CostExpr, resolve, state: str):
-    """Evaluate recursively; ``resolve(pop, action)`` yields flow values."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, FlowVar):
-        return resolve(expr.pop, expr.action)
-    if isinstance(expr, ThetaVal):
-        try:
-            return Fraction(state)
-        except ValueError:
-            raise EvaluationError(
-                f"state {state!r} is not a rational literal; 'theta' cannot be resolved"
-            ) from None
-    if isinstance(expr, StateCoef):
-        for name, value in expr.table:
-            if name == state:
-                return value
-        raise EvaluationError(f"state {state!r} missing from coefficient table")
-    if isinstance(expr, Neg):
-        return -_eval_expr(expr.arg, resolve, state)
-    if isinstance(expr, Add):
-        return _eval_expr(expr.left, resolve, state) + _eval_expr(expr.right, resolve, state)
-    if isinstance(expr, Sub):
-        return _eval_expr(expr.left, resolve, state) - _eval_expr(expr.right, resolve, state)
-    if isinstance(expr, Mul):
-        return _eval_expr(expr.left, resolve, state) * _eval_expr(expr.right, resolve, state)
-    if isinstance(expr, MaxOf):
-        return max(_eval_expr(a, resolve, state) for a in expr.args)
-    if isinstance(expr, MinOf):
-        return min(_eval_expr(a, resolve, state) for a in expr.args)
-    if isinstance(expr, Pow):
-        return _eval_expr(expr.base, resolve, state) ** expr.exponent
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
-
-
 def format_expr(expr: CostExpr) -> str:
     """Render an expression in the mini-language (parseable canonical form)."""
     return _format(expr, 0)
@@ -517,6 +462,9 @@ class GameSpec:
     congestion: CongestionSpec | None = None
     _pop_index: dict = field(init=False, repr=False, compare=False, default=None)
     _act_index: dict = field(init=False, repr=False, compare=False, default=None)
+    # (pop, action, state) -> compiled cost, filled by eval_cost; valid only
+    # while ``costs`` is left as constructed
+    _compiled: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.populations:
@@ -542,6 +490,7 @@ class GameSpec:
             "_act_index",
             {(p.name, a): j for p in self.populations for j, a in enumerate(p.actions)},
         )
+        object.__setattr__(self, "_compiled", {})
 
     def population_index(self, pop: str) -> int:
         try:
@@ -657,30 +606,90 @@ class Outcome:
 # ---------------------------------------------------------------------------
 
 
+def compile_cost(game: GameSpec, expr: CostExpr, state: str):
+    """Resolve ``expr`` against ``game`` in ``state`` into a function of ``flow.flows``.
+
+    Every name is looked up here, once: a flow variable becomes a fixed
+    (population, action) index, ``theta`` and state tables become their value
+    in ``state``. The returned function keeps each node's operand order and
+    folds no constants, so it computes what a walk of the tree would, bit for
+    bit: exact on rational flows, floats otherwise.
+
+    Raises:
+        ValueError: a flow variable names an unknown population or action, or
+            is bare (``y[a]``) in a multi-population game.
+        EvaluationError: ``theta`` in a state whose name is not a rational
+            literal, or a state table that misses ``state``.
+    """
+
+    def build(node):
+        if isinstance(node, Const):
+            value = node.value
+            return lambda flows: value
+        if isinstance(node, FlowVar):
+            pop = node.pop
+            if pop is None:
+                if len(game.populations) != 1:
+                    raise ValueError(
+                        f"bare flow variable y[{node.action}] in a multi-population game"
+                    )
+                pop = game.populations[0].name
+            i = game.population_index(pop)
+            j = game.action_index(pop, node.action)
+            return lambda flows: flows[i][j]
+        if isinstance(node, ThetaVal):
+            try:
+                value = Fraction(state)
+            except ValueError:
+                raise EvaluationError(
+                    f"state {state!r} is not a rational literal; 'theta' cannot be resolved"
+                ) from None
+            return lambda flows: value
+        if isinstance(node, StateCoef):
+            for name, value in node.table:
+                if name == state:
+                    return lambda flows: value
+            raise EvaluationError(f"state {state!r} missing from coefficient table")
+        if isinstance(node, Neg):
+            arg = build(node.arg)
+            return lambda flows: -arg(flows)
+        if isinstance(node, (Add, Sub, Mul)):
+            left = build(node.left)
+            right = build(node.right)
+            if isinstance(node, Add):
+                return lambda flows: left(flows) + right(flows)
+            if isinstance(node, Sub):
+                return lambda flows: left(flows) - right(flows)
+            return lambda flows: left(flows) * right(flows)
+        if isinstance(node, (MaxOf, MinOf)):
+            args = [build(a) for a in node.args]
+            pick = max if isinstance(node, MaxOf) else min
+            return lambda flows: pick([f(flows) for f in args])
+        if isinstance(node, Pow):
+            base = build(node.base)
+            exponent = node.exponent
+            return lambda flows: base(flows) ** exponent
+        raise TypeError(f"unknown expression node {type(node).__name__}")
+
+    return build(expr)
+
+
 def eval_cost(game: GameSpec, pop: str, action: str, flow: FlowProfile, state: str):
     """Cost of taking ``action`` in population ``pop`` at ``flow`` and ``state``.
 
     Exact on rational inputs; floats otherwise. Raises ValueError for unknown
     identifiers and EvaluationError if the expression fails to produce a
-    finite value.
+    finite value. Each (pop, action, state) is compiled once per game (see
+    :func:`compile_cost`).
     """
-    game.state_index(state)
-    k = game.population_index(pop)
-    game.action_index(pop, action)
-    expr = game.costs[(pop, action)]
-
-    def resolve(vpop, vaction):
-        if vpop is None:
-            if len(game.populations) != 1:
-                raise EvaluationError(
-                    f"bare flow variable y[{vaction}] in a multi-population game"
-                )
-            vpop = game.populations[0].name
-        i = game.population_index(vpop)
-        j = game.action_index(vpop, vaction)
-        return flow.flows[i][j]
-
-    value = _eval_expr(expr, resolve, state)
+    key = (pop, action, state)
+    cost = game._compiled.get(key)
+    if cost is None:
+        game.state_index(state)
+        game.population_index(pop)
+        game.action_index(pop, action)
+        cost = game._compiled[key] = compile_cost(game, game.costs[(pop, action)], state)
+    value = cost(flow.flows)
     if isinstance(value, float) and not math.isfinite(value):
         raise EvaluationError(f"cost of ({pop!r}, {action!r}) is not finite at {flow.flows}")
     return value
@@ -784,25 +793,13 @@ def validate_game(game: GameSpec) -> list[str]:
             problems.append(f"prior of state {s!r} is negative")
         elif p == 0:
             problems.append(f"prior of state {s!r} is zero (full support required)")
-    declared = {(p.name, a) for p in game.populations for a in p.actions}
-    single = len(game.populations) == 1
-    sole = game.populations[0].name
     for (pop, action), expr in sorted(game.costs.items()):
-        for vpop, vaction in sorted(flow_vars(expr), key=lambda t: (t[0] or "", t[1])):
-            resolved = vpop
-            if resolved is None:
-                if not single:
-                    problems.append(
-                        f"cost of ({pop!r}, {action!r}) uses bare y[{vaction}] "
-                        "in a multi-population game"
-                    )
-                    continue
-                resolved = sole
-            if (resolved, vaction) not in declared:
-                problems.append(
-                    f"cost of ({pop!r}, {action!r}) references unbound flow "
-                    f"variable y[{resolved}][{vaction}]"
-                )
+        for state in game.states:
+            try:
+                compile_cost(game, expr, state)
+            except (ValueError, EvaluationError) as err:
+                problems.append(f"cost of ({pop!r}, {action!r}): {err}")
+                break
     return problems
 
 

@@ -24,7 +24,9 @@ from .model import (
     eval_cost,
     flow_linf,
     flow_sort_key,
+    load_profile,
     uniform_flow,
+    vertex_flow,
 )
 
 
@@ -49,8 +51,6 @@ def potential_value(spec: CongestionSpec, flow: FlowProfile, state: str):
     Uses the exact closed form of the polynomial antiderivative, so rational
     flows give exact rational values.
     """
-    from .model import load_profile
-
     loads = load_profile(spec, flow)
     total = 0
     for e in spec.resources:
@@ -68,8 +68,6 @@ def potential_value(spec: CongestionSpec, flow: FlowProfile, state: str):
 
 def potential_gradient(spec: CongestionSpec, flow: FlowProfile, state: str) -> tuple:
     """Per (population, action) derivative of the potential: the action costs."""
-    from .model import load_profile
-
     loads = load_profile(spec, flow)
     out = []
     for pop in spec.populations:
@@ -376,19 +374,6 @@ def _vector_of(flow: FlowProfile) -> np.ndarray:
     return np.array([float(v) for vec in flow.flows for v in vec])
 
 
-def _profile_of(vector, game: GameSpec) -> FlowProfile:
-    flows = []
-    lo = 0
-    for pop in game.populations:
-        vec = [max(0.0, float(v)) for v in vector[lo : lo + len(pop.actions)]]
-        total = sum(vec)
-        if total > 0:
-            vec = [v / total for v in vec]
-        lo += len(pop.actions)
-        flows.append(tuple(vec))
-    return FlowProfile(tuple(flows))
-
-
 def solve_we_potential(
     spec: CongestionSpec,
     state: str,
@@ -411,7 +396,7 @@ def solve_we_potential(
     core, _ = _spec_core(spec, state)
     x0 = _vector_of(start if start is not None else uniform_flow(game))
     x, _v, iters = core.minimize(x0, tol, max_iter)
-    flow = _profile_of(x, game)
+    flow = _as_profile(x[lo:hi].tolist() for lo, hi in core.blocks)
     violation = float(verify_we(game, flow, state))
     return WESolveResult(flow, float(potential_value(spec, flow, state)), violation, iters)
 
@@ -494,8 +479,6 @@ def solve_we_multistart(
     shape = [len(p.actions) for p in game.populations]
     if math.prod(shape) <= 64:
         for choices in itertools.product(*[range(s) for s in shape]):
-            from .model import vertex_flow
-
             starts.append(vertex_flow(game, choices))
     starts.extend(extra_starts)
     found: list[WESolveResult] = []

@@ -189,17 +189,26 @@ def test_random_game_is_seed_deterministic(capsys):
     assert other[1] != first[1]
 
 
-def test_usage_errors_exit_one(capsys):
-    assert run_cli(["we", "--game", "no-such-game"], capsys)[0] == 1
-    assert run_cli(["frobnicate", "--game", "elfarol"], capsys)[0] == 1
-    assert run_cli(["we", "--game", "elfarol", "--tol", "0"], capsys)[0] == 1
-    assert (
-        run_cli(
-            ["converge", "--game", "elfarol", "--outcome", "elfarol_cwe", "--n-list", "8,4"],
-            capsys,
-        )[0]
-        == 1
+def test_usage_errors_exit_one(capsys, tmp_path):
+    wet_dry = tmp_path / "wet_dry.game"
+    wet_dry.write_text(
+        "[populations]\ncrowd = a, b\n\n[states]\nnames = wet, dry\n\n"
+        "[prior]\nwet = 1/2\ndry = 1/2\n\n[costs]\ncrowd.a = theta*y[a]\ncrowd.b = 1\n"
     )
+    for argv in [
+        ["we", "--game", "no-such-game"],
+        ["frobnicate", "--game", "elfarol"],
+        ["we", "--game", "elfarol", "--tol", "0"],
+        ["converge", "--game", "elfarol", "--outcome", "elfarol_cwe", "--n-list", "8,4"],
+        # a state table that misses the state: an evaluation error, not a crash
+        ["design", "--game", "elfarol", "--objective", "theta[x=1]"],
+        # theta on non-numeric state names is caught by validation
+        ["we", "--game", str(wet_dry)],
+    ]:
+        rc, _, err = run_cli(argv, capsys)
+        assert rc == 1, argv
+        assert err.startswith("error:"), argv
+        assert "Traceback" not in err
 
 
 def test_console_script_installed():

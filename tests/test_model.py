@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import flowgames as fg
+from flowgames.generators import random_congestion_game
 from flowgames.model import CostParseError, EvaluationError, Population
 
 
@@ -65,6 +66,11 @@ def test_eval_float_input_gives_float(elfarol):
     c_b = fg.eval_cost(elfarol, "crowd", "b", fg.FlowProfile(((0.5, 0.5),)), "0")
     assert isinstance(c_b, float)
     assert abs(c_b) < 1e-12
+    # float bits pinned: Fraction coefficients meet float flows in tree order
+    game = random_congestion_game(0, n_actions=3, n_states=2, quadratic=True)
+    f = fg.FlowProfile(((0.1, 0.2, 0.7),))
+    assert repr(fg.eval_cost(game, "pop", "a2", f, "1")) == "5.079999999999999"
+    assert repr(fg.eval_cost(game, "pop", "a0", f, "0")) == "0.22000000000000003"
 
 
 def test_theta_substitutes_state(pigou_info):
@@ -72,6 +78,9 @@ def test_theta_substitutes_state(pigou_info):
     assert fg.eval_cost(pigou_info, "traffic", "a", f, "0") == 3
     assert fg.eval_cost(pigou_info, "traffic", "a", f, "1") == 0
     assert fg.eval_cost(pigou_info, "traffic", "b", f, "0") == 1
+    # a cost compiled for known states does not answer for an unknown one
+    with pytest.raises(ValueError):
+        fg.eval_cost(pigou_info, "traffic", "a", f, "2")
 
 
 def test_theta_needs_numeric_state_name():
@@ -80,10 +89,12 @@ def test_theta_needs_numeric_state_name():
         (pop,),
         ("wet",),
         (F(1),),
-        {("crowd", "a"): fg.parse_cost("theta"), ("crowd", "b"): fg.parse_cost("1")},
+        {("crowd", "a"): fg.parse_cost("theta"), ("crowd", "b"): fg.parse_cost("theta[dry=1]")},
     )
-    with pytest.raises(EvaluationError):
-        fg.eval_cost(game, "crowd", "a", flow1(F(1, 2), F(1, 2)), "wet")
+    # theta on a non-numeric state, and a state table that misses the state
+    for action in ("a", "b"):
+        with pytest.raises(EvaluationError):
+            fg.eval_cost(game, "crowd", action, flow1(F(1, 2), F(1, 2)), "wet")
 
 
 def test_unknown_action_reference_rejected_at_eval():
@@ -96,10 +107,19 @@ def test_unknown_action_reference_rejected_at_eval():
     )
     with pytest.raises(ValueError):
         fg.eval_cost(game, "crowd", "a", flow1(F(1, 2), F(1, 2)), "0")
+    # a bare y[a] is ambiguous once there are two populations
+    two = fg.GameSpec(
+        (Population("p", ("a",)), Population("q", ("a",))),
+        ("0",),
+        (F(1),),
+        {("p", "a"): fg.parse_cost("y[a]"), ("q", "a"): fg.parse_cost("y[q][a]")},
+    )
+    with pytest.raises(ValueError):
+        fg.eval_cost(two, "p", "a", fg.FlowProfile(((F(1),), (F(1),))), "0")
 
 
 def test_power_and_minmax_eval():
-    pop = Population("p", ("a", "b"))
+    pop = Population("p", ("a", "b", "c"))
     game = fg.GameSpec(
         (pop,),
         ("0",),
@@ -107,11 +127,13 @@ def test_power_and_minmax_eval():
         {
             ("p", "a"): fg.parse_cost("y[a]^2 + min(y[a], 2)"),
             ("p", "b"): fg.parse_cost("max(y[a], y[b], 1)"),
+            ("p", "c"): fg.parse_cost("-y[a] - theta[1=5, 0=2]*y[b]"),
         },
     )
-    f = flow1(F(3, 4), F(1, 4))
+    f = flow1(F(3, 4), F(1, 4), 0)
     assert fg.eval_cost(game, "p", "a", f, "0") == F(9, 16) + F(3, 4)
     assert fg.eval_cost(game, "p", "b", f, "0") == 1
+    assert fg.eval_cost(game, "p", "c", f, "0") == F(-5, 4)
 
 
 def test_flow_profile_validation():
@@ -167,6 +189,21 @@ def test_validate_game_numeric_problems():
     game = fg.GameSpec((pop,), ("0", "1"), (F(1, 2), F(1, 3)), costs)
     problems = fg.validate_game(game)
     assert any("prior" in p for p in problems)
+
+
+def test_validate_game_reports_unresolvable_costs():
+    pop = Population("p", ("a", "b", "c"))
+    costs = {
+        ("p", "a"): fg.parse_cost("theta*y[a]"),
+        ("p", "b"): fg.parse_cost("theta[wet=1]"),
+        ("p", "c"): fg.parse_cost("y[zzz]"),
+    }
+    game = fg.GameSpec((pop,), ("wet", "dry"), (F(1, 2), F(1, 2)), costs)
+    assert fg.validate_game(game) == [
+        "cost of ('p', 'a'): state 'wet' is not a rational literal; 'theta' cannot be resolved",
+        "cost of ('p', 'b'): state 'dry' missing from coefficient table",
+        "cost of ('p', 'c'): unknown action 'zzz' in population 'p'",
+    ]
 
 
 def test_validate_game_accepts_bundled(elfarol, pigou_info, pigou_network):
