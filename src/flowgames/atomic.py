@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .checks import CheckReport, check_bce_flowlevel
 from .infostruct import _largest_remainder_counts
 from .lp import lp_solve

@@ -40,7 +40,7 @@ from .gamefile import (
 )
 from .generators import random_congestion_game
 from .infostruct import direct_structure_from_bcwe
-from .model import EvaluationError, parse_cost, social_cost, validate_game
+from .model import EvaluationError, compile_cost, parse_cost, social_cost, validate_game
 from .wardrop import enumerate_we_grid, verify_we
 
 _BUNDLED_GAMES = ("elfarol", "pigou_info", "pigou_network")
@@ -196,6 +196,8 @@ def _cmd_design(args) -> int:
     else:
         expr = parse_cost(args.objective)
         cost_map = {s: expr for s in game.states}
+        for s in game.states:  # a bad objective fails before the grid is solved
+            compile_cost(game, expr, s)
     problem = DesignerProblem(game, cost_map, build_grid(game, args.resolution))
     solution = solve_program_p(problem)
     if solution.outcome is None:

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .checks import obedience_rows
 from .lp import certified_optimum, lp_solve
 from .model import (

@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .model import (
     FlowProfile,
     GameSpec,

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+from ._numpy import np
 
 PIVOT_TOL = 1e-10
 MAX_PIVOTS = 50000

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .model import (
     CongestionSpec,
     FlowProfile,
@@ -139,7 +139,7 @@ def _brent_root(f, a, b, fa, fb):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
         # scipy's brentq with xtol=1e-14 and its default rtol of 4 eps
-        delta = (1e-14 + 4 * float(np.finfo(float).eps) * abs(xcur)) / 2
+        delta = (1e-14 + 4 * sys.float_info.epsilon * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -389,7 +389,9 @@ def solve_we_potential(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    game = congestion_to_game(spec)
+    if spec._game is None:  # derived once per spec, so its costs compile once
+        object.__setattr__(spec, "_game", congestion_to_game(spec))
+    game = spec._game
     if all(len(p.actions) == 1 for p in spec.populations):
         flow = uniform_flow(game)
         return WESolveResult(flow, float(potential_value(spec, flow, state)), 0.0, 0)

@@ -189,7 +189,12 @@ def test_random_game_is_seed_deterministic(capsys):
     assert other[1] != first[1]
 
 
-def test_usage_errors_exit_one(capsys, tmp_path):
+def test_usage_errors_exit_one(capsys, tmp_path, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a usage error reached build_grid")
+
+    # each error is reported before any design grid is solved
+    monkeypatch.setattr("flowgames.cli.build_grid", no_grid)
     wet_dry = tmp_path / "wet_dry.game"
     wet_dry.write_text(
         "[populations]\ncrowd = a, b\n\n[states]\nnames = wet, dry\n\n"
@@ -202,6 +207,7 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ["converge", "--game", "elfarol", "--outcome", "elfarol_cwe", "--n-list", "8,4"],
         # a state table that misses the state: an evaluation error, not a crash
         ["design", "--game", "elfarol", "--objective", "theta[x=1]"],
+        ["design", "--game", "elfarol", "--objective", "y[zzz]"],
         # theta on non-numeric state names is caught by validation
         ["we", "--game", str(wet_dry)],
     ]:

@@ -151,18 +151,57 @@ def test_solver_input_validation(elfarol, pigou_network):
         fg.solve_we_potential(pigou_network.congestion, "0", tol=-1.0)
 
 
-def test_import_leaves_scipy_unloaded():
-    # numpy is the only runtime dependency; a fresh interpreter shows it
+def _fresh_python(code):
+    """Stdout of ``code`` run by a fresh interpreter that imports this package."""
     package_root = str(Path(fg.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; a fresh interpreter shows it
     probe = (
         "import sys, flowgames; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_python(probe).strip() == "[]"
+
+
+# imports the CLI and defines numpy_loaded(), which prints whether numpy's
+# compiled core has been executed (numpy<2 names it numpy.core._multiarray_umath)
+_NUMPY_PROBE = """
+import sys
+from flowgames.cli import main
+
+def numpy_loaded():
+    core = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath")
+    print("numpy loaded:", any(name in sys.modules for name in core))
+"""
+
+
+def test_numpy_loads_only_when_a_solver_needs_it():
+    # the import and the commands that touch no array leave numpy unexecuted
+    out = _fresh_python(
+        _NUMPY_PROBE
+        + "numpy_loaded()\n"
+        + "main(['we', '--game', 'elfarol'])\n"
+        + "main(['check', '--game', 'pigou_info', '--outcome', 'pigou_bcwe', '--concept', 'bcwe'])\n"
+        + "numpy_loaded()\n"
+    )
+    lines = out.splitlines()
+    assert lines[0] == lines[-1] == "numpy loaded: False"
+    assert "equilibria = 3" in lines and "ok = true" in lines
+    # a design LP loads it on first use and prints the recorded bytes
+    out = _fresh_python(_NUMPY_PROBE + "main(['design', '--game', 'pigou_info'])\nnumpy_loaded()\n")
+    assert out == (
+        "[report]\ncommand = design\nobjective = social\nstatus = optimal\nvalue = 1/2\n"
+        "support = 2\nsupport-bound-quadratic = 10\nsupport-bound-bfs = 4\n"
+        "within-bounds = true\n\n[outcome.0]\n(0, 1) = 1\n\n[outcome.1]\n(1, 0) = 1\n"
+        "numpy loaded: True\n"
+    )
 
 
 def _monotone_polynomials(seed, count):
