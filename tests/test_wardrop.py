@@ -68,7 +68,7 @@ def test_gradient_is_cost_everywhere(q):
     assert grad[0][1] == fg.eval_cost(game, "p", "b", f, "0")
 
 
-def test_identical_parallel_edges_split_evenly():
+def test_identical_parallel_edges_split_evenly(monkeypatch):
     spec = CongestionSpec(
         resources=("e1", "e2"),
         latencies={("e1", "0"): (F(0), F(1)), ("e2", "0"): (F(0), F(1))},
@@ -78,10 +78,18 @@ def test_identical_parallel_edges_split_evenly():
         prior=(F(1),),
     )
     game = fg.congestion_to_game(spec)
+    derived = []
+    monkeypatch.setattr(
+        "flowgames.wardrop.congestion_to_game",
+        lambda s: derived.append(s) or fg.congestion_to_game(s),
+    )
     res = fg.solve_we_potential(spec, "0", tol=1e-10)
     assert fg.flow_linf(res.flow, flow1(F(1, 2), F(1, 2))) <= 1e-8
     for act in ("a", "b"):
         assert abs(float(fg.eval_cost(game, "p", act, res.flow, "0")) - 0.5) <= 1e-8
+    # a second solve on the same spec reuses the game the first one derived
+    assert fg.solve_we_potential(spec, "0", tol=1e-10, start=res.flow) == res
+    assert derived == [spec]
 
 
 def test_zero_latencies_make_everything_an_equilibrium():
