@@ -212,9 +212,7 @@ def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
         merged = {}
         for flow, w in atoms:
             merged[flow.flows] = merged.get(flow.flows, 0) + w
-        rounded_per_state[state] = tuple(
-            (FlowProfile(key), w) for key, w in sorted(merged.items())
-        )
+        rounded_per_state[state] = tuple((FlowProfile(key), w) for key, w in merged.items())
     rounded_outcome = Outcome(rounded_per_state)
     bce = SymmetricBCE(rounded_outcome, tuple(agame.counts), counts, delta, 0)
     report = check_bce_flowlevel(agame.game, bce)

@@ -9,7 +9,6 @@ bound structurally: its support cannot exceed the LP row count.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from .model import (
     flow_sort_key,
     social_cost,
 )
-from .wardrop import grid_flows, solve_we_multistart, solve_we_potential, verify_we
+from .wardrop import _lattice_size, grid_flows, solve_we_multistart, solve_we_potential, verify_we
 
 
 @dataclass(frozen=True)
@@ -79,24 +78,19 @@ def social_cost_expr(game: GameSpec) -> dict:
     return {state: None for state in game.states}
 
 
-def build_grid(game: GameSpec, resolution: int, seeds: tuple = ()) -> dict:
-    """Per-state candidate lists: lattice flows, seeds, and solved equilibria.
+def build_grid(game: GameSpec, resolution: int) -> dict:
+    """Per-state candidate lists: lattice flows and solved equilibria.
 
     Candidates are deduplicated exactly and ordered lexicographically so LP
     results are reproducible bit for bit.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    per_pop = math.prod(
-        math.comb(resolution + len(p.actions) - 1, len(p.actions) - 1)
-        for p in game.populations
-    )
-    if per_pop > 10**6:
-        raise ValueError(f"grid of size {per_pop} exceeds the 1e6 cap")
+    size = _lattice_size(game, resolution)
+    if size > 10**6:
+        raise ValueError(f"grid of size {size} exceeds the 1e6 cap")
     lattice = grid_flows(game, resolution)
     out = {}
     for state in game.states:
-        candidates = list(lattice) + list(seeds)
+        candidates = list(lattice)
         for we in _state_equilibria(game, state):
             candidates.append(we)
         seen = set()
@@ -142,7 +136,7 @@ def _snap_rational(game: GameSpec, flow: FlowProfile, state: str) -> FlowProfile
 
 def _state_equilibria(game: GameSpec, state: str) -> list[FlowProfile]:
     if game.congestion is not None:
-        result = solve_we_potential(game.congestion, state)
+        result = solve_we_potential(game, state)
         found = [result.flow] if result.max_violation <= 1e-7 else []
     else:
         found = [r.flow for r in solve_we_multistart(game, state)]
@@ -241,7 +235,7 @@ def ccwe_grid_gap(game: GameSpec, state: str, resolution: int) -> tuple[float, f
     """
     if game.congestion is None:
         raise ValueError("needs a congestion backing for the reference equilibrium")
-    we = solve_we_potential(game.congestion, state, tol=1e-10)
+    we = solve_we_potential(game, state, tol=1e-10)
     we_cost = float(social_cost(game, we.flow, state))
     lattice = grid_flows(game, resolution)
     ncols = len(lattice)

@@ -44,13 +44,11 @@ def random_congestion_game(
     n_states: int = 1,
     quadratic: bool = False,
     n_pops: int = 1,
-    shared: bool = True,
 ) -> GameSpec:
     """A parallel-edge congestion game with small rational coefficients.
 
     Slopes are at least 1, so per-state potentials are strictly convex and
-    equilibrium loads are unique. With ``shared`` (default) every population
-    routes over the same edges; otherwise each population gets its own copy.
+    equilibrium loads are unique. Every population routes over the same edges.
     """
     rng = _rng(seed)
     states = tuple(str(i) for i in range(n_states))
@@ -59,22 +57,10 @@ def random_congestion_game(
         Population(f"p{k}" if n_pops > 1 else "pop", tuple(f"a{j}" for j in range(n_actions)))
         for k in range(n_pops)
     )
-    if shared:
-        resources = tuple(f"e{j}" for j in range(n_actions))
-        actions = {
-            (pop.name, f"a{j}"): frozenset({f"e{j}"})
-            for pop in populations
-            for j in range(n_actions)
-        }
-    else:
-        resources = tuple(
-            f"e{k}_{j}" for k in range(n_pops) for j in range(n_actions)
-        )
-        actions = {
-            (populations[k].name, f"a{j}"): frozenset({f"e{k}_{j}"})
-            for k in range(n_pops)
-            for j in range(n_actions)
-        }
+    resources = tuple(f"e{j}" for j in range(n_actions))
+    actions = {
+        (pop.name, f"a{j}"): frozenset({f"e{j}"}) for pop in populations for j in range(n_actions)
+    }
     latencies = {}
     for e in resources:
         for s in states:
@@ -188,7 +174,7 @@ def full_disclosure_outcome(game: GameSpec, tol: float = 1e-8) -> Outcome:
     per_state = {}
     for s in game.states:
         if game.congestion is not None:
-            flow = solve_we_potential(game.congestion, s, tol=tol).flow
+            flow = solve_we_potential(game, s, tol=tol).flow
         else:
             candidates = solve_we_multistart(game, s, tol=max(tol, 1e-6))
             if not candidates:

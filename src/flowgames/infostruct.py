@@ -218,8 +218,7 @@ def outcome_of_strategies(
                 continue
             agg = aggregate_flow(structure, strategies, profile)
             bucket[agg] = bucket.get(agg, 0) + w
-        entries = sorted(bucket.items(), key=lambda kv: tuple(map(float, kv[0])))
-        per_state[state] = tuple((FlowProfile((agg,)), w) for agg, w in entries)
+        per_state[state] = tuple((FlowProfile((agg,)), w) for agg, w in bucket.items())
     return Outcome(per_state)
 
 

@@ -407,7 +407,6 @@ class CongestionSpec:
     populations: tuple[Population, ...]
     states: tuple[str, ...]
     prior: tuple[Fraction, ...]
-    _game: GameSpec | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.resources:

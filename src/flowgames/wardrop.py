@@ -20,7 +20,6 @@ from .model import (
     CongestionSpec,
     FlowProfile,
     GameSpec,
-    congestion_to_game,
     eval_cost,
     flow_linf,
     flow_sort_key,
@@ -196,30 +195,27 @@ class _PotentialCore:
             s[j] = mass
         return s
 
-    def line_search(self, x, d):
+    def line_search(self, x, d, h0):
+        """Step in [0, 1] to the potential's minimum along ``d``, given its
+        slope ``h0 < 0`` at ``x``."""
+
         def h(t):
             return float(self.costs(x + t * d) @ d)
 
         h1 = h(1.0)
         if h1 <= 0:
             return 1.0
-        h0 = h(0.0)
-        if h0 >= 0:
-            return 0.0
         return _brent_root(h, 0.0, 1.0, h0, h1)
 
     def frank_wolfe(self, x, iters):
         for t in range(iters):
             g = self.costs(x)
-            s = self.fw_vertex(g)
-            d = s - x
-            gap = float(-g @ d)
-            if gap <= 1e-14:
-                return x, t, gap
-            x = x + self.line_search(x, d) * d
-        g = self.costs(x)
-        s = self.fw_vertex(g)
-        return x, iters, float(g @ (x - s))
+            d = self.fw_vertex(g) - x
+            slope = float(g @ d)
+            if slope >= -1e-14:
+                return x, t
+            x = x + self.line_search(x, d, slope) * d
+        return x, iters
 
     def violation(self, x):
         g = self.costs(x)
@@ -337,7 +333,7 @@ class _PotentialCore:
             if best_v <= tol:
                 break
             steps = min(chunk, max_iter - done)
-            x, used, _gap = self.frank_wolfe(x, steps)
+            x, used = self.frank_wolfe(x, steps)
             done += used
             v = self.violation(x)
             if v < best_v:
@@ -375,23 +371,24 @@ def _vector_of(flow: FlowProfile) -> np.ndarray:
 
 
 def solve_we_potential(
-    spec: CongestionSpec,
+    game: GameSpec,
     state: str,
     tol: float = 1e-8,
     max_iter: int = 500,
     start: FlowProfile | None = None,
 ) -> WESolveResult:
-    """Equilibrium of a congestion game by potential minimization.
+    """Equilibrium of a congestion-backed game by potential minimization.
 
     Frank-Wolfe iterations localize the support, and a Newton polish on the
     equal-cost system finishes the job; the reported violation is always
-    re-measured by :func:`verify_we` on the returned flow.
+    re-measured by :func:`verify_we` on the returned flow. Raises ValueError
+    when ``game.congestion`` is None.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if spec._game is None:  # derived once per spec, so its costs compile once
-        object.__setattr__(spec, "_game", congestion_to_game(spec))
-    game = spec._game
+    spec = game.congestion
+    if spec is None:
+        raise ValueError("needs a congestion-backed game")
     if all(len(p.actions) == 1 for p in spec.populations):
         flow = uniform_flow(game)
         return WESolveResult(flow, float(potential_value(spec, flow, state)), 0.0, 0)
@@ -417,9 +414,8 @@ def solve_we_br(
         raise ValueError("tol must be positive")
     flows = [list(map(float, vec)) for vec in start.flows]
     eta = 0.5
-    best = [list(vec) for vec in flows]
     # the validated profile of ``flows``, rebuilt after each population step
-    profile = _as_profile(flows)
+    profile = best = _as_profile(flows)
     best_v = float(verify_we(game, profile, state))
     prev_v = best_v
     iters = 0
@@ -444,16 +440,14 @@ def solve_we_br(
             profile = _as_profile(flows)
         v = float(verify_we(game, profile, state))
         if v < best_v:
-            best = [list(vec) for vec in flows]
-            best_v = v
+            best, best_v = profile, v
         if v > prev_v + 1e-15:
             eta = max(eta / 2, 1e-9)
         prev_v = v
-    flow = _as_profile(best)
     pot = None
     if game.congestion is not None:
-        pot = float(potential_value(game.congestion, flow, state))
-    return WESolveResult(flow, pot, float(verify_we(game, flow, state)), iters)
+        pot = float(potential_value(game.congestion, best, state))
+    return WESolveResult(best, pot, best_v, iters)
 
 
 def _as_profile(flows) -> FlowProfile:
@@ -465,13 +459,7 @@ def _as_profile(flows) -> FlowProfile:
     return FlowProfile(tuple(out))
 
 
-def solve_we_multistart(
-    game: GameSpec,
-    state: str,
-    tol: float = 1e-6,
-    max_iter: int = 2000,
-    extra_starts: tuple = (),
-) -> list[WESolveResult]:
+def solve_we_multistart(game: GameSpec, state: str, tol: float = 1e-6) -> list[WESolveResult]:
     """Best-response solving from every vertex plus the uniform profile.
 
     Returns all converged results (violation <= tol), deduplicated within
@@ -482,10 +470,9 @@ def solve_we_multistart(
     if math.prod(shape) <= 64:
         for choices in itertools.product(*[range(s) for s in shape]):
             starts.append(vertex_flow(game, choices))
-    starts.extend(extra_starts)
     found: list[WESolveResult] = []
     for start in starts:
-        result = solve_we_br(game, state, start, tol, max_iter)
+        result = solve_we_br(game, state, start, tol)
         if result.max_violation > tol:
             continue
         if any(flow_linf(result.flow, r.flow) <= 10 * tol for r in found):
@@ -510,12 +497,21 @@ def _simplex_grid(n_actions: int, resolution: int):
     return out
 
 
+def _lattice_size(game: GameSpec, resolution: int) -> int:
+    """The number of flows :func:`grid_flows` returns, counted without building them."""
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
+    return math.prod(
+        math.comb(resolution + len(p.actions) - 1, len(p.actions) - 1) for p in game.populations
+    )
+
+
 def grid_flows(game: GameSpec, resolution: int) -> list[FlowProfile]:
     """The product over populations of simplex lattices with the given denominator."""
-    per_pop = [_simplex_grid(len(p.actions), resolution) for p in game.populations]
-    size = math.prod(len(g) for g in per_pop)
+    size = _lattice_size(game, resolution)
     if size > 10**7:
         raise ValueError(f"grid of size {size} exceeds the 1e7 cap")
+    per_pop = [_simplex_grid(len(p.actions), resolution) for p in game.populations]
     return [FlowProfile(combo) for combo in itertools.product(*per_pop)]
 
 
@@ -549,7 +545,7 @@ def enumerate_we_grid(
             # Newton-polished potential descent reaches ~1e-12, so copies of
             # one equilibrium collapse inside the dedup radius; best response
             # can stall at ~sqrt(tol) near boundary equilibria
-            polished = solve_we_potential(game.congestion, state, min(tol, 1e-10), start=f)
+            polished = solve_we_potential(game, state, min(tol, 1e-10), start=f)
         else:
             polished = solve_we_br(game, state, f, tol)
         if polished.max_violation > tol:

@@ -111,11 +111,10 @@ def test_c06_equilibrium_costs_and_grid_gaps():
     worst_spread = 0.0
     for seed in range(50):
         game = random_congestion_game(seed, n_actions=2)
-        spec = game.congestion
         cost_sets = []
         for s in range(20):
             start = random_flow(game, 1000 * seed + s)
-            res = fg.solve_we_potential(spec, "0", tol=1e-10, start=start)
+            res = fg.solve_we_potential(game, "0", tol=1e-10, start=start)
             costs = [
                 float(fg.eval_cost(game, game.populations[0].name, a, res.flow, "0"))
                 for j, a in enumerate(game.populations[0].actions)

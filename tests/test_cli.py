@@ -63,6 +63,18 @@ def test_check_stdout_matches_golden(case, capsys):
     assert (rc, out) == (CHECK_GOLDEN[case]["exit"], CHECK_GOLDEN[case]["stdout"])
 
 
+SOLVER_GOLDEN = json.loads((Path(__file__).parent / "golden" / "solver_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(SOLVER_GOLDEN))
+def test_solver_stdout_matches_golden(argv, capsys):
+    # `we` and `design` runs whose reports come from the equilibrium solvers:
+    # the potential solve on congestion games, best response on elfarol
+    rc, out, err = run_cli(argv.split(), capsys)
+    want = SOLVER_GOLDEN[argv]
+    assert (rc, out, err) == (want["exit"], want["stdout"], want["stderr"])
+
+
 def test_check_cwe_reports_state(capsys):
     rc, out, _ = run_cli(
         ["check", "--game", "elfarol", "--outcome", "elfarol_cwe", "--concept", "cwe"],

@@ -218,7 +218,7 @@ def test_solve_bwe_revealing_splits_by_state():
     assert abs(float(strategies.vector(0, 1)[1]) - 1.0) <= 1e-7
     outcome = fg.outcome_of_strategies(structure, strategies)
     for state in game.states:
-        we = fg.solve_we_potential(game.congestion, state, tol=1e-10)
+        we = fg.solve_we_potential(game, state, tol=1e-10)
         atoms = outcome.per_state[state]
         assert len(atoms) == 1
         assert fg.flow_linf(atoms[0][0], we.flow) <= 1e-7

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowgames as fg
-from flowgames.generators import random_congestion_game, random_rational_flow
+from flowgames.generators import random_congestion_game, random_flow, random_rational_flow
 from flowgames.model import CongestionSpec, Population
 from flowgames.wardrop import _brent_root, _PotentialCore, _spec_core, _vector_of
 
@@ -29,7 +29,7 @@ def test_verify_we_elfarol_hand_values(elfarol):
 
 
 def test_pigou_potential_solution(pigou_network):
-    res = fg.solve_we_potential(pigou_network.congestion, "0", tol=1e-10)
+    res = fg.solve_we_potential(pigou_network, "0", tol=1e-10)
     assert fg.flow_linf(res.flow, flow1(0, 1)) <= 1e-8
     assert abs(res.potential_value - 0.5) <= 1e-8
     assert res.max_violation <= 1e-8
@@ -78,18 +78,18 @@ def test_identical_parallel_edges_split_evenly(monkeypatch):
         prior=(F(1),),
     )
     game = fg.congestion_to_game(spec)
-    derived = []
-    monkeypatch.setattr(
-        "flowgames.wardrop.congestion_to_game",
-        lambda s: derived.append(s) or fg.congestion_to_game(s),
-    )
-    res = fg.solve_we_potential(spec, "0", tol=1e-10)
+
+    def derive(_spec):
+        raise AssertionError("the solve derived a second game")
+
+    # the solve runs on the caller's game and compiles no other game's costs
+    monkeypatch.setattr("flowgames.model.congestion_to_game", derive)
+    res = fg.solve_we_potential(game, "0", tol=1e-10)
+    assert ("p", "a", "0") in game._compiled
     assert fg.flow_linf(res.flow, flow1(F(1, 2), F(1, 2))) <= 1e-8
     for act in ("a", "b"):
         assert abs(float(fg.eval_cost(game, "p", act, res.flow, "0")) - 0.5) <= 1e-8
-    # a second solve on the same spec reuses the game the first one derived
-    assert fg.solve_we_potential(spec, "0", tol=1e-10, start=res.flow) == res
-    assert derived == [spec]
+    assert fg.solve_we_potential(game, "0", tol=1e-10, start=res.flow) == res
 
 
 def test_zero_latencies_make_everything_an_equilibrium():
@@ -104,6 +104,17 @@ def test_zero_latencies_make_everything_an_equilibrium():
     game = fg.congestion_to_game(spec)
     for f in fg.grid_flows(game, 5):
         assert fg.verify_we(game, f, "0") == 0
+
+
+def test_grid_flows_checks_cap_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr("flowgames.wardrop._simplex_grid", build)
+    # one six-action population: C(69, 5) = 11,238,513 flows at resolution 64
+    game = random_congestion_game(0, n_actions=6)
+    with pytest.raises(ValueError, match="11238513 exceeds the 1e7 cap"):
+        fg.grid_flows(game, 64)
 
 
 def test_enumerate_elfarol_three_equilibria(elfarol):
@@ -125,6 +136,17 @@ def test_br_solver_reaches_equilibrium(elfarol):
     assert res.max_violation <= 1e-8
     assert float(fg.verify_we(elfarol, res.flow, "0")) <= 1e-8
     assert res.potential_value is None
+
+
+def test_br_solver_reports_the_violation_of_its_flow(elfarol):
+    # the returned max_violation is verify_we of the returned flow, bit for bit
+    two_pops = random_congestion_game(3, n_actions=3, n_states=2, n_pops=2)
+    for game in (elfarol, two_pops):
+        for seed in range(4):
+            start = random_flow(game, seed)
+            for tol, max_iter in ((1e-8, 2000), (1e-12, 7)):
+                res = fg.solve_we_br(game, "0", start, tol, max_iter)
+                assert res.max_violation == float(fg.verify_we(game, res.flow, "0"))
 
 
 def test_br_solver_keeps_equilibrium_start(elfarol):
@@ -156,7 +178,9 @@ def test_solver_input_validation(elfarol, pigou_network):
     with pytest.raises(ValueError):
         fg.solve_we_br(elfarol, "0", flow1(1, 0), tol=0.0)
     with pytest.raises(ValueError):
-        fg.solve_we_potential(pigou_network.congestion, "0", tol=-1.0)
+        fg.solve_we_potential(pigou_network, "0", tol=-1.0)
+    with pytest.raises(ValueError, match="congestion-backed"):
+        fg.solve_we_potential(elfarol, "0")
 
 
 def _fresh_python(code):
