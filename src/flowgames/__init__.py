@@ -81,7 +81,6 @@ from .wardrop import (
     WESolveResult,
     enumerate_we_grid,
     grid_flows,
-    potential_gradient,
     potential_value,
     solve_we_br,
     solve_we_multistart,

@@ -76,19 +76,13 @@ def flow_of_profile(agame: AtomicGame, profile: tuple) -> FlowProfile:
     return FlowProfile(tuple(flows))
 
 
-def _normalize_profile(agame: AtomicGame, profile):
-    """Accept a flat tuple of actions for single-population games."""
-    if len(agame.game.populations) == 1 and profile and isinstance(profile[0], str):
-        return (tuple(profile),)
-    return tuple(tuple(block) for block in profile)
-
-
-def check_bce_bruteforce(agame: AtomicGame, beta: dict, tol: float = 0.0) -> CheckReport:
+def check_bce_bruteforce(agame: AtomicGame, beta: dict) -> CheckReport:
     """Obedience of an explicit profile distribution, player by player.
 
     ``beta`` maps each state to (profile, weight) pairs over full action
-    profiles. Every player's conditional deviation gain is computed exactly
-    on rational data; the profile space must stay at or below 10**6 entries.
+    profiles, ``profile[k][i]`` being the action of player i of population
+    k. Every player's conditional deviation gain is computed exactly on
+    rational data; the profile space must stay at or below 10**6 entries.
     """
     size = 1
     for k, pop in enumerate(agame.game.populations):
@@ -107,7 +101,7 @@ def check_bce_bruteforce(agame: AtomicGame, beta: dict, tol: float = 0.0) -> Che
             total = total + w
             if w == 0:
                 continue
-            entries.append((state, p * w, _normalize_profile(agame, profile)))
+            entries.append((state, p * w, tuple(map(tuple, profile))))
         if total != 1 and abs(float(total) - 1.0) > 1e-9:
             raise ValueError(f"profile weights for state {state!r} sum to {float(total)!r}")
     worst = None
@@ -273,16 +267,17 @@ def _assignments(count_vec, actions, n):
     yield from rec(n, tuple(count_vec))
 
 
-def wasserstein_outcome_distance(mu1: Outcome, mu2: Outcome, prior) -> float:
+def wasserstein_outcome_distance(mu1: Outcome, mu2: Outcome, prior: dict) -> float:
     """Prior-weighted earth-mover distance between two outcomes.
 
-    Ground metric is the sup norm between flow profiles. States where the
-    supports coincide exactly contribute zero without touching the solver.
+    Ground metric is the sup norm between flow profiles; ``prior`` maps each
+    state to its probability. States where the supports coincide exactly
+    contribute zero without touching the solver. States are summed in sorted
+    order, so the float result does not depend on set iteration order.
     """
-    states = set(mu1.per_state) | set(mu2.per_state)
     total = 0.0
-    for state in states:
-        p = float(prior[state]) if isinstance(prior, dict) else float(prior(state))
+    for state in sorted(set(mu1.per_state) | set(mu2.per_state)):
+        p = float(prior[state])
         if p == 0:
             continue
         atoms1 = [(f, w) for f, w in mu1.per_state.get(state, ()) if w != 0]
@@ -330,7 +325,8 @@ class ConvergenceRow:
 
 
 def convergence_run(game: GameSpec, outcome: Outcome, n_list) -> list[ConvergenceRow]:
-    """Round one outcome onto a schedule of player counts.
+    """Round one outcome onto a schedule of player counts, n players in
+    every population for each n in ``n_list``.
 
     The outcome must already satisfy state-averaged obedience to 1e-6. Each
     row reports the rounding distance, the realized flow-level obedience
@@ -347,10 +343,8 @@ def convergence_run(game: GameSpec, outcome: Outcome, n_list) -> list[Convergenc
     prior = {s: game.prior_of(s) for s in game.states}
     rows = []
     for n in n_list:
-        counts = (n,) * len(game.populations) if isinstance(n, int) else tuple(n)
-        agame = AtomicGame(game, counts)
+        agame = AtomicGame(game, (n,) * len(game.populations))
         bce = construct_eps_bce(agame, outcome)
         dist = wasserstein_outcome_distance(outcome, bce.outcome, prior)
-        label = n if isinstance(n, int) else tuple(n)
-        rows.append(ConvergenceRow(label, float(bce.delta), bce.eps, dist))
+        rows.append(ConvergenceRow(n, float(bce.delta), bce.eps, dist))
     return rows

@@ -30,9 +30,6 @@ class CheckReport:
     worst_violation: object
     witness: tuple | None
 
-    def ok(self, tol: float = 0.0) -> bool:
-        return self.worst_violation <= tol
-
 
 def _ensure_distribution(dist) -> tuple:
     atoms = tuple((f, w) for f, w in dist)

@@ -203,14 +203,13 @@ def _cmd_design(args) -> int:
     if solution.outcome is None:
         raise _SolverFailure(f"program not solved: status {solution.status}")
     bounds = support_bound_check(solution, game)
-    support = sum(len(atoms) for atoms in solution.outcome.per_state.values())
     lines = [
         "[report]",
         "command = design",
         f"objective = {args.objective}",
         f"status = {solution.status}",
         f"value = {format_quantity(solution.objective)}",
-        f"support = {support}",
+        f"support = {bounds.support}",
         f"support-bound-quadratic = {bounds.caratheodory_bound}",
         f"support-bound-bfs = {bounds.bfs_bound}",
         f"within-bounds = {'true' if bounds.ok else 'false'}",

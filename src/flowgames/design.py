@@ -51,26 +51,22 @@ class DesignerProblem:
 @dataclass(frozen=True)
 class LPSolution:
     """An optimal outcome with its objective (a ``Fraction`` when certified
-    on exact data, else a float) and basis."""
+    on exact data, else a float)."""
 
     outcome: Outcome | None
     objective: Fraction | float | None
-    basis: tuple | None
     status: str
 
 
 @dataclass(frozen=True)
 class SupportBoundReport:
-    """Truthy iff the solution satisfies the Caratheodory-style cap."""
+    """``ok`` iff the solution satisfies the Caratheodory-style cap."""
 
     ok: bool
     support: int
     caratheodory_bound: int
     bfs_bound: int
     within_bfs: bool
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def social_cost_expr(game: GameSpec) -> dict:
@@ -181,13 +177,13 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     if all(isinstance(v, (int, Fraction)) for v in itertools.chain(cost, *(rows or ()))):
         certificate = certified_optimum(cost, a_eq, b_eq, rows, b_ub)
         if certificate is None:
-            return LPSolution(None, None, None, "uncertified")
-        x, objective, basis, floor = certificate.x, certificate.objective, certificate.basis, 0
+            return LPSolution(None, None, "uncertified")
+        x, objective, floor = certificate.x, certificate.objective, 0
     else:
         result = lp_solve(cost, a_eq, b_eq, rows, b_ub)
         if result.status != "optimal":
-            return LPSolution(None, None, None, result.status)
-        x, objective, basis, floor = result.x.tolist(), result.objective, result.basis, 1e-11
+            return LPSolution(None, None, result.status)
+        x, objective, floor = result.x.tolist(), result.objective, 1e-11
     per_state: dict = {state: [] for state in game.states}
     for (state, idx), w in zip(columns, x):
         if w > floor:
@@ -196,7 +192,7 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     for state, atoms in per_state.items():
         total = sum(w for _, w in atoms)
         per_state[state] = tuple((f, w / total) for f, w in atoms)
-    return LPSolution(Outcome(per_state), objective, basis, "optimal")
+    return LPSolution(Outcome(per_state), objective, "optimal")
 
 
 def support_bound_check(solution: LPSolution, game: GameSpec) -> SupportBoundReport:

@@ -169,14 +169,14 @@ def _random_designer_cost(game: GameSpec, rng: random.Random) -> dict:
     return out
 
 
-def full_disclosure_outcome(game: GameSpec, tol: float = 1e-8) -> Outcome:
+def full_disclosure_outcome(game: GameSpec) -> Outcome:
     """Per-state equilibrium flows with weight 1 (always state-obedient)."""
     per_state = {}
     for s in game.states:
         if game.congestion is not None:
-            flow = solve_we_potential(game, s, tol=tol).flow
+            flow = solve_we_potential(game, s).flow
         else:
-            candidates = solve_we_multistart(game, s, tol=max(tol, 1e-6))
+            candidates = solve_we_multistart(game, s)
             if not candidates:
                 raise RuntimeError(f"no equilibrium found for state {s!r}")
             flow = candidates[0].flow

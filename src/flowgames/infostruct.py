@@ -88,9 +88,6 @@ class StrategyProfile:
             normalized.append(tuple(tuple(v for v in vec) for vec in block))
         object.__setattr__(self, "strategies", tuple(normalized))
 
-    def vector(self, k: int, type_index: int) -> tuple:
-        return self.strategies[k][type_index]
-
 
 def _require_single_population(game: GameSpec):
     if len(game.populations) != 1:
@@ -359,7 +356,6 @@ def solve_bwe(
     game: GameSpec,
     structure: InformationStructure,
     tol: float = 1e-8,
-    max_iter: int = 400,
     start: StrategyProfile | None = None,
 ) -> StrategyProfile:
     """Equilibrium strategies for an information structure over a congestion
@@ -370,7 +366,7 @@ def solve_bwe(
     zero so positivity checks in :func:`bwe_violation` see honest supports.
     """
     blocks, core = _bwe_setup(game, structure)
-    return _bwe_solve(game, structure, blocks, core, tol, max_iter, start)
+    return _bwe_solve(game, structure, blocks, core, tol, start)
 
 
 def _bwe_setup(game: GameSpec, structure: InformationStructure):
@@ -396,7 +392,7 @@ def _bwe_setup(game: GameSpec, structure: InformationStructure):
     return blocks, _auxiliary_core(game, structure, blocks)
 
 
-def _bwe_solve(game, structure, blocks, core, tol, max_iter, start) -> StrategyProfile:
+def _bwe_solve(game, structure, blocks, core, tol, start) -> StrategyProfile:
     actions = game.populations[0].actions
     if start is None:
         x0 = np.concatenate(
@@ -413,7 +409,7 @@ def _bwe_solve(game, structure, blocks, core, tol, max_iter, start) -> StrategyP
                 for j in range(len(actions))
             ]
         )
-    x, _violation, _iters = core.minimize(x0, tol, max_iter)
+    x, _iters = core.minimize(x0, tol, 400)
     out = []
     pos = {blk: i for i, blk in enumerate(blocks)}
     for k in range(structure.population_count()):
@@ -465,6 +461,8 @@ def bwe_cost_uniqueness_probe(
 ) -> UniquenessProbeReport:
     """Solve from random interior starts and measure how much the per-type
     positive-flow conditional costs (and the realized flows) spread."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     import random as _random
 
     rng = _random.Random(seed)
@@ -473,7 +471,7 @@ def bwe_cost_uniqueness_probe(
     blocks, core = _bwe_setup(game, structure)
     runs = []  # (solved strategies, aggregate flows, conditional costs)
     worst_violation = 0.0
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         start_blocks = []
         for k in range(structure.population_count()):
             gamma = float(structure.sizes[k])
@@ -484,7 +482,7 @@ def bwe_cost_uniqueness_probe(
                 vecs.append(tuple(gamma * v / total for v in raw))
             start_blocks.append(tuple(vecs))
         start = StrategyProfile(tuple(start_blocks))
-        solved = _bwe_solve(game, structure, blocks, core, tol=tol, max_iter=400, start=start)
+        solved = _bwe_solve(game, structure, blocks, core, tol=tol, start=start)
         flows, conditional = _conditional_costs(game, structure, solved)
         worst_violation = max(worst_violation, float(_max_gap(conditional, solved)))
         runs.append((solved, flows, conditional))

@@ -20,9 +20,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
-
-Real = Union[int, float, Fraction]
 
 # Per-population mass and per-state weight tolerances for float data;
 # exact rational data is checked exactly.
@@ -434,15 +431,6 @@ class CongestionSpec:
                     raise ValueError(f"no latency for resource {e!r} in state {s!r}")
                 if any(c < 0 for c in coeffs):
                     raise ValueError(f"negative latency coefficient on {e!r} in state {s!r}")
-
-    def latency_value(self, resource: str, state: str, load):
-        """Evaluate one latency polynomial; exact on rational loads."""
-        total = 0
-        power = 1
-        for c in self.latencies[(resource, state)]:
-            total = total + c * power
-            power = power * load
-        return total
 
 
 @dataclass(frozen=True)

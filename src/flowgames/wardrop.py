@@ -33,13 +33,11 @@ from .model import (
 class WESolveResult:
     """A solver's best flow with its certified equilibrium violation.
 
-    ``potential_value`` is present only for congestion-backed solves.
     ``max_violation`` is the raw signed worst violation as reported by
     :func:`verify_we` on the returned flow.
     """
 
     flow: FlowProfile
-    potential_value: float | None
     max_violation: float
     iterations: int
 
@@ -63,20 +61,6 @@ def potential_value(spec: CongestionSpec, flow: FlowProfile, state: str):
             power = power * x
         total = total + term
     return total
-
-
-def potential_gradient(spec: CongestionSpec, flow: FlowProfile, state: str) -> tuple:
-    """Per (population, action) derivative of the potential: the action costs."""
-    loads = load_profile(spec, flow)
-    out = []
-    for pop in spec.populations:
-        row = []
-        for action in pop.actions:
-            row.append(
-                sum(spec.latency_value(e, state, loads[e]) for e in spec.actions[(pop.name, action)])
-            )
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def verify_we(game: GameSpec, flow: FlowProfile, state: str):
@@ -323,7 +307,8 @@ class _PotentialCore:
         return embed(sub)
 
     def minimize(self, x0, tol, max_iter):
-        """Alternate Frank-Wolfe chunks with polish attempts."""
+        """Alternate Frank-Wolfe chunks with polish attempts; returns the
+        least-violating point and the Frank-Wolfe iterations used."""
         x = np.asarray(x0, dtype=float)
         best = x
         best_v = self.violation(x)
@@ -346,7 +331,7 @@ class _PotentialCore:
             if used < steps:
                 break
             chunk = min(chunk * 2, 80)
-        return best, best_v, done
+        return best, done
 
 
 def _spec_core(spec: CongestionSpec, state: str) -> tuple[_PotentialCore, list]:
@@ -374,7 +359,6 @@ def solve_we_potential(
     game: GameSpec,
     state: str,
     tol: float = 1e-8,
-    max_iter: int = 500,
     start: FlowProfile | None = None,
 ) -> WESolveResult:
     """Equilibrium of a congestion-backed game by potential minimization.
@@ -390,14 +374,12 @@ def solve_we_potential(
     if spec is None:
         raise ValueError("needs a congestion-backed game")
     if all(len(p.actions) == 1 for p in spec.populations):
-        flow = uniform_flow(game)
-        return WESolveResult(flow, float(potential_value(spec, flow, state)), 0.0, 0)
+        return WESolveResult(uniform_flow(game), 0.0, 0)
     core, _ = _spec_core(spec, state)
     x0 = _vector_of(start if start is not None else uniform_flow(game))
-    x, _v, iters = core.minimize(x0, tol, max_iter)
+    x, iters = core.minimize(x0, tol, 500)
     flow = _as_profile(x[lo:hi].tolist() for lo, hi in core.blocks)
-    violation = float(verify_we(game, flow, state))
-    return WESolveResult(flow, float(potential_value(spec, flow, state)), violation, iters)
+    return WESolveResult(flow, float(verify_we(game, flow, state)), iters)
 
 
 def solve_we_br(
@@ -444,10 +426,7 @@ def solve_we_br(
         if v > prev_v + 1e-15:
             eta = max(eta / 2, 1e-9)
         prev_v = v
-    pot = None
-    if game.congestion is not None:
-        pot = float(potential_value(game.congestion, best, state))
-    return WESolveResult(best, pot, best_v, iters)
+    return WESolveResult(best, best_v, iters)
 
 
 def _as_profile(flows) -> FlowProfile:

@@ -130,6 +130,21 @@ def test_wasserstein_is_a_metric_on_samples(elfarol):
                 assert dij <= dik + dkj + 1e-9
 
 
+def test_wasserstein_does_not_depend_on_hash_seed(fresh_python):
+    # four states make the per-state sum order matter in floats; under set
+    # iteration order, hash seeds 0 and 1 gave values one ulp apart
+    code = (
+        "import flowgames as fg\n"
+        "from flowgames.generators import random_congestion_game, random_outcome\n"
+        "game = random_congestion_game(1, n_actions=3, n_states=4)\n"
+        "outcome = random_outcome(game, 1, support=3, denominator=7)\n"
+        "bce = fg.construct_eps_bce(fg.AtomicGame(game, (5,)), outcome)\n"
+        "prior = {s: game.prior_of(s) for s in game.states}\n"
+        "print(repr(fg.wasserstein_outcome_distance(outcome, bce.outcome, prior)))\n"
+    )
+    assert fresh_python(code, PYTHONHASHSEED="0") == fresh_python(code, PYTHONHASHSEED="1")
+
+
 def test_convergence_run_elfarol(elfarol, elfarol_cwe):
     rows = fg.convergence_run(elfarol, elfarol_cwe, (4, 8, 16))
     assert [r.n for r in rows] == [4, 8, 16]

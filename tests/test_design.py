@@ -194,7 +194,7 @@ def test_uncertified_program_has_no_outcome(elfarol, monkeypatch):
     monkeypatch.setattr("flowgames.lp.certify", lambda *args: None)
     problem = fg.DesignerProblem(elfarol, fg.social_cost_expr(elfarol), fg.build_grid(elfarol, 4))
     solution = fg.solve_program_p(problem)
-    assert solution == fg.LPSolution(None, None, None, "uncertified")
+    assert solution == fg.LPSolution(None, None, "uncertified")
 
 
 def test_ccwe_gap_shrinks_off_grid():

@@ -72,8 +72,8 @@ def test_direct_structure_coarse_denominator(elfarol, elfarol_cwe):
 
 def test_obedient_strategies_put_mass_on_own_type(elfarol, elfarol_cwe):
     structure, strategies, _ = fg.direct_structure_from_bcwe(elfarol, elfarol_cwe, 2)
-    assert strategies.vector(0, 0) == (F(1, 2), F(0))
-    assert strategies.vector(0, 1) == (F(0), F(1, 2))
+    assert strategies.strategies[0][0] == (F(1, 2), F(0))
+    assert strategies.strategies[0][1] == (F(0), F(1, 2))
 
 
 def test_aggregate_flow_of_type_profiles(elfarol, elfarol_cwe):
@@ -199,7 +199,7 @@ def test_solve_bwe_uninformative_pools():
         kernel={"0": ((("t",), F(1)),), "1": ((("t",), F(1)),)},
     )
     strategies = fg.solve_bwe(game, structure, tol=1e-10)
-    vec = strategies.vector(0, 0)
+    vec = strategies.strategies[0][0]
     # averaged slope 5/4 puts 4/5 of the mass on the variable road
     assert abs(float(vec[0]) - 0.2) <= 1e-7
     assert abs(float(vec[1]) - 0.8) <= 1e-7
@@ -214,8 +214,8 @@ def test_solve_bwe_revealing_splits_by_state():
         kernel={"0": ((("s0",), F(1)),), "1": ((("s1",), F(1)),)},
     )
     strategies = fg.solve_bwe(game, structure, tol=1e-10)
-    assert abs(float(strategies.vector(0, 0)[1]) - 0.5) <= 1e-7
-    assert abs(float(strategies.vector(0, 1)[1]) - 1.0) <= 1e-7
+    assert abs(float(strategies.strategies[0][0][1]) - 0.5) <= 1e-7
+    assert abs(float(strategies.strategies[0][1][1]) - 1.0) <= 1e-7
     outcome = fg.outcome_of_strategies(structure, strategies)
     for state in game.states:
         we = fg.solve_we_potential(game, state, tol=1e-10)
@@ -263,6 +263,13 @@ def test_probe_reports_agreement():
     assert report.worst_violation <= 1e-8
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_probe_rejects_fewer_than_one_trial(trials):
+    game = random_congestion_game(0, n_actions=2, n_states=2)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        fg.bwe_cost_uniqueness_probe(game, random_structure(game, 0), trials=trials)
+
+
 def test_probe_sets_up_auxiliary_core_once(monkeypatch):
     game = random_congestion_game(0, n_actions=2, n_states=2)
     structure = random_structure(game, 0)
@@ -281,7 +288,7 @@ def test_probe_sets_up_auxiliary_core_once(monkeypatch):
     rng = random.Random(1)
     for _ in range(3):
         start = random_rational_strategies(structure, 2, rng)
-        shared = infostruct._bwe_solve(game, structure, blocks, core, 1e-9, 400, start)
+        shared = infostruct._bwe_solve(game, structure, blocks, core, 1e-9, start)
         assert shared == fg.solve_bwe(game, structure, tol=1e-9, start=start)
 
 

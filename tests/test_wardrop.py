@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +27,7 @@ def test_verify_we_elfarol_hand_values(elfarol):
 def test_pigou_potential_solution(pigou_network):
     res = fg.solve_we_potential(pigou_network, "0", tol=1e-10)
     assert fg.flow_linf(res.flow, flow1(0, 1)) <= 1e-8
-    assert abs(res.potential_value - 0.5) <= 1e-8
+    assert abs(fg.potential_value(pigou_network.congestion, res.flow, "0") - 0.5) <= 1e-8
     assert res.max_violation <= 1e-8
 
 
@@ -43,11 +39,10 @@ def test_potential_value_exact(pigou_network):
 
 
 def test_potential_gradient_matches_costs_on_grid(pigou_network):
-    spec = pigou_network.congestion
+    # Phi(y) = y_a + y_b^2 / 2, so c_a = 1 and c_b = y_b
     for f in fg.grid_flows(pigou_network, 8):
-        grad = fg.potential_gradient(spec, f, "0")
-        assert grad[0][0] == fg.eval_cost(pigou_network, "traffic", "a", f, "0")
-        assert grad[0][1] == fg.eval_cost(pigou_network, "traffic", "b", f, "0")
+        assert fg.eval_cost(pigou_network, "traffic", "a", f, "0") == 1
+        assert fg.eval_cost(pigou_network, "traffic", "b", f, "0") == f.flows[0][1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -63,9 +58,10 @@ def test_gradient_is_cost_everywhere(q):
     )
     game = fg.congestion_to_game(spec)
     f = fg.FlowProfile(((q, 1 - q),))
-    grad = fg.potential_gradient(spec, f, "0")
-    assert grad[0][0] == fg.eval_cost(game, "p", "a", f, "0")
-    assert grad[0][1] == fg.eval_cost(game, "p", "b", f, "0")
+    # e1 carries the unit mass and e2 carries y_b = 1 - q: the derivatives of
+    # Phi are c_a = l1(1) = 3 and c_b = l1(1) + l2(1 - q)
+    assert fg.eval_cost(game, "p", "a", f, "0") == 3
+    assert fg.eval_cost(game, "p", "b", f, "0") == 3 + (1 - q) + 3 * (1 - q) ** 2
 
 
 def test_identical_parallel_edges_split_evenly(monkeypatch):
@@ -135,7 +131,6 @@ def test_br_solver_reaches_equilibrium(elfarol):
     res = fg.solve_we_br(elfarol, "0", flow1(0, 1), tol=1e-8)
     assert res.max_violation <= 1e-8
     assert float(fg.verify_we(elfarol, res.flow, "0")) <= 1e-8
-    assert res.potential_value is None
 
 
 def test_br_solver_reports_the_violation_of_its_flow(elfarol):
@@ -183,23 +178,13 @@ def test_solver_input_validation(elfarol, pigou_network):
         fg.solve_we_potential(elfarol, "0")
 
 
-def _fresh_python(code):
-    """Stdout of ``code`` run by a fresh interpreter that imports this package."""
-    package_root = str(Path(fg.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-def test_import_leaves_scipy_unloaded():
+def test_import_leaves_scipy_unloaded(fresh_python):
     # numpy is the only runtime dependency; a fresh interpreter shows it
     probe = (
         "import sys, flowgames; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    assert _fresh_python(probe).strip() == "[]"
+    assert fresh_python(probe).strip() == "[]"
 
 
 # imports the CLI and defines numpy_loaded(), which prints whether numpy's
@@ -214,9 +199,9 @@ def numpy_loaded():
 """
 
 
-def test_numpy_loads_only_when_a_solver_needs_it():
+def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
     # the import and the commands that touch no array leave numpy unexecuted
-    out = _fresh_python(
+    out = fresh_python(
         _NUMPY_PROBE
         + "numpy_loaded()\n"
         + "main(['we', '--game', 'elfarol'])\n"
@@ -227,7 +212,7 @@ def test_numpy_loads_only_when_a_solver_needs_it():
     assert lines[0] == lines[-1] == "numpy loaded: False"
     assert "equilibria = 3" in lines and "ok = true" in lines
     # a design LP loads it on first use and prints the recorded bytes
-    out = _fresh_python(_NUMPY_PROBE + "main(['design', '--game', 'pigou_info'])\nnumpy_loaded()\n")
+    out = fresh_python(_NUMPY_PROBE + "main(['design', '--game', 'pigou_info'])\nnumpy_loaded()\n")
     assert out == (
         "[report]\ncommand = design\nobjective = social\nstatus = optimal\nvalue = 1/2\n"
         "support = 2\nsupport-bound-quadratic = 10\nsupport-bound-bfs = 4\n"
@@ -308,7 +293,11 @@ def test_core_costs_match_exact_gradient(quadratic):
         for state in game.states:
             core, columns = _spec_core(spec, state)
             flow = random_rational_flow(game, seed, denominator=7 + seed % 5)
-            exact = [float(c) for row in fg.potential_gradient(spec, flow, state) for c in row]
+            exact = [
+                float(fg.eval_cost(game, pop.name, a, flow, state))
+                for pop in game.populations
+                for a in pop.actions
+            ]
             got = core.costs(_vector_of(flow))
             assert len(got) == len(columns) == len(exact)
             worst = max(worst, float(np.max(np.abs(got - np.array(exact)))))
