@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from ._numpy import np
 from .checks import obedience_rows
-from .lp import certified_optimum, lp_solve
+from .lp import exact_solve, lp_solve
 from .model import (
     FlowProfile,
     GameSpec,
@@ -31,9 +31,11 @@ class DesignerProblem:
     """A game, a per-state designer cost, and per-state candidate flows.
 
     ``designer_cost`` maps each state to a cost expression over flows; pass
-    the same expression per state for state-independent objectives. The
-    candidate lists must be seeded with per-state equilibria (build them via
-    :func:`build_grid`) or the LP may be infeasible.
+    the same expression per state for state-independent objectives. Each
+    state's candidates must include an equilibrium of that state (build them
+    via :func:`build_grid`): on exact data the first candidate whose
+    obedience terms are all <= 0 starts the LP solve, and without one
+    :func:`solve_program_p` reports "uncertified".
     """
 
     game: GameSpec
@@ -144,13 +146,14 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     distributions supported on the candidate flows.
 
     On exact data (every cost and obedience term an int or ``Fraction``) the
-    LP is solved in floats and its basis certified exactly (see
-    :func:`flowgames.lp.certified_optimum`); the outcome weights and the
-    objective are the certificate's ``Fraction``s, and status "uncertified"
-    (no outcome) means neither the Bland solve nor the Dantzig retry ended at
-    a basis that certifies. Float data (the irrational equilibria of
-    nonlinear latencies) carry roundoff no basis can be certified against;
-    they get the float solve's status, weights and objective.
+    LP is solved by :func:`flowgames.lp.exact_solve`, which starts at the
+    basis of each state's first candidate with all obedience terms <= 0 (an
+    exact equilibrium, which :func:`build_grid` seeds) plus every obedience
+    slack. The outcome weights and the objective are the certificate's
+    ``Fraction``s. Status "uncertified" (no outcome) means some state has no
+    such candidate. Float data (the irrational equilibria of nonlinear
+    latencies) carry roundoff no basis can be certified against; they get
+    the float solve's status, weights and objective.
     """
     game = problem.game
     columns = []  # (state, candidate index)
@@ -175,9 +178,10 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     rows = [terms for _, terms in obedience_rows(game, atoms)] or None
     b_ub = [0] * len(rows) if rows else None
     if all(isinstance(v, (int, Fraction)) for v in itertools.chain(cost, *(rows or ()))):
-        certificate = certified_optimum(cost, a_eq, b_eq, rows, b_ub)
-        if certificate is None:
+        basis = _equilibrium_basis(game.states, columns, rows or ())
+        if basis is None:
             return LPSolution(None, None, "uncertified")
+        certificate = exact_solve(basis, cost, a_eq, b_eq, rows, b_ub)
         x, objective, floor = certificate.x, certificate.objective, 0
     else:
         result = lp_solve(cost, a_eq, b_eq, rows, b_ub)
@@ -193,6 +197,20 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
         total = sum(w for _, w in atoms)
         per_state[state] = tuple((f, w / total) for f, w in atoms)
     return LPSolution(Outcome(per_state), objective, "optimal")
+
+
+def _equilibrium_basis(states, columns, rows) -> list | None:
+    """A primal feasible basis of the design LP: per state, the first
+    candidate with no positive obedience term (an exact equilibrium), then
+    every obedience slack. None when some state has no such candidate."""
+    basis = []
+    for state in states:
+        obedient = (j for j, (s, _) in enumerate(columns) if s == state and all(row[j] <= 0 for row in rows))
+        j = next(obedient, None)
+        if j is None:
+            return None
+        basis.append(j)
+    return basis + list(range(len(columns), len(columns) + len(rows)))
 
 
 def support_bound_check(solution: LPSolution, game: GameSpec) -> SupportBoundReport:

@@ -1,21 +1,26 @@
-"""Dense two-phase primal simplex over floats, with exact certification.
+"""Simplex solvers: a dense float tableau for float data, and an exact
+primal simplex for exact data.
 
 Written in-house because downstream code needs a genuine basic feasible
 solution (the returned basis certifies support bounds) and bit-reproducible
 tie-breaking, which off-the-shelf interior-point or presolving solvers do
 not guarantee. Scale target is desk-sized problems: hundreds of columns.
 
-``lp_solve`` pivots in floats with Bland's rule. Bland's rule is finite only
-in exact arithmetic: on degenerate LPs (the design LP's obedience rows all
-have right-hand side 0) float roundoff can make it revisit a basis, so each
-phase records the bases it visits and stops with status "cycled" at the first
-revisit. ``certify`` decides exactly, in ``Fraction``s, whether a float basis
-is optimal for the exact data: it factors only the m x m basis, solves for
-x_B and the duals y, and prices every column once against y.
-``certified_optimum`` takes exact data, certifies a Bland solve of its float
-image and, when that fails, solves once more with Dantzig pricing, which
-falls back to Bland's entering rule after ``STALL_PIVOTS`` non-improving
-pivots.
+``lp_solve`` runs two phases in floats with Bland's rule. Bland's rule is
+finite only in exact arithmetic: on degenerate LPs float roundoff can make
+it revisit a basis, so each phase records the bases it visits and stops
+with status "cycled" at the first revisit.
+
+``exact_solve`` takes exact data and a primal feasible basis, so it needs
+no phase 1. It keeps B^-1 in ``Fraction``s and updates it at each pivot.
+It enters the column with the most negative float reduced cost, once that
+column's exact reduced cost is confirmed negative. When floats see no such
+column, or after ``STALL_PIVOTS`` consecutive degenerate pivots, it enters by
+Bland's rule on exact prices. The ratio test is exact, with Bland's
+tie-break, so the solve always terminates. It stops where exact pricing finds
+no negative reduced cost, a basis that ``certify`` accepts. ``certify``
+decides exactly whether a given basis is optimal: it factors only the m x m
+basis, solves for x_B and the duals y, and prices every column once against y.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from ._numpy import np
 
 PIVOT_TOL = 1e-10
 MAX_PIVOTS = 50000
-# consecutive non-improving Dantzig pivots before Bland's entering rule
+# consecutive degenerate exact pivots before pricing by Bland's rule alone
 STALL_PIVOTS = 30
 
 
@@ -64,13 +69,9 @@ class Certificate:
     basis: tuple[int, ...]
 
 
-def lp_solve(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, *, _dantzig: bool = False) -> LPResult:
-    """Minimize c.x subject to a_eq x = b_eq, a_ub x <= b_ub, x >= 0.
-
-    Pivots with Bland's rule; ``_dantzig`` (the retry of
-    ``certified_optimum``) enters the most negative reduced cost instead,
-    with Bland's rule after a stall.
-    """
+def lp_solve(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> LPResult:
+    """Minimize c.x subject to a_eq x = b_eq, a_ub x <= b_ub, x >= 0, in
+    floats, pivoting with Bland's rule."""
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     rhs = []
@@ -111,7 +112,7 @@ def lp_solve(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, *, _dantzig: bool = 
     for i in range(m):
         tableau[m, : total + m] -= tableau[i, : total + m]
         tableau[m, -1] -= tableau[i, -1]
-    status, pivots = _pivot_loop(tableau, basis, total, _dantzig)
+    status, pivots = _pivot_loop(tableau, basis, total)
     if status != "optimal":
         return LPResult(status, None, None, None, pivots)
     if -tableau[m, -1] > 1e-8:
@@ -124,7 +125,7 @@ def lp_solve(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, *, _dantzig: bool = 
     for i, bi in enumerate(basis):
         if bi < total and tableau[m, bi] != 0.0:
             tableau[m, :] -= tableau[m, bi] * tableau[i, :]
-    status, phase2 = _pivot_loop(tableau, basis, total, _dantzig)
+    status, phase2 = _pivot_loop(tableau, basis, total)
     pivots += phase2
     if status != "optimal":
         return LPResult(status, None, None, None, pivots)
@@ -137,21 +138,15 @@ def lp_solve(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, *, _dantzig: bool = 
     return LPResult("optimal", x, float(c @ x), tuple(sorted(basis)), pivots)
 
 
-def _pivot_loop(tableau, basis, allowed: int, dantzig: bool) -> tuple[str, int]:
+def _pivot_loop(tableau, basis, allowed: int) -> tuple[str, int]:
     m = tableau.shape[0] - 1
     seen = {frozenset(basis)}
-    stalled = 0
     for pivots in range(MAX_PIVOTS):
         row = tableau[m, :allowed]
-        if dantzig and stalled < STALL_PIVOTS:
-            entering = int(np.argmin(row))
-            if not row[entering] < -PIVOT_TOL:
-                return "optimal", pivots
-        else:
-            eligible = (row < -PIVOT_TOL).nonzero()[0]  # Bland: smallest index
-            if not eligible.size:
-                return "optimal", pivots
-            entering = int(eligible[0])
+        eligible = (row < -PIVOT_TOL).nonzero()[0]  # Bland: smallest index
+        if not eligible.size:
+            return "optimal", pivots
+        entering = int(eligible[0])
         best_ratio = None
         leaving = -1
         for i, (coef, value) in enumerate(zip(tableau[:m, entering].tolist(), tableau[:m, -1].tolist())):
@@ -166,15 +161,12 @@ def _pivot_loop(tableau, basis, allowed: int, dantzig: bool) -> tuple[str, int]:
                     leaving = i
         if leaving < 0:
             return "unbounded", pivots
-        before = tableau[m, -1]
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
         key = frozenset(basis)
         if key in seen:
             return "cycled", pivots + 1
         seen.add(key)
-        # the last tableau entry is -objective, so it rises on improvement
-        stalled = stalled + 1 if tableau[m, -1] <= before else 0
     return "pivot_limit", MAX_PIVOTS
 
 
@@ -220,50 +212,150 @@ def certify(basis, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certificate
     """
     if basis is None:
         return None
+    cost, columns, rhs = _exact_data(c, a_eq, b_eq, a_ub, b_ub)
+    total = len(cost)
+    factored = _factor(basis, columns, rhs)
+    if factored is None:
+        return None
+    binv, x_b = factored
+    if any(v < 0 or (j >= total and v != 0) for j, v in zip(basis, x_b)):
+        return None
+    y = _duals(basis, cost, binv)
+    if _first_negative(y, cost, columns, range(total)) is not None:
+        return None
+    return _certificate(len(c), basis, x_b, y, cost)
+
+
+def exact_solve(basis, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certificate:
+    """An exactly optimal basis of the LP with this data, read as exact
+    rationals, by primal simplex from the primal feasible ``basis``.
+
+    ``basis`` names one column per row, structural (index < len(c)) or slack
+    (len(c) + i for the i-th <= row). Raises ValueError when it is not such
+    a list, its matrix is singular or its x_B has a negative entry, and when
+    the LP is unbounded.
+    """
+    cost, columns, rhs = _exact_data(c, a_eq, b_eq, a_ub, b_ub)
+    m, total = len(rhs), len(cost)
+    basis = list(basis)
+    if len(basis) != m or len(set(basis)) != m or not all(0 <= j < total for j in basis):
+        raise ValueError(f"a basis names {m} distinct columns below {total}")
+    factored = _factor(basis, columns, rhs)
+    if factored is None:
+        raise ValueError("singular basis")
+    binv, x_b = factored
+    if any(v < 0 for v in x_b):
+        raise ValueError("basis is not primal feasible")
+    float_cost = np.array(cost, dtype=float)
+    float_a = np.zeros((m, total))
+    for j, (d, col) in enumerate(columns):
+        for i, v in col:
+            float_a[i, j] = v / d
+    stalled = 0
+    while True:
+        y = _duals(basis, cost, binv)
+        entering = None
+        if stalled < STALL_PIVOTS:
+            # most negative float reduced cost, if its exact one is negative
+            reduced = float_cost - np.array(y, dtype=float) @ float_a
+            j = int(np.argmin(reduced))
+            if reduced[j] < -PIVOT_TOL:
+                entering = _first_negative(y, cost, columns, (j,))
+        if entering is None:
+            entering = _first_negative(y, cost, columns, range(total))
+            if entering is None:
+                return _certificate(len(c), basis, x_b, y, cost)
+        d, col = columns[entering]
+        u = [sum((row[i] * v for i, v in col), Fraction(0)) / d for row in binv]
+        # exact ratio test; ties leave by the smallest basic column (Bland)
+        leaving, step = -1, None
+        for i, (ui, xi) in enumerate(zip(u, x_b)):
+            if ui > 0:
+                ratio = xi / ui
+                if step is None or ratio < step or (ratio == step and basis[i] < basis[leaving]):
+                    leaving, step = i, ratio
+        if leaving < 0:
+            raise ValueError("LP is unbounded")
+        pivot_row = [v / u[leaving] for v in binv[leaving]]
+        for i, ui in enumerate(u):
+            if ui and i != leaving:
+                binv[i] = [a - ui * b if b else a for a, b in zip(binv[i], pivot_row)]
+                x_b[i] -= ui * step
+        binv[leaving] = pivot_row
+        x_b[leaving] = step
+        basis[leaving] = entering
+        stalled = stalled + 1 if step == 0 else 0
+
+
+def _exact_data(c, a_eq, b_eq, a_ub, b_ub):
+    """The LP read as exact rationals in standard form: costs, columns and
+    the right-hand side, with a unit slack column of cost 0 after the
+    structural columns for each <= row. A column is (d, [(row, k)]) for the
+    nonzero entries k / d, where d is the lcm of the column's denominators."""
     eq_rows = [] if a_eq is None else list(a_eq)
     ub_rows = [] if a_ub is None else list(a_ub)
     rhs = [_exact(v) for v in (b_eq if eq_rows else ())]
     rhs += [_exact(v) for v in (b_ub if ub_rows else ())]
-    n_eq = len(eq_rows)
-    m = len(rhs)
     cost = [_exact(v) for v in c]
-    n = len(cost)
-    total = n + len(ub_rows)
-    # sparse structural columns: (row, value) for each nonzero entry
-    columns = [[] for _ in range(n)]
+    entries = [[] for _ in cost]
     for i, row in enumerate(eq_rows + ub_rows):
         for j, v in enumerate(row):
             if v:
-                columns[j].append((i, _exact(v)))
+                entries[j].append((i, _exact(v)))
+    columns = []
+    for col in entries:
+        d = math.lcm(*(v.denominator for _, v in col))
+        columns.append((d, [(i, v.numerator * (d // v.denominator)) for i, v in col]))
+    cost += [0] * len(ub_rows)
+    columns += [(1, [(i, 1)]) for i in range(len(eq_rows), len(rhs))]
+    return cost, columns, rhs
+
+
+def _factor(basis, columns, rhs):
+    """(B^-1, x_B) of ``basis`` over Fractions, or None when B is singular.
+
+    A basis index past the last column is the artificial of row
+    ``index - len(columns)``, a unit column.
+    """
+    m, total = len(rhs), len(columns)
     bmat = [[0] * m for _ in range(m)]
     for k, j in enumerate(basis):
-        if j < n:
-            for i, v in columns[j]:
-                bmat[i][k] = v
-        else:  # unit column: a slack, or an artificial on a redundant row
-            bmat[n_eq + j - n if j < total else j - total][k] = 1
-    x_b = _solve_exact(bmat, rhs)
-    if x_b is None:
+        d, col = columns[j] if j < total else (1, [(j - total, 1)])
+        for i, v in col:
+            bmat[i][k] = Fraction(v, d)
+    binv = _inverse(bmat)
+    if binv is None:
         return None
-    for j, v in zip(basis, x_b):
-        if v < 0 or (j >= total and v != 0):
-            return None
-    cost_b = [cost[j] if j < n else 0 for j in basis]
-    y = _solve_exact([list(col) for col in zip(*bmat)], cost_b)
-    if any(y[n_eq + k] > 0 for k in range(len(ub_rows))):  # slack reduced cost -y
-        return None
-    # price in integers: y = y_int / scale, and each column's sum y . a_j is
-    # accumulated as num / (den * scale) without normalizing
+    return binv, [sum((a * b for a, b in zip(row, rhs) if b), Fraction(0)) for row in binv]
+
+
+def _duals(basis, cost, binv):
+    """y = c_B B^-1, skipping the zero costs of slacks and artificials."""
+    y = [Fraction(0)] * len(binv)
+    for j, row in zip(basis, binv):
+        cj = cost[j] if j < len(cost) else 0
+        if cj:
+            y = [a + cj * b for a, b in zip(y, row)]
+    return y
+
+
+def _first_negative(y, cost, columns, order):
+    """The first column in ``order`` whose exact reduced cost c_j - y . a_j
+    is negative, or None.
+
+    Prices in integers: with y = y_int / scale and the column (d, entries),
+    y . a_j = sum(y_int[i] * k) / (scale * d).
+    """
     scale = math.lcm(*(v.denominator for v in y))
     y_int = [v.numerator * (scale // v.denominator) for v in y]
-    for j in range(n):
-        num, den = 0, 1
-        for i, v in columns[j]:
-            q = v.denominator
-            num = num * q + y_int[i] * v.numerator * den
-            den *= q
-        if cost[j].numerator * den * scale < num * cost[j].denominator:
-            return None
+    for j in order:
+        d, entries = columns[j]
+        if cost[j].numerator * scale * d < cost[j].denominator * sum(y_int[i] * k for i, k in entries):
+            return j
+    return None
+
+
+def _certificate(n, basis, x_b, y, cost) -> Certificate:
     x = [Fraction(0)] * n
     for j, v in zip(basis, x_b):
         if j < n:
@@ -272,30 +364,14 @@ def certify(basis, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certificate
     return Certificate(tuple(x), tuple(y), objective, tuple(basis))
 
 
-def certified_optimum(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certificate | None:
-    """An exactly optimal basis of the LP with this exact data, or None.
-
-    Solves the float image of the data with Bland's rule and certifies the
-    final basis; if that solve did not end at a certifiable basis (it
-    cycled, reported infeasibility, or its basis fails ``certify``), solves
-    once more from scratch with Dantzig pricing and certifies that.
-    """
-    floats = [None if v is None else np.array(v, dtype=float) for v in (c, a_eq, b_eq, a_ub, b_ub)]
-    for dantzig in (False, True):
-        certificate = certify(lp_solve(*floats, _dantzig=dantzig).basis, c, a_eq, b_eq, a_ub, b_ub)
-        if certificate is not None:
-            return certificate
-    return None
-
-
 def _exact(v):
     return v if type(v) in (int, Fraction) else Fraction(v)
 
 
-def _solve_exact(mat, rhs) -> list | None:
-    """Gauss-Jordan elimination over Fractions; None when mat is singular."""
-    m = len(rhs)
-    aug = [list(row) + [r] for row, r in zip(mat, rhs)]
+def _inverse(mat) -> list | None:
+    """Gauss-Jordan inversion over Fractions; None when mat is singular."""
+    m = len(mat)
+    aug = [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(mat)]
     for k in range(m):
         p = next((i for i in range(k, m) if aug[i][k] != 0), None)
         if p is None:
@@ -308,7 +384,7 @@ def _solve_exact(mat, rhs) -> list | None:
             f = aug[i][k]
             if i != k and f != 0:
                 row = aug[i]
-                for j in range(k, m + 1):
+                for j in range(k, 2 * m):
                     if pivot_row[j]:
                         row[j] -= f * pivot_row[j]
-    return [row[m] for row in aug]
+    return [row[m:] for row in aug]

@@ -334,7 +334,7 @@ class _PotentialCore:
         return best, done
 
 
-def _spec_core(spec: CongestionSpec, state: str) -> tuple[_PotentialCore, list]:
+def _spec_core(spec: CongestionSpec, state: str) -> _PotentialCore:
     columns = [(pop.name, a) for pop in spec.populations for a in pop.actions]
     m = np.zeros((len(spec.resources), len(columns)))
     for i, e in enumerate(spec.resources):
@@ -347,8 +347,7 @@ def _spec_core(spec: CongestionSpec, state: str) -> tuple[_PotentialCore, list]:
     for pop in spec.populations:
         blocks.append((lo, lo + len(pop.actions)))
         lo += len(pop.actions)
-    core = _PotentialCore(m, polys, blocks, [1.0] * len(spec.populations))
-    return core, columns
+    return _PotentialCore(m, polys, blocks, [1.0] * len(spec.populations))
 
 
 def _vector_of(flow: FlowProfile) -> np.ndarray:
@@ -375,7 +374,7 @@ def solve_we_potential(
         raise ValueError("needs a congestion-backed game")
     if all(len(p.actions) == 1 for p in spec.populations):
         return WESolveResult(uniform_flow(game), 0.0, 0)
-    core, _ = _spec_core(spec, state)
+    core = _spec_core(spec, state)
     x0 = _vector_of(start if start is not None else uniform_flow(game))
     x, iters = core.minimize(x0, tol, 500)
     flow = _as_profile(x[lo:hi].tolist() for lo, hi in core.blocks)

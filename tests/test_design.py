@@ -124,35 +124,46 @@ def test_lp_obedience_rows_match_reference(name, request, monkeypatch):
     grid = fg.build_grid(game, 4)
     captured = []
 
-    def capture(c, a_eq, b_eq, a_ub, b_ub, _dantzig=False):
+    def capture(basis, c, a_eq, b_eq, a_ub, b_ub):
         captured.append(a_ub)
-        return fg.LPResult("infeasible", None, None, None, None)
+        return lp.exact_solve(basis, c, a_eq, b_eq, a_ub, b_ub)
 
-    # the game data are exact, so the float solves run inside certified_optimum
-    monkeypatch.setattr(lp, "lp_solve", capture)
-    fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
-    assert len(captured) == 2  # the Bland solve and the Dantzig retry
+    def float_solve(*args):
+        raise AssertionError("exact design data reached the float solver")
+
+    # the game data are exact, so the LP goes to the exact solver only
+    monkeypatch.setattr("flowgames.design.exact_solve", capture)
+    monkeypatch.setattr("flowgames.design.lp_solve", float_solve)
+    monkeypatch.setattr(lp, "lp_solve", float_solve)
+    solution = fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
+    assert solution.status == "optimal"
+    assert len(captured) == 1
+    a_ub = np.array(captured[0], dtype=float)
     expected = _reference_obedience_rows(game, grid)
-    for a_ub in captured:
-        assert a_ub.dtype == expected.dtype and a_ub.shape == expected.shape
-        assert a_ub.tobytes() == expected.tobytes()
+    assert a_ub.dtype == expected.dtype and a_ub.shape == expected.shape
+    assert a_ub.tobytes() == expected.tobytes()
 
 
-# design-benchmark instances (n_actions, resolution, game seed) on which the
-# float-only solver failed, with their exact optima
+# design-benchmark instances (n_actions, n_states, resolution, game seed) on
+# which the float-only solver failed, and scaling-ladder cells on which the
+# certified float solves failed, with their exact optima
 DEGENERATE_DESIGN_LPS = [
-    pytest.param(4, 8, 10, F(1), id="A4r8-g10-raised"),
-    pytest.param(3, 16, 15, F(43, 48), id="A3r16-g15-raised"),
-    pytest.param(4, 8, 19, F(162685, 86016), id="A4r8-g19-raised"),
-    pytest.param(4, 8, 8, F(28, 25), id="A4r8-g08-wrong-value"),
-    pytest.param(3, 16, 18, F(19, 6), id="A3r16-g18-wrong-value"),
-    pytest.param(4, 8, 11, F(13, 6), id="A4r8-g11-falsely-infeasible"),
+    pytest.param(4, 2, 8, 10, F(1), id="A4r8-g10-raised"),
+    pytest.param(3, 2, 16, 15, F(43, 48), id="A3r16-g15-raised"),
+    pytest.param(4, 2, 8, 19, F(162685, 86016), id="A4r8-g19-raised"),
+    pytest.param(4, 2, 8, 8, F(28, 25), id="A4r8-g08-wrong-value"),
+    pytest.param(3, 2, 16, 18, F(19, 6), id="A3r16-g18-wrong-value"),
+    pytest.param(4, 2, 8, 11, F(13, 6), id="A4r8-g11-falsely-infeasible"),
+    # both float attempts reported phase-1 infeasibility
+    pytest.param(5, 1, 8, 0, F(20, 7), id="A5S1r8-falsely-infeasible"),
+    # the float Bland solve ended "optimal" at 1.50713149
+    pytest.param(5, 2, 8, 0, F(211, 140), id="A5S2r8-wrong-value"),
 ]
 
 
-@pytest.mark.parametrize("n_actions, resolution, seed, value", DEGENERATE_DESIGN_LPS)
-def test_degenerate_design_lp_is_certified(n_actions, resolution, seed, value):
-    game = random_congestion_game(seed, n_actions=n_actions, n_states=2)
+@pytest.mark.parametrize("n_actions, n_states, resolution, seed, value", DEGENERATE_DESIGN_LPS)
+def test_degenerate_design_lp_is_certified(n_actions, n_states, resolution, seed, value):
+    game = random_congestion_game(seed, n_actions=n_actions, n_states=n_states)
     grid = fg.build_grid(game, resolution)
     solution = fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
     assert solution.status == "optimal"
@@ -160,10 +171,10 @@ def test_degenerate_design_lp_is_certified(n_actions, resolution, seed, value):
     assert fg.check_bcwe(game, solution.outcome).worst_violation <= 0
 
 
-@pytest.mark.parametrize("n_actions, resolution, seed, value", DEGENERATE_DESIGN_LPS)
-def test_degenerate_design_optimum_agrees_with_highs(n_actions, resolution, seed, value):
+@pytest.mark.parametrize("n_actions, n_states, resolution, seed, value", DEGENERATE_DESIGN_LPS)
+def test_degenerate_design_optimum_agrees_with_highs(n_actions, n_states, resolution, seed, value):
     optimize = pytest.importorskip("scipy.optimize")
-    game = random_congestion_game(seed, n_actions=n_actions, n_states=2)
+    game = random_congestion_game(seed, n_actions=n_actions, n_states=n_states)
     grid = fg.build_grid(game, resolution)
     columns = [(s, f) for s in game.states for f in grid[s]]
     c = [float(game.prior_of(s) * fg.social_cost(game, f, s)) for s, f in columns]
@@ -189,12 +200,12 @@ def test_float_design_data_give_float_results():
     )
 
 
-def test_uncertified_program_has_no_outcome(elfarol, monkeypatch):
-    # neither the Bland solve nor the Dantzig retry certifies
-    monkeypatch.setattr("flowgames.lp.certify", lambda *args: None)
-    problem = fg.DesignerProblem(elfarol, fg.social_cost_expr(elfarol), fg.build_grid(elfarol, 4))
-    solution = fg.solve_program_p(problem)
-    assert solution == fg.LPSolution(None, None, "uncertified")
+def test_uncertified_program_has_no_outcome(elfarol):
+    # the one candidate (1/2, 1/2) is no equilibrium (the crowd at home would
+    # rather go out), so no obedient basis starts the exact solve
+    problem = fg.DesignerProblem(elfarol, fg.social_cost_expr(elfarol), {"0": (flow1(F(1, 2), F(1, 2)),)})
+    assert fg.verify_we(elfarol, problem.candidates["0"][0], "0") > 0
+    assert fg.solve_program_p(problem) == fg.LPSolution(None, None, "uncertified")
 
 
 def test_ccwe_gap_shrinks_off_grid():

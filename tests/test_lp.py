@@ -79,20 +79,34 @@ BEALE_A = [[F(1, 4), F(-8), F(-1), F(9)], [F(1, 2), F(-12), F(-1, 2), F(3)], [F(
 BEALE_B = [F(0), F(0), F(1)]
 
 
-@pytest.mark.parametrize("dantzig", [False, True])
-def test_beale_cycling_example(dantzig):
-    # Beale (1955): Dantzig's rule with naive tie-breaking cycles here
-    res = fg.lp_solve(
-        [float(v) for v in BEALE_C],
-        a_ub=np.array(BEALE_A, dtype=float),
-        b_ub=[float(v) for v in BEALE_B],
-        _dantzig=dantzig,
-    )
-    assert res.status == "optimal"
-    assert np.allclose(res.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
-    cert = fg.certify(res.basis, BEALE_C, a_ub=BEALE_A, b_ub=BEALE_B)
+@pytest.mark.parametrize("pure_bland", [False, True])
+def test_beale_cycling_example(pure_bland, monkeypatch):
+    # Beale (1955): Dantzig's rule cycles here (six degenerate pivots) until
+    # STALL_PIVOTS of them hand over to Bland's rule; with STALL_PIVOTS at 0
+    # every entering column is chosen by Bland's rule
+    if pure_bland:
+        monkeypatch.setattr(lp, "STALL_PIVOTS", 0)
+    slacks = (4, 5, 6)
+    cert = fg.exact_solve(slacks, BEALE_C, a_ub=BEALE_A, b_ub=BEALE_B)
     assert cert.objective == F(-5, 4)
     assert cert.x == (1, 0, 1, 0)
+    assert fg.certify(cert.basis, BEALE_C, a_ub=BEALE_A, b_ub=BEALE_B) == cert
+
+
+def test_exact_solve_needs_a_feasible_nonsingular_start():
+    c, a_eq, b_eq, a_ub, b_ub = [F(1), F(2)], [[F(1), F(1)]], [F(1)], [[F(1), F(-1)]], [F(0)]
+    assert fg.exact_solve((1, 2), c, a_eq, b_eq, a_ub, b_ub).x == (F(1, 2), F(1, 2))
+    # {x1, slack}: x1 = 1 puts the slack at -1
+    with pytest.raises(ValueError, match="not primal feasible"):
+        fg.exact_solve((0, 2), c, a_eq, b_eq, a_ub, b_ub)
+    # singular: both rows only see x1
+    with pytest.raises(ValueError, match="singular"):
+        fg.exact_solve((0, 1), c, [[F(1), F(0)], [F(2), F(0)]], [F(1), F(2)])
+    with pytest.raises(ValueError, match="distinct columns"):
+        fg.exact_solve((1, 1), c, a_eq, b_eq, a_ub, b_ub)
+    # min -x1 with x1 - x2 <= 1 grows without bound along x1 = x2 + 1
+    with pytest.raises(ValueError, match="unbounded"):
+        fg.exact_solve((2,), [F(-1), F(0)], a_ub=[[F(1), F(-1)]], b_ub=[F(1)])
 
 
 def _float_design_lp(seed, n_actions, resolution):
@@ -126,14 +140,6 @@ def test_pivots_are_counted():
     res = fg.lp_solve([3.0, 1.0, 2.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0])
     # phase 1 brings in the first column, phase 2 swaps it for the second
     assert res.pivots == 2
-
-
-def test_certified_optimum_takes_exact_data():
-    cert = lp.certified_optimum(BEALE_C, a_ub=BEALE_A, b_ub=BEALE_B)
-    assert cert.objective == F(-5, 4)
-    assert cert.x == (1, 0, 1, 0)
-    # min x1 + x2 with x1 + x2 >= 1 and x1 + x2 <= 1/2 is infeasible
-    assert lp.certified_optimum([1, 1], a_ub=[[-1, -1], [1, 1]], b_ub=[-1, F(1, 2)]) is None
 
 
 def test_certify_rejects_bases_that_are_not_optimal():

@@ -291,7 +291,7 @@ def test_core_costs_match_exact_gradient(quadratic):
         )
         spec = game.congestion
         for state in game.states:
-            core, columns = _spec_core(spec, state)
+            core = _spec_core(spec, state)
             flow = random_rational_flow(game, seed, denominator=7 + seed % 5)
             exact = [
                 float(fg.eval_cost(game, pop.name, a, flow, state))
@@ -299,6 +299,6 @@ def test_core_costs_match_exact_gradient(quadratic):
                 for a in pop.actions
             ]
             got = core.costs(_vector_of(flow))
-            assert len(got) == len(columns) == len(exact)
+            assert len(got) == core.n == len(exact)
             worst = max(worst, float(np.max(np.abs(got - np.array(exact)))))
     assert worst <= 1e-12
