@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._numpy import np
-from .checks import CheckReport, check_bce_flowlevel
+from .checks import CheckReport, check_bce_flowlevel, check_bcwe
 from .infostruct import _largest_remainder_counts
 from .lp import lp_solve
 from .model import FlowProfile, GameSpec, Outcome, eval_cost
@@ -89,6 +89,9 @@ def check_bce_bruteforce(agame: AtomicGame, beta: dict) -> CheckReport:
         size *= len(pop.actions) ** agame.counts[k]
         if size > 10**6:
             raise ValueError("profile space too large for brute force")
+    for state in agame.game.states:
+        if state not in beta:
+            raise ValueError(f"outcome missing state {state!r}")
     entries = []  # (state, prior*weight, normalized profile)
     for state, atoms in beta.items():
         if state not in agame.game.states:
@@ -145,25 +148,26 @@ def check_bce_bruteforce(agame: AtomicGame, beta: dict) -> CheckReport:
 
 @dataclass(frozen=True)
 class SymmetricBCE:
-    """Count-based symmetric recommendation: states to flows to counts.
+    """Count-based symmetric recommendation for n_k uniform players in
+    population k.
 
-    ``outcome`` carries the recommended flows and weights; ``counts`` maps
-    each support flow (by its ``flows`` tuple) to per-population integer counts
-    realizing it with uniform players. ``delta`` is the rounding distance to
-    the target flows and ``eps`` the realized obedience slack.
+    ``outcome`` carries the recommended flows and weights; a support flow y
+    recommends n_k y players per action, so every n_k y must be whole.
+    ``delta`` is the rounding distance to the target flows and ``eps`` the
+    realized obedience slack.
     """
 
     outcome: Outcome
     n: tuple
-    counts: dict
     delta: object
     eps: object
 
     def __post_init__(self):
-        for key, per_pop in self.counts.items():
-            for k, nk in enumerate(self.n):
-                if sum(per_pop[k]) != nk:
-                    raise ValueError(f"counts for {key!r} do not total {nk}")
+        for atoms in self.outcome.per_state.values():
+            for flow, _ in atoms:
+                for nk, vec in zip(self.n, flow.flows):
+                    if any(nk * y != int(nk * y) for y in vec):
+                        raise ValueError(f"flow {flow.flows!r} is not a count vector over {nk}")
 
 
 def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
@@ -177,49 +181,36 @@ def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
     """
     if not agame.uniform():
         raise ValueError("count-based recommendations need uniform weights")
-    counts = {}
     delta = 0
     rounded_per_state = {}
     for state in agame.game.states:
-        atoms = []
+        merged = {}
         for flow, w in outcome.per_state[state]:
             per_pop = []
             for k in range(len(agame.game.populations)):
                 nk = agame.counts[k]
                 vec = flow.flows[k]
                 cnt = _largest_remainder_counts(vec, nk)
-                per_pop.append(tuple(cnt))
+                per_pop.append(tuple(Fraction(c, nk) for c in cnt))
                 for j, c in enumerate(cnt):
                     gap = Fraction(c, nk) - vec[j] if isinstance(vec[j], Fraction) else c / nk - vec[j]
                     gap = -gap if gap < 0 else gap
                     if gap > delta:
                         delta = gap
-            rounded = FlowProfile(
-                tuple(
-                    tuple(Fraction(c, agame.counts[k]) for c in per_pop[k])
-                    for k in range(len(per_pop))
-                )
-            )
-            key = rounded.flows
-            counts[key] = tuple(per_pop)
-            atoms.append((rounded, w))
-        merged = {}
-        for flow, w in atoms:
-            merged[flow.flows] = merged.get(flow.flows, 0) + w
+            key = tuple(per_pop)
+            merged[key] = merged.get(key, 0) + w
         rounded_per_state[state] = tuple((FlowProfile(key), w) for key, w in merged.items())
     rounded_outcome = Outcome(rounded_per_state)
-    bce = SymmetricBCE(rounded_outcome, tuple(agame.counts), counts, delta, 0)
-    report = check_bce_flowlevel(agame.game, bce)
-    eps = report.worst_violation
-    eps = eps if eps > 0 else 0
-    return SymmetricBCE(rounded_outcome, tuple(agame.counts), counts, delta, eps)
+    bce = SymmetricBCE(rounded_outcome, tuple(agame.counts), delta, 0)
+    eps = check_bce_flowlevel(agame.game, bce).worst_violation
+    return SymmetricBCE(rounded_outcome, tuple(agame.counts), delta, eps if eps > 0 else 0)
 
 
 def bce_to_profile_distribution(agame: AtomicGame, bce: SymmetricBCE) -> dict:
     """Expand count-based recommendations into full profile distributions.
 
     Each flow atom spreads uniformly over the action profiles consistent
-    with its counts; weights come out exact when the inputs are rational.
+    with its counts n_k y; weights come out exact unless a weight is a float.
     """
     beta = {}
     for state, atoms in bce.outcome.per_state.items():
@@ -227,16 +218,16 @@ def bce_to_profile_distribution(agame: AtomicGame, bce: SymmetricBCE) -> dict:
         for flow, w in atoms:
             if w == 0:
                 continue
-            per_pop = bce.counts[flow.flows]
             pop_assignments = []
             for k, pop in enumerate(agame.game.populations):
+                count_vec = [int(bce.n[k] * y) for y in flow.flows[k]]
                 pop_assignments.append(
-                    list(_assignments(per_pop[k], pop.actions, agame.counts[k]))
+                    list(_assignments(count_vec, pop.actions, agame.counts[k]))
                 )
             total = 1
             for block in pop_assignments:
                 total *= len(block)
-            share = w * Fraction(1, total) if isinstance(w, Fraction) else w / total
+            share = w / total if isinstance(w, float) else w * Fraction(1, total)
             combos = [()]
             for block in pop_assignments:
                 combos = [c + (b,) for c in combos for b in block]
@@ -333,8 +324,6 @@ def convergence_run(game: GameSpec, outcome: Outcome, n_list) -> list[Convergenc
     slack, and the prior-weighted transport distance between the original
     outcome and its rounded image.
     """
-    from .checks import check_bcwe
-
     report = check_bcwe(game, outcome)
     if float(report.worst_violation) > 1e-6:
         raise ValueError(

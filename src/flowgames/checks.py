@@ -39,7 +39,7 @@ def _ensure_distribution(dist) -> tuple:
     return atoms
 
 
-def obedience_rows(game: GameSpec, atoms, coarse: bool = False) -> list:
+def obedience_rows(game: GameSpec, atoms, coarse: bool = False, shares=None) -> list:
     """The obedience inequalities over weighted flow atoms, one term per atom.
 
     ``atoms`` is a sequence of (state, mass, flow), where mass is the atom's
@@ -52,7 +52,14 @@ def obedience_rows(game: GameSpec, atoms, coarse: bool = False) -> list:
     gives the integer 0 without reading its costs. Each positive-mass atom
     is costed once per population and action; on rational inputs every term
     is exact.
+
+    ``shares`` (pairwise rows only) gives each population's single-player
+    mass s_k, as 1/n_k for n_k players: the deviator takes its own share
+    along, so c_b is read at the flow y + s_k (1_b - 1_a), once per
+    (a, b) and atom with y_a > 0.
     """
+    if coarse and shares is not None:
+        raise ValueError("shares apply to pairwise rows only")
     atoms = tuple(atoms)
     rows = []
     for k, pop in enumerate(game.populations):
@@ -79,6 +86,7 @@ def obedience_rows(game: GameSpec, atoms, coarse: bool = False) -> list:
                 rows.append(((pop.name, b), terms))
             continue
         for ja, a in enumerate(pop.actions):
+            table = costs if shares is None else _deviation_costs(game, k, ja, shares[k], atoms, costs)
             for jb, b in enumerate(pop.actions):
                 if ja == jb:
                     continue
@@ -86,10 +94,28 @@ def obedience_rows(game: GameSpec, atoms, coarse: bool = False) -> list:
                     0
                     if c is None or flow.flows[k][ja] == 0
                     else mass * flow.flows[k][ja] * (c[ja] - c[jb])
-                    for (_, mass, flow), c in zip(atoms, costs)
+                    for (_, mass, flow), c in zip(atoms, table)
                 ]
                 rows.append(((pop.name, a, b), terms))
     return rows
+
+
+def _deviation_costs(game: GameSpec, k: int, ja: int, share, atoms, costs) -> list:
+    """``costs`` with c_b (b != a) swapped, wherever a is played, for b's
+    cost after one player of mass ``share`` moves from a to b."""
+    pop = game.populations[k]
+    table = []
+    for (state, _, flow), c in zip(atoms, costs):
+        if c is not None and flow.flows[k][ja] != 0:
+            c = list(c)
+            for jb, b in enumerate(pop.actions):
+                if jb != ja:
+                    shifted = [list(vec) for vec in flow.flows]
+                    shifted[k][ja] -= share
+                    shifted[k][jb] += share
+                    c[jb] = eval_cost(game, pop.name, b, FlowProfile(shifted), state)
+        table.append(c)
+    return table
 
 
 def _worst_row(concept: str, rows) -> CheckReport:
@@ -149,69 +175,20 @@ def check_cbcwe(game: GameSpec, outcome: Outcome) -> CheckReport:
 
 def check_bce_flowlevel(game: GameSpec, bce) -> CheckReport:
     """Obedience of an exchangeable n-player recommendation scheme, evaluated
-    in closed form at the flow level.
-
-    For each recommended/deviation pair (a, b), the (non-normalized) cost of
-    obeying is compared with the cost of playing b instead, where the
-    deviator's own 1/n mass shifts the realized flow from y to
-    y + (1/n)(1_b - 1_a). That shifted profile differs per (a, b), so this
-    check costs its atoms itself rather than through :func:`obedience_rows`.
+    in closed form at the flow level: the pairwise rows of
+    :func:`obedience_rows` under ``shares`` 1/n_k, where the deviator's own
+    mass shifts the flow from y to y + (1/n_k)(1_b - 1_a). An action that no
+    positive-mass atom recommends has no row.
     """
-    outcome = bce.outcome
-    counts = bce.counts
-    atoms = []  # (state, prior, weight, counts, rounded profile or None)
-    for state in game.states:
-        p = game.prior_of(state)
-        for f, w in outcome.per_state[state]:
-            count_vec = counts[f.flows]
-            rounded = _rounded_profile(count_vec, bce.n) if w != 0 else None
-            atoms.append((state, p, w, count_vec, rounded))
-    worst = None
-    witness = None
-    for k, pop in enumerate(game.populations):
-        if len(pop.actions) < 2:
-            continue
-        n_k = bce.n[k]
-        share = Fraction(1, n_k)
-        for ja, a in enumerate(pop.actions):
-            recommended_mass = 0
-            for _, p, w, count_vec, _ in atoms:
-                recommended_mass = recommended_mass + p * w * count_vec[k][ja]
-            if recommended_mass == 0:
-                continue
-            obeyed = []  # (state, mass of a-recommendations, rounded, obey cost)
-            for state, p, w, count_vec, rounded in atoms:
-                n_a = count_vec[k][ja]
-                if rounded is None or n_a == 0:
-                    continue
-                obey = eval_cost(game, pop.name, a, rounded, state)
-                obeyed.append((state, p * w * Fraction(n_a, n_k), rounded, obey))
-            for jb, b in enumerate(pop.actions):
-                if ja == jb:
-                    continue
-                value = 0
-                for state, mass, rounded, obey in obeyed:
-                    shifted = _shift(rounded, k, ja, jb, share)
-                    dev = eval_cost(game, pop.name, b, shifted, state)
-                    value = value + mass * (obey - dev)
-                if worst is None or value > worst:
-                    worst, witness = value, (pop.name, a, b)
-    if worst is None:
-        return CheckReport("bce_flowlevel", 0, None)
-    return CheckReport("bce_flowlevel", worst, witness)
-
-
-def _rounded_profile(count_vec, n) -> FlowProfile:
-    return FlowProfile(
-        tuple(tuple(Fraction(c, n[k]) for c in row) for k, row in enumerate(count_vec))
-    )
-
-
-def _shift(flow: FlowProfile, k: int, ja: int, jb: int, share) -> FlowProfile:
-    flows = [list(vec) for vec in flow.flows]
-    flows[k][ja] = flows[k][ja] - share
-    flows[k][jb] = flows[k][jb] + share
-    return FlowProfile(tuple(tuple(vec) for vec in flows))
+    atoms = _state_atoms(game, bce.outcome)
+    rows = obedience_rows(game, atoms, shares=[Fraction(1, n) for n in bce.n])
+    played = {
+        (pop.name, a)
+        for k, pop in enumerate(game.populations)
+        for ja, a in enumerate(pop.actions)
+        if any(mass != 0 and flow.flows[k][ja] != 0 for _, mass, flow in atoms)
+    }
+    return _worst_row("bce_flowlevel", [row for row in rows if row[0][:2] in played])
 
 
 @dataclass(frozen=True)
@@ -260,15 +237,19 @@ def sbcwe_from_bcwe(game: GameSpec, outcome: Outcome) -> tuple[dict, AveragingRe
     return flow_map, AveragingReport(report, input_cost, output_cost, tuple(per_state), holds)
 
 
-def _sample_hypotheses(game: GameSpec, trials: int = 1000, seed: int = 0) -> bool:
+_HYPOTHESIS_TRIALS = 1000
+_HYPOTHESIS_SEED = 0
+
+
+def _sample_hypotheses(game: GameSpec) -> bool:
     """Midpoint checks on random segments: y_a c_a convex and c_a concave."""
-    rng = random.Random(seed)
+    rng = random.Random(_HYPOTHESIS_SEED)
     pop = game.populations[0]
 
     def flow_at(t):
         return FlowProfile(((t, 1 - t),))
 
-    for _ in range(trials):
+    for _ in range(_HYPOTHESIS_TRIALS):
         u = rng.random()
         v = rng.random()
         mid = (u + v) / 2

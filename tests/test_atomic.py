@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 import flowgames as fg
+from flowgames.generators import random_congestion_game, random_outcome
+from flowgames.model import eval_cost
 
 
 def flow1(*vals):
@@ -39,8 +41,9 @@ def test_eps_bce_three_players(elfarol, elfarol_cwe):
     bce = fg.construct_eps_bce(agame, elfarol_cwe)
     assert bce.delta == F(1, 6)
     assert bce.eps == F(7, 27)
-    assert bce.counts[(((F(2, 3), F(1, 3)),))] == ((2, 1),)
-    assert bce.counts[(((F(1), F(0)),))] == ((3, 0),)
+    # the rounded flows are the counts over n = 3
+    counts = sorted(tuple(3 * y for y in f.flows[0]) for f, _ in bce.outcome.per_state["0"])
+    assert counts == [(2, 1), (3, 0)]
 
 
 def test_eps_bce_rounds_float_flows_like_exact_ones(elfarol):
@@ -50,7 +53,9 @@ def test_eps_bce_rounds_float_flows_like_exact_ones(elfarol):
     near = fg.FlowProfile(((0.29999999999999993, 0.7000000000000001),))
     bce = fg.construct_eps_bce(agame, fg.Outcome({"0": ((near, F(1)),)}))
     exact = fg.construct_eps_bce(agame, fg.Outcome({"0": ((flow1("3/10", "7/10"), F(1)),)}))
-    assert list(bce.counts.values()) == list(exact.counts.values()) == [((3, 7),)]
+    assert bce.outcome == exact.outcome
+    [(flow, _)] = bce.outcome.per_state["0"]
+    assert [10 * y for y in flow.flows[0]] == [3, 7]
     assert bce.delta <= 1e-15
 
 
@@ -62,6 +67,153 @@ def test_flowlevel_matches_bruteforce_three_players(elfarol, elfarol_cwe):
     brute_report = fg.check_bce_bruteforce(agame, beta)
     assert flow_report.worst_violation == F(7, 27)
     assert brute_report.worst_violation == F(7, 27)
+
+
+def _reference_flowlevel(game, bce):
+    """The flow-level check as a loop of its own, with counts n_k y: the
+    obey cost at the rounded flow against the deviation cost at the flow
+    shifted by the deviator's 1/n_k, and no row for an action that no
+    positive-weight atom recommends."""
+    atoms = []  # (state, prior, weight, counts, rounded profile or None)
+    for state in game.states:
+        p = game.prior_of(state)
+        for f, w in bce.outcome.per_state[state]:
+            count_vec = tuple(tuple(int(nk * y) for y in vec) for nk, vec in zip(bce.n, f.flows))
+            rounded = _rounded_profile(count_vec, bce.n) if w != 0 else None
+            atoms.append((state, p, w, count_vec, rounded))
+    worst = None
+    witness = None
+    for k, pop in enumerate(game.populations):
+        if len(pop.actions) < 2:
+            continue
+        n_k = bce.n[k]
+        share = F(1, n_k)
+        for ja, a in enumerate(pop.actions):
+            recommended_mass = 0
+            for _, p, w, count_vec, _ in atoms:
+                recommended_mass = recommended_mass + p * w * count_vec[k][ja]
+            if recommended_mass == 0:
+                continue
+            obeyed = []  # (state, mass of a-recommendations, rounded, obey cost)
+            for state, p, w, count_vec, rounded in atoms:
+                n_a = count_vec[k][ja]
+                if rounded is None or n_a == 0:
+                    continue
+                obey = eval_cost(game, pop.name, a, rounded, state)
+                obeyed.append((state, p * w * F(n_a, n_k), rounded, obey))
+            for jb, b in enumerate(pop.actions):
+                if ja == jb:
+                    continue
+                value = 0
+                for state, mass, rounded, obey in obeyed:
+                    shifted = _shift(rounded, k, ja, jb, share)
+                    dev = eval_cost(game, pop.name, b, shifted, state)
+                    value = value + mass * (obey - dev)
+                if worst is None or value > worst:
+                    worst, witness = value, (pop.name, a, b)
+    if worst is None:
+        return fg.CheckReport("bce_flowlevel", 0, None)
+    return fg.CheckReport("bce_flowlevel", worst, witness)
+
+
+def _rounded_profile(count_vec, n):
+    return fg.FlowProfile(
+        tuple(tuple(F(c, n[k]) for c in row) for k, row in enumerate(count_vec))
+    )
+
+
+def _shift(flow, k, ja, jb, share):
+    flows = [list(vec) for vec in flow.flows]
+    flows[k][ja] = flows[k][ja] - share
+    flows[k][jb] = flows[k][jb] + share
+    return fg.FlowProfile(tuple(tuple(vec) for vec in flows))
+
+
+def _floated(outcome):
+    return fg.Outcome({
+        s: tuple(
+            (fg.FlowProfile(tuple(tuple(float(v) for v in vec) for vec in f.flows)), float(w))
+            for f, w in atoms
+        )
+        for s, atoms in outcome.per_state.items()
+    })
+
+
+def test_flowlevel_matches_reference_loop():
+    # 2-4 actions, 1-2 populations, 1-3 states, n in {2, 5, 9}, exact and
+    # float outcomes: the same repr and witness as the loop of its own
+    cases = 0
+    for i in range(108):
+        n_actions, n_pops, n_states = 2 + i % 3, 1 + (i // 3) % 2, 1 + (i // 6) % 3
+        n = (2, 5, 9)[(i // 18) % 3]
+        game = random_congestion_game(i, n_actions=n_actions, n_states=n_states, n_pops=n_pops)
+        outcome = random_outcome(game, i, support=1 + i % 3, denominator=2 + i % 7)
+        if (i // 54) % 2:
+            outcome = _floated(outcome)
+        bce = fg.construct_eps_bce(fg.AtomicGame(game, (n,) * n_pops), outcome)
+        got = fg.check_bce_flowlevel(game, bce)
+        want = _reference_flowlevel(game, bce)
+        assert repr(got.worst_violation) == repr(want.worst_violation), i
+        assert got.witness == want.witness, i
+        cases += 1
+    assert cases == 108
+
+
+def test_flowlevel_never_recommended_action_has_no_row():
+    # all three players on a, a strict equilibrium: each deviation costs at
+    # least 2 + 1/3 against 1. A row for b or c would sum to 0 and hide the
+    # negative worst violation.
+    game = fg.parse_game_file(
+        "[populations]\ncrowd = a, b, c\n\n[states]\nnames = 0\n\n[prior]\n0 = 1\n\n"
+        "[costs]\ncrowd.a = y[a]\ncrowd.b = 2 + y[b]\ncrowd.c = 3 + y[c]\n"
+    )
+    agame = fg.AtomicGame(game, (3,))
+    bce = fg.construct_eps_bce(agame, fg.Outcome({"0": ((flow1(1, 0, 0), F(1)),)}))
+    flow_report = fg.check_bce_flowlevel(game, bce)
+    assert flow_report == _reference_flowlevel(game, bce)
+    assert flow_report.worst_violation == F(-4, 3)
+    assert flow_report.witness == ("crowd", "a", "b")
+    brute = fg.check_bce_bruteforce(agame, fg.bce_to_profile_distribution(agame, bce))
+    assert repr(brute.worst_violation) == repr(flow_report.worst_violation)
+    assert bce.eps == 0
+
+
+def test_profile_weights_of_int_weighted_atom_are_exact(elfarol):
+    agame = fg.AtomicGame(elfarol, (3,))
+    bce = fg.construct_eps_bce(agame, fg.Outcome({"0": ((flow1(F(1, 2), F(1, 2)), 1),)}))
+    beta = fg.bce_to_profile_distribution(agame, bce)
+    assert [w for _, w in beta["0"]] == [F(1, 3)] * 3
+    assert all(isinstance(w, F) for _, w in beta["0"])
+    point = fg.construct_eps_bce(agame, fg.Outcome({"0": ((flow1(0, 1), 1),)}))
+    brute = fg.check_bce_bruteforce(agame, fg.bce_to_profile_distribution(agame, point))
+    assert repr(brute.worst_violation) == repr(fg.check_bce_flowlevel(elfarol, point).worst_violation)
+    assert brute.worst_violation == F(1)
+    # float weights keep float division
+    floated = fg.construct_eps_bce(agame, fg.Outcome({"0": ((flow1(F(1, 2), F(1, 2)), 1.0),)}))
+    assert [w for _, w in fg.bce_to_profile_distribution(agame, floated)["0"]] == [1.0 / 3] * 3
+
+
+def test_bruteforce_rejects_missing_state():
+    game = random_congestion_game(3, n_actions=2, n_states=2)
+    agame = fg.AtomicGame(game, (3,))
+    bce = fg.construct_eps_bce(agame, random_outcome(game, 3, support=1, denominator=3))
+    beta = fg.bce_to_profile_distribution(agame, bce)
+    assert fg.check_bce_bruteforce(agame, beta).worst_violation == F(11, 9)
+    with pytest.raises(ValueError, match="outcome missing state '1'"):
+        fg.check_bce_bruteforce(agame, {"0": beta["0"]})
+
+
+def test_symmetric_bce_flows_must_be_counts():
+    outcome = fg.Outcome({"0": ((flow1(F(1, 2), F(1, 2)), F(1)),)})
+    with pytest.raises(ValueError, match="not a count vector over 3"):
+        fg.SymmetricBCE(outcome, (3,), 0, 0)
+    assert fg.SymmetricBCE(outcome, (4,), 0, 0).n == (4,)
+
+
+def test_flowlevel_reports_missing_state(pigou_info):
+    bce = fg.SymmetricBCE(fg.Outcome({"0": ((flow1(1, 0), F(1)),)}), (2,), 0, 0)
+    with pytest.raises(ValueError, match="outcome missing state '1'"):
+        fg.check_bce_flowlevel(pigou_info, bce)
 
 
 def test_profile_distribution_is_exact(elfarol, elfarol_cwe):

@@ -158,7 +158,7 @@ def test_bayesian_checks_reject_missing_state(check, pigou_info):
     assert check(solo, fg.Outcome({s: ((flow1(1), F(1)),) for s in "01"})).witness is None
 
 
-def test_obedience_rows_order_and_terms(pigou_info, pigou_bcwe):
+def test_obedience_rows_order_and_terms(pigou_info, pigou_bcwe, elfarol):
     atoms = [
         (s, pigou_info.prior_of(s) * w, f)
         for s in pigou_info.states
@@ -173,6 +173,17 @@ def test_obedience_rows_order_and_terms(pigou_info, pigou_bcwe):
     coarse = fg.obedience_rows(pigou_info, atoms, coarse=True)
     assert [witness for witness, _ in coarse] == [("traffic", "a"), ("traffic", "b")]
     assert coarse[1][1] == [F(1, 4) * (1 - 1), F(1, 4) * (3 - 1), F(1, 2) * (0 - 1)]
+    # with one player in three, c_b is read after that player moves from a
+    # to b; on elfarol c_a = 1 and c_b = max(2 - 4 y_b, 4 y_b - 2)
+    atoms = [("0", F(1, 2), flow1(F(2, 3), F(1, 3))), ("0", F(1, 2), flow1(1, 0))]
+    shifted = fg.obedience_rows(elfarol, atoms, shares=[F(1, 3)])
+    # (a, b): c_b at (1/3, 2/3) and at (2/3, 1/3) is 2/3, not the unshifted 2
+    assert shifted[0] == (("crowd", "a", "b"), [F(1, 2) * F(2, 3) * (1 - F(2, 3)), F(1, 2) * 1 * (1 - F(2, 3))])
+    assert fg.obedience_rows(elfarol, atoms)[0][1][1] == F(1, 2) * 1 * (1 - 2)
+    # (b, a): c_a at (1, 0) against c_b = 2/3 at (2/3, 1/3); y_b = 0 at (1, 0)
+    assert shifted[1] == (("crowd", "b", "a"), [F(1, 2) * F(1, 3) * (F(2, 3) - 1), 0])
+    with pytest.raises(ValueError, match="pairwise rows only"):
+        fg.obedience_rows(elfarol, atoms, coarse=True, shares=[F(1, 3)])
 
 
 def test_obedience_rows_cost_each_positive_atom_once(elfarol, monkeypatch):
@@ -186,14 +197,24 @@ def test_obedience_rows_cost_each_positive_atom_once(elfarol, monkeypatch):
     monkeypatch.setattr(fg.checks, "eval_cost", counting)
     atoms = [("0", F(1, 2), flow1(F(1, 2), F(1, 2))), ("0", 0, flow1(0, 1)), ("0", F(1, 2), flow1(1, 0))]
     rows = fg.obedience_rows(elfarol, atoms)
-    # two positive-mass atoms, two actions each; the zero-mass atom is not read
-    assert sorted(calls) == sorted(
-        (a, f.flows, "0") for _, m, f in atoms if m != 0 for a in ("a", "b")
-    )
+    # two positive-mass atoms, two actions each; the zero-mass atom is not
+    # read, and no shifted flow is costed
+    unshifted = [(a, f.flows, "0") for _, m, f in atoms if m != 0 for a in ("a", "b")]
+    assert sorted(calls) == sorted(unshifted)
     assert all(terms[1] == 0 and isinstance(terms[1], int) for _, terms in rows)
     # y_b = 0 at (1, 0): the (b, a) row's term there is the integer 0
     assert rows[1][0] == ("crowd", "b", "a")
     assert rows[1][1][2] == 0 and isinstance(rows[1][1][2], int)
+    # under shares, one more cost per (a, b, atom with y_a > 0): a -> b and
+    # b -> a at (1/2, 1/2), a -> b at (1, 0)
+    calls.clear()
+    fg.obedience_rows(elfarol, atoms, shares=[F(1, 4)])
+    shifted = [
+        ("b", ((F(1, 4), F(3, 4)),), "0"),
+        ("a", ((F(3, 4), F(1, 4)),), "0"),
+        ("b", ((F(3, 4), F(1, 4)),), "0"),
+    ]
+    assert sorted(calls) == sorted(unshifted + shifted)
 
 
 def test_checks_report_the_first_worst_row():
