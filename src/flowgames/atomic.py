@@ -184,6 +184,8 @@ def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
     delta = 0
     rounded_per_state = {}
     for state in agame.game.states:
+        if state not in outcome.per_state:
+            raise ValueError(f"outcome missing state {state!r}")
         merged = {}
         for flow, w in outcome.per_state[state]:
             per_pop = []

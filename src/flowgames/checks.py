@@ -218,6 +218,8 @@ def sbcwe_from_bcwe(game: GameSpec, outcome: Outcome) -> tuple[dict, AveragingRe
     input_cost = 0
     output_cost = 0
     for state in game.states:
+        if state not in outcome.per_state:
+            raise ValueError(f"outcome missing state {state!r}")
         p = game.prior_of(state)
         atoms = outcome.per_state[state]
         bary = [0, 0]

@@ -263,6 +263,8 @@ def direct_structure_from_bcwe(
     type_sets = tuple(tuple(actions) for _ in range(k_count))
     kernel = {}
     for state in game.states:
+        if state not in outcome.per_state:
+            raise ValueError(f"outcome missing state {state!r}")
         bucket = {}
         for flow, w in outcome.per_state[state]:
             if w == 0:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._numpy import np
+from .lp import _inverse
 from .model import (
     CongestionSpec,
     FlowProfile,
@@ -48,6 +49,8 @@ def potential_value(spec: CongestionSpec, flow: FlowProfile, state: str):
     Uses the exact closed form of the polynomial antiderivative, so rational
     flows give exact rational values.
     """
+    if state not in spec.states:
+        raise ValueError(f"unknown state {state!r}")
     loads = load_profile(spec, flow)
     total = 0
     for e in spec.resources:
@@ -350,6 +353,36 @@ def _spec_core(spec: CongestionSpec, state: str) -> _PotentialCore:
     return _PotentialCore(m, polys, blocks, [1.0] * len(spec.populations))
 
 
+def _one_minimizer(spec: CongestionSpec, state: str) -> bool:
+    """Whether the potential in ``state`` is strictly convex on the flows,
+    decided exactly; then the game has exactly one Wardrop equilibrium.
+
+    Nonnegative coefficients make every latency nondecreasing on loads >= 0,
+    so the potential is convex and its minimizers are the equilibria. It is
+    strictly convex when the strictly increasing latencies (a positive
+    coefficient of degree >= 1) move with every mass-preserving direction:
+    their resources' incidence rows must have full column rank on the
+    columns e_j - e_first of each population block.
+    """
+    polys = [spec.latencies[(e, state)] for e in spec.resources]
+    if any(c < 0 for p in polys for c in p):
+        return False
+    columns = [
+        (spec.actions[(pop.name, a)], spec.actions[(pop.name, pop.actions[0])])
+        for pop in spec.populations
+        for a in pop.actions[1:]
+    ]
+    rows = [
+        [(e in used) - (e in first) for used, first in columns]
+        for e, p in zip(spec.resources, polys)
+        if any(c > 0 for c in p[1:])
+    ]
+    n = len(columns)
+    gram = [[sum(r[i] * r[j] for r in rows) for j in range(n)] for i in range(n)]
+    # full column rank iff the Gram matrix is nonsingular
+    return _inverse(gram) is not None
+
+
 def _vector_of(flow: FlowProfile) -> np.ndarray:
     return np.array([float(v) for vec in flow.flows for v in vec])
 
@@ -372,6 +405,7 @@ def solve_we_potential(
     spec = game.congestion
     if spec is None:
         raise ValueError("needs a congestion-backed game")
+    game.state_index(state)
     if all(len(p.actions) == 1 for p in spec.populations):
         return WESolveResult(uniform_flow(game), 0.0, 0)
     core = _spec_core(spec, state)
@@ -499,9 +533,13 @@ def enumerate_we_grid(
     """Find equilibria by scanning a lattice and polishing near-equilibria.
 
     Every grid flow is scored by :func:`verify_we`; flows within an adaptive
-    threshold of equilibrium are polished by best response and deduplicated
-    within L-infinity 10*tol. Heuristic by nature: exactness is only claimed
-    for equilibria on or near the lattice.
+    threshold of equilibrium are polished (by potential minimization on
+    congestion-backed games, else by best response) and deduplicated within
+    L-infinity 10*tol. Heuristic by nature: exactness is only claimed for
+    equilibria on or near the lattice. The count is certified when the
+    game's congestion potential is strictly convex in ``state``, which is
+    decided exactly: the game then has one equilibrium, and the scan stops at
+    the first polish that verifies within ``tol``: it returns at most one flow.
     """
     flows = grid_flows(game, resolution)
     scored = [(float(verify_we(game, f, state)), f) for f in flows]
@@ -515,6 +553,7 @@ def enumerate_we_grid(
     # process best candidates first so an exact lattice equilibrium, not a
     # polished neighbor, is the kept representative of its cluster
     scored.sort(key=lambda t: t[0])
+    unique = game.congestion is not None and _one_minimizer(game.congestion, state)
     result: list[FlowProfile] = []
     for v, f in scored:
         if v > keep:
@@ -532,5 +571,7 @@ def enumerate_we_grid(
         if any(flow_linf(candidate, r) <= 10 * tol for r in result):
             continue
         result.append(candidate)
+        if unique:
+            break
     result.sort(key=flow_sort_key)
     return result

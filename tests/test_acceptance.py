@@ -1,6 +1,6 @@
 """End-to-end acceptance checks.
 
-Each test exercises one of the eleven headline behaviors at its stated
+Each test exercises one of the twelve headline behaviors at its stated
 tolerance and prints a single PASS line; a failure anywhere shows up as an
 ordinary pytest failure for that numbered behavior.
 """
@@ -16,6 +16,7 @@ from flowgames.generators import (
     random_outcome,
     random_structure,
 )
+from flowgames.wardrop import _one_minimizer
 
 
 def flow1(*vals):
@@ -249,3 +250,27 @@ def test_c11_potential_gradient():
         f"criterion 11: PASS (1000 flows, {checked} coordinates, "
         f"worst relative error {worst:.1e})"
     )
+
+
+def test_c12_mediation_does_not_help():
+    # with complete information and a strictly convex potential the best
+    # obedient distribution is the point mass on the one equilibrium, so the
+    # exact design optimum equals the equilibrium social cost
+    t0 = time.perf_counter()
+    grids = 0
+    for n_actions in range(2, 6):
+        for seed in range(6):
+            game = random_congestion_game(seed, n_actions=n_actions)
+            assert _one_minimizer(game.congestion, "0")
+            for resolution in (4, 8):
+                grid = fg.build_grid(game, resolution)
+                equilibria = [f for f in grid["0"] if fg.verify_we(game, f, "0") <= 0]
+                assert len(equilibria) == 1
+                problem = fg.DesignerProblem(game, fg.social_cost_expr(game), grid)
+                solution = fg.solve_program_p(problem)
+                assert solution.status == "optimal"
+                assert isinstance(solution.objective, F)
+                assert solution.objective == fg.social_cost(game, equilibria[0], "0")
+                grids += 1
+    elapsed = time.perf_counter() - t0
+    print(f"criterion 12: PASS ({grids} grids, design optimum = equilibrium cost, {elapsed:.2f}s)")

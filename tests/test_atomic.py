@@ -216,6 +216,12 @@ def test_flowlevel_reports_missing_state(pigou_info):
         fg.check_bce_flowlevel(pigou_info, bce)
 
 
+def test_eps_bce_reports_missing_state(pigou_info):
+    partial = fg.Outcome({"0": ((flow1(1, 0), F(1)),)})
+    with pytest.raises(ValueError, match="outcome missing state '1'"):
+        fg.construct_eps_bce(fg.AtomicGame(pigou_info, (2,)), partial)
+
+
 def test_profile_distribution_is_exact(elfarol, elfarol_cwe):
     agame = fg.AtomicGame(elfarol, (3,))
     bce = fg.construct_eps_bce(agame, elfarol_cwe)

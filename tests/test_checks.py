@@ -114,6 +114,12 @@ def test_sbcwe_from_bcwe_barycenters(pigou_info, pigou_bcwe):
     assert report.output_cost == 1
 
 
+def test_sbcwe_from_bcwe_reports_missing_state(pigou_info):
+    partial = fg.Outcome({"0": ((flow1(1, 0), F(1)),)})
+    with pytest.raises(ValueError, match="outcome missing state '1'"):
+        fg.sbcwe_from_bcwe(pigou_info, partial)
+
+
 def test_cbcwe_pigou_outcome(pigou_info, pigou_bcwe):
     report = fg.check_cbcwe(pigou_info, pigou_bcwe)
     assert report.concept == "cbcwe"

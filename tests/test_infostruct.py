@@ -70,6 +70,12 @@ def test_direct_structure_coarse_denominator(elfarol, elfarol_cwe):
     assert fg.outcome_of_strategies(structure, strategies) != elfarol_cwe
 
 
+def test_direct_structure_reports_missing_state(pigou_info):
+    partial = fg.Outcome({"0": ((fg.FlowProfile(((F(1), F(0)),)), F(1)),)})
+    with pytest.raises(ValueError, match="outcome missing state '1'"):
+        fg.direct_structure_from_bcwe(pigou_info, partial, 4)
+
+
 def test_obedient_strategies_put_mass_on_own_type(elfarol, elfarol_cwe):
     structure, strategies, _ = fg.direct_structure_from_bcwe(elfarol, elfarol_cwe, 2)
     assert strategies.strategies[0][0] == (F(1, 2), F(0))

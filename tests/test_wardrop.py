@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 import flowgames as fg
 from flowgames.generators import random_congestion_game, random_flow, random_rational_flow
 from flowgames.model import CongestionSpec, Population
-from flowgames.wardrop import _brent_root, _PotentialCore, _spec_core, _vector_of
+from flowgames.wardrop import _brent_root, _one_minimizer, _PotentialCore, _spec_core, _vector_of
 
 
 def flow1(*vals):
@@ -178,6 +180,88 @@ def test_solver_input_validation(elfarol, pigou_network):
         fg.solve_we_potential(elfarol, "0")
 
 
+def _one_state_spec(latencies, actions):
+    """One population "p" in one state "0"; ``latencies`` maps each resource
+    to its coefficients, ``actions`` each action to its resources."""
+    return CongestionSpec(
+        resources=tuple(latencies),
+        latencies={(e, "0"): tuple(map(F, c)) for e, c in latencies.items()},
+        actions={("p", a): used for a, used in actions.items()},
+        populations=(Population("p", tuple(actions)),),
+        states=("0",),
+        prior=(F(1),),
+    )
+
+
+def test_one_minimizer_on_strictly_convex_potentials(pigou_network):
+    # a constant link beside an increasing one still separates the two routes
+    assert _one_minimizer(pigou_network.congestion, "0")
+    for seed in range(4):
+        for quadratic in (False, True):
+            game = random_congestion_game(seed, n_actions=4, n_states=2, quadratic=quadratic)
+            assert all(_one_minimizer(game.congestion, s) for s in game.states)
+    # one action per population: no direction moves mass, so one flow
+    assert _one_minimizer(_one_state_spec({"e": (1,)}, {"a": ("e",)}), "0")
+
+
+def test_one_minimizer_rejects_games_that_may_have_several_equilibria():
+    # two populations on the same edges can trade mass without moving a load
+    assert not _one_minimizer(random_congestion_game(0, n_actions=2, n_pops=2).congestion, "0")
+    # two actions on the same resource set
+    same = _one_state_spec({"e1": (0, 1), "e2": (1, 1)}, {"a": ("e1",), "b": ("e2",), "c": ("e2",)})
+    assert not _one_minimizer(same, "0")
+    # only the constant-latency resource tells a from b
+    masked = _one_state_spec({"e1": (2,), "e2": (0, 1)}, {"a": ("e1", "e2"), "b": ("e2",)})
+    assert not _one_minimizer(masked, "0")
+    # constant latencies everywhere
+    flat = _one_state_spec({"e1": (0,), "e2": (1,)}, {"a": ("e1",), "b": ("e2",)})
+    assert not _one_minimizer(flat, "0")
+    # a negative coefficient (rejected at construction, so set afterwards)
+    spec = _one_state_spec({"e1": (0, 1), "e2": (0, 1)}, {"a": ("e1",), "b": ("e2",)})
+    assert _one_minimizer(spec, "0")
+    spec.latencies[("e1", "0")] = (F(0), F(1), F(-1))
+    assert not _one_minimizer(spec, "0")
+
+
+def test_enumerate_polishes_once_when_the_potential_is_strictly_convex(monkeypatch):
+    calls = []
+    solve = fg.wardrop.solve_we_potential
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr("flowgames.wardrop.solve_we_potential", counted)
+    game = random_congestion_game(0, n_actions=3, quadratic=True)
+    flows = fg.enumerate_we_grid(game, "0", 32)
+    # polishing every candidate under the threshold took 158 solves here
+    assert len(calls) == 1
+    assert len(flows) == 1
+    # the two-population game may have several equilibria: every candidate
+    # under the threshold is still polished
+    calls.clear()
+    two_pops = random_congestion_game(0, n_actions=2, n_pops=2)
+    assert len(fg.enumerate_we_grid(two_pops, "0", 4)) == 17
+    assert len(calls) == 25
+
+
+def test_unknown_state_is_a_value_error(pigou_network):
+    # the potential solve and the potential reject the state before reading
+    # a latency; a bare KeyError escaped both, and ccwe_grid_gap through them
+    game = random_congestion_game(0, n_actions=3)
+    with pytest.raises(ValueError, match="unknown state 'zz'"):
+        fg.solve_we_potential(game, "zz")
+    with pytest.raises(ValueError, match="unknown state 'zz'"):
+        fg.potential_value(game.congestion, fg.uniform_flow(game), "zz")
+    with pytest.raises(ValueError, match="unknown state 'zz'"):
+        fg.ccwe_grid_gap(game, "zz", 4)
+    solo = fg.congestion_to_game(_one_state_spec({"e": (1,)}, {"a": ("e",)}))
+    with pytest.raises(ValueError, match="unknown state 'zz'"):
+        fg.solve_we_potential(solo, "zz")
+    with pytest.raises(ValueError, match="unknown state 'zz'"):
+        fg.enumerate_we_grid(pigou_network, "zz", 4)
+
+
 def test_import_leaves_scipy_unloaded(fresh_python):
     # numpy is the only runtime dependency; a fresh interpreter shows it
     probe = (
@@ -302,3 +386,33 @@ def test_core_costs_match_exact_gradient(quadratic):
             assert len(got) == core.n == len(exact)
             worst = max(worst, float(np.max(np.abs(got - np.array(exact)))))
     assert worst <= 1e-12
+
+
+def _enumeration_cases(pigou_network, elfarol):
+    """(id, game, state, resolution) of every run pinned in enumerate_flows.json."""
+    for seed in range(6):
+        yield f"quad{seed}-r32", random_congestion_game(seed, n_actions=3, quadratic=True), "0", 32
+    for seed in range(8):
+        for n_actions in (2, 3, 4):
+            game = random_congestion_game(seed, n_actions=n_actions, n_states=2)
+            for state in game.states:
+                yield f"linear{seed}-a{n_actions}-s{state}-r12", game, state, 12
+    for seed in range(2):
+        yield f"pops2-{seed}-r4", random_congestion_game(seed, n_actions=2, n_pops=2), "0", 4
+    yield "pigou_network-r16", pigou_network, "0", 16
+    yield "elfarol-r16", elfarol, "0", 16
+
+
+ENUMERATION_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "enumerate_flows.json").read_text()
+)
+
+
+def test_enumerate_we_grid_matches_golden(pigou_network, elfarol):
+    # repr of every returned flow, recorded with every candidate polished:
+    # stopping at the first verified polish must return the same flows
+    got = {
+        case: [repr(f.flows) for f in fg.enumerate_we_grid(game, state, resolution)]
+        for case, game, state, resolution in _enumeration_cases(pigou_network, elfarol)
+    }
+    assert got == ENUMERATION_GOLDEN
