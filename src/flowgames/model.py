@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 # Per-population mass and per-state weight tolerances for float data;
 # exact rational data is checked exactly.
@@ -396,16 +398,21 @@ class CongestionSpec:
         populations: population structure shared with the derived game.
         states: state names.
         prior: per-state probabilities used when deriving a full game.
+
+    Both tables are stored as read-only copies, so the checks made here hold
+    for the spec's lifetime.
     """
 
     resources: tuple[str, ...]
-    latencies: dict
-    actions: dict
+    latencies: Mapping
+    actions: Mapping
     populations: tuple[Population, ...]
     states: tuple[str, ...]
     prior: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "latencies", MappingProxyType(dict(self.latencies)))
+        object.__setattr__(self, "actions", MappingProxyType(dict(self.actions)))
         if not self.resources:
             raise ValueError("no resources")
         if len(set(self.resources)) != len(self.resources):
@@ -532,11 +539,14 @@ class FlowProfile:
             for v in vec:
                 if v < 0:
                     raise ValueError(f"negative flow entry {v!r} in population {k}")
-            total = sum(vec)
-            if abs(total - masses[k]) > MASS_TOL:
-                raise ValueError(
-                    f"population {k} flow sums to {float(total)!r}, expected {float(masses[k])!r}"
-                )
+            _check_mass(k, vec, masses[k])
+
+
+def _check_mass(k: int, vec, mass) -> None:
+    """Raise ValueError unless population ``k``'s entries sum to ``mass``."""
+    total = sum(vec)
+    if abs(total - mass) > MASS_TOL:
+        raise ValueError(f"population {k} flow sums to {float(total)!r}, expected {float(mass)!r}")
 
 
 def flow_sort_key(flow: FlowProfile) -> tuple:
@@ -601,7 +611,9 @@ def compile_cost(game: GameSpec, expr: CostExpr, state: str):
     (population, action) index, ``theta`` and state tables become their value
     in ``state``. The returned function keeps each node's operand order and
     folds no constants, so it computes what a walk of the tree would, bit for
-    bit: exact on rational flows, floats otherwise.
+    bit: exact on rational flows, floats otherwise. Where ``+ - *`` meets a
+    constant leaf and a value of type ``float``, it uses ``float(constant)``,
+    made here once; Python's ``Fraction`` converts to that same float itself.
 
     Raises:
         ValueError: a flow variable names an unknown population or action, or
@@ -610,9 +622,27 @@ def compile_cost(game: GameSpec, expr: CostExpr, state: str):
             literal, or a state table that misses ``state``.
     """
 
-    def build(node):
+    def constant(node):
+        """The value of a leaf that does not read the flow, else None."""
         if isinstance(node, Const):
-            value = node.value
+            return node.value
+        if isinstance(node, ThetaVal):
+            try:
+                return Fraction(state)
+            except ValueError:
+                raise EvaluationError(
+                    f"state {state!r} is not a rational literal; 'theta' cannot be resolved"
+                ) from None
+        if isinstance(node, StateCoef):
+            for name, value in node.table:
+                if name == state:
+                    return value
+            raise EvaluationError(f"state {state!r} missing from coefficient table")
+        return None
+
+    def build(node):
+        value = constant(node)
+        if value is not None:
             return lambda flows: value
         if isinstance(node, FlowVar):
             pop = node.pop
@@ -625,30 +655,11 @@ def compile_cost(game: GameSpec, expr: CostExpr, state: str):
             i = game.population_index(pop)
             j = game.action_index(pop, node.action)
             return lambda flows: flows[i][j]
-        if isinstance(node, ThetaVal):
-            try:
-                value = Fraction(state)
-            except ValueError:
-                raise EvaluationError(
-                    f"state {state!r} is not a rational literal; 'theta' cannot be resolved"
-                ) from None
-            return lambda flows: value
-        if isinstance(node, StateCoef):
-            for name, value in node.table:
-                if name == state:
-                    return lambda flows: value
-            raise EvaluationError(f"state {state!r} missing from coefficient table")
         if isinstance(node, Neg):
             arg = build(node.arg)
             return lambda flows: -arg(flows)
         if isinstance(node, (Add, Sub, Mul)):
-            left = build(node.left)
-            right = build(node.right)
-            if isinstance(node, Add):
-                return lambda flows: left(flows) + right(flows)
-            if isinstance(node, Sub):
-                return lambda flows: left(flows) - right(flows)
-            return lambda flows: left(flows) * right(flows)
+            return binary(node)
         if isinstance(node, (MaxOf, MinOf)):
             args = [build(a) for a in node.args]
             pick = max if isinstance(node, MaxOf) else min
@@ -658,6 +669,66 @@ def compile_cost(game: GameSpec, expr: CostExpr, state: str):
             exponent = node.exponent
             return lambda flows: base(flows) ** exponent
         raise TypeError(f"unknown expression node {type(node).__name__}")
+
+    def binary(node):
+        # A constant c meeting a float x computes float(c) op x in Python's
+        # Fraction fallbacks, so x op float(c) made once here is the same
+        # float; any other operand (exact, or a float subclass) meets c itself.
+        lc, left = constant(node.left), build(node.left)
+        rc, right = constant(node.right), build(node.right)
+        fc = None
+        if (lc is None) != (rc is None):
+            try:
+                fc = float(rc if lc is None else lc)
+            except OverflowError:
+                pass  # too large for a float: the operation raises as before
+        if isinstance(node, Add):
+            if fc is None:
+                return lambda flows: left(flows) + right(flows)
+            if lc is None:
+
+                def add(flows):
+                    x = left(flows)
+                    return x + fc if type(x) is float else x + rc
+
+            else:
+
+                def add(flows):
+                    x = right(flows)
+                    return fc + x if type(x) is float else lc + x
+
+            return add
+        if isinstance(node, Sub):
+            if fc is None:
+                return lambda flows: left(flows) - right(flows)
+            if lc is None:
+
+                def sub(flows):
+                    x = left(flows)
+                    return x - fc if type(x) is float else x - rc
+
+            else:
+
+                def sub(flows):
+                    x = right(flows)
+                    return fc - x if type(x) is float else lc - x
+
+            return sub
+        if fc is None:
+            return lambda flows: left(flows) * right(flows)
+        if lc is None:
+
+            def mul(flows):
+                x = left(flows)
+                return x * fc if type(x) is float else x * rc
+
+        else:
+
+            def mul(flows):
+                x = right(flows)
+                return fc * x if type(x) is float else lc * x
+
+        return mul
 
     return build(expr)
 
@@ -670,6 +741,11 @@ def eval_cost(game: GameSpec, pop: str, action: str, flow: FlowProfile, state: s
     finite value. Each (pop, action, state) is compiled once per game (see
     :func:`compile_cost`).
     """
+    return _finite(_cost_fn(game, pop, action, state)(flow.flows), pop, action, flow.flows)
+
+
+def _cost_fn(game: GameSpec, pop: str, action: str, state: str):
+    """The compiled cost of ``action`` in ``pop`` and ``state``, kept in the game."""
     key = (pop, action, state)
     cost = game._compiled.get(key)
     if cost is None:
@@ -677,9 +753,13 @@ def eval_cost(game: GameSpec, pop: str, action: str, flow: FlowProfile, state: s
         game.population_index(pop)
         game.action_index(pop, action)
         cost = game._compiled[key] = compile_cost(game, game.costs[(pop, action)], state)
-    value = cost(flow.flows)
+    return cost
+
+
+def _finite(value, pop: str, action: str, flows):
+    """``value``, the cost of ``action`` at ``flows``, unless it is a non-finite float."""
     if isinstance(value, float) and not math.isfinite(value):
-        raise EvaluationError(f"cost of ({pop!r}, {action!r}) is not finite at {flow.flows}")
+        raise EvaluationError(f"cost of ({pop!r}, {action!r}) is not finite at {flows}")
     return value
 
 

@@ -21,6 +21,9 @@ from .model import (
     CongestionSpec,
     FlowProfile,
     GameSpec,
+    _check_mass,
+    _cost_fn,
+    _finite,
     eval_cost,
     flow_linf,
     flow_sort_key,
@@ -72,17 +75,31 @@ def verify_we(game: GameSpec, flow: FlowProfile, state: str):
     Nonpositive iff the flow is a Wardrop equilibrium. Returned raw and
     signed; callers compare against their own tolerance.
     """
+    return _worst_gap(
+        (flow.flows[k], [eval_cost(game, pop.name, a, flow, state) for a in pop.actions])
+        for k, pop in enumerate(game.populations)
+        if len(pop.actions) >= 2
+    )
+
+
+def _worst_gap(populations):
+    """Max of y_a (c_a - min c) over (flow vector, costs) pairs, skipping
+    actions without flow; 0 when there are none.
+
+    On a float vector with at most one cost that is not a float, the gaps are
+    taken on ``float(c)``: a ``Fraction`` minus a float is already that float
+    difference, and rounding keeps the order of the costs, so the gaps are the
+    same floats as exact subtraction gives. Two exact costs stay exact.
+    """
     worst = None
-    for k, pop in enumerate(game.populations):
-        if len(pop.actions) < 2:
-            continue
-        costs = [eval_cost(game, pop.name, a, flow, state) for a in pop.actions]
+    for vec, costs in populations:
+        if sum(type(c) is not float for c in costs) <= 1 and all(type(y) is float for y in vec):
+            costs = [float(c) for c in costs]
         cheapest = min(costs)
-        for j, a in enumerate(pop.actions):
-            y = flow.flows[k][j]
+        for y, c in zip(vec, costs):
             if y == 0:
                 continue
-            gap = y * (costs[j] - cheapest)
+            gap = y * (c - cheapest)
             if worst is None or gap > worst:
                 worst = gap
     return 0 if worst is None else worst
@@ -411,7 +428,9 @@ def solve_we_potential(
     core = _spec_core(spec, state)
     x0 = _vector_of(start if start is not None else uniform_flow(game))
     x, iters = core.minimize(x0, tol, 500)
-    flow = _as_profile(x[lo:hi].tolist() for lo, hi in core.blocks)
+    flow = FlowProfile(
+        tuple(_normalized(k, x[lo:hi].tolist()) for k, (lo, hi) in enumerate(core.blocks))
+    )
     return WESolveResult(flow, float(verify_we(game, flow, state)), iters)
 
 
@@ -429,22 +448,38 @@ def solve_we_br(
         raise ValueError("tol must be positive")
     flows = [list(map(float, vec)) for vec in start.flows]
     eta = 0.5
-    # the validated profile of ``flows``, rebuilt after each population step
-    profile = best = _as_profile(flows)
-    best_v = float(verify_we(game, profile, state))
+    # the profile costs are evaluated at: each population's ``flows`` clipped
+    # and scaled to unit mass, renewed after that population's step
+    profile = best = tuple(_normalized(k, vec) for k, vec in enumerate(flows))
+    movers = [
+        (k, pop.name, pop.actions, [_cost_fn(game, pop.name, a, state) for a in pop.actions])
+        for k, pop in enumerate(game.populations)
+        if len(pop.actions) >= 2
+    ]
+
+    def costs(mover, profile):
+        _k, name, actions, fns = mover
+        return [_finite(f(profile), name, a, profile) for f, a in zip(fns, actions)]
+
+    def measure(profile):
+        """Every mover's costs at ``profile``, and the violation verify_we gives there."""
+        at = [costs(m, profile) for m in movers]
+        return at, float(_worst_gap((profile[m[0]], c) for m, c in zip(movers, at)))
+
+    at_profile, best_v = measure(profile)
     prev_v = best_v
     iters = 0
     for iters in range(1, max_iter + 1):
         if best_v <= tol:
             break
-        for k, pop in enumerate(game.populations):
-            if len(pop.actions) < 2:
-                continue
-            costs = [float(eval_cost(game, pop.name, a, profile, state)) for a in pop.actions]
-            cheapest = min(costs)
-            winners = [j for j, c in enumerate(costs) if c <= cheapest + 1e-15]
+        for i, mover in enumerate(movers):
+            k = mover[0]
+            # the first mover steps at the profile the last violation measured
+            step_costs = [float(c) for c in (at_profile[0] if i == 0 else costs(mover, profile))]
+            cheapest = min(step_costs)
+            winners = [j for j, c in enumerate(step_costs) if c <= cheapest + 1e-15]
             moved = 0.0
-            for j, c in enumerate(costs):
+            for j, c in enumerate(step_costs):
                 if j in winners:
                     continue
                 shift = eta * flows[k][j] * min(1.0, c - cheapest)
@@ -452,23 +487,23 @@ def solve_we_br(
                 moved += shift
             for j in winners:
                 flows[k][j] += moved / len(winners)
-            profile = _as_profile(flows)
-        v = float(verify_we(game, profile, state))
+            profile = profile[:k] + (_normalized(k, flows[k]),) + profile[k + 1 :]
+        at_profile, v = measure(profile)
         if v < best_v:
             best, best_v = profile, v
         if v > prev_v + 1e-15:
             eta = max(eta / 2, 1e-9)
         prev_v = v
-    return WESolveResult(best, best_v, iters)
+    return WESolveResult(FlowProfile(best), best_v, iters)
 
 
-def _as_profile(flows) -> FlowProfile:
-    out = []
-    for vec in flows:
-        clipped = [max(0.0, v) for v in vec]
-        total = sum(clipped)
-        out.append(tuple(v / total for v in clipped) if total > 0 else tuple(clipped))
-    return FlowProfile(tuple(out))
+def _normalized(k: int, vec) -> tuple:
+    """Population ``k``'s flow clipped at 0 and scaled to unit mass."""
+    clipped = [max(0.0, v) for v in vec]
+    total = sum(clipped)
+    out = tuple(v / total for v in clipped) if total > 0 else tuple(clipped)
+    _check_mass(k, out, 1)
+    return out
 
 
 def solve_we_multistart(game: GameSpec, state: str, tol: float = 1e-6) -> list[WESolveResult]:

@@ -1,10 +1,28 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowgames as fg
 from flowgames.generators import random_congestion_game
-from flowgames.model import CostParseError, EvaluationError, Population
+from flowgames.model import (
+    Add,
+    Const,
+    CostParseError,
+    EvaluationError,
+    FlowVar,
+    MaxOf,
+    MinOf,
+    Mul,
+    Neg,
+    Population,
+    Pow,
+    StateCoef,
+    Sub,
+    ThetaVal,
+    compile_cost,
+)
 
 
 def flow1(*vals):
@@ -134,6 +152,87 @@ def test_power_and_minmax_eval():
     assert fg.eval_cost(game, "p", "a", f, "0") == F(9, 16) + F(3, 4)
     assert fg.eval_cost(game, "p", "b", f, "0") == 1
     assert fg.eval_cost(game, "p", "c", f, "0") == F(-5, 4)
+
+
+def _walk(node, flows, state):
+    """Plain recursive evaluation with Python's operators, the reference for
+    compile_cost; one population with actions a, b, c."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, FlowVar):
+        return flows[0]["abc".index(node.action)]
+    if isinstance(node, ThetaVal):
+        return F(state)
+    if isinstance(node, StateCoef):
+        return dict(node.table)[state]
+    if isinstance(node, Neg):
+        return -_walk(node.arg, flows, state)
+    if isinstance(node, Add):
+        return _walk(node.left, flows, state) + _walk(node.right, flows, state)
+    if isinstance(node, Sub):
+        return _walk(node.left, flows, state) - _walk(node.right, flows, state)
+    if isinstance(node, Mul):
+        return _walk(node.left, flows, state) * _walk(node.right, flows, state)
+    if isinstance(node, MaxOf):
+        return max(_walk(a, flows, state) for a in node.args)
+    if isinstance(node, MinOf):
+        return min(_walk(a, flows, state) for a in node.args)
+    return _walk(node.base, flows, state) ** node.exponent
+
+
+def _cost_trees(depth):
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+    leaves = st.one_of(
+        st.builds(Const, small),
+        st.builds(FlowVar, st.none(), st.sampled_from("abc")),
+        st.just(ThetaVal()),
+        st.builds(lambda u, v: StateCoef((("3/2", u), ("x", v))), small, small),
+    )
+    if depth == 0:
+        return leaves
+    sub = _cost_trees(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(Neg, sub),
+        st.builds(Add, sub, sub),
+        st.builds(Sub, sub, sub),
+        st.builds(Mul, sub, sub),
+        st.builds(lambda *args: MaxOf(args), sub, sub),
+        st.builds(lambda *args: MinOf(args), sub, sub, sub),
+        st.builds(Pow, sub, st.integers(0, 3)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _cost_trees(4),
+    st.tuples(*[st.floats(-2, 2, allow_nan=False)] * 3),
+    st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=16)] * 3),
+)
+def test_compiled_cost_is_the_plain_walk_bit_for_bit(expr, floats, fractions):
+    # float constants stand in for Fractions only where Python would convert
+    # them itself: every value keeps the type and repr of the plain walk
+    pop = Population("p", ("a", "b", "c"))
+    game = fg.GameSpec((pop,), ("3/2",), (F(1),), {("p", a): Const(0) for a in "abc"})
+    cost = compile_cost(game, expr, "3/2")
+    for flows in ((floats,), (fractions,)):
+        got, want = cost(flows), _walk(expr, flows, "3/2")
+        assert type(got) is type(want)
+        assert repr(got) == repr(want)
+
+
+def test_congestion_tables_are_read_only():
+    latencies = {("e", "0"): (F(0), F(1))}
+    actions = {("p", "a"): frozenset({"e"})}
+    pops = (Population("p", ("a",)),)
+    spec = fg.CongestionSpec(("e",), latencies, actions, pops, ("0",), (F(1),))
+    with pytest.raises(TypeError):
+        spec.latencies[("e", "0")] = (F(0), F(1), F(-3))
+    with pytest.raises(TypeError):
+        spec.actions[("p", "a")] = frozenset()
+    # the spec holds copies: the caller's dicts stay its own
+    latencies[("e", "0")] = (F(0), F(1), F(-3))
+    assert spec.latencies[("e", "0")] == (F(0), F(1))
 
 
 def test_flow_profile_validation():

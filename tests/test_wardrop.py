@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import flowgames as fg
 from flowgames.generators import random_congestion_game, random_flow, random_rational_flow
-from flowgames.model import CongestionSpec, Population
+from flowgames.model import CongestionSpec, Population, _cost_fn
 from flowgames.wardrop import _brent_root, _one_minimizer, _PotentialCore, _spec_core, _vector_of
 
 
@@ -146,6 +147,27 @@ def test_br_solver_reports_the_violation_of_its_flow(elfarol):
                 assert res.max_violation == float(fg.verify_we(game, res.flow, "0"))
 
 
+def test_br_solver_evaluates_each_cost_once_per_step(elfarol):
+    # one population: the violation measured after a step and the next step
+    # read one cost vector, so each iteration evaluates the two costs once
+    game = fg.GameSpec(elfarol.populations, elfarol.states, elfarol.prior, dict(elfarol.costs))
+    calls = []
+
+    def counted(cost):
+        def call(flows):
+            calls.append(1)
+            return cost(flows)
+
+        return call
+
+    for action in ("a", "b"):
+        game._compiled[("crowd", action, "0")] = counted(_cost_fn(game, "crowd", action, "0"))
+    # no step improves on this start, so the solve runs all 2000 iterations
+    res = fg.solve_we_br(game, "0", flow1(F(23, 32), F(9, 32)))
+    assert res.iterations == 2000
+    assert len(calls) == 2 * res.iterations + 2
+
+
 def test_br_solver_keeps_equilibrium_start(elfarol):
     res = fg.solve_we_br(elfarol, "0", flow1(1, 0), tol=1e-8)
     assert fg.flow_linf(res.flow, flow1(1, 0)) == 0
@@ -216,10 +238,12 @@ def test_one_minimizer_rejects_games_that_may_have_several_equilibria():
     # constant latencies everywhere
     flat = _one_state_spec({"e1": (0,), "e2": (1,)}, {"a": ("e1",), "b": ("e2",)})
     assert not _one_minimizer(flat, "0")
-    # a negative coefficient (rejected at construction, so set afterwards)
+    # a negative coefficient: construction rejects it and keeps the tables
+    # read-only, so the table is swapped in past the frozen dataclass
     spec = _one_state_spec({"e1": (0, 1), "e2": (0, 1)}, {"a": ("e1",), "b": ("e2",)})
     assert _one_minimizer(spec, "0")
-    spec.latencies[("e1", "0")] = (F(0), F(1), F(-1))
+    negative = {**spec.latencies, ("e1", "0"): (F(0), F(1), F(-1))}
+    object.__setattr__(spec, "latencies", negative)
     assert not _one_minimizer(spec, "0")
 
 
@@ -416,3 +440,85 @@ def test_enumerate_we_grid_matches_golden(pigou_network, elfarol):
         for case, game, state, resolution in _enumeration_cases(pigou_network, elfarol)
     }
     assert got == ENUMERATION_GOLDEN
+
+
+# Costs with max, min, ^, theta and state tables over two populations. In
+# population p, a and b cost constants and b is always cheapest, so the gap of
+# a is the exact 1/3 - 1/10 or 1/3 - 1/8, which float subtraction rounds apart.
+_MIXED_GAME = """
+[populations]
+p = a, b, c, d
+q = x, y
+
+[states]
+names = 0, 1
+
+[prior]
+0 = 1/3
+1 = 2/3
+
+[costs]
+p.a = 1/3
+p.b = theta[0=1/10, 1=1/8]
+p.c = max(3*y[p][c] - theta, min(y[q][x], 1/2))^2 + 1/7
+p.d = 2*y[p][d] + theta*y[q][y] + 1/5
+q.x = 1 + y[q][x]^3 - min(y[p][a], 2/3)
+q.y = 3/4*y[q][y] + max(y[p][b], theta[0=1/9, 1=4/9])
+"""
+
+
+def _br_starts(game, lattice=0, seeds=()):
+    yield "uniform", fg.uniform_flow(game)
+    for choices in itertools.product(*[range(len(p.actions)) for p in game.populations]):
+        yield "vertex" + "".join(map(str, choices)), fg.vertex_flow(game, choices)
+    if lattice:
+        for i, flow in enumerate(fg.grid_flows(game, lattice)):
+            yield f"lattice{lattice}-{i}", flow
+    for seed in seeds:
+        yield f"random{seed}", random_flow(game, seed)
+
+
+def _best_response_cases(elfarol, pigou_info):
+    """(id, game, state, start) of every solve pinned in best_response.json."""
+    for name, start in _br_starts(elfarol, lattice=8):
+        yield f"elfarol-{name}", elfarol, "0", start
+    # just off the equilibrium (3/4, 1/4): from 46/64 no step improves on the
+    # start in all 2000 iterations, its neighbours converge slowly
+    for n in (45, 46, 53):
+        yield f"elfarol-near{n}", elfarol, "0", flow1(F(n, 64), 1 - F(n, 64))
+    for state in pigou_info.states:
+        for name, start in _br_starts(pigou_info, lattice=4):
+            yield f"pigou_info-s{state}-{name}", pigou_info, state, start
+    for seed in range(3):
+        for quadratic in (False, True):
+            for n_pops in (1, 2):
+                backed = random_congestion_game(
+                    seed, n_actions=4 - n_pops, n_states=2, quadratic=quadratic, n_pops=n_pops
+                )
+                # without its congestion backing the game has only its cost trees
+                game = fg.GameSpec(
+                    backed.populations, backed.states, backed.prior, dict(backed.costs)
+                )
+                kind = "quad" if quadratic else "linear"
+                for state in game.states:
+                    for name, start in _br_starts(game, seeds=(seed, seed + 10)):
+                        yield f"{kind}{seed}-pops{n_pops}-s{state}-{name}", game, state, start
+    mixed = fg.parse_game_file(_MIXED_GAME)
+    for state in mixed.states:
+        for name, start in _br_starts(mixed, seeds=(0,)):
+            yield f"mixed-s{state}-{name}", mixed, state, start
+
+
+BEST_RESPONSE_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "best_response.json").read_text()
+)
+
+
+def test_solve_we_br_matches_golden(elfarol, pigou_info):
+    # repr of (flow, max_violation, iterations) of every solve: best response
+    # must stay bit-identical through every change to how it evaluates costs
+    got = {}
+    for case, game, state, start in _best_response_cases(elfarol, pigou_info):
+        res = fg.solve_we_br(game, state, start)
+        got[case] = repr((res.flow.flows, res.max_violation, res.iterations))
+    assert got == BEST_RESPONSE_GOLDEN
