@@ -16,7 +16,7 @@ from ._numpy import np
 from .checks import CheckReport, check_bce_flowlevel, check_bcwe
 from .infostruct import _largest_remainder_counts
 from .lp import lp_solve
-from .model import FlowProfile, GameSpec, Outcome, eval_cost
+from .model import FlowProfile, GameSpec, Outcome, eval_cost, flow_linf
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,15 @@ def flow_of_profile(agame: AtomicGame, profile: tuple) -> FlowProfile:
     return FlowProfile(tuple(flows))
 
 
+def _check_profile_space(agame: AtomicGame):
+    """Raise before a brute-force enumeration of more than 10**6 full profiles."""
+    size = 1
+    for k, pop in enumerate(agame.game.populations):
+        size *= len(pop.actions) ** agame.counts[k]
+        if size > 10**6:
+            raise ValueError("profile space too large for brute force")
+
+
 def check_bce_bruteforce(agame: AtomicGame, beta: dict) -> CheckReport:
     """Obedience of an explicit profile distribution, player by player.
 
@@ -84,11 +93,7 @@ def check_bce_bruteforce(agame: AtomicGame, beta: dict) -> CheckReport:
     k. Every player's conditional deviation gain is computed exactly on
     rational data; the profile space must stay at or below 10**6 entries.
     """
-    size = 1
-    for k, pop in enumerate(agame.game.populations):
-        size *= len(pop.actions) ** agame.counts[k]
-        if size > 10**6:
-            raise ValueError("profile space too large for brute force")
+    _check_profile_space(agame)
     for state in agame.game.states:
         if state not in beta:
             raise ValueError(f"outcome missing state {state!r}")
@@ -213,7 +218,10 @@ def bce_to_profile_distribution(agame: AtomicGame, bce: SymmetricBCE) -> dict:
 
     Each flow atom spreads uniformly over the action profiles consistent
     with its counts n_k y; weights come out exact unless a weight is a float.
+    The profile space must stay at or below 10**6 entries, as for
+    :func:`check_bce_bruteforce`.
     """
+    _check_profile_space(agame)
     beta = {}
     for state, atoms in bce.outcome.per_state.items():
         rows = []
@@ -290,11 +298,7 @@ def _w1(atoms1, atoms2) -> float:
     cost = np.zeros(n1 * n2)
     for i, (f1, _) in enumerate(atoms1):
         for j, (f2, _) in enumerate(atoms2):
-            d = 0.0
-            for b1, b2 in zip(f1.flows, f2.flows):
-                for v1, v2 in zip(b1, b2):
-                    d = max(d, abs(float(v1) - float(v2)))
-            cost[i * n2 + j] = d
+            cost[i * n2 + j] = flow_linf(f1, f2)
     a_eq = np.zeros((n1 + n2, n1 * n2))
     b_eq = np.zeros(n1 + n2)
     for i in range(n1):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,8 +23,9 @@ from .model import (
     GameSpec,
     Outcome,
     eval_cost,
+    flow_linf,
 )
-from .wardrop import _PotentialCore
+from .wardrop import _congestion_core
 
 
 @dataclass(frozen=True)
@@ -142,8 +144,18 @@ def bwe_violation(
     """
     pop = _require_single_population(game)
     validate_strategies(structure, strategies, len(pop.actions))
+    _check_kernel_states(game, structure)
     _flows, conditional = _conditional_costs(game, structure, strategies)
     return _max_gap(conditional, strategies)
+
+
+def _check_kernel_states(game: GameSpec, structure: InformationStructure):
+    for state in game.states:
+        if state not in structure.kernel:
+            raise ValueError(f"kernel missing state {state!r}")
+    for state in structure.kernel:
+        if state not in game.states:
+            raise ValueError(f"unknown state {state!r}")
 
 
 def _conditional_costs(game, structure, strategies) -> tuple[dict, dict]:
@@ -163,7 +175,7 @@ def _conditional_costs(game, structure, strategies) -> tuple[dict, dict]:
     sums = {}  # (k, type index) -> [marginal, weighted cost sum per action]
     for state in game.states:
         p = game.prior_of(state)
-        for profile, w in structure.kernel.get(state, ()):
+        for profile, w in structure.kernel[state]:
             weight = p * w
             if weight == 0:
                 continue
@@ -300,60 +312,6 @@ def direct_structure_from_bcwe(
 # ---------------------------------------------------------------------------
 
 
-def _auxiliary_core(game: GameSpec, structure: InformationStructure, blocks):
-    """Assemble the potential-minimization data for the auxiliary game.
-
-    Auxiliary variables are ((k, type), action) flows; auxiliary resources
-    are (game resource, state, kernel profile) with latency scaled by the
-    kernel weight, so the auxiliary potential is the kernel-weighted sum of
-    per-state potentials at the realized aggregates.
-    """
-    spec = game.congestion
-    pop = game.populations[0]
-    actions = pop.actions
-    columns = []
-    for bk, (k, ti) in enumerate(blocks):
-        for a in actions:
-            columns.append((bk, a))
-    col_index = {key: i for i, key in enumerate(columns)}
-    block_of = {key: bk for bk, key in enumerate(blocks)}
-    aux_rows = []
-    polys = []
-    for state in game.states:
-        p = game.prior_of(state)
-        for profile, w in structure.kernel.get(state, ()):
-            weight = float(p * w)
-            if weight == 0:
-                continue
-            for e in spec.resources:
-                row = np.zeros(len(columns))
-                hit = False
-                for k, t in enumerate(profile):
-                    ti = structure.type_sets[k].index(t)
-                    if (k, ti) not in block_of:
-                        continue
-                    bk = block_of[(k, ti)]
-                    for j, a in enumerate(actions):
-                        if e in spec.actions[(pop.name, a)]:
-                            row[col_index[(bk, a)]] = 1.0
-                            hit = True
-                if not hit:
-                    continue
-                aux_rows.append(row)
-                polys.append([weight * float(c) for c in spec.latencies[(e, state)]])
-    m = np.vstack(aux_rows) if aux_rows else np.zeros((1, len(columns)))
-    if not aux_rows:
-        polys = [[0.0]]
-    ranges = []
-    masses = []
-    lo = 0
-    for k, ti in blocks:
-        ranges.append((lo, lo + len(actions)))
-        masses.append(float(structure.sizes[k]))
-        lo += len(actions)
-    return _PotentialCore(m, polys, ranges, masses)
-
-
 def solve_bwe(
     game: GameSpec,
     structure: InformationStructure,
@@ -373,17 +331,24 @@ def solve_bwe(
 
 def _bwe_setup(game: GameSpec, structure: InformationStructure):
     """The (k, type index) blocks with positive kernel marginal, and the
-    auxiliary potential core over them; both depend only on the game and the
-    structure, and the core holds no state between solves."""
+    potential core of the auxiliary game over them; both depend only on the
+    game and the structure, and the core holds no state between solves.
+
+    The auxiliary game is a congestion game whose populations are the blocks,
+    of mass gamma_k; each positive-weight kernel atom is one piece over the
+    blocks it assigns, with latencies scaled by prior times kernel weight, so
+    its potential is the kernel-weighted sum of per-state potentials at the
+    realized aggregates.
+    """
     if game.congestion is None:
         raise ValueError("solving needs a congestion backing")
-    _require_single_population(game)
-    positive = set()  # (k, type) pairs seen in a positive-weight atom
+    pop = _require_single_population(game)
+    _check_kernel_states(game, structure)
+    atoms = []  # (prior times kernel weight, state, type profile), positive only
     for state in game.states:
         p = game.prior_of(state)
-        for profile, w in structure.kernel.get(state, ()):
-            if p * w > 0:
-                positive.update(enumerate(profile))
+        atoms.extend((p * w, state, profile) for profile, w in structure.kernel[state] if p * w > 0)
+    positive = {(k, t) for _weight, _state, profile in atoms for k, t in enumerate(profile)}
     blocks = [
         (k, ti)
         for k in range(structure.population_count())
@@ -391,7 +356,13 @@ def _bwe_setup(game: GameSpec, structure: InformationStructure):
         for ti, t in enumerate(structure.type_sets[k])
         if (k, t) in positive
     ]
-    return blocks, _auxiliary_core(game, structure, blocks)
+    index = {(k, structure.type_sets[k][ti]): b for b, (k, ti) in enumerate(blocks)}
+    pieces = [
+        (float(weight), state, [index[kt] for kt in enumerate(profile) if kt in index])
+        for weight, state, profile in atoms
+    ]
+    core = _congestion_core(game.congestion, [(pop, structure.sizes[k]) for k, _ in blocks], pieces)
+    return blocks, core
 
 
 def _bwe_solve(game, structure, blocks, core, tol, start) -> StrategyProfile:
@@ -454,20 +425,20 @@ class UniquenessProbeReport:
     worst_violation: float
 
 
+_PROBE_SEED = 0
+
+
 def bwe_cost_uniqueness_probe(
     game: GameSpec,
     structure: InformationStructure,
     trials: int = 20,
     tol: float = 1e-8,
-    seed: int = 0,
 ) -> UniquenessProbeReport:
     """Solve from random interior starts and measure how much the per-type
     positive-flow conditional costs (and the realized flows) spread."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(_PROBE_SEED)
     pop = _require_single_population(game)
     actions = pop.actions
     blocks, core = _bwe_setup(game, structure)
@@ -497,6 +468,5 @@ def bwe_cost_uniqueness_probe(
                 if played1[j] > 1e-7 or played2[j] > 1e-7:
                     cost_dev = max(cost_dev, abs(float(x1) - float(x2)))
         for profile, flow in flows1.items():
-            for x1, x2 in zip(flow.flows[0], flows2[profile].flows[0]):
-                flow_dev = max(flow_dev, abs(float(x1) - float(x2)))
+            flow_dev = max(flow_dev, flow_linf(flow, flows2[profile]))
     return UniquenessProbeReport(cost_dev, flow_dev, trials, worst_violation)

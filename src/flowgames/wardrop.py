@@ -169,21 +169,20 @@ def _brent_root(f, a, b, fa, fb):
 class _PotentialCore:
     """Minimize sum_e F_e(M x) over a product of scaled simplexes.
 
-    ``incidence`` is the dense resource-by-variable matrix (entries may be
-    fractional when variables enter loads with weights), ``polys`` the
-    per-resource latency coefficient lists (ascending powers), ``blocks``
+    ``incidence`` is the dense 0/1 row-by-variable matrix, ``polys`` the
+    per-row latency coefficient lists (ascending powers, floats), ``blocks``
     the [start, end) variable ranges of each simplex, and ``masses`` the
     simplex scales. Latencies are held as a zero-padded coefficient matrix
     ``coef`` and its derivative ``dcoef``, both evaluated by Horner's rule.
     """
 
     def __init__(self, incidence, polys, blocks, masses):
-        self.m = np.asarray(incidence, dtype=float)
+        self.m = incidence
         # at least two columns, so the derivative matrix has one
         width = max([2] + [len(p) for p in polys])
         self.coef = np.zeros((len(polys), width))
         for i, p in enumerate(polys):
-            self.coef[i, : len(p)] = [float(c) for c in p]
+            self.coef[i, : len(p)] = p
         self.dcoef = self.coef[:, 1:] * np.arange(1, width)
         self.blocks = blocks
         self.masses = np.asarray(masses, dtype=float)
@@ -222,16 +221,8 @@ class _PotentialCore:
         return x, iters
 
     def violation(self, x):
-        g = self.costs(x)
-        worst = 0.0
-        for (lo, hi), mass in zip(self.blocks, self.masses):
-            if hi - lo < 2 or mass <= 0:
-                continue
-            cheapest = float(np.min(g[lo:hi]))
-            for j in range(lo, hi):
-                if x[j] > 0:
-                    worst = max(worst, x[j] * (g[j] - cheapest))
-        return worst
+        g, y = self.costs(x).tolist(), x.tolist()
+        return _worst_gap((y[lo:hi], g[lo:hi]) for lo, hi in self.blocks)
 
     def newton_polish(self, x):
         """Solve the equal-cost system on the active support exactly.
@@ -354,20 +345,35 @@ class _PotentialCore:
         return best, done
 
 
+def _congestion_core(spec: CongestionSpec, blocks, pieces) -> _PotentialCore:
+    """The potential core of congestion flows over ``blocks``, one
+    (population, mass) pair per simplex, whose loads add up in ``pieces``.
+
+    Each piece is a (weight, state, member block indices) triple. Every
+    resource that some member action uses gives the piece one row: 1 in the
+    columns of those actions, and the state's latency scaled by the weight.
+    """
+    uses, ranges = [], []
+    for pop, _mass in blocks:
+        ranges.append((len(uses), len(uses) + len(pop.actions)))
+        uses.extend(spec.actions[(pop.name, a)] for a in pop.actions)
+    rows, polys = [], []
+    for weight, state, members in pieces:
+        for e in spec.resources:
+            cols = [j for b in members for j in range(*ranges[b]) if e in uses[j]]
+            if cols:
+                rows.append(cols)
+                polys.append([weight * float(c) for c in spec.latencies[(e, state)]])
+    m = np.zeros((len(rows), len(uses)))
+    for i, cols in enumerate(rows):
+        m[i, cols] = 1.0
+    return _PotentialCore(m, polys, ranges, [mass for _pop, mass in blocks])
+
+
 def _spec_core(spec: CongestionSpec, state: str) -> _PotentialCore:
-    columns = [(pop.name, a) for pop in spec.populations for a in pop.actions]
-    m = np.zeros((len(spec.resources), len(columns)))
-    for i, e in enumerate(spec.resources):
-        for j, key in enumerate(columns):
-            if e in spec.actions[key]:
-                m[i, j] = 1.0
-    polys = [spec.latencies[(e, state)] for e in spec.resources]
-    blocks = []
-    lo = 0
-    for pop in spec.populations:
-        blocks.append((lo, lo + len(pop.actions)))
-        lo += len(pop.actions)
-    return _PotentialCore(m, polys, blocks, [1.0] * len(spec.populations))
+    """The complete-information core: one piece over every population."""
+    blocks = [(pop, 1) for pop in spec.populations]
+    return _congestion_core(spec, blocks, [(1.0, state, range(len(blocks)))])
 
 
 def _one_minimizer(spec: CongestionSpec, state: str) -> bool:

@@ -253,6 +253,14 @@ def test_bruteforce_profile_cap(elfarol):
         fg.check_bce_bruteforce(agame, {"0": ()})
 
 
+def test_profile_distribution_profile_cap(elfarol, elfarol_cwe):
+    # 2**21 profiles: refused before the 352,716 consistent ones are built
+    agame = fg.AtomicGame(elfarol, (21,))
+    bce = fg.construct_eps_bce(agame, elfarol_cwe)
+    with pytest.raises(ValueError, match="profile space too large"):
+        fg.bce_to_profile_distribution(agame, bce)
+
+
 def test_wasserstein_identical_outcomes(elfarol_cwe):
     assert fg.wasserstein_outcome_distance(elfarol_cwe, elfarol_cwe, {"0": F(1)}) == 0.0
 

@@ -280,13 +280,13 @@ def test_probe_sets_up_auxiliary_core_once(monkeypatch):
     game = random_congestion_game(0, n_actions=2, n_states=2)
     structure = random_structure(game, 0)
     cores = []
-    auxiliary_core = infostruct._auxiliary_core
+    congestion_core = infostruct._congestion_core
 
     def counted(*args):
-        cores.append(auxiliary_core(*args))
+        cores.append(congestion_core(*args))
         return cores[-1]
 
-    monkeypatch.setattr(infostruct, "_auxiliary_core", counted)
+    monkeypatch.setattr(infostruct, "_congestion_core", counted)
     fg.bwe_cost_uniqueness_probe(game, structure, trials=5, tol=1e-9)
     assert len(cores) == 1
     # a core solved from several starts gives what fresh set-ups give
@@ -296,6 +296,27 @@ def test_probe_sets_up_auxiliary_core_once(monkeypatch):
         start = random_rational_strategies(structure, 2, rng)
         shared = infostruct._bwe_solve(game, structure, blocks, core, 1e-9, start)
         assert shared == fg.solve_bwe(game, structure, tol=1e-9, start=start)
+
+
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        ((), "kernel missing state '0'"),
+        (("0",), "kernel missing state '1'"),
+        (("0", "1", "zz"), "unknown state 'zz'"),
+    ],
+)
+def test_kernel_states_must_match_the_game(states, message):
+    game = random_congestion_game(0, n_actions=2, n_states=2)
+    kernel = {state: ((("t",), F(1)),) for state in states}
+    structure = fg.InformationStructure((F(1),), (("t",),), kernel)
+    strategies = fg.StrategyProfile((((F(1, 2), F(1, 2)),),))
+    with pytest.raises(ValueError, match=message):
+        fg.bwe_violation(game, structure, strategies)
+    with pytest.raises(ValueError, match=message):
+        fg.solve_bwe(game, structure)
+    with pytest.raises(ValueError, match=message):
+        fg.bwe_cost_uniqueness_probe(game, structure)
 
 
 def test_structure_validation():

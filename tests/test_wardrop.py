@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowgames as fg
-from flowgames.generators import random_congestion_game, random_flow, random_rational_flow
+from flowgames.generators import (
+    random_congestion_game,
+    random_flow,
+    random_rational_flow,
+    random_structure,
+)
 from flowgames.model import CongestionSpec, Population, _cost_fn
 from flowgames.wardrop import _brent_root, _one_minimizer, _PotentialCore, _spec_core, _vector_of
 
@@ -522,3 +527,140 @@ def test_solve_we_br_matches_golden(elfarol, pigou_info):
         res = fg.solve_we_br(game, state, start)
         got[case] = repr((res.flow.flows, res.max_violation, res.iterations))
     assert got == BEST_RESPONSE_GOLDEN
+
+
+# Networks whose resource "idle" no action uses, so it gives the potential
+# cores no row; most actions use several resources, so a cost sums several
+# latencies
+_IDLE_ONE_POPULATION = """
+[populations]
+traffic = a, b, c
+
+[states]
+names = 0, 1
+
+[prior]
+0 = 1/3
+1 = 2/3
+
+[congestion]
+resources = e1, idle, e2, e3
+latency.e1.0 = 1, 2
+latency.e1.1 = 0, 1, 1
+latency.idle.0 = 5, 1
+latency.idle.1 = 2
+latency.e2.0 = 0, 3
+latency.e2.1 = 1, 1
+latency.e3.0 = 2, 1, 1/2
+latency.e3.1 = 1/2, 2
+action.traffic.a = e1, e2
+action.traffic.b = e2, e3
+action.traffic.c = e1, e3
+"""
+
+_IDLE_TWO_POPULATIONS = """
+[populations]
+p = a, b, c
+q = x, y
+
+[states]
+names = 0
+
+[prior]
+0 = 1
+
+[congestion]
+resources = e1, e2, idle, e3, e4
+latency.e1.0 = 1, 1
+latency.e2.0 = 0, 2, 1
+latency.idle.0 = 3, 3
+latency.e3.0 = 1/2, 1
+latency.e4.0 = 0, 1/3, 2
+action.p.a = e1, e2
+action.p.b = e2, e3, e4
+action.p.c = e4
+action.q.x = e1, e3
+action.q.y = e2, e4
+"""
+
+
+def _dusted(vec, dust):
+    """``vec`` with ``dust`` moved from its largest entry onto its first zero."""
+    vec = list(vec)
+    if 0.0 in vec:
+        vec[vec.index(max(vec))] -= dust
+        vec[vec.index(0.0)] += dust
+    return tuple(vec)
+
+
+def _potential_solver_outputs():
+    """repr of every float potential solve pinned in potential_solvers.json."""
+    out = {}
+
+    def bayes(case, game, structure):
+        solved = fg.solve_bwe(game, structure)
+        out[f"{case}-solve"] = repr(solved)
+        out[f"{case}-probe"] = repr(fg.bwe_cost_uniqueness_probe(game, structure, trials=4))
+        # a start within tol of equilibrium is returned as it is, so only the
+        # rule that snaps mass below 1e-9 of gamma_k to zero acts on its dust
+        start = fg.StrategyProfile(
+            tuple(
+                tuple(
+                    _dusted(vec, (3e-10 if (k + ti) % 2 else 3e-8) * float(gamma))
+                    for ti, vec in enumerate(block)
+                )
+                for k, (gamma, block) in enumerate(zip(structure.sizes, solved.strategies))
+            )
+        )
+        out[f"{case}-dust"] = repr(fg.solve_bwe(game, structure, tol=1e-6, start=start))
+
+    def complete(case, game, starts):
+        for state in game.states:
+            for name, start in starts:
+                res = fg.solve_we_potential(game, state, start=start)
+                out[f"{case}-s{state}-{name}"] = repr(
+                    (res.flow.flows, res.max_violation, res.iterations)
+                )
+
+    seed = 0
+    for n_states in (1, 2, 3):
+        for sub_pops in (1, 2, 3):
+            for types_per in (1, 2, 3):
+                for kind in ("linear", "quad"):
+                    game = random_congestion_game(
+                        seed, n_actions=2 + seed % 2, n_states=n_states, quadratic=kind == "quad"
+                    )
+                    structure = random_structure(game, seed, sub_pops, types_per)
+                    bayes(f"bwe{seed}-{kind}-s{n_states}-k{sub_pops}-t{types_per}", game, structure)
+                    seed += 1
+    for n_pops in (1, 2, 3):
+        for n_actions in (2, 3):
+            for kind in ("linear", "quad"):
+                game = random_congestion_game(
+                    seed, n_actions=n_actions, n_states=2, quadratic=kind == "quad", n_pops=n_pops
+                )
+                starts = [("uniform", None)]
+                starts += [(f"random{r}", random_flow(game, r)) for r in (seed, seed + 100)]
+                complete(f"we{seed}-{kind}-p{n_pops}-a{n_actions}", game, starts)
+                seed += 1
+    for name, text in (("idle1", _IDLE_ONE_POPULATION), ("idle2", _IDLE_TWO_POPULATIONS)):
+        game = fg.parse_game_file(text)
+        starts = [("uniform", None)] + [(f"random{r}", random_flow(game, r)) for r in range(4)]
+        complete(name, game, starts)
+    game = fg.parse_game_file(_IDLE_ONE_POPULATION)
+    for seed in range(6):
+        structure = random_structure(game, seed, 1 + seed % 3, 1 + seed // 2)
+        bayes(f"idle1-bwe{seed}", game, structure)
+    return out
+
+
+POTENTIAL_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "potential_solvers.json").read_text()
+)
+
+
+def test_potential_solvers_match_golden():
+    # repr of solve_bwe, the uniqueness probe and solve_we_potential outputs:
+    # both potential cores must keep every float through changes to how they
+    # are assembled
+    assert _potential_solver_outputs() == POTENTIAL_GOLDEN
