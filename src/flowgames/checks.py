@@ -87,15 +87,15 @@ def obedience_rows(game: GameSpec, atoms, coarse: bool = False, shares=None) -> 
             continue
         for ja, a in enumerate(pop.actions):
             table = costs if shares is None else _deviation_costs(game, k, ja, shares[k], atoms, costs)
+            # mass * y_a per atom, or None where the terms are the integer 0
+            scaled = [
+                None if c is None or flow.flows[k][ja] == 0 else mass * flow.flows[k][ja]
+                for (_, mass, flow), c in zip(atoms, table)
+            ]
             for jb, b in enumerate(pop.actions):
                 if ja == jb:
                     continue
-                terms = [
-                    0
-                    if c is None or flow.flows[k][ja] == 0
-                    else mass * flow.flows[k][ja] * (c[ja] - c[jb])
-                    for (_, mass, flow), c in zip(atoms, table)
-                ]
+                terms = [0 if m is None else m * (c[ja] - c[jb]) for m, c in zip(scaled, table)]
                 rows.append(((pop.name, a, b), terms))
     return rows
 

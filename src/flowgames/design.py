@@ -85,22 +85,13 @@ def build_grid(game: GameSpec, resolution: int) -> dict:
     size = _lattice_size(game, resolution)
     if size > 10**6:
         raise ValueError(f"grid of size {size} exceeds the 1e6 cap")
-    lattice = grid_flows(game, resolution)
+    lattice = {flow_sort_key(f): f for f in grid_flows(game, resolution)}
     out = {}
     for state in game.states:
-        candidates = list(lattice)
+        keyed = dict(lattice)
         for we in _state_equilibria(game, state):
-            candidates.append(we)
-        seen = set()
-        unique = []
-        for f in candidates:
-            key = flow_sort_key(f)
-            if key in seen:
-                continue
-            seen.add(key)
-            unique.append(f)
-        unique.sort(key=flow_sort_key)
-        out[state] = tuple(unique)
+            keyed.setdefault(flow_sort_key(we), we)
+        out[state] = tuple(keyed[key] for key in sorted(keyed))
     return out
 
 

@@ -121,11 +121,22 @@ def validate_strategies(
 def aggregate_flow(
     structure: InformationStructure, strategies: StrategyProfile, profile: tuple
 ) -> tuple:
-    """Total flow when each sub-population k observes profile[k]."""
+    """Total flow when each sub-population k observes profile[k].
+
+    When every vector entry is a ``Fraction``, the integer numerators over
+    the entries' common denominator are summed and one ``Fraction`` is built
+    per action; any other input is added entry by entry in profile order.
+    """
     n_actions = len(strategies.strategies[0][0])
+    vecs = [strategies.strategies[k][structure.type_sets[k].index(t)] for k, t in enumerate(profile)]
+    if all(type(v) is Fraction for vec in vecs for v in vec):
+        den = math.lcm(*(v.denominator for vec in vecs for v in vec))
+        return tuple(
+            Fraction(sum([v.numerator * (den // v.denominator) for v in col]), den)
+            for col in zip(*vecs)
+        )
     agg = [0] * n_actions
-    for k, t in enumerate(profile):
-        vec = strategies.strategies[k][structure.type_sets[k].index(t)]
+    for vec in vecs:
         for j in range(n_actions):
             agg[j] = agg[j] + vec[j]
     return tuple(agg)
@@ -162,17 +173,20 @@ def _conditional_costs(game, structure, strategies) -> tuple[dict, dict]:
     """Conditional expected cost of every action, per (sub-population, type).
 
     Each positive-weight (state, type profile) atom is evaluated once: its
-    aggregate flow is built and every action costed, and the costs, weighted
-    by prior times kernel weight, are added into the sums of the types the
-    profile assigns. Sums keep the kernel order and weights stay exact, so
-    the table is exact on rational data. Returns the aggregate flow of each
+    aggregate flow is built and every action costed, and its row, the weight
+    (prior times kernel weight) followed by the weighted costs, is added into
+    the sums of the types the profile assigns. When every row entry is an
+    ``int`` or ``Fraction``, the rows are rescaled to integer numerators over
+    one common denominator first, so the sums are integer adds and each
+    conditional cost is one exact ``Fraction``; float tables are summed as
+    they are, in kernel order. Returns the aggregate flow of each
     positive-weight profile, and a map (k, type index) -> per-action
     conditional costs over the types with positive kernel marginal.
     """
     pop = game.populations[0]
     type_index = [{t: ti for ti, t in enumerate(types)} for types in structure.type_sets]
     flows = {}
-    sums = {}  # (k, type index) -> [marginal, weighted cost sum per action]
+    rows = []  # (type profile, [weight, weighted cost per action])
     for state in game.states:
         p = game.prior_of(state)
         for profile, w in structure.kernel[state]:
@@ -185,12 +199,21 @@ def _conditional_costs(game, structure, strategies) -> tuple[dict, dict]:
                     (aggregate_flow(structure, strategies, profile),)
                 )
             costs = [eval_cost(game, pop.name, a, flow, state) for a in pop.actions]
-            row = [weight] + [weight * c for c in costs]
-            for k, t in enumerate(profile):
-                acc = sums.setdefault((k, type_index[k][t]), [0] * len(row))
-                for j, v in enumerate(row):
-                    acc[j] = acc[j] + v
-    conditional = {key: [total / acc[0] for total in acc[1:]] for key, acc in sums.items()}
+            rows.append((profile, [weight] + [weight * c for c in costs]))
+    exact = all(type(v) in (int, Fraction) for _, row in rows for v in row)
+    if exact:
+        den = math.lcm(*(v.denominator for _, row in rows for v in row))
+        rows = [(profile, [v.numerator * (den // v.denominator) for v in row]) for profile, row in rows]
+    sums = {}  # (k, type index) -> [marginal, weighted cost sum per action]
+    for profile, row in rows:
+        for k, t in enumerate(profile):
+            acc = sums.setdefault((k, type_index[k][t]), [0] * len(row))
+            for j, v in enumerate(row):
+                acc[j] = acc[j] + v
+    conditional = {
+        key: [Fraction(total, acc[0]) if exact else total / acc[0] for total in acc[1:]]
+        for key, acc in sums.items()
+    }
     return flows, conditional
 
 
@@ -286,10 +309,10 @@ def direct_structure_from_bcwe(
             for j, c in enumerate(counts):
                 base.extend([actions[j]] * c)
             rotations = range(k_count) if symmetrize else (0,)
-            share = Fraction(1, k_count) if symmetrize else 1
+            mass = w * Fraction(1, k_count) if symmetrize else w
             for r in rotations:
-                profile = tuple(base[(i - r) % k_count] for i in range(k_count))
-                bucket[profile] = bucket.get(profile, 0) + w * share
+                profile = tuple(base[k_count - r :] + base[: k_count - r])
+                bucket[profile] = bucket.get(profile, 0) + mass
         entries = sorted(bucket.items())
         kernel[state] = tuple(entries)
     structure = InformationStructure(sizes, type_sets, kernel)
@@ -324,8 +347,11 @@ def solve_bwe(
     Types with zero kernel marginal are unconstrained and get all mass on the
     first action. Tiny solver dust below 1e-9 of a block's mass is snapped to
     zero so positivity checks in :func:`bwe_violation` see honest supports.
+    A ``start`` that :func:`validate_strategies` rejects raises ValueError.
     """
     blocks, core = _bwe_setup(game, structure)
+    if start is not None:
+        validate_strategies(structure, start, len(game.populations[0].actions))
     return _bwe_solve(game, structure, blocks, core, tol, start)
 
 

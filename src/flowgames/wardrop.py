@@ -421,7 +421,8 @@ def solve_we_potential(
     Frank-Wolfe iterations localize the support, and a Newton polish on the
     equal-cost system finishes the job; the reported violation is always
     re-measured by :func:`verify_we` on the returned flow. Raises ValueError
-    when ``game.congestion`` is None.
+    when ``game.congestion`` is None or ``start`` has another shape than the
+    game's flows.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -429,6 +430,8 @@ def solve_we_potential(
     if spec is None:
         raise ValueError("needs a congestion-backed game")
     game.state_index(state)
+    if start is not None and [len(v) for v in start.flows] != [len(p.actions) for p in game.populations]:
+        raise ValueError("start flow does not match the game's populations and actions")
     if all(len(p.actions) == 1 for p in spec.populations):
         return WESolveResult(uniform_flow(game), 0.0, 0)
     core = _spec_core(spec, state)
@@ -565,7 +568,16 @@ def grid_flows(game: GameSpec, resolution: int) -> list[FlowProfile]:
     if size > 10**7:
         raise ValueError(f"grid of size {size} exceeds the 1e7 cap")
     per_pop = [_simplex_grid(len(p.actions), resolution) for p in game.populations]
-    return [FlowProfile(combo) for combo in itertools.product(*per_pop)]
+    masses = tuple(Fraction(1) for _ in per_pop)
+    out = []
+    # lattice entries are nonnegative Fractions summing to 1 by construction,
+    # so the profiles skip FlowProfile's validation
+    for combo in itertools.product(*per_pop):
+        flow = object.__new__(FlowProfile)
+        object.__setattr__(flow, "flows", combo)
+        object.__setattr__(flow, "masses", masses)
+        out.append(flow)
+    return out
 
 
 def enumerate_we_grid(

@@ -98,11 +98,13 @@ def test_bwe_violation_when_everyone_defects(elfarol, elfarol_cwe):
 
 
 
-def reference_bwe_violation(game, structure, strategies):
-    """bwe_violation term by term: one aggregate flow and one cost evaluation
-    per (sub-population, type, action, kernel atom)."""
+def reference_conditional_costs(game, structure, strategies):
+    """Per-type conditional costs term by term: one aggregate flow and one
+    cost evaluation per (sub-population, type, action, kernel atom), summed
+    as Fractions or floats in kernel order; (k, type index) -> costs over the
+    types with positive marginal."""
     pop = game.populations[0]
-    worst = None
+    table = {}
     for k in range(structure.population_count()):
         for ti, t in enumerate(structure.type_sets[k]):
             weights = []
@@ -123,10 +125,18 @@ def reference_bwe_violation(game, structure, strategies):
                     flow = fg.FlowProfile((fg.aggregate_flow(structure, strategies, profile),))
                     total = total + weight * fg.eval_cost(game, pop.name, action, flow, state)
                 cond.append(total / marginal)
-            cheapest = min(cond)
-            for cost, mass in zip(cond, strategies.strategies[k][ti]):
-                if mass > 0 and (worst is None or cost - cheapest > worst):
-                    worst = cost - cheapest
+            table[(k, ti)] = cond
+    return table
+
+
+def reference_bwe_violation(game, structure, strategies):
+    """bwe_violation from the term-by-term table."""
+    worst = None
+    for (k, ti), cond in sorted(reference_conditional_costs(game, structure, strategies).items()):
+        cheapest = min(cond)
+        for cost, mass in zip(cond, strategies.strategies[k][ti]):
+            if mass > 0 and (worst is None or cost - cheapest > worst):
+                worst = cost - cheapest
     return 0 if worst is None else worst
 
 
@@ -175,6 +185,57 @@ def test_bwe_violation_matches_reference_formula():
         got = fg.bwe_violation(game, structure, solved)
         assert isinstance(got, float)
         assert got.hex() == reference_bwe_violation(game, structure, solved).hex()
+
+
+@pytest.mark.parametrize(
+    "name, outcome_name, denominator",
+    [("elfarol", "elfarol_cwe", 7), ("elfarol", "elfarol_cwe", 16), ("elfarol", "elfarol_cwe", 64),
+     ("pigou_info", "pigou_bcwe", 65)],
+)
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_exact_conditional_costs_match_reference(request, name, outcome_name, denominator, symmetrize):
+    # the integer-numerator sums give the reference's Fractions, key for key
+    game, outcome = request.getfixturevalue(name), request.getfixturevalue(outcome_name)
+    structure, strategies, _ = fg.direct_structure_from_bcwe(game, outcome, denominator, symmetrize)
+    _flows, table = infostruct._conditional_costs(game, structure, strategies)
+    reference = reference_conditional_costs(game, structure, strategies)
+    assert table == reference
+    assert all(type(c) is F for costs in table.values() for c in costs)
+
+
+def test_aggregate_flow_keeps_int_entries():
+    structure = fg.InformationStructure(
+        sizes=(F(1, 2), F(1, 2)),
+        type_sets=(("a", "b"), ("a", "b")),
+        kernel={"0": ((("a", "b"), F(1)),)},
+    )
+    strategies = fg.StrategyProfile((((1, 0), (0, 1)), ((1, 0), (0, 1))))
+    for profile, want in ((("a", "b"), (1, 1)), (("b", "b"), (0, 2))):
+        got = fg.aggregate_flow(structure, strategies, profile)
+        assert got == want and all(type(v) is int for v in got)
+    # Fraction entries give one reduced Fraction per action
+    halves = fg.StrategyProfile((((F(1, 2), F(0)), (F(0), F(1, 2))),) * 2)
+    assert fg.aggregate_flow(structure, halves, ("a", "b")) == (F(1, 2), F(1, 2))
+    assert all(type(v) is F for v in fg.aggregate_flow(structure, halves, ("a", "a")))
+
+
+def test_solve_bwe_validates_its_start():
+    game = random_congestion_game(0, n_actions=2, n_states=2)
+    structure = random_structure(game, 0)
+    solved = fg.solve_bwe(game, structure)
+    # too few blocks used to raise a bare IndexError
+    short = fg.StrategyProfile(solved.strategies[:-1])
+    with pytest.raises(ValueError, match="strategy blocks do not match"):
+        fg.solve_bwe(game, structure, start=short)
+    # a negative mass used to be solved from without complaint
+    negative = fg.StrategyProfile(
+        tuple(
+            tuple((-1.0, 1 + float(gamma)) for _ in structure.type_sets[k])
+            for k, gamma in enumerate(structure.sizes)
+        )
+    )
+    with pytest.raises(ValueError, match="negative strategy mass"):
+        fg.solve_bwe(game, structure, start=negative)
 
 
 def test_bwe_violation_costs_each_atom_once(elfarol, elfarol_cwe, monkeypatch):

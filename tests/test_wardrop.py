@@ -121,6 +121,20 @@ def test_grid_flows_checks_cap_before_building(monkeypatch):
         fg.grid_flows(game, 64)
 
 
+def test_lattice_profiles_equal_validated_profiles():
+    # grid_flows skips FlowProfile's checks; its profiles must still be the
+    # ones a validated build gives, entry types and masses included
+    for seed, n_actions, n_pops in ((0, 2, 1), (1, 3, 1), (2, 4, 1), (3, 2, 2), (4, 3, 2)):
+        game = random_congestion_game(seed, n_actions=n_actions, n_pops=n_pops)
+        for resolution in (1, 3, 8):
+            flows = fg.grid_flows(game, resolution)
+            assert len(flows) == len(set(flows))
+            for f in flows:
+                checked = fg.FlowProfile(f.flows)
+                assert f == checked and hash(f) == hash(checked)
+                assert repr(f) == repr(checked)
+
+
 def test_enumerate_elfarol_three_equilibria(elfarol):
     flows = fg.enumerate_we_grid(elfarol, "0", resolution=16, tol=1e-8)
     assert len(flows) == 3
@@ -205,6 +219,19 @@ def test_solver_input_validation(elfarol, pigou_network):
         fg.solve_we_potential(pigou_network, "0", tol=-1.0)
     with pytest.raises(ValueError, match="congestion-backed"):
         fg.solve_we_potential(elfarol, "0")
+
+
+def test_solve_we_potential_rejects_a_start_of_another_shape(pigou_network):
+    # a three-action flow, and a flow of two populations, on a game of one
+    # two-action population; both used to fail inside numpy's matmul
+    starts = (
+        flow1(F(1, 3), F(1, 3), F(1, 3)),
+        fg.FlowProfile(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))),
+        fg.uniform_flow(random_congestion_game(0, n_actions=3)),
+    )
+    for start in starts:
+        with pytest.raises(ValueError, match="start flow does not match"):
+            fg.solve_we_potential(pigou_network, "0", start=start)
 
 
 def _one_state_spec(latencies, actions):
