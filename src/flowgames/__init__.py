@@ -55,7 +55,7 @@ from .infostruct import (
     solve_bwe,
     validate_strategies,
 )
-from .lp import Certificate, LPResult, certify, exact_solve, lp_solve
+from .lp import Certificate, exact_solve
 from .model import (
     CongestionSpec,
     CostExpr,

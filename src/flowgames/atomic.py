@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._numpy import np
 from .checks import CheckReport, check_bce_flowlevel, check_bcwe
 from .infostruct import _largest_remainder_counts
-from .lp import lp_solve
-from .model import FlowProfile, GameSpec, Outcome, eval_cost, flow_linf
+from .lp import exact_solve
+from .model import FlowProfile, GameSpec, Outcome, eval_cost
 
 
 @dataclass(frozen=True)
@@ -292,25 +291,46 @@ def wasserstein_outcome_distance(mu1: Outcome, mu2: Outcome, prior: dict) -> flo
 
 
 def _w1(atoms1, atoms2) -> float:
+    """Exact transport cost between two weighted atom lists under the sup
+    norm, as a float.
+
+    A one-atom side forces the plan. Otherwise the transport LP drops its
+    last demand row and starts from the northwest-corner basis, whose last
+    column takes whatever supply is left: float weights that sum to 1 only
+    within ``MASS_TOL`` stay feasible.
+    """
     n1, n2 = len(atoms1), len(atoms2)
     if n1 == 0 or n2 == 0:
         raise ValueError("cannot transport to an empty distribution")
-    cost = np.zeros(n1 * n2)
-    for i, (f1, _) in enumerate(atoms1):
-        for j, (f2, _) in enumerate(atoms2):
-            cost[i * n2 + j] = flow_linf(f1, f2)
-    a_eq = np.zeros((n1 + n2, n1 * n2))
-    b_eq = np.zeros(n1 + n2)
-    for i in range(n1):
-        a_eq[i, i * n2 : (i + 1) * n2] = 1.0
-        b_eq[i] = float(atoms1[i][1])
-    for j in range(n2):
-        a_eq[n1 + j, j::n2] = 1.0
-        b_eq[n1 + j] = float(atoms2[j][1])
-    result = lp_solve(cost, a_eq=a_eq[:-1], b_eq=b_eq[:-1])
-    if result.status != "optimal":
-        raise RuntimeError(f"transport solve failed: {result.status}")
-    return max(0.0, float(result.objective))
+    supply = [Fraction(w) for _, w in atoms1]
+    demand = [Fraction(w) for _, w in atoms2]
+    cost = [_linf(f1, f2) for f1, _ in atoms1 for f2, _ in atoms2]
+    if n1 == 1 or n2 == 1:
+        return max(0.0, float(sum(w * c for w, c in zip(demand if n1 == 1 else supply, cost))))
+    basis = []
+    i = j = 0
+    while True:
+        basis.append(i * n2 + j)
+        if j == n2 - 1:
+            if i == n1 - 1:
+                break
+            i += 1
+        elif i == n1 - 1 or demand[j] <= supply[i]:
+            supply[i] -= demand[j]
+            j += 1
+        else:
+            demand[j] -= supply[i]
+            i += 1
+    rows = [[int(k // n2 == i) for k in range(n1 * n2)] for i in range(n1)]
+    rows += [[int(k % n2 == j) for k in range(n1 * n2)] for j in range(n2 - 1)]
+    weights = [w for _, w in atoms1] + [w for _, w in atoms2[:-1]]
+    return max(0.0, float(exact_solve(basis, cost, rows, weights).objective))
+
+
+def _linf(a: FlowProfile, b: FlowProfile) -> Fraction:
+    """Exact sup-norm distance between two profiles with the same shape."""
+    pairs = (xy for va, vb in zip(a.flows, b.flows, strict=True) for xy in zip(va, vb, strict=True))
+    return max(abs(Fraction(x) - Fraction(y)) for x, y in pairs)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import FlowProfile, GameSpec, Outcome, eval_cost, social_cost
+from .model import FlowProfile, GameSpec, Outcome, _cost_fn, _finite, eval_cost, social_cost
 
 
 @dataclass(frozen=True)
@@ -102,18 +102,23 @@ def obedience_rows(game: GameSpec, atoms, coarse: bool = False, shares=None) -> 
 
 def _deviation_costs(game: GameSpec, k: int, ja: int, share, atoms, costs) -> list:
     """``costs`` with c_b (b != a) swapped, wherever a is played, for b's
-    cost after one player of mass ``share`` moves from a to b."""
+    cost after one player of mass ``share`` moves from a to b. The shifted
+    flow keeps its mass, and only y_a can turn negative: ValueError where
+    ``share`` exceeds y_a."""
     pop = game.populations[k]
     table = []
     for (state, _, flow), c in zip(atoms, costs):
         if c is not None and flow.flows[k][ja] != 0:
+            y_a = flow.flows[k][ja]
+            if share > y_a:
+                raise ValueError(f"player share {share} exceeds the flow {y_a} on {pop.actions[ja]!r}")
             c = list(c)
             for jb, b in enumerate(pop.actions):
                 if jb != ja:
                     shifted = [list(vec) for vec in flow.flows]
                     shifted[k][ja] -= share
                     shifted[k][jb] += share
-                    c[jb] = eval_cost(game, pop.name, b, FlowProfile(shifted), state)
+                    c[jb] = _finite(_cost_fn(game, pop.name, b, state)(shifted), pop.name, b, shifted)
         table.append(c)
     return table
 

@@ -12,9 +12,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._numpy import np
 from .checks import obedience_rows
-from .lp import exact_solve, lp_solve
+from .lp import exact_solve
 from .model import (
     FlowProfile,
     GameSpec,
@@ -32,10 +31,11 @@ class DesignerProblem:
 
     ``designer_cost`` maps each state to a cost expression over flows; pass
     the same expression per state for state-independent objectives. Each
-    state's candidates must include an equilibrium of that state (build them
-    via :func:`build_grid`): on exact data the first candidate whose
-    obedience terms are all <= 0 starts the LP solve, and without one
-    :func:`solve_program_p` reports "uncertified".
+    state's candidates should include an equilibrium of that state (build
+    them via :func:`build_grid`): its first candidate whose obedience terms
+    are all <= 0 starts the LP solve. Without one, exact data make
+    :func:`solve_program_p` report "uncertified", and float data start from
+    the state's least-disobedient candidate.
     """
 
     game: GameSpec
@@ -52,8 +52,13 @@ class DesignerProblem:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """An optimal outcome with its objective (a ``Fraction`` when certified
-    on exact data, else a float)."""
+    """An exactly optimal outcome with its objective, or no outcome.
+
+    ``status`` is "optimal" or "uncertified" (exact data with no obedient
+    start, so no outcome and no objective). On exact data the objective and
+    weights are ``Fraction``s; on float data they are the floats of the
+    exact optimum of the float LP.
+    """
 
     outcome: Outcome | None
     objective: Fraction | float | None
@@ -136,15 +141,19 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     """Minimize expected designer cost over obedient state-conditional
     distributions supported on the candidate flows.
 
+    The LP is solved by :func:`flowgames.lp.exact_solve`, which reads every
+    term exactly, from the basis of one start candidate per state plus every
+    obedience slack. The start is each state's first candidate with no
+    positive obedience term (an equilibrium, which :func:`build_grid` seeds).
     On exact data (every cost and obedience term an int or ``Fraction``) the
-    LP is solved by :func:`flowgames.lp.exact_solve`, which starts at the
-    basis of each state's first candidate with all obedience terms <= 0 (an
-    exact equilibrium, which :func:`build_grid` seeds) plus every obedience
-    slack. The outcome weights and the objective are the certificate's
-    ``Fraction``s. Status "uncertified" (no outcome) means some state has no
-    such candidate. Float data (the irrational equilibria of nonlinear
-    latencies) carry roundoff no basis can be certified against; they get
-    the float solve's status, weights and objective.
+    outcome weights and the objective are the certificate's ``Fraction``s,
+    and status "uncertified" (no outcome) means some state has no such
+    candidate. Float data (the irrational equilibria of nonlinear latencies)
+    carry roundoff, so a state may have none: it starts instead from its
+    candidate whose largest obedience term is least, and each obedience row
+    may then exceed 0 by the start's own activity on it. Their weights and
+    objective are the exact optimum's floats, with weights up to 1e-11
+    dropped and the rest renormalized.
     """
     game = problem.game
     columns = []  # (state, candidate index)
@@ -166,19 +175,23 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
         atoms.append((state, p, flow))
     a_eq = [[int(s == state) for s, _ in columns] for state in game.states]
     b_eq = [1] * len(game.states)
-    rows = [terms for _, terms in obedience_rows(game, atoms)] or None
-    b_ub = [0] * len(rows) if rows else None
-    if all(isinstance(v, (int, Fraction)) for v in itertools.chain(cost, *(rows or ()))):
-        basis = _equilibrium_basis(game.states, columns, rows or ())
-        if basis is None:
-            return LPSolution(None, None, "uncertified")
-        certificate = exact_solve(basis, cost, a_eq, b_eq, rows, b_ub)
-        x, objective, floor = certificate.x, certificate.objective, 0
-    else:
-        result = lp_solve(cost, a_eq, b_eq, rows, b_ub)
-        if result.status != "optimal":
-            return LPSolution(None, None, result.status)
-        x, objective, floor = result.x.tolist(), result.objective, 1e-11
+    rows = [terms for _, terms in obedience_rows(game, atoms)]
+    exact = all(isinstance(v, (int, Fraction)) for v in itertools.chain(cost, *rows))
+    starts = []
+    for state in game.states:
+        own = [j for j, (s, _) in enumerate(columns) if s == state]
+        start = next((j for j in own if all(row[j] <= 0 for row in rows)), None)
+        if start is None:
+            if exact:
+                return LPSolution(None, None, "uncertified")
+            start = min(own, key=lambda j: max((row[j] for row in rows), default=0))
+        starts.append(start)
+    basis = starts + list(range(len(columns), len(columns) + len(rows)))
+    b_ub = [max(0, sum(Fraction(row[j]) for j in starts)) for row in rows]
+    certificate = exact_solve(basis, cost, a_eq, b_eq, rows, b_ub)
+    x, objective, floor = certificate.x, certificate.objective, 0
+    if not exact:
+        x, objective, floor = [float(w) for w in x], float(objective), 1e-11
     per_state: dict = {state: [] for state in game.states}
     for (state, idx), w in zip(columns, x):
         if w > floor:
@@ -188,20 +201,6 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
         total = sum(w for _, w in atoms)
         per_state[state] = tuple((f, w / total) for f, w in atoms)
     return LPSolution(Outcome(per_state), objective, "optimal")
-
-
-def _equilibrium_basis(states, columns, rows) -> list | None:
-    """A primal feasible basis of the design LP: per state, the first
-    candidate with no positive obedience term (an exact equilibrium), then
-    every obedience slack. None when some state has no such candidate."""
-    basis = []
-    for state in states:
-        obedient = (j for j, (s, _) in enumerate(columns) if s == state and all(row[j] <= 0 for row in rows))
-        j = next(obedient, None)
-        if j is None:
-            return None
-        basis.append(j)
-    return basis + list(range(len(columns), len(columns) + len(rows)))
 
 
 def support_bound_check(solution: LPSolution, game: GameSpec) -> SupportBoundReport:
@@ -244,28 +243,15 @@ def ccwe_grid_gap(game: GameSpec, state: str, resolution: int) -> tuple[float, f
     we_cost = float(social_cost(game, we.flow, state))
     lattice = grid_flows(game, resolution)
     ncols = len(lattice)
-    sc = np.array([float(social_cost(game, f, state)) for f in lattice])
+    sc = [social_cost(game, f, state) for f in lattice]
     atoms = [(state, 1, f) for f in lattice]
-    rows = np.array(
-        [[float(t) for t in terms] for _, terms in obedience_rows(game, atoms, coarse=True)]
-    ).reshape(-1, ncols)
-    nrows = len(rows)
+    rows = [terms for _, terms in obedience_rows(game, atoms, coarse=True)]
     # variables: mu (ncols) then slack s
-    a_eq = np.zeros((1, ncols + 1))
-    a_eq[0, :ncols] = 1.0
-    a_ub = np.hstack([rows, np.full((nrows, 1), -1.0)])
-    c_slack = np.zeros(ncols + 1)
-    c_slack[ncols] = 1.0
-    first = lp_solve(c_slack, a_eq, np.ones(1), a_ub, np.zeros(nrows))
-    if first.status != "optimal":
-        raise RuntimeError("slack minimization failed")
-    slack = max(0.0, float(first.objective))
-    b_ub2 = np.full(nrows, slack + 1e-12)
+    a_ub = [terms + [-1] for terms in rows]
+    first = exact_solve(None, [0] * ncols + [1], [[1] * ncols + [0]], [1], a_ub, [0] * len(rows))
+    slack = first.objective
     gap = 0.0
-    for sign in (1.0, -1.0):
-        res = lp_solve(sign * sc, np.ones((1, ncols)), np.ones(1), rows, b_ub2)
-        if res.status != "optimal":
-            raise RuntimeError("cost-range LP failed")
-        value = float(sc @ res.x)
-        gap = max(gap, abs(value - we_cost))
-    return slack, gap
+    for sign in (1, -1):
+        res = exact_solve(None, [sign * v for v in sc], [[1] * ncols], [1], rows, [slack] * len(rows))
+        gap = max(gap, abs(float(sign * res.objective) - we_cost))
+    return float(slack), gap

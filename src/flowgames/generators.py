@@ -1,7 +1,7 @@
 """Seeded factories for random games, flows, outcomes, and structures.
 
 Everything here is deterministic in the seed and produces exact rational
-data unless stated otherwise, so downstream obedience checks can certify
+data unless stated otherwise, so downstream obedience checks can confirm
 exact zeros.
 """
 

@@ -325,7 +325,8 @@ def direct_structure_from_bcwe(
         for _ in range(k_count)
     )
     strategies = StrategyProfile(obedient)
-    eps = bwe_violation(game, structure, strategies)
+    # bwe_violation, without validating the strategies built just above
+    eps = _max_gap(_conditional_costs(game, structure, strategies)[1], strategies)
     eps = eps if eps > 0 else 0
     return structure, strategies, eps
 

@@ -1,26 +1,21 @@
-"""Simplex solvers: a dense float tableau for float data, and an exact
-primal simplex for exact data.
+"""One exact primal simplex for every LP in the package.
 
 Written in-house because downstream code needs a genuine basic feasible
-solution (the returned basis certifies support bounds) and bit-reproducible
+solution (the returned basis bounds the support) and bit-reproducible
 tie-breaking, which off-the-shelf interior-point or presolving solvers do
-not guarantee. Scale target is desk-sized problems: hundreds of columns.
+not guarantee.
 
-``lp_solve`` runs two phases in floats with Bland's rule. Bland's rule is
-finite only in exact arithmetic: on degenerate LPs float roundoff can make
-it revisit a basis, so each phase records the bases it visits and stops
-with status "cycled" at the first revisit.
-
-``exact_solve`` takes exact data and a primal feasible basis, so it needs
-no phase 1. It keeps B^-1 in ``Fraction``s and updates it at each pivot.
-It enters the column with the most negative float reduced cost, once that
-column's exact reduced cost is confirmed negative. When floats see no such
-column, or after ``STALL_PIVOTS`` consecutive degenerate pivots, it enters by
-Bland's rule on exact prices. The ratio test is exact, with Bland's
-tie-break, so the solve always terminates. It stops where exact pricing finds
-no negative reduced cost, a basis that ``certify`` accepts. ``certify``
-decides exactly whether a given basis is optimal: it factors only the m x m
-basis, solves for x_B and the duals y, and prices every column once against y.
+``exact_solve`` reads every entry as an exact rational (``Fraction(v)`` is
+exact for ints, Fractions and floats alike) and keeps B^-1 in ``Fraction``s,
+updating it at each pivot. It starts from a primal feasible basis the caller
+gives or, without one, runs phase 1 from artificials on the equality rows
+and slacks on the <= rows. Both phases share one pivot loop. It enters the
+column with the most negative float reduced cost, once that column's exact
+reduced cost is confirmed negative. When floats see no such column, or after
+``STALL_PIVOTS`` consecutive degenerate pivots, it enters by Bland's rule on
+exact prices. The ratio test is exact, with Bland's tie-break, so the solve
+always terminates (Bland 1977). It stops where exact pricing finds no
+negative reduced cost, so the returned basis is exactly optimal.
 """
 
 from __future__ import annotations
@@ -32,30 +27,8 @@ from fractions import Fraction
 from ._numpy import np
 
 PIVOT_TOL = 1e-10
-MAX_PIVOTS = 50000
 # consecutive degenerate exact pivots before pricing by Bland's rule alone
 STALL_PIVOTS = 30
-
-
-@dataclass(frozen=True)
-class LPResult:
-    """Outcome of a float solve.
-
-    status: "optimal", "infeasible", "unbounded", "cycled" (a phase revisited
-        a basis) or "pivot_limit" (MAX_PIVOTS pivots in one phase).
-    x: primal values for the structural variables (optimal only).
-    objective: c . x for the returned x.
-    basis: column indices (structural, then slack, then artificial on a
-        redundant row) of the final basis.
-    pivots: float pivots made in both phases (moving artificials out of the
-        basis between them included), whatever the status.
-    """
-
-    status: str
-    x: np.ndarray | None
-    objective: float | None
-    basis: tuple[int, ...] | None
-    pivots: int | None
 
 
 @dataclass(frozen=True)
@@ -69,188 +42,63 @@ class Certificate:
     basis: tuple[int, ...]
 
 
-def lp_solve(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> LPResult:
-    """Minimize c.x subject to a_eq x = b_eq, a_ub x <= b_ub, x >= 0, in
-    floats, pivoting with Bland's rule."""
-    c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    rhs = []
-    if a_eq is not None and len(a_eq):
-        a_eq = np.asarray(a_eq, dtype=float)
-        rhs.extend(np.asarray(b_eq, dtype=float))
-        n_eq = a_eq.shape[0]
-    else:
-        n_eq = 0
-    n_ub = 0
-    if a_ub is not None and len(a_ub):
-        a_ub = np.asarray(a_ub, dtype=float)
-        n_ub = a_ub.shape[0]
-        rhs.extend(np.asarray(b_ub, dtype=float))
-    m = n_eq + n_ub
-    if m == 0:
-        raise ValueError("LP needs at least one row")
-    # standard form: [A_eq 0; A_ub I] with slack columns for the <= rows
-    a = np.zeros((m, n + n_ub))
-    if n_eq:
-        a[:n_eq, :n] = a_eq
-    if n_ub:
-        a[n_eq:, :n] = a_ub
-        a[n_eq:, n : n + n_ub] = np.eye(n_ub)
-    b = np.asarray(rhs, dtype=float)
-    neg = b < 0
-    a[neg] *= -1.0
-    b = np.abs(b)
-
-    total = n + n_ub
-    tableau = np.zeros((m + 1, total + m + 1))
-    tableau[:m, :total] = a
-    tableau[:m, total : total + m] = np.eye(m)
-    tableau[:m, -1] = b
-    basis = list(range(total, total + m))
-    # phase 1: price out artificials
-    tableau[m, :] = 0.0
-    for i in range(m):
-        tableau[m, : total + m] -= tableau[i, : total + m]
-        tableau[m, -1] -= tableau[i, -1]
-    status, pivots = _pivot_loop(tableau, basis, total)
-    if status != "optimal":
-        return LPResult(status, None, None, None, pivots)
-    if -tableau[m, -1] > 1e-8:
-        return LPResult("infeasible", None, None, None, pivots)
-    pivots += _drive_out_artificials(tableau, basis, total)
-
-    # phase 2 over structural + slack columns
-    tableau[m, :] = 0.0
-    tableau[m, :n] = c
-    for i, bi in enumerate(basis):
-        if bi < total and tableau[m, bi] != 0.0:
-            tableau[m, :] -= tableau[m, bi] * tableau[i, :]
-    status, phase2 = _pivot_loop(tableau, basis, total)
-    pivots += phase2
-    if status != "optimal":
-        return LPResult(status, None, None, None, pivots)
-
-    x_full = np.zeros(total)
-    for i, bi in enumerate(basis):
-        if bi < total:
-            x_full[bi] = tableau[i, -1]
-    x = x_full[:n]
-    return LPResult("optimal", x, float(c @ x), tuple(sorted(basis)), pivots)
-
-
-def _pivot_loop(tableau, basis, allowed: int) -> tuple[str, int]:
-    m = tableau.shape[0] - 1
-    seen = {frozenset(basis)}
-    for pivots in range(MAX_PIVOTS):
-        row = tableau[m, :allowed]
-        eligible = (row < -PIVOT_TOL).nonzero()[0]  # Bland: smallest index
-        if not eligible.size:
-            return "optimal", pivots
-        entering = int(eligible[0])
-        best_ratio = None
-        leaving = -1
-        for i, (coef, value) in enumerate(zip(tableau[:m, entering].tolist(), tableau[:m, -1].tolist())):
-            if coef > PIVOT_TOL:
-                ratio = value / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - 1e-12
-                    or (abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
-            return "unbounded", pivots
-        _pivot(tableau, leaving, entering)
-        basis[leaving] = entering
-        key = frozenset(basis)
-        if key in seen:
-            return "cycled", pivots + 1
-        seen.add(key)
-    return "pivot_limit", MAX_PIVOTS
-
-
-def _pivot(tableau, row: int, col: int):
-    tableau[row, :] /= tableau[row, col]
-    pivot_row = tableau[row]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    for i in factors.nonzero()[0].tolist():
-        tableau[i] -= factors[i] * pivot_row
-
-
-def _drive_out_artificials(tableau, basis, total: int) -> int:
-    m = tableau.shape[0] - 1
-    pivots = 0
-    for i in range(m):
-        if basis[i] < total:
-            continue
-        pivot_col = -1
-        for j in range(total):
-            if abs(tableau[i, j]) > PIVOT_TOL:
-                pivot_col = j
-                break
-        if pivot_col >= 0:
-            _pivot(tableau, i, pivot_col)
-            basis[i] = pivot_col
-            pivots += 1
-        else:
-            # redundant row: keep the zero-level artificial basic; it never
-            # re-enters because phase 2 prices only real columns
-            tableau[i, -1] = 0.0
-    return pivots
-
-
-def certify(basis, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certificate | None:
-    """Decide exactly whether ``basis`` (as returned by ``lp_solve``) is an
-    optimal basis of the LP with this data, read as exact rationals.
-
-    Every entry is taken as ``Fraction(v)``, which is exact for ints,
-    Fractions and floats alike. Returns None when the basis matrix is
-    singular, x_B is not feasible (an artificial must sit at 0 exactly) or
-    some column prices out with a negative reduced cost.
-    """
-    if basis is None:
-        return None
-    cost, columns, rhs = _exact_data(c, a_eq, b_eq, a_ub, b_ub)
-    total = len(cost)
-    factored = _factor(basis, columns, rhs)
-    if factored is None:
-        return None
-    binv, x_b = factored
-    if any(v < 0 or (j >= total and v != 0) for j, v in zip(basis, x_b)):
-        return None
-    y = _duals(basis, cost, binv)
-    if _first_negative(y, cost, columns, range(total)) is not None:
-        return None
-    return _certificate(len(c), basis, x_b, y, cost)
-
-
 def exact_solve(basis, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certificate:
-    """An exactly optimal basis of the LP with this data, read as exact
-    rationals, by primal simplex from the primal feasible ``basis``.
+    """An exactly optimal basis of min c.x subject to a_eq x = b_eq,
+    a_ub x <= b_ub and x >= 0, with every entry read as an exact rational.
 
     ``basis`` names one column per row, structural (index < len(c)) or slack
     (len(c) + i for the i-th <= row). Raises ValueError when it is not such
-    a list, its matrix is singular or its x_B has a negative entry, and when
-    the LP is unbounded.
+    a list, its matrix is singular or its x_B has a negative entry. With
+    ``basis`` None, phase 1 starts from an artificial on each equality row
+    and the slack of each <= row, and raises ValueError on a negative
+    right-hand side or an infeasible LP; an artificial left at 0 on a
+    redundant equality row stays in the returned basis, past the slacks.
+    Raises ValueError when the LP has no rows or is unbounded.
     """
     cost, columns, rhs = _exact_data(c, a_eq, b_eq, a_ub, b_ub)
     m, total = len(rhs), len(cost)
-    basis = list(basis)
-    if len(basis) != m or len(set(basis)) != m or not all(0 <= j < total for j in basis):
-        raise ValueError(f"a basis names {m} distinct columns below {total}")
-    factored = _factor(basis, columns, rhs)
-    if factored is None:
-        raise ValueError("singular basis")
-    binv, x_b = factored
-    if any(v < 0 for v in x_b):
-        raise ValueError("basis is not primal feasible")
-    float_cost = np.array(cost, dtype=float)
+    if not m:
+        raise ValueError("LP needs at least one row")
     float_a = np.zeros((m, total))
     for j, (d, col) in enumerate(columns):
         for i, v in col:
             float_a[i, j] = v / d
+    if basis is None:
+        if any(v < 0 for v in rhs):
+            raise ValueError("phase 1 needs a nonnegative right-hand side")
+        n_eq = m - (total - len(c))
+        basis = [total + i for i in range(n_eq)] + list(range(len(c), total))
+        binv, x_b = _factor(basis, columns, rhs)
+        # phase 1: minimize the sum of the artificials
+        _simplex_phase(basis, binv, x_b, [0] * total + [1] * n_eq, columns, float_a)
+        if any(v for j, v in zip(basis, x_b) if j >= total):
+            raise ValueError("LP is infeasible")
+    else:
+        basis = list(basis)
+        if len(basis) != m or len(set(basis)) != m or not all(0 <= j < total for j in basis):
+            raise ValueError(f"a basis names {m} distinct columns below {total}")
+        factored = _factor(basis, columns, rhs)
+        if factored is None:
+            raise ValueError("singular basis")
+        binv, x_b = factored
+        if any(v < 0 for v in x_b):
+            raise ValueError("basis is not primal feasible")
+    y = _simplex_phase(basis, binv, x_b, cost, columns, float_a)
+    return _certificate(len(c), basis, x_b, y, cost)
+
+
+def _simplex_phase(basis, binv, x_b, cost, columns, float_a):
+    """Pivot from a primal feasible basis, updating ``basis``, B^-1 and x_B
+    in place, until exact pricing finds no column with a negative reduced
+    cost; returns the duals y there.
+
+    ``cost`` may run past the columns: an artificial (a basis index past the
+    last column) costs its entry there, never enters, and leaves at step 0
+    as soon as an entering column touches its row while it sits at 0, so it
+    stays at 0 once there.
+    """
+    total = len(columns)
+    float_cost = np.array(cost[:total], dtype=float)
     stalled = 0
     while True:
         y = _duals(basis, cost, binv)
@@ -264,13 +112,13 @@ def exact_solve(basis, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certifi
         if entering is None:
             entering = _first_negative(y, cost, columns, range(total))
             if entering is None:
-                return _certificate(len(c), basis, x_b, y, cost)
+                return y
         d, col = columns[entering]
         u = [sum((row[i] * v for i, v in col), Fraction(0)) / d for row in binv]
         # exact ratio test; ties leave by the smallest basic column (Bland)
         leaving, step = -1, None
         for i, (ui, xi) in enumerate(zip(u, x_b)):
-            if ui > 0:
+            if ui > 0 or (ui and not xi and basis[i] >= total):
                 ratio = xi / ui
                 if step is None or ratio < step or (ratio == step and basis[i] < basis[leaving]):
                     leaving, step = i, ratio
@@ -330,7 +178,7 @@ def _factor(basis, columns, rhs):
 
 
 def _duals(basis, cost, binv):
-    """y = c_B B^-1, skipping the zero costs of slacks and artificials."""
+    """y = c_B B^-1, skipping zero costs; a basis index past ``cost`` costs 0."""
     y = [Fraction(0)] * len(binv)
     for j, row in zip(basis, binv):
         cj = cost[j] if j < len(cost) else 0

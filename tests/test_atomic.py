@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -309,6 +310,62 @@ def test_wasserstein_does_not_depend_on_hash_seed(fresh_python):
         "print(repr(fg.wasserstein_outcome_distance(outcome, bce.outcome, prior)))\n"
     )
     assert fresh_python(code, PYTHONHASHSEED="0") == fresh_python(code, PYTHONHASHSEED="1")
+
+
+def _highs_w1(atoms1, atoms2):
+    """W1 between two atom lists by HiGHS on the full float transport LP."""
+    optimize = pytest.importorskip("scipy.optimize")
+    n1, n2 = len(atoms1), len(atoms2)
+    cost = [
+        max(abs(float(x) - float(y)) for x, y in zip(f1.flows[0], f2.flows[0]))
+        for f1, _ in atoms1
+        for f2, _ in atoms2
+    ]
+    a_eq = [[float(k // n2 == i) for k in range(n1 * n2)] for i in range(n1)]
+    a_eq += [[float(k % n2 == j) for k in range(n1 * n2)] for j in range(n2)]
+    b_eq = [float(w) for _, w in atoms1 + atoms2]
+    res = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def _random_atoms(rng, n_atoms, n_actions, den):
+    weights = [rng.randint(1, 9) for _ in range(n_atoms)]
+    atoms = []
+    for w in weights:
+        cuts = sorted(rng.randint(0, den) for _ in range(n_actions - 1))
+        counts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+        atoms.append((fg.FlowProfile((tuple(F(c, den) for c in counts),)), F(w, sum(weights))))
+    return atoms
+
+
+def _w1(atoms1, atoms2):
+    mu1, mu2 = fg.Outcome({"0": tuple(atoms1)}), fg.Outcome({"0": tuple(atoms2)})
+    return fg.wasserstein_outcome_distance(mu1, mu2, {"0": F(1)})
+
+
+def test_wasserstein_matches_highs():
+    rng = random.Random(3)
+    cases = [tuple(_random_atoms(rng, rng.randint(1, 5), 3, 8) for _ in "12") for _ in range(40)]
+    # Outcome keeps atoms in flow order, so the northwest corner meets these
+    # weights in this order: supply 1/2 runs out with demand 1/2, then 1/4
+    # with 1/4, each tie leaving a basic cell at 0
+    flows = [flow1(0, 1), flow1(F(1, 4), F(3, 4)), flow1(F(1, 2), F(1, 2)), flow1(1, 0)]
+    ties = [F(1, 2), F(1, 4), F(1, 4)]
+    cases.append((list(zip(flows[:3], ties)), list(zip(flows[1:], ties))))
+    cases.append((list(zip(flows[1:], ties)), list(zip(flows[:3], ties))))
+    # float weights summing to 1 only within rounding: the last column takes the rest
+    cases.append((list(zip(flows[:3], (0.1, 0.2, 0.7))), list(zip(flows[1:], (0.3, 0.3, 0.4)))))
+    assert any(len(a) == 1 for a, _ in cases) and any(len(b) == 1 for _, b in cases)
+    for atoms1, atoms2 in cases:
+        assert abs(_w1(atoms1, atoms2) - _highs_w1(atoms1, atoms2)) <= 1e-12
+
+
+def test_wasserstein_from_one_atom_is_forced():
+    point = [(flow1(1, 0), F(1))]
+    spread = [(flow1(F(1, 2), F(1, 2)), F(1, 3)), (flow1(0, 1), F(2, 3))]
+    # all mass moves to (or from) the one atom: 1/3 * 1/2 + 2/3 * 1
+    assert _w1(point, spread) == _w1(spread, point) == 5 / 6
 
 
 def test_convergence_run_elfarol(elfarol, elfarol_cwe):

@@ -194,13 +194,24 @@ def test_obedience_rows_order_and_terms(pigou_info, pigou_bcwe, elfarol):
 
 def test_obedience_rows_cost_each_positive_atom_once(elfarol, monkeypatch):
     calls = []
-    real = fg.checks.eval_cost
+    real, real_fn = fg.checks.eval_cost, fg.checks._cost_fn
 
     def counting(game, pop, action, flow, state):
         calls.append((action, flow.flows, state))
         return real(game, pop, action, flow, state)
 
+    def compiled(game, pop, action, state):
+        cost = real_fn(game, pop, action, state)
+
+        def counted(flows):
+            calls.append((action, tuple(map(tuple, flows)), state))
+            return cost(flows)
+
+        return counted
+
+    # unshifted flows are costed by eval_cost, shifted ones by the compiled cost
     monkeypatch.setattr(fg.checks, "eval_cost", counting)
+    monkeypatch.setattr(fg.checks, "_cost_fn", compiled)
     atoms = [("0", F(1, 2), flow1(F(1, 2), F(1, 2))), ("0", 0, flow1(0, 1)), ("0", F(1, 2), flow1(1, 0))]
     rows = fg.obedience_rows(elfarol, atoms)
     # two positive-mass atoms, two actions each; the zero-mass atom is not
@@ -221,6 +232,14 @@ def test_obedience_rows_cost_each_positive_atom_once(elfarol, monkeypatch):
         ("b", ((F(3, 4), F(1, 4)),), "0"),
     ]
     assert sorted(calls) == sorted(unshifted + shifted)
+
+
+def test_player_share_above_the_flow_is_refused(elfarol):
+    # one player of mass 1/2 cannot leave a, which carries only 1/4
+    atoms = [("0", F(1), flow1(F(1, 4), F(3, 4)))]
+    with pytest.raises(ValueError, match="share 1/2 exceeds the flow 1/4"):
+        fg.obedience_rows(elfarol, atoms, shares=[F(1, 2)])
+    assert len(fg.obedience_rows(elfarol, atoms, shares=[F(1, 4)])) == 2
 
 
 def test_checks_report_the_first_worst_row():

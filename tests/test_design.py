@@ -128,13 +128,7 @@ def test_lp_obedience_rows_match_reference(name, request, monkeypatch):
         captured.append(a_ub)
         return lp.exact_solve(basis, c, a_eq, b_eq, a_ub, b_ub)
 
-    def float_solve(*args):
-        raise AssertionError("exact design data reached the float solver")
-
-    # the game data are exact, so the LP goes to the exact solver only
     monkeypatch.setattr("flowgames.design.exact_solve", capture)
-    monkeypatch.setattr("flowgames.design.lp_solve", float_solve)
-    monkeypatch.setattr(lp, "lp_solve", float_solve)
     solution = fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
     assert solution.status == "optimal"
     assert len(captured) == 1
@@ -171,11 +165,9 @@ def test_degenerate_design_lp_is_certified(n_actions, n_states, resolution, seed
     assert fg.check_bcwe(game, solution.outcome).worst_violation <= 0
 
 
-@pytest.mark.parametrize("n_actions, n_states, resolution, seed, value", DEGENERATE_DESIGN_LPS)
-def test_degenerate_design_optimum_agrees_with_highs(n_actions, n_states, resolution, seed, value):
+def _highs_design_optimum(game, grid):
+    """The design LP's optimum by HiGHS, on its float image."""
     optimize = pytest.importorskip("scipy.optimize")
-    game = random_congestion_game(seed, n_actions=n_actions, n_states=n_states)
-    grid = fg.build_grid(game, resolution)
     columns = [(s, f) for s in game.states for f in grid[s]]
     c = [float(game.prior_of(s) * fg.social_cost(game, f, s)) for s, f in columns]
     a_eq = [[1.0 if s == t else 0.0 for s, _ in columns] for t in game.states]
@@ -184,12 +176,18 @@ def test_degenerate_design_optimum_agrees_with_highs(n_actions, n_states, resolu
         c, A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=a_eq, b_eq=np.ones(len(a_eq)), method="highs"
     )
     assert res.status == 0
-    assert abs(res.fun - float(value)) <= 1e-9
+    return res.fun
+
+
+@pytest.mark.parametrize("n_actions, n_states, resolution, seed, value", DEGENERATE_DESIGN_LPS)
+def test_degenerate_design_optimum_agrees_with_highs(n_actions, n_states, resolution, seed, value):
+    game = random_congestion_game(seed, n_actions=n_actions, n_states=n_states)
+    assert abs(_highs_design_optimum(game, fg.build_grid(game, resolution)) - float(value)) <= 1e-9
 
 
 def test_float_design_data_give_float_results():
     # quadratic latencies put this game's equilibrium at an irrational flow,
-    # whose float costs are not exact data: nothing is certified against them
+    # so the LP data are floats and the exact optimum is reported in floats
     game = random_congestion_game(0, n_actions=3, quadratic=True)
     solution = fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), fg.build_grid(game, 8)))
     assert solution.status == "optimal"
@@ -198,6 +196,30 @@ def test_float_design_data_give_float_results():
     assert write_outcome_file(solution.outcome, game) == (
         "[outcome.0]\n(0.452279896937, 0.28718180616, 0.260538296902) = 1\n"
     )
+
+
+QUADRATIC_SWEEP = [
+    (seed, n_states, n_actions, resolution)
+    for seed in range(12)
+    for n_states in (1, 2)
+    for n_actions, resolution in ((3, 8), (2, 16), (4, 4))
+]
+
+
+def test_float_design_data_agree_with_highs():
+    # quadratic latencies: most of these grids seed an irrational equilibrium,
+    # so their LPs carry float data; the exact solve of that data must match
+    # HiGHS on the same float LP and stay obedient to 1e-12
+    floats = 0
+    for seed, n_states, n_actions, resolution in QUADRATIC_SWEEP:
+        game = random_congestion_game(seed, n_actions=n_actions, n_states=n_states, quadratic=True)
+        grid = fg.build_grid(game, resolution)
+        solution = fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
+        assert solution.status == "optimal"
+        floats += isinstance(solution.objective, float)
+        assert abs(float(solution.objective) - _highs_design_optimum(game, grid)) <= 1e-9
+        assert fg.check_bcwe(game, solution.outcome).worst_violation <= 1e-12
+    assert floats >= len(QUADRATIC_SWEEP) // 2
 
 
 def test_uncertified_program_has_no_outcome(elfarol):

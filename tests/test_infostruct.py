@@ -187,11 +187,15 @@ def test_bwe_violation_matches_reference_formula():
         assert got.hex() == reference_bwe_violation(game, structure, solved).hex()
 
 
-@pytest.mark.parametrize(
-    "name, outcome_name, denominator",
-    [("elfarol", "elfarol_cwe", 7), ("elfarol", "elfarol_cwe", 16), ("elfarol", "elfarol_cwe", 64),
-     ("pigou_info", "pigou_bcwe", 65)],
-)
+SYNTHESIS_CASES = [
+    ("elfarol", "elfarol_cwe", 7),
+    ("elfarol", "elfarol_cwe", 16),
+    ("elfarol", "elfarol_cwe", 64),
+    ("pigou_info", "pigou_bcwe", 65),
+]
+
+
+@pytest.mark.parametrize("name, outcome_name, denominator", SYNTHESIS_CASES)
 @pytest.mark.parametrize("symmetrize", [True, False])
 def test_exact_conditional_costs_match_reference(request, name, outcome_name, denominator, symmetrize):
     # the integer-numerator sums give the reference's Fractions, key for key
@@ -201,6 +205,15 @@ def test_exact_conditional_costs_match_reference(request, name, outcome_name, de
     reference = reference_conditional_costs(game, structure, strategies)
     assert table == reference
     assert all(type(c) is F for costs in table.values() for c in costs)
+
+
+@pytest.mark.parametrize("name, outcome_name, denominator", [("elfarol", "elfarol_cwe", 2)] + SYNTHESIS_CASES)
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_direct_structure_eps_is_the_bwe_violation(request, name, outcome_name, denominator, symmetrize):
+    # eps skips bwe_violation's strategy validation, not any of its value
+    game, outcome = request.getfixturevalue(name), request.getfixturevalue(outcome_name)
+    structure, strategies, eps = fg.direct_structure_from_bcwe(game, outcome, denominator, symmetrize)
+    assert eps == fg.bwe_violation(game, structure, strategies)
 
 
 def test_aggregate_flow_keeps_int_entries():

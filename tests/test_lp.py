@@ -6,56 +6,70 @@ import pytest
 
 import flowgames as fg
 import flowgames.lp as lp
-from flowgames.generators import random_congestion_game
 
 
 def test_min_over_simplex_picks_cheapest_vertex():
-    res = fg.lp_solve([3.0, 1.0, 2.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0])
-    assert res.status == "optimal"
-    assert abs(res.objective - 1.0) <= 1e-9
-    assert np.allclose(res.x, [0.0, 1.0, 0.0], atol=1e-9)
+    cert = fg.exact_solve(None, [3, 1, 2], a_eq=[[1, 1, 1]], b_eq=[1])
+    assert cert.objective == 1
+    assert cert.x == (0, 1, 0)
 
 
 def test_inequality_rows_get_slack():
-    res = fg.lp_solve([-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
-    assert res.status == "optimal"
-    assert abs(res.objective + 1.0) <= 1e-9
+    cert = fg.exact_solve(None, [-1, -1], a_ub=[[1, 1]], b_ub=[1])
+    assert cert.objective == -1
 
 
 def test_mixed_equality_and_inequality():
     # min x2 on the segment x1 + x2 = 1 with x1 <= 1/4
-    res = fg.lp_solve(
-        [0.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ub=[[1.0, 0.0]], b_ub=[0.25]
-    )
-    assert res.status == "optimal"
-    assert abs(res.objective - 0.75) <= 1e-9
+    cert = fg.exact_solve(None, [0, 1], a_eq=[[1, 1]], b_eq=[1], a_ub=[[1, 0]], b_ub=[F(1, 4)])
+    assert cert.objective == F(3, 4)
+    assert cert.x == (F(1, 4), F(3, 4))
 
 
 def test_infeasible_detected():
-    res = fg.lp_solve([1.0], a_eq=[[1.0]], b_eq=[-1.0])
-    assert res.status == "infeasible"
-    assert res.x is None
+    # x1 + x2 = 1 and x1 + x2 <= 1/2
+    with pytest.raises(ValueError, match="infeasible"):
+        fg.exact_solve(None, [1, 1], a_eq=[[1, 1]], b_eq=[1], a_ub=[[1, 1]], b_ub=[F(1, 2)])
+
+
+def test_negative_right_hand_side_is_refused():
+    with pytest.raises(ValueError, match="nonnegative right-hand side"):
+        fg.exact_solve(None, [1], a_eq=[[1]], b_eq=[-1])
+    with pytest.raises(ValueError, match="nonnegative right-hand side"):
+        fg.exact_solve(None, [1], a_ub=[[1]], b_ub=[-1])
 
 
 def test_unbounded_detected():
-    res = fg.lp_solve([-1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[1.0])
-    assert res.status == "unbounded"
+    with pytest.raises(ValueError, match="unbounded"):
+        fg.exact_solve(None, [-1, 0], a_ub=[[0, 1]], b_ub=[1])
 
 
 def test_duplicate_rows_stay_solvable():
-    row = [1.0, 1.0]
-    res = fg.lp_solve([1.0, 2.0], a_eq=[row, row], b_eq=[1.0, 1.0])
-    assert res.status == "optimal"
-    assert abs(res.objective - 1.0) <= 1e-9
+    row = [1, 1]
+    cert = fg.exact_solve(None, [1, 2], a_eq=[row, row], b_eq=[1, 1])
+    assert cert.objective == 1
+    assert cert.x == (1, 0)
+    # the redundant row keeps its artificial (column 2 + row) basic at 0
+    assert len([j for j in cert.basis if j >= 2]) == 1
+
+
+def test_artificial_at_zero_leaves_before_it_could_rise():
+    # phase 1 ends at x1 = 1 with the second row's artificial basic at 0;
+    # in phase 2, x2 enters with a negative entry in that artificial's row,
+    # so the artificial leaves at step 0 rather than rise to 1 with x2
+    cert = fg.exact_solve(None, [1, 0], a_eq=[[1, 1], [1, 0]], b_eq=[1, 1])
+    assert cert.objective == 1
+    assert cert.x == (1, 0)
+    assert sorted(cert.basis) == [0, 1]
 
 
 def test_needs_at_least_one_row():
-    with pytest.raises(ValueError):
-        fg.lp_solve([1.0, 2.0])
+    with pytest.raises(ValueError, match="at least one row"):
+        fg.exact_solve(None, [1, 2])
 
 
 def test_strong_duality_at_optimum():
-    # rational data: the certified x is exactly feasible and c.x == y.b
+    # the certificate's x is exactly feasible, y is dual feasible and c.x == y.b
     rng = np.random.default_rng(7)
     for _ in range(10):
         n = 6
@@ -63,15 +77,21 @@ def test_strong_duality_at_optimum():
         interior = [F(int(v), 10) for v in rng.integers(1, 11, n)]
         a = [[F(1)] * n, [F(int(v), 10) for v in rng.integers(-10, 11, n)]]
         b = [sum(r * x for r, x in zip(row, interior)) for row in a]
-        res = fg.lp_solve([float(v) for v in c], a_eq=np.array(a, dtype=float), b_eq=[float(v) for v in b])
-        assert res.status == "optimal"
-        cert = fg.certify(res.basis, c, a_eq=a, b_eq=b)
-        assert cert is not None
+        # phase 1 takes a nonnegative right-hand side
+        a = [row if v >= 0 else [-r for r in row] for row, v in zip(a, b)]
+        b = [abs(v) for v in b]
+        cert = fg.exact_solve(None, c, a_eq=a, b_eq=b)
         assert all(x >= 0 for x in cert.x)
         assert [sum(r * x for r, x in zip(row, cert.x)) for row in a] == b
         assert cert.objective == sum(cj * x for cj, x in zip(c, cert.x))
         assert cert.objective == sum(y * v for y, v in zip(cert.y, b))
-        assert abs(res.objective - float(cert.objective)) <= 1e-12
+        assert all(cj >= sum(y * row[j] for y, row in zip(cert.y, a)) for j, cj in enumerate(c))
+
+
+def test_exact_solve_reads_floats_exactly():
+    # 0.1 is not 1/10 in binary; the certificate keeps the float's exact value
+    cert = fg.exact_solve(None, [0.1], a_eq=[[1.0]], b_eq=[1.0])
+    assert cert.objective == F(0.1) != F(1, 10)
 
 
 BEALE_C = [F(-3, 4), F(20), F(-1, 2), F(6)]
@@ -86,11 +106,13 @@ def test_beale_cycling_example(pure_bland, monkeypatch):
     # every entering column is chosen by Bland's rule
     if pure_bland:
         monkeypatch.setattr(lp, "STALL_PIVOTS", 0)
-    slacks = (4, 5, 6)
-    cert = fg.exact_solve(slacks, BEALE_C, a_ub=BEALE_A, b_ub=BEALE_B)
+    # phase 1 starts at the slacks (4, 5, 6), already feasible
+    cert = fg.exact_solve(None, BEALE_C, a_ub=BEALE_A, b_ub=BEALE_B)
     assert cert.objective == F(-5, 4)
     assert cert.x == (1, 0, 1, 0)
-    assert fg.certify(cert.basis, BEALE_C, a_ub=BEALE_A, b_ub=BEALE_B) == cert
+    assert fg.exact_solve((4, 5, 6), BEALE_C, a_ub=BEALE_A, b_ub=BEALE_B) == cert
+    # started at its own optimal basis, the solve makes no pivot
+    assert fg.exact_solve(cert.basis, BEALE_C, a_ub=BEALE_A, b_ub=BEALE_B) == cert
 
 
 def test_exact_solve_needs_a_feasible_nonsingular_start():
@@ -107,62 +129,6 @@ def test_exact_solve_needs_a_feasible_nonsingular_start():
     # min -x1 with x1 - x2 <= 1 grows without bound along x1 = x2 + 1
     with pytest.raises(ValueError, match="unbounded"):
         fg.exact_solve((2,), [F(-1), F(0)], a_ub=[[F(1), F(-1)]], b_ub=[F(1)])
-
-
-def _float_design_lp(seed, n_actions, resolution):
-    """The float image of the designer's LP on a random congestion game."""
-    game = random_congestion_game(seed, n_actions=n_actions, n_states=2)
-    grid = fg.build_grid(game, resolution)
-    atoms = [(s, game.prior_of(s), f) for s in game.states for f in grid[s]]
-    c = [float(p * fg.social_cost(game, f, s)) for s, p, f in atoms]
-    a_eq = [[1.0 if s == t else 0.0 for s, _, _ in atoms] for t in game.states]
-    a_ub = [[float(t) for t in terms] for _, terms in fg.obedience_rows(game, atoms)]
-    return c, a_eq, [1.0] * len(a_eq), a_ub, [0.0] * len(a_ub)
-
-
-def test_float_bland_cycling_stops_at_first_revisited_basis():
-    # A4r8-g10 of the design benchmark: float Bland pivots ran to the cap
-    c, a_eq, b_eq, a_ub, b_ub = _float_design_lp(10, 4, 8)
-    res = fg.lp_solve(c, a_eq, b_eq, a_ub, b_ub)
-    assert res.status == "cycled"
-    assert res.x is None and res.basis is None
-    assert res.pivots < 1000
-
-
-def test_pivot_cap_is_a_status(monkeypatch):
-    monkeypatch.setattr(lp, "MAX_PIVOTS", 1)
-    res = fg.lp_solve([3.0, 1.0, 2.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0])
-    assert res.status == "pivot_limit"
-    assert res.pivots == 1
-
-
-def test_pivots_are_counted():
-    res = fg.lp_solve([3.0, 1.0, 2.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0])
-    # phase 1 brings in the first column, phase 2 swaps it for the second
-    assert res.pivots == 2
-
-
-def test_certify_rejects_bases_that_are_not_optimal():
-    c, a_eq, b_eq = [F(1), F(2)], [[F(1), F(1)]], [F(1)]
-    assert fg.certify((0,), c, a_eq, b_eq).objective == 1
-    assert fg.certify((1,), c, a_eq, b_eq) is None  # feasible, but x1 prices out below 0
-    assert fg.certify(None, c, a_eq, b_eq) is None
-    # with x1 - x2 <= -3 added, the basis {x1, slack} puts the slack at -4
-    a_ub, b_ub = [[F(1), F(-1)]], [F(-3)]
-    assert fg.certify((0, 2), c, a_eq, b_eq, a_ub, b_ub) is None
-    # min x1 with x1 + x2 = 2 and x1 <= 1: the basis {x1, x2} holds the
-    # inequality tight, and its slack prices out below 0
-    c, a_eq, b_eq, a_ub, b_ub = [F(1), F(0)], [[F(1), F(1)]], [F(2)], [[F(1), F(0)]], [F(1)]
-    assert fg.certify((0, 1), c, a_eq, b_eq, a_ub, b_ub) is None
-    assert fg.certify((1, 2), c, a_eq, b_eq, a_ub, b_ub).x == (0, 2)
-    # singular: both rows only see x1
-    assert fg.certify((0, 1), c, [[F(1), F(0)], [F(2), F(0)]], [F(1), F(2)]) is None
-
-
-def test_certify_reads_floats_exactly():
-    # 0.1 is not 1/10 in binary; the certificate keeps the float's exact value
-    cert = fg.certify((0,), [0.1], a_eq=[[1.0]], b_eq=[1.0])
-    assert cert.objective == F(0.1) != F(1, 10)
 
 
 def _vertex_optimum(c, a, b):
@@ -192,8 +158,9 @@ def test_agrees_with_vertex_enumeration():
         interior = rng.uniform(0.1, 1.0, n)
         a = np.vstack([np.ones(n), rng.uniform(-1, 1, n)])
         b = a @ interior  # feasible by construction, bounded by the simplex row
-        res = fg.lp_solve(c, a_eq=a, b_eq=b)
         oracle = _vertex_optimum(c, a, b)
-        assert res.status == "optimal"
+        # phase 1 takes a nonnegative right-hand side
+        a[b < 0] *= -1.0
+        cert = fg.exact_solve(None, c, a_eq=a, b_eq=np.abs(b))
         assert oracle is not None
-        assert abs(res.objective - oracle) <= 1e-8
+        assert abs(float(cert.objective) - oracle) <= 1e-8
