@@ -24,6 +24,9 @@ from .model import (
 )
 from .wardrop import _lattice_size, grid_flows, solve_we_multistart, solve_we_potential, verify_we
 
+# the largest positive obedience term a float-data start may carry as roundoff
+ROUNDOFF = 1e-12
+
 
 @dataclass(frozen=True)
 class DesignerProblem:
@@ -35,7 +38,8 @@ class DesignerProblem:
     them via :func:`build_grid`): its first candidate whose obedience terms
     are all <= 0 starts the LP solve. Without one, exact data make
     :func:`solve_program_p` report "uncertified", and float data start from
-    the state's least-disobedient candidate.
+    the state's least-disobedient candidate if its terms exceed 0 by at most
+    ``ROUNDOFF``.
     """
 
     game: GameSpec
@@ -150,10 +154,12 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     and status "uncertified" (no outcome) means some state has no such
     candidate. Float data (the irrational equilibria of nonlinear latencies)
     carry roundoff, so a state may have none: it starts instead from its
-    candidate whose largest obedience term is least, and each obedience row
-    may then exceed 0 by the start's own activity on it. Their weights and
-    objective are the exact optimum's floats, with weights up to 1e-11
-    dropped and the rest renormalized.
+    candidate whose largest obedience term is least, provided that term is
+    at most ``ROUNDOFF``, and each obedience row may then exceed 0 by the
+    start's own activity on it; a larger term is a real violation and gives
+    "uncertified" as on exact data. Float weights and objective are the
+    exact optimum's floats, with weights up to 1e-11 dropped and the rest
+    renormalized.
     """
     game = problem.game
     columns = []  # (state, candidate index)
@@ -181,10 +187,12 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     for state in game.states:
         own = [j for j, (s, _) in enumerate(columns) if s == state]
         start = next((j for j in own if all(row[j] <= 0 for row in rows)), None)
-        if start is None:
-            if exact:
-                return LPSolution(None, None, "uncertified")
+        if start is None and not exact:
             start = min(own, key=lambda j: max((row[j] for row in rows), default=0))
+            if max(row[start] for row in rows) > ROUNDOFF:
+                start = None
+        if start is None:
+            return LPSolution(None, None, "uncertified")
         starts.append(start)
     basis = starts + list(range(len(columns), len(columns) + len(rows)))
     b_ub = [max(0, sum(Fraction(row[j]) for j in starts)) for row in rows]

@@ -228,6 +228,10 @@ def test_uncertified_program_has_no_outcome(elfarol):
     problem = fg.DesignerProblem(elfarol, fg.social_cost_expr(elfarol), {"0": (flow1(F(1, 2), F(1, 2)),)})
     assert fg.verify_we(elfarol, problem.candidates["0"][0], "0") > 0
     assert fg.solve_program_p(problem) == fg.LPSolution(None, None, "uncertified")
+    # as float data its positive obedience term is far above roundoff, so the
+    # solve must not loosen the rows to admit it either
+    problem = fg.DesignerProblem(elfarol, fg.social_cost_expr(elfarol), {"0": (fg.FlowProfile(((0.5, 0.5),)),)})
+    assert fg.solve_program_p(problem) == fg.LPSolution(None, None, "uncertified")
 
 
 def test_ccwe_gap_shrinks_off_grid():
