@@ -15,7 +15,7 @@ from fractions import Fraction
 from .checks import CheckReport, check_bce_flowlevel, check_bcwe
 from .infostruct import _largest_remainder_counts
 from .lp import exact_solve
-from .model import FlowProfile, GameSpec, Outcome, eval_cost
+from .model import FlowProfile, GameSpec, Outcome, _trusted_profile, eval_cost
 
 
 @dataclass(frozen=True)
@@ -186,6 +186,7 @@ def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
     if not agame.uniform():
         raise ValueError("count-based recommendations need uniform weights")
     delta = 0
+    masses = tuple(Fraction(1) for _ in agame.game.populations)
     rounded_per_state = {}
     for state in agame.game.states:
         if state not in outcome.per_state:
@@ -197,6 +198,8 @@ def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
                 nk = agame.counts[k]
                 vec = flow.flows[k]
                 cnt = _largest_remainder_counts(vec, nk)
+                if sum(cnt) != nk:  # counts sum to n_k unless the flow's mass is not 1
+                    raise ValueError(f"population {k} flow sums to {float(sum(vec))!r}, expected 1")
                 per_pop.append(tuple(Fraction(c, nk) for c in cnt))
                 for j, c in enumerate(cnt):
                     gap = Fraction(c, nk) - vec[j] if isinstance(vec[j], Fraction) else c / nk - vec[j]
@@ -205,7 +208,7 @@ def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
                         delta = gap
             key = tuple(per_pop)
             merged[key] = merged.get(key, 0) + w
-        rounded_per_state[state] = tuple((FlowProfile(key), w) for key, w in merged.items())
+        rounded_per_state[state] = tuple((_trusted_profile(key, masses), w) for key, w in merged.items())
     rounded_outcome = Outcome(rounded_per_state)
     bce = SymmetricBCE(rounded_outcome, tuple(agame.counts), delta, 0)
     eps = check_bce_flowlevel(agame.game, bce).worst_violation

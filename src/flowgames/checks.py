@@ -8,6 +8,8 @@ inputs because the cost language evaluates rationals to rationals.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,71 +58,106 @@ def obedience_rows(game: GameSpec, atoms, coarse: bool = False, shares=None) -> 
     ``shares`` (pairwise rows only) gives each population's single-player
     mass s_k, as 1/n_k for n_k players: the deviator takes its own share
     along, so c_b is read at the flow y + s_k (1_b - 1_a), once per
-    (a, b) and atom with y_a > 0.
+    (a, b) and atom with y_a > 0. The rows view :func:`_obedience_columns`.
+    """
+    return _term_rows(*_obedience_columns(game, atoms, coarse, shares)[:2])
+
+
+def _term_rows(witnesses, columns) -> list:
+    """(witness, terms) rows of :func:`obedience_rows` from per-atom columns."""
+    rows = [[0] * len(columns) for _ in witnesses]
+    for j, (d, entries, raw) in enumerate(columns):
+        for i, v in raw if raw is not None else ((i, Fraction(v, d)) for i, v in entries):
+            rows[i][j] = v
+    return list(zip(witnesses, rows))
+
+
+def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, social=False):
+    """:func:`obedience_rows` as (witnesses, columns, socials), a column
+    (d, entries, raw) per atom: its term in row i is v / d for an entry (i, v),
+    else the integer 0. An exact atom (mass, flows and costs all ints or
+    ``Fraction``s) has integer numerators v over d, the product of the lcms of
+    its mass', flows' and costs' denominators. ``raw`` holds the terms as
+    computed one by one where they are floats (d = 1, ``entries`` is ``raw``)
+    or the mass is an int; else None. With ``social`` every population and
+    action is costed, and ``socials`` holds each mass times its social cost.
     """
     if coarse and shares is not None:
         raise ValueError("shares apply to pairwise rows only")
-    atoms = tuple(atoms)
-    rows = []
-    for k, pop in enumerate(game.populations):
-        if len(pop.actions) < 2:
-            continue
-        costs = [
-            None
-            if mass == 0
-            else [eval_cost(game, pop.name, act, flow, state) for act in pop.actions]
-            for state, mass, flow in atoms
-        ]
-        if coarse:
-            own = [
-                None
-                if c is None
-                else sum(y * cj for y, cj in zip(flow.flows[k], c) if y != 0)
-                for (_, _, flow), c in zip(atoms, costs)
-            ]
-            for jb, b in enumerate(pop.actions):
-                terms = [
-                    0 if c is None else mass * (o - c[jb])
-                    for (_, mass, _), c, o in zip(atoms, costs, own)
-                ]
-                rows.append(((pop.name, b), terms))
-            continue
-        for ja, a in enumerate(pop.actions):
-            table = costs if shares is None else _deviation_costs(game, k, ja, shares[k], atoms, costs)
-            # mass * y_a per atom, or None where the terms are the integer 0
-            scaled = [
-                None if c is None or flow.flows[k][ja] == 0 else mass * flow.flows[k][ja]
-                for (_, mass, flow), c in zip(atoms, table)
-            ]
-            for jb, b in enumerate(pop.actions):
-                if ja == jb:
-                    continue
-                terms = [0 if m is None else m * (c[ja] - c[jb]) for m, c in zip(scaled, table)]
-                rows.append(((pop.name, a, b), terms))
-    return rows
+    pops = game.populations
+    witnesses = []
+    for pop in (p for p in pops if len(p.actions) > 1):
+        pairs = itertools.product(pop.actions) if coarse else itertools.permutations(pop.actions, 2)
+        witnesses += [(pop.name, *pair) for pair in pairs]
+
+    def terms(mass, ys, cs, devs, dy):
+        # (row, mass y_a (c_a - c_b)), or mass (sum y_j c_j - dy c_b) with dy putting
+        # c_b over the flows' denominator too; c_b is devs[k, a] under shares
+        out, i = [], 0
+        for k, pop in enumerate(pops if mass != 0 else ()):
+            n = len(pop.actions)
+            if n < 2:
+                continue
+            if coarse:
+                own = sum(y * cj for y, cj in zip(ys[k], cs[k]) if y != 0)
+                out += [(i + jb, mass * (own - dy * cb)) for jb, cb in enumerate(cs[k])]
+            for ja, y in enumerate(() if coarse else ys[k]):
+                if y != 0:
+                    c, m, r = cs[k] if shares is None else devs[k, ja], mass * y, i + ja * (n - 1)
+                    out += [(r + jb - (jb > ja), m * (c[ja] - v)) for jb, v in enumerate(c) if jb != ja]
+            i += n if coarse else n * (n - 1)
+        return out
+
+    columns, socials = [], []
+    for state, mass, flow in atoms:
+        flows, table, dev = flow.flows, [], {}  # dev: (k, a) -> costs under shares
+        for k, pop in enumerate(pops):
+            acts = pop.actions if social or (mass != 0 and len(pop.actions) > 1) else ()
+            table.append([eval_cost(game, pop.name, a, flow, state) for a in acts] or None)
+            for ja, y in enumerate(flows[k] if acts and mass != 0 and shares is not None else ()):
+                if y != 0:
+                    dev[k, ja] = _deviation_costs(game, state, flows, k, ja, shares[k], table[k])
+        costs = [*filter(None, table), *dev.values()]
+        exact = all(isinstance(v, (int, Fraction)) for v in itertools.chain((mass,), *flows, *costs))
+        raw = None if exact and type(mass) is not int else terms(mass, flows, table, dev, 1)
+        d, mm, yy, cc, entries = 1, mass, flows, table, raw
+        if exact:
+            dy = math.lcm(*(v.denominator for vec in flows for v in vec))
+            dc = math.lcm(*(v.denominator for c in costs for v in c))
+            d, mm = mass.denominator * dy * dc, mass.numerator
+            yy, cc = [_numerators(vec, dy) for vec in flows], [c and _numerators(c, dc) for c in table]
+            entries = terms(mm, yy, cc, {key: _numerators(c, dc) for key, c in dev.items()}, dy)
+        columns.append((d, entries, raw))
+        if social:
+            total = 0
+            for y, cj in zip(itertools.chain(*yy), itertools.chain(*cc)):
+                if y != 0:
+                    total = total + y * cj
+            socials.append(Fraction(mm * total, d) if exact else mm * total)
+    return witnesses, columns, socials
 
 
-def _deviation_costs(game: GameSpec, k: int, ja: int, share, atoms, costs) -> list:
-    """``costs`` with c_b (b != a) swapped, wherever a is played, for b's
-    cost after one player of mass ``share`` moves from a to b. The shifted
-    flow keeps its mass, and only y_a can turn negative: ValueError where
-    ``share`` exceeds y_a."""
+def _numerators(values, den: int) -> list:
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _deviation_costs(game: GameSpec, state, flows, k: int, ja: int, share, costs) -> list:
+    """``costs`` of population ``k`` at ``flows`` with c_b (b != a) swapped
+    for b's cost after one player of mass ``share`` moves from a to b. The
+    shifted flow keeps its mass, and only y_a can turn negative: ValueError
+    where ``share`` exceeds y_a."""
     pop = game.populations[k]
-    table = []
-    for (state, _, flow), c in zip(atoms, costs):
-        if c is not None and flow.flows[k][ja] != 0:
-            y_a = flow.flows[k][ja]
-            if share > y_a:
-                raise ValueError(f"player share {share} exceeds the flow {y_a} on {pop.actions[ja]!r}")
-            c = list(c)
-            for jb, b in enumerate(pop.actions):
-                if jb != ja:
-                    shifted = [list(vec) for vec in flow.flows]
-                    shifted[k][ja] -= share
-                    shifted[k][jb] += share
-                    c[jb] = _finite(_cost_fn(game, pop.name, b, state)(shifted), pop.name, b, shifted)
-        table.append(c)
-    return table
+    y_a = flows[k][ja]
+    if share > y_a:
+        raise ValueError(f"player share {share} exceeds the flow {y_a} on {pop.actions[ja]!r}")
+    c = list(costs)
+    for jb, b in enumerate(pop.actions):
+        if jb != ja:
+            shifted = [list(vec) for vec in flows]
+            shifted[k][ja] -= share
+            shifted[k][jb] += share
+            c[jb] = _finite(_cost_fn(game, pop.name, b, state)(shifted), pop.name, b, shifted)
+    return c
 
 
 def _worst_row(concept: str, rows) -> CheckReport:

@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .checks import obedience_rows
-from .lp import exact_solve
+from .checks import _obedience_columns, _term_rows
+from .lp import _column, _column_solve
 from .model import (
     FlowProfile,
     GameSpec,
@@ -145,10 +145,13 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     """Minimize expected designer cost over obedient state-conditional
     distributions supported on the candidate flows.
 
-    The LP is solved by :func:`flowgames.lp.exact_solve`, which reads every
-    term exactly, from the basis of one start candidate per state plus every
-    obedience slack. The start is each state's first candidate with no
-    positive obedience term (an equilibrium, which :func:`build_grid` seeds).
+    Each candidate is costed once per population and action; from that
+    table the obedience builder of :mod:`flowgames.checks` gives its
+    objective term and its simplex column (integer numerators on exact
+    data), which :mod:`flowgames.lp` solves exactly from the basis of one
+    start candidate per state plus every obedience slack. The start is each
+    state's first candidate with no positive obedience term (an
+    equilibrium, which :func:`build_grid` seeds).
     On exact data (every cost and obedience term an int or ``Fraction``) the
     outcome weights and the objective are the certificate's ``Fraction``s,
     and status "uncertified" (no outcome) means some state has no such
@@ -162,31 +165,24 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     renormalized.
     """
     game = problem.game
-    columns = []  # (state, candidate index)
-    for state in game.states:
-        for idx in range(len(problem.candidates[state])):
-            columns.append((state, idx))
+    columns = [(state, idx) for state in game.states for idx in range(len(problem.candidates[state]))]
     designer = {}  # state -> compiled designer cost; None means social cost
     for state in game.states:
         expr = problem.designer_cost[state]
         designer[state] = None if expr is None else compile_cost(game, expr, state)
-    cost = []
-    atoms = []
-    for state, idx in columns:
-        flow = problem.candidates[state][idx]
-        p = game.prior_of(state)
-        compiled = designer[state]
-        value = social_cost(game, flow, state) if compiled is None else compiled(flow.flows)
-        cost.append(p * value)
-        atoms.append((state, p, flow))
-    a_eq = [[int(s == state) for s, _ in columns] for state in game.states]
-    b_eq = [1] * len(game.states)
-    rows = [terms for _, terms in obedience_rows(game, atoms)]
-    exact = all(isinstance(v, (int, Fraction)) for v in itertools.chain(cost, *rows))
+    atoms = [(state, game.prior_of(state), problem.candidates[state][idx]) for state, idx in columns]
+    witnesses, obedience, social = _obedience_columns(game, atoms, social=True)
+    cost = [
+        value if designer[state] is None else p * designer[state](flow.flows)
+        for (state, p, flow), value in zip(atoms, social)
+    ]
+    values = itertools.chain(cost, *((v for _, v in raw) for _, _, raw in obedience if raw is not None))
+    exact = all(isinstance(v, (int, Fraction)) for v in values)
+    rows = None if exact else [terms for _, terms in _term_rows(witnesses, obedience)]
     starts = []
     for state in game.states:
         own = [j for j, (s, _) in enumerate(columns) if s == state]
-        start = next((j for j in own if all(row[j] <= 0 for row in rows)), None)
+        start = next((j for j in own if all(v <= 0 for _, v in obedience[j][1])), None)
         if start is None and not exact:
             start = min(own, key=lambda j: max((row[j] for row in rows), default=0))
             if max(row[start] for row in rows) > ROUNDOFF:
@@ -194,9 +190,11 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
         if start is None:
             return LPSolution(None, None, "uncertified")
         starts.append(start)
-    basis = starts + list(range(len(columns), len(columns) + len(rows)))
-    b_ub = [max(0, sum(Fraction(row[j]) for j in starts)) for row in rows]
-    certificate = exact_solve(basis, cost, a_eq, b_eq, rows, b_ub)
+    n_ub = len(witnesses)
+    basis = starts + list(range(len(columns), len(columns) + n_ub))
+    b_ub = [0] * n_ub if exact else [max(0, sum(Fraction(row[j]) for j in starts)) for row in rows]
+    lp_columns = _lp_columns(obedience, [game.states.index(s) for s, _ in columns], len(game.states))
+    certificate = _column_solve(basis, cost, lp_columns, [1] * len(game.states) + b_ub, n_ub)
     x, objective, floor = certificate.x, certificate.objective, 0
     if not exact:
         x, objective, floor = [float(w) for w in x], float(objective), 1e-11
@@ -209,6 +207,17 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
         total = sum(w for _, w in atoms)
         per_state[state] = tuple((f, w / total) for f, w in atoms)
     return LPSolution(Outcome(per_state), objective, "optimal")
+
+
+def _lp_columns(columns, eq_rows, n_eq: int) -> list:
+    """Obedience columns as simplex columns: column j weighs 1 on equality row
+    ``eq_rows[j]``, obedience row i becomes row ``n_eq + i``, raw terms are read exactly."""
+    return [
+        (d, [(r, d)] + [(n_eq + i, v) for i, v in entries])
+        if raw is None
+        else _column([(r, 1)] + [(n_eq + i, v) for i, v in raw])
+        for (d, entries, raw), r in zip(columns, eq_rows)
+    ]
 
 
 def support_bound_check(solution: LPSolution, game: GameSpec) -> SupportBoundReport:
@@ -249,17 +258,15 @@ def ccwe_grid_gap(game: GameSpec, state: str, resolution: int) -> tuple[float, f
         raise ValueError("needs a congestion backing for the reference equilibrium")
     we = solve_we_potential(game, state, tol=1e-10)
     we_cost = float(social_cost(game, we.flow, state))
-    lattice = grid_flows(game, resolution)
-    ncols = len(lattice)
-    sc = [social_cost(game, f, state) for f in lattice]
-    atoms = [(state, 1, f) for f in lattice]
-    rows = [terms for _, terms in obedience_rows(game, atoms, coarse=True)]
-    # variables: mu (ncols) then slack s
-    a_ub = [terms + [-1] for terms in rows]
-    first = exact_solve(None, [0] * ncols + [1], [[1] * ncols + [0]], [1], a_ub, [0] * len(rows))
+    atoms = [(state, Fraction(1), f) for f in grid_flows(game, resolution)]
+    witnesses, obedience, sc = _obedience_columns(game, atoms, coarse=True, social=True)
+    cols, n = _lp_columns(obedience, [0] * len(atoms), 1), len(witnesses)
+    # variables: mu (one per lattice flow) then slack s, at -1 in every row
+    s_col = (1, [(1 + i, -1) for i in range(n)])
+    first = _column_solve(None, [0] * len(cols) + [1], cols + [s_col], [1] + [0] * n, n)
     slack = first.objective
     gap = 0.0
     for sign in (1, -1):
-        res = exact_solve(None, [sign * v for v in sc], [[1] * ncols], [1], rows, [slack] * len(rows))
+        res = _column_solve(None, [sign * v for v in sc], cols, [1] + [slack] * n, n)
         gap = max(gap, abs(float(sign * res.objective) - we_cost))
     return float(slack), gap

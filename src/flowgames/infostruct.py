@@ -129,7 +129,7 @@ def aggregate_flow(
     """
     n_actions = len(strategies.strategies[0][0])
     vecs = [strategies.strategies[k][structure.type_sets[k].index(t)] for k, t in enumerate(profile)]
-    if all(type(v) is Fraction for vec in vecs for v in vec):
+    if type(vecs[0][0]) is Fraction and all(type(v) is Fraction for vec in vecs for v in vec):
         den = math.lcm(*(v.denominator for vec in vecs for v in vec))
         return tuple(
             Fraction(sum([v.numerator * (den // v.denominator) for v in col]), den)

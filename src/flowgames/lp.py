@@ -6,16 +6,18 @@ tie-breaking, which off-the-shelf interior-point or presolving solvers do
 not guarantee.
 
 ``exact_solve`` reads every entry as an exact rational (``Fraction(v)`` is
-exact for ints, Fractions and floats alike) and keeps B^-1 in ``Fraction``s,
-updating it at each pivot. It starts from a primal feasible basis the caller
-gives or, without one, runs phase 1 from artificials on the equality rows
-and slacks on the <= rows. Both phases share one pivot loop. It enters the
-column with the most negative float reduced cost, once that column's exact
-reduced cost is confirmed negative. When floats see no such column, or after
-``STALL_PIVOTS`` consecutive degenerate pivots, it enters by Bland's rule on
-exact prices. The ratio test is exact, with Bland's tie-break, so the solve
-always terminates (Bland 1977). It stops where exact pricing finds no
-negative reduced cost, so the returned basis is exactly optimal.
+exact for ints, Fractions and floats alike) into columns of integer numerators
+over a positive denominator, the form that ``_column_solve`` (which the design
+LP calls directly) solves, keeping B^-1 in ``Fraction``s. It starts from a
+primal feasible basis the caller gives or, without one, runs phase 1 from
+artificials on the equality rows and slacks on the <= rows. Both phases share
+one pivot loop. It enters the column with the most negative float reduced
+cost, once that column's exact reduced cost is confirmed negative. When floats
+see no such column, or after ``STALL_PIVOTS`` consecutive degenerate pivots,
+it enters by Bland's rule on exact prices. The ratio test is exact, with
+Bland's tie-break, so the solve always terminates (Bland 1977). It stops where
+exact pricing finds no negative reduced cost, so the returned basis is
+exactly optimal.
 """
 
 from __future__ import annotations
@@ -55,8 +57,17 @@ def exact_solve(basis, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certifi
     redundant equality row stays in the returned basis, past the slacks.
     Raises ValueError when the LP has no rows or is unbounded.
     """
-    cost, columns, rhs = _exact_data(c, a_eq, b_eq, a_ub, b_ub)
-    m, total = len(rhs), len(cost)
+    return _column_solve(basis, c, *_exact_data(a_eq, b_eq, a_ub, b_ub, len(c)))
+
+
+def _column_solve(basis, c, columns, rhs, n_ub) -> Certificate:
+    """:func:`exact_solve` on an LP in column form: (d, [(row, k)]) per
+    structural column (see :func:`_column`), entries k / d with integer k
+    and d > 0; the last ``n_ub`` rows are <= rows."""
+    n, m, total = len(c), len(rhs), len(c) + n_ub
+    cost = [_exact(v) for v in c] + [0] * n_ub
+    rhs = [_exact(v) for v in rhs]
+    columns = list(columns) + [(1, [(i, 1)]) for i in range(m - n_ub, m)]
     if not m:
         raise ValueError("LP needs at least one row")
     float_a = np.zeros((m, total))
@@ -66,8 +77,8 @@ def exact_solve(basis, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certifi
     if basis is None:
         if any(v < 0 for v in rhs):
             raise ValueError("phase 1 needs a nonnegative right-hand side")
-        n_eq = m - (total - len(c))
-        basis = [total + i for i in range(n_eq)] + list(range(len(c), total))
+        n_eq = m - n_ub
+        basis = [total + i for i in range(n_eq)] + list(range(n, total))
         binv, x_b = _factor(basis, columns, rhs)
         # phase 1: minimize the sum of the artificials
         _simplex_phase(basis, binv, x_b, [0] * total + [1] * n_eq, columns, float_a)
@@ -84,7 +95,7 @@ def exact_solve(basis, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certifi
         if any(v < 0 for v in x_b):
             raise ValueError("basis is not primal feasible")
     y = _simplex_phase(basis, binv, x_b, cost, columns, float_a)
-    return _certificate(len(c), basis, x_b, y, cost)
+    return _certificate(n, basis, x_b, y, cost)
 
 
 def _simplex_phase(basis, binv, x_b, cost, columns, float_a):
@@ -135,28 +146,18 @@ def _simplex_phase(basis, binv, x_b, cost, columns, float_a):
         stalled = stalled + 1 if step == 0 else 0
 
 
-def _exact_data(c, a_eq, b_eq, a_ub, b_ub):
-    """The LP read as exact rationals in standard form: costs, columns and
-    the right-hand side, with a unit slack column of cost 0 after the
-    structural columns for each <= row. A column is (d, [(row, k)]) for the
-    nonzero entries k / d, where d is the lcm of the column's denominators."""
-    eq_rows = [] if a_eq is None else list(a_eq)
-    ub_rows = [] if a_ub is None else list(a_ub)
-    rhs = [_exact(v) for v in (b_eq if eq_rows else ())]
-    rhs += [_exact(v) for v in (b_ub if ub_rows else ())]
-    cost = [_exact(v) for v in c]
-    entries = [[] for _ in cost]
-    for i, row in enumerate(eq_rows + ub_rows):
-        for j, v in enumerate(row):
-            if v:
-                entries[j].append((i, _exact(v)))
-    columns = []
-    for col in entries:
-        d = math.lcm(*(v.denominator for _, v in col))
-        columns.append((d, [(i, v.numerator * (d // v.denominator)) for i, v in col]))
-    cost += [0] * len(ub_rows)
-    columns += [(1, [(i, 1)]) for i in range(len(eq_rows), len(rhs))]
-    return cost, columns, rhs
+def _exact_data(a_eq, b_eq, a_ub, b_ub, n):
+    """An LP's rows as ``n`` columns, its right-hand side and its number of <= rows."""
+    eq_rows, ub_rows = list(() if a_eq is None else a_eq), list(() if a_ub is None else a_ub)
+    rhs, rows = list(b_eq if eq_rows else ()) + list(b_ub if ub_rows else ()), eq_rows + ub_rows
+    return [_column(enumerate(row[j] for row in rows)) for j in range(n)], rhs, len(ub_rows)
+
+
+def _column(entries):
+    """(d, [(row, k)]) of the nonzero entries (row, v): v = k / d, d the lcm of their denominators."""
+    exact = [(i, _exact(v)) for i, v in entries if v]
+    d = math.lcm(*(v.denominator for _, v in exact))
+    return d, [(i, v.numerator * (d // v.denominator)) for i, v in exact]
 
 
 def _factor(basis, columns, rhs):

@@ -542,6 +542,14 @@ class FlowProfile:
             _check_mass(k, vec, masses[k])
 
 
+def _trusted_profile(flows: tuple, masses: tuple) -> FlowProfile:
+    """An unchecked FlowProfile of entries nonnegative and summing to ``masses`` by construction."""
+    flow = object.__new__(FlowProfile)
+    object.__setattr__(flow, "flows", flows)
+    object.__setattr__(flow, "masses", masses)
+    return flow
+
+
 def _check_mass(k: int, vec, mass) -> None:
     """Raise ValueError unless population ``k``'s entries sum to ``mass``."""
     total = sum(vec)

@@ -24,6 +24,7 @@ from .model import (
     _check_mass,
     _cost_fn,
     _finite,
+    _trusted_profile,
     eval_cost,
     flow_linf,
     flow_sort_key,
@@ -569,15 +570,8 @@ def grid_flows(game: GameSpec, resolution: int) -> list[FlowProfile]:
         raise ValueError(f"grid of size {size} exceeds the 1e7 cap")
     per_pop = [_simplex_grid(len(p.actions), resolution) for p in game.populations]
     masses = tuple(Fraction(1) for _ in per_pop)
-    out = []
-    # lattice entries are nonnegative Fractions summing to 1 by construction,
-    # so the profiles skip FlowProfile's validation
-    for combo in itertools.product(*per_pop):
-        flow = object.__new__(FlowProfile)
-        object.__setattr__(flow, "flows", combo)
-        object.__setattr__(flow, "masses", masses)
-        out.append(flow)
-    return out
+    # lattice entries are nonnegative Fractions summing to 1 by construction
+    return [_trusted_profile(combo, masses) for combo in itertools.product(*per_pop)]
 
 
 def enumerate_we_grid(

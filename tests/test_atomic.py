@@ -160,6 +160,27 @@ def test_flowlevel_matches_reference_loop():
     assert cases == 108
 
 
+def test_rounded_flows_equal_validated_profiles(elfarol, elfarol_cwe, pigou_info, pigou_bcwe):
+    # the implement workload's outcomes at its player counts: each rounded
+    # flow, built without FlowProfile's checks, equals the validated profile
+    from flowgames.generators import random_bcwe
+
+    cases = [(elfarol, elfarol_cwe), (pigou_info, pigou_bcwe)]
+    for seed in range(16):
+        game = random_congestion_game(seed, n_actions=3, n_states=2)
+        cases.append((game, random_bcwe(game, seed)))
+    for game, outcome in cases:
+        for n in (5, 7, 9, 11, 13):
+            bce = fg.construct_eps_bce(fg.AtomicGame(game, (n,) * len(game.populations)), outcome)
+            for atoms in bce.outcome.per_state.values():
+                for flow, _ in atoms:
+                    assert fg.FlowProfile(flow.flows) == flow
+    # a flow of mass 2 is refused, as a validated profile would refuse it
+    heavy = fg.Outcome({"0": ((fg.FlowProfile(((F(1), F(1)),), masses=(F(2),)), F(1)),)})
+    with pytest.raises(ValueError, match="flow sums to 2.0, expected 1"):
+        fg.construct_eps_bce(fg.AtomicGame(elfarol, (3,)), heavy)
+
+
 def test_flowlevel_never_recommended_action_has_no_row():
     # all three players on a, a strict equilibrium: each deviation costs at
     # least 2 + 1/3 against 1. A row for b or c would sum to 0 and hide the

@@ -234,6 +234,93 @@ def test_obedience_rows_cost_each_positive_atom_once(elfarol, monkeypatch):
     assert sorted(calls) == sorted(unshifted + shifted)
 
 
+def _reference_rows(game, atoms, coarse=False, shares=None):
+    """obedience_rows term by term, each cost read through eval_cost."""
+    rows = []
+    for k, pop in enumerate(game.populations):
+        if len(pop.actions) < 2:
+            continue
+
+        def cost(action, flow, state):
+            return fg.eval_cost(game, pop.name, action, flow, state)
+
+        if coarse:
+            for b in pop.actions:
+                terms = []
+                for state, mass, flow in atoms:
+                    if mass == 0:
+                        terms.append(0)
+                        continue
+                    own = sum(y * cost(a, flow, state) for a, y in zip(pop.actions, flow.flows[k]) if y != 0)
+                    terms.append(mass * (own - cost(b, flow, state)))
+                rows.append(((pop.name, b), terms))
+            continue
+        for ja, a in enumerate(pop.actions):
+            for jb, b in enumerate(pop.actions):
+                if ja == jb:
+                    continue
+                terms = []
+                for state, mass, flow in atoms:
+                    y = flow.flows[k][ja]
+                    if mass == 0 or y == 0:
+                        terms.append(0)
+                        continue
+                    moved = flow
+                    if shares is not None:
+                        shifted = [list(vec) for vec in flow.flows]
+                        shifted[k][ja] -= shares[k]
+                        shifted[k][jb] += shares[k]
+                        moved = fg.FlowProfile(shifted, masses=flow.masses)
+                    terms.append(mass * y * (cost(a, flow, state) - cost(b, moved, state)))
+                rows.append(((pop.name, a, b), terms))
+    return rows
+
+
+def _typed(rows):
+    return [(witness, [(type(t), repr(t)) for t in terms]) for witness, terms in rows]
+
+
+INT_GAME = (
+    "[populations]\ncrowd = a, b, c\n\n[states]\nnames = 0\n\n[prior]\n0 = 1\n\n"
+    "[costs]\ncrowd.a = y[a]\ncrowd.b = y[a] * y[b]\ncrowd.c = y[c] + 1\n"
+)
+
+
+@pytest.mark.parametrize("name", ["pigou_info", "elfarol", "random", "two_pops", "quadratic", "ints"])
+def test_obedience_rows_match_term_by_term_reference(name, request):
+    # exact, float and int-mass atoms, and a zero-mass one, through pairwise,
+    # coarse and shares rows: the same values in the same types
+    from flowgames.generators import random_congestion_game, random_outcome
+
+    game = {
+        "random": lambda: random_congestion_game(4, n_actions=4, n_states=2),
+        "two_pops": lambda: random_congestion_game(5, n_actions=3, n_states=2, n_pops=2),
+        "quadratic": lambda: random_congestion_game(0, n_actions=3, quadratic=True),
+        "ints": lambda: fg.parse_game_file(INT_GAME),
+    }.get(name, lambda: request.getfixturevalue(name))()
+    outcome = random_outcome(game, 7, support=3, denominator=4)
+    exact = [(s, game.prior_of(s) * F(1, 3), f) for s in game.states for f, _ in outcome.per_state[s]]
+    floats = [
+        (s, float(m), fg.FlowProfile(tuple(tuple(float(v) for v in vec) for vec in f.flows)))
+        for s, m, f in exact
+    ]
+    int_mass = [(s, 1, f) for s, _, f in exact]
+    zero = [(exact[0][0], 0, exact[0][2])]
+    atoms = exact + floats + int_mass + zero
+    if name == "ints":
+        ones = fg.FlowProfile(((1, 0, 0),))
+        atoms += [("0", 1, ones), ("0", 2, fg.FlowProfile(((0, 1, 0),))), ("0", F(1, 2), ones)]
+    shares = [F(1, 4)] * len(game.populations)
+    for kwargs in ({}, {"coarse": True}, {"shares": shares}):
+        got = fg.obedience_rows(game, atoms, **kwargs)
+        assert _typed(got) == _typed(_reference_rows(game, atoms, **kwargs)), kwargs
+    if name == "ints":
+        # at (1, 0, 0) with mass 1, c_a = 1 and c_b = 0 are ints but c_c = 1
+        # is a Fraction: a nonzero int term beside a Fraction one
+        (_, ab), (_, ac) = fg.obedience_rows(game, atoms)[:2]
+        assert (type(ab[-3]), ab[-3], type(ac[-3]), ac[-3]) == (int, 1, F, 0)
+
+
 def test_player_share_above_the_flow_is_refused(elfarol):
     # one player of mass 1/2 cannot leave a, which carries only 1/4
     atoms = [("0", F(1), flow1(F(1, 4), F(3, 4)))]

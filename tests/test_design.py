@@ -1,3 +1,5 @@
+import collections
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
@@ -124,18 +126,90 @@ def test_lp_obedience_rows_match_reference(name, request, monkeypatch):
     grid = fg.build_grid(game, 4)
     captured = []
 
-    def capture(basis, c, a_eq, b_eq, a_ub, b_ub):
-        captured.append(a_ub)
-        return lp.exact_solve(basis, c, a_eq, b_eq, a_ub, b_ub)
+    def capture(basis, c, columns, rhs, n_ub):
+        captured.append((columns, len(rhs) - n_ub, n_ub))
+        return lp._column_solve(basis, c, columns, rhs, n_ub)
 
-    monkeypatch.setattr("flowgames.design.exact_solve", capture)
+    monkeypatch.setattr("flowgames.design._column_solve", capture)
     solution = fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
     assert solution.status == "optimal"
     assert len(captured) == 1
-    a_ub = np.array(captured[0], dtype=float)
+    columns, n_eq, n_ub = captured[0]
+    # every column weighs 1 on its own state's equality row
+    states = [s for s in game.states for _ in grid[s]]
+    assert [[(i, F(k, d)) for i, k in col if i < n_eq] for d, col in columns] == [
+        [(game.states.index(s), 1)] for s in states
+    ]
+    # the float image of the integer numerators
+    a_ub = np.zeros((n_ub, len(columns)))
+    for j, (d, col) in enumerate(columns):
+        for i, k in col:
+            if i >= n_eq:
+                a_ub[i - n_eq, j] = k / d
     expected = _reference_obedience_rows(game, grid)
     assert a_ub.dtype == expected.dtype and a_ub.shape == expected.shape
     assert a_ub.tobytes() == expected.tobytes()
+
+
+def test_design_costs_each_candidate_once(monkeypatch):
+    # two populations of three actions: one cost per (column, population,
+    # action), shared by the objective and the obedience rows
+    game = random_congestion_game(2, n_actions=3, n_states=2, n_pops=2)
+    grid = fg.build_grid(game, 3)
+    calls = collections.Counter()
+    real = fg.model._cost_fn
+
+    def compiled(game, pop, action, state):
+        cost = real(game, pop, action, state)
+
+        def counted(flows):
+            calls[state, tuple(map(tuple, flows)), pop, action] += 1
+            return cost(flows)
+
+        return counted
+
+    monkeypatch.setattr(fg.checks, "_cost_fn", compiled)
+    monkeypatch.setattr(fg.model, "_cost_fn", compiled)
+    solution = fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
+    assert solution.status == "optimal"
+    assert calls == collections.Counter(
+        (s, f.flows, pop.name, a) for s in game.states for f in grid[s] for pop in game.populations for a in pop.actions
+    )
+
+
+def _reference_solution(game, grid):
+    """solve_program_p's LP assembled from the public obedience_rows,
+    social_cost and exact_solve, with its start rule and float conversion."""
+    columns = [(s, f) for s in game.states for f in grid[s]]
+    cost = [game.prior_of(s) * fg.social_cost(game, f, s) for s, f in columns]
+    rows = [terms for _, terms in fg.obedience_rows(game, [(s, game.prior_of(s), f) for s, f in columns])]
+    exact = all(isinstance(v, (int, F)) for v in itertools.chain(cost, *rows))
+    starts = []
+    for state in game.states:
+        own = [j for j, (s, _) in enumerate(columns) if s == state]
+        start = next((j for j in own if all(row[j] <= 0 for row in rows)), None)
+        if start is None and not exact:
+            start = min(own, key=lambda j: max((row[j] for row in rows), default=0))
+            if max(row[start] for row in rows) > fg.design.ROUNDOFF:
+                start = None
+        if start is None:
+            return fg.LPSolution(None, None, "uncertified")
+        starts.append(start)
+    basis = starts + list(range(len(columns), len(columns) + len(rows)))
+    a_eq = [[int(s == state) for s, _ in columns] for state in game.states]
+    b_ub = [max(0, sum(F(row[j]) for j in starts)) for row in rows]
+    certificate = lp.exact_solve(basis, cost, a_eq, [1] * len(game.states), rows, b_ub)
+    x, objective, floor = certificate.x, certificate.objective, 0
+    if not exact:
+        x, objective, floor = [float(w) for w in x], float(objective), 1e-11
+    per_state = {state: [] for state in game.states}
+    for (s, f), w in zip(columns, x):
+        if w > floor:
+            per_state[s].append((f, w))
+    for s, atoms in per_state.items():
+        total = sum(w for _, w in atoms)
+        per_state[s] = tuple((f, w / total) for f, w in atoms)
+    return fg.LPSolution(fg.Outcome(per_state), objective, "optimal")
 
 
 # design-benchmark instances (n_actions, n_states, resolution, game seed) on
@@ -220,6 +294,26 @@ def test_float_design_data_agree_with_highs():
         assert abs(float(solution.objective) - _highs_design_optimum(game, grid)) <= 1e-9
         assert fg.check_bcwe(game, solution.outcome).worst_violation <= 1e-12
     assert floats >= len(QUADRATIC_SWEEP) // 2
+
+
+def _assert_matches_public_assembly(game, resolution):
+    grid = fg.build_grid(game, resolution)
+    solution = fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
+    assert repr(solution) == repr(_reference_solution(game, grid))
+
+
+@pytest.mark.parametrize("n_actions, n_states, resolution, seed, value", DEGENERATE_DESIGN_LPS)
+def test_degenerate_design_matches_public_assembly(n_actions, n_states, resolution, seed, value):
+    _assert_matches_public_assembly(random_congestion_game(seed, n_actions=n_actions, n_states=n_states), resolution)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_quadratic_design_matches_public_assembly(seed):
+    # the float and exact designs of the quadratic sweep
+    for s, n_states, n_actions, resolution in QUADRATIC_SWEEP:
+        if s == seed:
+            game = random_congestion_game(s, n_actions=n_actions, n_states=n_states, quadratic=True)
+            _assert_matches_public_assembly(game, resolution)
 
 
 def test_uncertified_program_has_no_outcome(elfarol):

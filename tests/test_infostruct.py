@@ -232,6 +232,23 @@ def test_aggregate_flow_keeps_int_entries():
     assert all(type(v) is F for v in fg.aggregate_flow(structure, halves, ("a", "a")))
 
 
+def test_aggregate_flow_float_entries_keep_their_bits():
+    structure = fg.InformationStructure(
+        sizes=(F(1, 2), F(1, 2)),
+        type_sets=(("a", "b"), ("a", "b")),
+        kernel={"0": ((("a", "b"), F(1)),)},
+    )
+    floats = fg.StrategyProfile((((0.1, 0.9), (0.7, 0.3)), ((0.2, 0.8), (1 / 3, 2 / 3))))
+    for profile in (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")):
+        vecs = [floats.strategies[k][structure.type_sets[k].index(t)] for k, t in enumerate(profile)]
+        got = fg.aggregate_flow(structure, floats, profile)
+        assert [repr(v) for v in got] == [repr(0 + x + y) for x, y in zip(*vecs)]
+    # a Fraction first entry beside float ones is added entry by entry too
+    mixed = fg.StrategyProfile((((F(1, 2), F(1, 2)), (F(0), F(1))), ((0.25, 0.75), (0.5, 0.5))))
+    got = fg.aggregate_flow(structure, mixed, ("a", "a"))
+    assert [repr(v) for v in got] == [repr(F(1, 2) + 0.25), repr(F(1, 2) + 0.75)]
+
+
 def test_solve_bwe_validates_its_start():
     game = random_congestion_game(0, n_actions=2, n_states=2)
     structure = random_structure(game, 0)
