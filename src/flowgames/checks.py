@@ -14,7 +14,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import FlowProfile, GameSpec, Outcome, _cost_fn, _finite, eval_cost, social_cost
+from .lp import _column
+from .model import (
+    FlowProfile,
+    GameSpec,
+    Outcome,
+    _cost_fn,
+    _finite,
+    _int_cost_fn,
+    _int_flows,
+    eval_cost,
+    social_cost,
+)
 
 
 @dataclass(frozen=True)
@@ -63,24 +74,34 @@ def obedience_rows(game: GameSpec, atoms, coarse: bool = False, shares=None) -> 
     return _term_rows(*_obedience_columns(game, atoms, coarse, shares)[:2])
 
 
-def _term_rows(witnesses, columns) -> list:
-    """(witness, terms) rows of :func:`obedience_rows` from per-atom columns."""
+def _term_rows(witnesses, columns, offset: int = 0) -> list:
+    """(witness, terms) rows of :func:`obedience_rows` from per-atom columns
+    whose obedience row i is numbered ``offset + i``."""
     rows = [[0] * len(columns) for _ in witnesses]
     for j, (d, entries, raw) in enumerate(columns):
-        for i, v in raw if raw is not None else ((i, Fraction(v, d)) for i, v in entries):
+        if raw is None:
+            raw = [(i - offset, Fraction(v, d)) for i, v in entries if i >= offset]
+        for i, v in raw:
             rows[i][j] = v
     return list(zip(witnesses, rows))
 
 
-def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, social=False):
+def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, social=False, eq_rows=None):
     """:func:`obedience_rows` as (witnesses, columns, socials), a column
     (d, entries, raw) per atom: its term in row i is v / d for an entry (i, v),
-    else the integer 0. An exact atom (mass, flows and costs all ints or
-    ``Fraction``s) has integer numerators v over d, the product of the lcms of
-    its mass', flows' and costs' denominators. ``raw`` holds the terms as
-    computed one by one where they are floats (d = 1, ``entries`` is ``raw``)
-    or the mass is an int; else None. With ``social`` every population and
-    action is costed, and ``socials`` holds each mass times its social cost.
+    else the integer 0. An exact atom (flows and ``shares`` ints or
+    ``Fraction``s, mass a ``Fraction``) is costed by the integer backend (:func:`compile_int_cost`)
+    and has integer numerators v over d, the product of its mass' and flows'
+    denominators and its costs' common one. Any other atom keeps its terms
+    as computed one by one through :func:`eval_cost` in ``raw``, with d = 1
+    and ``entries`` = ``raw``: floats, or exact terms of an int mass (so that
+    all-int terms stay ints). With ``social`` every population and action is
+    costed, and ``socials`` holds each mass times its social cost.
+
+    With ``eq_rows`` (a row index per atom) the columns are simplex columns:
+    each starts with the entry 1 on its atom's row ``eq_rows[j]``, obedience
+    row i is numbered ``max(eq_rows) + 1 + i`` and ``raw`` terms are read
+    exactly (``raw`` itself keeps rows from 0).
     """
     if coarse and shares is not None:
         raise ValueError("shares apply to pairwise rows only")
@@ -90,10 +111,9 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, social=
         pairs = itertools.product(pop.actions) if coarse else itertools.permutations(pop.actions, 2)
         witnesses += [(pop.name, *pair) for pair in pairs]
 
-    def terms(mass, ys, cs, devs, dy):
-        # (row, mass y_a (c_a - c_b)), or mass (sum y_j c_j - dy c_b) with dy putting
-        # c_b over the flows' denominator too; c_b is devs[k, a] under shares
-        out, i = [], 0
+    def terms(out, i, mass, ys, cs, devs, dy):
+        # append (row, mass y_a (c_a - c_b)), or mass (sum y_j c_j - dy c_b) with dy putting
+        # c_b over the flows' denominator too, numbering rows from i; c_b is devs[k, a] under shares
         for k, pop in enumerate(pops if mass != 0 else ()):
             n = len(pop.actions)
             if n < 2:
@@ -108,55 +128,91 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, social=
             i += n if coarse else n * (n - 1)
         return out
 
-    columns, socials = [], []
-    for state, mass, flow in atoms:
-        flows, table, dev = flow.flows, [], {}  # dev: (k, a) -> costs under shares
-        for k, pop in enumerate(pops):
-            acts = pop.actions if social or (mass != 0 and len(pop.actions) > 1) else ()
-            table.append([eval_cost(game, pop.name, a, flow, state) for a in acts] or None)
-            for ja, y in enumerate(flows[k] if acts and mass != 0 and shares is not None else ()):
-                if y != 0:
-                    dev[k, ja] = _deviation_costs(game, state, flows, k, ja, shares[k], table[k])
-        costs = [*filter(None, table), *dev.values()]
-        exact = all(isinstance(v, (int, Fraction)) for v in itertools.chain((mass,), *flows, *costs))
-        raw = None if exact and type(mass) is not int else terms(mass, flows, table, dev, 1)
-        d, mm, yy, cc, entries = 1, mass, flows, table, raw
+    def acts(pop, mass):
+        return pop.actions if social or (mass != 0 and len(pop.actions) > 1) else ()
+
+    offset = 0 if eq_rows is None else max(eq_rows, default=-1) + 1
+    exact_shares = all(isinstance(s, (int, Fraction)) for s in shares or ())
+    columns, socials, lifted = [], [], {}  # lifted: (state, mass != 0) -> _lifted_costs
+    for j, (state, mass, flow) in enumerate(atoms):
+        flows = flow.flows
+        exact = exact_shares and type(mass) is Fraction and all(
+            isinstance(v, (int, Fraction)) for vec in flows for v in vec
+        )
         if exact:
-            dy = math.lcm(*(v.denominator for vec in flows for v in vec))
-            dc = math.lcm(*(v.denominator for c in costs for v in c))
-            d, mm = mass.denominator * dy * dc, mass.numerator
-            yy, cc = [_numerators(vec, dy) for vec in flows], [c and _numerators(c, dc) for c in table]
-            entries = terms(mm, yy, cc, {key: _numerators(c, dc) for key, c in dev.items()}, dy)
+            key = (state, mass != 0)
+            if key not in lifted:
+                lifted[key] = _lifted_costs(game, state, [acts(pop, mass) for pop in pops])
+            fns, deg, q = lifted[key]
+            ys, dy = _int_flows(flows, [s.denominator for s in shares or () if mass != 0])
+            powers = [dy**e for e in range(deg + 1)]
+            table = [[f(ys, dy) * powers[e] * m for f, e, m in costs] or None for costs in fns]
+            steps = [s.numerator * (dy // s.denominator) for s in shares or ()]
+
+            def cost(k, jb, ys):
+                f, e, m = fns[k][jb]
+                return f(ys, dy) * powers[e] * m
+
+        else:
+            ys, dy, steps = flows, 1, shares
+            table = [
+                [eval_cost(game, p.name, a, flow, state) for a in acts(p, mass)] or None for p in pops
+            ]
+
+            def cost(k, jb, ys):
+                pop, b = pops[k].name, pops[k].actions[jb]
+                return _finite(_cost_fn(game, pop, b, state)(ys), pop, b, ys)
+
+        dev = {}  # (k, a) -> costs under shares
+        for k, pop in enumerate(pops if mass != 0 and shares is not None else ()):
+            for ja, y in enumerate(flows[k] if table[k] else ()):
+                if y != 0:
+                    if shares[k] > y:
+                        share, a = shares[k], pop.actions[ja]
+                        raise ValueError(f"player share {share} exceeds the flow {y} on {a!r}")
+                    dev[k, ja] = _deviation_costs(ys, k, ja, steps[k], table[k], cost)
+        if exact:
+            d = mass.denominator * dy * powers[deg] * q
+            head = [] if eq_rows is None else [(eq_rows[j], d)]
+            entries, raw = terms(head, offset, mass.numerator, ys, table, dev, dy), None
+        else:
+            raw = terms([], 0, mass, flows, table, dev, 1)
+            d, entries = 1, raw
+            if eq_rows is not None:
+                d, entries = _column([(eq_rows[j], 1)] + [(offset + i, v) for i, v in raw])
         columns.append((d, entries, raw))
         if social:
             total = 0
-            for y, cj in zip(itertools.chain(*yy), itertools.chain(*cc)):
+            for y, cj in zip(itertools.chain(*ys), itertools.chain(*table)):
                 if y != 0:
                     total = total + y * cj
-            socials.append(Fraction(mm * total, d) if exact else mm * total)
+            socials.append(Fraction(mass.numerator * total, d) if exact else mass * total)
     return witnesses, columns, socials
 
 
-def _numerators(values, den: int) -> list:
-    return [v.numerator * (den // v.denominator) for v in values]
+def _lifted_costs(game: GameSpec, state: str, actions) -> tuple:
+    """The integer costs in ``state`` of ``actions[k]`` in each population k
+    over one common denominator: (fns, deg, q) with fns[k][a] = (fn, e, m),
+    so that the cost is fn(yy, dy) * dy**e * m / (dy**deg * q)."""
+    pops = game.populations
+    compiled = [[_int_cost_fn(game, p.name, a, state) for a in acts] for p, acts in zip(pops, actions)]
+    deg = max((d for costs in compiled for _, d, _ in costs), default=0)
+    q = math.lcm(*(cq for costs in compiled for _, _, cq in costs))
+    return [[(f, deg - d, q // cq) for f, d, cq in costs] for costs in compiled], deg, q
 
 
-def _deviation_costs(game: GameSpec, state, flows, k: int, ja: int, share, costs) -> list:
+def _deviation_costs(flows, k: int, ja: int, step, costs, cost) -> list:
     """``costs`` of population ``k`` at ``flows`` with c_b (b != a) swapped
-    for b's cost after one player of mass ``share`` moves from a to b. The
-    shifted flow keeps its mass, and only y_a can turn negative: ValueError
-    where ``share`` exceeds y_a."""
-    pop = game.populations[k]
-    y_a = flows[k][ja]
-    if share > y_a:
-        raise ValueError(f"player share {share} exceeds the flow {y_a} on {pop.actions[ja]!r}")
+    for ``cost(k, b, shifted)``, b's cost after one player moves from a to b,
+    shifting ``step`` (its share, in the units of ``flows``). The shifted flow
+    keeps its mass."""
     c = list(costs)
-    for jb, b in enumerate(pop.actions):
+    for jb in range(len(costs)):
         if jb != ja:
             shifted = [list(vec) for vec in flows]
-            shifted[k][ja] -= share
-            shifted[k][jb] += share
-            c[jb] = _finite(_cost_fn(game, pop.name, b, state)(shifted), pop.name, b, shifted)
+            shifted[k][ja] -= step
+            shifted[k][jb] += step
+            c[jb] = cost(k, jb, shifted)
     return c
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import _obedience_columns, _term_rows
-from .lp import _column, _column_solve
+from .lp import _column_solve
 from .model import (
     FlowProfile,
     GameSpec,
@@ -171,18 +171,21 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
         expr = problem.designer_cost[state]
         designer[state] = None if expr is None else compile_cost(game, expr, state)
     atoms = [(state, game.prior_of(state), problem.candidates[state][idx]) for state, idx in columns]
-    witnesses, obedience, social = _obedience_columns(game, atoms, social=True)
+    n_eq = len(game.states)
+    eq_rows = [game.states.index(state) for state, _ in columns]
+    witnesses, obedience, social = _obedience_columns(game, atoms, social=True, eq_rows=eq_rows)
     cost = [
         value if designer[state] is None else p * designer[state](flow.flows)
         for (state, p, flow), value in zip(atoms, social)
     ]
     values = itertools.chain(cost, *((v for _, v in raw) for _, _, raw in obedience if raw is not None))
     exact = all(isinstance(v, (int, Fraction)) for v in values)
-    rows = None if exact else [terms for _, terms in _term_rows(witnesses, obedience)]
+    rows = None if exact else [terms for _, terms in _term_rows(witnesses, obedience, n_eq)]
     starts = []
     for state in game.states:
         own = [j for j, (s, _) in enumerate(columns) if s == state]
-        start = next((j for j in own if all(v <= 0 for _, v in obedience[j][1])), None)
+        # each column's first entry is its equality row's
+        start = next((j for j in own if all(v <= 0 for _, v in obedience[j][1][1:])), None)
         if start is None and not exact:
             start = min(own, key=lambda j: max((row[j] for row in rows), default=0))
             if max(row[start] for row in rows) > ROUNDOFF:
@@ -193,8 +196,7 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     n_ub = len(witnesses)
     basis = starts + list(range(len(columns), len(columns) + n_ub))
     b_ub = [0] * n_ub if exact else [max(0, sum(Fraction(row[j]) for j in starts)) for row in rows]
-    lp_columns = _lp_columns(obedience, [game.states.index(s) for s, _ in columns], len(game.states))
-    certificate = _column_solve(basis, cost, lp_columns, [1] * len(game.states) + b_ub, n_ub)
+    certificate = _column_solve(basis, cost, [col[:2] for col in obedience], [1] * n_eq + b_ub, n_ub)
     x, objective, floor = certificate.x, certificate.objective, 0
     if not exact:
         x, objective, floor = [float(w) for w in x], float(objective), 1e-11
@@ -207,17 +209,6 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
         total = sum(w for _, w in atoms)
         per_state[state] = tuple((f, w / total) for f, w in atoms)
     return LPSolution(Outcome(per_state), objective, "optimal")
-
-
-def _lp_columns(columns, eq_rows, n_eq: int) -> list:
-    """Obedience columns as simplex columns: column j weighs 1 on equality row
-    ``eq_rows[j]``, obedience row i becomes row ``n_eq + i``, raw terms are read exactly."""
-    return [
-        (d, [(r, d)] + [(n_eq + i, v) for i, v in entries])
-        if raw is None
-        else _column([(r, 1)] + [(n_eq + i, v) for i, v in raw])
-        for (d, entries, raw), r in zip(columns, eq_rows)
-    ]
 
 
 def support_bound_check(solution: LPSolution, game: GameSpec) -> SupportBoundReport:
@@ -259,8 +250,10 @@ def ccwe_grid_gap(game: GameSpec, state: str, resolution: int) -> tuple[float, f
     we = solve_we_potential(game, state, tol=1e-10)
     we_cost = float(social_cost(game, we.flow, state))
     atoms = [(state, Fraction(1), f) for f in grid_flows(game, resolution)]
-    witnesses, obedience, sc = _obedience_columns(game, atoms, coarse=True, social=True)
-    cols, n = _lp_columns(obedience, [0] * len(atoms), 1), len(witnesses)
+    witnesses, obedience, sc = _obedience_columns(
+        game, atoms, coarse=True, social=True, eq_rows=[0] * len(atoms)
+    )
+    cols, n = [col[:2] for col in obedience], len(witnesses)
     # variables: mu (one per lattice flow) then slack s, at -1 in every row
     s_col = (1, [(1 + i, -1) for i in range(n)])
     first = _column_solve(None, [0] * len(cols) + [1], cols + [s_col], [1] + [0] * n, n)

@@ -8,20 +8,26 @@ not guarantee.
 ``exact_solve`` reads every entry as an exact rational (``Fraction(v)`` is
 exact for ints, Fractions and floats alike) into columns of integer numerators
 over a positive denominator, the form that ``_column_solve`` (which the design
-LP calls directly) solves, keeping B^-1 in ``Fraction``s. It starts from a
-primal feasible basis the caller gives or, without one, runs phase 1 from
-artificials on the equality rows and slacks on the <= rows. Both phases share
-one pivot loop. It enters the column with the most negative float reduced
-cost, once that column's exact reduced cost is confirmed negative. When floats
-see no such column, or after ``STALL_PIVOTS`` consecutive degenerate pivots,
-it enters by Bland's rule on exact prices. The ratio test is exact, with
-Bland's tie-break, so the solve always terminates (Bland 1977). It stops where
-exact pricing finds no negative reduced cost, so the returned basis is
-exactly optimal.
+LP calls directly) solves. It keeps B^-1 and x_B fraction-free: integer
+numerators over one common denominator, with every entry and the denominator
+divided by their gcd after each pivot (integer-preserving elimination in the
+manner of Edmonds 1967). Duals, pricing and the ratio test are integer work
+too; ``Fraction``s are made only for the returned ``Certificate``. It starts
+from a primal feasible basis the caller gives (pivoted in from the unit basis)
+or, without one, runs phase 1 from artificials on the equality rows and
+slacks on the <= rows. Both phases share one pivot loop. It enters the column
+with the most negative float reduced cost, once that column's exact reduced
+cost is confirmed negative; the duals' floats are int quotients, correctly
+rounded like a ``Fraction``'s. When floats see no such column, or after
+``STALL_PIVOTS`` consecutive degenerate pivots, it enters by Bland's rule on
+exact prices. The ratio test is exact, with Bland's tie-break, so the solve
+always terminates (Bland 1977). It stops where exact pricing finds no
+negative reduced cost, so the returned basis is exactly optimal.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,43 +71,55 @@ def _column_solve(basis, c, columns, rhs, n_ub) -> Certificate:
     structural column (see :func:`_column`), entries k / d with integer k
     and d > 0; the last ``n_ub`` rows are <= rows."""
     n, m, total = len(c), len(rhs), len(c) + n_ub
+    n_eq = m - n_ub
     cost = [_exact(v) for v in c] + [0] * n_ub
     rhs = [_exact(v) for v in rhs]
-    columns = list(columns) + [(1, [(i, 1)]) for i in range(m - n_ub, m)]
+    columns = list(columns) + [(1, [(i, 1)]) for i in range(n_eq, m)]
     if not m:
         raise ValueError("LP needs at least one row")
     float_a = np.zeros((m, total))
-    for j, (d, col) in enumerate(columns):
-        for i, v in col:
-            float_a[i, j] = v / d
+    size = np.fromiter((len(col) for _, col in columns), np.intp, total)
+    nnz = int(size.sum())
+    float_a[
+        np.fromiter((i for _, col in columns for i, _ in col), np.intp, nnz),
+        np.repeat(np.arange(total), size),
+    ] = np.fromiter((v / d for d, col in columns for _, v in col), float, nnz)
+    # b: the right-hand side times its common denominator, so x_B = row[-1] / (den * scale)
+    scale = math.lcm(*(v.denominator for v in rhs))
+    b = [v.numerator * (scale // v.denominator) for v in rhs]
     if basis is None:
         if any(v < 0 for v in rhs):
             raise ValueError("phase 1 needs a nonnegative right-hand side")
-        n_eq = m - n_ub
         basis = [total + i for i in range(n_eq)] + list(range(n, total))
-        binv, x_b = _factor(basis, columns, rhs)
+        rows, den = _factor(basis, columns, b, n_eq)
         # phase 1: minimize the sum of the artificials
-        _simplex_phase(basis, binv, x_b, [0] * total + [1] * n_eq, columns, float_a)
-        if any(v for j, v in zip(basis, x_b) if j >= total):
+        den = _simplex_phase(basis, rows, den, [0] * total + [1] * n_eq, columns, float_a)[0]
+        if any(row[-1] for j, row in zip(basis, rows) if j >= total):
             raise ValueError("LP is infeasible")
     else:
         basis = list(basis)
         if len(basis) != m or len(set(basis)) != m or not all(0 <= j < total for j in basis):
             raise ValueError(f"a basis names {m} distinct columns below {total}")
-        factored = _factor(basis, columns, rhs)
+        factored = _factor(basis, columns, b, n_eq)
         if factored is None:
             raise ValueError("singular basis")
-        binv, x_b = factored
-        if any(v < 0 for v in x_b):
+        rows, den = factored
+        if any(row[-1] < 0 for row in rows):
             raise ValueError("basis is not primal feasible")
-    y = _simplex_phase(basis, binv, x_b, cost, columns, float_a)
-    return _certificate(n, basis, x_b, y, cost)
+    den, y, y_den = _simplex_phase(basis, rows, den, cost, columns, float_a)
+    x = [Fraction(0)] * n
+    for j, row in zip(basis, rows):
+        if j < n:
+            x[j] = Fraction(row[-1], den * scale)
+    objective = sum((cost[j] * x[j] for j in range(n) if x[j]), Fraction(0))
+    return Certificate(tuple(x), tuple(Fraction(v, y_den) for v in y), objective, tuple(basis))
 
 
-def _simplex_phase(basis, binv, x_b, cost, columns, float_a):
-    """Pivot from a primal feasible basis, updating ``basis``, B^-1 and x_B
-    in place, until exact pricing finds no column with a negative reduced
-    cost; returns the duals y there.
+def _simplex_phase(basis, rows, den, cost, columns, float_a):
+    """Pivot from a primal feasible basis, updating ``basis`` and the rows
+    [B^-1 | B^-1 b] over ``den`` (see :func:`_factor`) in place, until exact
+    pricing finds no column with a negative reduced cost; returns (den, y_int,
+    y_den) there, the duals being y_int / y_den.
 
     ``cost`` may run past the columns: an artificial (a basis index past the
     last column) costs its entry there, never enters, and leaves at step 0
@@ -112,38 +130,55 @@ def _simplex_phase(basis, binv, x_b, cost, columns, float_a):
     float_cost = np.array(cost[:total], dtype=float)
     stalled = 0
     while True:
-        y = _duals(basis, cost, binv)
+        y, y_den = _duals(basis, cost, rows, den)
         entering = None
         if stalled < STALL_PIVOTS:
-            # most negative float reduced cost, if its exact one is negative
-            reduced = float_cost - np.array(y, dtype=float) @ float_a
+            # most negative float reduced cost, if its exact one is negative;
+            # int true division rounds correctly, so these are y's floats
+            reduced = float_cost - np.array([v / y_den for v in y]) @ float_a
             j = int(np.argmin(reduced))
             if reduced[j] < -PIVOT_TOL:
-                entering = _first_negative(y, cost, columns, (j,))
+                entering = _first_negative(y, y_den, cost, columns, (j,))
         if entering is None:
-            entering = _first_negative(y, cost, columns, range(total))
+            entering = _first_negative(y, y_den, cost, columns, range(total))
             if entering is None:
-                return y
+                return den, y, y_den
         d, col = columns[entering]
-        u = [sum((row[i] * v for i, v in col), Fraction(0)) / d for row in binv]
-        # exact ratio test; ties leave by the smallest basic column (Bland)
-        leaving, step = -1, None
-        for i, (ui, xi) in enumerate(zip(u, x_b)):
+        u = [sum(row[i] * v for i, v in col) for row in rows]  # B^-1 a_j times den * d
+        # exact ratio test on x_i / u_i; ties leave by the smallest basic column (Bland)
+        leaving, num, step_den = -1, 0, 1
+        for i, (ui, row) in enumerate(zip(u, rows)):
+            xi = row[-1]
             if ui > 0 or (ui and not xi and basis[i] >= total):
-                ratio = xi / ui
-                if step is None or ratio < step or (ratio == step and basis[i] < basis[leaving]):
-                    leaving, step = i, ratio
+                p, q = (xi, ui) if ui > 0 else (0, 1)
+                lhs, rhs = p * step_den, num * q
+                if leaving < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving, num, step_den = i, p, q
         if leaving < 0:
             raise ValueError("LP is unbounded")
-        pivot_row = [v / u[leaving] for v in binv[leaving]]
-        for i, ui in enumerate(u):
-            if ui and i != leaving:
-                binv[i] = [a - ui * b if b else a for a, b in zip(binv[i], pivot_row)]
-                x_b[i] -= ui * step
-        binv[leaving] = pivot_row
-        x_b[leaving] = step
+        den = _pivot(rows, den, u, leaving, d)
         basis[leaving] = entering
-        stalled = stalled + 1 if step == 0 else 0
+        stalled = stalled + 1 if num == 0 else 0
+
+
+def _pivot(rows, den: int, u, leaving: int, d: int) -> int:
+    """Pivot the rows [B^-1 | B^-1 b] / ``den`` in place on row ``leaving`` for
+    the column a with B^-1 a = u / (den * d), u integer; returns the new
+    common denominator, after dividing every entry and it by their gcd."""
+    if u[leaving] < 0:
+        u, d = [-v for v in u], -d
+    ul, pivot = u[leaving], rows[leaving]
+    for i, ui in enumerate(u):
+        if i != leaving and (ui or ul != 1):
+            row = rows[i]
+            rows[i] = [a * ul - ui * b for a, b in zip(row, pivot)] if ui else [a * ul for a in row]
+    rows[leaving] = [v * d * den for v in pivot]
+    den *= ul
+    g = math.gcd(den, *itertools.chain.from_iterable(rows))
+    if g > 1:
+        rows[:] = [[v // g for v in row] for row in rows]
+        den //= g
+    return den
 
 
 def _exact_data(a_eq, b_eq, a_ub, b_ub, n):
@@ -160,80 +195,60 @@ def _column(entries):
     return d, [(i, v.numerator * (d // v.denominator)) for i, v in exact]
 
 
-def _factor(basis, columns, rhs):
-    """(B^-1, x_B) of ``basis`` over Fractions, or None when B is singular.
+def _factor(basis, columns, b, n_eq: int):
+    """(rows, den) of ``basis``: the rows [B^-1 | B^-1 b] of integers over a
+    common denominator ``den``, for the integer right-hand side ``b``, or
+    None when B is singular.
 
-    A basis index past the last column is the artificial of row
-    ``index - len(columns)``, a unit column.
+    Starts from the unit basis (the artificial of each of the first ``n_eq``
+    rows, the slacks after) and pivots each other column of ``basis`` in
+    on the first row whose unit column is not in ``basis``. A basis index
+    past the last column is the artificial of row ``index - len(columns)``.
     """
-    m, total = len(rhs), len(columns)
-    bmat = [[0] * m for _ in range(m)]
-    for k, j in enumerate(basis):
-        d, col = columns[j] if j < total else (1, [(j - total, 1)])
-        for i, v in col:
-            bmat[i][k] = Fraction(v, d)
-    binv = _inverse(bmat)
-    if binv is None:
-        return None
-    return binv, [sum((a * b for a, b in zip(row, rhs) if b), Fraction(0)) for row in binv]
+    m, total = len(b), len(columns)
+    n = total - (m - n_eq)
+    rows = [[int(i == k) for k in range(m)] + [v] for i, v in enumerate(b)]
+    at = [total + i if i < n_eq else n + i - n_eq for i in range(m)]  # the basic column of each row
+    den, wanted = 1, set(basis)
+    for j in basis:
+        if j in at:
+            continue
+        d, col = columns[j]
+        u = [sum(row[i] * v for i, v in col) for row in rows]
+        r = next((i for i, ui in enumerate(u) if ui and at[i] not in wanted), None)
+        if r is None:
+            return None
+        den = _pivot(rows, den, u, r, d)
+        at[r] = j
+    row_of = {j: i for i, j in enumerate(at)}
+    return [rows[row_of[j]] for j in basis], den
 
 
-def _duals(basis, cost, binv):
-    """y = c_B B^-1, skipping zero costs; a basis index past ``cost`` costs 0."""
-    y = [Fraction(0)] * len(binv)
-    for j, row in zip(basis, binv):
-        cj = cost[j] if j < len(cost) else 0
-        if cj:
-            y = [a + cj * b for a, b in zip(y, row)]
-    return y
+def _duals(basis, cost, rows, den):
+    """y = c_B B^-1 as (y_int, y_den) in lowest terms, skipping zero costs; a
+    basis index past ``cost`` costs 0."""
+    cb = [(cost[j] if j < len(cost) else 0, row) for j, row in zip(basis, rows)]
+    c_den = math.lcm(*(c.denominator for c, _ in cb if c))
+    y = [0] * len(rows)
+    for c, row in cb:
+        if c:
+            k = c.numerator * (c_den // c.denominator)
+            y = [a + k * v for a, v in zip(y, row)]  # zip stops before x_B
+    y_den = c_den * den
+    g = math.gcd(y_den, *y)
+    return [v // g for v in y], y_den // g
 
 
-def _first_negative(y, cost, columns, order):
+def _first_negative(y, y_den, cost, columns, order):
     """The first column in ``order`` whose exact reduced cost c_j - y . a_j
-    is negative, or None.
-
-    Prices in integers: with y = y_int / scale and the column (d, entries),
-    y . a_j = sum(y_int[i] * k) / (scale * d).
-    """
-    scale = math.lcm(*(v.denominator for v in y))
-    y_int = [v.numerator * (scale // v.denominator) for v in y]
+    is negative, or None: with y = y_int / y_den and the column (d, entries),
+    y . a_j = sum(y_int[i] * k) / (y_den * d)."""
     for j in order:
         d, entries = columns[j]
-        if cost[j].numerator * scale * d < cost[j].denominator * sum(y_int[i] * k for i, k in entries):
+        if cost[j].numerator * y_den * d < cost[j].denominator * sum(y[i] * k for i, k in entries):
             return j
     return None
 
 
-def _certificate(n, basis, x_b, y, cost) -> Certificate:
-    x = [Fraction(0)] * n
-    for j, v in zip(basis, x_b):
-        if j < n:
-            x[j] = v
-    objective = sum((cost[j] * x[j] for j in range(n) if x[j]), Fraction(0))
-    return Certificate(tuple(x), tuple(y), objective, tuple(basis))
-
-
 def _exact(v):
     return v if type(v) in (int, Fraction) else Fraction(v)
-
-
-def _inverse(mat) -> list | None:
-    """Gauss-Jordan inversion over Fractions; None when mat is singular."""
-    m = len(mat)
-    aug = [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(mat)]
-    for k in range(m):
-        p = next((i for i in range(k, m) if aug[i][k] != 0), None)
-        if p is None:
-            return None
-        aug[k], aug[p] = aug[p], aug[k]
-        pivot_row = aug[k]
-        inv = 1 / Fraction(pivot_row[k])
-        pivot_row[k:] = [v * inv for v in pivot_row[k:]]
-        for i in range(m):
-            f = aug[i][k]
-            if i != k and f != 0:
-                row = aug[i]
-                for j in range(k, 2 * m):
-                    if pivot_row[j]:
-                        row[j] -= f * pivot_row[j]
-    return [row[m:] for row in aug]

@@ -73,7 +73,8 @@ class ThetaVal(CostExpr):
 
 @dataclass(frozen=True)
 class StateCoef(CostExpr):
-    """A constant that depends on the state through an explicit table."""
+    """A constant that depends on the state through an explicit table; its
+    values are stored as ``Fraction``s, as in :class:`Const`."""
 
     table: tuple[tuple[str, Fraction], ...]
 
@@ -81,6 +82,9 @@ class StateCoef(CostExpr):
         names = [s for s, _ in self.table]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate state in coefficient table: {names}")
+        if not all(isinstance(v, Fraction) for _, v in self.table):
+            table = tuple((s, Fraction(v)) for s, v in self.table)
+            object.__setattr__(self, "table", table)
 
 
 @dataclass(frozen=True)
@@ -457,8 +461,9 @@ class GameSpec:
     congestion: CongestionSpec | None = None
     _pop_index: dict = field(init=False, repr=False, compare=False, default=None)
     _act_index: dict = field(init=False, repr=False, compare=False, default=None)
-    # (pop, action, state) -> compiled cost, filled by eval_cost; valid only
-    # while ``costs`` is left as constructed
+    # (pop, action, state) -> compiled cost, filled by eval_cost, and (pop,
+    # action, state, int) -> its integer backend; valid only while ``costs``
+    # is left as constructed
     _compiled: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -630,38 +635,12 @@ def compile_cost(game: GameSpec, expr: CostExpr, state: str):
             literal, or a state table that misses ``state``.
     """
 
-    def constant(node):
-        """The value of a leaf that does not read the flow, else None."""
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, ThetaVal):
-            try:
-                return Fraction(state)
-            except ValueError:
-                raise EvaluationError(
-                    f"state {state!r} is not a rational literal; 'theta' cannot be resolved"
-                ) from None
-        if isinstance(node, StateCoef):
-            for name, value in node.table:
-                if name == state:
-                    return value
-            raise EvaluationError(f"state {state!r} missing from coefficient table")
-        return None
-
     def build(node):
-        value = constant(node)
+        value = _constant(node, state)
         if value is not None:
             return lambda flows: value
         if isinstance(node, FlowVar):
-            pop = node.pop
-            if pop is None:
-                if len(game.populations) != 1:
-                    raise ValueError(
-                        f"bare flow variable y[{node.action}] in a multi-population game"
-                    )
-                pop = game.populations[0].name
-            i = game.population_index(pop)
-            j = game.action_index(pop, node.action)
+            i, j = _flow_index(game, node)
             return lambda flows: flows[i][j]
         if isinstance(node, Neg):
             arg = build(node.arg)
@@ -682,8 +661,8 @@ def compile_cost(game: GameSpec, expr: CostExpr, state: str):
         # A constant c meeting a float x computes float(c) op x in Python's
         # Fraction fallbacks, so x op float(c) made once here is the same
         # float; any other operand (exact, or a float subclass) meets c itself.
-        lc, left = constant(node.left), build(node.left)
-        rc, right = constant(node.right), build(node.right)
+        lc, left = _constant(node.left, state), build(node.left)
+        rc, right = _constant(node.right, state), build(node.right)
         fc = None
         if (lc is None) != (rc is None):
             try:
@@ -741,6 +720,117 @@ def compile_cost(game: GameSpec, expr: CostExpr, state: str):
     return build(expr)
 
 
+def _constant(node: CostExpr, state: str):
+    """The value in ``state`` of a leaf that does not read the flow, else None."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, ThetaVal):
+        try:
+            return Fraction(state)
+        except ValueError:
+            raise EvaluationError(
+                f"state {state!r} is not a rational literal; 'theta' cannot be resolved"
+            ) from None
+    if isinstance(node, StateCoef):
+        for name, value in node.table:
+            if name == state:
+                return value
+        raise EvaluationError(f"state {state!r} missing from coefficient table")
+    return None
+
+
+def _flow_index(game: GameSpec, node: FlowVar) -> tuple[int, int]:
+    """The fixed (population, action) index of a flow variable."""
+    pop = node.pop
+    if pop is None:
+        if len(game.populations) != 1:
+            raise ValueError(f"bare flow variable y[{node.action}] in a multi-population game")
+        pop = game.populations[0].name
+    return game.population_index(pop), game.action_index(pop, node.action)
+
+
+def _int_flows(flows, dens=()) -> tuple[list, int]:
+    """Exact ``flows`` as (yy, dy): integer numerators over the least common
+    multiple of their denominators and ``dens``, the input of
+    :func:`compile_int_cost`'s functions."""
+    dy = math.lcm(*(v.denominator for vec in flows for v in vec), *dens)
+    return [[v.numerator * (dy // v.denominator) for v in vec] for vec in flows], dy
+
+
+def compile_int_cost(game: GameSpec, expr: CostExpr, state: str):
+    """The integer backend of :func:`compile_cost`: ``(fn, deg, q)`` such that,
+    at the flow whose entries are ``yy[i][j] / dy`` (ints, ``dy > 0``), the
+    cost is ``fn(yy, dy) / (dy**deg * q)`` with ``fn(yy, dy)`` an int.
+
+    Names resolve, and fail, as in :func:`compile_cost`, and every constant
+    is the same ``Fraction``. ``deg`` and ``q`` are fixed per node: a
+    constant p/q has degree 0 and q; a flow variable degree 1 and q 1;
+    ``+ - max min`` bring their operands to the largest degree and the lcm
+    of their q; ``*`` adds degrees and multiplies q; ``^e`` multiplies the
+    degree by e and raises q to e. Subtrees that read no flow fold to ints.
+    """
+
+    def scaled(f, k: int, m: int):
+        # f times dy**k * m
+        if not k:
+            if m == 1:
+                return f
+            return f * m if type(f) is int else lambda yy, dy: f(yy, dy) * m
+        if type(f) is int:
+            c = f * m
+            return lambda yy, dy: c * dy**k
+        return lambda yy, dy: f(yy, dy) * m * dy**k
+
+    def call(f):
+        return (lambda yy, dy: f) if type(f) is int else f
+
+    def build(node):
+        value = _constant(node, state)
+        if value is not None:
+            return value.numerator, 0, value.denominator
+        if isinstance(node, FlowVar):
+            i, j = _flow_index(game, node)
+            return (lambda yy, dy: yy[i][j]), 1, 1
+        if isinstance(node, Neg):
+            f, deg, q = build(node.arg)
+            return (-f if type(f) is int else lambda yy, dy: -f(yy, dy)), deg, q
+        if isinstance(node, Pow):
+            f, deg, q = build(node.base)
+            e = node.exponent
+            return (f**e if type(f) is int else lambda yy, dy: f(yy, dy) ** e), deg * e, q**e
+        if isinstance(node, Mul):
+            (a, da, qa), (b, db, qb) = build(node.left), build(node.right)
+            if type(a) is int and type(b) is int:
+                return a * b, da + db, qa * qb
+            if type(a) is int:
+                return (lambda yy, dy: a * b(yy, dy)), da + db, qa * qb
+            if type(b) is int:
+                return (lambda yy, dy: a(yy, dy) * b), da + db, qa * qb
+            return (lambda yy, dy: a(yy, dy) * b(yy, dy)), da + db, qa * qb
+        if isinstance(node, (Add, Sub, MaxOf, MinOf)):
+            args = (node.left, node.right) if isinstance(node, (Add, Sub)) else node.args
+            parts = [build(arg) for arg in args]
+            deg, q = max(d for _, d, _ in parts), math.lcm(*(q for _, _, q in parts))
+            fs = [scaled(f, deg - d, q // fq) for f, d, fq in parts]
+            if isinstance(node, (MaxOf, MinOf)):
+                pick = max if isinstance(node, MaxOf) else min
+                if all(type(f) is int for f in fs):
+                    return pick(fs), deg, q
+                fs = [call(f) for f in fs]
+                return (lambda yy, dy: pick([f(yy, dy) for f in fs])), deg, q
+            a, b = fs
+            if type(a) is int and type(b) is int:
+                return (a - b if isinstance(node, Sub) else a + b), deg, q
+            a, b = call(a), call(b)
+            if isinstance(node, Sub):
+                return (lambda yy, dy: a(yy, dy) - b(yy, dy)), deg, q
+            return (lambda yy, dy: a(yy, dy) + b(yy, dy)), deg, q
+        raise TypeError(f"unknown expression node {type(node).__name__}")
+
+    f, deg, q = build(expr)
+    return call(f), deg, q
+
+
 def eval_cost(game: GameSpec, pop: str, action: str, flow: FlowProfile, state: str):
     """Cost of taking ``action`` in population ``pop`` at ``flow`` and ``state``.
 
@@ -754,13 +844,24 @@ def eval_cost(game: GameSpec, pop: str, action: str, flow: FlowProfile, state: s
 
 def _cost_fn(game: GameSpec, pop: str, action: str, state: str):
     """The compiled cost of ``action`` in ``pop`` and ``state``, kept in the game."""
-    key = (pop, action, state)
+    return _kept_cost(game, (pop, action, state), compile_cost)
+
+
+def _int_cost_fn(game: GameSpec, pop: str, action: str, state: str):
+    """:func:`compile_int_cost` of ``action`` in ``pop`` and ``state``, kept in the game."""
+    return _kept_cost(game, (pop, action, state, int), compile_int_cost)
+
+
+def _kept_cost(game: GameSpec, key: tuple, compiler):
+    """``compiler`` applied to the cost of key = (pop, action, state, ...),
+    once per game: kept in ``game._compiled`` under ``key``."""
     cost = game._compiled.get(key)
     if cost is None:
+        pop, action, state = key[:3]
         game.state_index(state)
         game.population_index(pop)
         game.action_index(pop, action)
-        cost = game._compiled[key] = compile_cost(game, game.costs[(pop, action)], state)
+        cost = game._compiled[key] = compiler(game, game.costs[(pop, action)], state)
     return cost
 
 

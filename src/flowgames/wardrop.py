@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._numpy import np
-from .lp import _inverse
+from .lp import _column, _factor
 from .model import (
     CongestionSpec,
     FlowProfile,
@@ -404,7 +404,7 @@ def _one_minimizer(spec: CongestionSpec, state: str) -> bool:
     n = len(columns)
     gram = [[sum(r[i] * r[j] for r in rows) for j in range(n)] for i in range(n)]
     # full column rank iff the Gram matrix is nonsingular
-    return _inverse(gram) is not None
+    return _factor(range(n), [_column(enumerate(col)) for col in zip(*gram)], [0] * n, n) is not None
 
 
 def _vector_of(flow: FlowProfile) -> np.ndarray:

@@ -194,7 +194,7 @@ def test_obedience_rows_order_and_terms(pigou_info, pigou_bcwe, elfarol):
 
 def test_obedience_rows_cost_each_positive_atom_once(elfarol, monkeypatch):
     calls = []
-    real, real_fn = fg.checks.eval_cost, fg.checks._cost_fn
+    real, real_fn, real_int = fg.checks.eval_cost, fg.checks._cost_fn, fg.checks._int_cost_fn
 
     def counting(game, pop, action, flow, state):
         calls.append((action, flow.flows, state))
@@ -209,9 +209,20 @@ def test_obedience_rows_cost_each_positive_atom_once(elfarol, monkeypatch):
 
         return counted
 
-    # unshifted flows are costed by eval_cost, shifted ones by the compiled cost
+    def compiled_int(game, pop, action, state):
+        cost, deg, q = real_int(game, pop, action, state)
+
+        def counted(yy, dy):
+            calls.append((action, tuple(tuple(F(v, dy) for v in vec) for vec in yy), state))
+            return cost(yy, dy)
+
+        return counted, deg, q
+
+    # exact atoms are costed by the integer backend, shifted flows included;
+    # float or int-mass atoms by eval_cost and the compiled cost
     monkeypatch.setattr(fg.checks, "eval_cost", counting)
     monkeypatch.setattr(fg.checks, "_cost_fn", compiled)
+    monkeypatch.setattr(fg.checks, "_int_cost_fn", compiled_int)
     atoms = [("0", F(1, 2), flow1(F(1, 2), F(1, 2))), ("0", 0, flow1(0, 1)), ("0", F(1, 2), flow1(1, 0))]
     rows = fg.obedience_rows(elfarol, atoms)
     # two positive-mass atoms, two actions each; the zero-mass atom is not
@@ -286,7 +297,16 @@ INT_GAME = (
 )
 
 
-@pytest.mark.parametrize("name", ["pigou_info", "elfarol", "random", "two_pops", "quadratic", "ints"])
+# costs with fractional constants, so that their integer backends carry q > 1
+FRACTION_GAME = (
+    "[populations]\ncrowd = a, b, c\n\n[states]\nnames = 0\n\n[prior]\n0 = 1\n\n"
+    "[costs]\ncrowd.a = 1/3 + 2/5*y[a]\ncrowd.b = 3/7*y[b]^2 - 1/2\ncrowd.c = max(1/6, 3/4*y[c])\n"
+)
+
+
+@pytest.mark.parametrize(
+    "name", ["pigou_info", "elfarol", "random", "two_pops", "quadratic", "ints", "fractions"]
+)
 def test_obedience_rows_match_term_by_term_reference(name, request):
     # exact, float and int-mass atoms, and a zero-mass one, through pairwise,
     # coarse and shares rows: the same values in the same types
@@ -297,6 +317,7 @@ def test_obedience_rows_match_term_by_term_reference(name, request):
         "two_pops": lambda: random_congestion_game(5, n_actions=3, n_states=2, n_pops=2),
         "quadratic": lambda: random_congestion_game(0, n_actions=3, quadratic=True),
         "ints": lambda: fg.parse_game_file(INT_GAME),
+        "fractions": lambda: fg.parse_game_file(FRACTION_GAME),
     }.get(name, lambda: request.getfixturevalue(name))()
     outcome = random_outcome(game, 7, support=3, denominator=4)
     exact = [(s, game.prior_of(s) * F(1, 3), f) for s in game.states for f, _ in outcome.per_state[s]]
@@ -311,7 +332,9 @@ def test_obedience_rows_match_term_by_term_reference(name, request):
         ones = fg.FlowProfile(((1, 0, 0),))
         atoms += [("0", 1, ones), ("0", 2, fg.FlowProfile(((0, 1, 0),))), ("0", F(1, 2), ones)]
     shares = [F(1, 4)] * len(game.populations)
-    for kwargs in ({}, {"coarse": True}, {"shares": shares}):
+    # float shares make every atom a float one, costed through eval_cost
+    float_shares = [0.25] * len(game.populations)
+    for kwargs in ({}, {"coarse": True}, {"shares": shares}, {"shares": float_shares}):
         got = fg.obedience_rows(game, atoms, **kwargs)
         assert _typed(got) == _typed(_reference_rows(game, atoms, **kwargs)), kwargs
     if name == "ints":

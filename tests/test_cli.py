@@ -3,6 +3,8 @@ import importlib
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -27,6 +29,17 @@ def test_we_elfarol_report(capsys):
     assert "equilibria = 3" in out
     assert out.count("social-cost = 1\n") == 3
     assert "flow = (1, 0)" in out
+
+
+def test_documented_negative_objective_runs(capsys):
+    # the README's --objective example starts with "-": it must reach the
+    # designer as a value, not be read as an option
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"`(--objective\S*-y\[a\]\S*)`", readme).group(1)
+    rc, out, err = run_cli(["design", "--game", "elfarol", *shlex.split(example)], capsys)
+    assert (rc, err) == (0, "")
+    assert "objective = -y[a]\n" in out
+    assert "value = -1\n" in out
 
 
 def test_outputs_are_deterministic(capsys):

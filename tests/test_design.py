@@ -157,7 +157,7 @@ def test_design_costs_each_candidate_once(monkeypatch):
     game = random_congestion_game(2, n_actions=3, n_states=2, n_pops=2)
     grid = fg.build_grid(game, 3)
     calls = collections.Counter()
-    real = fg.model._cost_fn
+    real, real_int = fg.model._cost_fn, fg.model._int_cost_fn
 
     def compiled(game, pop, action, state):
         cost = real(game, pop, action, state)
@@ -168,8 +168,20 @@ def test_design_costs_each_candidate_once(monkeypatch):
 
         return counted
 
+    def compiled_int(game, pop, action, state):
+        cost, deg, q = real_int(game, pop, action, state)
+
+        def counted(yy, dy):
+            calls[state, tuple(tuple(F(v, dy) for v in vec) for vec in yy), pop, action] += 1
+            return cost(yy, dy)
+
+        return counted, deg, q
+
+    # exact candidates are costed by the integer backend, float ones through
+    # the compiled cost
     monkeypatch.setattr(fg.checks, "_cost_fn", compiled)
     monkeypatch.setattr(fg.model, "_cost_fn", compiled)
+    monkeypatch.setattr(fg.checks, "_int_cost_fn", compiled_int)
     solution = fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
     assert solution.status == "optimal"
     assert calls == collections.Counter(

@@ -1,11 +1,15 @@
 import itertools
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flowgames as fg
 import flowgames.lp as lp
+
+from conftest import bundled_text
 
 
 def test_min_over_simplex_picks_cheapest_vertex():
@@ -164,3 +168,59 @@ def test_agrees_with_vertex_enumeration():
         cert = fg.exact_solve(None, c, a_eq=a, b_eq=np.abs(b))
         assert oracle is not None
         assert abs(float(cert.objective) - oracle) <= 1e-8
+
+
+SIMPLEX_GOLDEN = Path(__file__).parent / "golden" / "simplex_certificates.json"
+
+
+def _certificate_record(cert) -> dict:
+    return {
+        "basis": list(cert.basis),
+        "x": {str(j): str(v) for j, v in enumerate(cert.x) if v},
+        "y": [str(v) for v in cert.y],
+        "objective": str(cert.objective),
+    }
+
+
+def simplex_certificates() -> dict:
+    """Every Certificate of the design workload's 40 LPs, of three
+    ``ccwe_grid_gap`` calls and of the W1 solves of two ``convergence_run``s,
+    in solve order."""
+    from unittest import mock
+
+    import flowgames.atomic as atomic
+    import flowgames.design as design
+    from flowgames.generators import random_bcwe, random_congestion_game
+
+    def recording(solve, into):
+        def wrapped(*args):
+            cert = solve(*args)
+            into.append(_certificate_record(cert))
+            return cert
+
+        return wrapped
+
+    out = {"design": [], "ccwe_grid_gap": [], "w1": []}
+    with mock.patch.object(design, "_column_solve", recording(design._column_solve, out["design"])):
+        for n_actions, resolution in ((4, 8), (3, 16)):
+            for i in range(20):
+                game = random_congestion_game(i, n_actions=n_actions, n_states=2)
+                grid = fg.build_grid(game, resolution)
+                fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
+    gaps = recording(design._column_solve, out["ccwe_grid_gap"])
+    with mock.patch.object(design, "_column_solve", gaps):
+        for seed, n_actions, resolution in ((0, 2, 8), (1, 2, 16), (2, 3, 8)):
+            fg.ccwe_grid_gap(random_congestion_game(seed, n_actions=n_actions), "0", resolution)
+    with mock.patch.object(atomic, "exact_solve", recording(atomic.exact_solve, out["w1"])):
+        elfarol = fg.parse_game_file(bundled_text("elfarol.game"))
+        outcome = fg.parse_outcome_file(bundled_text("elfarol_cwe.outcome"), elfarol)
+        fg.convergence_run(elfarol, outcome, (5, 7, 9, 11, 13))
+        game = random_congestion_game(0, n_actions=3, n_states=2)
+        fg.convergence_run(game, random_bcwe(game, 0), (5, 7, 9, 11, 13))
+    return out
+
+
+def test_simplex_certificates_match_golden():
+    # the golden file was recorded from an independent (Fraction) B^-1: every
+    # basis, primal, dual and objective must come out the same
+    assert simplex_certificates() == json.loads(SIMPLEX_GOLDEN.read_text())

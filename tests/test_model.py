@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowgames as fg
-from flowgames.generators import random_congestion_game
+from flowgames.generators import random_congestion_game, random_rational_flow
 from flowgames.model import (
     Add,
     Const,
@@ -22,6 +24,7 @@ from flowgames.model import (
     Sub,
     ThetaVal,
     compile_cost,
+    compile_int_cost,
 )
 
 
@@ -219,6 +222,131 @@ def test_compiled_cost_is_the_plain_walk_bit_for_bit(expr, floats, fractions):
         got, want = cost(flows), _walk(expr, flows, "3/2")
         assert type(got) is type(want)
         assert repr(got) == repr(want)
+
+
+def _int_value(game, expr, state, flows, scale=1):
+    """compile_int_cost's value at exact ``flows``, given as numerators over
+    ``scale`` times their least common denominator."""
+    fn, deg, q = compile_int_cost(game, expr, state)
+    dy = scale * math.lcm(*(v.denominator for vec in flows for v in vec))
+    n = fn([[v.numerator * (dy // v.denominator) for v in vec] for vec in flows], dy)
+    assert type(n) is int
+    return F(n, dy**deg * q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _cost_trees(4),
+    st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=16)] * 3),
+    st.integers(1, 6),
+)
+def test_int_cost_is_the_compiled_cost(expr, fractions, scale):
+    pop = Population("p", ("a", "b", "c"))
+    game = fg.GameSpec((pop,), ("3/2",), (F(1),), {("p", a): Const(0) for a in "abc"})
+    want = compile_cost(game, expr, "3/2")((fractions,))
+    assert _int_value(game, expr, "3/2", (fractions,), scale) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "7/3",  # Const
+        "y[p][b]",  # FlowVar
+        "y[c]",  # bare y[a]
+        "theta",  # ThetaVal
+        StateCoef((("3/2", F(5, 4)), ("x", F(2)))),
+        "-y[a]",  # Neg
+        "1/2 + y[a]",  # Add
+        "y[a] - 3/4*y[b]^2",  # Sub
+        "2/3*y[a]*y[b]",  # Mul
+        "max(2 - 4*y[b], 4*y[b]*y[c] - 2/5)",  # MaxOf
+        "min(y[a], 1/3, theta*y[c]^2)",  # MinOf
+        "(y[a] + 1/2)^3",  # Pow
+        "(y[a] - y[b])^0",  # Pow with exponent 0
+        "y[a]^0*y[b]^2 + 1/7",
+    ],
+)
+def test_int_cost_on_every_node(text):
+    pop = Population("p", ("a", "b", "c"))
+    game = fg.GameSpec((pop,), ("3/2", "x"), (F(1, 2), F(1, 2)), {("p", a): Const(0) for a in "abc"})
+    expr = fg.parse_cost(text) if isinstance(text, str) else text
+    for flows in (((F(1, 2), F(1, 4), F(1, 4)),), ((F(1, 3), F(2, 7), F(8, 21)),), ((1, 0, 0),)):
+        for scale in (1, 3):
+            assert _int_value(game, expr, "3/2", flows, scale) == compile_cost(game, expr, "3/2")(flows)
+
+
+def test_state_coef_holds_fractions_like_const():
+    # a hand-built table of floats and ints is stored as Fractions, so the
+    # closure and the integer backend read the same exact constants
+    pop = Population("p", ("a", "b"))
+    game = fg.GameSpec((pop,), ("0",), (F(1),), {("p", a): Const(0) for a in "ab"})
+    coef = StateCoef((("0", 0.1), ("1", 2)))
+    assert coef == StateCoef((("0", F(0.1)), ("1", F(2))))
+    assert all(type(v) is F for _, v in coef.table)
+    expr = Mul(coef, FlowVar(None, "a"))
+    flows = ((F(1, 3), F(2, 3)),)
+    assert compile_cost(game, expr, "0")(flows) == F(0.1) / 3
+    assert _int_value(game, expr, "0", flows) == F(0.1) / 3
+    # a non-finite value fails at construction, as in Const
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises((ValueError, OverflowError)):
+            Const(bad)
+        with pytest.raises((ValueError, OverflowError)):
+            StateCoef((("0", bad),))
+
+
+def _non_lattice_flow(game, rng):
+    """An exact flow whose entries have unrelated denominators."""
+    flows = []
+    for pop in game.populations:
+        head = [F(rng.randint(0, 3), rng.randint(3, 13)) / len(pop.actions) for _ in pop.actions[1:]]
+        flows.append((1 - sum(head), *head))
+    return fg.FlowProfile(tuple(flows))
+
+
+def test_int_cost_on_bundled_and_random_games(elfarol, pigou_info, pigou_network):
+    games = [elfarol, pigou_info, pigou_network]
+    games += [random_congestion_game(s, n_actions=3, n_states=2, quadratic=s % 2 == 1) for s in range(4)]
+    games.append(random_congestion_game(5, n_actions=2, n_states=2, quadratic=True, n_pops=2))
+    rng = random.Random(0)
+    for game in games:
+        flows = list(fg.grid_flows(game, 4))
+        flows += [random_rational_flow(game, s, denominator=12) for s in range(3)]
+        flows += [_non_lattice_flow(game, rng) for _ in range(5)]
+        for (pop, action), expr in game.costs.items():
+            for state in game.states:
+                for flow in flows:
+                    want = fg.eval_cost(game, pop, action, flow, state)
+                    assert _int_value(game, expr, state, flow.flows) == want
+
+
+def test_int_cost_resolves_and_fails_as_compile_cost():
+    two = fg.GameSpec(
+        (Population("p", ("a", "b")), Population("r", ("c",))),
+        ("wet", "1/2"),
+        (F(1, 2), F(1, 2)),
+        {("p", "a"): Const(0), ("p", "b"): Const(0), ("r", "c"): Const(0)},
+    )
+    cases = [
+        ("y[a]", "wet"),  # bare flow variable in a multi-population game
+        ("y[q][a]", "wet"),  # unknown population
+        ("y[p][zzz]", "wet"),  # unknown action
+        ("theta*y[p][a]", "wet"),  # theta in a state that is not a rational literal
+        ("theta[wet=1]", "1/2"),  # state table missing the state
+    ]
+    for text, state in cases:
+        expr = fg.parse_cost(text)
+        with pytest.raises(Exception) as closure:
+            compile_cost(two, expr, state)
+        with pytest.raises(Exception) as backend:
+            compile_int_cost(two, expr, state)
+        assert type(backend.value) is type(closure.value)
+        assert str(backend.value) == str(closure.value)
+    # the names resolve to the same flow entries
+    flows = ((F(1, 3), F(2, 3)), (F(1),))
+    for text in ("y[p][b] - 2*y[r][c]", "theta*y[p][a]"):
+        expr = fg.parse_cost(text)
+        assert _int_value(two, expr, "1/2", flows) == compile_cost(two, expr, "1/2")(flows)
 
 
 def test_congestion_tables_are_read_only():
