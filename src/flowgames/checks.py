@@ -9,7 +9,6 @@ inputs because the cost language evaluates rationals to rationals.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,8 +20,8 @@ from .model import (
     Outcome,
     _cost_fn,
     _finite,
-    _int_cost_fn,
     _int_flows,
+    _lifted_costs,
     eval_cost,
     social_cost,
 )
@@ -188,17 +187,6 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, social=
                     total = total + y * cj
             socials.append(Fraction(mass.numerator * total, d) if exact else mass * total)
     return witnesses, columns, socials
-
-
-def _lifted_costs(game: GameSpec, state: str, actions) -> tuple:
-    """The integer costs in ``state`` of ``actions[k]`` in each population k
-    over one common denominator: (fns, deg, q) with fns[k][a] = (fn, e, m),
-    so that the cost is fn(yy, dy) * dy**e * m / (dy**deg * q)."""
-    pops = game.populations
-    compiled = [[_int_cost_fn(game, p.name, a, state) for a in acts] for p, acts in zip(pops, actions)]
-    deg = max((d for costs in compiled for _, d, _ in costs), default=0)
-    q = math.lcm(*(cq for costs in compiled for _, _, cq in costs))
-    return [[(f, deg - d, q // cq) for f, d, cq in costs] for costs in compiled], deg, q
 
 
 def _deviation_costs(flows, k: int, ja: int, step, costs, cost) -> list:

@@ -40,7 +40,7 @@ from .gamefile import (
 )
 from .generators import random_congestion_game
 from .infostruct import direct_structure_from_bcwe
-from .model import EvaluationError, compile_cost, parse_cost, social_cost, validate_game
+from .model import EvaluationError, _check_tol, compile_cost, parse_cost, social_cost, validate_game
 from .wardrop import enumerate_we_grid, verify_we
 
 _BUNDLED_GAMES = ("elfarol", "pigou_info", "pigou_network")
@@ -349,8 +349,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if hasattr(args, "tol") and args.tol <= 0:
-            raise _UsageError("tol must be positive")
+        if hasattr(args, "tol"):
+            _check_tol(args.tol)
         if hasattr(args, "resolution") and args.resolution < 1:
             raise _UsageError("resolution must be at least 1")
         if hasattr(args, "denominator") and args.denominator < 1:

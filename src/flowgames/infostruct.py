@@ -11,7 +11,6 @@ population, type) pairs weighted by the kernel.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -22,8 +21,8 @@ from .model import (
     FlowProfile,
     GameSpec,
     Outcome,
+    _check_tol,
     eval_cost,
-    flow_linf,
 )
 from .wardrop import _congestion_core
 
@@ -198,8 +197,10 @@ def _conditional_costs(game, structure, strategies) -> tuple[dict, dict]:
                 flow = flows[profile] = FlowProfile(
                     (aggregate_flow(structure, strategies, profile),)
                 )
+            # a Fraction weight times a float cost is float(weight) times it
+            fw = float(weight) if type(weight) is Fraction else weight
             costs = [eval_cost(game, pop.name, a, flow, state) for a in pop.actions]
-            rows.append((profile, [weight] + [weight * c for c in costs]))
+            rows.append((profile, [weight] + [fw * c if type(c) is float else weight * c for c in costs]))
     exact = all(type(v) in (int, Fraction) for _, row in rows for v in row)
     if exact:
         den = math.lcm(*(v.denominator for _, row in rows for v in row))
@@ -350,6 +351,7 @@ def solve_bwe(
     zero so positivity checks in :func:`bwe_violation` see honest supports.
     A ``start`` that :func:`validate_strategies` rejects raises ValueError.
     """
+    _check_tol(tol)
     blocks, core = _bwe_setup(game, structure)
     if start is not None:
         validate_strategies(structure, start, len(game.populations[0].actions))
@@ -465,6 +467,7 @@ def bwe_cost_uniqueness_probe(
     positive-flow conditional costs (and the realized flows) spread."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_tol(tol)
     rng = random.Random(_PROBE_SEED)
     pop = _require_single_population(game)
     actions = pop.actions
@@ -486,14 +489,23 @@ def bwe_cost_uniqueness_probe(
         flows, conditional = _conditional_costs(game, structure, solved)
         worst_violation = max(worst_violation, float(_max_gap(conditional, solved)))
         runs.append((solved, flows, conditional))
-    cost_dev = 0.0
-    flow_dev = 0.0
-    for (s1, flows1, c1), (s2, flows2, c2) in itertools.combinations(runs, 2):
-        for (k, ti), costs in c1.items():
-            played1, played2 = s1.strategies[k][ti], s2.strategies[k][ti]
-            for j, (x1, x2) in enumerate(zip(costs, c2[(k, ti)])):
-                if played1[j] > 1e-7 or played2[j] > 1e-7:
-                    cost_dev = max(cost_dev, abs(float(x1) - float(x2)))
-        for profile, flow in flows1.items():
-            flow_dev = max(flow_dev, flow_linf(flow, flows2[profile]))
+    # the largest pairwise |x1 - x2| of each coordinate is fl(max - min), as
+    # float subtraction is monotone; a cost counts in the pairs where either
+    # run plays its action
+    cost_dev = flow_dev = 0.0
+    for (k, ti), costs in runs[0][2].items():
+        for j in range(len(costs)):
+            xs = [float(c[(k, ti)][j]) for _s, _f, c in runs]
+            played = [x for x, (s, _f, _c) in zip(xs, runs) if s.strategies[k][ti][j] > 1e-7]
+            if played:
+                d = max(max(xs) - min(played), max(played) - min(xs))
+                if d > cost_dev:
+                    cost_dev = d
+    for profile, flow in runs[0][1].items():
+        for p, vec in enumerate(flow.flows):
+            for j in range(len(vec)):
+                xs = [float(f[profile].flows[p][j]) for _s, f, _c in runs]
+                d = max(xs) - min(xs)
+                if d > flow_dev:
+                    flow_dev = d
     return UniquenessProbeReport(cost_dev, flow_dev, trials, worst_violation)

@@ -555,6 +555,12 @@ def _trusted_profile(flows: tuple, masses: tuple) -> FlowProfile:
     return flow
 
 
+def _check_tol(tol) -> None:
+    """Raise ValueError unless ``tol`` is a finite positive number."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive")
+
+
 def _check_mass(k: int, vec, mass) -> None:
     """Raise ValueError unless population ``k``'s entries sum to ``mass``."""
     total = sum(vec)
@@ -850,6 +856,17 @@ def _cost_fn(game: GameSpec, pop: str, action: str, state: str):
 def _int_cost_fn(game: GameSpec, pop: str, action: str, state: str):
     """:func:`compile_int_cost` of ``action`` in ``pop`` and ``state``, kept in the game."""
     return _kept_cost(game, (pop, action, state, int), compile_int_cost)
+
+
+def _lifted_costs(game: GameSpec, state: str, actions) -> tuple:
+    """The integer costs in ``state`` of ``actions[k]`` in each population k
+    over one common denominator: (fns, deg, q) with fns[k][a] = (fn, e, m),
+    so that the cost is fn(yy, dy) * dy**e * m / (dy**deg * q)."""
+    pops = game.populations
+    compiled = [[_int_cost_fn(game, p.name, a, state) for a in acts] for p, acts in zip(pops, actions)]
+    deg = max((d for costs in compiled for _, d, _ in costs), default=0)
+    q = math.lcm(*(cq for costs in compiled for _, _, cq in costs))
+    return [[(f, deg - d, q // cq) for f, d, cq in costs] for costs in compiled], deg, q
 
 
 def _kept_cost(game: GameSpec, key: tuple, compiler):

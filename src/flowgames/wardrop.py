@@ -22,8 +22,10 @@ from .model import (
     FlowProfile,
     GameSpec,
     _check_mass,
+    _check_tol,
     _cost_fn,
     _finite,
+    _lifted_costs,
     _trusted_profile,
     eval_cost,
     flow_linf,
@@ -194,9 +196,11 @@ class _PotentialCore:
 
     def fw_vertex(self, g):
         s = np.zeros(self.n)
+        g = g.tolist()
         for (lo, hi), mass in zip(self.blocks, self.masses):
-            j = lo + int(np.argmin(g[lo:hi]))
-            s[j] = mass
+            block = g[lo:hi]
+            # the first minimum, as np.argmin takes it
+            s[lo + block.index(min(block))] = mass
         return s
 
     def line_search(self, x, d, h0):
@@ -425,8 +429,7 @@ def solve_we_potential(
     when ``game.congestion`` is None or ``start`` has another shape than the
     game's flows.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     spec = game.congestion
     if spec is None:
         raise ValueError("needs a congestion-backed game")
@@ -454,8 +457,7 @@ def solve_we_br(
     """Damped best response: shift mass toward cheapest actions, halving the
     step on oscillation. Works on any game; convergence is reported, not
     assumed."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     flows = [list(map(float, vec)) for vec in start.flows]
     eta = 0.5
     # the profile costs are evaluated at: each population's ``flows`` clipped
@@ -539,19 +541,16 @@ def solve_we_multistart(game: GameSpec, state: str, tol: float = 1e-6) -> list[W
     return found
 
 
-def _simplex_grid(n_actions: int, resolution: int):
-    """All length-n tuples of nonnegative multiples of 1/resolution summing to 1."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (Fraction(remaining, resolution),))
-            return
-        for i in range(remaining + 1):
-            rec(prefix + (Fraction(i, resolution),), remaining - i, slots - 1)
-
-    rec((), resolution, n_actions)
-    return out
+def _simplex_grid(n_actions: int, resolution: int) -> list:
+    """All length-n tuples of nonnegative ints summing to ``resolution``, in
+    lexicographic order: the numerators of a simplex lattice."""
+    if n_actions == 1:
+        return [(resolution,)]
+    return [
+        (i,) + rest
+        for i in range(resolution + 1)
+        for rest in _simplex_grid(n_actions - 1, resolution - i)
+    ]
 
 
 def _lattice_size(game: GameSpec, resolution: int) -> int:
@@ -563,15 +562,59 @@ def _lattice_size(game: GameSpec, resolution: int) -> int:
     )
 
 
-def grid_flows(game: GameSpec, resolution: int) -> list[FlowProfile]:
-    """The product over populations of simplex lattices with the given denominator."""
+def _population_grids(game: GameSpec, resolution: int) -> list:
+    """Each population's :func:`_simplex_grid`, once the lattice is under the 1e7 cap."""
     size = _lattice_size(game, resolution)
     if size > 10**7:
         raise ValueError(f"grid of size {size} exceeds the 1e7 cap")
-    per_pop = [_simplex_grid(len(p.actions), resolution) for p in game.populations]
-    masses = tuple(Fraction(1) for _ in per_pop)
+    return [_simplex_grid(len(p.actions), resolution) for p in game.populations]
+
+
+def grid_flows(game: GameSpec, resolution: int) -> list[FlowProfile]:
+    """The product over populations of simplex lattices with the given
+    denominator: :func:`_simplex_grid`'s numerators i, each mapped to one
+    ``Fraction(i, resolution)`` shared by the whole lattice."""
+    table = [Fraction(i, resolution) for i in range(resolution + 1)]
+    per_pop = [
+        [tuple(table[i] for i in vec) for vec in grid] for grid in _population_grids(game, resolution)
+    ]
+    masses = tuple(table[-1] for _ in per_pop)
     # lattice entries are nonnegative Fractions summing to 1 by construction
     return [_trusted_profile(combo, masses) for combo in itertools.product(*per_pop)]
+
+
+def _lattice_scores(game: GameSpec, state: str, resolution: int, points: list) -> tuple:
+    """``float(verify_we)`` at every lattice point (integer numerators over
+    ``resolution``), and the largest cost spread within one population over
+    every len // 128-th point, as floats of the exact costs.
+
+    The costs come from the integer backend over one denominator, cost_a =
+    N_a / (r**deg * q) at r = ``resolution``, so a population's worst gap
+    y_a (c_a - c_min) has the numerator i_a (N_a - N_min) over r * r**deg * q.
+    One int true division per point rounds the worst gap correctly, as
+    ``float(Fraction)`` does: the scores are the floats of the exact violations.
+    """
+    pops = game.populations
+    fns, deg, q = _lifted_costs(game, state, [p.actions for p in pops])
+    r, den = resolution, resolution**deg * q
+    costs = [[(f, r**e * m) for f, e, m in pop_fns] for pop_fns in fns]
+    movers = [(k, costs[k]) for k, p in enumerate(pops) if len(p.actions) >= 2]
+    scores = []
+    for point in points:
+        worst = 0
+        for k, fs in movers:
+            ns = [f(point, r) * m for f, m in fs]
+            cheapest = min(ns)
+            for i, n in zip(point[k], ns):
+                if i and i * (n - cheapest) > worst:
+                    worst = i * (n - cheapest)
+        scores.append(worst / (r * den))
+    spread = 0.0
+    for point in points[:: max(1, len(points) // 128)]:
+        for fs in costs:
+            floats = [f(point, r) * m / den for f, m in fs]
+            spread = max(spread, max(floats) - min(floats))
+    return scores, spread
 
 
 def enumerate_we_grid(
@@ -579,7 +622,8 @@ def enumerate_we_grid(
 ) -> list[FlowProfile]:
     """Find equilibria by scanning a lattice and polishing near-equilibria.
 
-    Every grid flow is scored by :func:`verify_we`; flows within an adaptive
+    Every grid flow is scored by its :func:`verify_we` violation, computed in
+    integers (see :func:`_lattice_scores`); flows within an adaptive
     threshold of equilibrium are polished (by potential minimization on
     congestion-backed games, else by best response) and deduplicated within
     L-infinity 10*tol. Heuristic by nature: exactness is only claimed for
@@ -588,23 +632,22 @@ def enumerate_we_grid(
     decided exactly: the game then has one equilibrium, and the scan stops at
     the first polish that verifies within ``tol``: it returns at most one flow.
     """
-    flows = grid_flows(game, resolution)
-    scored = [(float(verify_we(game, f, state)), f) for f in flows]
-    spread = 0.0
-    sample = flows[:: max(1, len(flows) // 128)]
-    for f in sample:
-        for k, pop in enumerate(game.populations):
-            costs = [float(eval_cost(game, pop.name, a, f, state)) for a in pop.actions]
-            spread = max(spread, max(costs) - min(costs))
+    _check_tol(tol)
+    points = list(itertools.product(*_population_grids(game, resolution)))
+    scores, spread = _lattice_scores(game, state, resolution, points)
     keep = max(tol, 4.0 * spread / resolution)
-    # process best candidates first so an exact lattice equilibrium, not a
-    # polished neighbor, is the kept representative of its cluster
-    scored.sort(key=lambda t: t[0])
+    table = [Fraction(i, resolution) for i in range(resolution + 1)]
+    masses = tuple(table[-1] for _ in game.populations)
     unique = game.congestion is not None and _one_minimizer(game.congestion, state)
     result: list[FlowProfile] = []
-    for v, f in scored:
-        if v > keep:
-            continue
+    # process best candidates first (a stable sort, in lattice order among
+    # ties) so an exact lattice equilibrium, not a polished neighbor, is the
+    # kept representative of its cluster
+    for i in sorted(range(len(points)), key=scores.__getitem__):
+        if scores[i] > keep:
+            break
+        # lattice entries are nonnegative Fractions summing to 1 by construction
+        f = _trusted_profile(tuple(tuple(table[y] for y in vec) for vec in points[i]), masses)
         if game.congestion is not None:
             # Newton-polished potential descent reaches ~1e-12, so copies of
             # one equilibrium collapse inside the dedup radius; best response

@@ -194,7 +194,7 @@ def test_obedience_rows_order_and_terms(pigou_info, pigou_bcwe, elfarol):
 
 def test_obedience_rows_cost_each_positive_atom_once(elfarol, monkeypatch):
     calls = []
-    real, real_fn, real_int = fg.checks.eval_cost, fg.checks._cost_fn, fg.checks._int_cost_fn
+    real, real_fn, real_int = fg.checks.eval_cost, fg.checks._cost_fn, fg.model._int_cost_fn
 
     def counting(game, pop, action, flow, state):
         calls.append((action, flow.flows, state))
@@ -222,7 +222,7 @@ def test_obedience_rows_cost_each_positive_atom_once(elfarol, monkeypatch):
     # float or int-mass atoms by eval_cost and the compiled cost
     monkeypatch.setattr(fg.checks, "eval_cost", counting)
     monkeypatch.setattr(fg.checks, "_cost_fn", compiled)
-    monkeypatch.setattr(fg.checks, "_int_cost_fn", compiled_int)
+    monkeypatch.setattr(fg.model, "_int_cost_fn", compiled_int)
     atoms = [("0", F(1, 2), flow1(F(1, 2), F(1, 2))), ("0", 0, flow1(0, 1)), ("0", F(1, 2), flow1(1, 0))]
     rows = fg.obedience_rows(elfarol, atoms)
     # two positive-mass atoms, two actions each; the zero-mass atom is not

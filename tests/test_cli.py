@@ -242,6 +242,17 @@ def test_usage_errors_exit_one(capsys, tmp_path, monkeypatch):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])
+@pytest.mark.parametrize("command", ["we", "check"])
+def test_tol_must_be_finite_and_positive(command, tol, capsys):
+    # --tol nan once listed 65 "equilibria" (violation 0.0898 among them),
+    # and check printed ok = false for nan and ok = true for inf
+    extra = ["--resolution", "8"] if command == "we" else ["--outcome", "elfarol_cwe", "--concept", "cwe"]
+    rc, out, err = run_cli([command, "--game", "elfarol", f"--tol={tol}", *extra], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: tol must be positive\n"
+
+
 def test_console_script_installed():
     # The console script is whatever `[project.scripts]` declares, so read the
     # declaration and run the launcher body that installers generate from it;

@@ -181,7 +181,7 @@ def test_design_costs_each_candidate_once(monkeypatch):
     # the compiled cost
     monkeypatch.setattr(fg.checks, "_cost_fn", compiled)
     monkeypatch.setattr(fg.model, "_cost_fn", compiled)
-    monkeypatch.setattr(fg.checks, "_int_cost_fn", compiled_int)
+    monkeypatch.setattr(fg.model, "_int_cost_fn", compiled_int)
     solution = fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
     assert solution.status == "optimal"
     assert calls == collections.Counter(

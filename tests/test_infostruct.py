@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -365,6 +366,102 @@ def test_probe_rejects_fewer_than_one_trial(trials):
     game = random_congestion_game(0, n_actions=2, n_states=2)
     with pytest.raises(ValueError, match="trials must be >= 1"):
         fg.bwe_cost_uniqueness_probe(game, random_structure(game, 0), trials=trials)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
+def test_bwe_solvers_need_a_finite_positive_tol(tol):
+    game = random_congestion_game(0, n_actions=2, n_states=2)
+    structure = random_structure(game, 0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        fg.solve_bwe(game, structure, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        fg.bwe_cost_uniqueness_probe(game, structure, trials=2, tol=tol)
+
+
+def _pairwise_deviations(runs):
+    """The probe's cost and flow deviations as the largest |x1 - x2| over
+    every pair of (strategies, flows, conditional costs) runs; a cost counts
+    in a pair where either run plays its action above 1e-7."""
+    cost_dev = flow_dev = 0.0
+    for (s1, flows1, c1), (s2, flows2, c2) in itertools.combinations(runs, 2):
+        for (k, ti), costs in c1.items():
+            played1, played2 = s1.strategies[k][ti], s2.strategies[k][ti]
+            for j, (x1, x2) in enumerate(zip(costs, c2[(k, ti)])):
+                if played1[j] > 1e-7 or played2[j] > 1e-7:
+                    cost_dev = max(cost_dev, abs(float(x1) - float(x2)))
+        for profile, flow in flows1.items():
+            flow_dev = max(flow_dev, fg.flow_linf(flow, flows2[profile]))
+    return cost_dev, flow_dev
+
+
+def flat_game():
+    # two roads of constant cost 1: every flow is an equilibrium, so the
+    # probe's solves stay spread out across starts
+    spec = CongestionSpec(
+        resources=("e1", "e2"),
+        latencies={(e, s): (F(1),) for e in ("e1", "e2") for s in ("0", "1")},
+        actions={("traffic", "a"): ("e1",), ("traffic", "b"): ("e2",)},
+        populations=(Population("traffic", ("a", "b")),),
+        states=("0", "1"),
+        prior=(F(1, 3), F(2, 3)),
+    )
+    return fg.congestion_to_game(spec)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7])
+@pytest.mark.parametrize("g, tol", [(0, 1e-9), (3, 1e-3), (6, 1e-5), (None, 1e-8)])
+def test_probe_deviations_are_the_pairwise_extremes(g, tol, trials, monkeypatch):
+    if g is None:
+        game, structure = flat_game(), random_structure(flat_game(), 5)
+    else:
+        game = random_congestion_game(g, n_actions=2 + g % 2, n_states=1 + g % 2)
+        structure = random_structure(game, g)
+    runs = []
+    conditional_costs = infostruct._conditional_costs
+
+    def recorded(game, structure, strategies):
+        runs.append((strategies, *conditional_costs(game, structure, strategies)))
+        return runs[-1][1:]
+
+    monkeypatch.setattr(infostruct, "_conditional_costs", recorded)
+    report = fg.bwe_cost_uniqueness_probe(game, structure, trials=trials, tol=tol)
+    assert len(runs) == trials
+    cost_dev, flow_dev = _pairwise_deviations(runs)
+    assert (repr(report.cost_deviation), repr(report.flow_deviation)) == (repr(cost_dev), repr(flow_dev))
+
+
+@pytest.mark.parametrize("trials", [1, 2, 9])
+def test_probe_deviations_of_scattered_runs(trials, monkeypatch):
+    # runs that play an action in some trials and not in others, at costs far
+    # apart: solves replaced by random strategies with zero entries
+    game = random_congestion_game(1, n_actions=3, n_states=2)
+    structure = random_structure(game, 1)
+    rng = random.Random(trials)
+
+    def scattered(game, structure, blocks, core, tol, start):
+        out = []
+        for gamma, types in zip(structure.sizes, structure.type_sets):
+            vecs = []
+            for _ in types:
+                raw = [rng.choice([0.0, rng.random()]) for _ in range(3)]
+                raw[rng.randrange(3)] += 1e-3
+                vecs.append(tuple(float(gamma) * v / sum(raw) for v in raw))
+            out.append(tuple(vecs))
+        return fg.StrategyProfile(tuple(out))
+
+    runs = []
+    conditional_costs = infostruct._conditional_costs
+
+    def recorded(game, structure, strategies):
+        runs.append((strategies, *conditional_costs(game, structure, strategies)))
+        return runs[-1][1:]
+
+    monkeypatch.setattr(infostruct, "_bwe_solve", scattered)
+    monkeypatch.setattr(infostruct, "_conditional_costs", recorded)
+    report = fg.bwe_cost_uniqueness_probe(game, structure, trials=trials)
+    cost_dev, flow_dev = _pairwise_deviations(runs)
+    assert (repr(report.cost_deviation), repr(report.flow_deviation)) == (repr(cost_dev), repr(flow_dev))
+    assert trials == 1 or cost_dev > 0.1
 
 
 def test_probe_sets_up_auxiliary_core_once(monkeypatch):

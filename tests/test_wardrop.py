@@ -16,7 +16,14 @@ from flowgames.generators import (
     random_structure,
 )
 from flowgames.model import CongestionSpec, Population, _cost_fn
-from flowgames.wardrop import _brent_root, _one_minimizer, _PotentialCore, _spec_core, _vector_of
+from flowgames.wardrop import (
+    _brent_root,
+    _lattice_scores,
+    _one_minimizer,
+    _PotentialCore,
+    _spec_core,
+    _vector_of,
+)
 
 
 def flow1(*vals):
@@ -119,6 +126,8 @@ def test_grid_flows_checks_cap_before_building(monkeypatch):
     game = random_congestion_game(0, n_actions=6)
     with pytest.raises(ValueError, match="11238513 exceeds the 1e7 cap"):
         fg.grid_flows(game, 64)
+    with pytest.raises(ValueError, match="11238513 exceeds the 1e7 cap"):
+        fg.enumerate_we_grid(game, "0", 64)
 
 
 def test_lattice_profiles_equal_validated_profiles():
@@ -133,6 +142,73 @@ def test_lattice_profiles_equal_validated_profiles():
                 checked = fg.FlowProfile(f.flows)
                 assert f == checked and hash(f) == hash(checked)
                 assert repr(f) == repr(checked)
+
+
+def test_grid_flows_share_one_fraction_per_numerator():
+    # the walker's integer numerators, in lexicographic order, each mapped to
+    # one Fraction(i, r) for the whole lattice
+    game = random_congestion_game(0, n_actions=3, n_pops=2)
+    flows = fg.grid_flows(game, 4)
+    simplex = [tuple(F(i, 4) for i in c) for c in itertools.product(range(5), repeat=3) if sum(c) == 4]
+    assert [f.flows for f in flows] == list(itertools.product(simplex, simplex))
+    assert len({id(v) for f in flows for vec in f.flows for v in vec}) == 5
+
+
+def _assert_lattice_scores_are_exact(game, state, resolution):
+    """The integer lattice scores and cost spread of enumerate_we_grid are,
+    by .hex(), float(verify_we) and the float cost spread on the Fraction
+    lattice."""
+    flows = fg.grid_flows(game, resolution)
+    points = [tuple(tuple(int(v * resolution) for v in vec) for vec in f.flows) for f in flows]
+    scores, spread = _lattice_scores(game, state, resolution, points)
+    assert [v.hex() for v in scores] == [float(fg.verify_we(game, f, state)).hex() for f in flows]
+    expected = 0.0
+    for f in flows[:: max(1, len(flows) // 128)]:
+        for pop in game.populations:
+            costs = [float(fg.eval_cost(game, pop.name, a, f, state)) for a in pop.actions]
+            expected = max(expected, max(costs) - min(costs))
+    assert spread.hex() == expected.hex()
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 10**6))
+def test_lattice_scores_are_exact_on_quadratic_games(seed):
+    _assert_lattice_scores_are_exact(random_congestion_game(seed, n_actions=3, quadratic=True), "0", 32)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 10), st.booleans())
+def test_lattice_scores_are_exact_on_two_populations(seed, resolution, quadratic):
+    game = random_congestion_game(seed, n_actions=2 + seed % 2, n_states=2, quadratic=quadratic, n_pops=2)
+    _assert_lattice_scores_are_exact(game, game.states[seed % 2], resolution)
+
+
+# population s has one action; its cost and p's read each other's flows
+_ONE_ACTION_GAME = """
+[populations]
+p = a, b, c
+s = z
+
+[states]
+names = 0
+
+[prior]
+0 = 1
+
+[costs]
+p.a = y[p][a] + 1/3*y[s][z]
+p.b = 2/3 + y[p][b]^2
+p.c = max(y[p][c], 1/5)
+s.z = 7/3 - y[p][a]
+"""
+
+
+def test_lattice_scores_are_exact_on_fixed_games(elfarol):
+    _assert_lattice_scores_are_exact(elfarol, "0", 64)
+    mixed = fg.parse_game_file(_MIXED_GAME)
+    for state in mixed.states:
+        _assert_lattice_scores_are_exact(mixed, state, 5)
+    _assert_lattice_scores_are_exact(fg.parse_game_file(_ONE_ACTION_GAME), "0", 24)
 
 
 def test_enumerate_elfarol_three_equilibria(elfarol):
@@ -299,6 +375,19 @@ def test_enumerate_polishes_once_when_the_potential_is_strictly_convex(monkeypat
     two_pops = random_congestion_game(0, n_actions=2, n_pops=2)
     assert len(fg.enumerate_we_grid(two_pops, "0", 4)) == 17
     assert len(calls) == 25
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
+def test_solvers_need_a_finite_positive_tol(tol, elfarol, pigou_network):
+    # a nan tol passed every "tol <= 0" guard and every "violation > tol" filter
+    start = fg.uniform_flow(elfarol)
+    for solve in (
+        lambda: fg.enumerate_we_grid(elfarol, "0", 8, tol=tol),
+        lambda: fg.solve_we_br(elfarol, "0", start, tol=tol),
+        lambda: fg.solve_we_potential(pigou_network, "0", tol=tol),
+    ):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve()
 
 
 def test_unknown_state_is_a_value_error(pigou_network):
