@@ -209,10 +209,11 @@ def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
             key = tuple(per_pop)
             merged[key] = merged.get(key, 0) + w
         rounded_per_state[state] = tuple((_trusted_profile(key, masses), w) for key, w in merged.items())
-    rounded_outcome = Outcome(rounded_per_state)
-    bce = SymmetricBCE(rounded_outcome, tuple(agame.counts), delta, 0)
+    bce = SymmetricBCE(Outcome(rounded_per_state), tuple(agame.counts), delta, 0)
     eps = check_bce_flowlevel(agame.game, bce).worst_violation
-    return SymmetricBCE(rounded_outcome, tuple(agame.counts), delta, eps if eps > 0 else 0)
+    # set on the object checked above rather than a second, re-validated copy
+    object.__setattr__(bce, "eps", eps if eps > 0 else 0)
+    return bce
 
 
 def bce_to_profile_distribution(agame: AtomicGame, bce: SymmetricBCE) -> dict:

@@ -279,7 +279,13 @@ def check_bce_flowlevel(game: GameSpec, bce) -> CheckReport:
 
 @dataclass(frozen=True)
 class AveragingReport:
-    """Companion report for the per-state barycenter construction."""
+    """Companion report for the per-state barycenter construction.
+
+    ``hypotheses_hold`` is sampled, not decided: it is False when a midpoint
+    check of y_a c_a convex or c_a concave fails on one of 1,000 seeded
+    random segments by more than 1e-9, and True otherwise, so True is a
+    heuristic (see :func:`sbcwe_from_bcwe`).
+    """
 
     check: CheckReport
     input_cost: object

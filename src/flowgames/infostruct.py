@@ -11,7 +11,10 @@ population, type) pairs weighted by the kernel.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +25,8 @@ from .model import (
     GameSpec,
     Outcome,
     _check_tol,
+    _int_flows,
+    _lifted_costs,
     eval_cost,
 )
 from .wardrop import _congestion_core
@@ -120,22 +125,12 @@ def validate_strategies(
 def aggregate_flow(
     structure: InformationStructure, strategies: StrategyProfile, profile: tuple
 ) -> tuple:
-    """Total flow when each sub-population k observes profile[k].
-
-    When every vector entry is a ``Fraction``, the integer numerators over
-    the entries' common denominator are summed and one ``Fraction`` is built
-    per action; any other input is added entry by entry in profile order.
-    """
+    """Total flow when each sub-population k observes profile[k], added
+    entry by entry in profile order."""
     n_actions = len(strategies.strategies[0][0])
-    vecs = [strategies.strategies[k][structure.type_sets[k].index(t)] for k, t in enumerate(profile)]
-    if type(vecs[0][0]) is Fraction and all(type(v) is Fraction for vec in vecs for v in vec):
-        den = math.lcm(*(v.denominator for vec in vecs for v in vec))
-        return tuple(
-            Fraction(sum([v.numerator * (den // v.denominator) for v in col]), den)
-            for col in zip(*vecs)
-        )
     agg = [0] * n_actions
-    for vec in vecs:
+    for k, t in enumerate(profile):
+        vec = strategies.strategies[k][structure.type_sets[k].index(t)]
         for j in range(n_actions):
             agg[j] = agg[j] + vec[j]
     return tuple(agg)
@@ -155,8 +150,7 @@ def bwe_violation(
     pop = _require_single_population(game)
     validate_strategies(structure, strategies, len(pop.actions))
     _check_kernel_states(game, structure)
-    _flows, conditional = _conditional_costs(game, structure, strategies)
-    return _max_gap(conditional, strategies)
+    return _max_gap(_conditional_costs(game, structure, strategies), strategies)
 
 
 def _check_kernel_states(game: GameSpec, structure: InformationStructure):
@@ -168,22 +162,67 @@ def _check_kernel_states(game: GameSpec, structure: InformationStructure):
             raise ValueError(f"unknown state {state!r}")
 
 
-def _conditional_costs(game, structure, strategies) -> tuple[dict, dict]:
-    """Conditional expected cost of every action, per (sub-population, type).
+def _conditional_costs(game, structure, strategies) -> dict:
+    """Conditional expected cost of every action, per (sub-population, type):
+    a map (k, type index) -> per-action costs over the types with positive
+    kernel marginal.
 
-    Each positive-weight (state, type profile) atom is evaluated once: its
-    aggregate flow is built and every action costed, and its row, the weight
-    (prior times kernel weight) followed by the weighted costs, is added into
-    the sums of the types the profile assigns. When every row entry is an
-    ``int`` or ``Fraction``, the rows are rescaled to integer numerators over
-    one common denominator first, so the sums are integer adds and each
-    conditional cost is one exact ``Fraction``; float tables are summed as
-    they are, in kernel order. Returns the aggregate flow of each
-    positive-weight profile, and a map (k, type index) -> per-action
-    conditional costs over the types with positive kernel marginal.
+    Each positive-weight (state, type profile) atom is costed once, and its
+    row, the weight (prior times kernel weight) followed by the weighted
+    costs, is added into the sums of the types the profile assigns. Exact
+    inputs (strategies, priors and kernel weights all ``int`` or
+    ``Fraction``) are worked in integers: strategies as numerators over one
+    denominator dy, an atom's aggregate as a sum of ints, its costs from
+    :func:`model._lifted_costs` as N_a / (dy**deg * q), and every row over
+    one common denominator, so each cost is one ``Fraction(total, marginal)``.
+    An aggregate that is not exactly a unit flow gets the float path's
+    ``FlowProfile`` checks. Other inputs take :func:`_float_conditional_costs`.
     """
+    kernel_weights = (w for atoms in structure.kernel.values() for _, w in atoms)
+    vecs = [vec for block in strategies.strategies for vec in block]
+    entries = itertools.chain(game.prior, kernel_weights, *vecs)
+    if not all(type(v) is Fraction or type(v) is int for v in entries):
+        return _float_conditional_costs(game, structure, strategies)[1]
+    ys, dy = _int_flows(vecs)
+    numerators, i = [], 0  # k -> type -> strategy numerators over dy
+    for types in structure.type_sets:
+        numerators.append(dict(zip(types, ys[i : i + len(types)])))
+        i += len(types)
+    actions = game.populations[0].actions
+    aggregates = {}  # type profile -> [aggregate numerators over dy], the backend's flow input
+    rows = []  # (type profile, row denominator, [weight, weighted cost per action] numerators)
+    for state in game.states:
+        p, costs = game.prior_of(state), None
+        for profile, w in structure.kernel[state]:
+            wn = p.numerator * w.numerator
+            if wn == 0:
+                continue
+            yy = aggregates.get(profile)
+            if yy is None:
+                vs = [numerators[k][t] for k, t in enumerate(profile)]
+                yy = aggregates[profile] = [[sum(col) for col in zip(*vs)]]
+                if sum(yy[0]) != dy or min(yy[0]) < 0:
+                    # raises as the float path would, unless the mass is within MASS_TOL
+                    FlowProfile((aggregate_flow(structure, strategies, profile),))
+            if costs is None:
+                fns, deg, q = _lifted_costs(game, state, [actions])
+                costs, den = [(f, dy**e * m) for f, e, m in fns[0]], dy**deg * q
+            # w c_a = wn N_a / (wd dy**deg q)
+            row = [wn * den] + [wn * f(yy, dy) * m for f, m in costs]
+            rows.append((profile, p.denominator * w.denominator * den, row))
+    lcm = math.lcm(*(d for _, d, _ in rows))
+    sums = _type_sums(
+        structure, ((profile, [v * (lcm // d) for v in row]) for profile, d, row in rows)
+    )
+    return {key: [Fraction(total, acc[0]) for total in acc[1:]] for key, acc in sums.items()}
+
+
+def _float_conditional_costs(game, structure, strategies) -> tuple[dict, dict]:
+    """:func:`_conditional_costs` on any inputs, with the aggregate
+    ``FlowProfile`` of each positive-weight profile: every atom builds its
+    aggregate flow and costs each action with :func:`eval_cost`, and the
+    rows are summed as they are, in kernel order."""
     pop = game.populations[0]
-    type_index = [{t: ti for ti, t in enumerate(types)} for types in structure.type_sets]
     flows = {}
     rows = []  # (type profile, [weight, weighted cost per action])
     for state in game.states:
@@ -201,21 +240,27 @@ def _conditional_costs(game, structure, strategies) -> tuple[dict, dict]:
             fw = float(weight) if type(weight) is Fraction else weight
             costs = [eval_cost(game, pop.name, a, flow, state) for a in pop.actions]
             rows.append((profile, [weight] + [fw * c if type(c) is float else weight * c for c in costs]))
-    exact = all(type(v) in (int, Fraction) for _, row in rows for v in row)
-    if exact:
-        den = math.lcm(*(v.denominator for _, row in rows for v in row))
-        rows = [(profile, [v.numerator * (den // v.denominator) for v in row]) for profile, row in rows]
-    sums = {}  # (k, type index) -> [marginal, weighted cost sum per action]
+    sums = _type_sums(structure, rows)
+    return flows, {key: [total / acc[0] for total in acc[1:]] for key, acc in sums.items()}
+
+
+def _type_sums(structure, rows) -> dict:
+    """(k, type index) -> [marginal, weighted cost sum per action]: each
+    (type profile, row) added into the sums of the types the profile assigns,
+    left to right from 0 in row order, so float sums keep their bits."""
+    groups = {}  # (k, type) -> its rows, in row order
     for profile, row in rows:
-        for k, t in enumerate(profile):
-            acc = sums.setdefault((k, type_index[k][t]), [0] * len(row))
-            for j, v in enumerate(row):
-                acc[j] = acc[j] + v
-    conditional = {
-        key: [Fraction(total, acc[0]) if exact else total / acc[0] for total in acc[1:]]
-        for key, acc in sums.items()
+        for kt in enumerate(profile):
+            group = groups.get(kt)
+            if group is None:
+                groups[kt] = [row]
+            else:
+                group.append(row)
+    type_index = [{t: ti for ti, t in enumerate(types)} for types in structure.type_sets]
+    return {
+        (k, type_index[k][t]): [functools.reduce(operator.add, col, 0) for col in zip(*group)]
+        for (k, t), group in groups.items()
     }
-    return flows, conditional
 
 
 def _max_gap(conditional: dict, strategies: StrategyProfile):
@@ -327,7 +372,7 @@ def direct_structure_from_bcwe(
     )
     strategies = StrategyProfile(obedient)
     # bwe_violation, without validating the strategies built just above
-    eps = _max_gap(_conditional_costs(game, structure, strategies)[1], strategies)
+    eps = _max_gap(_conditional_costs(game, structure, strategies), strategies)
     eps = eps if eps > 0 else 0
     return structure, strategies, eps
 
@@ -486,7 +531,7 @@ def bwe_cost_uniqueness_probe(
             start_blocks.append(tuple(vecs))
         start = StrategyProfile(tuple(start_blocks))
         solved = _bwe_solve(game, structure, blocks, core, tol=tol, start=start)
-        flows, conditional = _conditional_costs(game, structure, solved)
+        flows, conditional = _float_conditional_costs(game, structure, solved)
         worst_violation = max(worst_violation, float(_max_gap(conditional, solved)))
         runs.append((solved, flows, conditional))
     # the largest pairwise |x1 - x2| of each coordinate is fl(max - min), as

@@ -47,6 +47,24 @@ def test_eps_bce_three_players(elfarol, elfarol_cwe):
     assert counts == [(2, 1), (3, 0)]
 
 
+def test_eps_bce_validates_the_object_it_returns_once(elfarol, elfarol_cwe, monkeypatch):
+    checked = []
+    post_init = fg.SymmetricBCE.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(fg.SymmetricBCE, "__post_init__", counted)
+    bce = fg.construct_eps_bce(fg.AtomicGame(elfarol, (3,)), elfarol_cwe)
+    assert len(checked) == 1 and checked[0] is bce
+    assert (bce.delta, bce.eps) == (F(1, 6), F(7, 27))
+    # all 5 players at home, a strict equilibrium: the worst row is -1/5 and eps is 0
+    point = fg.construct_eps_bce(fg.AtomicGame(elfarol, (5,)), fg.Outcome({"0": ((flow1(1, 0), F(1)),)}))
+    assert fg.check_bce_flowlevel(elfarol, point).worst_violation == F(-1, 5)
+    assert checked[1] is point and point.eps == 0
+
+
 def test_eps_bce_rounds_float_flows_like_exact_ones(elfarol):
     # 10 * 0.29999999999999993 is 2.999999999999999, within 1e-12 below 3;
     # the float flow gets the counts of the exact flow (3/10, 7/10)

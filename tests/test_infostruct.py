@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -199,13 +200,89 @@ SYNTHESIS_CASES = [
 @pytest.mark.parametrize("name, outcome_name, denominator", SYNTHESIS_CASES)
 @pytest.mark.parametrize("symmetrize", [True, False])
 def test_exact_conditional_costs_match_reference(request, name, outcome_name, denominator, symmetrize):
-    # the integer-numerator sums give the reference's Fractions, key for key
+    # the integer path gives the reference's Fractions, key for key
     game, outcome = request.getfixturevalue(name), request.getfixturevalue(outcome_name)
     structure, strategies, _ = fg.direct_structure_from_bcwe(game, outcome, denominator, symmetrize)
-    _flows, table = infostruct._conditional_costs(game, structure, strategies)
-    reference = reference_conditional_costs(game, structure, strategies)
-    assert table == reference
+    table = infostruct._conditional_costs(game, structure, strategies)
+    assert table == reference_conditional_costs(game, structure, strategies)
     assert all(type(c) is F for costs in table.values() for c in costs)
+
+
+# Three actions under two numeric states: max, min, ^ (degree 2), theta and
+# state tables, and a product of two flows.
+_THETA_GAME = """
+[populations]
+crowd = a, b, c
+
+[states]
+names = 0, 1
+
+[prior]
+0 = 1/3
+1 = 2/3
+
+[costs]
+crowd.a = theta[0=1/10, 1=1/8] + y[a]
+crowd.b = max(3*y[b] - theta, min(y[c], 1/2))^2 + 1/7
+crowd.c = 2*y[c] + theta*y[a]*y[b] + 1/5
+"""
+
+
+def exact_cases():
+    """(name, game, structure, strategies) on exact data: the direct
+    structures of the sixteen two-state random_bcwe outcomes at denominator
+    12, and random rational structures on a quadratic game and on the
+    theta game."""
+    for s in range(16):
+        game = random_congestion_game(s, n_actions=3, n_states=2)
+        structure, strategies, _ = fg.direct_structure_from_bcwe(game, random_bcwe(game, s), 12)
+        yield f"rbcwe{s}-d12", game, structure, strategies
+    rng = random.Random(5)
+    quadratic = random_congestion_game(4, n_actions=3, n_states=2, quadratic=True)
+    for name, game in (("quadratic", quadratic), ("theta", fg.parse_game_file(_THETA_GAME))):
+        for seed in range(3):
+            structure = random_structure(game, seed, sub_pops=3, atoms=5)
+            yield f"{name}-{seed}", game, structure, random_rational_strategies(structure, 3, rng)
+
+
+def test_exact_conditional_costs_match_reference_on_more_games():
+    for name, game, structure, strategies in exact_cases():
+        table = infostruct._conditional_costs(game, structure, strategies)
+        assert table == reference_conditional_costs(game, structure, strategies), name
+        assert all(type(c) is F for costs in table.values() for c in costs), name
+
+
+def test_int_strategies_give_fraction_conditional_costs():
+    # one sub-population of mass 1 that obeys its type with int entries
+    game = fg.parse_game_file(_THETA_GAME)
+    structure = fg.InformationStructure(
+        sizes=(F(1),),
+        type_sets=(("a", "b", "c"),),
+        kernel={"0": ((("a",), F(1, 4)), (("c",), F(3, 4))), "1": ((("b",), F(1)),)},
+    )
+    strategies = fg.StrategyProfile((((1, 0, 0), (0, 1, 0), (0, 0, 1)),))
+    table = infostruct._conditional_costs(game, structure, strategies)
+    assert table == reference_conditional_costs(game, structure, strategies)
+    assert sorted(table) == [(0, 0), (0, 1), (0, 2)]
+    assert all(type(c) is F for costs in table.values() for c in costs)
+    assert fg.bwe_violation(game, structure, strategies) == reference_bwe_violation(game, structure, strategies)
+
+
+def test_float_kernel_weights_take_the_float_path():
+    # Fraction strategies under float kernel weights: float costs, summed in
+    # kernel order as the reference sums them
+    game = fg.parse_game_file(_THETA_GAME)
+    structure = random_structure(game, 1, sub_pops=3, atoms=5)
+    floats = fg.InformationStructure(
+        structure.sizes,
+        structure.type_sets,
+        {s: tuple((profile, float(w)) for profile, w in atoms) for s, atoms in structure.kernel.items()},
+    )
+    strategies = random_rational_strategies(structure, 3, random.Random(2))
+    table = infostruct._conditional_costs(game, floats, strategies)
+    reference = reference_conditional_costs(game, floats, strategies)
+    assert repr(sorted(table.items())) == repr(sorted(reference.items()))
+    assert all(type(c) is float for costs in table.values() for c in costs)
 
 
 @pytest.mark.parametrize("name, outcome_name, denominator", [("elfarol", "elfarol_cwe", 2)] + SYNTHESIS_CASES)
@@ -269,14 +346,30 @@ def test_solve_bwe_validates_its_start():
         fg.solve_bwe(game, structure, start=negative)
 
 
-def test_bwe_violation_costs_each_atom_once(elfarol, elfarol_cwe, monkeypatch):
-    structure, strategies, _ = fg.direct_structure_from_bcwe(elfarol, elfarol_cwe, 64)
-    atoms = {
-        (state, profile)
-        for state, entries in structure.kernel.items()
-        for profile, w in entries
-        if elfarol.prior_of(state) * w > 0
-    }
+def counted_atom_costs(monkeypatch):
+    """Record (state, action) for every integer cost evaluation that
+    _conditional_costs makes."""
+    calls = []
+    lifted_costs = infostruct._lifted_costs
+
+    def counted(game, state, actions):
+        fns, deg, q = lifted_costs(game, state, actions)
+
+        def wrap(f, action):
+            def cost(yy, dy):
+                calls.append((state, action))
+                return f(yy, dy)
+
+            return cost
+
+        wrapped = [[(wrap(f, a), e, m) for (f, e, m), a in zip(fs, acts)] for fs, acts in zip(fns, actions)]
+        return wrapped, deg, q
+
+    monkeypatch.setattr(infostruct, "_lifted_costs", counted)
+    return calls
+
+
+def counted_aggregates(monkeypatch):
     calls = []
     aggregate_flow = infostruct.aggregate_flow
 
@@ -285,8 +378,56 @@ def test_bwe_violation_costs_each_atom_once(elfarol, elfarol_cwe, monkeypatch):
         return aggregate_flow(*args)
 
     monkeypatch.setattr(infostruct, "aggregate_flow", counted)
+    return calls
+
+
+def test_bwe_violation_costs_each_atom_once(elfarol, elfarol_cwe, monkeypatch):
+    structure, strategies, _ = fg.direct_structure_from_bcwe(elfarol, elfarol_cwe, 64)
+    atoms = [
+        (state, profile)
+        for state, entries in structure.kernel.items()
+        for profile, w in entries
+        if elfarol.prior_of(state) * w > 0
+    ]
+    actions = elfarol.populations[0].actions
+    costed, aggregated = counted_atom_costs(monkeypatch), counted_aggregates(monkeypatch)
+    # exact strategies: every positive-weight atom costed once per action, in
+    # integers, and no aggregate flow built
     assert fg.bwe_violation(elfarol, structure, strategies) == 0
-    assert 0 < len(calls) <= len(atoms)
+    assert sorted(costed) == sorted((state, a) for state, _ in atoms for a in actions)
+    assert aggregated == []
+    # float strategies: one aggregate flow per positive-weight profile
+    floats = fg.StrategyProfile(
+        tuple(tuple(tuple(float(v) for v in vec) for vec in block) for block in strategies.strategies)
+    )
+    costed.clear()
+    assert fg.bwe_violation(elfarol, structure, floats) == 0.0
+    assert costed == []
+    assert len(aggregated) == len({profile for _, profile in atoms})
+
+
+def test_exact_path_keeps_the_aggregate_mass_check(elfarol):
+    # each sub-population plays 1e-10 too much: within validate_strategies'
+    # 1e-9, but the aggregate misses the unit mass by more than MASS_TOL
+    structure = fg.InformationStructure(
+        sizes=(F(1, 2), F(1, 2)),
+        type_sets=(("t",), ("t",)),
+        kernel={"0": ((("t", "t"), F(1)),)},
+    )
+    heavy = F(1, 2) + F(1, 10**10)
+    strategies = fg.StrategyProfile((((heavy, F(0)),),) * 2)
+    with pytest.raises(ValueError, match=re.escape("population 0 flow sums to 1.0000000002, expected 1.0")):
+        fg.bwe_violation(elfarol, structure, strategies)
+    # within MASS_TOL the aggregate is costed where it is
+    close = fg.StrategyProfile((((F(1, 2) + F(1, 10**14), F(0)),),) * 2)
+    assert fg.bwe_violation(elfarol, structure, close) == 0
+    assert infostruct._conditional_costs(elfarol, structure, close) == reference_conditional_costs(
+        elfarol, structure, close
+    )
+    # a negative entry is refused as the aggregate FlowProfile refuses it
+    negative = fg.StrategyProfile((((F(3, 4), F(-1, 4)),), ((F(1, 2), F(0)),)))
+    with pytest.raises(ValueError, match=re.escape("negative flow entry Fraction(-1, 4) in population 0")):
+        infostruct._conditional_costs(elfarol, structure, negative)
 
 
 def test_solve_bwe_uninformative_pools():
@@ -417,13 +558,13 @@ def test_probe_deviations_are_the_pairwise_extremes(g, tol, trials, monkeypatch)
         game = random_congestion_game(g, n_actions=2 + g % 2, n_states=1 + g % 2)
         structure = random_structure(game, g)
     runs = []
-    conditional_costs = infostruct._conditional_costs
+    float_conditional_costs = infostruct._float_conditional_costs
 
     def recorded(game, structure, strategies):
-        runs.append((strategies, *conditional_costs(game, structure, strategies)))
+        runs.append((strategies, *float_conditional_costs(game, structure, strategies)))
         return runs[-1][1:]
 
-    monkeypatch.setattr(infostruct, "_conditional_costs", recorded)
+    monkeypatch.setattr(infostruct, "_float_conditional_costs", recorded)
     report = fg.bwe_cost_uniqueness_probe(game, structure, trials=trials, tol=tol)
     assert len(runs) == trials
     cost_dev, flow_dev = _pairwise_deviations(runs)
@@ -450,14 +591,14 @@ def test_probe_deviations_of_scattered_runs(trials, monkeypatch):
         return fg.StrategyProfile(tuple(out))
 
     runs = []
-    conditional_costs = infostruct._conditional_costs
+    float_conditional_costs = infostruct._float_conditional_costs
 
     def recorded(game, structure, strategies):
-        runs.append((strategies, *conditional_costs(game, structure, strategies)))
+        runs.append((strategies, *float_conditional_costs(game, structure, strategies)))
         return runs[-1][1:]
 
     monkeypatch.setattr(infostruct, "_bwe_solve", scattered)
-    monkeypatch.setattr(infostruct, "_conditional_costs", recorded)
+    monkeypatch.setattr(infostruct, "_float_conditional_costs", recorded)
     report = fg.bwe_cost_uniqueness_probe(game, structure, trials=trials)
     cost_dev, flow_dev = _pairwise_deviations(runs)
     assert (repr(report.cost_deviation), repr(report.flow_deviation)) == (repr(cost_dev), repr(flow_dev))
