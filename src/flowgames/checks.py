@@ -85,7 +85,7 @@ def _term_rows(witnesses, columns, offset: int = 0) -> list:
     return list(zip(witnesses, rows))
 
 
-def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, social=False, eq_rows=None):
+def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, eq_rows=None):
     """:func:`obedience_rows` as (witnesses, columns, socials), a column
     (d, entries, raw) per atom: its term in row i is v / d for an entry (i, v),
     else the integer 0. An exact atom (flows and ``shares`` ints or
@@ -94,17 +94,17 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, social=
     denominators and its costs' common one. Any other atom keeps its terms
     as computed one by one through :func:`eval_cost` in ``raw``, with d = 1
     and ``entries`` = ``raw``: floats, or exact terms of an int mass (so that
-    all-int terms stay ints). With ``social`` every population and action is
-    costed, and ``socials`` holds each mass times its social cost.
+    all-int terms stay ints).
 
     With ``eq_rows`` (a row index per atom) the columns are simplex columns:
     each starts with the entry 1 on its atom's row ``eq_rows[j]``, obedience
     row i is numbered ``max(eq_rows) + 1 + i`` and ``raw`` terms are read
-    exactly (``raw`` itself keeps rows from 0).
+    exactly (``raw`` itself keeps rows from 0). Every population and action
+    is then costed, and ``socials`` holds each mass times its social cost.
     """
     if coarse and shares is not None:
         raise ValueError("shares apply to pairwise rows only")
-    pops = game.populations
+    pops, social = game.populations, eq_rows is not None
     witnesses = []
     for pop in (p for p in pops if len(p.actions) > 1):
         pairs = itertools.product(pop.actions) if coarse else itertools.permutations(pop.actions, 2)
@@ -144,13 +144,11 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, social=
                 lifted[key] = _lifted_costs(game, state, [acts(pop, mass) for pop in pops])
             fns, deg, q = lifted[key]
             ys, dy = _int_flows(flows, [s.denominator for s in shares or () if mass != 0])
-            powers = [dy**e for e in range(deg + 1)]
-            table = [[f(ys, dy) * powers[e] * m for f, e, m in costs] or None for costs in fns]
+            table = [[f(ys, dy) for f in costs] or None for costs in fns]
             steps = [s.numerator * (dy // s.denominator) for s in shares or ()]
 
             def cost(k, jb, ys):
-                f, e, m = fns[k][jb]
-                return f(ys, dy) * powers[e] * m
+                return fns[k][jb](ys, dy)
 
         else:
             ys, dy, steps = flows, 1, shares
@@ -171,7 +169,7 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, social=
                         raise ValueError(f"player share {share} exceeds the flow {y} on {a!r}")
                     dev[k, ja] = _deviation_costs(ys, k, ja, steps[k], table[k], cost)
         if exact:
-            d = mass.denominator * dy * powers[deg] * q
+            d = mass.denominator * dy ** (deg + 1) * q
             head = [] if eq_rows is None else [(eq_rows[j], d)]
             entries, raw = terms(head, offset, mass.numerator, ys, table, dev, dy), None
         else:

@@ -356,7 +356,7 @@ def main(argv=None) -> int:
         if hasattr(args, "denominator") and args.denominator < 1:
             raise _UsageError("denominator must be at least 1")
         return args.func(args)
-    except (_UsageError, ValueError, EvaluationError) as err:
+    except (_UsageError, ValueError, EvaluationError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (_SolverFailure, RuntimeError) as err:

@@ -173,7 +173,7 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     atoms = [(state, game.prior_of(state), problem.candidates[state][idx]) for state, idx in columns]
     n_eq = len(game.states)
     eq_rows = [game.states.index(state) for state, _ in columns]
-    witnesses, obedience, social = _obedience_columns(game, atoms, social=True, eq_rows=eq_rows)
+    witnesses, obedience, social = _obedience_columns(game, atoms, eq_rows=eq_rows)
     cost = [
         value if designer[state] is None else p * designer[state](flow.flows)
         for (state, p, flow), value in zip(atoms, social)
@@ -250,9 +250,7 @@ def ccwe_grid_gap(game: GameSpec, state: str, resolution: int) -> tuple[float, f
     we = solve_we_potential(game, state, tol=1e-10)
     we_cost = float(social_cost(game, we.flow, state))
     atoms = [(state, Fraction(1), f) for f in grid_flows(game, resolution)]
-    witnesses, obedience, sc = _obedience_columns(
-        game, atoms, coarse=True, social=True, eq_rows=[0] * len(atoms)
-    )
+    witnesses, obedience, sc = _obedience_columns(game, atoms, coarse=True, eq_rows=[0] * len(atoms))
     cols, n = [col[:2] for col in obedience], len(witnesses)
     # variables: mu (one per lattice flow) then slack s, at -1 in every row
     s_col = (1, [(1 + i, -1) for i in range(n)])

@@ -206,9 +206,9 @@ def _conditional_costs(game, structure, strategies) -> dict:
                     FlowProfile((aggregate_flow(structure, strategies, profile),))
             if costs is None:
                 fns, deg, q = _lifted_costs(game, state, [actions])
-                costs, den = [(f, dy**e * m) for f, e, m in fns[0]], dy**deg * q
+                costs, den = fns[0], dy**deg * q
             # w c_a = wn N_a / (wd dy**deg q)
-            row = [wn * den] + [wn * f(yy, dy) * m for f, m in costs]
+            row = [wn * den] + [wn * f(yy, dy) for f in costs]
             rows.append((profile, p.denominator * w.denominator * den, row))
     lcm = math.lcm(*(d for _, d, _ in rows))
     sums = _type_sums(

@@ -17,6 +17,7 @@ inputs produce exact rational outputs, float inputs produce floats.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -623,6 +624,10 @@ class Outcome:
 # ---------------------------------------------------------------------------
 
 
+# The operator of each ``+ - * max min`` node (compile_int_cost writes ``+ - *`` inline).
+_OPERATORS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, MaxOf: max, MinOf: min}
+
+
 def compile_cost(game: GameSpec, expr: CostExpr, state: str):
     """Resolve ``expr`` against ``game`` in ``state`` into a function of ``flow.flows``.
 
@@ -652,76 +657,42 @@ def compile_cost(game: GameSpec, expr: CostExpr, state: str):
             arg = build(node.arg)
             return lambda flows: -arg(flows)
         if isinstance(node, (Add, Sub, Mul)):
-            return binary(node)
+            return binary(_OPERATORS[type(node)], node.left, node.right)
         if isinstance(node, (MaxOf, MinOf)):
-            args = [build(a) for a in node.args]
-            pick = max if isinstance(node, MaxOf) else min
+            args, pick = [build(a) for a in node.args], _OPERATORS[type(node)]
             return lambda flows: pick([f(flows) for f in args])
         if isinstance(node, Pow):
-            base = build(node.base)
-            exponent = node.exponent
+            base, exponent = build(node.base), node.exponent
             return lambda flows: base(flows) ** exponent
         raise TypeError(f"unknown expression node {type(node).__name__}")
 
-    def binary(node):
+    def binary(op, left_node, right_node):
         # A constant c meeting a float x computes float(c) op x in Python's
         # Fraction fallbacks, so x op float(c) made once here is the same
         # float; any other operand (exact, or a float subclass) meets c itself.
-        lc, left = _constant(node.left, state), build(node.left)
-        rc, right = _constant(node.right, state), build(node.right)
+        left, right = build(left_node), build(right_node)
+        lc, rc = _constant(left_node, state), _constant(right_node, state)
         fc = None
         if (lc is None) != (rc is None):
             try:
                 fc = float(rc if lc is None else lc)
             except OverflowError:
                 pass  # too large for a float: the operation raises as before
-        if isinstance(node, Add):
-            if fc is None:
-                return lambda flows: left(flows) + right(flows)
-            if lc is None:
-
-                def add(flows):
-                    x = left(flows)
-                    return x + fc if type(x) is float else x + rc
-
-            else:
-
-                def add(flows):
-                    x = right(flows)
-                    return fc + x if type(x) is float else lc + x
-
-            return add
-        if isinstance(node, Sub):
-            if fc is None:
-                return lambda flows: left(flows) - right(flows)
-            if lc is None:
-
-                def sub(flows):
-                    x = left(flows)
-                    return x - fc if type(x) is float else x - rc
-
-            else:
-
-                def sub(flows):
-                    x = right(flows)
-                    return fc - x if type(x) is float else lc - x
-
-            return sub
         if fc is None:
-            return lambda flows: left(flows) * right(flows)
+            return lambda flows: op(left(flows), right(flows))
         if lc is None:
 
-            def mul(flows):
+            def constant_right(flows):
                 x = left(flows)
-                return x * fc if type(x) is float else x * rc
+                return op(x, fc) if type(x) is float else op(x, rc)
 
-        else:
+            return constant_right
 
-            def mul(flows):
-                x = right(flows)
-                return fc * x if type(x) is float else lc * x
+        def constant_left(flows):
+            x = right(flows)
+            return op(fc, x) if type(x) is float else op(lc, x)
 
-        return mul
+        return constant_left
 
     return build(expr)
 
@@ -776,20 +747,6 @@ def compile_int_cost(game: GameSpec, expr: CostExpr, state: str):
     degree by e and raises q to e. Subtrees that read no flow fold to ints.
     """
 
-    def scaled(f, k: int, m: int):
-        # f times dy**k * m
-        if not k:
-            if m == 1:
-                return f
-            return f * m if type(f) is int else lambda yy, dy: f(yy, dy) * m
-        if type(f) is int:
-            c = f * m
-            return lambda yy, dy: c * dy**k
-        return lambda yy, dy: f(yy, dy) * m * dy**k
-
-    def call(f):
-        return (lambda yy, dy: f) if type(f) is int else f
-
     def build(node):
         value = _constant(node, state)
         if value is not None:
@@ -817,24 +774,41 @@ def compile_int_cost(game: GameSpec, expr: CostExpr, state: str):
             args = (node.left, node.right) if isinstance(node, (Add, Sub)) else node.args
             parts = [build(arg) for arg in args]
             deg, q = max(d for _, d, _ in parts), math.lcm(*(q for _, _, q in parts))
-            fs = [scaled(f, deg - d, q // fq) for f, d, fq in parts]
+            fs = [_scaled(f, deg - d, q // fq) for f, d, fq in parts]
             if isinstance(node, (MaxOf, MinOf)):
-                pick = max if isinstance(node, MaxOf) else min
+                pick = _OPERATORS[type(node)]
                 if all(type(f) is int for f in fs):
                     return pick(fs), deg, q
-                fs = [call(f) for f in fs]
+                fs = [_call(f) for f in fs]
                 return (lambda yy, dy: pick([f(yy, dy) for f in fs])), deg, q
             a, b = fs
             if type(a) is int and type(b) is int:
                 return (a - b if isinstance(node, Sub) else a + b), deg, q
-            a, b = call(a), call(b)
+            a, b = _call(a), _call(b)
             if isinstance(node, Sub):
                 return (lambda yy, dy: a(yy, dy) - b(yy, dy)), deg, q
             return (lambda yy, dy: a(yy, dy) + b(yy, dy)), deg, q
         raise TypeError(f"unknown expression node {type(node).__name__}")
 
     f, deg, q = build(expr)
-    return call(f), deg, q
+    return _call(f), deg, q
+
+
+def _scaled(f, k: int, m: int):
+    """``f``, an int or a function of (yy, dy), times ``dy**k * m``."""
+    if not k:
+        if m == 1:
+            return f
+        return f * m if type(f) is int else lambda yy, dy: f(yy, dy) * m
+    if type(f) is int:
+        c = f * m
+        return lambda yy, dy: c * dy**k
+    return lambda yy, dy: f(yy, dy) * m * dy**k
+
+
+def _call(f):
+    """``f`` as a function of (yy, dy): an int becomes a constant function."""
+    return (lambda yy, dy: f) if type(f) is int else f
 
 
 def eval_cost(game: GameSpec, pop: str, action: str, flow: FlowProfile, state: str):
@@ -860,13 +834,13 @@ def _int_cost_fn(game: GameSpec, pop: str, action: str, state: str):
 
 def _lifted_costs(game: GameSpec, state: str, actions) -> tuple:
     """The integer costs in ``state`` of ``actions[k]`` in each population k
-    over one common denominator: (fns, deg, q) with fns[k][a] = (fn, e, m),
-    so that the cost is fn(yy, dy) * dy**e * m / (dy**deg * q)."""
+    over one common denominator: (fns, deg, q) such that the cost of
+    ``actions[k][a]`` at the flow yy / dy is fns[k][a](yy, dy) / (dy**deg * q)."""
     pops = game.populations
     compiled = [[_int_cost_fn(game, p.name, a, state) for a in acts] for p, acts in zip(pops, actions)]
     deg = max((d for costs in compiled for _, d, _ in costs), default=0)
     q = math.lcm(*(cq for costs in compiled for _, _, cq in costs))
-    return [[(f, deg - d, q // cq) for f, d, cq in costs] for costs in compiled], deg, q
+    return [[_scaled(f, deg - d, q // cq) for f, d, cq in costs] for costs in compiled], deg, q
 
 
 def _kept_cost(game: GameSpec, key: tuple, compiler):

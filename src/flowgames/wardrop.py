@@ -385,16 +385,15 @@ def _one_minimizer(spec: CongestionSpec, state: str) -> bool:
     """Whether the potential in ``state`` is strictly convex on the flows,
     decided exactly; then the game has exactly one Wardrop equilibrium.
 
-    Nonnegative coefficients make every latency nondecreasing on loads >= 0,
-    so the potential is convex and its minimizers are the equilibria. It is
+    ``CongestionSpec`` admits only nonnegative coefficients (and keeps them
+    read-only), so every latency is nondecreasing on loads >= 0: the
+    potential is convex and its minimizers are the equilibria. It is
     strictly convex when the strictly increasing latencies (a positive
     coefficient of degree >= 1) move with every mass-preserving direction:
     their resources' incidence rows must have full column rank on the
     columns e_j - e_first of each population block.
     """
     polys = [spec.latencies[(e, state)] for e in spec.resources]
-    if any(c < 0 for p in polys for c in p):
-        return False
     columns = [
         (spec.actions[(pop.name, a)], spec.actions[(pop.name, pop.actions[0])])
         for pop in spec.populations
@@ -595,15 +594,14 @@ def _lattice_scores(game: GameSpec, state: str, resolution: int, points: list) -
     ``float(Fraction)`` does: the scores are the floats of the exact violations.
     """
     pops = game.populations
-    fns, deg, q = _lifted_costs(game, state, [p.actions for p in pops])
+    costs, deg, q = _lifted_costs(game, state, [p.actions for p in pops])
     r, den = resolution, resolution**deg * q
-    costs = [[(f, r**e * m) for f, e, m in pop_fns] for pop_fns in fns]
     movers = [(k, costs[k]) for k, p in enumerate(pops) if len(p.actions) >= 2]
     scores = []
     for point in points:
         worst = 0
         for k, fs in movers:
-            ns = [f(point, r) * m for f, m in fs]
+            ns = [f(point, r) for f in fs]
             cheapest = min(ns)
             for i, n in zip(point[k], ns):
                 if i and i * (n - cheapest) > worst:
@@ -612,7 +610,7 @@ def _lattice_scores(game: GameSpec, state: str, resolution: int, points: list) -
     spread = 0.0
     for point in points[:: max(1, len(points) // 128)]:
         for fs in costs:
-            floats = [f(point, r) * m / den for f, m in fs]
+            floats = [f(point, r) / den for f in fs]
             spread = max(spread, max(floats) - min(floats))
     return scores, spread
 

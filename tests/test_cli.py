@@ -225,6 +225,13 @@ def test_usage_errors_exit_one(capsys, tmp_path, monkeypatch):
         "[populations]\ncrowd = a, b\n\n[states]\nnames = wet, dry\n\n"
         "[prior]\nwet = 1/2\ndry = 1/2\n\n[costs]\ncrowd.a = theta*y[a]\ncrowd.b = 1\n"
     )
+    # a cost beyond float range once ended in an OverflowError traceback
+    huge, half = tmp_path / "huge.game", tmp_path / "half.outcome"
+    huge.write_text(
+        "[populations]\ncrowd = a, b\n\n[states]\nnames = 0\n\n"
+        f"[prior]\n0 = 1\n\n[costs]\ncrowd.a = {10**400}*y[a]\ncrowd.b = 1\n"
+    )
+    half.write_text("[outcome.0]\n(1/2, 1/2) = 1\n")
     for argv in [
         ["we", "--game", "no-such-game"],
         ["frobnicate", "--game", "elfarol"],
@@ -235,11 +242,20 @@ def test_usage_errors_exit_one(capsys, tmp_path, monkeypatch):
         ["design", "--game", "elfarol", "--objective", "y[zzz]"],
         # theta on non-numeric state names is caught by validation
         ["we", "--game", str(wet_dry)],
+        ["we", "--game", str(huge)],
+        ["check", "--game", str(huge), "--outcome", str(half), "--concept", "cwe"],
     ]:
         rc, _, err = run_cli(argv, capsys)
         assert rc == 1, argv
         assert err.startswith("error:"), argv
         assert "Traceback" not in err
+    # design meets the float overflow past its grid, so build_grid is restored
+    monkeypatch.undo()
+    for argv in [
+        ["design", "--game", str(huge), "--resolution", "4"],
+        ["design", "--game", "elfarol", "--objective", f"{10**400}*y[a]", "--resolution", "4"],
+    ]:
+        assert run_cli(argv, capsys) == (1, "", "error: integer division result too large for a float\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])

@@ -362,7 +362,7 @@ def counted_atom_costs(monkeypatch):
 
             return cost
 
-        wrapped = [[(wrap(f, a), e, m) for (f, e, m), a in zip(fs, acts)] for fs, acts in zip(fns, actions)]
+        wrapped = [[wrap(f, a) for f, a in zip(fs, acts)] for fs, acts in zip(fns, actions)]
         return wrapped, deg, q
 
     monkeypatch.setattr(infostruct, "_lifted_costs", counted)

@@ -224,6 +224,27 @@ def test_compiled_cost_is_the_plain_walk_bit_for_bit(expr, floats, fractions):
         assert repr(got) == repr(want)
 
 
+@pytest.mark.parametrize("node", [Add, Sub, Mul])
+@pytest.mark.parametrize("constant_left", [True, False])
+def test_compiled_cost_beyond_float_range_is_the_plain_walk(node, constant_left):
+    # float(10**400) overflows at compile time: a float flow then raises as
+    # the walk does, and an exact flow gets the walk's exact value
+    huge, y = Const(10**400), FlowVar(None, "b")
+    expr = node(huge, y) if constant_left else node(y, huge)
+    pop = Population("p", ("a", "b", "c"))
+    game = fg.GameSpec((pop,), ("3/2",), (F(1),), {("p", a): Const(0) for a in "abc"})
+    cost = compile_cost(game, expr, "3/2")
+    floats = ((0.25, 0.5, 0.25),)
+    with pytest.raises(OverflowError):
+        _walk(expr, floats, "3/2")
+    with pytest.raises(OverflowError):
+        cost(floats)
+    fractions = ((F(1, 4), F(1, 2), F(1, 4)),)
+    got, want = cost(fractions), _walk(expr, fractions, "3/2")
+    assert type(got) is type(want)
+    assert got == want
+
+
 def _int_value(game, expr, state, flows, scale=1):
     """compile_int_cost's value at exact ``flows``, given as numerators over
     ``scale`` times their least common denominator."""
