@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import _column
 from .model import (
     FlowProfile,
     GameSpec,
@@ -77,30 +76,29 @@ def _term_rows(witnesses, columns, offset: int = 0) -> list:
     """(witness, terms) rows of :func:`obedience_rows` from per-atom columns
     whose obedience row i is numbered ``offset + i``."""
     rows = [[0] * len(columns) for _ in witnesses]
-    for j, (d, entries, raw) in enumerate(columns):
-        if raw is None:
-            raw = [(i - offset, Fraction(v, d)) for i, v in entries if i >= offset]
-        for i, v in raw:
-            rows[i][j] = v
+    for j, (d, entries) in enumerate(columns):
+        for i, v in entries:
+            if i >= offset:
+                rows[i - offset][j] = v if d is None else Fraction(v, d)
     return list(zip(witnesses, rows))
 
 
 def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, eq_rows=None):
     """:func:`obedience_rows` as (witnesses, columns, socials), a column
-    (d, entries, raw) per atom: its term in row i is v / d for an entry (i, v),
+    (d, entries) per atom: its term in row i is v / d for an entry (i, v),
     else the integer 0. An exact atom (flows and ``shares`` ints or
     ``Fraction``s, mass a ``Fraction``) is costed by the integer backend (:func:`compile_int_cost`)
     and has integer numerators v over d, the product of its mass' and flows'
-    denominators and its costs' common one. Any other atom keeps its terms
-    as computed one by one through :func:`eval_cost` in ``raw``, with d = 1
-    and ``entries`` = ``raw``: floats, or exact terms of an int mass (so that
-    all-int terms stay ints).
+    denominators and its costs' common one. Any other atom has d None and
+    its terms v as computed one by one through :func:`eval_cost`: floats, or
+    exact terms of an int mass (so that all-int terms stay ints).
 
-    With ``eq_rows`` (a row index per atom) the columns are simplex columns:
-    each starts with the entry 1 on its atom's row ``eq_rows[j]``, obedience
-    row i is numbered ``max(eq_rows) + 1 + i`` and ``raw`` terms are read
-    exactly (``raw`` itself keeps rows from 0). Every population and action
-    is then costed, and ``socials`` holds each mass times its social cost.
+    With ``eq_rows`` (a row index per atom) the columns are simplex columns,
+    which :func:`lp._column_solve` reads exactly in either form: each starts
+    with its atom's entry on row ``eq_rows[j]`` (1 / d, or 1 when d is None),
+    and obedience row i is numbered ``max(eq_rows) + 1 + i``. Every population
+    and action is then costed, and ``socials`` holds each mass times its
+    social cost.
     """
     if coarse and shares is not None:
         raise ValueError("shares apply to pairwise rows only")
@@ -168,16 +166,9 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, eq_rows
                         share, a = shares[k], pop.actions[ja]
                         raise ValueError(f"player share {share} exceeds the flow {y} on {a!r}")
                     dev[k, ja] = _deviation_costs(ys, k, ja, steps[k], table[k], cost)
-        if exact:
-            d = mass.denominator * dy ** (deg + 1) * q
-            head = [] if eq_rows is None else [(eq_rows[j], d)]
-            entries, raw = terms(head, offset, mass.numerator, ys, table, dev, dy), None
-        else:
-            raw = terms([], 0, mass, flows, table, dev, 1)
-            d, entries = 1, raw
-            if eq_rows is not None:
-                d, entries = _column([(eq_rows[j], 1)] + [(offset + i, v) for i, v in raw])
-        columns.append((d, entries, raw))
+        d = mass.denominator * dy ** (deg + 1) * q if exact else None
+        head = [] if eq_rows is None else [(eq_rows[j], d or 1)]
+        columns.append((d, terms(head, offset, mass.numerator if exact else mass, ys, table, dev, dy)))
         if social:
             total = 0
             for y, cj in zip(itertools.chain(*ys), itertools.chain(*table)):

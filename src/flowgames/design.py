@@ -178,7 +178,7 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
         value if designer[state] is None else p * designer[state](flow.flows)
         for (state, p, flow), value in zip(atoms, social)
     ]
-    values = itertools.chain(cost, *((v for _, v in raw) for _, _, raw in obedience if raw is not None))
+    values = itertools.chain(cost, *((v for _, v in col) for d, col in obedience if d is None))
     exact = all(isinstance(v, (int, Fraction)) for v in values)
     rows = None if exact else [terms for _, terms in _term_rows(witnesses, obedience, n_eq)]
     starts = []
@@ -196,7 +196,7 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     n_ub = len(witnesses)
     basis = starts + list(range(len(columns), len(columns) + n_ub))
     b_ub = [0] * n_ub if exact else [max(0, sum(Fraction(row[j]) for j in starts)) for row in rows]
-    certificate = _column_solve(basis, cost, [col[:2] for col in obedience], [1] * n_eq + b_ub, n_ub)
+    certificate = _column_solve(basis, cost, obedience, [1] * n_eq + b_ub, n_ub)
     x, objective, floor = certificate.x, certificate.objective, 0
     if not exact:
         x, objective, floor = [float(w) for w in x], float(objective), 1e-11
@@ -251,13 +251,13 @@ def ccwe_grid_gap(game: GameSpec, state: str, resolution: int) -> tuple[float, f
     we_cost = float(social_cost(game, we.flow, state))
     atoms = [(state, Fraction(1), f) for f in grid_flows(game, resolution)]
     witnesses, obedience, sc = _obedience_columns(game, atoms, coarse=True, eq_rows=[0] * len(atoms))
-    cols, n = [col[:2] for col in obedience], len(witnesses)
+    n = len(witnesses)
     # variables: mu (one per lattice flow) then slack s, at -1 in every row
     s_col = (1, [(1 + i, -1) for i in range(n)])
-    first = _column_solve(None, [0] * len(cols) + [1], cols + [s_col], [1] + [0] * n, n)
+    first = _column_solve(None, [0] * len(obedience) + [1], obedience + [s_col], [1] + [0] * n, n)
     slack = first.objective
     gap = 0.0
     for sign in (1, -1):
-        res = _column_solve(None, [sign * v for v in sc], cols, [1] + [slack] * n, n)
+        res = _column_solve(None, [sign * v for v in sc], obedience, [1] + [slack] * n, n)
         gap = max(gap, abs(float(sign * res.objective) - we_cost))
     return float(slack), gap

@@ -105,6 +105,35 @@ def _split_list(value: str, lineno: int, what: str) -> list[str]:
     return parts
 
 
+def _names(value: str, lineno: int, what: str, pattern, duplicate: str) -> tuple[str, ...]:
+    """A list of distinct names that each match ``pattern``."""
+    names = _split_list(value, lineno, what)
+    for name in names:
+        if not pattern.match(name):
+            raise GameFileError(f"invalid {what} name {name!r}", lineno)
+    if len(set(names)) != len(names):
+        raise GameFileError(duplicate, lineno)
+    return tuple(names)
+
+
+def _rational(text: str, lineno: int, column: int | None = None) -> Fraction:
+    """:func:`parse_rational` of ``text``, its error located at ``lineno``."""
+    try:
+        return parse_rational(text)
+    except ValueError as err:
+        raise GameFileError(str(err), lineno, column) from None
+
+
+def _pop_action(pop_lookup, pop_name: str, action: str, lineno: int) -> tuple[str, str]:
+    """The key (population, action), checked against the populations."""
+    pop = pop_lookup.get(pop_name)
+    if pop is None:
+        raise GameFileError(f"unknown population {pop_name!r}", lineno)
+    if action not in pop.actions:
+        raise GameFileError(f"unknown action {action!r} in population {pop_name!r}", lineno)
+    return pop_name, action
+
+
 def parse_game_file(text: str) -> GameSpec:
     """Parse a game document; raises :class:`GameFileError` with positions."""
     sections = _scan(text)
@@ -128,14 +157,9 @@ def parse_game_file(text: str) -> GameSpec:
             raise GameFileError(f"invalid population name {key!r}", lineno)
         if key in pop_names:
             raise GameFileError(f"duplicate population {key!r}", lineno)
-        actions = _split_list(value, lineno, "action")
-        for a in actions:
-            if not _NAME_RE.match(a):
-                raise GameFileError(f"invalid action name {a!r}", lineno)
-        if len(set(actions)) != len(actions):
-            raise GameFileError(f"duplicate action in population {key!r}", lineno)
+        actions = _names(value, lineno, "action", _NAME_RE, f"duplicate action in population {key!r}")
         pop_names.add(key)
-        populations.append(Population(key, tuple(actions)))
+        populations.append(Population(key, actions))
     if not populations:
         raise GameFileError("no populations defined", seen["populations"][0])
 
@@ -148,13 +172,7 @@ def parse_game_file(text: str) -> GameSpec:
         if got_names:
             raise GameFileError("duplicate 'names' key", lineno)
         got_names = True
-        names = _split_list(value, lineno, "state")
-        for s in names:
-            if not _PLAIN_RE.match(s):
-                raise GameFileError(f"invalid state name {s!r}", lineno)
-        if len(set(names)) != len(names):
-            raise GameFileError("duplicate state name", lineno)
-        states = tuple(names)
+        states = _names(value, lineno, "state", _PLAIN_RE, "duplicate state name")
     if not got_names:
         raise GameFileError("missing 'names' key in [states]", states_line)
 
@@ -165,10 +183,7 @@ def parse_game_file(text: str) -> GameSpec:
             raise GameFileError(f"unknown state {key!r} in [prior]", lineno)
         if key in prior_map:
             raise GameFileError(f"duplicate prior for state {key!r}", lineno)
-        try:
-            q = parse_rational(value)
-        except ValueError as err:
-            raise GameFileError(str(err), lineno, col) from None
+        q = _rational(value, lineno, col)
         if q < 0:
             raise GameFileError(f"negative prior for state {key!r}", lineno)
         prior_map[key] = q
@@ -187,18 +202,11 @@ def parse_game_file(text: str) -> GameSpec:
         for lineno, key, value, col in seen["costs"][1]:
             if "." not in key:
                 raise GameFileError(f"cost key {key!r} must be 'population.action'", lineno)
-            pop_name, action = key.split(".", 1)
-            pop = pop_lookup.get(pop_name)
-            if pop is None:
-                raise GameFileError(f"unknown population {pop_name!r}", lineno)
-            if action not in pop.actions:
-                raise GameFileError(
-                    f"unknown action {action!r} in population {pop_name!r}", lineno
-                )
-            if (pop_name, action) in costs:
+            pair = _pop_action(pop_lookup, *key.split(".", 1), lineno)
+            if pair in costs:
                 raise GameFileError(f"duplicate cost for {key!r}", lineno)
             try:
-                costs[(pop_name, action)] = parse_cost(value)
+                costs[pair] = parse_cost(value)
             except CostParseError as err:
                 raise GameFileError(err.bare_message, lineno, col + err.column) from None
         wanted = {(p.name, a) for p in populations for a in p.actions}
@@ -223,13 +231,7 @@ def _assemble_congestion(section, populations, states, prior) -> GameSpec:
         if key == "resources":
             if resources:
                 raise GameFileError("duplicate 'resources' key", lineno)
-            names = _split_list(value, lineno, "resource")
-            for e in names:
-                if not _PLAIN_RE.match(e):
-                    raise GameFileError(f"invalid resource name {e!r}", lineno)
-            if len(set(names)) != len(names):
-                raise GameFileError("duplicate resource name", lineno)
-            resources = tuple(names)
+            resources = _names(value, lineno, "resource", _PLAIN_RE, "duplicate resource name")
         elif key.startswith("latency."):
             parts = key.split(".")
             if len(parts) != 3:
@@ -241,28 +243,18 @@ def _assemble_congestion(section, populations, states, prior) -> GameSpec:
                 raise GameFileError(f"unknown state {s!r} in latency key", lineno)
             if (e, s) in latencies:
                 raise GameFileError(f"duplicate latency for {key!r}", lineno)
-            try:
-                coeffs = tuple(parse_rational(tok) for tok in _split_list(value, lineno, "coefficient"))
-            except ValueError as err:
-                raise GameFileError(str(err), lineno, col) from None
-            latencies[(e, s)] = coeffs
+            tokens = _split_list(value, lineno, "coefficient")
+            latencies[(e, s)] = tuple(_rational(tok, lineno, col) for tok in tokens)
         elif key.startswith("action."):
             parts = key.split(".")
             if len(parts) != 3:
                 raise GameFileError(
                     f"action key {key!r} must be 'action.POPULATION.ACTION'", lineno
                 )
-            _, pop_name, action = parts
-            pop = pop_lookup.get(pop_name)
-            if pop is None:
-                raise GameFileError(f"unknown population {pop_name!r}", lineno)
-            if action not in pop.actions:
-                raise GameFileError(
-                    f"unknown action {action!r} in population {pop_name!r}", lineno
-                )
-            if (pop_name, action) in action_sets:
+            pair = _pop_action(pop_lookup, *parts[1:], lineno)
+            if pair in action_sets:
                 raise GameFileError(f"duplicate resource set for {key!r}", lineno)
-            action_sets[(pop_name, action)] = frozenset(_split_list(value, lineno, "resource"))
+            action_sets[pair] = frozenset(_split_list(value, lineno, "resource"))
         else:
             raise GameFileError(f"unknown key {key!r} in [congestion]", lineno)
     if not resources:
@@ -301,10 +293,7 @@ def _parse_flow_literal(text: str, game: GameSpec, lineno: int) -> FlowProfile:
                 f"population {game.populations[k].name!r} needs {expected} entries",
                 lineno,
             )
-        try:
-            flows.append(tuple(parse_rational(p) for p in parts))
-        except ValueError as err:
-            raise GameFileError(str(err), lineno) from None
+        flows.append(tuple(_rational(p, lineno) for p in parts))
     try:
         return FlowProfile(tuple(flows))
     except ValueError as err:
@@ -331,10 +320,7 @@ def parse_outcome_file(text: str, game: GameSpec) -> Outcome:
         total = 0
         for entry_line, key, value, col in entries:
             flow = _parse_flow_literal(key, game, entry_line)
-            try:
-                w = parse_rational(value)
-            except ValueError as err:
-                raise GameFileError(str(err), entry_line, col) from None
+            w = _rational(value, entry_line, col)
             if w < 0:
                 raise GameFileError("negative weight", entry_line)
             total = total + w

@@ -463,21 +463,18 @@ def _bwe_solve(game, structure, blocks, core, tol, start) -> StrategyProfile:
         gamma = structure.sizes[k]
         block_vecs = []
         for ti in range(len(structure.type_sets[k])):
+            total = 0  # a block with no solved mass puts all of gamma on its first action
             if (k, ti) in pos and gamma > 0:
                 lo = pos[(k, ti)] * len(actions)
                 vec = np.maximum(x[lo : lo + len(actions)], 0.0)
                 vec[vec < 1e-9 * float(gamma)] = 0.0
                 total = vec.sum()
-                if total > 0:
-                    vec = vec * (float(gamma) / total)
-                else:
-                    vec = np.zeros(len(actions))
-                    vec[0] = float(gamma)
-                block_vecs.append(tuple(float(v) for v in vec))
+            if total > 0:
+                vec = vec * (float(gamma) / total)
             else:
-                vec = [0.0] * len(actions)
+                vec = np.zeros(len(actions))
                 vec[0] = float(gamma)
-                block_vecs.append(tuple(vec))
+            block_vecs.append(tuple(float(v) for v in vec))
         out.append(tuple(block_vecs))
     return StrategyProfile(tuple(out))
 

@@ -69,12 +69,14 @@ def exact_solve(basis, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certifi
 def _column_solve(basis, c, columns, rhs, n_ub) -> Certificate:
     """:func:`exact_solve` on an LP in column form: (d, [(row, k)]) per
     structural column (see :func:`_column`), entries k / d with integer k
-    and d > 0; the last ``n_ub`` rows are <= rows."""
+    and d > 0, or (None, [(row, v)]) with v ints, ``Fraction``s or floats,
+    read exactly by :func:`_column`; the last ``n_ub`` rows are <= rows."""
     n, m, total = len(c), len(rhs), len(c) + n_ub
     n_eq = m - n_ub
     cost = [_exact(v) for v in c] + [0] * n_ub
     rhs = [_exact(v) for v in rhs]
-    columns = list(columns) + [(1, [(i, 1)]) for i in range(n_eq, m)]
+    columns = [_column(col) if d is None else (d, col) for d, col in columns]
+    columns += [(1, [(i, 1)]) for i in range(n_eq, m)]
     if not m:
         raise ValueError("LP needs at least one row")
     float_a = np.zeros((m, total))

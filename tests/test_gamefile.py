@@ -161,3 +161,78 @@ def test_format_quantity():
 @given(st.fractions(min_value=0, max_value=100, max_denominator=999))
 def test_quantity_round_trips_rationals(q):
     assert fg.parse_rational(fg.format_quantity(q)) == q
+
+
+NETWORK = """[populations]
+traffic = a, b
+
+[states]
+names = 0
+
+[prior]
+0 = 1
+
+[congestion]
+resources = e1, e2
+latency.e1.0 = 1
+latency.e2.0 = 0, 1
+action.traffic.a = e1
+action.traffic.b = e2
+"""
+
+MALFORMED = [
+    # (document, message, line, 0-based column)
+    (GOOD.replace("a, b", "a, 1b"), "line 2: invalid action name '1b'", 2, None),
+    (GOOD.replace("a, b", "a, b, a"), "line 2: duplicate action in population 'crowd'", 2, None),
+    (GOOD.replace("names = 0", "names = 0, x.y"), "line 5: invalid state name 'x.y'", 5, None),
+    (GOOD.replace("names = 0", "names = 0, 0"), "line 5: duplicate state name", 5, None),
+    (GOOD.replace("crowd.a", "herd.a"), "line 11: unknown population 'herd'", 11, None),
+    (GOOD.replace("crowd.a", "crowd.c"), "line 11: unknown action 'c' in population 'crowd'", 11, None),
+    (NETWORK.replace("e1, e2", "e1, e.2"), "line 11: invalid resource name 'e.2'", 11, None),
+    (NETWORK.replace("e1, e2", "e1, e2, e1"), "line 11: duplicate resource name", 11, None),
+    (NETWORK.replace("action.traffic.a", "action.cars.a"), "line 14: unknown population 'cars'", 14, None),
+    (
+        NETWORK.replace("action.traffic.a", "action.traffic.c"),
+        "line 14: unknown action 'c' in population 'traffic'",
+        14,
+        None,
+    ),
+    (NETWORK.replace("0, 1", "0, one"), "line 13, column 16: not a rational literal: 'one'", 13, 15),
+    (NETWORK.replace("0, 1", "0, 1/0"), "line 13, column 16: not a rational literal: '1/0'", 13, 15),
+    # the split list's own error, located once
+    (NETWORK.replace("e1.0 = 1", "e1.0 = 0, , 1"), "line 12: empty entry in coefficient list", 12, None),
+    ("[outcome.0]\n(1, half) = 1\n", "line 2: not a rational literal: 'half'", 2, None),
+    ("[outcome.0]\n(1, 0) = 1/2\n(0, 1) = a half\n", "line 3, column 10: not a rational literal: 'a half'", 3, 9),
+    ("[outcome.0]\n(1, 0) = 1.5.\n", "line 2, column 10: not a rational literal: '1.5.'", 2, 9),
+]
+
+
+MALFORMED_IDS = [
+    "action-name",
+    "action-duplicate",
+    "state-name",
+    "state-duplicate",
+    "cost-population",
+    "cost-action",
+    "resource-name",
+    "resource-duplicate",
+    "congestion-population",
+    "congestion-action",
+    "latency-literal",
+    "latency-zero-denominator",
+    "latency-empty-entry",
+    "flow-entry",
+    "weight-literal",
+    "weight-two-points",
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", MALFORMED, ids=MALFORMED_IDS)
+def test_malformed_document_errors(text, message, line, column):
+    with pytest.raises(GameFileError) as e:
+        if text.startswith("[outcome."):
+            fg.parse_outcome_file(text, fg.parse_game_file(NETWORK))
+        else:
+            fg.parse_game_file(text)
+    assert (str(e.value), e.value.line, e.value.column) == (message, line, column)
+    assert str(e.value).endswith(e.value.bare_message) and "line" not in e.value.bare_message

@@ -96,6 +96,9 @@ def test_exact_solve_reads_floats_exactly():
     # 0.1 is not 1/10 in binary; the certificate keeps the float's exact value
     cert = fg.exact_solve(None, [0.1], a_eq=[[1.0]], b_eq=[1.0])
     assert cert.objective == F(0.1) != F(1, 10)
+    # a native column (d None), as the obedience builder gives for float atoms
+    cert = lp._column_solve(None, [1], [(None, [(0, 0.1)])], [1.0], 0)
+    assert cert.x == (1 / F(0.1),) != (F(10),)
 
 
 BEALE_C = [F(-3, 4), F(20), F(-1, 2), F(6)]
