@@ -18,7 +18,7 @@ from .model import (
     GameSpec,
     Outcome,
     _cost_fn,
-    _finite,
+    _evaluate,
     _int_flows,
     _lifted_costs,
     eval_cost,
@@ -156,7 +156,7 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, eq_rows
 
             def cost(k, jb, ys):
                 pop, b = pops[k].name, pops[k].actions[jb]
-                return _finite(_cost_fn(game, pop, b, state)(ys), pop, b, ys)
+                return _evaluate(_cost_fn(game, pop, b, state), ys, pop, b)
 
         dev = {}  # (k, a) -> costs under shares
         for k, pop in enumerate(pops if mass != 0 and shares is not None else ()):

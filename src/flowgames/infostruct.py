@@ -12,7 +12,6 @@ population, type) pairs weighted by the kernel.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import random
@@ -20,15 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._numpy import np
-from .model import (
-    FlowProfile,
-    GameSpec,
-    Outcome,
-    _check_tol,
-    _int_flows,
-    _lifted_costs,
-    eval_cost,
-)
+from .checks import obedience_rows
+from .model import FlowProfile, GameSpec, Outcome, _check_tol, eval_cost
 from .wardrop import _congestion_core
 
 
@@ -150,7 +142,7 @@ def bwe_violation(
     pop = _require_single_population(game)
     validate_strategies(structure, strategies, len(pop.actions))
     _check_kernel_states(game, structure)
-    return _max_gap(_conditional_costs(game, structure, strategies), strategies)
+    return _max_gap(_conditional_costs(game, structure, strategies)[1], strategies)
 
 
 def _check_kernel_states(game: GameSpec, structure: InformationStructure):
@@ -162,66 +154,17 @@ def _check_kernel_states(game: GameSpec, structure: InformationStructure):
             raise ValueError(f"unknown state {state!r}")
 
 
-def _conditional_costs(game, structure, strategies) -> dict:
-    """Conditional expected cost of every action, per (sub-population, type):
-    a map (k, type index) -> per-action costs over the types with positive
-    kernel marginal.
+def _conditional_costs(game, structure, strategies) -> tuple[dict, dict]:
+    """The aggregate ``FlowProfile`` of each positive-weight type profile,
+    and the conditional expected cost of every action per (sub-population,
+    type): a map (k, type index) -> per-action costs over the types with
+    positive kernel marginal.
 
-    Each positive-weight (state, type profile) atom is costed once, and its
-    row, the weight (prior times kernel weight) followed by the weighted
-    costs, is added into the sums of the types the profile assigns. Exact
-    inputs (strategies, priors and kernel weights all ``int`` or
-    ``Fraction``) are worked in integers: strategies as numerators over one
-    denominator dy, an atom's aggregate as a sum of ints, its costs from
-    :func:`model._lifted_costs` as N_a / (dy**deg * q), and every row over
-    one common denominator, so each cost is one ``Fraction(total, marginal)``.
-    An aggregate that is not exactly a unit flow gets the float path's
-    ``FlowProfile`` checks. Other inputs take :func:`_float_conditional_costs`.
-    """
-    kernel_weights = (w for atoms in structure.kernel.values() for _, w in atoms)
-    vecs = [vec for block in strategies.strategies for vec in block]
-    entries = itertools.chain(game.prior, kernel_weights, *vecs)
-    if not all(type(v) is Fraction or type(v) is int for v in entries):
-        return _float_conditional_costs(game, structure, strategies)[1]
-    ys, dy = _int_flows(vecs)
-    numerators, i = [], 0  # k -> type -> strategy numerators over dy
-    for types in structure.type_sets:
-        numerators.append(dict(zip(types, ys[i : i + len(types)])))
-        i += len(types)
-    actions = game.populations[0].actions
-    aggregates = {}  # type profile -> [aggregate numerators over dy], the backend's flow input
-    rows = []  # (type profile, row denominator, [weight, weighted cost per action] numerators)
-    for state in game.states:
-        p, costs = game.prior_of(state), None
-        for profile, w in structure.kernel[state]:
-            wn = p.numerator * w.numerator
-            if wn == 0:
-                continue
-            yy = aggregates.get(profile)
-            if yy is None:
-                vs = [numerators[k][t] for k, t in enumerate(profile)]
-                yy = aggregates[profile] = [[sum(col) for col in zip(*vs)]]
-                if sum(yy[0]) != dy or min(yy[0]) < 0:
-                    # raises as the float path would, unless the mass is within MASS_TOL
-                    FlowProfile((aggregate_flow(structure, strategies, profile),))
-            if costs is None:
-                fns, deg, q = _lifted_costs(game, state, [actions])
-                costs, den = fns[0], dy**deg * q
-            # w c_a = wn N_a / (wd dy**deg q)
-            row = [wn * den] + [wn * f(yy, dy) for f in costs]
-            rows.append((profile, p.denominator * w.denominator * den, row))
-    lcm = math.lcm(*(d for _, d, _ in rows))
-    sums = _type_sums(
-        structure, ((profile, [v * (lcm // d) for v in row]) for profile, d, row in rows)
-    )
-    return {key: [Fraction(total, acc[0]) for total in acc[1:]] for key, acc in sums.items()}
-
-
-def _float_conditional_costs(game, structure, strategies) -> tuple[dict, dict]:
-    """:func:`_conditional_costs` on any inputs, with the aggregate
-    ``FlowProfile`` of each positive-weight profile: every atom builds its
-    aggregate flow and costs each action with :func:`eval_cost`, and the
-    rows are summed as they are, in kernel order."""
+    Each positive-weight (state, type profile) atom builds its aggregate flow
+    once and costs each action once with :func:`eval_cost`; its row, the
+    weight (prior times kernel weight) followed by the weighted costs, is
+    added into the sums of the types the profile assigns, in kernel order.
+    Exact on rational inputs."""
     pop = game.populations[0]
     flows = {}
     rows = []  # (type profile, [weight, weighted cost per action])
@@ -334,6 +277,12 @@ def direct_structure_from_bcwe(
     recommendation frequencies. Strategies are obedient. Returns the realized
     obedience violation, which is exactly zero whenever every support flow
     has denominators dividing ``denominator``.
+
+    Under rotation every rotated atom realizes the rounded flow y^ = counts /
+    ``denominator``, and each sub-population hears a with probability
+    prior * w * y^_a, so the violation is the rounded outcome's worst pairwise
+    obedience row (a, b) of :func:`checks.obedience_rows` over a's marginal
+    sum(prior * w * y^_a). Without rotation it is :func:`bwe_violation`'s.
     """
     pop = _require_single_population(game)
     if denominator < 1:
@@ -342,7 +291,7 @@ def direct_structure_from_bcwe(
     actions = pop.actions
     sizes = tuple(Fraction(1, k_count) for _ in range(k_count))
     type_sets = tuple(tuple(actions) for _ in range(k_count))
-    kernel = {}
+    kernel, rounded = {}, []  # rounded: the (state, prior * w, y^) atoms
     for state in game.states:
         if state not in outcome.per_state:
             raise ValueError(f"outcome missing state {state!r}")
@@ -351,6 +300,8 @@ def direct_structure_from_bcwe(
             if w == 0:
                 continue
             counts = _largest_remainder_counts(flow.flows[0], k_count)
+            y = FlowProfile((tuple(Fraction(c, k_count) for c in counts),))
+            rounded.append((state, game.prior_of(state) * w, y))
             base = []
             for j, c in enumerate(counts):
                 base.extend([actions[j]] * c)
@@ -371,10 +322,13 @@ def direct_structure_from_bcwe(
         for _ in range(k_count)
     )
     strategies = StrategyProfile(obedient)
-    # bwe_violation, without validating the strategies built just above
-    eps = _max_gap(_conditional_costs(game, structure, strategies), strategies)
-    eps = eps if eps > 0 else 0
-    return structure, strategies, eps
+    if symmetrize:
+        marginal = {a: sum(m * y.flows[0][j] for _, m, y in rounded) for j, a in enumerate(actions)}
+        rows = obedience_rows(game, rounded)
+        eps = max((sum(terms) / marginal[a] for (_, a, _), terms in rows if marginal[a] > 0), default=0)
+    else:  # bwe_violation, without validating the strategies built just above
+        eps = _max_gap(_conditional_costs(game, structure, strategies)[1], strategies)
+    return structure, strategies, eps if eps > 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +482,7 @@ def bwe_cost_uniqueness_probe(
             start_blocks.append(tuple(vecs))
         start = StrategyProfile(tuple(start_blocks))
         solved = _bwe_solve(game, structure, blocks, core, tol=tol, start=start)
-        flows, conditional = _float_conditional_costs(game, structure, solved)
+        flows, conditional = _conditional_costs(game, structure, solved)
         worst_violation = max(worst_violation, float(_max_gap(conditional, solved)))
         runs.append((solved, flows, conditional))
     # the largest pairwise |x1 - x2| of each coordinate is fl(max - min), as

@@ -819,7 +819,7 @@ def eval_cost(game: GameSpec, pop: str, action: str, flow: FlowProfile, state: s
     finite value. Each (pop, action, state) is compiled once per game (see
     :func:`compile_cost`).
     """
-    return _finite(_cost_fn(game, pop, action, state)(flow.flows), pop, action, flow.flows)
+    return _evaluate(_cost_fn(game, pop, action, state), flow.flows, pop, action)
 
 
 def _cost_fn(game: GameSpec, pop: str, action: str, state: str):
@@ -856,8 +856,14 @@ def _kept_cost(game: GameSpec, key: tuple, compiler):
     return cost
 
 
-def _finite(value, pop: str, action: str, flows):
-    """``value``, the cost of ``action`` at ``flows``, unless it is a non-finite float."""
+def _evaluate(fn, flows, pop: str, action: str):
+    """``fn(flows)``, the compiled cost of ``action`` in ``pop``; an
+    EvaluationError where it overflows a float or is a non-finite float."""
+    try:
+        value = fn(flows)
+    except OverflowError:
+        message = f"cost of ({pop!r}, {action!r}) is too large for a float at {flows}"
+        raise EvaluationError(message) from None
     if isinstance(value, float) and not math.isfinite(value):
         raise EvaluationError(f"cost of ({pop!r}, {action!r}) is not finite at {flows}")
     return value

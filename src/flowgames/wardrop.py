@@ -24,7 +24,7 @@ from .model import (
     _check_mass,
     _check_tol,
     _cost_fn,
-    _finite,
+    _evaluate,
     _lifted_costs,
     _trusted_profile,
     eval_cost,
@@ -470,7 +470,7 @@ def solve_we_br(
 
     def costs(mover, profile):
         _k, name, actions, fns = mover
-        return [_finite(f(profile), name, a, profile) for f, a in zip(fns, actions)]
+        return [_evaluate(f, profile, name, a) for f, a in zip(fns, actions)]
 
     def measure(profile):
         """Every mover's costs at ``profile``, and the violation verify_we gives there."""

@@ -114,6 +114,23 @@ def test_sbcwe_from_bcwe_barycenters(pigou_info, pigou_bcwe):
     assert report.output_cost == 1
 
 
+@pytest.mark.parametrize(
+    "cost_a",
+    [
+        "1 - y[a]^2",  # y_a c_a = y_a - y_a^3 is concave: the convexity check fails
+        "y[a]^2",  # c_a is convex: the concavity check fails
+    ],
+)
+def test_sbcwe_from_bcwe_reports_failed_hypotheses(cost_a):
+    game = fg.parse_game_file(
+        "[populations]\ncrowd = a, b\n\n[states]\nnames = 0\n\n"
+        f"[prior]\n0 = 1\n\n[costs]\ncrowd.a = {cost_a}\ncrowd.b = 1/2\n"
+    )
+    outcome = fg.Outcome({"0": ((flow1(F(1, 2), F(1, 2)), F(1, 2)), (flow1(1, 0), F(1, 2)))})
+    _, report = fg.sbcwe_from_bcwe(game, outcome)
+    assert report.hypotheses_hold is False
+
+
 def test_sbcwe_from_bcwe_reports_missing_state(pigou_info):
     partial = fg.Outcome({"0": ((flow1(1, 0), F(1)),)})
     with pytest.raises(ValueError, match="outcome missing state '1'"):

@@ -169,6 +169,39 @@ def test_implement_reports_kernel(capsys):
     assert "(b, a) = 1/3" in out
 
 
+def test_implement_csv_kernel_table(tmp_path, capsys):
+    argv = ["implement", "--game", "elfarol", "--outcome", "elfarol_cwe", "--denominator", "2"]
+    plain = run_cli(argv, capsys)
+    csv_path = tmp_path / "kernel.csv"
+    assert run_cli([*argv, "--csv", str(csv_path)], capsys) == plain
+    assert csv_path.read_text() == "state,types,weight\n0,a a,1/3\n0,a b,1/3\n0,b a,1/3\n"
+
+
+def test_unsolved_program_exits_two(tmp_path, capsys):
+    # the equilibrium y_a = 1/sqrt(2) is irrational: no grid candidate is
+    # obedient, so the exact solve has no certified start
+    game = tmp_path / "root.game"
+    game.write_text(
+        "[populations]\ncrowd = a, b\n\n[states]\nnames = 0\n\n"
+        "[prior]\n0 = 1\n\n[costs]\ncrowd.a = 2*y[a]^2\ncrowd.b = 1\n"
+    )
+    argv = ["design", "--game", str(game), "--resolution", "4"]
+    assert run_cli(argv, capsys) == (2, "", "error: program not solved: status uncertified\n")
+
+
+def test_readme_library_example_prints_its_comments(monkeypatch, capsys):
+    # the fenced python block under "## Library", run beside the bundled
+    # examples; each print's trailing comment is the line it prints
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme[readme.index("## Library") :]
+    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    expected = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+    assert expected == ["1/2", "-1/2", "0", "[0, 0, 0]"]
+    monkeypatch.chdir(Path(flowgames.__file__).parent / "examples")
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_converge_emits_csv(capsys):
     rc, out, _ = run_cli(
         [
@@ -249,13 +282,20 @@ def test_usage_errors_exit_one(capsys, tmp_path, monkeypatch):
         assert rc == 1, argv
         assert err.startswith("error:"), argv
         assert "Traceback" not in err
-    # design meets the float overflow past its grid, so build_grid is restored
+    # design meets the float overflow past its grid, so build_grid is restored:
+    # in a cost, which names it, or in the simplex's float pricing of the objective
     monkeypatch.undo()
-    for argv in [
-        ["design", "--game", str(huge), "--resolution", "4"],
-        ["design", "--game", "elfarol", "--objective", f"{10**400}*y[a]", "--resolution", "4"],
+    for argv, message in [
+        (
+            ["design", "--game", str(huge), "--resolution", "4"],
+            "cost of ('crowd', 'a') is too large for a float at ((0.5, 0.5),)",
+        ),
+        (
+            ["design", "--game", "elfarol", "--objective", f"{10**400}*y[a]", "--resolution", "4"],
+            "integer division result too large for a float",
+        ),
     ]:
-        assert run_cli(argv, capsys) == (1, "", "error: integer division result too large for a float\n")
+        assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])

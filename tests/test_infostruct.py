@@ -200,10 +200,10 @@ SYNTHESIS_CASES = [
 @pytest.mark.parametrize("name, outcome_name, denominator", SYNTHESIS_CASES)
 @pytest.mark.parametrize("symmetrize", [True, False])
 def test_exact_conditional_costs_match_reference(request, name, outcome_name, denominator, symmetrize):
-    # the integer path gives the reference's Fractions, key for key
+    # the atom-by-atom sums give the reference's Fractions, key for key
     game, outcome = request.getfixturevalue(name), request.getfixturevalue(outcome_name)
     structure, strategies, _ = fg.direct_structure_from_bcwe(game, outcome, denominator, symmetrize)
-    table = infostruct._conditional_costs(game, structure, strategies)
+    table = infostruct._conditional_costs(game, structure, strategies)[1]
     assert table == reference_conditional_costs(game, structure, strategies)
     assert all(type(c) is F for costs in table.values() for c in costs)
 
@@ -247,7 +247,7 @@ def exact_cases():
 
 def test_exact_conditional_costs_match_reference_on_more_games():
     for name, game, structure, strategies in exact_cases():
-        table = infostruct._conditional_costs(game, structure, strategies)
+        table = infostruct._conditional_costs(game, structure, strategies)[1]
         assert table == reference_conditional_costs(game, structure, strategies), name
         assert all(type(c) is F for costs in table.values() for c in costs), name
 
@@ -261,7 +261,7 @@ def test_int_strategies_give_fraction_conditional_costs():
         kernel={"0": ((("a",), F(1, 4)), (("c",), F(3, 4))), "1": ((("b",), F(1)),)},
     )
     strategies = fg.StrategyProfile((((1, 0, 0), (0, 1, 0), (0, 0, 1)),))
-    table = infostruct._conditional_costs(game, structure, strategies)
+    table = infostruct._conditional_costs(game, structure, strategies)[1]
     assert table == reference_conditional_costs(game, structure, strategies)
     assert sorted(table) == [(0, 0), (0, 1), (0, 2)]
     assert all(type(c) is F for costs in table.values() for c in costs)
@@ -279,19 +279,63 @@ def test_float_kernel_weights_take_the_float_path():
         {s: tuple((profile, float(w)) for profile, w in atoms) for s, atoms in structure.kernel.items()},
     )
     strategies = random_rational_strategies(structure, 3, random.Random(2))
-    table = infostruct._conditional_costs(game, floats, strategies)
+    table = infostruct._conditional_costs(game, floats, strategies)[1]
     reference = reference_conditional_costs(game, floats, strategies)
     assert repr(sorted(table.items())) == repr(sorted(reference.items()))
     assert all(type(c) is float for costs in table.values() for c in costs)
 
 
-@pytest.mark.parametrize("name, outcome_name, denominator", [("elfarol", "elfarol_cwe", 2)] + SYNTHESIS_CASES)
+def designed_outcomes(name):
+    """(game, outcome) pairs over random_congestion_game(s, 3, 2): the sixteen
+    exact random_bcwe outcomes, or the social-cost designs at resolution 4 of
+    the twelve quadratic variants, eleven of which carry floats."""
+    for s in range(16 if name == "random_bcwe" else 12):
+        game = random_congestion_game(s, n_actions=3, n_states=2, quadratic=name == "quadratic_design")
+        if name == "random_bcwe":
+            yield game, random_bcwe(game, s)
+        else:
+            problem = fg.DesignerProblem(game, fg.social_cost_expr(game), fg.build_grid(game, 4))
+            yield game, fg.solve_program_p(problem).outcome
+
+
+EPS_CASES = (
+    [("elfarol", "elfarol_cwe", 2)]
+    + SYNTHESIS_CASES
+    + [("random_bcwe", None, d) for d in (5, 12, 13)]
+    + [("quadratic_design", None, d) for d in (3, 12, 40)]
+)
+
+
+@pytest.mark.parametrize("name, outcome_name, denominator", EPS_CASES)
 @pytest.mark.parametrize("symmetrize", [True, False])
 def test_direct_structure_eps_is_the_bwe_violation(request, name, outcome_name, denominator, symmetrize):
-    # eps skips bwe_violation's strategy validation, not any of its value
-    game, outcome = request.getfixturevalue(name), request.getfixturevalue(outcome_name)
-    structure, strategies, eps = fg.direct_structure_from_bcwe(game, outcome, denominator, symmetrize)
-    assert eps == fg.bwe_violation(game, structure, strategies)
+    # eps skips bwe_violation's strategy validation, not any of its value; the
+    # rotated closed form is exact algebra, so only float outcomes may move
+    # by roundoff
+    if outcome_name is None:
+        cases = designed_outcomes(name)
+    else:
+        cases = [(request.getfixturevalue(name), request.getfixturevalue(outcome_name))]
+    for game, outcome in cases:
+        structure, strategies, eps = fg.direct_structure_from_bcwe(game, outcome, denominator, symmetrize)
+        want = fg.bwe_violation(game, structure, strategies)
+        if name == "quadratic_design":
+            assert abs(eps - want) <= 1e-12
+        else:
+            assert eps == want
+
+
+def test_rotated_eps_costs_no_kernel_atom(elfarol, elfarol_cwe, monkeypatch):
+    # with rotation eps comes from the rounded outcome's obedience rows alone
+    def refused(*args):
+        raise AssertionError("a kernel atom was costed")
+
+    monkeypatch.setattr(infostruct, "_conditional_costs", refused)
+    for denominator in (2, 3, 64):
+        _, _, eps = fg.direct_structure_from_bcwe(elfarol, elfarol_cwe, denominator, symmetrize=True)
+        assert eps >= 0
+    with pytest.raises(AssertionError, match="a kernel atom was costed"):
+        fg.direct_structure_from_bcwe(elfarol, elfarol_cwe, 3, symmetrize=False)
 
 
 def test_aggregate_flow_keeps_int_entries():
@@ -347,25 +391,16 @@ def test_solve_bwe_validates_its_start():
 
 
 def counted_atom_costs(monkeypatch):
-    """Record (state, action) for every integer cost evaluation that
+    """Record (state, action) for every cost evaluation that
     _conditional_costs makes."""
     calls = []
-    lifted_costs = infostruct._lifted_costs
+    eval_cost = infostruct.eval_cost
 
-    def counted(game, state, actions):
-        fns, deg, q = lifted_costs(game, state, actions)
+    def counted(game, pop, action, flow, state):
+        calls.append((state, action))
+        return eval_cost(game, pop, action, flow, state)
 
-        def wrap(f, action):
-            def cost(yy, dy):
-                calls.append((state, action))
-                return f(yy, dy)
-
-            return cost
-
-        wrapped = [[wrap(f, a) for f, a in zip(fs, acts)] for fs, acts in zip(fns, actions)]
-        return wrapped, deg, q
-
-    monkeypatch.setattr(infostruct, "_lifted_costs", counted)
+    monkeypatch.setattr(infostruct, "eval_cost", counted)
     return calls
 
 
@@ -391,19 +426,17 @@ def test_bwe_violation_costs_each_atom_once(elfarol, elfarol_cwe, monkeypatch):
     ]
     actions = elfarol.populations[0].actions
     costed, aggregated = counted_atom_costs(monkeypatch), counted_aggregates(monkeypatch)
-    # exact strategies: every positive-weight atom costed once per action, in
-    # integers, and no aggregate flow built
-    assert fg.bwe_violation(elfarol, structure, strategies) == 0
-    assert sorted(costed) == sorted((state, a) for state, _ in atoms for a in actions)
-    assert aggregated == []
-    # float strategies: one aggregate flow per positive-weight profile
     floats = fg.StrategyProfile(
         tuple(tuple(tuple(float(v) for v in vec) for vec in block) for block in strategies.strategies)
     )
-    costed.clear()
-    assert fg.bwe_violation(elfarol, structure, floats) == 0.0
-    assert costed == []
-    assert len(aggregated) == len({profile for _, profile in atoms})
+    # exact or float strategies: every positive-weight atom costed once per
+    # action, and one aggregate flow per positive-weight profile
+    for played in (strategies, floats):
+        costed.clear()
+        aggregated.clear()
+        assert fg.bwe_violation(elfarol, structure, played) == 0
+        assert sorted(costed) == sorted((state, a) for state, _ in atoms for a in actions)
+        assert len(aggregated) == len({profile for _, profile in atoms})
 
 
 def test_exact_path_keeps_the_aggregate_mass_check(elfarol):
@@ -421,7 +454,7 @@ def test_exact_path_keeps_the_aggregate_mass_check(elfarol):
     # within MASS_TOL the aggregate is costed where it is
     close = fg.StrategyProfile((((F(1, 2) + F(1, 10**14), F(0)),),) * 2)
     assert fg.bwe_violation(elfarol, structure, close) == 0
-    assert infostruct._conditional_costs(elfarol, structure, close) == reference_conditional_costs(
+    assert infostruct._conditional_costs(elfarol, structure, close)[1] == reference_conditional_costs(
         elfarol, structure, close
     )
     # a negative entry is refused as the aggregate FlowProfile refuses it
@@ -558,13 +591,13 @@ def test_probe_deviations_are_the_pairwise_extremes(g, tol, trials, monkeypatch)
         game = random_congestion_game(g, n_actions=2 + g % 2, n_states=1 + g % 2)
         structure = random_structure(game, g)
     runs = []
-    float_conditional_costs = infostruct._float_conditional_costs
+    conditional_costs = infostruct._conditional_costs
 
     def recorded(game, structure, strategies):
-        runs.append((strategies, *float_conditional_costs(game, structure, strategies)))
+        runs.append((strategies, *conditional_costs(game, structure, strategies)))
         return runs[-1][1:]
 
-    monkeypatch.setattr(infostruct, "_float_conditional_costs", recorded)
+    monkeypatch.setattr(infostruct, "_conditional_costs", recorded)
     report = fg.bwe_cost_uniqueness_probe(game, structure, trials=trials, tol=tol)
     assert len(runs) == trials
     cost_dev, flow_dev = _pairwise_deviations(runs)
@@ -591,14 +624,14 @@ def test_probe_deviations_of_scattered_runs(trials, monkeypatch):
         return fg.StrategyProfile(tuple(out))
 
     runs = []
-    float_conditional_costs = infostruct._float_conditional_costs
+    conditional_costs = infostruct._conditional_costs
 
     def recorded(game, structure, strategies):
-        runs.append((strategies, *float_conditional_costs(game, structure, strategies)))
+        runs.append((strategies, *conditional_costs(game, structure, strategies)))
         return runs[-1][1:]
 
     monkeypatch.setattr(infostruct, "_bwe_solve", scattered)
-    monkeypatch.setattr(infostruct, "_float_conditional_costs", recorded)
+    monkeypatch.setattr(infostruct, "_conditional_costs", recorded)
     report = fg.bwe_cost_uniqueness_probe(game, structure, trials=trials)
     cost_dev, flow_dev = _pairwise_deviations(runs)
     assert (repr(report.cost_deviation), repr(report.flow_deviation)) == (repr(cost_dev), repr(flow_dev))

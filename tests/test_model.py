@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -66,6 +67,12 @@ def test_parse_error_columns():
             fg.parse_cost(text)
         assert err.value.column == col
         assert f"column {col + 1}" in str(err.value)
+
+
+def test_parse_error_unexpected_character():
+    with pytest.raises(CostParseError, match=re.escape("column 6: unexpected character '$'")) as err:
+        fg.parse_cost("y[a] $ 1")
+    assert err.value.column == 5
 
 
 def test_division_only_in_rational_literals():
@@ -253,6 +260,40 @@ def _int_value(game, expr, state, flows, scale=1):
     n = fn([[v.numerator * (dy // v.denominator) for v in vec] for vec in flows], dy)
     assert type(n) is int
     return F(n, dy**deg * q)
+
+
+def _crowd_game(cost_a, cost_b="1"):
+    return fg.parse_game_file(
+        "[populations]\ncrowd = a, b\n\n[states]\nnames = 0\n\n"
+        f"[prior]\n0 = 1\n\n[costs]\ncrowd.a = {cost_a}\ncrowd.b = {cost_b}\n"
+    )
+
+
+def test_cost_overflow_is_an_evaluation_error():
+    # a float cost beyond float range names the cost instead of raising a bare
+    # OverflowError: in eval_cost, in best response, and in the obedience
+    # builder's deviation costs under player shares
+    half = fg.FlowProfile(((0.5, 0.5),))
+    message = "cost of ('crowd', 'a') is too large for a float at ((0.5, 0.5),)"
+    huge = _crowd_game(f"{10**400}*y[a]")
+    with pytest.raises(EvaluationError, match=re.escape(message)):
+        fg.eval_cost(huge, "crowd", "a", half, "0")
+    with pytest.raises(EvaluationError, match=re.escape(message)):
+        fg.solve_we_br(huge, "0", half)
+    # (2 y_b)^2000 is 1 at y_b = 1/2 but overflows once a player of share 1/4 joins b
+    steep = _crowd_game("1", "(2*y[b])^2000")
+    rows = fg.obedience_rows(steep, [("0", 1.0, half)])
+    assert rows == [(("crowd", "a", "b"), [0.0]), (("crowd", "b", "a"), [0.0])]
+    message = "cost of ('crowd', 'b') is too large for a float at [[0.25, 0.75]]"
+    with pytest.raises(EvaluationError, match=re.escape(message)):
+        fg.obedience_rows(steep, [("0", 1.0, half)], shares=[F(1, 4)])
+
+
+def test_non_finite_cost_is_an_evaluation_error():
+    game = _crowd_game("y[a]*10^300*10^300")
+    message = "cost of ('crowd', 'a') is not finite at ((0.5, 0.5),)"
+    with pytest.raises(EvaluationError, match=re.escape(message)):
+        fg.eval_cost(game, "crowd", "a", fg.FlowProfile(((0.5, 0.5),)), "0")
 
 
 @settings(max_examples=200, deadline=None)
