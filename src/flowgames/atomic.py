@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import CheckReport, check_bce_flowlevel, check_bcwe
-from .infostruct import _largest_remainder_counts
 from .lp import exact_solve
-from .model import FlowProfile, GameSpec, Outcome, _trusted_profile, eval_cost
+from .model import MASS_TOL, FlowProfile, GameSpec, Outcome, _round_outcome, eval_cost
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class AtomicGame:
             if any(w <= 0 for w in vec):
                 raise ValueError("player weights must be positive")
             total = sum(vec)
-            if total != 1 and abs(float(total) - 1.0) > 1e-12:
+            if total != 1 and abs(float(total) - 1.0) > MASS_TOL:
                 raise ValueError(f"population {k} weights sum to {float(total)!r}")
 
     def uniform(self) -> bool:
@@ -178,38 +177,16 @@ def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
     """Round a continuum outcome onto uniform finite players.
 
     Each support flow is replaced by largest-remainder integer counts (ties
-    to the smaller action index) and the recommendation becomes: draw a flow
-    by its weight, then assign players to actions uniformly at random
+    to the smaller action index; see :func:`model._round_outcome`, which
+    refuses a flow whose mass is not 1) and the recommendation becomes: draw
+    a flow by its weight, then assign players to actions uniformly at random
     consistent with the counts. Returns the rounding distance and the
     realized flow-level obedience slack, both exact on rational data.
     """
     if not agame.uniform():
         raise ValueError("count-based recommendations need uniform weights")
-    delta = 0
-    masses = tuple(Fraction(1) for _ in agame.game.populations)
-    rounded_per_state = {}
-    for state in agame.game.states:
-        if state not in outcome.per_state:
-            raise ValueError(f"outcome missing state {state!r}")
-        merged = {}
-        for flow, w in outcome.per_state[state]:
-            per_pop = []
-            for k in range(len(agame.game.populations)):
-                nk = agame.counts[k]
-                vec = flow.flows[k]
-                cnt = _largest_remainder_counts(vec, nk)
-                if sum(cnt) != nk:  # counts sum to n_k unless the flow's mass is not 1
-                    raise ValueError(f"population {k} flow sums to {float(sum(vec))!r}, expected 1")
-                per_pop.append(tuple(Fraction(c, nk) for c in cnt))
-                for j, c in enumerate(cnt):
-                    gap = Fraction(c, nk) - vec[j] if isinstance(vec[j], Fraction) else c / nk - vec[j]
-                    gap = -gap if gap < 0 else gap
-                    if gap > delta:
-                        delta = gap
-            key = tuple(per_pop)
-            merged[key] = merged.get(key, 0) + w
-        rounded_per_state[state] = tuple((_trusted_profile(key, masses), w) for key, w in merged.items())
-    bce = SymmetricBCE(Outcome(rounded_per_state), tuple(agame.counts), delta, 0)
+    rounded, delta = _round_outcome(agame.game, outcome, agame.counts)
+    bce = SymmetricBCE(rounded, tuple(agame.counts), delta, 0)
     eps = check_bce_flowlevel(agame.game, bce).worst_violation
     # set on the object checked above rather than a second, re-validated copy
     object.__setattr__(bce, "eps", eps if eps > 0 else 0)

@@ -156,7 +156,7 @@ def _cmd_check(args) -> int:
         report = None
         for s in game.states:
             r = checker(game, outcome.per_state[s], s)
-            if report is None or float(r.worst_violation) > float(report.worst_violation):
+            if report is None or r.worst_violation > report.worst_violation:
                 report = r
                 state_line = s
     elif args.concept == "bcwe":
@@ -183,7 +183,7 @@ def _cmd_check(args) -> int:
     if state_line is not None:
         lines.append(f"state = {state_line}")
     lines.append(f"violation = {format_quantity(violation)}")
-    lines.append(f"ok = {'true' if float(violation) <= args.tol else 'false'}")
+    lines.append(f"ok = {'true' if violation <= args.tol else 'false'}")
     lines.extend(_witness_lines(report.witness))
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -12,15 +12,14 @@ population, type) pairs weighted by the kernel.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._numpy import np
-from .checks import obedience_rows
-from .model import FlowProfile, GameSpec, Outcome, _check_tol, eval_cost
+from .checks import _state_atoms, obedience_rows
+from .model import MASS_TOL, FlowProfile, GameSpec, Outcome, _check_tol, _round_outcome, eval_cost
 from .wardrop import _congestion_core
 
 
@@ -45,7 +44,7 @@ class InformationStructure:
         if any(s < 0 for s in self.sizes):
             raise ValueError("negative sub-population size")
         total = sum(self.sizes)
-        if total != 1 and abs(float(total) - 1.0) > 1e-12:
+        if total != 1 and abs(float(total) - 1.0) > MASS_TOL:
             raise ValueError(f"sizes sum to {float(total)!r}, expected 1")
         for types in self.type_sets:
             if not types:
@@ -63,7 +62,7 @@ class InformationStructure:
                 if w < 0:
                     raise ValueError("negative kernel weight")
                 total = total + w
-            if total != 1 and abs(float(total) - 1.0) > 1e-12:
+            if total != 1 and abs(float(total) - 1.0) > MASS_TOL:
                 raise ValueError(f"kernel weights for state {state!r} sum to {float(total)!r}")
 
     def population_count(self) -> int:
@@ -243,43 +242,22 @@ def outcome_of_strategies(
     return Outcome(per_state)
 
 
-def _largest_remainder_counts(vector, denominator: int) -> list[int]:
-    """Integer counts summing to ``denominator`` proportional to the vector.
-
-    Each entry gets the floor of its scaled value (negatives count as 0),
-    and the shortfall goes to the largest remainders, ties to the smaller
-    index. An entry a rounding error below an integer has a remainder near
-    1 and so is raised to that integer before any other.
-    """
-    scaled = [v * denominator for v in vector]
-    floors = [max(math.floor(s), 0) for s in scaled]
-    counts = list(floors)
-    shortfall = denominator - sum(counts)
-    remainders = sorted(
-        range(len(vector)),
-        key=lambda j: (-(scaled[j] - floors[j]), j),
-    )
-    for j in remainders[:shortfall]:
-        counts[j] += 1
-    return counts
-
-
 def direct_structure_from_bcwe(
     game: GameSpec, outcome: Outcome, denominator: int, symmetrize: bool = True
 ) -> tuple[InformationStructure, StrategyProfile, object]:
     """Build a direct (types = actions) structure approximating an outcome.
 
-    The unit mass splits into ``denominator`` equal sub-populations. For each
-    support flow, integer counts of sub-populations per action are chosen by
-    largest remainders, and the kernel recommends block assignments; with
-    ``symmetrize`` (default) the kernel averages uniformly over the cyclic
-    rotations of the blocks so every sub-population sees the same conditional
-    recommendation frequencies. Strategies are obedient. Returns the realized
-    obedience violation, which is exactly zero whenever every support flow
-    has denominators dividing ``denominator``.
+    The unit mass splits into ``denominator`` equal sub-populations. Each
+    support flow is rounded onto shares 1/``denominator`` by
+    :func:`model._round_outcome`, and for each rounded flow y^ of positive
+    weight the kernel recommends blocks of y^_a ``denominator`` sub-populations
+    per action a; with ``symmetrize`` (default) the kernel averages uniformly
+    over the cyclic rotations of the blocks so every sub-population sees the
+    same conditional recommendation frequencies. Strategies are obedient.
+    Returns the realized obedience violation, which is exactly zero whenever
+    every support flow has denominators dividing ``denominator``.
 
-    Under rotation every rotated atom realizes the rounded flow y^ = counts /
-    ``denominator``, and each sub-population hears a with probability
+    Under rotation each sub-population hears a with probability
     prior * w * y^_a, so the violation is the rounded outcome's worst pairwise
     obedience row (a, b) of :func:`checks.obedience_rows` over a's marginal
     sum(prior * w * y^_a). Without rotation it is :func:`bwe_violation`'s.
@@ -291,40 +269,28 @@ def direct_structure_from_bcwe(
     actions = pop.actions
     sizes = tuple(Fraction(1, k_count) for _ in range(k_count))
     type_sets = tuple(tuple(actions) for _ in range(k_count))
-    kernel, rounded = {}, []  # rounded: the (state, prior * w, y^) atoms
+    rounded = _round_outcome(game, outcome, (k_count,))[0]
+    kernel = {}
     for state in game.states:
-        if state not in outcome.per_state:
-            raise ValueError(f"outcome missing state {state!r}")
         bucket = {}
-        for flow, w in outcome.per_state[state]:
+        for flow, w in rounded.per_state[state]:
             if w == 0:
                 continue
-            counts = _largest_remainder_counts(flow.flows[0], k_count)
-            y = FlowProfile((tuple(Fraction(c, k_count) for c in counts),))
-            rounded.append((state, game.prior_of(state) * w, y))
-            base = []
-            for j, c in enumerate(counts):
-                base.extend([actions[j]] * c)
+            base = [a for a, y in zip(actions, flow.flows[0]) for _ in range(int(y * k_count))]
             rotations = range(k_count) if symmetrize else (0,)
             mass = w * Fraction(1, k_count) if symmetrize else w
             for r in rotations:
                 profile = tuple(base[k_count - r :] + base[: k_count - r])
                 bucket[profile] = bucket.get(profile, 0) + mass
-        entries = sorted(bucket.items())
-        kernel[state] = tuple(entries)
+        kernel[state] = tuple(sorted(bucket.items()))
     structure = InformationStructure(sizes, type_sets, kernel)
-    gamma = Fraction(1, k_count)
-    obedient = tuple(
-        tuple(
-            tuple(gamma if j == ja else Fraction(0) for j in range(len(actions)))
-            for ja in range(len(actions))
-        )
-        for _ in range(k_count)
-    )
-    strategies = StrategyProfile(obedient)
+    n = len(actions)
+    obedient = tuple(tuple(sizes[0] if j == ja else Fraction(0) for j in range(n)) for ja in range(n))
+    strategies = StrategyProfile((obedient,) * k_count)
     if symmetrize:
-        marginal = {a: sum(m * y.flows[0][j] for _, m, y in rounded) for j, a in enumerate(actions)}
-        rows = obedience_rows(game, rounded)
+        atoms = _state_atoms(game, rounded)
+        marginal = {a: sum(m * y.flows[0][j] for _, m, y in atoms) for j, a in enumerate(actions)}
+        rows = obedience_rows(game, atoms)
         eps = max((sum(terms) / marginal[a] for (_, a, _), terms in rows if marginal[a] > 0), default=0)
     else:  # bwe_violation, without validating the strategies built just above
         eps = _max_gap(_conditional_costs(game, structure, strategies)[1], strategies)

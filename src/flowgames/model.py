@@ -619,6 +619,55 @@ class Outcome:
         object.__setattr__(self, "per_state", normalized)
 
 
+def _largest_remainder_counts(vector, denominator: int) -> list[int]:
+    """Integer counts summing to ``denominator`` proportional to the vector.
+
+    Each entry gets the floor of its scaled value (negatives count as 0),
+    and the shortfall goes to the largest remainders, ties to the smaller
+    index. An entry a rounding error below an integer has a remainder near
+    1 and so is raised to that integer before any other.
+    """
+    scaled = [v * denominator for v in vector]
+    counts = [max(math.floor(s), 0) for s in scaled]
+    remainders = sorted(range(len(vector)), key=lambda j: (-(scaled[j] - counts[j]), j))
+    for j in remainders[: denominator - sum(counts)]:
+        counts[j] += 1
+    return counts
+
+
+def _round_outcome(game: GameSpec, outcome: Outcome, counts) -> tuple[Outcome, object]:
+    """``outcome`` rounded onto shares 1/n_k, n_k = ``counts[k]``, and the
+    rounding distance delta, the largest |rounded - y| over every entry.
+
+    In each state of ``game``, population k of every support flow y becomes
+    :func:`_largest_remainder_counts` (y, n_k) / n_k, exact. Flows that round
+    alike merge, their weights summed, zero weights included. A flow whose
+    population mass is not 1, or an outcome missing a state, raises ValueError.
+    """
+    delta = 0
+    masses = tuple(Fraction(1) for _ in counts)
+    per_state = {}
+    for state in game.states:
+        if state not in outcome.per_state:
+            raise ValueError(f"outcome missing state {state!r}")
+        merged = {}
+        for flow, w in outcome.per_state[state]:
+            key = []
+            for k, (nk, vec, mass) in enumerate(zip(counts, flow.flows, flow.masses)):
+                if mass != 1:
+                    raise ValueError(f"population {k} flow sums to {float(mass)!r}, expected 1")
+                cnt = _largest_remainder_counts(vec, nk)
+                key.append(tuple(Fraction(c, nk) for c in cnt))
+                for c, v in zip(cnt, vec):
+                    gap = abs(Fraction(c, nk) - v if isinstance(v, Fraction) else c / nk - v)
+                    if gap > delta:
+                        delta = gap
+            key = tuple(key)
+            merged[key] = merged.get(key, 0) + w
+        per_state[state] = tuple((_trusted_profile(key, masses), w) for key, w in merged.items())
+    return Outcome(per_state), delta
+
+
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------

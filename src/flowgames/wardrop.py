@@ -19,6 +19,7 @@ from ._numpy import np
 from .lp import _column, _factor
 from .model import (
     CongestionSpec,
+    EvaluationError,
     FlowProfile,
     GameSpec,
     _check_mass,
@@ -592,6 +593,7 @@ def _lattice_scores(game: GameSpec, state: str, resolution: int, points: list) -
     y_a (c_a - c_min) has the numerator i_a (N_a - N_min) over r * r**deg * q.
     One int true division per point rounds the worst gap correctly, as
     ``float(Fraction)`` does: the scores are the floats of the exact violations.
+    A score beyond float range raises EvaluationError naming the lattice flow.
     """
     pops = game.populations
     costs, deg, q = _lifted_costs(game, state, [p.actions for p in pops])
@@ -606,7 +608,12 @@ def _lattice_scores(game: GameSpec, state: str, resolution: int, points: list) -
             for i, n in zip(point[k], ns):
                 if i and i * (n - cheapest) > worst:
                     worst = i * (n - cheapest)
-        scores.append(worst / (r * den))
+        try:
+            scores.append(worst / (r * den))
+        except OverflowError:
+            flow = "; ".join(", ".join(str(Fraction(i, r)) for i in vec) for vec in point)
+            message = f"violation in state {state!r} is too large for a float at lattice flow ({flow})"
+            raise EvaluationError(message) from None
     spread = 0.0
     for point in points[:: max(1, len(points) // 128)]:
         for fs in costs:

@@ -193,10 +193,17 @@ def test_rounded_flows_equal_validated_profiles(elfarol, elfarol_cwe, pigou_info
             for atoms in bce.outcome.per_state.values():
                 for flow, _ in atoms:
                     assert fg.FlowProfile(flow.flows) == flow
-    # a flow of mass 2 is refused, as a validated profile would refuse it
-    heavy = fg.Outcome({"0": ((fg.FlowProfile(((F(1), F(1)),), masses=(F(2),)), F(1)),)})
-    with pytest.raises(ValueError, match="flow sums to 2.0, expected 1"):
-        fg.construct_eps_bce(fg.AtomicGame(elfarol, (3,)), heavy)
+    # a flow of mass 2 is refused, as a validated profile would refuse it; a
+    # flow of mass 1/2 once rounded up to a unit flow (eps 2/9 at n = 3, and
+    # 1/3 for the structure at d = 3), and both rounding callers refuse it now
+    for vec, mass in (((F(1), F(1)), F(2)), ((F(1, 2), 0), F(1, 2))):
+        heavy = fg.Outcome({"0": ((fg.FlowProfile((vec,), masses=(mass,)), F(1)),)})
+        message = f"population 0 flow sums to {float(mass)!r}, expected 1"
+        with pytest.raises(ValueError, match=message):
+            fg.construct_eps_bce(fg.AtomicGame(elfarol, (3,)), heavy)
+        for symmetrize in (True, False):
+            with pytest.raises(ValueError, match=message):
+                fg.direct_structure_from_bcwe(elfarol, heavy, 3, symmetrize)
 
 
 def test_flowlevel_never_recommended_action_has_no_row():

@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -275,17 +276,20 @@ def test_usage_errors_exit_one(capsys, tmp_path, monkeypatch):
         ["design", "--game", "elfarol", "--objective", "y[zzz]"],
         # theta on non-numeric state names is caught by validation
         ["we", "--game", str(wet_dry)],
-        ["we", "--game", str(huge)],
-        ["check", "--game", str(huge), "--outcome", str(half), "--concept", "cwe"],
     ]:
         rc, _, err = run_cli(argv, capsys)
         assert rc == 1, argv
         assert err.startswith("error:"), argv
         assert "Traceback" not in err
     # design meets the float overflow past its grid, so build_grid is restored:
-    # in a cost, which names it, or in the simplex's float pricing of the objective
+    # in a cost, which names it, or in the simplex's float pricing of the objective;
+    # we names the state and the lattice flow whose violation overflows
     monkeypatch.undo()
     for argv, message in [
+        (
+            ["we", "--game", str(huge)],
+            "violation in state '0' is too large for a float at lattice flow (1/64, 63/64)",
+        ),
         (
             ["design", "--game", str(huge), "--resolution", "4"],
             "cost of ('crowd', 'a') is too large for a float at ((0.5, 0.5),)",
@@ -296,6 +300,10 @@ def test_usage_errors_exit_one(capsys, tmp_path, monkeypatch):
         ),
     ]:
         assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
+    # check compares the exact violation with --tol, so it never overflows
+    rc, out, err = run_cli(["check", "--game", str(huge), "--outcome", str(half), "--concept", "cwe"], capsys)
+    assert (rc, err) == (0, "")
+    assert f"violation = {F(10**400 - 2, 4)}\nok = false\n" in out
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])

@@ -15,6 +15,7 @@ from flowgames.model import (
     CostParseError,
     EvaluationError,
     FlowVar,
+    MASS_TOL,
     MaxOf,
     MinOf,
     Mul,
@@ -24,6 +25,7 @@ from flowgames.model import (
     StateCoef,
     Sub,
     ThetaVal,
+    _round_outcome,
     compile_cost,
     compile_int_cost,
 )
@@ -493,6 +495,54 @@ def test_validate_game_reports_unresolvable_costs():
         "cost of ('p', 'b'): state 'dry' missing from coefficient table",
         "cost of ('p', 'c'): unknown action 'zzz' in population 'p'",
     ]
+
+
+@st.composite
+def _roundings(draw):
+    """(game, counts, outcome, exact): an outcome over 1-2 populations of 2-4
+    actions, rational or float, and a player count from 1 to 40 per population."""
+    n_pops, n_actions, exact = draw(st.integers(1, 2)), draw(st.integers(2, 4)), draw(st.booleans())
+    counts = tuple(draw(st.integers(1, 40)) for _ in range(n_pops))
+
+    def shares(size, top):
+        raw = draw(st.lists(st.integers(0, top), min_size=size, max_size=size).filter(any))
+        return [F(r, sum(raw)) if exact else r / sum(raw) for r in raw]
+
+    game = random_congestion_game(0, n_actions=n_actions, n_states=2, n_pops=n_pops)
+    per_state = {
+        s: tuple(
+            (fg.FlowProfile(tuple(tuple(shares(n_actions, 60)) for _ in range(n_pops))), w)
+            for w in shares(draw(st.integers(1, 4)), 5)
+        )
+        for s in game.states
+    }
+    return game, counts, fg.Outcome(per_state), exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(_roundings())
+def test_round_outcome_properties(case):
+    game, counts, outcome, exact = case
+    rounded, delta = _round_outcome(game, outcome, counts)
+    # largest remainders: each flow y, rounded alone, has whole counts
+    # c = n_k y^ that sum to n_k, each within 1 of n_k y_j, so the rounding
+    # distance stays below 1/n_k; y^ is the flow y merged into
+    for state, atoms in outcome.per_state.items():
+        for flow, _ in atoms:
+            alone = fg.Outcome({s: ((flow, 1),) for s in game.states})
+            ((image, _),) = _round_outcome(game, alone, counts)[0].per_state[state]
+            for nk, vec, rounded_vec in zip(counts, flow.flows, image.flows):
+                cnt = [nk * y for y in rounded_vec]
+                assert all(c == int(c) for c in cnt) and sum(cnt) == nk
+                assert all(abs(c - nk * F(y)) < 1 for c, y in zip(cnt, vec))
+            assert image in [f for f, _ in rounded.per_state[state]]
+    assert 0 <= delta < F(1, min(counts))
+    for state, atoms in rounded.per_state.items():
+        total = sum(w for _, w in atoms)
+        assert total == 1 if exact else abs(total - 1) <= MASS_TOL, state
+    # a rounded outcome is on the 1/n_k lattice and comes back unchanged
+    if exact:
+        assert _round_outcome(game, rounded, counts) == (rounded, 0)
 
 
 def test_validate_game_accepts_bundled(elfarol, pigou_info, pigou_network):
