@@ -14,16 +14,15 @@ from fractions import Fraction
 
 from .checks import CheckReport, check_bce_flowlevel, check_bcwe
 from .lp import exact_solve
-from .model import MASS_TOL, FlowProfile, GameSpec, Outcome, _round_outcome, eval_cost
+from .model import FlowProfile, GameSpec, Outcome, _check_unit, _round_outcome, _shown, eval_cost
 
 
 @dataclass(frozen=True)
 class AtomicGame:
     """A draw of finitely many weighted players from each population.
 
-    ``counts[k]`` players split population k's mass according to
-    ``weights[k]`` (uniform when omitted); the weights must sum to that
-    population's mass exactly when rational.
+    ``counts[k]`` players split population k's unit mass according to
+    ``weights[k]`` (uniform when omitted); the weights must sum to 1.
     """
 
     game: GameSpec
@@ -47,9 +46,7 @@ class AtomicGame:
                 raise ValueError(f"population {k} needs {self.counts[k]} weights")
             if any(w <= 0 for w in vec):
                 raise ValueError("player weights must be positive")
-            total = sum(vec)
-            if total != 1 and abs(float(total) - 1.0) > MASS_TOL:
-                raise ValueError(f"population {k} weights sum to {float(total)!r}")
+            _check_unit(sum(vec), "population {} weights sum", k)
 
     def uniform(self) -> bool:
         return all(
@@ -332,10 +329,8 @@ def convergence_run(game: GameSpec, outcome: Outcome, n_list) -> list[Convergenc
     outcome and its rounded image.
     """
     report = check_bcwe(game, outcome)
-    if float(report.worst_violation) > 1e-6:
-        raise ValueError(
-            f"outcome violates obedience by {float(report.worst_violation)!r}"
-        )
+    if report.worst_violation > 1e-6:
+        raise ValueError(f"outcome violates obedience by {_shown(report.worst_violation)}")
     prior = {s: game.prior_of(s) for s in game.states}
     rows = []
     for n in n_list:

@@ -18,6 +18,7 @@ from .model import (
     GameSpec,
     Outcome,
     _cost_fn,
+    _distribution,
     _evaluate,
     _int_flows,
     _lifted_costs,
@@ -40,14 +41,6 @@ class CheckReport:
     concept: str
     worst_violation: object
     witness: tuple | None
-
-
-def _ensure_distribution(dist) -> tuple:
-    atoms = tuple((f, w) for f, w in dist)
-    total = sum(w for _, w in atoms)
-    if abs(total - 1) > 1e-9:
-        raise ValueError(f"distribution weights sum to {float(total)!r}")
-    return atoms
 
 
 def obedience_rows(game: GameSpec, atoms, coarse: bool = False, shares=None) -> list:
@@ -217,14 +210,14 @@ def check_cwe(game: GameSpec, dist, state: str) -> CheckReport:
     """Obedience under complete information: for each pair (a, b), switching
     every a-recommendation to b must not lower the recommended players'
     average cost."""
-    atoms = [(state, w, f) for f, w in _ensure_distribution(dist)]
+    atoms = [(state, w, f) for f, w in _distribution(dist, state)]
     return _worst_row("cwe", obedience_rows(game, atoms))
 
 
 def check_ccwe(game: GameSpec, dist, state: str) -> CheckReport:
     """Coarse variant: opting out to a fixed action b is compared against the
     average social cost of following recommendations."""
-    atoms = [(state, w, f) for f, w in _ensure_distribution(dist)]
+    atoms = [(state, w, f) for f, w in _distribution(dist, state)]
     return _worst_row("ccwe", obedience_rows(game, atoms, coarse=True))
 
 

@@ -115,18 +115,18 @@ def _snap_rational(game: GameSpec, flow: FlowProfile, state: str) -> FlowProfile
     for bound in (64, 4096, 10**6):
         flows = []
         ok = True
-        for vec, mass in zip(flow.flows, flow.masses):
+        for vec in flow.flows:
             vals = [Fraction(float(v)).limit_denominator(bound) for v in vec]
             # absorb the rounding drift into the largest coordinate
             j = max(range(len(vals)), key=lambda i: vals[i])
-            vals[j] += mass - sum(vals)
+            vals[j] += 1 - sum(vals)
             if vals[j] < 0:
                 ok = False
                 break
             flows.append(tuple(vals))
         if not ok:
             continue
-        candidate = FlowProfile(tuple(flows), masses=flow.masses)
+        candidate = FlowProfile(tuple(flows))
         if verify_we(game, candidate, state) <= 0:
             return candidate
     return flow

@@ -11,15 +11,13 @@ population, type) pairs weighted by the kernel.
 
 from __future__ import annotations
 
-import functools
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._numpy import np
 from .checks import _state_atoms, obedience_rows
-from .model import MASS_TOL, FlowProfile, GameSpec, Outcome, _check_tol, _round_outcome, eval_cost
+from .model import FlowProfile, GameSpec, Outcome, _check_tol, _check_unit, _round_outcome, eval_cost
 from .wardrop import _congestion_core
 
 
@@ -43,9 +41,7 @@ class InformationStructure:
             raise ValueError("sizes and type sets differ in length")
         if any(s < 0 for s in self.sizes):
             raise ValueError("negative sub-population size")
-        total = sum(self.sizes)
-        if total != 1 and abs(float(total) - 1.0) > MASS_TOL:
-            raise ValueError(f"sizes sum to {float(total)!r}, expected 1")
+        _check_unit(sum(self.sizes), "sizes sum")
         for types in self.type_sets:
             if not types:
                 raise ValueError("empty type set")
@@ -62,8 +58,7 @@ class InformationStructure:
                 if w < 0:
                     raise ValueError("negative kernel weight")
                 total = total + w
-            if total != 1 and abs(float(total) - 1.0) > MASS_TOL:
-                raise ValueError(f"kernel weights for state {state!r} sum to {float(total)!r}")
+            _check_unit(total, "kernel weights for state {!r} sum", state)
 
     def population_count(self) -> int:
         return len(self.sizes)
@@ -190,19 +185,14 @@ def _type_sums(structure, rows) -> dict:
     """(k, type index) -> [marginal, weighted cost sum per action]: each
     (type profile, row) added into the sums of the types the profile assigns,
     left to right from 0 in row order, so float sums keep their bits."""
-    groups = {}  # (k, type) -> its rows, in row order
-    for profile, row in rows:
-        for kt in enumerate(profile):
-            group = groups.get(kt)
-            if group is None:
-                groups[kt] = [row]
-            else:
-                group.append(row)
     type_index = [{t: ti for ti, t in enumerate(types)} for types in structure.type_sets]
-    return {
-        (k, type_index[k][t]): [functools.reduce(operator.add, col, 0) for col in zip(*group)]
-        for (k, t), group in groups.items()
-    }
+    sums = {}
+    for profile, row in rows:
+        for k, t in enumerate(profile):
+            acc = sums.setdefault((k, type_index[k][t]), [0] * len(row))
+            for i, v in enumerate(row):
+                acc[i] = acc[i] + v
+    return sums
 
 
 def _max_gap(conditional: dict, strategies: StrategyProfile):

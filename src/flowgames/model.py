@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-# Per-population mass and per-state weight tolerances for float data;
-# exact rational data is checked exactly.
+# How far a sum that must be 1 (flow entries, weights, sizes, the prior) may
+# miss it; :func:`_check_unit` compares exactly, so rational sums get it too.
 MASS_TOL = 1e-12
 
 
@@ -517,42 +517,28 @@ class GameSpec:
 
 @dataclass(frozen=True)
 class FlowProfile:
-    """One flow vector per population; per-population entries sum to the mass.
-
-    ``masses`` defaults to 1 per population; scaled masses appear when a
-    profile describes a sub-population inside an information structure.
-    """
+    """One flow vector per population; each population's entries sum to 1."""
 
     flows: tuple
-    masses: tuple = None
 
     def __post_init__(self):
         flows = tuple(tuple(v for v in vec) for vec in self.flows)
         object.__setattr__(self, "flows", flows)
         if not flows:
             raise ValueError("empty flow profile")
-        masses = self.masses
-        if masses is None:
-            masses = tuple(Fraction(1) for _ in flows)
-        else:
-            masses = tuple(masses)
-            if len(masses) != len(flows):
-                raise ValueError("masses length does not match population count")
-        object.__setattr__(self, "masses", masses)
         for k, vec in enumerate(flows):
             if not vec:
                 raise ValueError(f"population {k} has an empty flow vector")
             for v in vec:
                 if v < 0:
                     raise ValueError(f"negative flow entry {v!r} in population {k}")
-            _check_mass(k, vec, masses[k])
+            _check_unit(sum(vec), "population {} flow sums", k)
 
 
-def _trusted_profile(flows: tuple, masses: tuple) -> FlowProfile:
-    """An unchecked FlowProfile of entries nonnegative and summing to ``masses`` by construction."""
+def _trusted_profile(flows: tuple) -> FlowProfile:
+    """An unchecked FlowProfile of entries nonnegative and summing to 1 by construction."""
     flow = object.__new__(FlowProfile)
     object.__setattr__(flow, "flows", flows)
-    object.__setattr__(flow, "masses", masses)
     return flow
 
 
@@ -562,11 +548,19 @@ def _check_tol(tol) -> None:
         raise ValueError("tol must be positive")
 
 
-def _check_mass(k: int, vec, mass) -> None:
-    """Raise ValueError unless population ``k``'s entries sum to ``mass``."""
-    total = sum(vec)
-    if abs(total - mass) > MASS_TOL:
-        raise ValueError(f"population {k} flow sums to {float(total)!r}, expected {float(mass)!r}")
+def _shown(x) -> str:
+    """``repr(float(x))``, or ``str(x)`` when ``x`` is too large for a float."""
+    try:
+        return repr(float(x))
+    except OverflowError:
+        return str(x)
+
+
+def _check_unit(total, what: str, *args) -> None:
+    """Raise ValueError unless ``total`` is within ``MASS_TOL`` of 1, compared
+    exactly; the message is ``what.format(*args)`` and the sum."""
+    if abs(total - 1) > MASS_TOL:
+        raise ValueError(f"{what.format(*args)} to {_shown(total)}, expected 1")
 
 
 def flow_sort_key(flow: FlowProfile) -> tuple:
@@ -600,23 +594,28 @@ class Outcome:
             raise ValueError("empty outcome")
         normalized = {}
         for state, atoms in self.per_state.items():
-            atoms = tuple((f, w) for f, w in atoms)
-            if not atoms:
-                raise ValueError(f"state {state!r} has no support")
-            total = 0
-            for f, w in atoms:
-                if not isinstance(f, FlowProfile):
-                    raise ValueError(f"support of state {state!r} contains a non-flow")
-                if w < 0:
-                    raise ValueError(f"negative weight {w!r} in state {state!r}")
-                total = total + w
-            if abs(total - 1) > MASS_TOL:
-                raise ValueError(f"weights in state {state!r} sum to {float(total)!r}")
             # canonical atom order makes structural equality order-free
             normalized[state] = tuple(
-                sorted(atoms, key=lambda fw: flow_sort_key(fw[0]))
+                sorted(_distribution(atoms, state), key=lambda fw: flow_sort_key(fw[0]))
             )
         object.__setattr__(self, "per_state", normalized)
+
+
+def _distribution(atoms, state) -> tuple:
+    """The (flow, weight) pairs of ``atoms`` in their order, once checked:
+    some support, flows only, and nonnegative weights summing to 1."""
+    atoms = tuple((f, w) for f, w in atoms)
+    if not atoms:
+        raise ValueError(f"state {state!r} has no support")
+    total = 0
+    for f, w in atoms:
+        if not isinstance(f, FlowProfile):
+            raise ValueError(f"support of state {state!r} contains a non-flow")
+        if w < 0:
+            raise ValueError(f"negative weight {w!r} in state {state!r}")
+        total = total + w
+    _check_unit(total, "weights in state {!r} sum", state)
+    return atoms
 
 
 def _largest_remainder_counts(vector, denominator: int) -> list[int]:
@@ -641,11 +640,10 @@ def _round_outcome(game: GameSpec, outcome: Outcome, counts) -> tuple[Outcome, o
 
     In each state of ``game``, population k of every support flow y becomes
     :func:`_largest_remainder_counts` (y, n_k) / n_k, exact. Flows that round
-    alike merge, their weights summed, zero weights included. A flow whose
-    population mass is not 1, or an outcome missing a state, raises ValueError.
+    alike merge, their weights summed, zero weights included. An outcome
+    missing a state raises ValueError.
     """
     delta = 0
-    masses = tuple(Fraction(1) for _ in counts)
     per_state = {}
     for state in game.states:
         if state not in outcome.per_state:
@@ -653,9 +651,7 @@ def _round_outcome(game: GameSpec, outcome: Outcome, counts) -> tuple[Outcome, o
         merged = {}
         for flow, w in outcome.per_state[state]:
             key = []
-            for k, (nk, vec, mass) in enumerate(zip(counts, flow.flows, flow.masses)):
-                if mass != 1:
-                    raise ValueError(f"population {k} flow sums to {float(mass)!r}, expected 1")
+            for nk, vec in zip(counts, flow.flows):
                 cnt = _largest_remainder_counts(vec, nk)
                 key.append(tuple(Fraction(c, nk) for c in cnt))
                 for c, v in zip(cnt, vec):
@@ -664,7 +660,7 @@ def _round_outcome(game: GameSpec, outcome: Outcome, counts) -> tuple[Outcome, o
                         delta = gap
             key = tuple(key)
             merged[key] = merged.get(key, 0) + w
-        per_state[state] = tuple((_trusted_profile(key, masses), w) for key, w in merged.items())
+        per_state[state] = tuple((_trusted_profile(key), w) for key, w in merged.items())
     return Outcome(per_state), delta
 
 
@@ -1008,9 +1004,10 @@ def load_profile(spec: CongestionSpec, flow: FlowProfile) -> dict:
 def validate_game(game: GameSpec) -> list[str]:
     """Collect every violated game invariant; an empty list means valid."""
     problems = []
-    total = sum(game.prior)
-    if total != 1 and abs(float(total) - 1.0) > MASS_TOL:
-        problems.append(f"prior does not sum to 1 (sum is {float(total)!r})")
+    try:
+        _check_unit(sum(game.prior), "prior sums")
+    except ValueError as err:
+        problems.append(str(err))
     for s, p in zip(game.states, game.prior):
         if p < 0:
             problems.append(f"prior of state {s!r} is negative")

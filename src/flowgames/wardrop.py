@@ -22,8 +22,8 @@ from .model import (
     EvaluationError,
     FlowProfile,
     GameSpec,
-    _check_mass,
     _check_tol,
+    _check_unit,
     _cost_fn,
     _evaluate,
     _lifted_costs,
@@ -514,7 +514,7 @@ def _normalized(k: int, vec) -> tuple:
     clipped = [max(0.0, v) for v in vec]
     total = sum(clipped)
     out = tuple(v / total for v in clipped) if total > 0 else tuple(clipped)
-    _check_mass(k, out, 1)
+    _check_unit(sum(out), "population {} flow sums", k)
     return out
 
 
@@ -578,9 +578,8 @@ def grid_flows(game: GameSpec, resolution: int) -> list[FlowProfile]:
     per_pop = [
         [tuple(table[i] for i in vec) for vec in grid] for grid in _population_grids(game, resolution)
     ]
-    masses = tuple(table[-1] for _ in per_pop)
     # lattice entries are nonnegative Fractions summing to 1 by construction
-    return [_trusted_profile(combo, masses) for combo in itertools.product(*per_pop)]
+    return [_trusted_profile(combo) for combo in itertools.product(*per_pop)]
 
 
 def _lattice_scores(game: GameSpec, state: str, resolution: int, points: list) -> tuple:
@@ -642,7 +641,6 @@ def enumerate_we_grid(
     scores, spread = _lattice_scores(game, state, resolution, points)
     keep = max(tol, 4.0 * spread / resolution)
     table = [Fraction(i, resolution) for i in range(resolution + 1)]
-    masses = tuple(table[-1] for _ in game.populations)
     unique = game.congestion is not None and _one_minimizer(game.congestion, state)
     result: list[FlowProfile] = []
     # process best candidates first (a stable sort, in lattice order among
@@ -652,7 +650,7 @@ def enumerate_we_grid(
         if scores[i] > keep:
             break
         # lattice entries are nonnegative Fractions summing to 1 by construction
-        f = _trusted_profile(tuple(tuple(table[y] for y in vec) for vec in points[i]), masses)
+        f = _trusted_profile(tuple(tuple(table[y] for y in vec) for vec in points[i]))
         if game.congestion is not None:
             # Newton-polished potential descent reaches ~1e-12, so copies of
             # one equilibrium collapse inside the dedup radius; best response

@@ -30,6 +30,9 @@ def test_atomic_game_validation(elfarol):
         fg.AtomicGame(elfarol, (0,))
     with pytest.raises(ValueError):
         fg.AtomicGame(elfarol, (2,), weights=((F(1, 3), F(1, 3)),))
+    # a sum beyond float range is named exactly, not an OverflowError
+    with pytest.raises(ValueError, match=f"^population 0 weights sum to {10**400 + 1}, expected 1$"):
+        fg.AtomicGame(elfarol, (2,), weights=((F(10**400), F(1)),))
     agame = fg.AtomicGame(elfarol, (2,), weights=((F(1, 4), F(3, 4)),))
     assert not agame.uniform()
     assert fg.AtomicGame(elfarol, (2,)).uniform()
@@ -193,17 +196,11 @@ def test_rounded_flows_equal_validated_profiles(elfarol, elfarol_cwe, pigou_info
             for atoms in bce.outcome.per_state.values():
                 for flow, _ in atoms:
                     assert fg.FlowProfile(flow.flows) == flow
-    # a flow of mass 2 is refused, as a validated profile would refuse it; a
-    # flow of mass 1/2 once rounded up to a unit flow (eps 2/9 at n = 3, and
-    # 1/3 for the structure at d = 3), and both rounding callers refuse it now
+    # a flow of mass 2 or 1/2, which a rounding caller once rounded to a unit
+    # flow, cannot reach one: every FlowProfile has unit mass
     for vec, mass in (((F(1), F(1)), F(2)), ((F(1, 2), 0), F(1, 2))):
-        heavy = fg.Outcome({"0": ((fg.FlowProfile((vec,), masses=(mass,)), F(1)),)})
-        message = f"population 0 flow sums to {float(mass)!r}, expected 1"
-        with pytest.raises(ValueError, match=message):
-            fg.construct_eps_bce(fg.AtomicGame(elfarol, (3,)), heavy)
-        for symmetrize in (True, False):
-            with pytest.raises(ValueError, match=message):
-                fg.direct_structure_from_bcwe(elfarol, heavy, 3, symmetrize)
+        with pytest.raises(ValueError, match=f"population 0 flow sums to {float(mass)!r}, expected 1"):
+            fg.FlowProfile((vec,))
 
 
 def test_flowlevel_never_recommended_action_has_no_row():

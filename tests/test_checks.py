@@ -32,6 +32,14 @@ def test_cwe_detects_violation(pigou_info):
 def test_cwe_rejects_bad_distribution(elfarol):
     with pytest.raises(ValueError):
         fg.check_cwe(elfarol, ((flow1(1, 0), F(1, 2)),), "0")
+    # the weights sum to 1 but one is negative: refused as Outcome refuses it,
+    # by both checks, not scored as a violation of 2
+    signed = [(flow1(F(1, 2), F(1, 2)), 2), (flow1(1, 0), -1)]
+    for check in (fg.check_cwe, fg.check_ccwe):
+        with pytest.raises(ValueError, match="^negative weight -1 in state '0'$"):
+            check(elfarol, signed, "0")
+    with pytest.raises(ValueError, match="^support of state '0' contains a non-flow$"):
+        fg.check_cwe(elfarol, [((1, 0), 1)], "0")
 
 
 def test_ccwe_elfarol_distribution(elfarol, elfarol_cwe):
@@ -298,7 +306,7 @@ def _reference_rows(game, atoms, coarse=False, shares=None):
                         shifted = [list(vec) for vec in flow.flows]
                         shifted[k][ja] -= shares[k]
                         shifted[k][jb] += shares[k]
-                        moved = fg.FlowProfile(shifted, masses=flow.masses)
+                        moved = fg.FlowProfile(shifted)
                     terms.append(mass * y * (cost(a, flow, state) - cost(b, moved, state)))
                 rows.append(((pop.name, a, b), terms))
     return rows

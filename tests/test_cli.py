@@ -266,6 +266,8 @@ def test_usage_errors_exit_one(capsys, tmp_path, monkeypatch):
         f"[prior]\n0 = 1\n\n[costs]\ncrowd.a = {10**400}*y[a]\ncrowd.b = 1\n"
     )
     half.write_text("[outcome.0]\n(1/2, 1/2) = 1\n")
+    pure = tmp_path / "pure.outcome"
+    pure.write_text("[outcome.0]\n(0, 1) = 1\n")
     for argv in [
         ["we", "--game", "no-such-game"],
         ["frobnicate", "--game", "elfarol"],
@@ -283,9 +285,18 @@ def test_usage_errors_exit_one(capsys, tmp_path, monkeypatch):
         assert "Traceback" not in err
     # design meets the float overflow past its grid, so build_grid is restored:
     # in a cost, which names it, or in the simplex's float pricing of the objective;
-    # we names the state and the lattice flow whose violation overflows
+    # we names the state and the lattice flow whose violation overflows;
+    # converge names an obedience violation exactly when it is beyond float range
     monkeypatch.undo()
     for argv, message in [
+        (
+            ["converge", "--game", str(huge), "--outcome", str(half), "--n-list", "4"],
+            f"outcome violates obedience by {F(10**400 - 2, 4)}",
+        ),
+        (
+            ["converge", "--game", "elfarol", "--outcome", str(pure), "--n-list", "4"],
+            "outcome violates obedience by 1.0",
+        ),
         (
             ["we", "--game", str(huge)],
             "violation in state '0' is too large for a float at lattice flow (1/64, 63/64)",

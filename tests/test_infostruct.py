@@ -449,7 +449,7 @@ def test_exact_path_keeps_the_aggregate_mass_check(elfarol):
     )
     heavy = F(1, 2) + F(1, 10**10)
     strategies = fg.StrategyProfile((((heavy, F(0)),),) * 2)
-    with pytest.raises(ValueError, match=re.escape("population 0 flow sums to 1.0000000002, expected 1.0")):
+    with pytest.raises(ValueError, match=re.escape("population 0 flow sums to 1.0000000002, expected 1") + "$"):
         fg.bwe_violation(elfarol, structure, strategies)
     # within MASS_TOL the aggregate is costed where it is
     close = fg.StrategyProfile((((F(1, 2) + F(1, 10**14), F(0)),),) * 2)
@@ -695,6 +695,15 @@ def test_structure_validation():
     with pytest.raises(ValueError):
         fg.InformationStructure(
             sizes=(F(1),), type_sets=(("t",),), kernel={"0": ((("u",), F(1)),)}
+        )
+    # sums beyond float range are named exactly, not an OverflowError
+    with pytest.raises(ValueError, match=f"^sizes sum to {10**400}, expected 1$"):
+        fg.InformationStructure(
+            sizes=(F(10**400),), type_sets=(("t",),), kernel={"0": ((("t",), F(1)),)}
+        )
+    with pytest.raises(ValueError, match=f"^kernel weights for state '0' sum to {10**400}, expected 1$"):
+        fg.InformationStructure(
+            sizes=(F(1),), type_sets=(("t",),), kernel={"0": ((("t",), F(10**400)),)}
         )
 
 

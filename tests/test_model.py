@@ -431,10 +431,10 @@ def test_flow_profile_validation():
     with pytest.raises(ValueError):
         fg.FlowProfile(((F(-1, 4), F(5, 4)),))
     with pytest.raises(ValueError):
-        fg.FlowProfile(((F(1, 4), F(1, 4)),))  # sums to 1/2, mass defaults to 1
-    # explicit masses allow sub-population scale
-    f = fg.FlowProfile(((F(1, 4), F(1, 4)),), masses=(F(1, 2),))
-    assert f.flows[0] == (F(1, 4), F(1, 4))
+        fg.FlowProfile(((F(1, 4), F(1, 4)),))  # sums to 1/2, every population has mass 1
+    # a sum beyond float range is named exactly, not an OverflowError
+    with pytest.raises(ValueError, match=f"^population 0 flow sums to {10**400}, expected 1$"):
+        fg.FlowProfile(((F(10**400), F(0)),))
 
 
 def test_outcome_atoms_get_canonical_order():
@@ -456,6 +456,8 @@ def test_outcome_validation():
         fg.Outcome({"0": ((f, F(-1, 2)), (f, F(3, 2)))})
     with pytest.raises(ValueError):
         fg.Outcome({"0": ((f, F(1, 2)),)})  # weights sum to 1/2
+    with pytest.raises(ValueError, match=f"^weights in state '0' sum to {10**400}, expected 1$"):
+        fg.Outcome({"0": ((f, F(10**400)),)})
 
 
 def test_population_validation():
@@ -479,7 +481,10 @@ def test_validate_game_numeric_problems():
     costs = {("p", "a"): fg.parse_cost("1"), ("p", "b"): fg.parse_cost("2")}
     game = fg.GameSpec((pop,), ("0", "1"), (F(1, 2), F(1, 3)), costs)
     problems = fg.validate_game(game)
-    assert any("prior" in p for p in problems)
+    assert "prior sums to 0.8333333333333334, expected 1" in problems
+    # a prior beyond float range is named exactly, not an OverflowError
+    game = fg.GameSpec((pop,), ("0",), (F(10**400),), costs)
+    assert fg.validate_game(game) == [f"prior sums to {10**400}, expected 1"]
 
 
 def test_validate_game_reports_unresolvable_costs():
