@@ -9,16 +9,14 @@ how the obedience slack and the outcome distance shrink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import CheckReport, check_bce_flowlevel, check_bcwe
 from .lp import exact_solve
-from .model import FlowProfile, GameSpec, Outcome, _check_unit, _round_outcome, _shown, eval_cost
+from .model import FlowProfile, GameSpec, Outcome, _Record, _check_unit, _round_outcome, _shown, eval_cost
 
 
-@dataclass(frozen=True)
-class AtomicGame:
+class AtomicGame(_Record):
     """A draw of finitely many weighted players from each population.
 
     ``counts[k]`` players split population k's unit mass according to
@@ -105,8 +103,8 @@ def check_bce_bruteforce(agame: AtomicGame, beta: dict) -> CheckReport:
             if w == 0:
                 continue
             entries.append((state, p * w, tuple(map(tuple, profile))))
-        if total != 1 and abs(float(total) - 1.0) > 1e-9:
-            raise ValueError(f"profile weights for state {state!r} sum to {float(total)!r}")
+        if abs(total - 1) > 1e-9:
+            raise ValueError(f"profile weights for state {state!r} sum to {_shown(total)}")
     worst = None
     witness = None
     for k, pop in enumerate(agame.game.populations):
@@ -146,8 +144,7 @@ def check_bce_bruteforce(agame: AtomicGame, beta: dict) -> CheckReport:
     return CheckReport("bce", worst, witness)
 
 
-@dataclass(frozen=True)
-class SymmetricBCE:
+class SymmetricBCE(_Record):
     """Count-based symmetric recommendation for n_k uniform players in
     population k.
 
@@ -311,8 +308,7 @@ def _linf(a: FlowProfile, b: FlowProfile) -> Fraction:
     return max(abs(Fraction(x) - Fraction(y)) for x, y in pairs)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(_Record):
     n: int
     delta: float
     eps: object

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
     FlowProfile,
     GameSpec,
     Outcome,
+    _Record,
     _cost_fn,
     _distribution,
     _evaluate,
@@ -27,8 +27,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     """Result of one equilibrium-concept check.
 
     ``worst_violation`` is max(LHS - RHS) over the concept's inequality
@@ -259,8 +258,7 @@ def check_bce_flowlevel(game: GameSpec, bce) -> CheckReport:
     return _worst_row("bce_flowlevel", [row for row in rows if row[0][:2] in played])
 
 
-@dataclass(frozen=True)
-class AveragingReport:
+class AveragingReport(_Record):
     """Companion report for the per-state barycenter construction.
 
     ``hypotheses_hold`` is sampled, not decided: it is False when a midpoint

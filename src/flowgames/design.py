@@ -9,7 +9,6 @@ bound structurally: its support cannot exceed the LP row count.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import _obedience_columns, _term_rows
@@ -18,6 +17,7 @@ from .model import (
     FlowProfile,
     GameSpec,
     Outcome,
+    _Record,
     compile_cost,
     flow_sort_key,
     social_cost,
@@ -28,8 +28,7 @@ from .wardrop import _lattice_size, grid_flows, solve_we_multistart, solve_we_po
 ROUNDOFF = 1e-12
 
 
-@dataclass(frozen=True)
-class DesignerProblem:
+class DesignerProblem(_Record):
     """A game, a per-state designer cost, and per-state candidate flows.
 
     ``designer_cost`` maps each state to a cost expression over flows; pass
@@ -54,8 +53,7 @@ class DesignerProblem:
                 raise ValueError(f"no candidates for state {state!r}")
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(_Record):
     """An exactly optimal outcome with its objective, or no outcome.
 
     ``status`` is "optimal" or "uncertified" (exact data with no obedient
@@ -69,8 +67,7 @@ class LPSolution:
     status: str
 
 
-@dataclass(frozen=True)
-class SupportBoundReport:
+class SupportBoundReport(_Record):
     """``ok`` iff the solution satisfies the Caratheodory-style cap."""
 
     ok: bool

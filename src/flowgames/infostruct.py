@@ -12,17 +12,25 @@ population, type) pairs weighted by the kernel.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._numpy import np
 from .checks import _state_atoms, obedience_rows
-from .model import FlowProfile, GameSpec, Outcome, _check_tol, _check_unit, _round_outcome, eval_cost
+from .model import (
+    FlowProfile,
+    GameSpec,
+    Outcome,
+    _Record,
+    _check_tol,
+    _check_unit,
+    _round_outcome,
+    _shown,
+    eval_cost,
+)
 from .wardrop import _congestion_core
 
 
-@dataclass(frozen=True)
-class InformationStructure:
+class InformationStructure(_Record):
     """Sub-population sizes, finite type sets, and a kernel state -> types.
 
     ``sizes`` are exact rationals summing to 1; ``kernel`` maps each state
@@ -64,8 +72,7 @@ class InformationStructure:
         return len(self.sizes)
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(_Record):
     """Per sub-population, a flow vector of mass gamma_k for each type.
 
     ``strategies[k][t]`` is the action-indexed vector played by sub-
@@ -102,9 +109,9 @@ def validate_strategies(
                 raise ValueError("negative strategy mass")
             total = sum(vec)
             gamma = structure.sizes[k]
-            if total != gamma and abs(float(total) - float(gamma)) > 1e-9:
+            if abs(total - gamma) > 1e-9:
                 raise ValueError(
-                    f"sub-population {k} plays mass {float(total)!r}, expected {float(gamma)!r}"
+                    f"sub-population {k} plays mass {_shown(total)}, expected {_shown(gamma)}"
                 )
 
 
@@ -389,8 +396,7 @@ def _bwe_solve(game, structure, blocks, core, tol, start) -> StrategyProfile:
     return StrategyProfile(tuple(out))
 
 
-@dataclass(frozen=True)
-class UniquenessProbeReport:
+class UniquenessProbeReport(_Record):
     """Spread of solved equilibria across random restarts.
 
     ``flow_deviation`` compares the realized aggregate flows per kernel

@@ -29,18 +29,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._numpy import np
+from .model import _Record
 
 PIVOT_TOL = 1e-10
 # consecutive degenerate exact pivots before pricing by Bland's rule alone
 STALL_PIVOTS = 30
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """An exactly verified optimal basis: x is feasible, y is dual feasible
     and objective = c . x = y . b."""
 

@@ -20,7 +20,6 @@ import math
 import operator
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -33,18 +32,74 @@ class EvaluationError(ArithmeticError):
     """A cost expression produced a non-finite or unresolvable value."""
 
 
+class _Record:
+    """Base of the frozen value types, whose methods it defines once for all.
+
+    A subclass's fields are its annotated names, its bases' first; a class
+    attribute gives a field its default. ``__init__`` sets the fields, by
+    position or keyword, then calls ``__post_init__``. Records are equal only
+    within one class, by their tuple of fields, hash as that tuple, print as
+    ``Name(field=value!r, ...)`` and refuse to set or delete an attribute
+    (``__post_init__`` may use ``object.__setattr__``).
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        own = cls.__dict__.get("__annotations__", ())
+        fields = cls._fields = cls._fields + tuple(n for n in own if n not in cls._fields)
+        cls._defaults = {n: getattr(cls, n) for n in fields if hasattr(cls, n)}
+        # attrgetter returns a bare value for one name and wants at least one
+        get = operator.attrgetter(*fields) if fields else lambda obj: ()
+        cls._values = staticmethod(get if len(fields) != 1 else lambda obj: (get(obj),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            repeated = kwargs.keys() & set(fields[: len(args)])
+            if len(args) > len(fields) or repeated or values.keys() != set(fields):
+                raise TypeError(
+                    f"{type(self).__name__}() takes the fields {fields}, got "
+                    f"{len(args)} by position and {list(kwargs)} by keyword"
+                )
+            args = [values[n] for n in fields]
+        # one attribute at a time: a materialized __dict__ would slow every read
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a frozen {type(self).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # Cost expressions
 # ---------------------------------------------------------------------------
 
 
-class CostExpr:
+class CostExpr(_Record):
     """Base class for cost expression nodes."""
 
-    __slots__ = ()
 
-
-@dataclass(frozen=True)
 class Const(CostExpr):
     """A rational constant."""
 
@@ -55,7 +110,6 @@ class Const(CostExpr):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
 class FlowVar(CostExpr):
     """The flow on one action; ``pop`` is None in single-population games."""
 
@@ -63,7 +117,6 @@ class FlowVar(CostExpr):
     action: str
 
 
-@dataclass(frozen=True)
 class ThetaVal(CostExpr):
     """The numeric value of the current state.
 
@@ -72,7 +125,6 @@ class ThetaVal(CostExpr):
     """
 
 
-@dataclass(frozen=True)
 class StateCoef(CostExpr):
     """A constant that depends on the state through an explicit table; its
     values are stored as ``Fraction``s, as in :class:`Const`."""
@@ -88,30 +140,25 @@ class StateCoef(CostExpr):
             object.__setattr__(self, "table", table)
 
 
-@dataclass(frozen=True)
 class Neg(CostExpr):
     arg: CostExpr
 
 
-@dataclass(frozen=True)
 class Add(CostExpr):
     left: CostExpr
     right: CostExpr
 
 
-@dataclass(frozen=True)
 class Sub(CostExpr):
     left: CostExpr
     right: CostExpr
 
 
-@dataclass(frozen=True)
 class Mul(CostExpr):
     left: CostExpr
     right: CostExpr
 
 
-@dataclass(frozen=True)
 class MaxOf(CostExpr):
     args: tuple[CostExpr, ...]
 
@@ -120,7 +167,6 @@ class MaxOf(CostExpr):
             raise ValueError("max needs at least two arguments")
 
 
-@dataclass(frozen=True)
 class MinOf(CostExpr):
     args: tuple[CostExpr, ...]
 
@@ -129,7 +175,6 @@ class MinOf(CostExpr):
             raise ValueError("min needs at least two arguments")
 
 
-@dataclass(frozen=True)
 class Pow(CostExpr):
     """Integer power; the exponent is a fixed nonnegative integer."""
 
@@ -379,8 +424,7 @@ def parse_rational(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Population:
+class Population(_Record):
     name: str
     actions: tuple[str, ...]
 
@@ -391,8 +435,7 @@ class Population:
             raise ValueError(f"population {self.name!r} has duplicate actions")
 
 
-@dataclass(frozen=True)
-class CongestionSpec:
+class CongestionSpec(_Record):
     """A resource-based game: action costs add up latencies of used resources.
 
     Fields:
@@ -445,8 +488,7 @@ class CongestionSpec:
                     raise ValueError(f"negative latency coefficient on {e!r} in state {s!r}")
 
 
-@dataclass(frozen=True)
-class GameSpec:
+class GameSpec(_Record):
     """A finite-population anonymous game with state-dependent costs.
 
     Structural problems (missing costs, duplicate names) raise ValueError at
@@ -460,12 +502,6 @@ class GameSpec:
     prior: tuple[Fraction, ...]
     costs: dict
     congestion: CongestionSpec | None = None
-    _pop_index: dict = field(init=False, repr=False, compare=False, default=None)
-    _act_index: dict = field(init=False, repr=False, compare=False, default=None)
-    # (pop, action, state) -> compiled cost, filled by eval_cost, and (pop,
-    # action, state, int) -> its integer backend; valid only while ``costs``
-    # is left as constructed
-    _compiled: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.populations:
@@ -491,6 +527,9 @@ class GameSpec:
             "_act_index",
             {(p.name, a): j for p in self.populations for j, a in enumerate(p.actions)},
         )
+        # (pop, action, state) -> compiled cost, filled by eval_cost, and (pop,
+        # action, state, int) -> its integer backend; valid only while
+        # ``costs`` is left as constructed. None of the three caches is a field.
         object.__setattr__(self, "_compiled", {})
 
     def population_index(self, pop: str) -> int:
@@ -515,8 +554,7 @@ class GameSpec:
         return self.prior[self.state_index(state)]
 
 
-@dataclass(frozen=True)
-class FlowProfile:
+class FlowProfile(_Record):
     """One flow vector per population; each population's entries sum to 1."""
 
     flows: tuple
@@ -583,8 +621,7 @@ def flow_linf(a: FlowProfile, b: FlowProfile) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(_Record):
     """Per state, a finite-support distribution over flow profiles."""
 
     per_state: dict

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._numpy import np
@@ -22,6 +21,7 @@ from .model import (
     EvaluationError,
     FlowProfile,
     GameSpec,
+    _Record,
     _check_tol,
     _check_unit,
     _cost_fn,
@@ -37,8 +37,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class WESolveResult:
+class WESolveResult(_Record):
     """A solver's best flow with its certified equilibrium violation.
 
     ``max_violation`` is the raw signed worst violation as reported by

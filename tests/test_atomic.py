@@ -247,6 +247,15 @@ def test_bruteforce_rejects_missing_state():
         fg.check_bce_bruteforce(agame, {"0": beta["0"]})
 
 
+def test_bruteforce_weights_must_sum_to_one(elfarol):
+    agame = fg.AtomicGame(elfarol, (1,))
+    with pytest.raises(ValueError, match="^profile weights for state '0' sum to 0.5$"):
+        fg.check_bce_bruteforce(agame, {"0": [((("a",),), F(1, 2))]})
+    # compared exactly: a sum beyond float range is named, not an OverflowError
+    with pytest.raises(ValueError, match=f"^profile weights for state '0' sum to {10**400}$"):
+        fg.check_bce_bruteforce(agame, {"0": [((("a",),), F(10**400))]})
+
+
 def test_symmetric_bce_flows_must_be_counts():
     outcome = fg.Outcome({"0": ((flow1(F(1, 2), F(1, 2)), F(1)),)})
     with pytest.raises(ValueError, match="not a count vector over 3"):

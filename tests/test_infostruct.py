@@ -713,6 +713,12 @@ def test_validate_strategies_checks_masses(elfarol, elfarol_cwe):
     bad = fg.StrategyProfile((((F(1), F(0)), (F(0), F(1))),))
     with pytest.raises(ValueError):
         fg.validate_strategies(structure, bad, 2)
+    one = fg.InformationStructure(sizes=(F(1),), type_sets=(("t",),), kernel={"0": ((("t",), F(1)),)})
+    with pytest.raises(ValueError, match=r"^sub-population 0 plays mass 0.5, expected 1.0$"):
+        fg.validate_strategies(one, fg.StrategyProfile((((F(1, 2), F(0)),),)), 2)
+    # compared exactly: a mass beyond float range is named, not an OverflowError
+    with pytest.raises(ValueError, match=f"^sub-population 0 plays mass {10**400}, expected 1.0$"):
+        fg.validate_strategies(one, fg.StrategyProfile((((F(10**400), F(0)),),)), 2)
 
 
 def test_solve_bwe_needs_congestion(elfarol, elfarol_cwe):

@@ -25,6 +25,7 @@ from flowgames.model import (
     StateCoef,
     Sub,
     ThetaVal,
+    _Record,
     _round_outcome,
     compile_cost,
     compile_int_cost,
@@ -474,6 +475,110 @@ def test_game_spec_validation():
         fg.GameSpec((pop,), ("0", "1"), (F(1),), costs)  # prior length mismatch
     with pytest.raises(ValueError):
         fg.GameSpec((pop,), ("0",), (F(1),), {("p", "a"): fg.parse_cost("1")})
+
+
+def _record_samples(game):
+    """One instance's keyword arguments per record class, fields in order."""
+    x, y = FlowVar(None, "a"), Const(2)
+    flow = flow1(F(1, 4), F(3, 4))
+    outcome = fg.Outcome({"0": ((flow, F(1)),)})
+    pops = (Population("p", ("a",)),)
+    check = fg.CheckReport(concept="cwe", worst_violation=F(0), witness=None)
+    return [
+        (Const, dict(value=F(1, 2))),
+        (FlowVar, dict(pop="p", action="a")),
+        (ThetaVal, dict()),
+        (StateCoef, dict(table=(("0", F(1)), ("1", F(2))))),
+        (Neg, dict(arg=x)),
+        (Add, dict(left=x, right=y)),
+        (Sub, dict(left=x, right=y)),
+        (Mul, dict(left=x, right=y)),
+        (MaxOf, dict(args=(x, y))),
+        (MinOf, dict(args=(x, y))),
+        (Pow, dict(base=x, exponent=2)),
+        (Population, dict(name="p", actions=("a", "b"))),
+        (fg.CongestionSpec, dict(
+            resources=("e",), latencies={("e", "0"): (F(0), F(1))},
+            actions={("p", "a"): frozenset({"e"})}, populations=pops, states=("0",), prior=(F(1),),
+        )),
+        (fg.GameSpec, dict(
+            populations=game.populations, states=game.states, prior=game.prior, costs=game.costs,
+            congestion=None,
+        )),
+        (fg.FlowProfile, dict(flows=((F(1, 4), F(3, 4)),))),
+        (fg.Outcome, dict(per_state={"0": ((flow, F(1)),)})),
+        (fg.Certificate, dict(x=(F(1),), y=(F(0),), objective=F(1), basis=(0,))),
+        (fg.WESolveResult, dict(flow=flow, max_violation=0.0, iterations=3)),
+        (fg.DesignerProblem, dict(game=game, designer_cost={"0": None}, candidates={"0": [flow]})),
+        (fg.LPSolution, dict(outcome=outcome, objective=F(1), status="optimal")),
+        (fg.SupportBoundReport, dict(
+            ok=True, support=1, caratheodory_bound=2, bfs_bound=1, within_bfs=True
+        )),
+        (fg.InformationStructure, dict(
+            sizes=(F(1),), type_sets=(("t",),), kernel={"0": ((("t",), F(1)),)}
+        )),
+        (fg.StrategyProfile, dict(strategies=(((F(1), F(0)),),))),
+        (fg.UniquenessProbeReport, dict(
+            cost_deviation=0.0, flow_deviation=0.5, trials=2, worst_violation=1e-9
+        )),
+        (fg.AtomicGame, dict(game=game, counts=(2,), weights=((F(1, 4), F(3, 4)),))),
+        (fg.SymmetricBCE, dict(outcome=outcome, n=(4,), delta=0, eps=F(1, 8))),
+        (fg.ConvergenceRow, dict(n=4, delta=0.25, eps=F(1, 8), wasserstein=0.5)),
+        (fg.CheckReport, dict(concept="cwe", worst_violation=F(0), witness=("p", "a", "b"))),
+        (fg.AveragingReport, dict(
+            check=check, input_cost=F(1), output_cost=F(1), per_state=(), hypotheses_hold=True
+        )),
+    ]
+
+
+def test_records_keep_the_value_contract(elfarol):
+    samples = _record_samples(elfarol)
+
+    def subclasses(cls):
+        return {c for sub in cls.__subclasses__() for c in (sub, *subclasses(sub))}
+
+    assert {cls for cls, _ in samples} == subclasses(_Record) - {fg.CostExpr}
+    for cls, kwargs in samples:
+        obj = cls(**kwargs)
+        values = tuple(getattr(obj, name) for name in kwargs)
+        assert cls(*values) == obj and cls(**kwargs) == obj
+        shown = ", ".join(f"{name}={v!r}" for name, v in zip(kwargs, values))
+        assert repr(obj) == f"{cls.__qualname__}({shown})"
+        try:
+            assert hash(obj) == hash(values)
+        except TypeError:  # a dict field makes the tuple unhashable, and the record too
+            with pytest.raises(TypeError):
+                hash(values)
+        assert obj != object() and obj != values
+        for name in (*kwargs, "other"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        with pytest.raises(TypeError):
+            cls(**kwargs, other=None)
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        if kwargs:
+            with pytest.raises(TypeError):
+                cls(*values[:1], **{next(iter(kwargs)): values[0]})
+            with pytest.raises(TypeError):
+                cls()
+    # equal only within one class, even with the same fields
+    x, y = FlowVar(None, "a"), Const(2)
+    assert Add(x, y) != Sub(x, y) and MaxOf((x, y)) != MinOf((x, y))
+    assert Add(x, y) == Add(FlowVar(None, "a"), Const(F(2))) and ThetaVal() == ThetaVal()
+    assert repr(flow1(F(1, 4), F(3, 4))) == "FlowProfile(flows=((Fraction(1, 4), Fraction(3, 4)),))"
+    assert repr(Pow(x, 2)) == "Pow(base=FlowVar(pop=None, action='a'), exponent=2)"
+    assert repr(ThetaVal()) == "ThetaVal()"
+    # defaults, and a GameSpec's caches stay out of ==, hash and repr
+    game = fg.GameSpec(elfarol.populations, elfarol.states, elfarol.prior, elfarol.costs)
+    assert game.congestion is None and game == elfarol
+    fg.eval_cost(elfarol, "crowd", "b", flow1(F(1, 2), F(1, 2)), "0")
+    assert elfarol._compiled and not game._compiled and game == elfarol
+    assert repr(game) == repr(elfarol) and "_compiled" not in repr(game)
+    assert fg.AtomicGame(elfarol, (2,)).weights == ((F(1, 2), F(1, 2)),)
+    assert fg.AtomicGame(elfarol, counts=(2,)) == fg.AtomicGame(elfarol, (2,), None)
 
 
 def test_validate_game_numeric_problems():

@@ -443,6 +443,18 @@ def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
     )
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect(fresh_python):
+    # the value types are model._Record subclasses, which generate no code;
+    # dataclasses would load inspect, dis and tokenize on every start
+    probe = (
+        "import sys\nbare = set(sys.modules)\nimport flowgames.cli\n"
+        "print(*sorted(set(sys.modules) - bare), sep='\\n')\n"
+    )
+    added = fresh_python(probe).splitlines()
+    assert "flowgames.model" in added
+    assert not {"dataclasses", "inspect"} & set(added)
+
+
 def _monotone_polynomials(seed, count):
     """Increasing polynomials on [0, 1] with a sign change, as the line search sees."""
     rng = np.random.default_rng(seed)
