@@ -37,6 +37,7 @@ from .model import (
     GameSpec,
     Outcome,
     Population,
+    _distribution,
     congestion_to_game,
     format_expr,
     parse_cost,
@@ -317,21 +318,19 @@ def parse_outcome_file(text: str, game: GameSpec) -> Outcome:
         if state in per_state:
             raise GameFileError(f"duplicate section for state {state!r}", lineno)
         atoms = []
-        total = 0
         for entry_line, key, value, col in entries:
             flow = _parse_flow_literal(key, game, entry_line)
             w = _rational(value, entry_line, col)
             if w < 0:
                 raise GameFileError("negative weight", entry_line)
-            total = total + w
             atoms.append((flow, w))
         if not atoms:
             raise GameFileError(f"no flows for state {state!r}", lineno)
-        if total != 1:
-            raise GameFileError(
-                f"weights for state {state!r} sum to {total}, expected 1", lineno
-            )
-        per_state[state] = tuple(atoms)
+        try:
+            # Outcome's rule: the weights sum to 1 within MASS_TOL
+            per_state[state] = _distribution(atoms, state)
+        except ValueError as err:
+            raise GameFileError(str(err), lineno) from None
     missing = [s for s in game.states if s not in per_state]
     if missing:
         raise GameFileError(f"missing outcome sections for states {missing}")
@@ -355,6 +354,14 @@ def format_quantity(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _document_quantity(x) -> str:
+    """A number in a document: rationals exactly, floats by ``repr``, the
+    shortest form that reads back to the same float."""
+    if isinstance(x, (Fraction, int)):
+        return str(x)
+    return repr(float(x))
+
+
 def write_game_file(game: GameSpec) -> str:
     lines = ["[populations]"]
     for pop in game.populations:
@@ -365,7 +372,7 @@ def write_game_file(game: GameSpec) -> str:
     lines.append("")
     lines.append("[prior]")
     for s in game.states:
-        lines.append(f"{s} = {format_quantity(game.prior_of(s))}")
+        lines.append(f"{s} = {_document_quantity(game.prior_of(s))}")
     lines.append("")
     if game.congestion is not None:
         spec = game.congestion
@@ -373,7 +380,7 @@ def write_game_file(game: GameSpec) -> str:
         lines.append(f"resources = {', '.join(spec.resources)}")
         for e in spec.resources:
             for s in spec.states:
-                coeffs = ", ".join(format_quantity(c) for c in spec.latencies[(e, s)])
+                coeffs = ", ".join(_document_quantity(c) for c in spec.latencies[(e, s)])
                 lines.append(f"latency.{e}.{s} = {coeffs}")
         for pop in game.populations:
             for a in pop.actions:
@@ -387,11 +394,9 @@ def write_game_file(game: GameSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_flow_literal(flow: FlowProfile) -> str:
-    blocks = []
-    for vec in flow.flows:
-        blocks.append(", ".join(format_quantity(v) for v in vec))
-    return "(" + "; ".join(blocks) + ")"
+def format_flow_literal(flow: FlowProfile, quantity=format_quantity) -> str:
+    """The flow as ``(a, b; c, d)``, each entry printed by ``quantity``."""
+    return "(" + "; ".join(", ".join(map(quantity, vec)) for vec in flow.flows) + ")"
 
 
 def write_outcome_file(outcome: Outcome, game: GameSpec) -> str:
@@ -403,5 +408,5 @@ def write_outcome_file(outcome: Outcome, game: GameSpec) -> str:
             lines.append("")
         lines.append(f"[outcome.{s}]")
         for flow, w in outcome.per_state[s]:
-            lines.append(f"{format_flow_literal(flow)} = {format_quantity(w)}")
+            lines.append(f"{format_flow_literal(flow, _document_quantity)} = {_document_quantity(w)}")
     return "\n".join(lines) + "\n"

@@ -41,7 +41,10 @@ class WESolveResult(_Record):
     """A solver's best flow with its certified equilibrium violation.
 
     ``max_violation`` is the raw signed worst violation as reported by
-    :func:`verify_we` on the returned flow.
+    :func:`verify_we` on the returned flow. ``iterations`` counts the
+    solver's steps: Frank-Wolfe steps for :func:`solve_we_potential`, and
+    for :func:`solve_we_br` the iteration at which it stopped (converged,
+    stalled at its step floor, or at ``max_iter``).
     """
 
     flow: FlowProfile
@@ -455,7 +458,14 @@ def solve_we_br(
 ) -> WESolveResult:
     """Damped best response: shift mass toward cheapest actions, halving the
     step on oscillation. Works on any game; convergence is reported, not
-    assumed."""
+    assumed.
+
+    The step halves each time the violation rises, down to a floor of 1e-9.
+    Once the violation rises again at that floor to a value above the best
+    one seen, the solve stops: the step never grows back, so the remaining
+    steps could move each entry by at most 1e-9 apiece. It returns the best
+    profile seen and its violation.
+    """
     _check_tol(tol)
     flows = [list(map(float, vec)) for vec in start.flows]
     eta = 0.5
@@ -503,6 +513,10 @@ def solve_we_br(
         if v < best_v:
             best, best_v = profile, v
         if v > prev_v + 1e-15:
+            if eta == 1e-9 and v > best_v:
+                # stalled: the step stays at its floor, so the remaining
+                # steps move each entry by at most 1e-9 apiece
+                break
             eta = max(eta / 2, 1e-9)
         prev_v = v
     return WESolveResult(FlowProfile(best), best_v, iters)
@@ -626,14 +640,17 @@ def enumerate_we_grid(
     """Find equilibria by scanning a lattice and polishing near-equilibria.
 
     Every grid flow is scored by its :func:`verify_we` violation, computed in
-    integers (see :func:`_lattice_scores`); flows within an adaptive
-    threshold of equilibrium are polished (by potential minimization on
-    congestion-backed games, else by best response) and deduplicated within
-    L-infinity 10*tol. Heuristic by nature: exactness is only claimed for
-    equilibria on or near the lattice. The count is certified when the
-    game's congestion potential is strictly convex in ``state``, which is
-    decided exactly: the game then has one equilibrium, and the scan stops at
-    the first polish that verifies within ``tol``: it returns at most one flow.
+    integers (see :func:`_lattice_scores`). A flow whose score is exactly 0
+    is an equilibrium and final: it is kept as its float image, the flow
+    either polish returns from it, with no solver run. Other flows within
+    an adaptive threshold of equilibrium are polished (by potential
+    minimization on congestion-backed games, else by best response); all
+    are deduplicated within L-infinity 10*tol. Heuristic by nature:
+    exactness is only claimed for equilibria on or near the lattice. The
+    count is certified when the game's congestion potential is strictly
+    convex in ``state``, which is decided exactly: the game then has one
+    equilibrium, and the scan stops at the first flow it keeps (exact, or a
+    polish that verifies within ``tol``): it returns at most one flow.
     """
     _check_tol(tol)
     points = list(itertools.product(*_population_grids(game, resolution)))
@@ -648,18 +665,24 @@ def enumerate_we_grid(
     for i in sorted(range(len(points)), key=scores.__getitem__):
         if scores[i] > keep:
             break
-        # lattice entries are nonnegative Fractions summing to 1 by construction
-        f = _trusted_profile(tuple(tuple(table[y] for y in vec) for vec in points[i]))
-        if game.congestion is not None:
-            # Newton-polished potential descent reaches ~1e-12, so copies of
-            # one equilibrium collapse inside the dedup radius; best response
-            # can stall at ~sqrt(tol) near boundary equilibria
-            polished = solve_we_potential(game, state, min(tol, 1e-10), start=f)
+        if scores[i] == 0:
+            # an exact equilibrium is final: kept as the float flow that
+            # either polish would return from it at once, unpolished
+            vecs = (_normalized(k, [y / resolution for y in vec]) for k, vec in enumerate(points[i]))
+            candidate = FlowProfile(tuple(vecs))
         else:
-            polished = solve_we_br(game, state, f, tol)
-        if polished.max_violation > tol:
-            continue
-        candidate = polished.flow
+            # lattice entries are nonnegative Fractions summing to 1 by construction
+            f = _trusted_profile(tuple(tuple(table[y] for y in vec) for vec in points[i]))
+            if game.congestion is not None:
+                # Newton-polished potential descent reaches ~1e-12, so copies of
+                # one equilibrium collapse inside the dedup radius; best response
+                # can stall at ~sqrt(tol) near boundary equilibria
+                polished = solve_we_potential(game, state, min(tol, 1e-10), start=f)
+            else:
+                polished = solve_we_br(game, state, f, tol)
+            if polished.max_violation > tol:
+                continue
+            candidate = polished.flow
         if any(flow_linf(candidate, r) <= 10 * tol for r in result):
             continue
         result.append(candidate)

@@ -279,8 +279,9 @@ def test_float_design_data_give_float_results():
     assert solution.status == "optimal"
     assert isinstance(solution.objective, float)
     assert format_quantity(solution.objective) == "3.65683700211"
+    # a document writes each float by repr, so it reads back bit for bit
     assert write_outcome_file(solution.outcome, game) == (
-        "[outcome.0]\n(0.452279896937, 0.28718180616, 0.260538296902) = 1\n"
+        "[outcome.0]\n(0.45227989693709425, 0.2871818061604674, 0.26053829690243835) = 1.0\n"
     )
 
 

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 import flowgames as fg
 from flowgames.gamefile import GameFileError
+from flowgames.generators import random_congestion_game
+from flowgames.model import flow_sort_key
 
 from conftest import bundled_text
 
@@ -138,8 +140,27 @@ def test_outcome_rejects_unknown_state(pigou_info):
 
 def test_outcome_weights_must_sum(pigou_info):
     text = "[outcome.0]\n(1, 0) = 1/2\n\n[outcome.1]\n(1, 0) = 1\n"
-    with pytest.raises(GameFileError):
+    with pytest.raises(GameFileError, match=r"^line 1: weights in state '0' sum to 0.5, expected 1$"):
         fg.parse_outcome_file(text, pigou_info)
+
+
+def test_float_outcomes_round_trip():
+    # quadratic latencies give float designs; at 12 significant digits a
+    # flow or a state's weights would sum 1e-12 off 1 on seeds 10, 20, 25, 26
+    # and 29; repr reads back every float, and the weights are summed by
+    # Outcome's rule
+    floats = 0
+    for seed in range(60):
+        game = random_congestion_game(seed, n_actions=3, n_states=2, quadratic=True)
+        problem = fg.DesignerProblem(game, fg.social_cost_expr(game), fg.build_grid(game, 4))
+        outcome = fg.solve_program_p(problem).outcome
+        parsed = fg.parse_outcome_file(fg.write_outcome_file(outcome, game), game)
+        for state in game.states:
+            got = [(flow_sort_key(f), float(w)) for f, w in parsed.per_state[state]]
+            want = [(flow_sort_key(f), float(w)) for f, w in outcome.per_state[state]]
+            assert got == want, seed
+        floats += any(type(w) is float for atoms in outcome.per_state.values() for _f, w in atoms)
+    assert floats >= 5
 
 
 def test_flow_literal_round_trip():

@@ -20,6 +20,7 @@ from flowgames.wardrop import (
     _brent_root,
     _lattice_scores,
     _one_minimizer,
+    _population_grids,
     _PotentialCore,
     _spec_core,
     _vector_of,
@@ -257,9 +258,10 @@ def test_br_solver_evaluates_each_cost_once_per_step(elfarol):
 
     for action in ("a", "b"):
         game._compiled[("crowd", action, "0")] = counted(_cost_fn(game, "crowd", action, "0"))
-    # no step improves on this start, so the solve runs all 2000 iterations
+    # no step improves on this start: 29 halvings bring the step to its
+    # floor, and the 30th rise stops the solve
     res = fg.solve_we_br(game, "0", flow1(F(23, 32), F(9, 32)))
-    assert res.iterations == 2000
+    assert res.iterations == 30
     assert len(calls) == 2 * res.iterations + 2
 
 
@@ -363,11 +365,12 @@ def test_enumerate_polishes_once_when_the_potential_is_strictly_convex(monkeypat
     assert len(calls) == 1
     assert len(flows) == 1
     # the two-population game may have several equilibria: every candidate
-    # under the threshold is still polished
+    # under the threshold that is not an exact lattice equilibrium is still
+    # polished; the 4 exact ones are kept unpolished
     calls.clear()
     two_pops = random_congestion_game(0, n_actions=2, n_pops=2)
     assert len(fg.enumerate_we_grid(two_pops, "0", 4)) == 17
-    assert len(calls) == 25
+    assert len(calls) == 21
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
@@ -433,6 +436,13 @@ def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
     lines = out.splitlines()
     assert lines[0] == lines[-1] == "numpy loaded: False"
     assert "equilibria = 3" in lines and "ok = true" in lines
+    # the lattice point (1, 0) is an exact equilibrium, kept with no polish;
+    # seed 3's equilibrium (1/6, 5/6) is off the lattice and polished
+    random_we = "main(['we', '--game', 'random-congestion', '--seed', '{}', '--resolution', '16'])\n"
+    for seed, flow, loaded in ((0, "(1, 0)", False), (3, "(0.166666666667, 0.833333333333)", True)):
+        lines = fresh_python(_NUMPY_PROBE + random_we.format(seed) + "numpy_loaded()\n").splitlines()
+        assert f"flow = {flow}" in lines
+        assert lines[-1] == f"numpy loaded: {loaded}"
     # a design LP loads it on first use and prints the recorded bytes
     out = fresh_python(_NUMPY_PROBE + "main(['design', '--game', 'pigou_info'])\nnumpy_loaded()\n")
     assert out == (
@@ -568,6 +578,54 @@ def test_enumerate_we_grid_matches_golden(pigou_network, elfarol):
     assert got == ENUMERATION_GOLDEN
 
 
+def test_kept_lattice_equilibria_are_what_the_polish_returns(pigou_network, elfarol):
+    # a lattice point of integer score 0 is kept unpolished; the polish it
+    # skips returns the same flow, and a violation within tol that is the
+    # kept flow's verify_we, bit for bit
+    cases = [*_enumeration_cases(pigou_network, elfarol), ("elfarol-r64", elfarol, "0", 64)]
+    checked = 0
+    for case, game, state, resolution in cases:
+        points = list(itertools.product(*_population_grids(game, resolution)))
+        scores, _spread = _lattice_scores(game, state, resolution, points)
+        exact = {
+            repr(tuple(tuple(i / resolution for i in vec) for vec in point)): point
+            for point, score in zip(points, scores)
+            if score == 0
+        }
+        for flow in fg.enumerate_we_grid(game, state, resolution):
+            point = exact.get(repr(flow.flows))
+            if point is None:
+                continue
+            start = fg.FlowProfile(tuple(tuple(F(i, resolution) for i in vec) for vec in point))
+            if game.congestion is not None:
+                polished = fg.solve_we_potential(game, state, 1e-10, start=start)
+            else:
+                polished = fg.solve_we_br(game, state, start)
+            assert repr(polished.flow.flows) == repr(flow.flows), case
+            assert repr(polished.max_violation) == repr(float(fg.verify_we(game, flow, state))), case
+            assert polished.max_violation <= 1e-6, case
+            checked += 1
+    # 47 of the flows these scans return are exact lattice equilibria
+    assert checked == 47
+
+
+def test_enumerate_elfarol_stops_stalled_best_response(monkeypatch, elfarol):
+    # no step improves on five starts just off (3/4, 1/4): they stop once
+    # their step stalls at its floor, not after max_iter = 2000 each
+    iterations = []
+    solve = fg.wardrop.solve_we_br
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr("flowgames.wardrop.solve_we_br", counted)
+    flows = fg.enumerate_we_grid(elfarol, "0", 64)
+    assert [f.flows for f in flows] == [((0.25, 0.75),), ((0.75, 0.25),), ((1.0, 0.0),)]
+    assert sum(iterations) <= 1000
+
+
 # Costs with max, min, ^, theta and state tables over two populations. In
 # population p, a and b cost constants and b is always cheapest, so the gap of
 # a is the exact 1/3 - 1/10 or 1/3 - 1/8, which float subtraction rounds apart.
@@ -609,7 +667,8 @@ def _best_response_cases(elfarol, pigou_info):
     for name, start in _br_starts(elfarol, lattice=8):
         yield f"elfarol-{name}", elfarol, "0", start
     # just off the equilibrium (3/4, 1/4): from 46/64 no step improves on the
-    # start in all 2000 iterations, its neighbours converge slowly
+    # start, and the solve stops once its step stalls at the floor after 30
+    # iterations; its neighbours converge slowly
     for n in (45, 46, 53):
         yield f"elfarol-near{n}", elfarol, "0", flow1(F(n, 64), 1 - F(n, 64))
     for state in pigou_info.states:
