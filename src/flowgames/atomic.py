@@ -1,10 +1,10 @@
 """Finite-player counterparts and convergence to the continuum limit.
 
-An atomic game samples n_k players for each population, each controlling
-weight w_i of that population's mass. Correlated recommendations are checked
-either by brute force over full action profiles or at the flow level for
-symmetric count-based recommendations, and a sequence of scaled games traces
-how the obedience slack and the outcome distance shrink.
+An atomic game samples n_k players for each population, each holding 1/n_k
+of that population's mass. Correlated recommendations are checked either by
+brute force over full action profiles or at the flow level for symmetric
+count-based recommendations, and a sequence of scaled games traces how the
+obedience slack and the outcome distance shrink.
 """
 
 from __future__ import annotations
@@ -13,58 +13,44 @@ from fractions import Fraction
 
 from .checks import CheckReport, check_bce_flowlevel, check_bcwe
 from .lp import exact_solve
-from .model import FlowProfile, GameSpec, Outcome, _Record, _check_unit, _round_outcome, _shown, eval_cost
+from .model import FlowProfile, GameSpec, Outcome, _Record, _round_outcome, _shown, eval_cost
 
 
 class AtomicGame(_Record):
-    """A draw of finitely many weighted players from each population.
+    """A draw of finitely many anonymous players from each population.
 
-    ``counts[k]`` players split population k's unit mass according to
-    ``weights[k]`` (uniform when omitted); the weights must sum to 1.
+    Each of the ``counts[k]`` players of population k holds 1/``counts[k]``
+    of its unit mass.
     """
 
     game: GameSpec
     counts: tuple
-    weights: tuple = None
 
     def __post_init__(self):
         if len(self.counts) != len(self.game.populations):
             raise ValueError("one player count per population required")
-        if any(n < 1 for n in self.counts):
-            raise ValueError("each population needs at least one player")
-        if self.weights is None:
-            built = tuple(
-                tuple(Fraction(1, n) for _ in range(n)) for n in self.counts
-            )
-            object.__setattr__(self, "weights", built)
-        if len(self.weights) != len(self.counts):
-            raise ValueError("one weight vector per population required")
-        for k, vec in enumerate(self.weights):
-            if len(vec) != self.counts[k]:
-                raise ValueError(f"population {k} needs {self.counts[k]} weights")
-            if any(w <= 0 for w in vec):
-                raise ValueError("player weights must be positive")
-            _check_unit(sum(vec), "population {} weights sum", k)
-
-    def uniform(self) -> bool:
-        return all(
-            all(w == Fraction(1, self.counts[k]) for w in vec)
-            for k, vec in enumerate(self.weights)
-        )
+        for n in self.counts:
+            if not isinstance(n, int) or n < 1:
+                raise ValueError(f"player counts must be ints of at least 1, got {n!r}")
 
 
 def flow_of_profile(agame: AtomicGame, profile: tuple) -> FlowProfile:
     """Aggregate a full action profile into the induced flow.
 
-    ``profile[k][i]`` is the action name chosen by player i of population k.
+    ``profile[k][i]`` is the action name chosen by player i of population k,
+    one block per population; each choice adds 1/n_k to its action's flow.
     """
+    npops = len(agame.game.populations)
+    if len(profile) != npops:
+        raise ValueError(f"profile has {len(profile)} blocks, expected {npops}, one per population")
     flows = []
     for k, pop in enumerate(agame.game.populations):
         if len(profile[k]) != agame.counts[k]:
             raise ValueError(f"population {k} needs {agame.counts[k]} choices")
+        share = Fraction(1, agame.counts[k])
         vec = [0] * len(pop.actions)
-        for i, action in enumerate(profile[k]):
-            vec[agame.game.action_index(pop.name, action)] += agame.weights[k][i]
+        for action in profile[k]:
+            vec[agame.game.action_index(pop.name, action)] += share
         flows.append(tuple(vec))
     return FlowProfile(tuple(flows))
 
@@ -83,14 +69,15 @@ def check_bce_bruteforce(agame: AtomicGame, beta: dict) -> CheckReport:
 
     ``beta`` maps each state to (profile, weight) pairs over full action
     profiles, ``profile[k][i]`` being the action of player i of population
-    k. Every player's conditional deviation gain is computed exactly on
-    rational data; the profile space must stay at or below 10**6 entries.
+    k, one block per population. Every player's conditional deviation gain
+    is computed exactly on rational data; the profile space must stay at or
+    below 10**6 entries.
     """
     _check_profile_space(agame)
     for state in agame.game.states:
         if state not in beta:
             raise ValueError(f"outcome missing state {state!r}")
-    entries = []  # (state, prior*weight, normalized profile)
+    entries = []  # (state, prior*weight, normalized profile, its flow)
     for state, atoms in beta.items():
         if state not in agame.game.states:
             raise ValueError(f"unknown state {state!r}")
@@ -102,7 +89,8 @@ def check_bce_bruteforce(agame: AtomicGame, beta: dict) -> CheckReport:
             total = total + w
             if w == 0:
                 continue
-            entries.append((state, p * w, tuple(map(tuple, profile))))
+            profile = tuple(map(tuple, profile))
+            entries.append((state, p * w, profile, flow_of_profile(agame, profile)))
         if abs(total - 1) > 1e-9:
             raise ValueError(f"profile weights for state {state!r} sum to {_shown(total)}")
     worst = None
@@ -111,7 +99,7 @@ def check_bce_bruteforce(agame: AtomicGame, beta: dict) -> CheckReport:
         for i in range(agame.counts[k]):
             for a in pop.actions:
                 mass = 0
-                for _state, weight, profile in entries:
+                for _state, weight, profile, _flow in entries:
                     if profile[k][i] == a:
                         mass = mass + weight
                 if mass == 0:
@@ -120,10 +108,9 @@ def check_bce_bruteforce(agame: AtomicGame, beta: dict) -> CheckReport:
                     if b == a:
                         continue
                     value = 0
-                    for state, weight, profile in entries:
+                    for state, weight, profile, flow in entries:
                         if profile[k][i] != a:
                             continue
-                        flow = flow_of_profile(agame, profile)
                         deviated = tuple(
                             tuple(
                                 (b if (kk == k and ii == i) else act)
@@ -145,8 +132,8 @@ def check_bce_bruteforce(agame: AtomicGame, beta: dict) -> CheckReport:
 
 
 class SymmetricBCE(_Record):
-    """Count-based symmetric recommendation for n_k uniform players in
-    population k.
+    """Count-based symmetric recommendation for n_k anonymous players in
+    population k, each holding 1/n_k of its mass.
 
     ``outcome`` carries the recommended flows and weights; a support flow y
     recommends n_k y players per action, so every n_k y must be whole.
@@ -168,7 +155,7 @@ class SymmetricBCE(_Record):
 
 
 def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
-    """Round a continuum outcome onto uniform finite players.
+    """Round a continuum outcome onto the finite players of ``agame``.
 
     Each support flow is replaced by largest-remainder integer counts (ties
     to the smaller action index; see :func:`model._round_outcome`, which
@@ -177,8 +164,6 @@ def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
     consistent with the counts. Returns the rounding distance and the
     realized flow-level obedience slack, both exact on rational data.
     """
-    if not agame.uniform():
-        raise ValueError("count-based recommendations need uniform weights")
     rounded, delta = _round_outcome(agame.game, outcome, agame.counts)
     bce = SymmetricBCE(rounded, tuple(agame.counts), delta, 0)
     eps = check_bce_flowlevel(agame.game, bce).worst_violation
@@ -246,12 +231,15 @@ def wasserstein_outcome_distance(mu1: Outcome, mu2: Outcome, prior: dict) -> flo
     """Prior-weighted earth-mover distance between two outcomes.
 
     Ground metric is the sup norm between flow profiles; ``prior`` maps each
-    state to its probability. States where the supports coincide exactly
-    contribute zero without touching the solver. States are summed in sorted
-    order, so the float result does not depend on set iteration order.
+    state of either outcome to its probability. States where the supports
+    coincide exactly contribute zero without touching the solver. States are
+    summed in sorted order, so the float result does not depend on set
+    iteration order.
     """
     total = 0.0
     for state in sorted(set(mu1.per_state) | set(mu2.per_state)):
+        if state not in prior:
+            raise ValueError(f"prior missing state {state!r}")
         p = float(prior[state])
         if p == 0:
             continue

@@ -37,6 +37,7 @@ from .model import (
     GameSpec,
     Outcome,
     Population,
+    _check_unit,
     _distribution,
     congestion_to_game,
     format_expr,
@@ -191,9 +192,10 @@ def parse_game_file(text: str) -> GameSpec:
     missing = [s for s in states if s not in prior_map]
     if missing:
         raise GameFileError(f"missing prior for states {missing}", prior_line)
-    total = sum(prior_map.values())
-    if total != 1:
-        raise GameFileError(f"prior sums to {total}, expected 1", prior_line)
+    try:
+        _check_unit(sum(prior_map.values()), "prior sums")
+    except ValueError as err:
+        raise GameFileError(str(err), prior_line) from None
     prior = tuple(prior_map[s] for s in states)
 
     if "costs" in seen:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -28,14 +29,22 @@ def test_flow_of_profile_permutation_invariant(elfarol):
 def test_atomic_game_validation(elfarol):
     with pytest.raises(ValueError):
         fg.AtomicGame(elfarol, (0,))
-    with pytest.raises(ValueError):
-        fg.AtomicGame(elfarol, (2,), weights=((F(1, 3), F(1, 3)),))
-    # a sum beyond float range is named exactly, not an OverflowError
-    with pytest.raises(ValueError, match=f"^population 0 weights sum to {10**400 + 1}, expected 1$"):
-        fg.AtomicGame(elfarol, (2,), weights=((F(10**400), F(1)),))
-    agame = fg.AtomicGame(elfarol, (2,), weights=((F(1, 4), F(3, 4)),))
-    assert not agame.uniform()
-    assert fg.AtomicGame(elfarol, (2,)).uniform()
+    with pytest.raises(ValueError, match="one player count per population"):
+        fg.AtomicGame(elfarol, (2, 2))
+    # a count that is not an int is refused, not a TypeError from range()
+    for count in (2.5, F(3), 2.0):
+        with pytest.raises(ValueError, match=re.escape(f"player counts must be ints of at least 1, got {count!r}")):
+            fg.AtomicGame(elfarol, (count,))
+
+
+def test_flow_of_profile_needs_one_block_per_population(elfarol):
+    agame = fg.AtomicGame(elfarol, (2,))
+    # an extra block is refused, not ignored; no block is refused, not an IndexError
+    for profile in ((("a", "b"), ("a",)), ()):
+        with pytest.raises(ValueError, match=f"^profile has {len(profile)} blocks, expected 1, one per population$"):
+            fg.flow_of_profile(agame, profile)
+        with pytest.raises(ValueError, match=f"^profile has {len(profile)} blocks"):
+            fg.check_bce_bruteforce(agame, {"0": [(profile, F(1))]})
 
 
 def test_eps_bce_three_players(elfarol, elfarol_cwe):
@@ -294,12 +303,6 @@ def test_eps_bce_exact_when_divisible(elfarol, elfarol_cwe):
     assert bce.outcome == elfarol_cwe
 
 
-def test_eps_bce_needs_uniform_weights(elfarol, elfarol_cwe):
-    agame = fg.AtomicGame(elfarol, (2,), weights=((F(1, 4), F(3, 4)),))
-    with pytest.raises(ValueError):
-        fg.construct_eps_bce(agame, elfarol_cwe)
-
-
 def test_bruteforce_profile_cap(elfarol):
     agame = fg.AtomicGame(elfarol, (21,))
     with pytest.raises(ValueError):
@@ -316,6 +319,12 @@ def test_profile_distribution_profile_cap(elfarol, elfarol_cwe):
 
 def test_wasserstein_identical_outcomes(elfarol_cwe):
     assert fg.wasserstein_outcome_distance(elfarol_cwe, elfarol_cwe, {"0": F(1)}) == 0.0
+
+
+def test_wasserstein_needs_the_prior_of_every_state(elfarol_cwe):
+    # refused before the supports are compared, even for identical outcomes
+    with pytest.raises(ValueError, match="^prior missing state '0'$"):
+        fg.wasserstein_outcome_distance(elfarol_cwe, elfarol_cwe, {})
 
 
 def test_wasserstein_point_masses():

@@ -103,8 +103,13 @@ def test_unknown_action_cost_rejected():
 
 
 def test_prior_must_sum_to_one():
+    # _check_unit's rule and message, at the [prior] line
     e = err(GOOD.replace("0 = 1", "0 = 1/2"))
-    assert "prior" in str(e)
+    assert str(e) == "line 7: prior sums to 0.5, expected 1"
+    # within MASS_TOL of 1 is accepted, as validate_game accepts it
+    near = F(1000000000000001, 1000000000000000)
+    game = fg.parse_game_file(GOOD.replace("0 = 1", f"0 = {near}"))
+    assert game.prior == (near,) and fg.validate_game(game) == []
 
 
 def test_costs_and_congestion_exclusive():

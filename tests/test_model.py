@@ -521,7 +521,7 @@ def _record_samples(game):
         (fg.UniquenessProbeReport, dict(
             cost_deviation=0.0, flow_deviation=0.5, trials=2, worst_violation=1e-9
         )),
-        (fg.AtomicGame, dict(game=game, counts=(2,), weights=((F(1, 4), F(3, 4)),))),
+        (fg.AtomicGame, dict(game=game, counts=(2,))),
         (fg.SymmetricBCE, dict(outcome=outcome, n=(4,), delta=0, eps=F(1, 8))),
         (fg.ConvergenceRow, dict(n=4, delta=0.25, eps=F(1, 8), wasserstein=0.5)),
         (fg.CheckReport, dict(concept="cwe", worst_violation=F(0), witness=("p", "a", "b"))),
@@ -577,8 +577,9 @@ def test_records_keep_the_value_contract(elfarol):
     fg.eval_cost(elfarol, "crowd", "b", flow1(F(1, 2), F(1, 2)), "0")
     assert elfarol._compiled and not game._compiled and game == elfarol
     assert repr(game) == repr(elfarol) and "_compiled" not in repr(game)
-    assert fg.AtomicGame(elfarol, (2,)).weights == ((F(1, 2), F(1, 2)),)
-    assert fg.AtomicGame(elfarol, counts=(2,)) == fg.AtomicGame(elfarol, (2,), None)
+    # finite players are anonymous: an AtomicGame takes no weights
+    with pytest.raises(TypeError):
+        fg.AtomicGame(elfarol, (2,), weights=((F(1, 4), F(3, 4)),))
 
 
 def test_validate_game_numeric_problems():
