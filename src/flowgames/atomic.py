@@ -13,7 +13,16 @@ from fractions import Fraction
 
 from .checks import CheckReport, check_bce_flowlevel, check_bcwe
 from .lp import exact_solve
-from .model import FlowProfile, GameSpec, Outcome, _Record, _round_outcome, _shown, eval_cost
+from .model import (
+    FlowProfile,
+    GameSpec,
+    Outcome,
+    _Record,
+    _check_unit,
+    _round_outcome,
+    _shown,
+    eval_cost,
+)
 
 
 class AtomicGame(_Record):
@@ -91,8 +100,7 @@ def check_bce_bruteforce(agame: AtomicGame, beta: dict) -> CheckReport:
                 continue
             profile = tuple(map(tuple, profile))
             entries.append((state, p * w, profile, flow_of_profile(agame, profile)))
-        if abs(total - 1) > 1e-9:
-            raise ValueError(f"profile weights for state {state!r} sum to {_shown(total)}")
+        _check_unit(total, "profile weights for state {!r} sum", state)
     worst = None
     witness = None
     for k, pop in enumerate(agame.game.populations):

@@ -143,7 +143,8 @@ def bwe_violation(
     pop = _require_single_population(game)
     validate_strategies(structure, strategies, len(pop.actions))
     _check_kernel_states(game, structure)
-    return _max_gap(_conditional_costs(game, structure, strategies)[1], strategies)
+    plan = _atom_plan(game, structure)
+    return _max_gap(_conditional_costs(game, structure, strategies, plan)[1], strategies)
 
 
 def _check_kernel_states(game: GameSpec, structure: InformationStructure):
@@ -155,51 +156,64 @@ def _check_kernel_states(game: GameSpec, structure: InformationStructure):
             raise ValueError(f"unknown state {state!r}")
 
 
-def _conditional_costs(game, structure, strategies) -> tuple[dict, dict]:
-    """The aggregate ``FlowProfile`` of each positive-weight type profile,
-    and the conditional expected cost of every action per (sub-population,
-    type): a map (k, type index) -> per-action costs over the types with
-    positive kernel marginal.
-
-    Each positive-weight (state, type profile) atom builds its aggregate flow
-    once and costs each action once with :func:`eval_cost`; its row, the
-    weight (prior times kernel weight) followed by the weighted costs, is
-    added into the sums of the types the profile assigns, in kernel order.
-    Exact on rational inputs."""
-    pop = game.populations[0]
-    flows = {}
-    rows = []  # (type profile, [weight, weighted cost per action])
+def _atom_plan(game, structure) -> tuple[list, dict]:
+    """What :func:`_conditional_costs` reads of the game and the structure,
+    built once per structure. First the positive-weight atoms in kernel
+    order, as (state, type profile, weight, its float, keys): the weight is
+    prior times kernel weight, and ``keys`` the (k, type index) pairs the
+    profile assigns. Then each assigned key's (marginal, its float): the sum
+    of its atoms' weights, left to right from 0, keyed in order of first
+    assignment. A float times or over a Fraction is that float times or over
+    the Fraction's float, so the floats are taken of Fractions only."""
+    type_index = [{t: ti for ti, t in enumerate(types)} for types in structure.type_sets]
+    atoms = []
+    marginals = {}
     for state in game.states:
         p = game.prior_of(state)
         for profile, w in structure.kernel[state]:
             weight = p * w
             if weight == 0:
                 continue
-            flow = flows.get(profile)
-            if flow is None:
-                flow = flows[profile] = FlowProfile(
-                    (aggregate_flow(structure, strategies, profile),)
-                )
-            # a Fraction weight times a float cost is float(weight) times it
+            keys = tuple((k, type_index[k][t]) for k, t in enumerate(profile))
             fw = float(weight) if type(weight) is Fraction else weight
-            costs = [eval_cost(game, pop.name, a, flow, state) for a in pop.actions]
-            rows.append((profile, [weight] + [fw * c if type(c) is float else weight * c for c in costs]))
-    sums = _type_sums(structure, rows)
-    return flows, {key: [total / acc[0] for total in acc[1:]] for key, acc in sums.items()}
+            atoms.append((state, profile, weight, fw, keys))
+            for key in keys:
+                marginals[key] = marginals.get(key, 0) + weight
+    return atoms, {key: (m, float(m) if type(m) is Fraction else m) for key, m in marginals.items()}
 
 
-def _type_sums(structure, rows) -> dict:
-    """(k, type index) -> [marginal, weighted cost sum per action]: each
-    (type profile, row) added into the sums of the types the profile assigns,
-    left to right from 0 in row order, so float sums keep their bits."""
-    type_index = [{t: ti for ti, t in enumerate(types)} for types in structure.type_sets]
-    sums = {}
-    for profile, row in rows:
-        for k, t in enumerate(profile):
-            acc = sums.setdefault((k, type_index[k][t]), [0] * len(row))
+def _conditional_costs(game, structure, strategies, plan) -> tuple[dict, dict]:
+    """The aggregate ``FlowProfile`` of each positive-weight type profile,
+    and the conditional expected cost of every action per (sub-population,
+    type): a map (k, type index) -> per-action costs over the types with
+    positive kernel marginal. ``plan`` is :func:`_atom_plan` of the game and
+    the structure.
+
+    Each positive-weight (state, type profile) atom builds its aggregate flow
+    once and costs each action once with :func:`eval_cost`; its weighted
+    costs (weight times cost, with the weight's float for a float cost) are
+    added into the sums of the types the profile assigns, left to right from
+    0 in kernel order, so float sums keep their bits; each sum is then
+    divided by its type's marginal. Exact on rational inputs."""
+    pop = game.populations[0]
+    atoms, marginals = plan
+    flows = {}
+    sums = {key: [0] * len(pop.actions) for key in marginals}
+    for state, profile, weight, fw, keys in atoms:
+        flow = flows.get(profile)
+        if flow is None:
+            flow = flows[profile] = FlowProfile((aggregate_flow(structure, strategies, profile),))
+        costs = [eval_cost(game, pop.name, a, flow, state) for a in pop.actions]
+        row = [fw * c if type(c) is float else weight * c for c in costs]
+        for key in keys:
+            acc = sums[key]
             for i, v in enumerate(row):
                 acc[i] = acc[i] + v
-    return sums
+    conditional = {}
+    for key, acc in sums.items():
+        marginal, fm = marginals[key]
+        conditional[key] = [total / fm if type(total) is float else total / marginal for total in acc]
+    return flows, conditional
 
 
 def _max_gap(conditional: dict, strategies: StrategyProfile):
@@ -290,7 +304,8 @@ def direct_structure_from_bcwe(
         rows = obedience_rows(game, atoms)
         eps = max((sum(terms) / marginal[a] for (_, a, _), terms in rows if marginal[a] > 0), default=0)
     else:  # bwe_violation, without validating the strategies built just above
-        eps = _max_gap(_conditional_costs(game, structure, strategies)[1], strategies)
+        plan = _atom_plan(game, structure)
+        eps = _max_gap(_conditional_costs(game, structure, strategies, plan)[1], strategies)
     return structure, strategies, eps if eps > 0 else 0
 
 
@@ -314,16 +329,18 @@ def solve_bwe(
     A ``start`` that :func:`validate_strategies` rejects raises ValueError.
     """
     _check_tol(tol)
-    blocks, core = _bwe_setup(game, structure)
+    blocks, core, _plan = _bwe_setup(game, structure)
     if start is not None:
         validate_strategies(structure, start, len(game.populations[0].actions))
     return _bwe_solve(game, structure, blocks, core, tol, start)
 
 
 def _bwe_setup(game: GameSpec, structure: InformationStructure):
-    """The (k, type index) blocks with positive kernel marginal, and the
-    potential core of the auxiliary game over them; both depend only on the
-    game and the structure, and the core holds no state between solves.
+    """The (k, type index) blocks with positive kernel marginal, the
+    potential core of the auxiliary game over them, and the structure's
+    :func:`_atom_plan`; all three depend only on the game and the structure.
+    The core keeps per-support Newton plans derived from its own matrix, and
+    no solver state, between solves.
 
     The auxiliary game is a congestion game whose populations are the blocks,
     of mass gamma_k; each positive-weight kernel atom is one piece over the
@@ -335,25 +352,22 @@ def _bwe_setup(game: GameSpec, structure: InformationStructure):
         raise ValueError("solving needs a congestion backing")
     pop = _require_single_population(game)
     _check_kernel_states(game, structure)
-    atoms = []  # (prior times kernel weight, state, type profile), positive only
-    for state in game.states:
-        p = game.prior_of(state)
-        atoms.extend((p * w, state, profile) for profile, w in structure.kernel[state] if p * w > 0)
-    positive = {(k, t) for _weight, _state, profile in atoms for k, t in enumerate(profile)}
+    plan = _atom_plan(game, structure)
+    atoms, marginals = plan
     blocks = [
         (k, ti)
         for k in range(structure.population_count())
         if structure.sizes[k] != 0
-        for ti, t in enumerate(structure.type_sets[k])
-        if (k, t) in positive
+        for ti in range(len(structure.type_sets[k]))
+        if (k, ti) in marginals
     ]
-    index = {(k, structure.type_sets[k][ti]): b for b, (k, ti) in enumerate(blocks)}
+    index = {key: b for b, key in enumerate(blocks)}
     pieces = [
-        (float(weight), state, [index[kt] for kt in enumerate(profile) if kt in index])
-        for weight, state, profile in atoms
+        (float(weight), state, [index[key] for key in keys if key in index])
+        for state, _profile, weight, _fw, keys in atoms
     ]
     core = _congestion_core(game.congestion, [(pop, structure.sizes[k]) for k, _ in blocks], pieces)
-    return blocks, core
+    return blocks, core, plan
 
 
 def _bwe_solve(game, structure, blocks, core, tol, start) -> StrategyProfile:
@@ -391,7 +405,7 @@ def _bwe_solve(game, structure, blocks, core, tol, start) -> StrategyProfile:
             else:
                 vec = np.zeros(len(actions))
                 vec[0] = float(gamma)
-            block_vecs.append(tuple(float(v) for v in vec))
+            block_vecs.append(tuple(vec.tolist()))
         out.append(tuple(block_vecs))
     return StrategyProfile(tuple(out))
 
@@ -429,7 +443,7 @@ def bwe_cost_uniqueness_probe(
     rng = random.Random(_PROBE_SEED)
     pop = _require_single_population(game)
     actions = pop.actions
-    blocks, core = _bwe_setup(game, structure)
+    blocks, core, plan = _bwe_setup(game, structure)
     runs = []  # (solved strategies, aggregate flows, conditional costs)
     worst_violation = 0.0
     for _ in range(trials):
@@ -444,7 +458,7 @@ def bwe_cost_uniqueness_probe(
             start_blocks.append(tuple(vecs))
         start = StrategyProfile(tuple(start_blocks))
         solved = _bwe_solve(game, structure, blocks, core, tol=tol, start=start)
-        flows, conditional = _conditional_costs(game, structure, solved)
+        flows, conditional = _conditional_costs(game, structure, solved, plan)
         worst_violation = max(worst_violation, float(_max_gap(conditional, solved)))
         runs.append((solved, flows, conditional))
     # the largest pairwise |x1 - x2| of each coordinate is fl(max - min), as

@@ -116,11 +116,12 @@ def _worst_gap(populations):
 # ---------------------------------------------------------------------------
 
 
-def _horner(coef, loads):
-    """Evaluate every row's polynomial (ascending powers) at its own load."""
-    acc = coef[:, -1]
-    for j in range(coef.shape[1] - 2, -1, -1):
-        acc = acc * loads + coef[:, j]
+def _horner(terms, loads):
+    """Evaluate every row's polynomial at its own load, given its coefficient
+    columns ``terms`` from the highest power down."""
+    acc = terms[0]
+    for column in terms[1:]:
+        acc = acc * loads + column
     return acc
 
 
@@ -178,24 +179,34 @@ class _PotentialCore:
     ``incidence`` is the dense 0/1 row-by-variable matrix, ``polys`` the
     per-row latency coefficient lists (ascending powers, floats), ``blocks``
     the [start, end) variable ranges of each simplex, and ``masses`` the
-    simplex scales. Latencies are held as a zero-padded coefficient matrix
-    ``coef`` and its derivative ``dcoef``, both evaluated by Horner's rule.
+    simplex scales. Latencies are held as zero-padded coefficient columns,
+    ``terms`` and their derivative's ``dterms``, evaluated by Horner's rule.
+
+    The core keeps no solver state between solves. It caches, per Newton
+    support, the index arrays and constant rows that :meth:`_solve_support`
+    reads (see :meth:`_newton_plan`); they derive from ``incidence`` and the
+    support alone, so a solve returns the same floats whatever was solved on
+    the core before.
     """
 
     def __init__(self, incidence, polys, blocks, masses):
         self.m = incidence
+        self.mt = incidence.T
         # at least two columns, so the derivative matrix has one
         width = max([2] + [len(p) for p in polys])
-        self.coef = np.zeros((len(polys), width))
+        coef = np.zeros((len(polys), width))
         for i, p in enumerate(polys):
-            self.coef[i, : len(p)] = p
-        self.dcoef = self.coef[:, 1:] * np.arange(1, width)
+            coef[i, : len(p)] = p
+        dcoef = coef[:, 1:] * np.arange(1, width)
+        self.terms = tuple(coef.T[::-1].copy())
+        self.dterms = tuple(dcoef.T[::-1].copy())
         self.blocks = blocks
         self.masses = np.asarray(masses, dtype=float)
         self.n = self.m.shape[1]
+        self._plans = {}
 
     def costs(self, x):
-        return self.m.T @ _horner(self.coef, self.m @ x)
+        return self.mt @ _horner(self.terms, self.m @ x)
 
     def fw_vertex(self, g):
         s = np.zeros(self.n)
@@ -239,22 +250,23 @@ class _PotentialCore:
         near-minimal-cost actions and is repaired by dropping actions that
         go negative and adding actions that undercut the support cost.
         """
-        g = self.costs(x)
+        xs, gs = x.tolist(), self.costs(x).tolist()
         support = []
-        for (lo, hi), mass in zip(self.blocks, self.masses):
-            cheapest = float(np.min(g[lo:hi]))
+        for lo, hi in self.blocks:
+            cheapest = min(gs[lo:hi])
             scale = 1.0 + abs(cheapest)
-            sup = [j for j in range(lo, hi) if x[j] > 1e-8 or g[j] <= cheapest + 1e-6 * scale]
+            sup = [j for j in range(lo, hi) if xs[j] > 1e-8 or gs[j] <= cheapest + 1e-6 * scale]
             support.append(sup)
         for _ in range(2 * self.n + 2):
             y = self._solve_support(support, x)
             if y is None:
                 return None
+            ys = y.tolist()
             changed = False
-            for bi, ((lo, hi), sup) in enumerate(zip(self.blocks, support)):
-                neg = [j for j in sup if y[j] < -1e-12]
+            for bi, sup in enumerate(support):
+                neg = [j for j in sup if ys[j] < -1e-12]
                 if neg and len(sup) > 1:
-                    worst = min(neg, key=lambda j: y[j])
+                    worst = min(neg, key=ys.__getitem__)
                     support[bi] = [j for j in sup if j != worst]
                     changed = True
             if changed:
@@ -264,29 +276,59 @@ class _PotentialCore:
                 total = y[lo:hi].sum()
                 if total > 0 and mass > 0:
                     y[lo:hi] *= mass / total
-            g = self.costs(y)
+            gs = self.costs(y).tolist()
             grew = False
             for bi, ((lo, hi), sup) in enumerate(zip(self.blocks, support)):
-                in_cost = max(float(g[j]) for j in sup)
+                in_cost = max(gs[j] for j in sup)
                 scale = 1.0 + abs(in_cost)
                 outside = [
-                    j for j in range(lo, hi) if j not in sup and g[j] < in_cost - 1e-10 * scale
+                    j for j in range(lo, hi) if j not in sup and gs[j] < in_cost - 1e-10 * scale
                 ]
                 if outside:
-                    support[bi] = sorted(sup + [min(outside, key=lambda j: g[j])])
+                    support[bi] = sorted(sup + [min(outside, key=gs.__getitem__)])
                     grew = True
             if grew:
                 continue
             return y
         return None
 
+    def _newton_plan(self, support):
+        """The parts of the Newton system on ``support`` (one ascending list
+        of variables per block) that do not depend on the point, built once
+        per support and kept on the core.
+
+        The system has one row per support variable, and a block's rows are
+        numbered as its variables' positions in the flattened support
+        ``index``: an equal-cost row for each variable j after the block's
+        first variable ``base``, then the block's mass row, 1 on each of its
+        variables. The plan holds ``index``, the incidence columns over it,
+        the system matrix with only the mass rows filled, the equal-cost
+        rows' numbers with the positions of j and base in ``index`` and
+        among all variables, the mass rows' numbers, and each block's
+        [start, end) span of ``index``.
+        """
+        key = tuple(map(tuple, support))
+        plan = self._plans.get(key)
+        if plan is None:
+            index = np.array([j for sup in support for j in sup], dtype=np.intp)
+            a = np.zeros((len(index), len(index)))
+            eq, spans = [], []
+            start = 0
+            for sup in support:
+                end = start + len(sup)
+                eq.extend((start + r, start + r + 1, start, j, sup[0]) for r, j in enumerate(sup[1:]))
+                a[end - 1, start:end] = 1.0
+                spans.append((start, end))
+                start = end
+            eq = np.array(eq, dtype=np.intp).reshape(-1, 5).T
+            mass_rows = np.array([end - 1 for _start, end in spans], dtype=np.intp)
+            plan = self._plans[key] = (index, self.m[:, index], a, eq, mass_rows, spans)
+        return plan
+
     def _solve_support(self, support, x):
-        index = [j for sup in support for j in sup]
-        if not index:
+        if not any(support):
             return None
-        pos = {j: i for i, j in enumerate(index)}
-        msub = self.m[:, index]
-        size = len(index)
+        index, msub, a0, (eq_rows, jpos, bpos, jvar, bvar), mass_rows, spans = self._newton_plan(support)
         sub = np.asarray(x, dtype=float)[index]
 
         def embed(values):
@@ -297,31 +339,24 @@ class _PotentialCore:
         for _round in range(60):
             y = embed(sub)
             loads = self.m @ y
-            g = self.m.T @ _horner(self.coef, loads)
-            dvals = _horner(self.dcoef, loads)
+            g = self.mt @ _horner(self.terms, loads)
+            dvals = _horner(self.dterms, loads)
             hess = msub.T @ (dvals[:, None] * msub)
-            rows = []
-            rhs = []
-            for bi, sup in enumerate(support):
-                base = sup[0]
-                for j in sup[1:]:
-                    rows.append(hess[pos[j], :] - hess[pos[base], :])
-                    rhs.append(-(g[j] - g[base]))
-                mass_row = np.zeros(size)
-                for j in sup:
-                    mass_row[pos[j]] = 1.0
-                rows.append(mass_row)
-                rhs.append(self.masses[bi] - sum(sub[pos[j]] for j in sup))
-            a = np.vstack(rows)
-            b = np.asarray(rhs)
-            if np.max(np.abs(b)) < 1e-14:
+            a = a0.copy()
+            a[eq_rows] = hess[jpos] - hess[bpos]
+            b = np.empty(len(index))
+            b[eq_rows] = -(g[jvar] - g[bvar])
+            subs = sub.tolist()
+            # each block's mass summed left to right, as numpy does not for 8 or more
+            b[mass_rows] = self.masses - [sum(subs[lo:hi]) for lo, hi in spans]
+            if np.abs(b).max() < 1e-14:
                 return y
             try:
                 step, *_ = np.linalg.lstsq(a, b, rcond=None)
             except np.linalg.LinAlgError:
                 return None
             sub = sub + step
-            if np.max(np.abs(step)) < 1e-15:
+            if np.abs(step).max() < 1e-15:
                 return embed(sub)
         return embed(sub)
 

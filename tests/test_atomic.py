@@ -258,11 +258,16 @@ def test_bruteforce_rejects_missing_state():
 
 def test_bruteforce_weights_must_sum_to_one(elfarol):
     agame = fg.AtomicGame(elfarol, (1,))
-    with pytest.raises(ValueError, match="^profile weights for state '0' sum to 0.5$"):
+    with pytest.raises(ValueError, match="^profile weights for state '0' sum to 0.5, expected 1$"):
         fg.check_bce_bruteforce(agame, {"0": [((("a",),), F(1, 2))]})
     # compared exactly: a sum beyond float range is named, not an OverflowError
-    with pytest.raises(ValueError, match=f"^profile weights for state '0' sum to {10**400}$"):
+    with pytest.raises(ValueError, match=f"^profile weights for state '0' sum to {10**400}, expected 1$"):
         fg.check_bce_bruteforce(agame, {"0": [((("a",),), F(10**400))]})
+    # held to MASS_TOL as every other unit sum: 1e-10 above 1 is refused
+    with pytest.raises(ValueError, match="^profile weights for state '0' sum to 1.0000000001, expected 1$"):
+        fg.check_bce_bruteforce(agame, {"0": [((("a",),), 1 + F(1, 10**10))]})
+    # within MASS_TOL the report is made
+    assert fg.check_bce_bruteforce(agame, {"0": [((("a",),), 1 + F(1, 10**13))]}).worst_violation < 0
 
 
 def test_symmetric_bce_flows_must_be_counts():

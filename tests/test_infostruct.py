@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +133,12 @@ def reference_conditional_costs(game, structure, strategies):
     return table
 
 
+def planned_costs(game, structure, strategies):
+    """_conditional_costs over a fresh atom plan of the game and structure."""
+    plan = infostruct._atom_plan(game, structure)
+    return infostruct._conditional_costs(game, structure, strategies, plan)
+
+
 def reference_bwe_violation(game, structure, strategies):
     """bwe_violation from the term-by-term table."""
     worst = None
@@ -203,7 +211,7 @@ def test_exact_conditional_costs_match_reference(request, name, outcome_name, de
     # the atom-by-atom sums give the reference's Fractions, key for key
     game, outcome = request.getfixturevalue(name), request.getfixturevalue(outcome_name)
     structure, strategies, _ = fg.direct_structure_from_bcwe(game, outcome, denominator, symmetrize)
-    table = infostruct._conditional_costs(game, structure, strategies)[1]
+    table = planned_costs(game, structure, strategies)[1]
     assert table == reference_conditional_costs(game, structure, strategies)
     assert all(type(c) is F for costs in table.values() for c in costs)
 
@@ -247,7 +255,7 @@ def exact_cases():
 
 def test_exact_conditional_costs_match_reference_on_more_games():
     for name, game, structure, strategies in exact_cases():
-        table = infostruct._conditional_costs(game, structure, strategies)[1]
+        table = planned_costs(game, structure, strategies)[1]
         assert table == reference_conditional_costs(game, structure, strategies), name
         assert all(type(c) is F for costs in table.values() for c in costs), name
 
@@ -261,7 +269,7 @@ def test_int_strategies_give_fraction_conditional_costs():
         kernel={"0": ((("a",), F(1, 4)), (("c",), F(3, 4))), "1": ((("b",), F(1)),)},
     )
     strategies = fg.StrategyProfile((((1, 0, 0), (0, 1, 0), (0, 0, 1)),))
-    table = infostruct._conditional_costs(game, structure, strategies)[1]
+    table = planned_costs(game, structure, strategies)[1]
     assert table == reference_conditional_costs(game, structure, strategies)
     assert sorted(table) == [(0, 0), (0, 1), (0, 2)]
     assert all(type(c) is F for costs in table.values() for c in costs)
@@ -279,7 +287,7 @@ def test_float_kernel_weights_take_the_float_path():
         {s: tuple((profile, float(w)) for profile, w in atoms) for s, atoms in structure.kernel.items()},
     )
     strategies = random_rational_strategies(structure, 3, random.Random(2))
-    table = infostruct._conditional_costs(game, floats, strategies)[1]
+    table = planned_costs(game, floats, strategies)[1]
     reference = reference_conditional_costs(game, floats, strategies)
     assert repr(sorted(table.items())) == repr(sorted(reference.items()))
     assert all(type(c) is float for costs in table.values() for c in costs)
@@ -454,13 +462,13 @@ def test_exact_path_keeps_the_aggregate_mass_check(elfarol):
     # within MASS_TOL the aggregate is costed where it is
     close = fg.StrategyProfile((((F(1, 2) + F(1, 10**14), F(0)),),) * 2)
     assert fg.bwe_violation(elfarol, structure, close) == 0
-    assert infostruct._conditional_costs(elfarol, structure, close)[1] == reference_conditional_costs(
+    assert planned_costs(elfarol, structure, close)[1] == reference_conditional_costs(
         elfarol, structure, close
     )
     # a negative entry is refused as the aggregate FlowProfile refuses it
     negative = fg.StrategyProfile((((F(3, 4), F(-1, 4)),), ((F(1, 2), F(0)),)))
     with pytest.raises(ValueError, match=re.escape("negative flow entry Fraction(-1, 4) in population 0")):
-        infostruct._conditional_costs(elfarol, structure, negative)
+        planned_costs(elfarol, structure, negative)
 
 
 def test_solve_bwe_uninformative_pools():
@@ -593,8 +601,8 @@ def test_probe_deviations_are_the_pairwise_extremes(g, tol, trials, monkeypatch)
     runs = []
     conditional_costs = infostruct._conditional_costs
 
-    def recorded(game, structure, strategies):
-        runs.append((strategies, *conditional_costs(game, structure, strategies)))
+    def recorded(game, structure, strategies, plan):
+        runs.append((strategies, *conditional_costs(game, structure, strategies, plan)))
         return runs[-1][1:]
 
     monkeypatch.setattr(infostruct, "_conditional_costs", recorded)
@@ -626,8 +634,8 @@ def test_probe_deviations_of_scattered_runs(trials, monkeypatch):
     runs = []
     conditional_costs = infostruct._conditional_costs
 
-    def recorded(game, structure, strategies):
-        runs.append((strategies, *conditional_costs(game, structure, strategies)))
+    def recorded(game, structure, strategies, plan):
+        runs.append((strategies, *conditional_costs(game, structure, strategies, plan)))
         return runs[-1][1:]
 
     monkeypatch.setattr(infostruct, "_bwe_solve", scattered)
@@ -648,16 +656,66 @@ def test_probe_sets_up_auxiliary_core_once(monkeypatch):
         cores.append(congestion_core(*args))
         return cores[-1]
 
+    plans = []
+    atom_plan = infostruct._atom_plan
+
+    def planned(*args):
+        plans.append(atom_plan(*args))
+        return plans[-1]
+
     monkeypatch.setattr(infostruct, "_congestion_core", counted)
+    monkeypatch.setattr(infostruct, "_atom_plan", planned)
     fg.bwe_cost_uniqueness_probe(game, structure, trials=5, tol=1e-9)
     assert len(cores) == 1
+    assert len(plans) == 1
     # a core solved from several starts gives what fresh set-ups give
-    blocks, core = infostruct._bwe_setup(game, structure)
+    blocks, core, _plan = infostruct._bwe_setup(game, structure)
     rng = random.Random(1)
     for _ in range(3):
         start = random_rational_strategies(structure, 2, rng)
         shared = infostruct._bwe_solve(game, structure, blocks, core, 1e-9, start)
         assert shared == fg.solve_bwe(game, structure, tol=1e-9, start=start)
+
+
+def test_support_plans_carry_no_order():
+    # one core solved from a then b returns what fresh cores return for b
+    # then a: the Newton plans a core keeps per support hold nothing of the
+    # solves that built them
+    game = random_congestion_game(3, n_actions=3, n_states=2)
+    structure = random_structure(game, 302)
+    rng = random.Random(2)
+    a, b = (random_rational_strategies(structure, 3, rng) for _ in range(2))
+    blocks, one, _plan = infostruct._bwe_setup(game, structure)
+    forward = [repr(infostruct._bwe_solve(game, structure, blocks, one, 1e-9, s)) for s in (a, b)]
+    fresh, supports = [], []
+    for start in (b, a):
+        core = infostruct._bwe_setup(game, structure)[1]
+        fresh.append(repr(infostruct._bwe_solve(game, structure, blocks, core, 1e-9, start)))
+        supports.append(set(core._plans))
+    assert forward == fresh[::-1]
+    # the two solves share a support and differ in another
+    assert supports[0] & supports[1] and supports[0] != supports[1]
+    assert set(one._plans) == supports[0] | supports[1]
+
+
+def _probe_report_outputs():
+    """repr of the probe on the 30 structures of acceptance criterion 8:
+    two-state, three-action games for odd g, three structures each."""
+    out = {}
+    for g in range(1, 20, 2):
+        game = random_congestion_game(g, n_actions=2 + g % 2, n_states=1 + g % 2)
+        for s in range(3):
+            structure = random_structure(game, 100 * g + s)
+            report = fg.bwe_cost_uniqueness_probe(game, structure, trials=20, tol=1e-9)
+            out[f"probe-g{g:02d}s{s}"] = repr(report)
+    return out
+
+
+def test_probe_reports_match_golden():
+    # every float of the probe's solves and conditional costs must survive
+    # changes to how the solve and the costs are set up
+    golden = json.loads((Path(__file__).parent / "golden" / "probe_reports.json").read_text())
+    assert _probe_report_outputs() == golden
 
 
 @pytest.mark.parametrize(
