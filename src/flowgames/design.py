@@ -22,7 +22,7 @@ from .model import (
     flow_sort_key,
     social_cost,
 )
-from .wardrop import _lattice_size, grid_flows, solve_we_multistart, solve_we_potential, verify_we
+from .wardrop import _lattice_size, _snap_rational, grid_flows, solve_we_multistart, solve_we_potential
 
 # the largest positive obedience term a float-data start may carry as roundoff
 ROUNDOFF = 1e-12
@@ -99,34 +99,6 @@ def build_grid(game: GameSpec, resolution: int) -> dict:
             keyed.setdefault(flow_sort_key(we), we)
         out[state] = tuple(keyed[key] for key in sorted(keyed))
     return out
-
-
-def _snap_rational(game: GameSpec, flow: FlowProfile, state: str) -> FlowProfile:
-    """Replace solver floats with a nearby exact rational equilibrium.
-
-    Affine latencies put equilibria at rational points, so a snapped flow that
-    verifies exactly is the true equilibrium (or an equally valid one on a
-    tie). Quadratic latencies can have irrational equilibria; those keep
-    their float coordinates.
-    """
-    for bound in (64, 4096, 10**6):
-        flows = []
-        ok = True
-        for vec in flow.flows:
-            vals = [Fraction(float(v)).limit_denominator(bound) for v in vec]
-            # absorb the rounding drift into the largest coordinate
-            j = max(range(len(vals)), key=lambda i: vals[i])
-            vals[j] += 1 - sum(vals)
-            if vals[j] < 0:
-                ok = False
-                break
-            flows.append(tuple(vals))
-        if not ok:
-            continue
-        candidate = FlowProfile(tuple(flows))
-        if verify_we(game, candidate, state) <= 0:
-            return candidate
-    return flow
 
 
 def _state_equilibria(game: GameSpec, state: str) -> list[FlowProfile]:

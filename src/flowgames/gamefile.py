@@ -307,7 +307,8 @@ def parse_outcome_file(text: str, game: GameSpec) -> Outcome:
     """Parse an outcome document against a game.
 
     Every game state must appear exactly once as an ``[outcome.STATE]``
-    section, and each section's weights must sum to 1.
+    section, each flow at most once in it, and each section's weights must
+    sum to 1.
     """
     sections = _scan(text)
     per_state = {}
@@ -319,18 +320,20 @@ def parse_outcome_file(text: str, game: GameSpec) -> Outcome:
             raise GameFileError(f"unknown state {state!r}", lineno)
         if state in per_state:
             raise GameFileError(f"duplicate section for state {state!r}", lineno)
-        atoms = []
+        atoms = {}
         for entry_line, key, value, col in entries:
             flow = _parse_flow_literal(key, game, entry_line)
+            if flow in atoms:
+                raise GameFileError(f"duplicate flow {key!r} in state {state!r}", entry_line)
             w = _rational(value, entry_line, col)
             if w < 0:
                 raise GameFileError("negative weight", entry_line)
-            atoms.append((flow, w))
+            atoms[flow] = w
         if not atoms:
             raise GameFileError(f"no flows for state {state!r}", lineno)
         try:
             # Outcome's rule: the weights sum to 1 within MASS_TOL
-            per_state[state] = _distribution(atoms, state)
+            per_state[state] = _distribution(atoms.items(), state)
         except ValueError as err:
             raise GameFileError(str(err), lineno) from None
     missing = [s for s in game.states if s not in per_state]

@@ -15,7 +15,6 @@ import sys
 from fractions import Fraction
 
 from ._numpy import np
-from .lp import _column, _factor
 from .model import (
     CongestionSpec,
     EvaluationError,
@@ -44,7 +43,7 @@ class WESolveResult(_Record):
     :func:`verify_we` on the returned flow. ``iterations`` counts the
     solver's steps: Frank-Wolfe steps for :func:`solve_we_potential`, and
     for :func:`solve_we_br` the iteration at which it stopped (converged,
-    stalled at its step floor, or at ``max_iter``).
+    stalled at its step floor, or at ``_BR_MAX_ITER``).
     """
 
     flow: FlowProfile
@@ -419,35 +418,6 @@ def _spec_core(spec: CongestionSpec, state: str) -> _PotentialCore:
     return _congestion_core(spec, blocks, [(1.0, state, range(len(blocks)))])
 
 
-def _one_minimizer(spec: CongestionSpec, state: str) -> bool:
-    """Whether the potential in ``state`` is strictly convex on the flows,
-    decided exactly; then the game has exactly one Wardrop equilibrium.
-
-    ``CongestionSpec`` admits only nonnegative coefficients (and keeps them
-    read-only), so every latency is nondecreasing on loads >= 0: the
-    potential is convex and its minimizers are the equilibria. It is
-    strictly convex when the strictly increasing latencies (a positive
-    coefficient of degree >= 1) move with every mass-preserving direction:
-    their resources' incidence rows must have full column rank on the
-    columns e_j - e_first of each population block.
-    """
-    polys = [spec.latencies[(e, state)] for e in spec.resources]
-    columns = [
-        (spec.actions[(pop.name, a)], spec.actions[(pop.name, pop.actions[0])])
-        for pop in spec.populations
-        for a in pop.actions[1:]
-    ]
-    rows = [
-        [(e in used) - (e in first) for used, first in columns]
-        for e, p in zip(spec.resources, polys)
-        if any(c > 0 for c in p[1:])
-    ]
-    n = len(columns)
-    gram = [[sum(r[i] * r[j] for r in rows) for j in range(n)] for i in range(n)]
-    # full column rank iff the Gram matrix is nonsingular
-    return _factor(range(n), [_column(enumerate(col)) for col in zip(*gram)], [0] * n, n) is not None
-
-
 def _vector_of(flow: FlowProfile) -> np.ndarray:
     return np.array([float(v) for vec in flow.flows for v in vec])
 
@@ -484,12 +454,15 @@ def solve_we_potential(
     return WESolveResult(flow, float(verify_we(game, flow, state)), iters)
 
 
+# the step budget of a best-response solve
+_BR_MAX_ITER = 2000
+
+
 def solve_we_br(
     game: GameSpec,
     state: str,
     start: FlowProfile,
     tol: float = 1e-6,
-    max_iter: int = 2000,
 ) -> WESolveResult:
     """Damped best response: shift mass toward cheapest actions, halving the
     step on oscillation. Works on any game; convergence is reported, not
@@ -499,7 +472,7 @@ def solve_we_br(
     Once the violation rises again at that floor to a value above the best
     one seen, the solve stops: the step never grows back, so the remaining
     steps could move each entry by at most 1e-9 apiece. It returns the best
-    profile seen and its violation.
+    profile seen and its violation, after at most ``_BR_MAX_ITER`` steps.
     """
     _check_tol(tol)
     flows = [list(map(float, vec)) for vec in start.flows]
@@ -525,7 +498,7 @@ def solve_we_br(
     at_profile, best_v = measure(profile)
     prev_v = best_v
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, _BR_MAX_ITER + 1):
         if best_v <= tol:
             break
         for i, mover in enumerate(movers):
@@ -669,59 +642,94 @@ def _lattice_scores(game: GameSpec, state: str, resolution: int, points: list) -
     return scores, spread
 
 
+def _snap_rational(game: GameSpec, flow: FlowProfile, state: str) -> FlowProfile:
+    """Replace solver floats with a nearby exact rational equilibrium.
+
+    Affine latencies put equilibria at rational points, so a snapped flow that
+    verifies exactly is the true equilibrium (or an equally valid one on a
+    tie). Quadratic latencies can have irrational equilibria; those keep
+    their float coordinates: ``flow`` itself is returned.
+    """
+    for bound in (64, 4096, 10**6):
+        flows = []
+        ok = True
+        for vec in flow.flows:
+            vals = [Fraction(float(v)).limit_denominator(bound) for v in vec]
+            # absorb the rounding drift into the largest coordinate
+            j = max(range(len(vals)), key=lambda i: vals[i])
+            vals[j] += 1 - sum(vals)
+            if vals[j] < 0:
+                ok = False
+                break
+            flows.append(tuple(vals))
+        if not ok:
+            continue
+        candidate = FlowProfile(tuple(flows))
+        if verify_we(game, candidate, state) <= 0:
+            return candidate
+    return flow
+
+
+def _float_image(flow: FlowProfile) -> FlowProfile:
+    """A rational flow as the floats a polish returns from it at once: each
+    population's entries rounded, clipped and scaled to unit mass."""
+    return FlowProfile(tuple(_normalized(k, [float(y) for y in vec]) for k, vec in enumerate(flow.flows)))
+
+
 def enumerate_we_grid(
     game: GameSpec, state: str, resolution: int = 64, tol: float = 1e-6
 ) -> list[FlowProfile]:
     """Find equilibria by scanning a lattice and polishing near-equilibria.
 
     Every grid flow is scored by its :func:`verify_we` violation, computed in
-    integers (see :func:`_lattice_scores`). A flow whose score is exactly 0
-    is an equilibrium and final: it is kept as its float image, the flow
-    either polish returns from it, with no solver run. Other flows within
-    an adaptive threshold of equilibrium are polished (by potential
-    minimization on congestion-backed games, else by best response); all
-    are deduplicated within L-infinity 10*tol. Heuristic by nature:
-    exactness is only claimed for equilibria on or near the lattice. The
-    count is certified when the game's congestion potential is strictly
-    convex in ``state``, which is decided exactly: the game then has one
-    equilibrium, and the scan stops at the first flow it keeps (exact, or a
-    polish that verifies within ``tol``): it returns at most one flow.
+    integers (see :func:`_lattice_scores`), best score first. A flow whose
+    score is exactly 0 is an equilibrium and final: it is kept as its float
+    image, the flow either polish returns from it, with no solver run. Other
+    flows within an adaptive threshold of equilibrium are polished; kept
+    flows are deduplicated within L-infinity 10*tol.
+
+    A congestion-backed game's potential is convex: its minimizers are the
+    equilibria, and every action costs the same at all of them. So the scan
+    returns the exact lattice equilibria, or, when there is none, the first
+    potential polish that verifies within ``tol``. Other games are polished
+    by best response, which stalls ~sqrt(tol) short of boundary equilibria:
+    a polish that is new is replaced by the float image of a nearby exact
+    equilibrium when one verifies. Heuristic by nature: exactness is only
+    claimed for equilibria on or near the lattice.
     """
     _check_tol(tol)
     points = list(itertools.product(*_population_grids(game, resolution)))
     scores, spread = _lattice_scores(game, state, resolution, points)
     keep = max(tol, 4.0 * spread / resolution)
     table = [Fraction(i, resolution) for i in range(resolution + 1)]
-    unique = game.congestion is not None and _one_minimizer(game.congestion, state)
     result: list[FlowProfile] = []
+
+    def known(flow):
+        return any(flow_linf(flow, r) <= 10 * tol for r in result)
+
     # process best candidates first (a stable sort, in lattice order among
     # ties) so an exact lattice equilibrium, not a polished neighbor, is the
     # kept representative of its cluster
     for i in sorted(range(len(points)), key=scores.__getitem__):
-        if scores[i] > keep:
+        if scores[i] > keep or (scores[i] > 0 and result and game.congestion is not None):
             break
+        # lattice entries are nonnegative Fractions summing to 1 by construction
+        f = _trusted_profile(tuple(tuple(table[y] for y in vec) for vec in points[i]))
         if scores[i] == 0:
-            # an exact equilibrium is final: kept as the float flow that
-            # either polish would return from it at once, unpolished
-            vecs = (_normalized(k, [y / resolution for y in vec]) for k, vec in enumerate(points[i]))
-            candidate = FlowProfile(tuple(vecs))
-        else:
-            # lattice entries are nonnegative Fractions summing to 1 by construction
-            f = _trusted_profile(tuple(tuple(table[y] for y in vec) for vec in points[i]))
-            if game.congestion is not None:
-                # Newton-polished potential descent reaches ~1e-12, so copies of
-                # one equilibrium collapse inside the dedup radius; best response
-                # can stall at ~sqrt(tol) near boundary equilibria
-                polished = solve_we_potential(game, state, min(tol, 1e-10), start=f)
-            else:
-                polished = solve_we_br(game, state, f, tol)
+            candidate = _float_image(f)
+        elif game.congestion is not None:
+            polished = solve_we_potential(game, state, min(tol, 1e-10), start=f)
             if polished.max_violation > tol:
                 continue
             candidate = polished.flow
-        if any(flow_linf(candidate, r) <= 10 * tol for r in result):
+        else:
+            polished = solve_we_br(game, state, f, tol)
+            if polished.max_violation > tol or known(polished.flow):
+                continue
+            exact = _snap_rational(game, polished.flow, state)
+            candidate = polished.flow if exact is polished.flow else _float_image(exact)
+        if known(candidate):
             continue
         result.append(candidate)
-        if unique:
-            break
     result.sort(key=flow_sort_key)
     return result

@@ -17,7 +17,6 @@ from flowgames.generators import (
     random_structure,
 )
 from flowgames.model import _trusted_profile
-from flowgames.wardrop import _one_minimizer
 
 
 def flow1(*vals):
@@ -251,7 +250,10 @@ def test_c12_mediation_does_not_help():
     for n_actions in range(2, 6):
         for seed in range(6):
             game = random_congestion_game(seed, n_actions=n_actions)
-            assert _one_minimizer(game.congestion, "0")
+            # each action uses its own edge, whose latency rises with slope >= 1
+            spec = game.congestion
+            assert sorted(spec.actions.values()) == sorted(frozenset({e}) for e in spec.resources)
+            assert all(spec.latencies[(e, "0")][1] >= 1 for e in spec.resources)
             for resolution in (4, 8):
                 grid = fg.build_grid(game, resolution)
                 equilibria = [f for f in grid["0"] if fg.verify_we(game, f, "0") <= 0]

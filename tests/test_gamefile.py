@@ -230,6 +230,13 @@ MALFORMED = [
     ("[outcome.0]\n(1, half) = 1\n", "line 2: not a rational literal: 'half'", 2, None),
     ("[outcome.0]\n(1, 0) = 1/2\n(0, 1) = a half\n", "line 3, column 10: not a rational literal: 'a half'", 3, 9),
     ("[outcome.0]\n(1, 0) = 1.5.\n", "line 2, column 10: not a rational literal: '1.5.'", 2, 9),
+    # one flow written twice, in two spellings
+    (
+        "[outcome.0]\n(1/2, 1/2) = 1/2\n(0.5, 0.5) = 1/2\n",
+        "line 3: duplicate flow '(0.5, 0.5)' in state '0'",
+        3,
+        None,
+    ),
 ]
 
 
@@ -250,6 +257,7 @@ MALFORMED_IDS = [
     "flow-entry",
     "weight-literal",
     "weight-two-points",
+    "flow-duplicate",
 ]
 
 

@@ -19,7 +19,6 @@ from flowgames.model import CongestionSpec, Population, _cost_fn
 from flowgames.wardrop import (
     _brent_root,
     _lattice_scores,
-    _one_minimizer,
     _population_grids,
     _PotentialCore,
     _spec_core,
@@ -232,15 +231,18 @@ def test_br_solver_reaches_equilibrium(elfarol):
     assert float(fg.verify_we(elfarol, res.flow, "0")) <= 1e-8
 
 
-def test_br_solver_reports_the_violation_of_its_flow(elfarol):
-    # the returned max_violation is verify_we of the returned flow, bit for bit
+def test_br_solver_reports_the_violation_of_its_flow(monkeypatch, elfarol):
+    # the returned max_violation is verify_we of the returned flow, bit for
+    # bit, also when the solve ends at its step budget
     two_pops = random_congestion_game(3, n_actions=3, n_states=2, n_pops=2)
-    for game in (elfarol, two_pops):
-        for seed in range(4):
-            start = random_flow(game, seed)
-            for tol, max_iter in ((1e-8, 2000), (1e-12, 7)):
-                res = fg.solve_we_br(game, "0", start, tol, max_iter)
+    for max_iter, tol in ((2000, 1e-8), (7, 1e-12)):
+        monkeypatch.setattr("flowgames.wardrop._BR_MAX_ITER", max_iter)
+        for game in (elfarol, two_pops):
+            for seed in range(4):
+                res = fg.solve_we_br(game, "0", random_flow(game, seed), tol)
                 assert res.max_violation == float(fg.verify_we(game, res.flow, "0"))
+                if max_iter == 7:
+                    assert res.iterations <= 7
 
 
 def test_br_solver_evaluates_each_cost_once_per_step(elfarol):
@@ -325,32 +327,7 @@ def _one_state_spec(latencies, actions):
     )
 
 
-def test_one_minimizer_on_strictly_convex_potentials(pigou_network):
-    # a constant link beside an increasing one still separates the two routes
-    assert _one_minimizer(pigou_network.congestion, "0")
-    for seed in range(4):
-        for quadratic in (False, True):
-            game = random_congestion_game(seed, n_actions=4, n_states=2, quadratic=quadratic)
-            assert all(_one_minimizer(game.congestion, s) for s in game.states)
-    # one action per population: no direction moves mass, so one flow
-    assert _one_minimizer(_one_state_spec({"e": (1,)}, {"a": ("e",)}), "0")
-
-
-def test_one_minimizer_rejects_games_that_may_have_several_equilibria():
-    # two populations on the same edges can trade mass without moving a load
-    assert not _one_minimizer(random_congestion_game(0, n_actions=2, n_pops=2).congestion, "0")
-    # two actions on the same resource set
-    same = _one_state_spec({"e1": (0, 1), "e2": (1, 1)}, {"a": ("e1",), "b": ("e2",), "c": ("e2",)})
-    assert not _one_minimizer(same, "0")
-    # only the constant-latency resource tells a from b
-    masked = _one_state_spec({"e1": (2,), "e2": (0, 1)}, {"a": ("e1", "e2"), "b": ("e2",)})
-    assert not _one_minimizer(masked, "0")
-    # constant latencies everywhere
-    flat = _one_state_spec({"e1": (0,), "e2": (1,)}, {"a": ("e1",), "b": ("e2",)})
-    assert not _one_minimizer(flat, "0")
-
-
-def test_enumerate_polishes_once_when_the_potential_is_strictly_convex(monkeypatch):
+def test_enumerate_keeps_exact_equilibria_and_polishes_only_without_one(monkeypatch):
     calls = []
     solve = fg.wardrop.solve_we_potential
 
@@ -364,13 +341,34 @@ def test_enumerate_polishes_once_when_the_potential_is_strictly_convex(monkeypat
     # polishing every candidate under the threshold took 158 solves here
     assert len(calls) == 1
     assert len(flows) == 1
-    # the two-population game may have several equilibria: every candidate
-    # under the threshold that is not an exact lattice equilibrium is still
-    # polished; the 4 exact ones are kept unpolished
+    # two populations on the same edges can trade mass without moving a
+    # load, so the equilibria form a continuum: its 4 exact lattice points
+    # are kept unpolished, and no other candidate is polished
     calls.clear()
     two_pops = random_congestion_game(0, n_actions=2, n_pops=2)
-    assert len(fg.enumerate_we_grid(two_pops, "0", 4)) == 17
-    assert len(calls) == 21
+    assert len(fg.enumerate_we_grid(two_pops, "0", 4)) == 4
+    assert len(calls) == 0
+
+
+def test_enumerate_stops_on_a_continuum_with_no_lattice_equilibrium(monkeypatch):
+    # no lattice point at r = 8 is an equilibrium of this game, and its
+    # equilibria form a continuum: polishing every candidate under the
+    # threshold made over 7,200 potential solves without finishing
+    calls = []
+    solve = fg.wardrop.solve_we_potential
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 5:
+            raise AssertionError("more than 5 potential solves")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr("flowgames.wardrop.solve_we_potential", counted)
+    game = random_congestion_game(5, n_actions=4, n_pops=2)
+    flows = fg.enumerate_we_grid(game, "0", 8)
+    assert len(calls) <= 1
+    assert flows
+    assert all(fg.verify_we(game, f, "0") <= 1e-6 for f in flows)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
@@ -569,8 +567,8 @@ ENUMERATION_GOLDEN = json.loads(
 
 
 def test_enumerate_we_grid_matches_golden(pigou_network, elfarol):
-    # repr of every returned flow, recorded with every candidate polished:
-    # stopping at the first verified polish must return the same flows
+    # repr of every returned flow; the pops2 games have a continuum of
+    # equilibria, and their entries are its exact lattice points
     got = {
         case: [repr(f.flows) for f in fg.enumerate_we_grid(game, state, resolution)]
         for case, game, state, resolution in _enumeration_cases(pigou_network, elfarol)
@@ -609,9 +607,25 @@ def test_kept_lattice_equilibria_are_what_the_polish_returns(pigou_network, elfa
     assert checked == 47
 
 
+def test_enumerate_rationalizes_best_response_polishes(elfarol):
+    # c_a - c_b = 3 y_a, so best response stops once its violation is within
+    # tol at y_a ~ sqrt(tol / 3): 58 times the dedup radius from (0, 1)
+    text = (
+        "[populations]\ncrowd = a, b\n[states]\nnames = 0\n[prior]\n0 = 1\n"
+        "[costs]\ncrowd.a = 1 + 3*y[a]\ncrowd.b = 1\n"
+    )
+    game = fg.parse_game_file(text)
+    for resolution in (8, 64):
+        assert [f.flows for f in fg.enumerate_we_grid(game, "0", resolution)] == [((0.0, 1.0),)]
+    # (1/4, 3/4) is off the lattice at r = 10; its polish snaps onto it
+    flows = fg.enumerate_we_grid(elfarol, "0", 10)
+    assert [f.flows for f in flows] == [((0.25, 0.75),), ((1.0, 0.0),)]
+    assert all(fg.verify_we(elfarol, f, "0") == 0 for f in flows)
+
+
 def test_enumerate_elfarol_stops_stalled_best_response(monkeypatch, elfarol):
     # no step improves on five starts just off (3/4, 1/4): they stop once
-    # their step stalls at its floor, not after max_iter = 2000 each
+    # their step stalls at its floor, not after _BR_MAX_ITER = 2000 steps each
     iterations = []
     solve = fg.wardrop.solve_we_br
 
