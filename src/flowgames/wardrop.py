@@ -42,8 +42,9 @@ class WESolveResult(_Record):
     ``max_violation`` is the raw signed worst violation as reported by
     :func:`verify_we` on the returned flow. ``iterations`` counts the
     solver's steps: Frank-Wolfe steps for :func:`solve_we_potential`, and
-    for :func:`solve_we_br` the iteration at which it stopped (converged,
-    stalled at its step floor, or at ``_BR_MAX_ITER``).
+    for :func:`solve_we_br` the steps it made before it stopped (converged,
+    stalled at its step floor, or at ``_BR_MAX_ITER``), 0 from a start
+    within ``tol``.
     """
 
     flow: FlowProfile
@@ -497,10 +498,9 @@ def solve_we_br(
 
     at_profile, best_v = measure(profile)
     prev_v = best_v
-    iters = 0
-    for iters in range(1, _BR_MAX_ITER + 1):
-        if best_v <= tol:
-            break
+    iters = 0  # steps made
+    while best_v > tol and iters < _BR_MAX_ITER:
+        iters += 1
         for i, mover in enumerate(movers):
             k = mover[0]
             # the first mover steps at the profile the last violation measured

@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -65,6 +67,25 @@ def test_artificial_at_zero_leaves_before_it_could_rise():
     assert cert.objective == 1
     assert cert.x == (1, 0)
     assert sorted(cert.basis) == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (dict(a_eq=[[1, 1]], b_eq=[1, 1]), "b_eq has 2 entries for the 1 rows of a_eq"),
+        (dict(a_eq=[[1, 1], [1, 0]], b_eq=[1]), "b_eq has 1 entries for the 2 rows of a_eq"),
+        (dict(a_eq=[[1]], b_eq=[1]), "row 0 of a_eq has 1 entries for 2 costs"),
+        (dict(a_eq=[[1, 1], [1, 1, 1]], b_eq=[1, 1]), "row 1 of a_eq has 3 entries for 2 costs"),
+        (dict(a_ub=[[1, 1]]), "b_ub has 0 entries for the 1 rows of a_ub"),
+        (dict(a_eq=[[1, 1]], b_eq=[1], b_ub=[1]), "b_ub has 1 entries for the 0 rows of a_ub"),
+        (dict(a_eq=[[1, math.inf]], b_eq=[1]), "LP entry inf is not a finite number"),
+        (dict(a_eq=[[1, 1]], b_eq=[math.nan]), "LP entry nan is not a finite number"),
+    ],
+    ids=["b-longer", "b-shorter", "row-shorter", "row-longer", "a-without-b", "b-without-a", "inf", "nan"],
+)
+def test_exact_solve_refuses_mismatched_or_infinite_data(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fg.exact_solve(None, [1, 2], **data)
 
 
 def test_needs_at_least_one_row():
@@ -185,36 +206,39 @@ def _certificate_record(cert) -> dict:
     }
 
 
-def simplex_certificates() -> dict:
+def simplex_certificates(solves=None) -> dict:
     """Every Certificate of the design workload's 40 LPs, of three
     ``ccwe_grid_gap`` calls and of the W1 solves of two ``convergence_run``s,
-    in solve order."""
+    in solve order; ``solves``, when given, collects (group, solve, args) of
+    each LP."""
     from unittest import mock
 
     import flowgames.atomic as atomic
     import flowgames.design as design
     from flowgames.generators import random_bcwe, random_congestion_game
 
-    def recording(solve, into):
+    def recording(solve, group):
         def wrapped(*args):
             cert = solve(*args)
-            into.append(_certificate_record(cert))
+            out[group].append(_certificate_record(cert))
+            if solves is not None:
+                solves.append((group, solve, args))
             return cert
 
         return wrapped
 
     out = {"design": [], "ccwe_grid_gap": [], "w1": []}
-    with mock.patch.object(design, "_column_solve", recording(design._column_solve, out["design"])):
+    with mock.patch.object(design, "_column_solve", recording(design._column_solve, "design")):
         for n_actions, resolution in ((4, 8), (3, 16)):
             for i in range(20):
                 game = random_congestion_game(i, n_actions=n_actions, n_states=2)
                 grid = fg.build_grid(game, resolution)
                 fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
-    gaps = recording(design._column_solve, out["ccwe_grid_gap"])
+    gaps = recording(design._column_solve, "ccwe_grid_gap")
     with mock.patch.object(design, "_column_solve", gaps):
         for seed, n_actions, resolution in ((0, 2, 8), (1, 2, 16), (2, 3, 8)):
             fg.ccwe_grid_gap(random_congestion_game(seed, n_actions=n_actions), "0", resolution)
-    with mock.patch.object(atomic, "exact_solve", recording(atomic.exact_solve, out["w1"])):
+    with mock.patch.object(atomic, "exact_solve", recording(atomic.exact_solve, "w1")):
         elfarol = fg.parse_game_file(bundled_text("elfarol.game"))
         outcome = fg.parse_outcome_file(bundled_text("elfarol_cwe.outcome"), elfarol)
         fg.convergence_run(elfarol, outcome, (5, 7, 9, 11, 13))
@@ -227,3 +251,50 @@ def test_simplex_certificates_match_golden():
     # the golden file was recorded from an independent (Fraction) B^-1: every
     # basis, primal, dual and objective must come out the same
     assert simplex_certificates() == json.loads(SIMPLEX_GOLDEN.read_text())
+
+
+def _golden_lps():
+    """(group, solve, args) of every LP behind simplex_certificates.json and
+    of the two designs of the cli benchmark (design --game pigou_info, design
+    --game elfarol --resolution 4)."""
+    lps = []
+    simplex_certificates(lps)
+    for name, resolution in (("pigou_info", 8), ("elfarol", 4)):
+        game = fg.parse_game_file(bundled_text(f"{name}.game"))
+        grid = fg.build_grid(game, resolution)
+        lps.append(("cli", fg.solve_program_p, (fg.DesignerProblem(game, fg.social_cost_expr(game), grid),)))
+    return lps
+
+
+@pytest.fixture(scope="module")
+def golden_lps():
+    return _golden_lps()
+
+
+def test_pricing_cutoff_parts_desk_lps_from_the_design_workload(golden_lps, monkeypatch):
+    # the design workload's 40 LPs keep numpy pricing; the W1 transport LPs
+    # and the cli designs (52 and 15 nonzeros) price in Python floats
+    image, sizes = lp._float_image, {}
+
+    def sized(columns, m):
+        sizes[group].append(sum(len(col) for _, col in columns))  # slacks included
+        return image(columns, m)
+
+    monkeypatch.setattr(lp, "_float_image", sized)
+    for group, solve, args in golden_lps:
+        sizes.setdefault(group, [])
+        solve(*args)
+    assert len(sizes["design"]) == 40 and min(sizes["design"]) >= lp.NUMPY_NNZ
+    assert len(sizes["w1"]) == 15 and max(sizes["w1"] + sizes["cli"]) < lp.NUMPY_NNZ
+    assert sizes["cli"] == [52, 15]
+
+
+def test_both_pricing_paths_give_the_same_certificates(golden_lps, monkeypatch):
+    # the cutoff picks only the float arithmetic that ranks columns: forced
+    # to either side, every golden LP ends at the same result
+    for group, solve, args in golden_lps:
+        monkeypatch.setattr(lp, "NUMPY_NNZ", 0)
+        dense = repr(solve(*args))
+        monkeypatch.setattr(lp, "NUMPY_NNZ", 10**9)
+        assert repr(solve(*args)) == dense, group
+    assert {group for group, _, _ in golden_lps} == {"design", "ccwe_grid_gap", "w1", "cli"}

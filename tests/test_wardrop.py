@@ -265,6 +265,13 @@ def test_br_solver_evaluates_each_cost_once_per_step(elfarol):
     res = fg.solve_we_br(game, "0", flow1(F(23, 32), F(9, 32)))
     assert res.iterations == 30
     assert len(calls) == 2 * res.iterations + 2
+    # a converged solve counts the steps it made: none from the equilibrium
+    # (1/4, 3/4), two from (0, 1)
+    for start, steps in (((F(1, 4), F(3, 4)), 0), ((0, 1), 2)):
+        calls.clear()
+        res = fg.solve_we_br(game, "0", flow1(*start))
+        assert (res.max_violation, res.iterations) == (0.0, steps)
+        assert len(calls) == 2 * steps + 2
 
 
 def test_br_solver_keeps_equilibrium_start(elfarol):
@@ -441,13 +448,21 @@ def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
         lines = fresh_python(_NUMPY_PROBE + random_we.format(seed) + "numpy_loaded()\n").splitlines()
         assert f"flow = {flow}" in lines
         assert lines[-1] == f"numpy loaded: {loaded}"
-    # a design LP loads it on first use and prints the recorded bytes
+    # a desk-sized design LP (52 nonzeros) and the W1 transport LPs of a
+    # convergence run are priced in Python floats, below lp.NUMPY_NNZ
     out = fresh_python(_NUMPY_PROBE + "main(['design', '--game', 'pigou_info'])\nnumpy_loaded()\n")
     assert out == (
         "[report]\ncommand = design\nobjective = social\nstatus = optimal\nvalue = 1/2\n"
         "support = 2\nsupport-bound-quadratic = 10\nsupport-bound-bfs = 4\n"
         "within-bounds = true\n\n[outcome.0]\n(0, 1) = 1\n\n[outcome.1]\n(1, 0) = 1\n"
-        "numpy loaded: True\n"
+        "numpy loaded: False\n"
+    )
+    converge = "main(['converge', '--game', 'elfarol', '--outcome', 'elfarol_cwe', '--n-list', '5,7,9'])\n"
+    out = fresh_python(_NUMPY_PROBE + converge + "numpy_loaded()\n")
+    assert out == (
+        "n,delta_n,eps_n,wasserstein\n5,0.1,13/75,0.0666666666667\n"
+        "7,0.0714285714286,19/147,0.047619047619\n9,0.0555555555556,25/243,0.037037037037\n"
+        "numpy loaded: False\n"
     )
 
 
