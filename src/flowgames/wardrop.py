@@ -676,6 +676,110 @@ def _float_image(flow: FlowProfile) -> FlowProfile:
     return FlowProfile(tuple(_normalized(k, [float(y) for y in vec]) for k, vec in enumerate(flow.flows)))
 
 
+def _affine_costs(game: GameSpec, state: str):
+    """Every action's cost in ``state`` as an exact affine map of the flow:
+    ``(consts, slopes)`` over the actions in population order, with
+    ``slopes[j][i]`` the summed slopes of the resources actions j and i
+    share. None unless ``game`` is congestion-backed with latencies of
+    degree at most 1 in ``state``."""
+    spec = game.congestion
+    if spec is None:
+        return None
+    lines = {}
+    for e in spec.resources:
+        coeffs = [Fraction(c) for c in spec.latencies[(e, state)]] + [Fraction(0)] * 2
+        if any(coeffs[2:]):
+            return None
+        lines[e] = coeffs[:2]
+    uses = [spec.actions[(pop.name, a)] for pop in game.populations for a in pop.actions]
+    consts = [sum((lines[e][0] for e in u), Fraction(0)) for u in uses]
+    slopes = [[sum((lines[e][1] for e in u & v), Fraction(0)) for v in uses] for u in uses]
+    return consts, slopes
+
+
+def _gauss_jordan(rows: list) -> list | None:
+    """The solution of the square system given as augmented Fraction rows,
+    or None when it is singular."""
+    size = len(rows)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        p = rows[col][col]
+        rows[col] = [v / p for v in rows[col]]
+        for r in range(size):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [row[-1] for row in rows]
+
+
+def _affine_equilibrium(game: GameSpec, costs, start: FlowProfile) -> FlowProfile | None:
+    """The exact equilibrium that the support of ``start`` leads to, on a game
+    whose costs are the affine ``costs`` of :func:`_affine_costs`; None when
+    a support's system is singular (a continuum of equilibria) or the support
+    repair does not settle.
+
+    This is the Newton polish of :class:`_PotentialCore` in Fractions. A
+    population's support starts as its actions with flow or of least cost at
+    ``start``. On a support, equal costs within each population and unit
+    mass are a linear system, and affine costs make its solution exact. A
+    population's most negative action is dropped from its support, then its
+    cheapest action that undercuts the support's cost is added, until
+    neither applies: the solution is then an equilibrium.
+    """
+    consts, slopes = costs
+    n = len(consts)
+
+    def cost(y):
+        return [c + sum(s * v for s, v in zip(row, y) if v) for c, row in zip(consts, slopes)]
+
+    blocks, lo = [], 0
+    for pop in game.populations:
+        blocks.append(range(lo, lo + len(pop.actions)))
+        lo += len(pop.actions)
+    y = [v for vec in start.flows for v in vec]
+    g = cost(y)
+    support = []
+    for block in blocks:
+        cheapest = min(g[j] for j in block)
+        support.append([j for j in block if y[j] > 0 or g[j] == cheapest])
+    for _ in range(2 * n + 2):
+        index = [j for sup in support for j in sup]
+        rows = []
+        for sup in support:
+            base = sup[0]
+            for j in sup[1:]:
+                rows.append([slopes[j][i] - slopes[base][i] for i in index] + [consts[base] - consts[j]])
+            rows.append([Fraction(int(i in sup)) for i in index] + [Fraction(1)])
+        solution = _gauss_jordan(rows)
+        if solution is None:
+            return None
+        y = [Fraction(0)] * n
+        for i, v in zip(index, solution):
+            y[i] = v
+        changed = False
+        for bi, sup in enumerate(support):
+            neg = [j for j in sup if y[j] < 0]
+            if neg:
+                worst = min(neg, key=y.__getitem__)
+                support[bi] = [j for j in sup if j != worst]
+                changed = True
+        if changed:
+            continue
+        g = cost(y)
+        grew = False
+        for bi, (block, sup) in enumerate(zip(blocks, support)):
+            outside = [j for j in block if j not in sup and g[j] < g[sup[0]]]
+            if outside:
+                support[bi] = sorted(sup + [min(outside, key=g.__getitem__)])
+                grew = True
+        if not grew:
+            return FlowProfile(tuple(tuple(y[j] for j in block) for block in blocks))
+    return None
+
+
 def enumerate_we_grid(
     game: GameSpec, state: str, resolution: int = 64, tol: float = 1e-6
 ) -> list[FlowProfile]:
@@ -691,7 +795,10 @@ def enumerate_we_grid(
     A congestion-backed game's potential is convex: its minimizers are the
     equilibria, and every action costs the same at all of them. So the scan
     returns the exact lattice equilibria, or, when there is none, the first
-    potential polish that verifies within ``tol``. Other games are polished
+    polish that verifies within ``tol``. With affine latencies the polish is
+    exact (:func:`_affine_equilibrium`), and the float image of its
+    equilibrium is kept; it falls back to the potential solver when a
+    continuum of equilibria makes it singular. Other games are polished
     by best response, which stalls ~sqrt(tol) short of boundary equilibria:
     a polish that is new is replaced by the float image of a nearby exact
     equilibrium when one verifies. Heuristic by nature: exactness is only
@@ -702,6 +809,7 @@ def enumerate_we_grid(
     scores, spread = _lattice_scores(game, state, resolution, points)
     keep = max(tol, 4.0 * spread / resolution)
     table = [Fraction(i, resolution) for i in range(resolution + 1)]
+    affine = _affine_costs(game, state)
     result: list[FlowProfile] = []
 
     def known(flow):
@@ -718,10 +826,14 @@ def enumerate_we_grid(
         if scores[i] == 0:
             candidate = _float_image(f)
         elif game.congestion is not None:
-            polished = solve_we_potential(game, state, min(tol, 1e-10), start=f)
-            if polished.max_violation > tol:
-                continue
-            candidate = polished.flow
+            exact = None if affine is None else _affine_equilibrium(game, affine, f)
+            if exact is not None:
+                candidate = _float_image(exact)
+            else:
+                polished = solve_we_potential(game, state, min(tol, 1e-10), start=f)
+                if polished.max_violation > tol:
+                    continue
+                candidate = polished.flow
         else:
             polished = solve_we_br(game, state, f, tol)
             if polished.max_violation > tol or known(polished.flow):

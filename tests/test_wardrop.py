@@ -17,6 +17,8 @@ from flowgames.generators import (
 )
 from flowgames.model import CongestionSpec, Population, _cost_fn
 from flowgames.wardrop import (
+    _affine_costs,
+    _affine_equilibrium,
     _brent_root,
     _lattice_scores,
     _population_grids,
@@ -442,12 +444,13 @@ def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
     assert lines[0] == lines[-1] == "numpy loaded: False"
     assert "equilibria = 3" in lines and "ok = true" in lines
     # the lattice point (1, 0) is an exact equilibrium, kept with no polish;
-    # seed 3's equilibrium (1/6, 5/6) is off the lattice and polished
+    # seed 3's equilibrium (1/6, 5/6) is off the lattice, and its latencies
+    # are affine, so the polish is exact
     random_we = "main(['we', '--game', 'random-congestion', '--seed', '{}', '--resolution', '16'])\n"
-    for seed, flow, loaded in ((0, "(1, 0)", False), (3, "(0.166666666667, 0.833333333333)", True)):
+    for seed, flow in ((0, "(1, 0)"), (3, "(0.166666666667, 0.833333333333)")):
         lines = fresh_python(_NUMPY_PROBE + random_we.format(seed) + "numpy_loaded()\n").splitlines()
         assert f"flow = {flow}" in lines
-        assert lines[-1] == f"numpy loaded: {loaded}"
+        assert lines[-1] == "numpy loaded: False"
     # a desk-sized design LP (52 nonzeros) and the W1 transport LPs of a
     # convergence run are priced in Python floats, below lp.NUMPY_NNZ
     out = fresh_python(_NUMPY_PROBE + "main(['design', '--game', 'pigou_info'])\nnumpy_loaded()\n")
@@ -620,6 +623,29 @@ def test_kept_lattice_equilibria_are_what_the_polish_returns(pigou_network, elfa
             checked += 1
     # 47 of the flows these scans return are exact lattice equilibria
     assert checked == 47
+
+
+def test_affine_polish_is_the_exact_potential_minimizer():
+    # from every sixth-lattice start, the exact polish is an equilibrium and
+    # the unique one the float potential solver converges to
+    checked = 0
+    for seed in range(16):
+        for n_actions in (2, 3, 4):
+            game = random_congestion_game(seed, n_actions=n_actions)
+            costs = _affine_costs(game, "0")
+            for point in itertools.product(*_population_grids(game, 6)):
+                start = fg.FlowProfile(tuple(tuple(F(i, 6) for i in vec) for vec in point))
+                exact = _affine_equilibrium(game, costs, start)
+                assert fg.verify_we(game, exact, "0") == 0
+                solved = fg.solve_we_potential(game, "0", 1e-10, start=start)
+                assert fg.flow_linf(exact, solved.flow) <= 1e-9
+                checked += 1
+    assert checked == 16 * (7 + 28 + 84)
+    # a squared load is not affine; two populations on the same edges share
+    # every cost, so their equal-cost rows repeat and the system is singular
+    assert _affine_costs(random_congestion_game(1, n_actions=3, quadratic=True), "0") is None
+    two = random_congestion_game(0, n_actions=2, n_pops=2)
+    assert _affine_equilibrium(two, _affine_costs(two, "0"), fg.uniform_flow(two)) is None
 
 
 def test_enumerate_rationalizes_best_response_polishes(elfarol):
