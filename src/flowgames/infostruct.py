@@ -436,7 +436,10 @@ def bwe_cost_uniqueness_probe(
     tol: float = 1e-8,
 ) -> UniquenessProbeReport:
     """Solve from random interior starts and measure how much the per-type
-    positive-flow conditional costs (and the realized flows) spread."""
+    positive-flow conditional costs (and the realized flows) spread.
+    ``trials`` must be an int (not a bool) of at least 1."""
+    if type(trials) is not int:
+        raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_tol(tol)

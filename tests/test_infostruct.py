@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import flowgames as fg
-from flowgames import infostruct
+from flowgames import infostruct, wardrop
 from flowgames.generators import random_bcwe, random_congestion_game, random_structure
 from flowgames.model import CongestionSpec, Population
 
@@ -550,6 +550,14 @@ def test_probe_rejects_fewer_than_one_trial(trials):
         fg.bwe_cost_uniqueness_probe(game, random_structure(game, 0), trials=trials)
 
 
+@pytest.mark.parametrize("trials", [2.5, 4.0, True, False, "3", None])
+def test_probe_refuses_trials_that_are_not_ints(trials):
+    # a float must not reach range(), nor a bool be reported as trials=True
+    game = random_congestion_game(0, n_actions=2, n_states=2)
+    with pytest.raises(ValueError, match=re.escape(f"trials must be an int, got {trials!r}")):
+        fg.bwe_cost_uniqueness_probe(game, random_structure(game, 0), trials=trials)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
 def test_bwe_solvers_need_a_finite_positive_tol(tol):
     game = random_congestion_game(0, n_actions=2, n_states=2)
@@ -698,17 +706,52 @@ def test_support_plans_carry_no_order():
     assert set(one._plans) == supports[0] | supports[1]
 
 
-def _probe_report_outputs():
-    """repr of the probe on the 30 structures of acceptance criterion 8:
+def _probe_structures():
+    """(id, game, structure) of the 30 structures of acceptance criterion 8:
     two-state, three-action games for odd g, three structures each."""
-    out = {}
     for g in range(1, 20, 2):
         game = random_congestion_game(g, n_actions=2 + g % 2, n_states=1 + g % 2)
         for s in range(3):
-            structure = random_structure(game, 100 * g + s)
-            report = fg.bwe_cost_uniqueness_probe(game, structure, trials=20, tol=1e-9)
-            out[f"probe-g{g:02d}s{s}"] = repr(report)
-    return out
+            yield f"probe-g{g:02d}s{s}", game, random_structure(game, 100 * g + s)
+
+
+def _probe_report_outputs():
+    """repr of the probe on each of :func:`_probe_structures`."""
+    return {
+        case: repr(fg.bwe_cost_uniqueness_probe(game, structure, trials=20, tol=1e-9))
+        for case, game, structure in _probe_structures()
+    }
+
+
+def test_probe_solves_polish_after_one_frank_wolfe_step(monkeypatch):
+    # the first polish comes after one Frank-Wolfe step, and on these
+    # structures it lands: each of the 600 solves makes one step and one
+    # polish
+    core = wardrop._PotentialCore
+    counts = []
+    frank_wolfe, newton_polish, minimize = core.frank_wolfe, core.newton_polish, core.minimize
+
+    def stepped(self, x, iters):
+        x, used = frank_wolfe(self, x, iters)
+        counts[-1][0] += used
+        return x, used
+
+    def polished(self, x):
+        counts[-1][1] += 1
+        return newton_polish(self, x)
+
+    def solved(self, *args):
+        counts.append([0, 0])
+        return minimize(self, *args)
+
+    monkeypatch.setattr(core, "frank_wolfe", stepped)
+    monkeypatch.setattr(core, "newton_polish", polished)
+    monkeypatch.setattr(core, "minimize", solved)
+    for case, game, structure in _probe_structures():
+        before = len(counts)
+        fg.bwe_cost_uniqueness_probe(game, structure, trials=20, tol=1e-9)
+        assert counts[before:] == [[1, 1]] * 20, case
+    assert len(counts) == 600
 
 
 def test_probe_reports_match_golden():

@@ -828,11 +828,54 @@ def _dusted(vec, dust):
     return tuple(vec)
 
 
+def _potential_solver_cases():
+    """The solves pinned in potential_solvers.json: ("bayes", id, game,
+    structure) and ("complete", id, game, [(start name, start flow)])."""
+    seed = 0
+    for n_states in (1, 2, 3):
+        for sub_pops in (1, 2, 3):
+            for types_per in (1, 2, 3):
+                for kind in ("linear", "quad"):
+                    game = random_congestion_game(
+                        seed, n_actions=2 + seed % 2, n_states=n_states, quadratic=kind == "quad"
+                    )
+                    structure = random_structure(game, seed, sub_pops, types_per)
+                    case = f"bwe{seed}-{kind}-s{n_states}-k{sub_pops}-t{types_per}"
+                    yield "bayes", case, game, structure
+                    seed += 1
+    for n_pops in (1, 2, 3):
+        for n_actions in (2, 3):
+            for kind in ("linear", "quad"):
+                game = random_congestion_game(
+                    seed, n_actions=n_actions, n_states=2, quadratic=kind == "quad", n_pops=n_pops
+                )
+                starts = [("uniform", None)]
+                starts += [(f"random{r}", random_flow(game, r)) for r in (seed, seed + 100)]
+                yield "complete", f"we{seed}-{kind}-p{n_pops}-a{n_actions}", game, starts
+                seed += 1
+    for name, text in (("idle1", _IDLE_ONE_POPULATION), ("idle2", _IDLE_TWO_POPULATIONS)):
+        game = fg.parse_game_file(text)
+        starts = [("uniform", None)] + [(f"random{r}", random_flow(game, r)) for r in range(4)]
+        yield "complete", name, game, starts
+    game = fg.parse_game_file(_IDLE_ONE_POPULATION)
+    for seed in range(6):
+        structure = random_structure(game, seed, 1 + seed % 3, 1 + seed // 2)
+        yield "bayes", f"idle1-bwe{seed}", game, structure
+
+
 def _potential_solver_outputs():
     """repr of every float potential solve pinned in potential_solvers.json."""
     out = {}
-
-    def bayes(case, game, structure):
+    for kind, case, game, data in _potential_solver_cases():
+        if kind == "complete":
+            for state in game.states:
+                for name, start in data:
+                    res = fg.solve_we_potential(game, state, start=start)
+                    out[f"{case}-s{state}-{name}"] = repr(
+                        (res.flow.flows, res.max_violation, res.iterations)
+                    )
+            continue
+        structure = data
         solved = fg.solve_bwe(game, structure)
         out[f"{case}-solve"] = repr(solved)
         out[f"{case}-probe"] = repr(fg.bwe_cost_uniqueness_probe(game, structure, trials=4))
@@ -848,45 +891,38 @@ def _potential_solver_outputs():
             )
         )
         out[f"{case}-dust"] = repr(fg.solve_bwe(game, structure, tol=1e-6, start=start))
-
-    def complete(case, game, starts):
-        for state in game.states:
-            for name, start in starts:
-                res = fg.solve_we_potential(game, state, start=start)
-                out[f"{case}-s{state}-{name}"] = repr(
-                    (res.flow.flows, res.max_violation, res.iterations)
-                )
-
-    seed = 0
-    for n_states in (1, 2, 3):
-        for sub_pops in (1, 2, 3):
-            for types_per in (1, 2, 3):
-                for kind in ("linear", "quad"):
-                    game = random_congestion_game(
-                        seed, n_actions=2 + seed % 2, n_states=n_states, quadratic=kind == "quad"
-                    )
-                    structure = random_structure(game, seed, sub_pops, types_per)
-                    bayes(f"bwe{seed}-{kind}-s{n_states}-k{sub_pops}-t{types_per}", game, structure)
-                    seed += 1
-    for n_pops in (1, 2, 3):
-        for n_actions in (2, 3):
-            for kind in ("linear", "quad"):
-                game = random_congestion_game(
-                    seed, n_actions=n_actions, n_states=2, quadratic=kind == "quad", n_pops=n_pops
-                )
-                starts = [("uniform", None)]
-                starts += [(f"random{r}", random_flow(game, r)) for r in (seed, seed + 100)]
-                complete(f"we{seed}-{kind}-p{n_pops}-a{n_actions}", game, starts)
-                seed += 1
-    for name, text in (("idle1", _IDLE_ONE_POPULATION), ("idle2", _IDLE_TWO_POPULATIONS)):
-        game = fg.parse_game_file(text)
-        starts = [("uniform", None)] + [(f"random{r}", random_flow(game, r)) for r in range(4)]
-        complete(name, game, starts)
-    game = fg.parse_game_file(_IDLE_ONE_POPULATION)
-    for seed in range(6):
-        structure = random_structure(game, seed, 1 + seed % 3, 1 + seed // 2)
-        bayes(f"idle1-bwe{seed}", game, structure)
     return out
+
+
+def test_potential_solvers_reach_the_equilibrium_from_every_start():
+    # what the solvers guarantee whatever their step schedule: a violation
+    # at float noise, and, where the potential is strictly convex in the
+    # loads, the same load on every strictly increasing resource from every
+    # start; the per-population flows may differ where populations trade
+    # mass without changing a load
+    for kind, case, game, data in _potential_solver_cases():
+        spec = game.congestion
+        if kind == "bayes":
+            solved = fg.solve_bwe(game, data)
+            assert fg.bwe_violation(game, data, solved) <= 1e-12, case
+            report = fg.bwe_cost_uniqueness_probe(game, data, trials=4)
+            assert report.cost_deviation <= 1e-12, case
+            assert report.flow_deviation <= 1e-12, case
+            continue
+        for state in game.states:
+            increasing = [
+                e
+                for e in spec.resources
+                if min(spec.latencies[(e, state)]) >= 0 and any(spec.latencies[(e, state)][1:])
+            ]
+            loads = []
+            for name, start in data:
+                res = fg.solve_we_potential(game, state, start=start)
+                assert res.max_violation <= 1e-12, (case, state, name)
+                loads.append(fg.load_profile(spec, res.flow))
+            for e in increasing:
+                spread = max(load[e] for load in loads) - min(load[e] for load in loads)
+                assert spread <= 1e-12, (case, state, e)
 
 
 POTENTIAL_GOLDEN = json.loads(
