@@ -22,7 +22,14 @@ from .model import (
     flow_sort_key,
     social_cost,
 )
-from .wardrop import _lattice_size, _snap_rational, grid_flows, solve_we_multistart, solve_we_potential
+from .wardrop import (
+    _exact_equilibrium,
+    _lattice_size,
+    _snap_rational,
+    grid_flows,
+    solve_we_multistart,
+    solve_we_potential,
+)
 
 # the largest positive obedience term a float-data start may carry as roundoff
 ROUNDOFF = 1e-12
@@ -85,6 +92,9 @@ def social_cost_expr(game: GameSpec) -> dict:
 def build_grid(game: GameSpec, resolution: int) -> dict:
     """Per-state candidate lists: lattice flows and solved equilibria.
 
+    On affine congestion latencies a state's equilibrium is exact, with no
+    float solve; otherwise it is a float solve snapped to a rational
+    equilibrium where one verifies (see :func:`_state_equilibria`).
     Candidates are deduplicated exactly and ordered lexicographically so LP
     results are reproducible bit for bit.
     """
@@ -102,6 +112,13 @@ def build_grid(game: GameSpec, resolution: int) -> dict:
 
 
 def _state_equilibria(game: GameSpec, state: str) -> list[FlowProfile]:
+    """The equilibria that seed ``state``'s candidates: the exact one on
+    affine latencies (:func:`~flowgames.wardrop._exact_equilibrium`), else
+    the float potential solve or the best-response multistart, each snapped
+    to a nearby rational equilibrium when one verifies exactly."""
+    exact = _exact_equilibrium(game, state)
+    if exact is not None:
+        return [exact]
     if game.congestion is not None:
         result = solve_we_potential(game, state)
         found = [result.flow] if result.max_violation <= 1e-7 else []

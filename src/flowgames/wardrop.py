@@ -794,6 +794,17 @@ def _affine_equilibrium(game: GameSpec, costs, start: FlowProfile) -> FlowProfil
     return None
 
 
+def _exact_equilibrium(game: GameSpec, state: str) -> FlowProfile | None:
+    """The exact equilibrium of ``state`` that :func:`_affine_equilibrium`
+    reaches from the uniform flow, found without numpy: where the equilibrium
+    is unique, the point the float potential solve converges to. None unless
+    the game is congestion-backed with affine latencies in ``state``, or when
+    that polish returns None (a continuum of equilibria, or a support repair
+    that does not settle)."""
+    costs = _affine_costs(game, state)
+    return None if costs is None else _affine_equilibrium(game, costs, uniform_flow(game))
+
+
 def enumerate_we_grid(
     game: GameSpec, state: str, resolution: int = 64, tol: float = 1e-6
 ) -> list[FlowProfile]:

@@ -271,6 +271,41 @@ def test_degenerate_design_optimum_agrees_with_highs(n_actions, n_states, resolu
     assert abs(_highs_design_optimum(game, fg.build_grid(game, resolution)) - float(value)) <= 1e-9
 
 
+def test_design_seeds_are_the_snapped_potential_equilibria(monkeypatch):
+    # the exact affine seed is the point the float potential solve snaps to;
+    # the float solve runs only where the affine polish has no answer
+    from flowgames.design import _state_equilibria
+    from flowgames.wardrop import _snap_rational
+
+    solves = []
+
+    def counted(game, state, *args):
+        solves.append(state)
+        return fg.solve_we_potential(game, state, *args)
+
+    monkeypatch.setattr("flowgames.design.solve_we_potential", counted)
+    floats = collections.Counter()
+    for seed, n_actions, n_states, n_pops, quadratic in itertools.product(
+        range(16), (2, 3, 4), (1, 2), (1, 2), (False, True)
+    ):
+        game = random_congestion_game(seed, n_actions, n_states, quadratic, n_pops)
+        kind = "quadratic" if quadratic else "affine" if n_pops == 1 else "two-population"
+        for state in game.states:
+            result = fg.solve_we_potential(game, state)
+            assert result.max_violation <= 1e-7
+            reference = _snap_rational(game, result.flow, state)
+            solves.clear()
+            seeds = _state_equilibria(game, state)
+            assert repr(seeds) == repr([reference])
+            floats[kind] += len(solves)
+            if kind == "affine":
+                (exact,) = seeds
+                assert all(isinstance(v, F) for vec in exact.flows for v in vec)
+                assert fg.verify_we(game, exact, state) == 0
+    assert floats["affine"] == 0
+    assert floats["quadratic"] >= 1 and floats["two-population"] >= 1
+
+
 def test_float_design_data_give_float_results():
     # quadratic latencies put this game's equilibrium at an irrational flow,
     # so the LP data are floats and the exact optimum is reported in floats

@@ -460,6 +460,21 @@ def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
         "within-bounds = true\n\n[outcome.0]\n(0, 1) = 1\n\n[outcome.1]\n(1, 0) = 1\n"
         "numpy loaded: False\n"
     )
+    # a random affine congestion game's design seeds its grid with the exact
+    # equilibrium, with no float potential solve
+    design = "main(['design', '--game', 'random-congestion', '--seed', '3'])\n"
+    out = fresh_python(_NUMPY_PROBE + design + "numpy_loaded()\n")
+    assert out == (
+        "[report]\ncommand = design\nobjective = social\nstatus = optimal\nvalue = 9/4\n"
+        "support = 2\nsupport-bound-quadratic = 10\nsupport-bound-bfs = 4\n"
+        "within-bounds = true\n\n[outcome.0]\n(1/6, 5/6) = 1\n\n[outcome.1]\n(0, 1) = 1\n"
+        "numpy loaded: False\n"
+    )
+    bcwe = (
+        "from flowgames.generators import random_bcwe, random_congestion_game\n"
+        "random_bcwe(random_congestion_game(0, n_actions=3, n_states=2), 0)\n"
+    )
+    assert fresh_python(_NUMPY_PROBE + bcwe + "numpy_loaded()\n") == "numpy loaded: False\n"
     converge = "main(['converge', '--game', 'elfarol', '--outcome', 'elfarol_cwe', '--n-list', '5,7,9'])\n"
     out = fresh_python(_NUMPY_PROBE + converge + "numpy_loaded()\n")
     assert out == (
