@@ -17,6 +17,7 @@ from .model import (
     GameSpec,
     Outcome,
     _Record,
+    _check_shape,
     _cost_fn,
     _distribution,
     _evaluate,
@@ -195,13 +196,19 @@ def _worst_row(concept: str, rows) -> CheckReport:
     return CheckReport(concept, worst, witness)
 
 
+def _atoms(game: GameSpec, state: str, p, dist) -> list:
+    """(state, p * w, f) per (f, w) of ``dist``, refusing flows of another shape than the game's."""
+    for f, _w in dist:
+        _check_shape(game, f)
+    return [(state, p * w, f) for f, w in dist]
+
+
 def _state_atoms(game: GameSpec, outcome: Outcome) -> list:
     atoms = []
     for state in game.states:
         if state not in outcome.per_state:
             raise ValueError(f"outcome missing state {state!r}")
-        p = game.prior_of(state)
-        atoms.extend((state, p * w, f) for f, w in outcome.per_state[state])
+        atoms += _atoms(game, state, game.prior_of(state), outcome.per_state[state])
     return atoms
 
 
@@ -209,14 +216,14 @@ def check_cwe(game: GameSpec, dist, state: str) -> CheckReport:
     """Obedience under complete information: for each pair (a, b), switching
     every a-recommendation to b must not lower the recommended players'
     average cost."""
-    atoms = [(state, w, f) for f, w in _distribution(dist, state)]
+    atoms = _atoms(game, state, 1, _distribution(dist, state))
     return _worst_row("cwe", obedience_rows(game, atoms))
 
 
 def check_ccwe(game: GameSpec, dist, state: str) -> CheckReport:
     """Coarse variant: opting out to a fixed action b is compared against the
     average social cost of following recommendations."""
-    atoms = [(state, w, f) for f, w in _distribution(dist, state)]
+    atoms = _atoms(game, state, 1, _distribution(dist, state))
     return _worst_row("ccwe", obedience_rows(game, atoms, coarse=True))
 
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .checks import _obedience_columns, _term_rows
 from .lp import _column_solve
 from .model import (
-    FlowProfile,
     GameSpec,
     Outcome,
     _Record,
@@ -22,14 +21,7 @@ from .model import (
     flow_sort_key,
     social_cost,
 )
-from .wardrop import (
-    _exact_equilibrium,
-    _lattice_size,
-    _snap_rational,
-    grid_flows,
-    solve_we_multistart,
-    solve_we_potential,
-)
+from .wardrop import _lattice_size, _state_equilibria, grid_flows
 
 # the largest positive obedience term a float-data start may carry as roundoff
 ROUNDOFF = 1e-12
@@ -92,11 +84,11 @@ def social_cost_expr(game: GameSpec) -> dict:
 def build_grid(game: GameSpec, resolution: int) -> dict:
     """Per-state candidate lists: lattice flows and solved equilibria.
 
-    On affine congestion latencies a state's equilibrium is exact, with no
-    float solve; otherwise it is a float solve snapped to a rational
-    equilibrium where one verifies (see :func:`_state_equilibria`).
-    Candidates are deduplicated exactly and ordered lexicographically so LP
-    results are reproducible bit for bit.
+    A state's equilibria are :func:`~flowgames.wardrop._state_equilibria`:
+    exact on affine congestion latencies, with no float solve, else a float
+    solve snapped where a rational equilibrium verifies. Candidates are
+    deduplicated exactly and ordered lexicographically so LP results are
+    reproducible bit for bit.
     """
     size = _lattice_size(game, resolution)
     if size > 10**6:
@@ -109,22 +101,6 @@ def build_grid(game: GameSpec, resolution: int) -> dict:
             keyed.setdefault(flow_sort_key(we), we)
         out[state] = tuple(keyed[key] for key in sorted(keyed))
     return out
-
-
-def _state_equilibria(game: GameSpec, state: str) -> list[FlowProfile]:
-    """The equilibria that seed ``state``'s candidates: the exact one on
-    affine latencies (:func:`~flowgames.wardrop._exact_equilibrium`), else
-    the float potential solve or the best-response multistart, each snapped
-    to a nearby rational equilibrium when one verifies exactly."""
-    exact = _exact_equilibrium(game, state)
-    if exact is not None:
-        return [exact]
-    if game.congestion is not None:
-        result = solve_we_potential(game, state)
-        found = [result.flow] if result.max_violation <= 1e-7 else []
-    else:
-        found = [r.flow for r in solve_we_multistart(game, state)]
-    return [_snap_rational(game, f, state) for f in found]
 
 
 def solve_program_p(problem: DesignerProblem) -> LPSolution:
@@ -227,14 +203,17 @@ def ccwe_grid_gap(game: GameSpec, state: str, resolution: int) -> tuple[float, f
     uniform slack s with which the coarse-obedience rows can be satisfied,
     then push expected social cost both ways subject to that slack. Returns
     (slack, gap) where gap is the worst deviation of the achievable expected
-    social cost from the equilibrium social cost. Both shrink as the lattice
-    refines, turning the equilibrium-uniqueness property into a measurable
-    grid-scale statement.
+    social cost from that of the equilibrium seeding :func:`build_grid`
+    (exact on affine latencies; RuntimeError if none is found). Both shrink
+    as the lattice refines, turning the equilibrium-uniqueness property into
+    a measurable grid-scale statement.
     """
     if game.congestion is None:
         raise ValueError("needs a congestion backing for the reference equilibrium")
-    we = solve_we_potential(game, state, tol=1e-10)
-    we_cost = float(social_cost(game, we.flow, state))
+    found = _state_equilibria(game, state)
+    if not found:
+        raise RuntimeError(f"no equilibrium found for state {state!r}")
+    we_cost = float(social_cost(game, found[0], state))
     atoms = [(state, Fraction(1), f) for f in grid_flows(game, resolution)]
     witnesses, obedience, sc = _obedience_columns(game, atoms, coarse=True, eq_rows=[0] * len(atoms))
     n = len(witnesses)

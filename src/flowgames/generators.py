@@ -25,7 +25,7 @@ from .model import (
     Population,
     congestion_to_game,
 )
-from .wardrop import _exact_equilibrium, solve_we_multistart, solve_we_potential
+from .wardrop import _state_equilibria
 
 
 def _rng(seed) -> random.Random:
@@ -172,27 +172,16 @@ def _random_designer_cost(game: GameSpec, rng: random.Random) -> dict:
 def full_disclosure_outcome(game: GameSpec) -> Outcome:
     """Per-state equilibrium flows with weight 1 (always state-obedient).
 
-    On affine congestion latencies a state's flow is its exact equilibrium
-    (:func:`~flowgames.wardrop._exact_equilibrium`) in ``Fraction``s; other
-    congestion-backed states take the float potential solve and other games
-    the best-response multistart. Raises RuntimeError for a state where the
-    float solve ends above its tolerance or no start converges.
+    A state's flow is the first equilibrium that seeds :func:`build_grid`,
+    exact ``Fraction``s wherever a rational one verifies, as on affine
+    congestion latencies. Raises RuntimeError where none is found.
     """
     per_state = {}
     for s in game.states:
-        flow = _exact_equilibrium(game, s)
-        if flow is None and game.congestion is not None:
-            tol = 1e-8
-            result = solve_we_potential(game, s, tol)
-            if result.max_violation > tol:
-                raise RuntimeError(f"no equilibrium found for state {s!r}")
-            flow = result.flow
-        elif flow is None:
-            candidates = solve_we_multistart(game, s)
-            if not candidates:
-                raise RuntimeError(f"no equilibrium found for state {s!r}")
-            flow = candidates[0].flow
-        per_state[s] = ((flow, Fraction(1)),)
+        found = _state_equilibria(game, s)
+        if not found:
+            raise RuntimeError(f"no equilibrium found for state {s!r}")
+        per_state[s] = ((found[0], Fraction(1)),)
     return Outcome(per_state)
 
 

@@ -447,8 +447,8 @@ class CongestionSpec(_Record):
         states: state names.
         prior: per-state probabilities used when deriving a full game.
 
-    Both tables are stored as read-only copies, so the checks made here hold
-    for the spec's lifetime.
+    Both tables are stored as read-only copies, with each action's resources
+    made a frozenset, so the checks made here hold for the spec's lifetime.
     """
 
     resources: tuple[str, ...]
@@ -460,7 +460,8 @@ class CongestionSpec(_Record):
 
     def __post_init__(self):
         object.__setattr__(self, "latencies", MappingProxyType(dict(self.latencies)))
-        object.__setattr__(self, "actions", MappingProxyType(dict(self.actions)))
+        actions = {key: frozenset(used) for key, used in self.actions.items()}
+        object.__setattr__(self, "actions", MappingProxyType(actions))
         if not self.resources:
             raise ValueError("no resources")
         if len(set(self.resources)) != len(self.resources):
@@ -477,7 +478,7 @@ class CongestionSpec(_Record):
                     raise ValueError(f"no resource set for action ({pop.name!r}, {action!r})")
                 if not subset:
                     raise ValueError(f"action ({pop.name!r}, {action!r}) uses no resources")
-                if not set(subset) <= known:
+                if not subset <= known:
                     raise ValueError(f"action ({pop.name!r}, {action!r}) uses unknown resources")
         for e in self.resources:
             for s in self.states:
@@ -599,6 +600,12 @@ def _check_unit(total, what: str, *args) -> None:
     exactly; the message is ``what.format(*args)`` and the sum."""
     if abs(total - 1) > MASS_TOL:
         raise ValueError(f"{what.format(*args)} to {_shown(total)}, expected 1")
+
+
+def _check_shape(game: GameSpec, flow: FlowProfile, what: str = "flow") -> None:
+    """Raise ValueError, naming ``what``, unless ``flow`` has the shape of ``game``'s flows."""
+    if [len(v) for v in flow.flows] != [len(p.actions) for p in game.populations]:
+        raise ValueError(f"{what} does not match the game's populations and actions")
 
 
 def flow_sort_key(flow: FlowProfile) -> tuple:
@@ -953,6 +960,7 @@ def _evaluate(fn, flows, pop: str, action: str):
 
 def social_cost(game: GameSpec, flow: FlowProfile, state: str):
     """Flow-weighted total cost: sum over populations and actions of y_a * c_a."""
+    _check_shape(game, flow)
     total = 0
     for k, pop in enumerate(game.populations):
         for j, action in enumerate(pop.actions):

@@ -24,6 +24,7 @@ from .model import (
     FlowProfile,
     GameSpec,
     _Record,
+    _check_shape,
     _check_tol,
     _check_unit,
     _cost_fn,
@@ -82,8 +83,10 @@ def verify_we(game: GameSpec, flow: FlowProfile, state: str):
     """Worst equilibrium violation: max over k, a, b of y_a (c_a - c_b).
 
     Nonpositive iff the flow is a Wardrop equilibrium. Returned raw and
-    signed; callers compare against their own tolerance.
+    signed; callers compare against their own tolerance. A flow of another
+    shape than the game's is a ValueError.
     """
+    _check_shape(game, flow)
     return _worst_gap(
         (flow.flows[k], [eval_cost(game, pop.name, a, flow, state) for a in pop.actions])
         for k, pop in enumerate(game.populations)
@@ -456,8 +459,8 @@ def solve_we_potential(
     if spec is None:
         raise ValueError("needs a congestion-backed game")
     game.state_index(state)
-    if start is not None and [len(v) for v in start.flows] != [len(p.actions) for p in game.populations]:
-        raise ValueError("start flow does not match the game's populations and actions")
+    if start is not None:
+        _check_shape(game, start, "start flow")
     if all(len(p.actions) == 1 for p in spec.populations):
         return WESolveResult(uniform_flow(game), 0.0, 0)
     core = _spec_core(spec, state)
@@ -488,8 +491,10 @@ def solve_we_br(
     one seen, the solve stops: the step never grows back, so the remaining
     steps could move each entry by at most 1e-9 apiece. It returns the best
     profile seen and its violation, after at most ``_BR_MAX_ITER`` steps.
+    Raises ValueError when ``start`` has another shape than the game's flows.
     """
     _check_tol(tol)
+    _check_shape(game, start, "start flow")
     flows = [list(map(float, vec)) for vec in start.flows]
     eta = 0.5
     # the profile costs are evaluated at: each population's ``flows`` clipped
@@ -794,15 +799,25 @@ def _affine_equilibrium(game: GameSpec, costs, start: FlowProfile) -> FlowProfil
     return None
 
 
-def _exact_equilibrium(game: GameSpec, state: str) -> FlowProfile | None:
-    """The exact equilibrium of ``state`` that :func:`_affine_equilibrium`
-    reaches from the uniform flow, found without numpy: where the equilibrium
-    is unique, the point the float potential solve converges to. None unless
-    the game is congestion-backed with affine latencies in ``state``, or when
-    that polish returns None (a continuum of equilibria, or a support repair
-    that does not settle)."""
+def _state_equilibria(game: GameSpec, state: str) -> list[FlowProfile]:
+    """The equilibria of ``state`` that design grids, full disclosure and the
+    ccwe grid gap start from, none when no solve converges: on affine
+    congestion latencies the exact one :func:`_affine_equilibrium` reaches
+    from the uniform flow, with no numpy; else the potential solve kept
+    within its own ``tol``, or on a game without a potential the
+    best-response multistart, each snapped where a rational one verifies."""
+    game.state_index(state)
     costs = _affine_costs(game, state)
-    return None if costs is None else _affine_equilibrium(game, costs, uniform_flow(game))
+    exact = None if costs is None else _affine_equilibrium(game, costs, uniform_flow(game))
+    if exact is not None:
+        return [exact]
+    if game.congestion is not None:
+        tol = 1e-8
+        result = solve_we_potential(game, state, tol)
+        found = [result.flow] if result.max_violation <= tol else []
+    else:
+        found = [r.flow for r in solve_we_multistart(game, state)]
+    return [_snap_rational(game, f, state) for f in found]
 
 
 def enumerate_we_grid(

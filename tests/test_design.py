@@ -274,8 +274,7 @@ def test_degenerate_design_optimum_agrees_with_highs(n_actions, n_states, resolu
 def test_design_seeds_are_the_snapped_potential_equilibria(monkeypatch):
     # the exact affine seed is the point the float potential solve snaps to;
     # the float solve runs only where the affine polish has no answer
-    from flowgames.design import _state_equilibria
-    from flowgames.wardrop import _snap_rational
+    from flowgames.wardrop import _snap_rational, _state_equilibria
 
     solves = []
 
@@ -283,7 +282,7 @@ def test_design_seeds_are_the_snapped_potential_equilibria(monkeypatch):
         solves.append(state)
         return fg.solve_we_potential(game, state, *args)
 
-    monkeypatch.setattr("flowgames.design.solve_we_potential", counted)
+    monkeypatch.setattr("flowgames.wardrop.solve_we_potential", counted)
     floats = collections.Counter()
     for seed, n_actions, n_states, n_pops, quadratic in itertools.product(
         range(16), (2, 3, 4), (1, 2), (1, 2), (False, True)
@@ -395,10 +394,11 @@ def test_ccwe_gap_shrinks_off_grid():
 
 
 def test_ccwe_gap_tiny_on_grid(pigou_network):
-    # the equilibrium (0, 1) sits on every lattice, so only solver noise remains
-    slack, gap = fg.ccwe_grid_gap(pigou_network, "0", 8)
-    assert slack <= 1e-9
-    assert gap <= 1e-9
+    # the equilibria (0, 1) and (1/2, 1/2, 0) sit on the lattice, and on affine
+    # latencies the reference equilibrium is exact, so no solver noise remains
+    # (a float solve left 1.1e-16 in the second gap)
+    assert fg.ccwe_grid_gap(pigou_network, "0", 8) == (0.0, 0.0)
+    assert fg.ccwe_grid_gap(random_congestion_game(1, n_actions=3), "0", 4) == (0.0, 0.0)
 
 
 def test_ccwe_gap_without_obedience_rows():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowgames as fg
-from flowgames.generators import random_congestion_game, random_rational_flow
+from flowgames.generators import full_disclosure_outcome, random_congestion_game, random_rational_flow
 from flowgames.model import (
     Add,
     Const,
@@ -426,6 +426,26 @@ def test_congestion_tables_are_read_only():
     # the spec holds copies: the caller's dicts stay its own
     latencies[("e", "0")] = (F(0), F(1), F(-3))
     assert spec.latencies[("e", "0")] == (F(0), F(1))
+
+
+def test_congestion_spec_keeps_action_resources_as_frozensets():
+    # resource tuples used to reach the exact affine polish, whose `&` raised
+    # TypeError in build_grid, full disclosure and a polishing grid scan
+    spec = fg.CongestionSpec(
+        resources=("e1", "e2"),
+        latencies={("e1", "0"): (F(1),), ("e2", "0"): (F(0), F(3))},
+        actions={("p", "a"): ("e1",), ("p", "b"): ["e2"]},
+        populations=(Population("p", ("a", "b")),),
+        states=("0",),
+        prior=(F(1),),
+    )
+    assert dict(spec.actions) == {("p", "a"): frozenset({"e1"}), ("p", "b"): frozenset({"e2"})}
+    game = fg.congestion_to_game(spec)
+    equilibrium = fg.FlowProfile(((F(2, 3), F(1, 3)),))
+    assert equilibrium in fg.build_grid(game, 8)["0"]
+    assert full_disclosure_outcome(game) == fg.Outcome({"0": ((equilibrium, F(1)),)})
+    # (2/3, 1/3) is off the 1/8 lattice, so the scan polishes
+    assert fg.enumerate_we_grid(game, "0", 8) == [fg.FlowProfile(((2 / 3, 1 / 3),))]
 
 
 def test_flow_profile_validation():

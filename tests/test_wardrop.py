@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import flowgames as fg
 from flowgames.generators import (
+    full_disclosure_outcome,
     random_congestion_game,
     random_flow,
     random_rational_flow,
@@ -323,6 +325,59 @@ def test_solve_we_potential_rejects_a_start_of_another_shape(pigou_network):
             fg.solve_we_potential(pigou_network, "0", start=start)
 
 
+def test_flows_of_another_shape_are_refused(elfarol):
+    # an extra entry, an extra population and a missing entry on a game of one
+    # two-action population; the first two used to pass as obedient
+    flows = (
+        flow1(F(1, 3), F(1, 3), F(1, 3)),
+        fg.FlowProfile(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))),
+        flow1(1),
+    )
+    for flow in flows:
+        outcome = fg.Outcome({"0": ((flow, F(1)),)})
+        for call in (
+            lambda: fg.verify_we(elfarol, flow, "0"),
+            lambda: fg.social_cost(elfarol, flow, "0"),
+            lambda: fg.check_cwe(elfarol, ((flow, F(1)),), "0"),
+            lambda: fg.check_ccwe(elfarol, ((flow, F(1)),), "0"),
+            lambda: fg.check_bcwe(elfarol, outcome),
+        ):
+            with pytest.raises(ValueError, match="^flow does not match the game's populations and actions$"):
+                call()
+        with pytest.raises(ValueError, match="start flow does not match"):
+            fg.solve_we_br(elfarol, "0", flow)
+
+
+def test_one_equilibrium_source(monkeypatch, elfarol):
+    # design seeds, full disclosure and the ccwe grid gap all take a state's
+    # equilibria from wardrop._state_equilibria, once per state, and no other
+    # module reaches a solver behind it
+    private = re.compile(r"\b(solve_we_potential|solve_we_multistart|_snap_rational|_affine_equilibrium)\b")
+    for path in sorted(Path(fg.__file__).parent.glob("*.py")):
+        if path.name not in ("wardrop.py", "__init__.py"):
+            assert private.search(path.read_text()) is None, path.name
+    source = fg.wardrop._state_equilibria
+    calls = []
+
+    def counted(game, state):
+        calls.append(state)
+        return source(game, state)
+
+    for module in (fg.design, fg.generators):
+        assert module._state_equilibria is source
+        monkeypatch.setattr(module, "_state_equilibria", counted)
+    game = random_congestion_game(0, n_actions=3, n_states=2)
+    for run, states in (
+        (lambda: fg.build_grid(game, 4), ["0", "1"]),
+        (lambda: full_disclosure_outcome(game), ["0", "1"]),
+        (lambda: full_disclosure_outcome(elfarol), ["0"]),
+        (lambda: fg.ccwe_grid_gap(game, "1", 4), ["1"]),
+    ):
+        calls.clear()
+        run()
+        assert calls == states
+
+
 def _one_state_spec(latencies, actions):
     """One population "p" in one state "0"; ``latencies`` maps each resource
     to its coefficients, ``actions`` each action to its resources."""
@@ -475,6 +530,13 @@ def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
         "random_bcwe(random_congestion_game(0, n_actions=3, n_states=2), 0)\n"
     )
     assert fresh_python(_NUMPY_PROBE + bcwe + "numpy_loaded()\n") == "numpy loaded: False\n"
+    # the grid gap measures against the same exact equilibrium
+    gap = (
+        "import flowgames as fg\nfrom importlib import resources\n"
+        "text = resources.files('flowgames').joinpath('examples/pigou_network.game').read_text()\n"
+        "print(fg.ccwe_grid_gap(fg.parse_game_file(text), '0', 8))\n"
+    )
+    assert fresh_python(_NUMPY_PROBE + gap + "numpy_loaded()\n") == "(0.0, 0.0)\nnumpy loaded: False\n"
     converge = "main(['converge', '--game', 'elfarol', '--outcome', 'elfarol_cwe', '--n-list', '5,7,9'])\n"
     out = fresh_python(_NUMPY_PROBE + converge + "numpy_loaded()\n")
     assert out == (
