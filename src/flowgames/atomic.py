@@ -18,6 +18,7 @@ from .model import (
     GameSpec,
     Outcome,
     _Record,
+    _check_states,
     _check_unit,
     _round_outcome,
     _shown,
@@ -83,13 +84,9 @@ def check_bce_bruteforce(agame: AtomicGame, beta: dict) -> CheckReport:
     below 10**6 entries.
     """
     _check_profile_space(agame)
-    for state in agame.game.states:
-        if state not in beta:
-            raise ValueError(f"outcome missing state {state!r}")
+    _check_states(agame.game, beta, "outcome")
     entries = []  # (state, prior*weight, normalized profile, its flow)
     for state, atoms in beta.items():
-        if state not in agame.game.states:
-            raise ValueError(f"unknown state {state!r}")
         p = agame.game.prior_of(state)
         total = 0
         for profile, w in atoms:

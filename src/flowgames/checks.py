@@ -18,6 +18,7 @@ from .model import (
     Outcome,
     _Record,
     _check_shape,
+    _check_states,
     _cost_fn,
     _distribution,
     _evaluate,
@@ -204,10 +205,9 @@ def _atoms(game: GameSpec, state: str, p, dist) -> list:
 
 
 def _state_atoms(game: GameSpec, outcome: Outcome) -> list:
+    _check_states(game, outcome.per_state, "outcome")
     atoms = []
     for state in game.states:
-        if state not in outcome.per_state:
-            raise ValueError(f"outcome missing state {state!r}")
         atoms += _atoms(game, state, game.prior_of(state), outcome.per_state[state])
     return atoms
 
@@ -291,14 +291,13 @@ def sbcwe_from_bcwe(game: GameSpec, outcome: Outcome) -> tuple[dict, AveragingRe
     """
     if len(game.populations) != 1 or len(game.populations[0].actions) != 2:
         raise ValueError("barycenter reduction needs one population with exactly 2 actions")
+    _check_states(game, outcome.per_state, "outcome")
     pop = game.populations[0]
     flow_map = {}
     per_state = []
     input_cost = 0
     output_cost = 0
     for state in game.states:
-        if state not in outcome.per_state:
-            raise ValueError(f"outcome missing state {state!r}")
         p = game.prior_of(state)
         atoms = outcome.per_state[state]
         bary = [0, 0]

@@ -37,6 +37,7 @@ from .model import (
     GameSpec,
     Outcome,
     Population,
+    _check_states,
     _check_unit,
     _distribution,
     congestion_to_game,
@@ -405,10 +406,9 @@ def format_flow_literal(flow: FlowProfile, quantity=format_quantity) -> str:
 
 
 def write_outcome_file(outcome: Outcome, game: GameSpec) -> str:
+    _check_states(game, outcome.per_state, "outcome")
     lines = []
     for s in game.states:
-        if s not in outcome.per_state:
-            raise ValueError(f"outcome lacks state {s!r}")
         if lines:
             lines.append("")
         lines.append(f"[outcome.{s}]")

@@ -21,6 +21,7 @@ from .model import (
     GameSpec,
     Outcome,
     _Record,
+    _check_states,
     _check_tol,
     _check_unit,
     _round_outcome,
@@ -142,18 +143,9 @@ def bwe_violation(
     """
     pop = _require_single_population(game)
     validate_strategies(structure, strategies, len(pop.actions))
-    _check_kernel_states(game, structure)
+    _check_states(game, structure.kernel, "kernel")
     plan = _atom_plan(game, structure)
     return _max_gap(_conditional_costs(game, structure, strategies, plan)[1], strategies)
-
-
-def _check_kernel_states(game: GameSpec, structure: InformationStructure):
-    for state in game.states:
-        if state not in structure.kernel:
-            raise ValueError(f"kernel missing state {state!r}")
-    for state in structure.kernel:
-        if state not in game.states:
-            raise ValueError(f"unknown state {state!r}")
 
 
 def _atom_plan(game, structure) -> tuple[list, dict]:
@@ -351,7 +343,7 @@ def _bwe_setup(game: GameSpec, structure: InformationStructure):
     if game.congestion is None:
         raise ValueError("solving needs a congestion backing")
     pop = _require_single_population(game)
-    _check_kernel_states(game, structure)
+    _check_states(game, structure.kernel, "kernel")
     plan = _atom_plan(game, structure)
     atoms, marginals = plan
     blocks = [

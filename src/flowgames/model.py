@@ -608,6 +608,17 @@ def _check_shape(game: GameSpec, flow: FlowProfile, what: str = "flow") -> None:
         raise ValueError(f"{what} does not match the game's populations and actions")
 
 
+def _check_states(game: GameSpec, table, what: str) -> None:
+    """Raise ValueError unless the per-state ``table``, named ``what``, has
+    exactly ``game``'s states as keys."""
+    for s in game.states:
+        if s not in table:
+            raise ValueError(f"{what} missing state {s!r}")
+    for s in table:
+        if s not in game.states:
+            raise ValueError(f"unknown state {s!r}")
+
+
 def flow_sort_key(flow: FlowProfile) -> tuple:
     """Float key that orders profiles lexicographically by their entries."""
     return tuple(tuple(map(float, vec)) for vec in flow.flows)
@@ -685,13 +696,12 @@ def _round_outcome(game: GameSpec, outcome: Outcome, counts) -> tuple[Outcome, o
     In each state of ``game``, population k of every support flow y becomes
     :func:`_largest_remainder_counts` (y, n_k) / n_k, exact. Flows that round
     alike merge, their weights summed, zero weights included. An outcome
-    missing a state raises ValueError.
+    missing a state of ``game`` or holding another raises ValueError.
     """
+    _check_states(game, outcome.per_state, "outcome")
     delta = 0
     per_state = {}
     for state in game.states:
-        if state not in outcome.per_state:
-            raise ValueError(f"outcome missing state {state!r}")
         merged = {}
         for flow, w in outcome.per_state[state]:
             key = []

@@ -179,6 +179,58 @@ def _brent_root(f, a, b, fa, fb):
     raise RuntimeError("Brent root search failed to converge after 100 iterations")
 
 
+# (flow, least cost, negative flow, undercut) tolerances of the float polish
+_FLOAT_TOLS = (1e-8, 1e-6, 1e-12, 1e-10)
+
+
+def _support_repair(blocks, y, g, solve, settle, tols):
+    """Repair a support until its solution is an equilibrium; None when
+    ``solve`` returns None or 2n + 2 solves, n = ``len(y)``, do not settle it.
+
+    A support is one ascending list of variables per [start, end) range of
+    ``blocks``. ``solve(support)`` returns the point where each block's
+    support costs the same and carries its mass, or None; ``settle(y)``
+    returns the point kept and its costs. A block's support starts as its
+    actions with flow or of least cost at ``y``, of costs ``g``. Its most
+    negative action is dropped, and once none is, its cheapest undercutting
+    action added. ``tols`` bound flow, least cost, negativity and undercut,
+    the second and last relative to the cost. Zero ones are exact on
+    Fractions: a settled support's costs are equal, and a one-action support
+    never goes negative.
+    """
+    flow_tol, cheap_tol, neg_tol, undercut_tol = tols
+    support = []
+    for lo, hi in blocks:
+        cheapest = min(g[lo:hi])
+        scale = 1 + abs(cheapest)
+        support.append([j for j in range(lo, hi) if y[j] > flow_tol or g[j] <= cheapest + cheap_tol * scale])
+    for _ in range(2 * len(y) + 2):
+        y = solve(support)
+        if y is None:
+            return None
+        changed = False
+        for bi, sup in enumerate(support):
+            neg = [j for j in sup if y[j] < -neg_tol]
+            if neg and len(sup) > 1:
+                worst = min(neg, key=y.__getitem__)
+                support[bi] = [j for j in sup if j != worst]
+                changed = True
+        if changed:
+            continue
+        y, g = settle(y)
+        grew = False
+        for bi, ((lo, hi), sup) in enumerate(zip(blocks, support)):
+            in_cost = max(g[j] for j in sup)
+            scale = 1 + abs(in_cost)
+            outside = [j for j in range(lo, hi) if j not in sup and g[j] < in_cost - undercut_tol * scale]
+            if outside:
+                support[bi] = sorted(sup + [min(outside, key=g.__getitem__)])
+                grew = True
+        if not grew:
+            return y
+    return None
+
+
 class _PotentialCore:
     """Minimize sum_e F_e(M x) over a product of scaled simplexes.
 
@@ -250,53 +302,23 @@ class _PotentialCore:
         return _worst_gap((y[lo:hi], g[lo:hi]) for lo, hi in self.blocks)
 
     def newton_polish(self, x):
-        """Solve the equal-cost system on the active support exactly.
+        """The point :func:`_support_repair` reaches from ``x`` at
+        ``_FLOAT_TOLS``, each support solved by Newton steps, or None. A
+        solved point is clipped at 0 and rescaled to the block masses."""
 
-        Returns the polished point or None. The support starts from the
-        near-minimal-cost actions and is repaired by dropping actions that
-        go negative and adding actions that undercut the support cost.
-        """
-        xs, gs = x.tolist(), self.costs(x).tolist()
-        support = []
-        for lo, hi in self.blocks:
-            cheapest = min(gs[lo:hi])
-            scale = 1.0 + abs(cheapest)
-            sup = [j for j in range(lo, hi) if xs[j] > 1e-8 or gs[j] <= cheapest + 1e-6 * scale]
-            support.append(sup)
-        for _ in range(2 * self.n + 2):
+        def solve(support):
             y = self._solve_support(support, x)
-            if y is None:
-                return None
-            ys = y.tolist()
-            changed = False
-            for bi, sup in enumerate(support):
-                neg = [j for j in sup if ys[j] < -1e-12]
-                if neg and len(sup) > 1:
-                    worst = min(neg, key=ys.__getitem__)
-                    support[bi] = [j for j in sup if j != worst]
-                    changed = True
-            if changed:
-                continue
-            y = np.maximum(y, 0.0)
+            return None if y is None else y.tolist()
+
+        def settle(ys):
+            y = np.maximum(ys, 0.0)
             for (lo, hi), mass in zip(self.blocks, self.masses):
                 total = y[lo:hi].sum()
                 if total > 0 and mass > 0:
                     y[lo:hi] *= mass / total
-            gs = self.costs(y).tolist()
-            grew = False
-            for bi, ((lo, hi), sup) in enumerate(zip(self.blocks, support)):
-                in_cost = max(gs[j] for j in sup)
-                scale = 1.0 + abs(in_cost)
-                outside = [
-                    j for j in range(lo, hi) if j not in sup and gs[j] < in_cost - 1e-10 * scale
-                ]
-                if outside:
-                    support[bi] = sorted(sup + [min(outside, key=gs.__getitem__)])
-                    grew = True
-            if grew:
-                continue
-            return y
-        return None
+            return y, self.costs(y).tolist()
+
+        return _support_repair(self.blocks, x.tolist(), self.costs(x).tolist(), solve, settle, _FLOAT_TOLS)
 
     def _newton_plan(self, support):
         """The parts of the Newton system on ``support`` (one ascending list
@@ -740,13 +762,10 @@ def _affine_equilibrium(game: GameSpec, costs, start: FlowProfile) -> FlowProfil
     a support's system is singular (a continuum of equilibria) or the support
     repair does not settle.
 
-    This is the Newton polish of :class:`_PotentialCore` in Fractions. A
-    population's support starts as its actions with flow or of least cost at
-    ``start``. On a support, equal costs within each population and unit
-    mass are a linear system, and affine costs make its solution exact. A
-    population's most negative action is dropped from its support, then its
-    cheapest action that undercuts the support's cost is added, until
-    neither applies: the solution is then an equilibrium.
+    This is :func:`_support_repair` with zero tolerances, the one the
+    potential core's Newton polish runs in floats. On a support, equal costs
+    within each population and unit mass are a linear system, and affine
+    costs make its Gauss-Jordan solution exact, so it is kept as solved.
     """
     consts, slopes = costs
     n = len(consts)
@@ -754,17 +773,7 @@ def _affine_equilibrium(game: GameSpec, costs, start: FlowProfile) -> FlowProfil
     def cost(y):
         return [c + sum(s * v for s, v in zip(row, y) if v) for c, row in zip(consts, slopes)]
 
-    blocks, lo = [], 0
-    for pop in game.populations:
-        blocks.append(range(lo, lo + len(pop.actions)))
-        lo += len(pop.actions)
-    y = [v for vec in start.flows for v in vec]
-    g = cost(y)
-    support = []
-    for block in blocks:
-        cheapest = min(g[j] for j in block)
-        support.append([j for j in block if y[j] > 0 or g[j] == cheapest])
-    for _ in range(2 * n + 2):
+    def solve(support):
         index = [j for sup in support for j in sup]
         rows = []
         for sup in support:
@@ -778,25 +787,15 @@ def _affine_equilibrium(game: GameSpec, costs, start: FlowProfile) -> FlowProfil
         y = [Fraction(0)] * n
         for i, v in zip(index, solution):
             y[i] = v
-        changed = False
-        for bi, sup in enumerate(support):
-            neg = [j for j in sup if y[j] < 0]
-            if neg:
-                worst = min(neg, key=y.__getitem__)
-                support[bi] = [j for j in sup if j != worst]
-                changed = True
-        if changed:
-            continue
-        g = cost(y)
-        grew = False
-        for bi, (block, sup) in enumerate(zip(blocks, support)):
-            outside = [j for j in block if j not in sup and g[j] < g[sup[0]]]
-            if outside:
-                support[bi] = sorted(sup + [min(outside, key=g.__getitem__)])
-                grew = True
-        if not grew:
-            return FlowProfile(tuple(tuple(y[j] for j in block) for block in blocks))
-    return None
+        return y
+
+    blocks, lo = [], 0
+    for pop in game.populations:
+        blocks.append((lo, lo + len(pop.actions)))
+        lo += len(pop.actions)
+    y = [v for vec in start.flows for v in vec]
+    y = _support_repair(blocks, y, cost(y), solve, lambda y: (y, cost(y)), (0, 0, 0, 0))
+    return None if y is None else FlowProfile(tuple(tuple(y[lo:hi]) for lo, hi in blocks))
 
 
 def _state_equilibria(game: GameSpec, state: str) -> list[FlowProfile]:
@@ -805,7 +804,8 @@ def _state_equilibria(game: GameSpec, state: str) -> list[FlowProfile]:
     congestion latencies the exact one :func:`_affine_equilibrium` reaches
     from the uniform flow, with no numpy; else the potential solve kept
     within its own ``tol``, or on a game without a potential the
-    best-response multistart, each snapped where a rational one verifies."""
+    best-response multistart, each snapped where a rational one verifies,
+    and listed once."""
     game.state_index(state)
     costs = _affine_costs(game, state)
     exact = None if costs is None else _affine_equilibrium(game, costs, uniform_flow(game))
@@ -817,7 +817,7 @@ def _state_equilibria(game: GameSpec, state: str) -> list[FlowProfile]:
         found = [result.flow] if result.max_violation <= tol else []
     else:
         found = [r.flow for r in solve_we_multistart(game, state)]
-    return [_snap_rational(game, f, state) for f in found]
+    return list(dict.fromkeys(_snap_rational(game, f, state) for f in found))
 
 
 def enumerate_we_grid(

@@ -389,3 +389,22 @@ def test_checks_report_the_first_worst_row():
     outcome = fg.Outcome({"0": dist})
     assert fg.check_bcwe(game, outcome).witness == ("crowd", "a", "b")
     assert fg.check_cbcwe(game, outcome).witness == ("crowd", "a")
+
+
+def test_per_state_tables_reject_an_unknown_state(elfarol, elfarol_cwe):
+    # every reader of a per-state outcome refuses a state the game lacks
+    # rather than skipping it
+    extra = fg.Outcome({**elfarol_cwe.per_state, "zz": ((flow1(F(1, 2), F(1, 2)), F(1)),)})
+    calls = [
+        lambda: fg.check_bcwe(elfarol, extra),
+        lambda: fg.check_cbcwe(elfarol, extra),
+        lambda: fg.check_sbcwe(elfarol, {s: atoms[0][0] for s, atoms in extra.per_state.items()}),
+        lambda: fg.check_bce_flowlevel(elfarol, fg.SymmetricBCE(extra, (2,), 0, 0)),
+        lambda: fg.sbcwe_from_bcwe(elfarol, extra),
+        lambda: fg.direct_structure_from_bcwe(elfarol, extra, 2),
+        lambda: fg.write_outcome_file(extra, elfarol),
+        lambda: fg.convergence_run(elfarol, extra, [2]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^unknown state 'zz'$"):
+            call()

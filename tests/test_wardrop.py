@@ -725,6 +725,70 @@ def test_affine_polish_is_the_exact_potential_minimizer():
     assert _affine_equilibrium(two, _affine_costs(two, "0"), fg.uniform_flow(two)) is None
 
 
+def test_one_support_repair(monkeypatch):
+    # the float Newton polish and the exact affine equilibrium each run the
+    # shared repair once, the polish at float tolerances and the exact one at
+    # zero tolerances
+    repair = fg.wardrop._support_repair
+    tols, polishes = [], []
+
+    def counted(*args):
+        tols.append(args[-1])
+        return repair(*args)
+
+    def polished(self, x):
+        polishes.append(x)
+        return newton_polish(self, x)
+
+    newton_polish = _PotentialCore.newton_polish
+    monkeypatch.setattr(fg.wardrop, "_support_repair", counted)
+    monkeypatch.setattr(_PotentialCore, "newton_polish", polished)
+    affine = random_congestion_game(0, n_actions=3)
+    _affine_equilibrium(affine, _affine_costs(affine, "0"), fg.uniform_flow(affine))
+    assert tols == [(0, 0, 0, 0)]
+    tols.clear()
+    fg.solve_we_potential(random_congestion_game(1, n_actions=3, quadratic=True), "0")
+    assert len(polishes) >= 1
+    assert tols == [fg.wardrop._FLOAT_TOLS] * len(polishes)
+
+
+def test_support_repair_gives_up():
+    # a failed solve ends the repair at once; a support that loses action 1
+    # to a negative flow and wins it back by its lower cost, round after
+    # round, is given up after 2n + 2 solves
+    repair = fg.wardrop._support_repair
+    solves = []
+
+    def failed(support):
+        solves.append(support)
+
+    def cycling(support):
+        solves.append([list(sup) for sup in support])
+        return [F(3, 2), F(-1, 2)] if support == [[0, 1]] else [F(1), F(0)]
+
+    def settle(y):
+        return y, [F(1), F(0)]
+
+    start, costs = [F(1, 2), F(1, 2)], [F(1), F(1)]
+    assert repair([(0, 2)], start, costs, failed, settle, (0, 0, 0, 0)) is None
+    assert solves == [[[0, 1]]]
+    solves.clear()
+    assert repair([(0, 2)], start, costs, cycling, settle, (0, 0, 0, 0)) is None
+    assert solves == [[[0, 1]], [[0]]] * 3
+
+
+def test_state_equilibria_lists_each_equilibrium_once():
+    # two best-response starts converge to the one equilibrium (b, b), which
+    # both snap to
+    text = (
+        "[populations]\nP = a, b\nQ = a, b\n[states]\nnames = 0\n[prior]\n0 = 1\n[costs]\n"
+        "P.a = 1 + y[P][a] + 6*y[Q][a]\nP.b = y[P][b]\nQ.a = 2 + y[Q][a] - y[P][a]\nQ.b = y[Q][b]\n"
+    )
+    game = fg.parse_game_file(text)
+    assert len(fg.solve_we_multistart(game, "0")) >= 2
+    assert fg.wardrop._state_equilibria(game, "0") == [fg.FlowProfile(((0, 1), (0, 1)))]
+
+
 def test_enumerate_rationalizes_best_response_polishes(elfarol):
     # c_a - c_b = 3 y_a, so best response stops once its violation is within
     # tol at y_a ~ sqrt(tol / 3): 58 times the dedup radius from (0, 1)
