@@ -8,6 +8,7 @@ inputs because the cost language evaluates rationals to rationals.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -124,18 +125,41 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, eq_rows
 
     offset = 0 if eq_rows is None else max(eq_rows, default=-1) + 1
     exact_shares = all(isinstance(s, (int, Fraction)) for s in shares or ())
+
+    def read(flow, live):
+        # _int_flows of an exact flow, None when an entry is inexact
+        flows = flow.flows
+        if all(isinstance(v, (int, Fraction)) for vec in flows for v in vec):
+            return _int_flows(flows, [s.denominator for s in shares or () if live])
+        return None
+
+    # build_grid shares each lattice flow between states. A flow that two or
+    # more atoms carry is read once, before any column is made, so that its
+    # read does not scatter the columns in memory; a flow that one atom
+    # carries is read where its column is made, so a single-state grid keeps
+    # no reads alive and looks none up. ``atoms`` holds every flow, so no id
+    # is reused.
+    ids = [id(flow) for _, _, flow in atoms]
+    carried = collections.Counter(ids)
+    reads = {}  # (id(flow), mass != 0) -> read
+    shared = exact_shares and len(carried) < len(ids)
+    for flow_id, (_, mass, flow) in zip(ids, atoms) if shared else ():
+        key = (flow_id, mass != 0)
+        if type(mass) is Fraction and carried[flow_id] > 1 and key not in reads:
+            reads[key] = read(flow, key[1])
     columns, socials, lifted = [], [], {}  # lifted: (state, mass != 0) -> _lifted_costs
     for j, (state, mass, flow) in enumerate(atoms):
-        flows = flow.flows
-        exact = exact_shares and type(mass) is Fraction and all(
-            isinstance(v, (int, Fraction)) for vec in flows for v in vec
-        )
+        flows, live = flow.flows, mass != 0
+        exact = exact_shares and type(mass) is Fraction
+        if exact:
+            ints = reads and reads.get((id(flow), live)) or read(flow, live)
+            exact = ints is not None
         if exact:
             key = (state, mass != 0)
             if key not in lifted:
                 lifted[key] = _lifted_costs(game, state, [acts(pop, mass) for pop in pops])
             fns, deg, q = lifted[key]
-            ys, dy = _int_flows(flows, [s.denominator for s in shares or () if mass != 0])
+            ys, dy = ints
             table = [[f(ys, dy) for f in costs] or None for costs in fns]
             steps = [s.numerator * (dy // s.denominator) for s in shares or ()]
 

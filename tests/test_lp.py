@@ -272,21 +272,67 @@ def golden_lps():
 
 
 def test_pricing_cutoff_parts_desk_lps_from_the_design_workload(golden_lps, monkeypatch):
-    # the design workload's 40 LPs keep numpy pricing; the W1 transport LPs
-    # and the cli designs (52 and 15 nonzeros) price in Python floats
+    # the design workload's 40 LPs (1,944-3,242 nonzeros), the W1 transport
+    # LPs and the cli designs (52 and 15 nonzeros) price in Python floats; a
+    # ladder LP of 4 actions at resolution 16 keeps numpy
+    from flowgames.generators import random_congestion_game
+
     image, sizes = lp._float_image, {}
 
     def sized(columns, m):
-        sizes[group].append(sum(len(col) for _, col in columns))  # slacks included
-        return image(columns, m)
+        out = image(columns, m)
+        # slacks included; True where pricing runs in Python
+        sizes[group].append((sum(len(col) for _, col in columns), isinstance(out, list)))
+        return out
 
+    game = random_congestion_game(0, n_actions=4, n_states=2)
+    ladder = fg.DesignerProblem(game, fg.social_cost_expr(game), fg.build_grid(game, 16))
     monkeypatch.setattr(lp, "_float_image", sized)
-    for group, solve, args in golden_lps:
+    for group, solve, args in [*golden_lps, ("ladder", fg.solve_program_p, (ladder,))]:
         sizes.setdefault(group, [])
         solve(*args)
-    assert len(sizes["design"]) == 40 and min(sizes["design"]) >= lp.NUMPY_NNZ
-    assert len(sizes["w1"]) == 15 and max(sizes["w1"] + sizes["cli"]) < lp.NUMPY_NNZ
-    assert sizes["cli"] == [52, 15]
+    design = [n for n, _ in sizes["design"]]
+    assert len(design) == 40 and (min(design), max(design)) == (1944, 3242)
+    assert len(sizes["w1"]) == 15 and sizes["cli"] == [(52, True), (15, True)]
+    below = sizes["design"] + sizes["w1"] + sizes["cli"] + sizes["ccwe_grid_gap"]
+    assert all(python and n < lp.NUMPY_NNZ for n, python in below)
+    assert sizes["ladder"] == [(21554, False)] and lp.NUMPY_NNZ <= 21554
+
+
+def _column_sum(terms) -> float:
+    # left to right from 0.0, as the builtin sum adds floats before Python
+    # 3.12, which compensates the rounding
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def test_row_pricing_is_the_column_sums_bit_for_bit(golden_lps, monkeypatch):
+    # every Python pricing round of the golden LPs and of an LP with an
+    # all-zero column gives the reduced costs, and so the pick, of summing
+    # each column's entries in row order
+    image, price, columns, rounds = lp._float_image, lp._price, [], {}
+
+    def imaged(cols, m):
+        columns[:] = [[(i, k / d) for i, k in col] for d, col in cols]
+        return image(cols, m)
+
+    def priced(y, cost, float_a):
+        reduced, j = price(y, cost, float_a)
+        expected = [c - _column_sum(y[i] * a for i, a in col) for c, col in zip(cost, columns)]
+        assert reduced == expected and j == expected.index(min(expected)), group
+        rounds[group] = rounds.get(group, 0) + 1
+        return reduced, j
+
+    monkeypatch.setattr(lp, "NUMPY_NNZ", 10**9)
+    monkeypatch.setattr(lp, "_float_image", imaged)
+    monkeypatch.setattr(lp, "_price", priced)
+    # column 1 has no entry
+    zero = ("zero column", fg.exact_solve, (None, [2, 0, 1], [[1, 0, 1]], [1], [[1, 0, -1]], [F(1, 2)]))
+    for group, solve, args in [*golden_lps, zero]:
+        solve(*args)
+    assert set(rounds) == {"design", "ccwe_grid_gap", "w1", "cli", "zero column"}
 
 
 def test_both_pricing_paths_give_the_same_certificates(golden_lps, monkeypatch):

@@ -516,15 +516,27 @@ def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
         "numpy loaded: False\n"
     )
     # a random affine congestion game's design seeds its grid with the exact
-    # equilibrium, with no float potential solve
-    design = "main(['design', '--game', 'random-congestion', '--seed', '3'])\n"
-    out = fresh_python(_NUMPY_PROBE + design + "numpy_loaded()\n")
-    assert out == (
-        "[report]\ncommand = design\nobjective = social\nstatus = optimal\nvalue = 9/4\n"
-        "support = 2\nsupport-bound-quadratic = 10\nsupport-bound-bfs = 4\n"
-        "within-bounds = true\n\n[outcome.0]\n(1/6, 5/6) = 1\n\n[outcome.1]\n(0, 1) = 1\n"
-        "numpy loaded: False\n"
+    # equilibrium, with no float potential solve; its LP at resolution 64
+    # (391 nonzeros) prices in Python floats too
+    design = "main(['design', '--game', 'random-congestion', '--seed', '3'{}])\n"
+    for resolution in ("", ", '--resolution', '64'"):
+        out = fresh_python(_NUMPY_PROBE + design.format(resolution) + "numpy_loaded()\n")
+        assert out == (
+            "[report]\ncommand = design\nobjective = social\nstatus = optimal\nvalue = 9/4\n"
+            "support = 2\nsupport-bound-quadratic = 10\nsupport-bound-bfs = 4\n"
+            "within-bounds = true\n\n[outcome.0]\n(1/6, 5/6) = 1\n\n[outcome.1]\n(0, 1) = 1\n"
+            "numpy loaded: False\n"
+        )
+    # so does a design of the design workload (3,242 nonzeros)
+    workload = (
+        "import flowgames as fg\nfrom flowgames.generators import random_congestion_game\n"
+        "game = random_congestion_game(0, n_actions=4, n_states=2)\n"
+        "problem = fg.DesignerProblem(game, fg.social_cost_expr(game), fg.build_grid(game, 8))\n"
+        "solution = fg.solve_program_p(problem)\n"
+        "print(solution.status, solution.objective)\n"
     )
+    out = fresh_python(_NUMPY_PROBE + workload + "numpy_loaded()\n")
+    assert out == "optimal 1425385/781184\nnumpy loaded: False\n"
     bcwe = (
         "from flowgames.generators import random_bcwe, random_congestion_game\n"
         "random_bcwe(random_congestion_game(0, n_actions=3, n_states=2), 0)\n"
