@@ -94,36 +94,32 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, eq_rows
     and obedience row i is numbered ``max(eq_rows) + 1 + i``. Every population
     and action is then costed, and ``socials`` holds each mass times its
     social cost.
+
+    The rows are numbered once per call, in a row plan: for each population
+    with two or more actions, the (row, b) pairs of every recommended a, or
+    under ``coarse`` of every deviation b. An atom is costed once into a
+    table, and its entries are read off the plan.
     """
     if coarse and shares is not None:
         raise ValueError("shares apply to pairwise rows only")
     pops, social = game.populations, eq_rows is not None
-    witnesses = []
-    for pop in (p for p in pops if len(p.actions) > 1):
-        pairs = itertools.product(pop.actions) if coarse else itertools.permutations(pop.actions, 2)
-        witnesses += [(pop.name, *pair) for pair in pairs]
-
-    def terms(out, i, mass, ys, cs, devs, dy):
-        # append (row, mass y_a (c_a - c_b)), or mass (sum y_j c_j - dy c_b) with dy putting
-        # c_b over the flows' denominator too, numbering rows from i; c_b is devs[k, a] under shares
-        for k, pop in enumerate(pops if mass != 0 else ()):
-            n = len(pop.actions)
-            if n < 2:
-                continue
-            if coarse:
-                own = sum(y * cj for y, cj in zip(ys[k], cs[k]) if y != 0)
-                out += [(i + jb, mass * (own - dy * cb)) for jb, cb in enumerate(cs[k])]
-            for ja, y in enumerate(() if coarse else ys[k]):
-                if y != 0:
-                    c, m, r = cs[k] if shares is None else devs[k, ja], mass * y, i + ja * (n - 1)
-                    out += [(r + jb - (jb > ja), m * (c[ja] - v)) for jb, v in enumerate(c) if jb != ja]
-            i += n if coarse else n * (n - 1)
-        return out
+    offset = 0 if eq_rows is None else max(eq_rows, default=-1) + 1
+    witnesses, plan = [], []  # plan: (k, [(row, b)]) under coarse, else (k, [[(row, b)] per a])
+    for k, pop in enumerate(pops):
+        n, i = len(pop.actions), offset + len(witnesses)
+        if n < 2:
+            continue
+        if coarse:
+            witnesses += [(pop.name, b) for b in pop.actions]
+            plan.append((k, [(i + jb, jb) for jb in range(n)]))
+        else:
+            witnesses += [(pop.name, *pair) for pair in itertools.permutations(pop.actions, 2)]
+            rows = [(i + r, jb) for r, (_, jb) in enumerate(itertools.permutations(range(n), 2))]
+            plan.append((k, [rows[ja * (n - 1) : (ja + 1) * (n - 1)] for ja in range(n)]))
 
     def acts(pop, mass):
         return pop.actions if social or (mass != 0 and len(pop.actions) > 1) else ()
 
-    offset = 0 if eq_rows is None else max(eq_rows, default=-1) + 1
     exact_shares = all(isinstance(s, (int, Fraction)) for s in shares or ())
 
     def read(flow, live):
@@ -155,38 +151,50 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, eq_rows
             ints = reads and reads.get((id(flow), live)) or read(flow, live)
             exact = ints is not None
         if exact:
-            key = (state, mass != 0)
+            key = (state, live)
             if key not in lifted:
                 lifted[key] = _lifted_costs(game, state, [acts(pop, mass) for pop in pops])
             fns, deg, q = lifted[key]
             ys, dy = ints
             table = [[f(ys, dy) for f in costs] or None for costs in fns]
-            steps = [s.numerator * (dy // s.denominator) for s in shares or ()]
+            m, d = mass.numerator, mass.denominator * dy ** (deg + 1) * q
+            if shares is not None:
+                steps = [s.numerator * (dy // s.denominator) for s in shares]
 
-            def cost(k, jb, ys):
-                return fns[k][jb](ys, dy)
+                def cost(k, jb, ys):
+                    return fns[k][jb](ys, dy)
 
         else:
-            ys, dy, steps = flows, 1, shares
+            ys, dy, m, d, steps = flows, 1, mass, None, shares
             table = [
                 [eval_cost(game, p.name, a, flow, state) for a in acts(p, mass)] or None for p in pops
             ]
+            if shares is not None:
 
-            def cost(k, jb, ys):
-                pop, b = pops[k].name, pops[k].actions[jb]
-                return _evaluate(_cost_fn(game, pop, b, state), ys, pop, b)
+                def cost(k, jb, ys):
+                    pop, b = pops[k].name, pops[k].actions[jb]
+                    return _evaluate(_cost_fn(game, pop, b, state), ys, pop, b)
 
-        dev = {}  # (k, a) -> costs under shares
-        for k, pop in enumerate(pops if mass != 0 and shares is not None else ()):
-            for ja, y in enumerate(flows[k] if table[k] else ()):
+        # terms mass y_a (c_a - c_b), or mass (sum y_j c_j - dy c_b) with dy
+        # putting c_b over the flows' denominator too; under shares c_b is
+        # read at the flow the deviator shifts
+        entries = [] if eq_rows is None else [(eq_rows[j], d or 1)]
+        for k, rows in plan if live else ():
+            c, yk = table[k], ys[k]
+            if coarse:
+                own = sum(y * cj for y, cj in zip(yk, c) if y != 0)
+                entries += [(r, m * (own - dy * c[jb])) for r, jb in rows]
+                continue
+            for ja, y in enumerate(yk):
                 if y != 0:
-                    if shares[k] > y:
-                        share, a = shares[k], pop.actions[ja]
-                        raise ValueError(f"player share {share} exceeds the flow {y} on {a!r}")
-                    dev[k, ja] = _deviation_costs(ys, k, ja, steps[k], table[k], cost)
-        d = mass.denominator * dy ** (deg + 1) * q if exact else None
-        head = [] if eq_rows is None else [(eq_rows[j], d or 1)]
-        columns.append((d, terms(head, offset, mass.numerator if exact else mass, ys, table, dev, dy)))
+                    if shares is not None:
+                        if shares[k] > flows[k][ja]:
+                            share, a, y = shares[k], pops[k].actions[ja], flows[k][ja]
+                            raise ValueError(f"player share {share} exceeds the flow {y} on {a!r}")
+                        c = _deviation_costs(ys, k, ja, steps[k], table[k], cost)
+                    my, ca = m * y, c[ja]
+                    entries += [(r, my * (ca - c[jb])) for r, jb in rows[ja]]
+        columns.append((d, entries))
         if social:
             total = 0
             for y, cj in zip(itertools.chain(*ys), itertools.chain(*table)):

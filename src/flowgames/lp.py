@@ -73,7 +73,7 @@ import math
 from fractions import Fraction
 
 from ._numpy import np
-from .model import _Record
+from .model import _Record, _floats
 
 PIVOT_TOL = 1e-10
 # consecutive degenerate exact pivots before pricing by Bland's rule alone
@@ -177,7 +177,7 @@ def _simplex_phase(basis, rows, den, cost, columns, float_a):
     its row while it sits at 0, so it stays at 0 once there.
     """
     total = len(columns)
-    float_cost = [float(v) for v in cost[:total]]
+    float_cost = _floats(cost[:total])
     if not isinstance(float_a, list):
         float_cost = np.array(float_cost)
     stalled = 0

@@ -619,9 +619,16 @@ def _check_states(game: GameSpec, table, what: str) -> None:
             raise ValueError(f"unknown state {s!r}")
 
 
+def _floats(values) -> list:
+    """``float(v)`` of each value. For an int or ``Fraction`` that is the
+    correctly rounded int division ``v.numerator / v.denominator``, here
+    taken directly rather than through ``numbers.Rational.__float__``."""
+    return [v.numerator / v.denominator if type(v) in (int, Fraction) else float(v) for v in values]
+
+
 def flow_sort_key(flow: FlowProfile) -> tuple:
     """Float key that orders profiles lexicographically by their entries."""
-    return tuple(tuple(map(float, vec)) for vec in flow.flows)
+    return tuple(tuple(_floats(vec)) for vec in flow.flows)
 
 
 def flow_linf(a: FlowProfile, b: FlowProfile) -> float:

@@ -740,20 +740,37 @@ def _affine_costs(game: GameSpec, state: str):
 
 def _gauss_jordan(rows: list) -> list | None:
     """The solution of the square system given as augmented Fraction rows,
-    or None when it is singular."""
+    or None when it is singular.
+
+    Fraction-free (Bareiss 1968): each row is scaled to integers by the lcm
+    of its denominators, and eliminating below the pivot (the first row with
+    a nonzero entry in the column; none means singular) divides every entry
+    exactly by the previous pivot, so the final pivot D is the scaled
+    system's determinant. Back substitution over D gives each unknown as
+    D x_i, an int, so the result is the same Fractions as Gauss-Jordan in
+    Fractions."""
     size = len(rows)
+    m = []
+    for row in rows:
+        scale = math.lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (scale // v.denominator) for v in row])
+    prev = 1
     for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        pivot = next((r for r in range(col, size) if m[r][col]), None)
         if pivot is None:
             return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        p = rows[col][col]
-        rows[col] = [v / p for v in rows[col]]
-        for r in range(size):
-            f = rows[r][col]
-            if r != col and f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return [row[-1] for row in rows]
+        m[col], m[pivot] = m[pivot], m[col]
+        top = m[col]
+        p = top[col]
+        for r in range(col + 1, size):
+            f = m[r][col]
+            m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], top)]
+        prev = p
+    x = [0] * size
+    for i in range(size - 1, -1, -1):
+        row = m[i]
+        x[i] = (prev * row[-1] - sum(row[j] * x[j] for j in range(i + 1, size))) // row[i]
+    return [Fraction(v, prev) for v in x]
 
 
 def _affine_equilibrium(game: GameSpec, costs, start: FlowProfile) -> FlowProfile | None:

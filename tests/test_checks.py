@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import flowgames as fg
+from flowgames.checks import _obedience_columns, _term_rows
 
 
 def flow1(*vals):
@@ -362,6 +363,16 @@ def test_obedience_rows_match_term_by_term_reference(name, request):
     for kwargs in ({}, {"coarse": True}, {"shares": shares}, {"shares": float_shares}):
         got = fg.obedience_rows(game, atoms, **kwargs)
         assert _typed(got) == _typed(_reference_rows(game, atoms, **kwargs)), kwargs
+    # the design LP's simplex columns: a head on each atom's equality row,
+    # the same terms after it, and each mass times its social cost
+    eq_rows = [game.states.index(s) for s, _, _ in atoms]
+    for kwargs in ({}, {"coarse": True}):
+        witnesses, columns, socials = _obedience_columns(game, atoms, eq_rows=eq_rows, **kwargs)
+        assert [col[0] for _, col in columns] == [(i, d or 1) for i, (d, _) in zip(eq_rows, columns)]
+        got = _term_rows(witnesses, columns, max(eq_rows) + 1)
+        assert _typed(got) == _typed(_reference_rows(game, atoms, **kwargs)), kwargs
+        want = [m * fg.social_cost(game, f, s) for s, m, f in atoms]
+        assert [(type(v), repr(v)) for v in socials] == [(type(v), repr(v)) for v in want]
     if name == "ints":
         # at (1, 0, 0) with mass 1, c_a = 1 and c_b = 0 are ints but c_c = 1
         # is a Fraction: a nonzero int term beside a Fraction one

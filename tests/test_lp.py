@@ -310,15 +310,21 @@ def _column_sum(terms) -> float:
 
 def test_row_pricing_is_the_column_sums_bit_for_bit(golden_lps, monkeypatch):
     # every Python pricing round of the golden LPs and of an LP with an
-    # all-zero column gives the reduced costs, and so the pick, of summing
-    # each column's entries in row order
-    image, price, columns, rounds = lp._float_image, lp._price, [], {}
+    # all-zero column prices at float(v) of each exact cost v and gives the
+    # reduced costs, and so the pick, of summing each column's entries in
+    # row order
+    image, price, phase, columns, rounds, exact = lp._float_image, lp._price, lp._simplex_phase, [], {}, []
 
     def imaged(cols, m):
         columns[:] = [[(i, k / d) for i, k in col] for d, col in cols]
         return image(cols, m)
 
+    def phased(basis, rows, den, cost, cols, float_a):
+        exact[:] = cost[: len(cols)]
+        return phase(basis, rows, den, cost, cols, float_a)
+
     def priced(y, cost, float_a):
+        assert [v.hex() for v in cost] == [float(v).hex() for v in exact], group
         reduced, j = price(y, cost, float_a)
         expected = [c - _column_sum(y[i] * a for i, a in col) for c, col in zip(cost, columns)]
         assert reduced == expected and j == expected.index(min(expected)), group
@@ -328,6 +334,7 @@ def test_row_pricing_is_the_column_sums_bit_for_bit(golden_lps, monkeypatch):
     monkeypatch.setattr(lp, "NUMPY_NNZ", 10**9)
     monkeypatch.setattr(lp, "_float_image", imaged)
     monkeypatch.setattr(lp, "_price", priced)
+    monkeypatch.setattr(lp, "_simplex_phase", phased)
     # column 1 has no entry
     zero = ("zero column", fg.exact_solve, (None, [2, 0, 1], [[1, 0, 1]], [1], [[1, 0, -1]], [F(1, 2)]))
     for group, solve, args in [*golden_lps, zero]:

@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,8 +28,10 @@ from flowgames.model import (
     ThetaVal,
     _Record,
     _round_outcome,
+    _trusted_profile,
     compile_cost,
     compile_int_cost,
+    flow_sort_key,
 )
 
 
@@ -456,6 +459,22 @@ def test_flow_profile_validation():
     # a sum beyond float range is named exactly, not an OverflowError
     with pytest.raises(ValueError, match=f"^population 0 flow sums to {10**400}, expected 1$"):
         fg.FlowProfile(((F(10**400), F(0)),))
+
+
+def test_flow_sort_key_is_the_float_of_each_entry():
+    # bit for bit float(v), for exact entries (the last Fraction's
+    # float(n) / float(d) is one ulp off) and for entries that are floats
+    flow = _trusted_profile(
+        (
+            (F(1, 3), F(10**20 + 1, 3), F(-7, 10**30), F(11652879636272361973, 942963041298901727)),
+            (1, 0, 10**20 + 1),
+            (0.1, 2.5e-300, -0.0),
+            (np.float64(1) / 3, np.float64(0.7), np.float64(0)),
+        )
+    )
+    want = tuple(tuple(map(float, vec)) for vec in flow.flows)
+    got = flow_sort_key(flow)
+    assert [[(type(v), v.hex()) for v in vec] for vec in got] == [[(float, v.hex()) for v in vec] for vec in want]
 
 
 def test_outcome_atoms_get_canonical_order():

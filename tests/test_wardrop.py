@@ -1,5 +1,7 @@
+import collections
 import itertools
 import json
+import random
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -22,6 +24,7 @@ from flowgames.wardrop import (
     _affine_costs,
     _affine_equilibrium,
     _brent_root,
+    _gauss_jordan,
     _lattice_scores,
     _population_grids,
     _PotentialCore,
@@ -735,6 +738,52 @@ def test_affine_polish_is_the_exact_potential_minimizer():
     assert _affine_costs(random_congestion_game(1, n_actions=3, quadratic=True), "0") is None
     two = random_congestion_game(0, n_actions=2, n_pops=2)
     assert _affine_equilibrium(two, _affine_costs(two, "0"), fg.uniform_flow(two)) is None
+
+
+def _reference_gauss_jordan(rows):
+    # Gauss-Jordan in Fractions, normalizing each pivot row
+    size = len(rows)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        p = rows[col][col]
+        rows[col] = [v / p for v in rows[col]]
+        for r in range(size):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [row[-1] for row in rows]
+
+
+def test_fraction_free_elimination_matches_gauss_jordan_in_fractions():
+    # seeded random square systems of size 1-6, sparse enough that pivots
+    # need row swaps, with duplicate rows and zero columns mixed in: the same
+    # Fractions, or None exactly where Gauss-Jordan finds a zero column
+    rng = random.Random(0)
+    kinds = collections.Counter()
+    for _ in range(3000):
+        size = rng.randint(1, 6)
+        rows = [
+            [F(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.6 else F(0) for _ in range(size + 1)]
+            for _ in range(size)
+        ]
+        if size > 1 and rng.random() < 0.15:
+            rows[rng.randrange(size)] = list(rows[rng.randrange(size)])
+        if rng.random() < 0.1:
+            col = rng.randrange(size)
+            for row in rows:
+                row[col] = F(0)
+        want = _reference_gauss_jordan([list(row) for row in rows])
+        got = _gauss_jordan([list(row) for row in rows])
+        assert (got is None) == (want is None), rows
+        if want is not None:
+            assert [(type(v), v) for v in got] == [(type(v), v) for v in want], rows
+            kinds["swapped" if rows[0][0] == 0 else "solved"] += 1
+        else:
+            kinds["singular"] += 1
+    assert min(kinds["swapped"], kinds["solved"], kinds["singular"]) >= 100, kinds
 
 
 def test_one_support_repair(monkeypatch):
