@@ -17,6 +17,7 @@ inputs produce exact rational outputs, float inputs produce floats.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 from collections.abc import Mapping
@@ -582,8 +583,9 @@ def _trusted_profile(flows: tuple) -> FlowProfile:
 
 
 def _check_tol(tol) -> None:
-    """Raise ValueError unless ``tol`` is a finite positive number."""
-    if not (math.isfinite(tol) and tol > 0):
+    """Raise ValueError unless ``tol`` is a finite positive real number; a
+    bool is refused, not read as 1 or 0."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive")
 
 

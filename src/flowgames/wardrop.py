@@ -131,6 +131,18 @@ def _horner(terms, loads):
     return acc
 
 
+def _newton_matrix(a0, msub, eq, dvals):
+    """A copy of the Newton matrix ``a0`` with its equal-cost rows filled:
+    the Hessian rows of j less those of base over the support's incidence
+    columns ``msub``, given the latency derivatives ``dvals`` (see
+    :meth:`_PotentialCore._newton_plan` for ``eq``)."""
+    eq_rows, jpos, bpos, _jvar, _bvar = eq
+    hess = msub.T @ (dvals[:, None] * msub)
+    a = a0.copy()
+    a[eq_rows] = hess[jpos] - hess[bpos]
+    return a
+
+
 def _brent_root(f, a, b, fa, fb):
     """Root of f on [a, b] by Brent's method, given fa = f(a) and fb = f(b).
 
@@ -242,9 +254,11 @@ class _PotentialCore:
 
     The core keeps no solver state between solves. It caches, per Newton
     support, the index arrays and constant rows that :meth:`_solve_support`
-    reads (see :meth:`_newton_plan`); they derive from ``incidence`` and the
-    support alone, so a solve returns the same floats whatever was solved on
-    the core before.
+    reads (see :meth:`_newton_plan`), and on an affine core (one derivative
+    column, a constant Hessian) the whole system matrix's least-squares
+    inverse; they derive from ``incidence``, the latencies and the support
+    alone, so a solve returns the same floats whatever was solved on the core
+    before.
     """
 
     def __init__(self, incidence, polys, blocks, masses):
@@ -323,7 +337,7 @@ class _PotentialCore:
     def _newton_plan(self, support):
         """The parts of the Newton system on ``support`` (one ascending list
         of variables per block) that do not depend on the point, built once
-        per support and kept on the core.
+        per support and kept on the core; None if the plan cannot be built.
 
         The system has one row per support variable, and a block's rows are
         numbered as its variables' positions in the flattened support
@@ -332,8 +346,13 @@ class _PotentialCore:
         variables. The plan holds ``index``, the incidence columns over it,
         the system matrix with only the mass rows filled, the equal-cost
         rows' numbers with the positions of j and base in ``index`` and
-        among all variables, the mass rows' numbers, and each block's
-        [start, end) span of ``index``.
+        among all variables, the mass rows' numbers, each block's [start,
+        end) span of ``index``, and ``inverse``. On an affine core every row
+        is constant, so the matrix is filled here and ``inverse`` is its
+        least-squares inverse, ``lstsq(a, I)``: the same SVD and rank cutoff
+        as ``lstsq(a, b)``, so ``inverse @ b`` is its step up to rounding.
+        Otherwise ``inverse`` is None and the equal-cost rows are filled per
+        point.
         """
         key = tuple(map(tuple, support))
         plan = self._plans.get(key)
@@ -350,13 +369,31 @@ class _PotentialCore:
                 start = end
             eq = np.array(eq, dtype=np.intp).reshape(-1, 5).T
             mass_rows = np.array([end - 1 for _start, end in spans], dtype=np.intp)
-            plan = self._plans[key] = (index, self.m[:, index], a, eq, mass_rows, spans)
+            msub = self.m[:, index]
+            inverse = None
+            if len(self.dterms) == 1:
+                a = _newton_matrix(a, msub, eq, self.dterms[0])
+                try:
+                    inverse = np.linalg.lstsq(a, np.eye(len(index)), rcond=None)[0]
+                except np.linalg.LinAlgError:
+                    return None
+            plan = self._plans[key] = (index, msub, a, eq, mass_rows, spans, inverse)
         return plan
 
     def _solve_support(self, support, x):
+        """Newton steps from ``x`` to the point where each block's support
+        costs the same and carries its mass, at most 60 of them; None when
+        a step cannot be solved. A step is the least-squares solution of the
+        support's system (:meth:`_newton_plan`): its kept inverse times the
+        right-hand side on an affine core, else ``lstsq`` on the rows
+        rebuilt from the Hessian at each point."""
         if not any(support):
             return None
-        index, msub, a0, (eq_rows, jpos, bpos, jvar, bvar), mass_rows, spans = self._newton_plan(support)
+        plan = self._newton_plan(support)
+        if plan is None:
+            return None
+        index, msub, a0, eq, mass_rows, spans, inverse = plan
+        eq_rows, _jpos, _bpos, jvar, bvar = eq
         sub = np.asarray(x, dtype=float)[index]
 
         def embed(values):
@@ -368,10 +405,6 @@ class _PotentialCore:
             y = embed(sub)
             loads = self.m @ y
             g = self.mt @ _horner(self.terms, loads)
-            dvals = _horner(self.dterms, loads)
-            hess = msub.T @ (dvals[:, None] * msub)
-            a = a0.copy()
-            a[eq_rows] = hess[jpos] - hess[bpos]
             b = np.empty(len(index))
             b[eq_rows] = -(g[jvar] - g[bvar])
             subs = sub.tolist()
@@ -379,10 +412,14 @@ class _PotentialCore:
             b[mass_rows] = self.masses - [sum(subs[lo:hi]) for lo, hi in spans]
             if np.abs(b).max() < 1e-14:
                 return y
-            try:
-                step, *_ = np.linalg.lstsq(a, b, rcond=None)
-            except np.linalg.LinAlgError:
-                return None
+            if inverse is not None:
+                step = inverse @ b
+            else:
+                a = _newton_matrix(a0, msub, eq, _horner(self.dterms, loads))
+                try:
+                    step, *_ = np.linalg.lstsq(a, b, rcond=None)
+                except np.linalg.LinAlgError:
+                    return None
             sub = sub + step
             if np.abs(step).max() < 1e-15:
                 return embed(sub)

@@ -558,7 +558,7 @@ def test_probe_refuses_trials_that_are_not_ints(trials):
         fg.bwe_cost_uniqueness_probe(game, random_structure(game, 0), trials=trials)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6, True, "1e-8"])
 def test_bwe_solvers_need_a_finite_positive_tol(tol):
     game = random_congestion_game(0, n_actions=2, n_states=2)
     structure = random_structure(game, 0)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowgames as fg
+from flowgames import infostruct
 from flowgames.generators import (
     full_disclosure_outcome,
     random_congestion_game,
@@ -438,7 +439,7 @@ def test_enumerate_stops_on_a_continuum_with_no_lattice_equilibrium(monkeypatch)
     assert all(fg.verify_we(game, f, "0") <= 1e-6 for f in flows)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6, True, "1e-8"])
 def test_solvers_need_a_finite_positive_tol(tol, elfarol, pigou_network):
     # a nan tol passed every "tol <= 0" guard and every "violation > tol" filter
     start = fg.uniform_flow(elfarol)
@@ -836,6 +837,114 @@ def test_support_repair_gives_up():
     solves.clear()
     assert repair([(0, 2)], start, costs, cycling, settle, (0, 0, 0, 0)) is None
     assert solves == [[[0, 1]], [[0]]] * 3
+
+
+def _counting_lstsq(monkeypatch):
+    """Wrap ``np.linalg.lstsq``; returns the list of right-hand sides it was called with."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(a, b, rcond=None):
+        calls.append(b)
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+def test_affine_cores_factor_each_support_once(monkeypatch):
+    # on affine latencies the Newton system of a support is the same at every
+    # point: one lstsq per support plan, for its inverse, however many
+    # solves and rounds reuse it
+    calls = _counting_lstsq(monkeypatch)
+    solves = []
+    solve_support = _PotentialCore._solve_support
+
+    def counted(self, support, x):
+        solves.append(support)
+        return solve_support(self, support, x)
+
+    monkeypatch.setattr(_PotentialCore, "_solve_support", counted)
+    game = random_congestion_game(3, n_actions=3, n_states=2)
+    structure = random_structure(game, 302)
+    blocks, core, _plan = infostruct._bwe_setup(game, structure)
+    rng = random.Random(5)
+    for _ in range(20):
+        start = fg.StrategyProfile(
+            tuple(
+                tuple(
+                    tuple(gamma * F(w, sum(raw)) for w in raw)
+                    for raw in ([rng.randint(1, 9) for _ in range(3)] for _ in types)
+                )
+                for gamma, types in zip(structure.sizes, structure.type_sets)
+            )
+        )
+        infostruct._bwe_solve(game, structure, blocks, core, 1e-9, start)
+    assert len(solves) > len(core._plans) > 1
+    assert len(calls) == len(core._plans)
+    assert all(b.shape == (len(plan[0]), len(plan[0])) for b, plan in zip(calls, core._plans.values()))
+    assert all(plan[-1] is not None for plan in core._plans.values())
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3])
+def test_higher_degree_cores_solve_each_newton_round(monkeypatch, seed):
+    # a quadratic latency's Hessian moves with the point: no inverse is kept,
+    # and each Newton round solves its own right-hand side (the seeds'
+    # equilibria have two or three actions in use)
+    calls = _counting_lstsq(monkeypatch)
+    game = random_congestion_game(seed, 3, quadratic=True)
+    core = _spec_core(game.congestion, "0")
+    for r in range(4):
+        core.minimize(_vector_of(random_flow(game, r)), 1e-12, 100)
+    assert len(calls) > len(core._plans) >= 1
+    assert all(b.ndim == 1 for b in calls)
+    assert all(plan[-1] is None for plan in core._plans.values())
+
+
+def _assert_inverse_solves_like_lstsq(core, plan, rng):
+    """The plan's system matrix is the Jacobian of its equal-cost and mass
+    rows, read off the core's costs, and its kept inverse times a right-hand
+    side is lstsq's solution."""
+    index, _msub, a, (eq_rows, _jpos, _bpos, jvar, bvar), mass_rows, spans, inverse = plan
+    base = core.costs(np.zeros(core.n))
+    jac = np.array([core.costs(np.eye(core.n)[i]) - base for i in range(core.n)]).T
+    ref = np.zeros_like(a)
+    ref[eq_rows] = (jac[jvar] - jac[bvar])[:, index]
+    for row, (lo, hi) in zip(mass_rows, spans):
+        ref[row, lo:hi] = 1.0
+    assert np.allclose(a, ref, rtol=0, atol=1e-12)
+    for _ in range(5):
+        b = rng.uniform(-2.0, 2.0, len(index))
+        want = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.abs(inverse @ b - want).max() <= 1e-12 * (1 + np.abs(b).max())
+
+
+def test_kept_inverse_solves_like_lstsq(monkeypatch):
+    cores = []
+    setup = infostruct._bwe_setup
+
+    def kept(game, structure):
+        out = setup(game, structure)
+        cores.append(out[1])
+        return out
+
+    monkeypatch.setattr(infostruct, "_bwe_setup", kept)
+    # the 30 probe structures of acceptance criterion 8
+    for g in range(1, 20, 2):
+        game = random_congestion_game(g, n_actions=2 + g % 2, n_states=1 + g % 2)
+        for s in range(3):
+            fg.bwe_cost_uniqueness_probe(game, random_structure(game, 100 * g + s), trials=20, tol=1e-9)
+    rng = np.random.default_rng(0)
+    plans = [(core, plan) for core in cores for plan in core._plans.values()]
+    assert len(cores) == 30 and len(plans) >= 30
+    for core, plan in plans:
+        _assert_inverse_solves_like_lstsq(core, plan, rng)
+    # two populations sharing every edge: a continuum of equilibria, and a
+    # rank-deficient system on the full support
+    core = _spec_core(random_congestion_game(0, n_actions=2, n_pops=2).congestion, "0")
+    plan = core._newton_plan([[0, 1], [2, 3]])
+    assert np.linalg.matrix_rank(plan[2]) < len(plan[0])
+    _assert_inverse_solves_like_lstsq(core, plan, rng)
 
 
 def test_state_equilibria_lists_each_equilibrium_once():
