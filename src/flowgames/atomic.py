@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .checks import CheckReport, check_bce_flowlevel, check_bcwe
-from .lp import exact_solve
+from .lp import _column_solve
 from .model import (
     FlowProfile,
     GameSpec,
@@ -155,8 +155,10 @@ class SymmetricBCE(_Record):
         for atoms in self.outcome.per_state.values():
             for flow, _ in atoms:
                 for nk, vec in zip(self.n, flow.flows):
-                    if any(nk * y != int(nk * y) for y in vec):
-                        raise ValueError(f"flow {flow.flows!r} is not a count vector over {nk}")
+                    for y in vec:  # an exact y = p/q: is n_k p a multiple of q?
+                        exact = type(nk) is int and type(y) in (int, Fraction)
+                        if (nk * y.numerator) % y.denominator if exact else nk * y != int(nk * y):
+                            raise ValueError(f"flow {flow.flows!r} is not a count vector over {nk}")
 
 
 def construct_eps_bce(agame: AtomicGame, outcome: Outcome) -> SymmetricBCE:
@@ -265,7 +267,8 @@ def _w1(atoms1, atoms2) -> float:
     A one-atom side forces the plan. Otherwise the transport LP drops its
     last demand row and starts from the northwest-corner basis, whose last
     column takes whatever supply is left: float weights that sum to 1 only
-    within ``MASS_TOL`` stay feasible.
+    within ``MASS_TOL`` stay feasible. :func:`lp._column_solve` takes route
+    i -> j as the unit column on rows i and n1 + j (none for the last j).
     """
     n1, n2 = len(atoms1), len(atoms2)
     if n1 == 0 or n2 == 0:
@@ -289,16 +292,23 @@ def _w1(atoms1, atoms2) -> float:
         else:
             demand[j] -= supply[i]
             i += 1
-    rows = [[int(k // n2 == i) for k in range(n1 * n2)] for i in range(n1)]
-    rows += [[int(k % n2 == j) for k in range(n1 * n2)] for j in range(n2 - 1)]
+    columns = [(1, [(i, 1), (n1 + j, 1)] if j < n2 - 1 else [(i, 1)]) for i in range(n1) for j in range(n2)]
     weights = [w for _, w in atoms1] + [w for _, w in atoms2[:-1]]
-    return max(0.0, float(exact_solve(basis, cost, rows, weights).objective))
+    return max(0.0, float(_column_solve(basis, cost, columns, weights, 0).objective))
 
 
 def _linf(a: FlowProfile, b: FlowProfile) -> Fraction:
-    """Exact sup-norm distance between two profiles with the same shape."""
-    pairs = (xy for va, vb in zip(a.flows, b.flows, strict=True) for xy in zip(va, vb, strict=True))
-    return max(abs(Fraction(x) - Fraction(y)) for x, y in pairs)
+    """Exact sup-norm distance between two profiles with the same shape,
+    compared by int cross-multiplication; a float entry is read exactly."""
+    top, bottom = 0, 1
+    for va, vb in zip(a.flows, b.flows, strict=True):
+        for x, y in zip(va, vb, strict=True):
+            if type(x) not in (int, Fraction) or type(y) not in (int, Fraction):
+                x, y = Fraction(x), Fraction(y)
+            gap, den = abs(x.numerator * y.denominator - y.numerator * x.denominator), x.denominator * y.denominator
+            if gap * bottom > top * den:
+                top, bottom = gap, den
+    return Fraction(top, bottom)
 
 
 class ConvergenceRow(_Record):

@@ -24,6 +24,7 @@ from .model import (
     _check_states,
     _check_tol,
     _check_unit,
+    _floats,
     _round_outcome,
     _shown,
     eval_cost,
@@ -258,7 +259,9 @@ def direct_structure_from_bcwe(
     over the cyclic rotations of the blocks so every sub-population sees the
     same conditional recommendation frequencies. Strategies are obedient.
     Returns the realized obedience violation, which is exactly zero whenever
-    every support flow has denominators dividing ``denominator``.
+    every support flow has denominators dividing ``denominator``. Each distinct
+    rotation is made once: blocks of two or more actions have ``denominator``,
+    and a one-action flow has one, which carries all of w.
 
     Under rotation each sub-population hears a with probability
     prior * w * y^_a, so the violation is the rounded outcome's worst pairwise
@@ -275,17 +278,23 @@ def direct_structure_from_bcwe(
     rounded = _round_outcome(game, outcome, (k_count,))[0]
     kernel = {}
     for state in game.states:
-        bucket = {}
+        items = []  # rounded flows differ in their counts, so no two share a profile
         for flow, w in rounded.per_state[state]:
             if w == 0:
                 continue
-            base = [a for a, y in zip(actions, flow.flows[0]) for _ in range(int(y * k_count))]
-            rotations = range(k_count) if symmetrize else (0,)
+            base = tuple(a for a, y in zip(actions, flow.flows[0]) for _ in range(int(y * k_count)))
             mass = w * Fraction(1, k_count) if symmetrize else w
-            for r in rotations:
-                profile = tuple(base[k_count - r :] + base[: k_count - r])
-                bucket[profile] = bucket.get(profile, 0) + mass
-        kernel[state] = tuple(sorted(bucket.items()))
+            if symmetrize and base.count(base[0]) < k_count:
+                doubled = base * 2
+                items += [(doubled[k_count - r : 2 * k_count - r], mass) for r in range(k_count)]
+            elif symmetrize and type(mass) is Fraction:
+                items.append((base, mass * k_count))
+            else:  # one profile: 0 + w, or the k_count float masses added one by one
+                total = 0
+                for _ in range(k_count if symmetrize else 1):
+                    total = total + mass
+                items.append((base, total))
+        kernel[state] = tuple(sorted(items))
     structure = InformationStructure(sizes, type_sets, kernel)
     n = len(actions)
     obedient = tuple(tuple(sizes[0] if j == ja else Fraction(0) for j in range(n)) for ja in range(n))
@@ -364,39 +373,34 @@ def _bwe_setup(game: GameSpec, structure: InformationStructure):
 
 def _bwe_solve(game, structure, blocks, core, tol, start) -> StrategyProfile:
     actions = game.populations[0].actions
+    float_sizes = _floats(structure.sizes)
     if start is None:
         x0 = np.concatenate(
             [
-                np.full(len(actions), float(structure.sizes[k]) / len(actions))
+                np.full(len(actions), float_sizes[k] / len(actions))
                 for k, _ in blocks
             ]
         )
     else:
-        x0 = np.array(
-            [
-                float(start.strategies[k][ti][j])
-                for k, ti in blocks
-                for j in range(len(actions))
-            ]
-        )
+        x0 = np.array(_floats(start.strategies[k][ti][j] for k, ti in blocks for j in range(len(actions))))
     x, _iters = core.minimize(x0, tol, 400)
     out = []
     pos = {blk: i for i, blk in enumerate(blocks)}
     for k in range(structure.population_count()):
-        gamma = structure.sizes[k]
+        gamma, float_gamma = structure.sizes[k], float_sizes[k]
         block_vecs = []
         for ti in range(len(structure.type_sets[k])):
             total = 0  # a block with no solved mass puts all of gamma on its first action
             if (k, ti) in pos and gamma > 0:
                 lo = pos[(k, ti)] * len(actions)
                 vec = np.maximum(x[lo : lo + len(actions)], 0.0)
-                vec[vec < 1e-9 * float(gamma)] = 0.0
+                vec[vec < 1e-9 * float_gamma] = 0.0
                 total = vec.sum()
             if total > 0:
-                vec = vec * (float(gamma) / total)
+                vec = vec * (float_gamma / total)
             else:
                 vec = np.zeros(len(actions))
-                vec[0] = float(gamma)
+                vec[0] = float_gamma
             block_vecs.append(tuple(vec.tolist()))
         out.append(tuple(block_vecs))
     return StrategyProfile(tuple(out))
@@ -439,12 +443,13 @@ def bwe_cost_uniqueness_probe(
     pop = _require_single_population(game)
     actions = pop.actions
     blocks, core, plan = _bwe_setup(game, structure)
+    float_sizes = _floats(structure.sizes)
     runs = []  # (solved strategies, aggregate flows, conditional costs)
     worst_violation = 0.0
     for _ in range(trials):
         start_blocks = []
         for k in range(structure.population_count()):
-            gamma = float(structure.sizes[k])
+            gamma = float_sizes[k]
             vecs = []
             for _t in structure.type_sets[k]:
                 raw = [rng.random() + 1e-3 for _ in actions]

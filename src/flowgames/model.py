@@ -688,12 +688,20 @@ def _largest_remainder_counts(vector, denominator: int) -> list[int]:
     Each entry gets the floor of its scaled value (negatives count as 0),
     and the shortfall goes to the largest remainders, ties to the smaller
     index. An entry a rounding error below an integer has a remainder near
-    1 and so is raised to that integer before any other.
+    1 and so is raised to that integer before any other. A vector of ints and
+    ``Fraction``s is scaled as :func:`_int_flows` numerators, by int division.
     """
-    scaled = [v * denominator for v in vector]
-    counts = [max(math.floor(s), 0) for s in scaled]
-    remainders = sorted(range(len(vector)), key=lambda j: (-(scaled[j] - counts[j]), j))
-    for j in remainders[: denominator - sum(counts)]:
+    if all(type(v) in (int, Fraction) for v in vector):
+        (nums,), d = _int_flows((vector,))
+        scaled = [k * denominator for k in nums]
+        counts = [max(s // d, 0) for s in scaled]
+        remainders = [s - c * d for s, c in zip(scaled, counts)]
+    else:
+        scaled = [v * denominator for v in vector]
+        counts = [max(math.floor(s), 0) for s in scaled]
+        remainders = [s - c for s, c in zip(scaled, counts)]
+    order = sorted(range(len(vector)), key=lambda j: (-remainders[j], j))
+    for j in order[: denominator - sum(counts)]:
         counts[j] += 1
     return counts
 
@@ -706,25 +714,42 @@ def _round_outcome(game: GameSpec, outcome: Outcome, counts) -> tuple[Outcome, o
     :func:`_largest_remainder_counts` (y, n_k) / n_k, exact. Flows that round
     alike merge, their weights summed, zero weights included. An outcome
     missing a state of ``game`` or holding another raises ValueError.
+    Exact entries are rounded in ints (a ``Fraction``'s gap by int
+    cross-products) and flows merge by their counts, with one ``Fraction`` per
+    count and one for delta; a float entry's gap is the float c / n_k - y.
     """
     _check_states(game, outcome.per_state, "outcome")
-    delta = 0
+    delta = 0  # the first largest gap; an exact one is held as (numerator, denominator)
+    shares = [{} for _ in counts]  # per population, c -> Fraction(c, n_k)
     per_state = {}
     for state in game.states:
         merged = {}
         for flow, w in outcome.per_state[state]:
             key = []
-            for nk, vec in zip(counts, flow.flows):
+            for nk, vec, share in zip(counts, flow.flows, shares):
                 cnt = _largest_remainder_counts(vec, nk)
-                key.append(tuple(Fraction(c, nk) for c in cnt))
+                key.append(tuple(cnt))
+                share.update((c, Fraction(c, nk)) for c in cnt if c not in share)
                 for c, v in zip(cnt, vec):
-                    gap = abs(Fraction(c, nk) - v if isinstance(v, Fraction) else c / nk - v)
-                    if gap > delta:
-                        delta = gap
+                    if type(v) is Fraction:
+                        q = v.denominator
+                        gap, den = abs(c * q - v.numerator * nk), q * nk
+                        top, bottom = delta if type(delta) is tuple else delta.as_integer_ratio()
+                        if gap * bottom > top * den:
+                            delta = (gap, den)
+                    elif type(v) is not int or c != v * nk:
+                        if type(delta) is tuple:
+                            delta = Fraction(*delta)
+                        gap = abs(Fraction(c, nk) - v if isinstance(v, Fraction) else c / nk - v)
+                        if gap > delta:
+                            delta = gap
             key = tuple(key)
             merged[key] = merged.get(key, 0) + w
-        per_state[state] = tuple((_trusted_profile(key), w) for key, w in merged.items())
-    return Outcome(per_state), delta
+        per_state[state] = tuple(
+            (_trusted_profile(tuple(tuple(map(share.__getitem__, cnt)) for cnt, share in zip(key, shares))), w)
+            for key, w in merged.items()
+        )
+    return Outcome(per_state), Fraction(*delta) if type(delta) is tuple else delta
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 import flowgames as fg
+from flowgames import atomic
 from flowgames.generators import random_congestion_game, random_outcome
-from flowgames.model import eval_cost
+from flowgames.model import _trusted_profile, eval_cost
 
 
 def flow1(*vals):
@@ -275,6 +276,22 @@ def test_symmetric_bce_flows_must_be_counts():
     with pytest.raises(ValueError, match="not a count vector over 3"):
         fg.SymmetricBCE(outcome, (3,), 0, 0)
     assert fg.SymmetricBCE(outcome, (4,), 0, 0).n == (4,)
+    # an exact y = p/q is whole under n_k when q divides n_k p; the float
+    # test n_k y == int(n_k y) decides the same on every other input
+    rng = random.Random(42)
+    for _ in range(2000):
+        nk, q = rng.randint(1, 40), rng.randint(1, 40)
+        vec = (F(rng.randint(0, q), q),)
+        vec = vec + (1 - vec[0],)
+        for entries in (vec, tuple(int(v) if v.denominator == 1 else v for v in vec), tuple(map(float, vec))):
+            flow = fg.FlowProfile((entries,))
+            whole = all(nk * y == int(nk * y) for y in entries)
+            try:
+                fg.SymmetricBCE(fg.Outcome({"0": ((flow, 1),)}), (nk,), 0, 0)
+            except ValueError:
+                assert not whole, (entries, nk)
+            else:
+                assert whole, (entries, nk)
 
 
 def test_flowlevel_reports_missing_state(pigou_info):
@@ -432,6 +449,30 @@ def test_wasserstein_from_one_atom_is_forced():
     spread = [(flow1(F(1, 2), F(1, 2)), F(1, 3)), (flow1(0, 1), F(2, 3))]
     # all mass moves to (or from) the one atom: 1/3 * 1/2 + 2/3 * 1
     assert _w1(point, spread) == _w1(spread, point) == 5 / 6
+
+
+def test_linf_is_the_fraction_sup_norm():
+    # the integer cross-products give the largest |x - y| as the one
+    # Fraction the entry-by-entry Fraction differences give, float entries
+    # read exactly
+    rng = random.Random(43)
+
+    def entry(kind):
+        v = F(rng.randint(0, 60), rng.choice([1, 2, 3, 7, 12, 60, 10**15]))
+        if kind == "float":
+            return float(v)
+        return int(v) if kind == "int" and v.denominator == 1 else v
+
+    for _ in range(2000):
+        shape = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        kinds = [rng.choice(["exact", "int", "float"]) for _ in "ab"]
+        a, b = ([[entry(kind) for _ in range(n)] for n in shape] for kind in kinds)
+        got = atomic._linf(_trusted_profile(a), _trusted_profile(b))
+        pairs = [(x, y) for va, vb in zip(a, b) for x, y in zip(va, vb)]
+        want = max(abs(F(x) - F(y)) for x, y in pairs)
+        assert type(got) is F and got == want, (a, b)
+    with pytest.raises(ValueError):
+        atomic._linf(flow1(1, 0), fg.FlowProfile(((F(1, 3), F(1, 3), F(1, 3)),)))
 
 
 def test_convergence_run_elfarol(elfarol, elfarol_cwe):

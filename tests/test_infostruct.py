@@ -10,7 +10,7 @@ import pytest
 import flowgames as fg
 from flowgames import infostruct, wardrop
 from flowgames.generators import random_bcwe, random_congestion_game, random_structure
-from flowgames.model import CongestionSpec, Population
+from flowgames.model import CongestionSpec, Population, _round_outcome
 
 
 def flow1(*vals):
@@ -344,6 +344,56 @@ def test_rotated_eps_costs_no_kernel_atom(elfarol, elfarol_cwe, monkeypatch):
         assert eps >= 0
     with pytest.raises(AssertionError, match="a kernel atom was costed"):
         fg.direct_structure_from_bcwe(elfarol, elfarol_cwe, 3, symmetrize=False)
+
+
+def _rotation_kernel(game, outcome, denominator, symmetrize):
+    # the literal rotation loop the kernel replaced: every one of the
+    # denominator rotations of each rounded flow's blocks, hashed and summed
+    rounded = _round_outcome(game, outcome, (denominator,))[0]
+    actions, kernel = game.populations[0].actions, {}
+    for state in game.states:
+        bucket = {}
+        for flow, w in rounded.per_state[state]:
+            if w == 0:
+                continue
+            base = [a for a, y in zip(actions, flow.flows[0]) for _ in range(int(y * denominator))]
+            mass = w * F(1, denominator) if symmetrize else w
+            for r in range(denominator) if symmetrize else (0,):
+                profile = tuple(base[denominator - r :] + base[: denominator - r])
+                bucket[profile] = bucket.get(profile, 0) + mass
+        kernel[state] = tuple(sorted(bucket.items()))
+    return kernel
+
+
+def test_direct_structure_kernel_is_the_rotation_loop():
+    # one, two and three actions per flow, exact and float weights, d = 1..64:
+    # the kernel keeps every profile, weight and weight type
+    game = random_congestion_game(0, n_actions=3, n_states=2)
+    exact = fg.Outcome(
+        {
+            "0": ((flow1(1, 0, 0), F(1, 3)), (flow1(F(1, 2), F(1, 2), 0), F(1, 3)), (flow1(F(1, 5), F(2, 5), F(2, 5)), F(1, 3))),
+            "1": ((flow1(0, 0, 1), F(3, 4)), (flow1(0, F(1, 3), F(2, 3)), F(1, 4))),
+        }
+    )
+    floats = fg.Outcome(
+        {
+            "0": ((flow1(0, 1, 0), 0.1), (flow1(F(1, 7), 0, F(6, 7)), 0.9)),
+            "1": ((fg.FlowProfile(((0, 0, 1),)), 0.3), (flow1(F(1, 3), F(1, 3), F(1, 3)), 0.7)),
+        }
+    )
+    for outcome in (exact, floats):
+        for denominator in range(1, 65):
+            for symmetrize in (True, False):
+                structure = fg.direct_structure_from_bcwe(game, outcome, denominator, symmetrize)[0]
+                want = _rotation_kernel(game, outcome, denominator, symmetrize)
+                got = structure.kernel
+                assert got == want, (denominator, symmetrize)
+                assert [type(w) for s in game.states for _, w in got[s]] == [
+                    type(w) for s in game.states for _, w in want[s]
+                ]
+                if outcome is exact and symmetrize and denominator > 1:
+                    # a flow of two or more actions has one profile per rotation
+                    assert len(got["0"]) == 1 + 2 * denominator
 
 
 def test_aggregate_flow_keeps_int_entries():

@@ -238,7 +238,7 @@ def simplex_certificates(solves=None) -> dict:
     with mock.patch.object(design, "_column_solve", gaps):
         for seed, n_actions, resolution in ((0, 2, 8), (1, 2, 16), (2, 3, 8)):
             fg.ccwe_grid_gap(random_congestion_game(seed, n_actions=n_actions), "0", resolution)
-    with mock.patch.object(atomic, "exact_solve", recording(atomic.exact_solve, "w1")):
+    with mock.patch.object(atomic, "_column_solve", recording(atomic._column_solve, "w1")):
         elfarol = fg.parse_game_file(bundled_text("elfarol.game"))
         outcome = fg.parse_outcome_file(bundled_text("elfarol_cwe.outcome"), elfarol)
         fg.convergence_run(elfarol, outcome, (5, 7, 9, 11, 13))

@@ -26,6 +26,7 @@ from flowgames.model import (
     StateCoef,
     Sub,
     ThetaVal,
+    _largest_remainder_counts,
     _Record,
     _round_outcome,
     _trusted_profile,
@@ -693,6 +694,117 @@ def test_round_outcome_properties(case):
     # a rounded outcome is on the 1/n_k lattice and comes back unchanged
     if exact:
         assert _round_outcome(game, rounded, counts) == (rounded, 0)
+
+
+def _fraction_counts(vector, denominator):
+    # the largest-remainder rule on the entries as they are (Fraction
+    # arithmetic for exact ones), the code the integer kernel replaced
+    scaled = [v * denominator for v in vector]
+    counts = [max(math.floor(s), 0) for s in scaled]
+    remainders = sorted(range(len(vector)), key=lambda j: (-(scaled[j] - counts[j]), j))
+    for j in remainders[: denominator - sum(counts)]:
+        counts[j] += 1
+    return counts
+
+
+def _fraction_round_outcome(game, outcome, counts):
+    # the entry-by-entry rounding that the integer kernel replaced: a
+    # Fraction per entry and gap, and a float gap for every other entry
+    delta, per_state = 0, {}
+    for state in game.states:
+        merged = {}
+        for flow, w in outcome.per_state[state]:
+            key = []
+            for nk, vec in zip(counts, flow.flows):
+                cnt = _fraction_counts(vec, nk)
+                key.append(tuple(F(c, nk) for c in cnt))
+                for c, v in zip(cnt, vec):
+                    gap = abs(F(c, nk) - v if isinstance(v, F) else c / nk - v)
+                    if gap > delta:
+                        delta = gap
+            key = tuple(key)
+            merged[key] = merged.get(key, 0) + w
+        per_state[state] = tuple((_trusted_profile(key), w) for key, w in merged.items())
+    return fg.Outcome(per_state), delta
+
+
+def test_largest_remainder_counts_are_the_fraction_rule():
+    # ties go to the smaller index, a negative entry counts as 0 and ranks
+    # last, an entry just below an integer is raised to it first, and a
+    # float vector keeps its float arithmetic
+    assert _largest_remainder_counts([F(1, 3)] * 3, 2) == [1, 1, 0]
+    assert _largest_remainder_counts([F(-1, 2), F(1, 4), F(1, 4)], 4) == [0, 2, 2]
+    assert _largest_remainder_counts([F(1, 2) - F(1, 10**30), F(1, 2) + F(1, 10**30)], 3) == [1, 2]
+    assert _largest_remainder_counts([0.1, 0.2, 0.7], 10) == [1, 2, 7]
+    rng = random.Random(40)
+    for _ in range(3000):
+        n, d = rng.randint(1, 5), rng.randint(1, 60)
+        den = rng.choice([1, 2, 3, 6, 7, 12, 30, 10**18])
+        vector = [F(rng.randint(-den, 2 * den), den) for _ in range(n)]
+        kind = rng.randrange(5)
+        if kind == 1:  # ints among the Fractions
+            vector = [int(v) if v.denominator == 1 else v for v in vector]
+        elif kind == 2:  # a rounding error below each entry
+            vector = [v - F(1, 10**20) for v in vector]
+        elif kind == 3:  # floats
+            vector = [float(v) for v in vector]
+        elif kind == 4:  # floats among the Fractions
+            vector = [float(v) if j % 2 else v for j, v in enumerate(vector)]
+        assert _largest_remainder_counts(vector, d) == _fraction_counts(vector, d), (vector, d)
+
+
+def _random_vector(rng, n, kind):
+    raw = [rng.randint(0, 9) for _ in range(n - 1)] + [rng.randint(1, 9)]
+    exact = [F(r, sum(raw)) for r in raw]
+    if kind == "float":
+        return tuple(float(v) for v in exact)
+    if kind == "int":  # an int entry for each whole share
+        return tuple(int(v) if v.denominator == 1 else v for v in exact)
+    if kind == "mixed":
+        return tuple(float(v) if rng.random() < 0.5 else v for v in exact)
+    return tuple(exact)
+
+
+def test_round_outcome_delta_is_the_fraction_rule():
+    # delta keeps its value and type: int 0 when every flow is on the
+    # lattice, a Fraction when an exact flow is not, a float when a float
+    # gap is the first largest; outcomes that mix float and exact vectors
+    # (across atoms, populations and entries) included
+    rng = random.Random(41)
+    seen = set()
+    for trial in range(400):
+        n_pops, n_actions = rng.randint(1, 2), rng.randint(2, 4)
+        game = random_congestion_game(trial % 3, n_actions=n_actions, n_states=2, n_pops=n_pops)
+        kinds = rng.choice([["exact"], ["float"], ["int"], ["exact", "float"], ["mixed", "int", "exact"]])
+        per_state = {}
+        for s in game.states:
+            weights = _random_vector(rng, rng.randint(1, 4), rng.choice(["exact", "float", "int"]))
+            per_state[s] = tuple(
+                (fg.FlowProfile(tuple(_random_vector(rng, n_actions, rng.choice(kinds)) for _ in range(n_pops))), w)
+                for w in weights
+            )
+        outcome = fg.Outcome(per_state)
+        counts = tuple(rng.choice([1, 2, 3, 5, 7, 12, 40]) for _ in range(n_pops))
+        rounded, delta = _round_outcome(game, outcome, counts)
+        want, want_delta = _fraction_round_outcome(game, outcome, counts)
+        assert rounded == want and repr(delta) == repr(want_delta), (outcome, counts)
+        assert type(delta) is type(want_delta)
+        seen.add(type(delta))
+        if kinds == ["exact"]:
+            assert type(delta) is (int if delta == 0 else F)
+        elif kinds == ["float"]:
+            assert type(delta) is float or delta == 0
+    assert seen == {int, F, float}
+    # a lattice outcome rounds to itself with the int 0
+    game = random_congestion_game(0, n_actions=3, n_states=2)
+    lattice = fg.Outcome({s: ((flow1(F(1, 4), F(1, 2), F(1, 4)), 1),) for s in game.states})
+    assert _round_outcome(game, lattice, (8,)) == (lattice, 0)
+    assert type(_round_outcome(game, lattice, (8,))[1]) is int
+    off = _round_outcome(game, lattice, (3,))[1]
+    assert type(off) is F and off == F(1, 6)
+    floats = fg.Outcome({s: ((fg.FlowProfile(((0.25, 0.5, 0.25),)), 1),) for s in game.states})
+    assert repr(_round_outcome(game, floats, (3,))[1]) == repr(_fraction_round_outcome(game, floats, (3,))[1])
+    assert type(_round_outcome(game, floats, (3,))[1]) is float
 
 
 def test_validate_game_accepts_bundled(elfarol, pigou_info, pigou_network):

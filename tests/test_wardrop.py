@@ -560,6 +560,16 @@ def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
         "7,0.0714285714286,19/147,0.047619047619\n9,0.0555555555556,25/243,0.037037037037\n"
         "numpy loaded: False\n"
     )
+    # a direct structure of 160 sub-populations, whose one-action flows
+    # each make one kernel profile
+    implement = "main(['implement', '--game', 'pigou_info', '--outcome', 'pigou_bcwe', '--denominator', '160'])\n"
+    out = fresh_python(_NUMPY_PROBE + implement + "numpy_loaded()\n")
+    a, b = (f"({', '.join([action] * 160)})" for action in "ab")
+    assert out == (
+        "[report]\ncommand = implement\ndenominator = 160\npopulations = 160\npopulation-size = 1/160\n"
+        f"epsilon = 0\n\n[kernel.0]\n{a} = 1/2\n{b} = 1/2\n\n[kernel.1]\n{a} = 1\n"
+        "numpy loaded: False\n"
+    )
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect(fresh_python):
