@@ -40,7 +40,7 @@ class AtomicGame(_Record):
         if len(self.counts) != len(self.game.populations):
             raise ValueError("one player count per population required")
         for n in self.counts:
-            if not isinstance(n, int) or n < 1:
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise ValueError(f"player counts must be ints of at least 1, got {n!r}")
 
 

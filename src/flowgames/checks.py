@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -76,6 +77,26 @@ def _term_rows(witnesses, columns, offset: int = 0) -> list:
             if i >= offset:
                 rows[i - offset][j] = v if d is None else Fraction(v, d)
     return list(zip(witnesses, rows))
+
+
+def _row_sums(witnesses, columns) -> list:
+    """(witness, sum(terms)) per row of :func:`_term_rows`, in value and type.
+    When every column is exact, a row adds its numerators v as v * (L // d)
+    over L, the lcm of the columns' d, into one ``Fraction``; a row with no
+    entry is the int 0. Otherwise each row is summed left to right."""
+    if any(d is None for d, _ in columns):
+        return [(witness, sum(terms)) for witness, terms in _term_rows(witnesses, columns)]
+    lcm, sums = math.lcm(*(d for d, _ in columns)), {}
+    for d, entries in columns:
+        scale = lcm // d
+        for i, v in entries:
+            sums[i] = sums.get(i, 0) + v * scale
+    return [(w, Fraction(sums[i], lcm) if i in sums else 0) for i, w in enumerate(witnesses)]
+
+
+def _sums(game: GameSpec, atoms, coarse=False, shares=None) -> list:
+    """:func:`_row_sums` of the obedience rows of ``atoms``."""
+    return _row_sums(*_obedience_columns(game, atoms, coarse, shares)[:2])
 
 
 def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, eq_rows=None):
@@ -220,10 +241,10 @@ def _deviation_costs(flows, k: int, ja: int, step, costs, cost) -> list:
 
 
 def _worst_row(concept: str, rows) -> CheckReport:
-    """The first row with the largest left-to-right sum of its terms."""
+    """The first of the (witness, value) rows with the largest value, each
+    value a row's sum from :func:`_row_sums`, taken in ints when it is exact."""
     worst, witness = 0, None
-    for row_witness, terms in rows:
-        value = sum(terms)
+    for row_witness, value in rows:
         if witness is None or value > worst:
             worst, witness = value, row_witness
     return CheckReport(concept, worst, witness)
@@ -249,20 +270,20 @@ def check_cwe(game: GameSpec, dist, state: str) -> CheckReport:
     every a-recommendation to b must not lower the recommended players'
     average cost."""
     atoms = _atoms(game, state, 1, _distribution(dist, state))
-    return _worst_row("cwe", obedience_rows(game, atoms))
+    return _worst_row("cwe", _sums(game, atoms))
 
 
 def check_ccwe(game: GameSpec, dist, state: str) -> CheckReport:
     """Coarse variant: opting out to a fixed action b is compared against the
     average social cost of following recommendations."""
     atoms = _atoms(game, state, 1, _distribution(dist, state))
-    return _worst_row("ccwe", obedience_rows(game, atoms, coarse=True))
+    return _worst_row("ccwe", _sums(game, atoms, coarse=True))
 
 
 def check_bcwe(game: GameSpec, outcome: Outcome) -> CheckReport:
     """State-averaged obedience: recommendation-conditional deviations may not
     profit in prior expectation over states."""
-    return _worst_row("bcwe", obedience_rows(game, _state_atoms(game, outcome)))
+    return _worst_row("bcwe", _sums(game, _state_atoms(game, outcome)))
 
 
 def check_sbcwe(game: GameSpec, flow_map: dict) -> CheckReport:
@@ -276,7 +297,7 @@ def check_cbcwe(game: GameSpec, outcome: Outcome) -> CheckReport:
     """Coarse Bayesian variant: the deviation action is fixed before any
     recommendation arrives, and both sides are averaged over states and the
     outcome."""
-    return _worst_row("cbcwe", obedience_rows(game, _state_atoms(game, outcome), coarse=True))
+    return _worst_row("cbcwe", _sums(game, _state_atoms(game, outcome), coarse=True))
 
 
 def check_bce_flowlevel(game: GameSpec, bce) -> CheckReport:
@@ -287,7 +308,7 @@ def check_bce_flowlevel(game: GameSpec, bce) -> CheckReport:
     positive-mass atom recommends has no row.
     """
     atoms = _state_atoms(game, bce.outcome)
-    rows = obedience_rows(game, atoms, shares=[Fraction(1, n) for n in bce.n])
+    rows = _sums(game, atoms, shares=[Fraction(1, n) for n in bce.n])
     played = {
         (pop.name, a)
         for k, pop in enumerate(game.populations)

@@ -11,11 +11,12 @@ population, type) pairs weighted by the kernel.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
 from ._numpy import np
-from .checks import _state_atoms, obedience_rows
+from .checks import _state_atoms, _sums
 from .model import (
     FlowProfile,
     GameSpec,
@@ -27,6 +28,7 @@ from .model import (
     _floats,
     _round_outcome,
     _shown,
+    _sum,
     eval_cost,
 )
 from .wardrop import _congestion_core
@@ -51,24 +53,22 @@ class InformationStructure(_Record):
             raise ValueError("sizes and type sets differ in length")
         if any(s < 0 for s in self.sizes):
             raise ValueError("negative sub-population size")
-        _check_unit(sum(self.sizes), "sizes sum")
+        _check_unit(_sum(self.sizes), "sizes sum")
         for types in self.type_sets:
             if not types:
                 raise ValueError("empty type set")
             if len(set(types)) != len(types):
                 raise ValueError("duplicate type names")
         for state, atoms in self.kernel.items():
-            total = 0
             for profile, w in atoms:
                 if len(profile) != len(self.sizes):
                     raise ValueError(f"type profile {profile!r} has wrong length")
-                for k, t in enumerate(profile):
-                    if t not in self.type_sets[k]:
-                        raise ValueError(f"unknown type {t!r} for sub-population {k}")
+                if not all(map(operator.contains, self.type_sets, profile)):
+                    k, t = next((k, t) for k, t in enumerate(profile) if t not in self.type_sets[k])
+                    raise ValueError(f"unknown type {t!r} for sub-population {k}")
                 if w < 0:
                     raise ValueError("negative kernel weight")
-                total = total + w
-            _check_unit(total, "kernel weights for state {!r} sum", state)
+            _check_unit(_sum(w for _, w in atoms), "kernel weights for state {!r} sum", state)
 
     def population_count(self) -> int:
         return len(self.sizes)
@@ -269,11 +269,11 @@ def direct_structure_from_bcwe(
     sum(prior * w * y^_a). Without rotation it is :func:`bwe_violation`'s.
     """
     pop = _require_single_population(game)
-    if denominator < 1:
-        raise ValueError("denominator must be >= 1")
+    if isinstance(denominator, bool) or not isinstance(denominator, int) or denominator < 1:
+        raise ValueError(f"denominator must be an int of at least 1, got {denominator!r}")
     k_count = denominator
     actions = pop.actions
-    sizes = tuple(Fraction(1, k_count) for _ in range(k_count))
+    sizes = (Fraction(1, k_count),) * k_count
     type_sets = tuple(tuple(actions) for _ in range(k_count))
     rounded = _round_outcome(game, outcome, (k_count,))[0]
     kernel = {}
@@ -302,8 +302,8 @@ def direct_structure_from_bcwe(
     if symmetrize:
         atoms = _state_atoms(game, rounded)
         marginal = {a: sum(m * y.flows[0][j] for _, m, y in atoms) for j, a in enumerate(actions)}
-        rows = obedience_rows(game, atoms)
-        eps = max((sum(terms) / marginal[a] for (_, a, _), terms in rows if marginal[a] > 0), default=0)
+        rows = _sums(game, atoms)
+        eps = max((value / marginal[a] for (_, a, _), value in rows if marginal[a] > 0), default=0)
     else:  # bwe_violation, without validating the strategies built just above
         plan = _atom_plan(game, structure)
         eps = _max_gap(_conditional_costs(game, structure, strategies, plan)[1], strategies)

@@ -27,6 +27,7 @@ from types import MappingProxyType
 # How far a sum that must be 1 (flow entries, weights, sizes, the prior) may
 # miss it; :func:`_check_unit` compares exactly, so rational sums get it too.
 MASS_TOL = 1e-12
+_TOL_NUM, _TOL_DEN = MASS_TOL.as_integer_ratio()
 
 
 class EvaluationError(ArithmeticError):
@@ -599,9 +600,25 @@ def _shown(x) -> str:
 
 def _check_unit(total, what: str, *args) -> None:
     """Raise ValueError unless ``total`` is within ``MASS_TOL`` of 1, compared
-    exactly; the message is ``what.format(*args)`` and the sum."""
-    if abs(total - 1) > MASS_TOL:
+    exactly: an int or ``Fraction`` n / d in ints, |n - d| * den > num * d for
+    MASS_TOL = num / den. The message is ``what.format(*args)`` and the sum."""
+    if type(total) in (int, Fraction):
+        n, d = total.numerator, total.denominator
+        off = abs(n - d) * _TOL_DEN > _TOL_NUM * d
+    else:
+        off = abs(total - 1) > MASS_TOL
+    if off:
         raise ValueError(f"{what.format(*args)} to {_shown(total)}, expected 1")
+
+
+def _sum(values):
+    """``sum(values)``, left to right; when every value is an int or a
+    ``Fraction``, the same value as int numerators over their lcm, one ``Fraction``."""
+    values = list(values)
+    if not all(type(v) in (int, Fraction) for v in values):
+        return sum(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
 
 
 def _check_shape(game: GameSpec, flow: FlowProfile, what: str = "flow") -> None:
@@ -671,14 +688,12 @@ def _distribution(atoms, state) -> tuple:
     atoms = tuple((f, w) for f, w in atoms)
     if not atoms:
         raise ValueError(f"state {state!r} has no support")
-    total = 0
     for f, w in atoms:
         if not isinstance(f, FlowProfile):
             raise ValueError(f"support of state {state!r} contains a non-flow")
         if w < 0:
             raise ValueError(f"negative weight {w!r} in state {state!r}")
-        total = total + w
-    _check_unit(total, "weights in state {!r} sum", state)
+    _check_unit(_sum(w for _, w in atoms), "weights in state {!r} sum", state)
     return atoms
 
 
@@ -968,12 +983,16 @@ def _int_cost_fn(game: GameSpec, pop: str, action: str, state: str):
 def _lifted_costs(game: GameSpec, state: str, actions) -> tuple:
     """The integer costs in ``state`` of ``actions[k]`` in each population k
     over one common denominator: (fns, deg, q) such that the cost of
-    ``actions[k][a]`` at the flow yy / dy is fns[k][a](yy, dy) / (dy**deg * q)."""
-    pops = game.populations
-    compiled = [[_int_cost_fn(game, p.name, a, state) for a in acts] for p, acts in zip(pops, actions)]
-    deg = max((d for costs in compiled for _, d, _ in costs), default=0)
-    q = math.lcm(*(cq for costs in compiled for _, _, cq in costs))
-    return [[_scaled(f, deg - d, q // cq) for f, d, cq in costs] for costs in compiled], deg, q
+    ``actions[k][a]`` at the flow yy / dy is fns[k][a](yy, dy) / (dy**deg * q).
+    Lifted once per game, kept like :func:`_kept_cost` under (state, actions)."""
+    key = (state, tuple(map(tuple, actions)))
+    if key not in game._compiled:
+        pops = game.populations
+        compiled = [[_int_cost_fn(game, p.name, a, state) for a in acts] for p, acts in zip(pops, key[1])]
+        deg = max((d for costs in compiled for _, d, _ in costs), default=0)
+        q = math.lcm(*(cq for costs in compiled for _, _, cq in costs))
+        game._compiled[key] = [[_scaled(f, deg - d, q // cq) for f, d, cq in costs] for costs in compiled], deg, q
+    return game._compiled[key]
 
 
 def _kept_cost(game: GameSpec, key: tuple, compiler):

@@ -38,6 +38,15 @@ def test_atomic_game_validation(elfarol):
             fg.AtomicGame(elfarol, (count,))
 
 
+def test_atomic_game_refuses_bool_counts(elfarol, elfarol_cwe):
+    # a bool is an int to isinstance, but no player count: True is not read as 1
+    for count in (True, False):
+        with pytest.raises(ValueError, match=re.escape(f"player counts must be ints of at least 1, got {count!r}")):
+            fg.AtomicGame(elfarol, (count,))
+    with pytest.raises(ValueError, match="got True"):
+        fg.convergence_run(elfarol, elfarol_cwe, [True])
+
+
 def test_flow_of_profile_needs_one_block_per_population(elfarol):
     agame = fg.AtomicGame(elfarol, (2,))
     # an extra block is refused, not ignored; no block is refused, not an IndexError

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import flowgames as fg
-from flowgames.checks import _obedience_columns, _term_rows
+from flowgames.checks import _obedience_columns, _row_sums, _term_rows
+
+from conftest import bundled_text
 
 
 def flow1(*vals):
@@ -218,7 +221,10 @@ def test_obedience_rows_order_and_terms(pigou_info, pigou_bcwe, elfarol):
         fg.obedience_rows(elfarol, atoms, coarse=True, shares=[F(1, 3)])
 
 
-def test_obedience_rows_cost_each_positive_atom_once(elfarol, monkeypatch):
+def test_obedience_rows_cost_each_positive_atom_once(monkeypatch):
+    # a fresh game: a session game keeps its lifted integer costs, which would
+    # bypass the counting compiler patched in below
+    elfarol = fg.parse_game_file(bundled_text("elfarol.game"))
     calls = []
     real, real_fn, real_int = fg.checks.eval_cost, fg.checks._cost_fn, fg.model._int_cost_fn
 
@@ -269,6 +275,21 @@ def test_obedience_rows_cost_each_positive_atom_once(elfarol, monkeypatch):
         ("b", ((F(3, 4), F(1, 4)),), "0"),
     ]
     assert sorted(calls) == sorted(unshifted + shifted)
+
+
+def test_builder_lifts_costs_once_per_game_and_state(monkeypatch):
+    # a second builder call on the same game and state compiles nothing: the
+    # lifted integer costs are kept in the game
+    game = fg.parse_game_file(bundled_text("elfarol.game"))
+    atoms = [("0", F(1, 2), flow1(F(1, 2), F(1, 2))), ("0", F(1, 2), flow1(1, 0))]
+    first = fg.obedience_rows(game, atoms, shares=[F(1, 4)])
+    calls = []
+    for name in ("_scaled", "_int_cost_fn", "compile_int_cost"):
+        real = getattr(fg.model, name)
+        monkeypatch.setattr(fg.model, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert fg.obedience_rows(game, atoms, shares=[F(1, 4)]) == first
+    fg.check_bcwe(game, fg.Outcome({"0": [(f, m) for _, m, f in atoms]}))
+    assert calls == []
 
 
 def _reference_rows(game, atoms, coarse=False, shares=None):
@@ -378,6 +399,72 @@ def test_obedience_rows_match_term_by_term_reference(name, request):
         # is a Fraction: a nonzero int term beside a Fraction one
         (_, ab), (_, ac) = fg.obedience_rows(game, atoms)[:2]
         assert (type(ab[-3]), ab[-3], type(ac[-3]), ac[-3]) == (int, 1, F, 0)
+
+
+def _sum_rows(game, atoms, **kwargs):
+    return [(w, sum(terms)) for w, terms in fg.obedience_rows(game, atoms, **kwargs)]
+
+
+def _typed_sums(rows):
+    return [(w, type(v), repr(v)) for w, v in rows]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_row_sums_are_the_sums_of_the_rows_terms(seed):
+    # _row_sums is sum(terms) of each obedience row, in value and type, over
+    # pairwise, coarse and shares rows, and exact, float, int-mass and mixed atoms
+    from flowgames.generators import random_congestion_game, random_outcome
+
+    rng = random.Random(seed)
+    n_pops = rng.choice((1, 2))
+    game = random_congestion_game(
+        seed, n_actions=rng.choice((2, 3, 4)), n_states=rng.choice((1, 2)), n_pops=n_pops, quadratic=rng.random() < 0.3
+    )
+    den = rng.choice((2, 3, 4, 6))
+    outcome = random_outcome(game, seed, support=rng.choice((1, 2, 3)), denominator=den)
+    exact = [(s, game.prior_of(s) * w, f) for s in game.states for f, w in outcome.per_state[s]]
+    # a zero-mass Fraction atom keeps its column exact, with no entry
+    exact.append((exact[0][0], F(0), exact[0][2]))
+    floats = [
+        (s, float(m), fg.FlowProfile(tuple(tuple(float(v) for v in vec) for vec in f.flows)))
+        for s, m, f in exact
+    ]
+    int_mass = [(s, 1, f) for s, _, f in exact] + [(exact[0][0], 0, exact[0][2])]
+    mixed = exact + floats + int_mass
+    rng.shuffle(mixed)
+    shares = [F(1, 2 * den)] * n_pops
+    for atoms in (exact, floats, int_mass, mixed):
+        for kwargs in ({}, {"coarse": True}, {"shares": shares}):
+            got = _row_sums(*_obedience_columns(game, atoms, **kwargs)[:2])
+            assert _typed_sums(got) == _typed_sums(_sum_rows(game, atoms, **kwargs)), kwargs
+
+
+def test_row_sums_of_rows_without_entries_or_with_zero_entries():
+    # equal constant costs: every entry is an exact zero, so each row sums to
+    # Fraction(0); at the vertex (1, 0) the (b, a) row has no entry and sums
+    # to the int 0, as does every row of a zero-mass atom alone
+    game = fg.parse_game_file(
+        "[populations]\ncrowd = a, b\n\n[states]\nnames = 0\n\n[prior]\n0 = 1\n\n"
+        "[costs]\ncrowd.a = 1\ncrowd.b = 1\n"
+    )
+    split, vertex = flow1(F(1, 2), F(1, 2)), flow1(1, 0)
+    cases = [
+        [("0", F(1), split)],
+        [("0", F(1, 3), vertex), ("0", F(2, 3), vertex)],
+        [("0", F(0), split)],
+        [],
+    ]
+    for atoms in cases:
+        for kwargs in ({}, {"coarse": True}, {"shares": [F(1, 4)]}):
+            got = _row_sums(*_obedience_columns(game, atoms, **kwargs)[:2])
+            assert _typed_sums(got) == _typed_sums(_sum_rows(game, atoms, **kwargs)), (atoms, kwargs)
+    got = _row_sums(*_obedience_columns(game, cases[0])[:2]) + _row_sums(*_obedience_columns(game, cases[1])[:2])
+    assert _typed_sums(got) == [
+        (("crowd", "a", "b"), F, "Fraction(0, 1)"),
+        (("crowd", "b", "a"), F, "Fraction(0, 1)"),
+        (("crowd", "a", "b"), F, "Fraction(0, 1)"),
+        (("crowd", "b", "a"), int, "0"),
+    ]
 
 
 def test_player_share_above_the_flow_is_refused(elfarol):

@@ -80,6 +80,13 @@ def test_direct_structure_reports_missing_state(pigou_info):
         fg.direct_structure_from_bcwe(pigou_info, partial, 4)
 
 
+def test_direct_structure_refuses_non_int_denominators(elfarol, elfarol_cwe):
+    # True is not read as one sub-population, and 2.0 is refused before range()
+    for denominator in (True, False, 2.0, F(2), 0, -3):
+        with pytest.raises(ValueError, match=re.escape(f"must be an int of at least 1, got {denominator!r}")):
+            fg.direct_structure_from_bcwe(elfarol, elfarol_cwe, denominator)
+
+
 def test_obedient_strategies_put_mass_on_own_type(elfarol, elfarol_cwe):
     structure, strategies, _ = fg.direct_structure_from_bcwe(elfarol, elfarol_cwe, 2)
     assert strategies.strategies[0][0] == (F(1, 2), F(0))
@@ -855,6 +862,17 @@ def test_structure_validation():
     with pytest.raises(ValueError, match=f"^kernel weights for state '0' sum to {10**400}, expected 1$"):
         fg.InformationStructure(
             sizes=(F(1),), type_sets=(("t",),), kernel={"0": ((("t",), F(10**400)),)}
+        )
+    # the first unknown type is named, an unhashable one too
+    for bad in ("u", ["t"]):
+        with pytest.raises(ValueError, match=re.escape(f"unknown type {bad!r} for sub-population 1")):
+            fg.InformationStructure(
+                sizes=(F(1, 2), F(1, 2)), type_sets=(("t",), ("t", "s")), kernel={"0": ((("t", bad), F(1)),)}
+            )
+    # float and exact weights are summed left to right, as floats
+    with pytest.raises(ValueError, match=r"^kernel weights for state '0' sum to 0\.9, expected 1$"):
+        fg.InformationStructure(
+            sizes=(F(1),), type_sets=(("t",),), kernel={"0": ((("t",), F(1, 2)), (("t",), 0.4))}
         )
 
 

@@ -501,6 +501,29 @@ def test_outcome_validation():
         fg.Outcome({"0": ((f, F(10**400)),)})
 
 
+def test_check_unit_decides_as_the_float_comparison():
+    # ints and Fractions are compared in ints; the decision is the one
+    # abs(total - 1) > MASS_TOL makes, a Fraction against the exact float
+    from flowgames.model import _check_unit
+
+    tol, tiny = F(MASS_TOL), F(1, 10**30)
+    totals = [1 + tol, 1 - tol, 1 + tol + tiny, 1 + tol - tiny, 1 - tol - tiny, 1 - tol + tiny]
+    totals += [0, 1, 2, F(1), F(10**400, 3), -F(10**400, 3), 1 + MASS_TOL, 1.0 - 2 * MASS_TOL, True]
+    decided = []
+    for total in totals:
+        try:
+            _check_unit(total, "total {}", "t")
+            decided.append(False)
+        except ValueError as exc:
+            decided.append(True)
+            assert str(exc) == f"total t to {fg.model._shown(total)}, expected 1"
+        assert decided[-1] == (abs(total - 1) > MASS_TOL), total
+    assert decided[:9] == [False, False, True, False, True, False, True, False, True]
+    # beyond float range the total is named exactly
+    with pytest.raises(ValueError, match=f"^total t to {10**400}/3, expected 1$"):
+        _check_unit(F(10**400, 3), "total {}", "t")
+
+
 def test_population_validation():
     with pytest.raises(ValueError):
         Population("p", ("a", "a"))
