@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .checks import CheckReport, check_bce_flowlevel, check_bcwe
-from .lp import _column_solve
+from .lp import _column_solve, _exact
 from .model import (
     FlowProfile,
     GameSpec,
@@ -273,8 +273,9 @@ def _w1(atoms1, atoms2) -> float:
     n1, n2 = len(atoms1), len(atoms2)
     if n1 == 0 or n2 == 0:
         raise ValueError("cannot transport to an empty distribution")
-    supply = [Fraction(w) for _, w in atoms1]
-    demand = [Fraction(w) for _, w in atoms2]
+    # exact weights as they are, float ones read exactly
+    supply = [_exact(w) for _, w in atoms1]
+    demand = [_exact(w) for _, w in atoms2]
     cost = [_linf(f1, f2) for f1, _ in atoms1 for f2, _ in atoms2]
     if n1 == 1 or n2 == 1:
         return max(0.0, float(sum(w * c for w, c in zip(demand if n1 == 1 else supply, cost))))

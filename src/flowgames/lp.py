@@ -64,6 +64,9 @@ Below the cutoff the ratio is 0.94-1.23 (median 1.06) on design LPs and
 transport LP of up to 45 x 45 atoms (the bundled outcomes' convergence
 runs included) and the design LPs of generated 3- and 4-action games at
 resolution 16 and 8 (1,944-3,242 nonzeros) run without numpy.
+
+``_lemke`` solves a linear complementarity problem, the form of an affine
+equilibrium, on the same integer rows and :func:`_pivot`.
 """
 
 from __future__ import annotations
@@ -274,6 +277,50 @@ def _pivot(rows, den: int, u, leaving: int, d: int) -> int:
         rows[:] = [[v // g for v in row] for row in rows]
         den //= g
     return den
+
+
+def _lemke(columns, q):
+    """The z >= 0 with w = q + M z >= 0 and z . w = 0, as ``Fraction``s, by
+    Lemke's method; None when its run ends on a ray. M is given by its
+    columns of (row, value) entries and ``q`` by its values, all exact.
+
+    The tableau w - M z - e z0 = q keeps the simplex's rows [B^-1 | B^-1 q]
+    over one denominator (see :func:`_pivot`), from the basis of w. The
+    ratio test is Eaves's (1971): the least (x_B, B^-1) row over u_i among
+    u_i > 0, unique as B^-1 is nonsingular, so no basis repeats. On a
+    positive semidefinite M a ray means there is no solution (Cottle, Pang &
+    Stone 1992)."""
+    n = len(q)
+    q = [_exact(v) for v in q]
+    scale = math.lcm(*(v.denominator for v in q))
+    rows = [[int(i == k) for k in range(n)] + [v.numerator * (scale // v.denominator)] for i, v in enumerate(q)]
+    z = [Fraction(0)] * n
+    if all(v >= 0 for v in q):
+        return z
+    # w_i is variable i, z_j is n + j and z0 is 2n
+    cols = [(1, [(i, 1)]) for i in range(n)]
+    cols += [(d, [(i, -k) for i, k in col]) for d, col in map(_column, columns)]
+    cols.append((1, [(i, -1) for i in range(n)]))
+    basis, den, entering = list(range(n)), 1, 2 * n
+    while True:
+        d, col = cols[entering]
+        u = [sum(row[i] * v for i, v in col) for row in rows]  # B^-1 a times den * d
+        # z0 enters first, each u_i -1, on the least row: the least level at
+        # which every w is nonnegative
+        rivals = [i for i, ui in enumerate(u) if ui > 0 or entering == 2 * n]
+        if not rivals:
+            return None
+        big = math.lcm(*(abs(u[i]) for i in rivals))
+        leaving = min(rivals, key=lambda i: [v * (big // abs(u[i])) for v in rows[i][-1:] + rows[i][:-1]])
+        den = _pivot(rows, den, u, leaving, d)
+        out, basis[leaving] = basis[leaving], entering
+        if out == 2 * n:
+            break
+        entering = out + n if out < n else out - n  # the complement of the one that left
+    for j, row in zip(basis, rows):
+        if n <= j < 2 * n:
+            z[j - n] = Fraction(row[-1], den * scale)
+    return z
 
 
 def _exact_data(a_eq, b_eq, a_ub, b_ub, n):

@@ -6,18 +6,23 @@ Newton polish on the detected support, which brings equilibrium violations
 down to solver precision. The first polish comes after one Frank-Wolfe step,
 then after chunks that double to 80 steps: on affine latencies the potential
 is quadratic, so Newton on the right support is exact, and a single step
-usually finds that support. Games without a potential are handled by damped
-best-response iteration, which reports rather than hides non-convergence.
+usually finds that support. On affine latencies the equilibria that design
+grids and the lattice scan start from are solved exactly instead, as a
+linear complementarity problem (:func:`_affine_equilibrium`). Games without
+a potential are handled by damped best-response iteration, which reports
+rather than hides non-convergence.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
 from fractions import Fraction
 
 from ._numpy import np
+from .lp import _lemke
 from .model import (
     CongestionSpec,
     EvaluationError,
@@ -191,58 +196,6 @@ def _brent_root(f, a, b, fa, fb):
     raise RuntimeError("Brent root search failed to converge after 100 iterations")
 
 
-# (flow, least cost, negative flow, undercut) tolerances of the float polish
-_FLOAT_TOLS = (1e-8, 1e-6, 1e-12, 1e-10)
-
-
-def _support_repair(blocks, y, g, solve, settle, tols):
-    """Repair a support until its solution is an equilibrium; None when
-    ``solve`` returns None or 2n + 2 solves, n = ``len(y)``, do not settle it.
-
-    A support is one ascending list of variables per [start, end) range of
-    ``blocks``. ``solve(support)`` returns the point where each block's
-    support costs the same and carries its mass, or None; ``settle(y)``
-    returns the point kept and its costs. A block's support starts as its
-    actions with flow or of least cost at ``y``, of costs ``g``. Its most
-    negative action is dropped, and once none is, its cheapest undercutting
-    action added. ``tols`` bound flow, least cost, negativity and undercut,
-    the second and last relative to the cost. Zero ones are exact on
-    Fractions: a settled support's costs are equal, and a one-action support
-    never goes negative.
-    """
-    flow_tol, cheap_tol, neg_tol, undercut_tol = tols
-    support = []
-    for lo, hi in blocks:
-        cheapest = min(g[lo:hi])
-        scale = 1 + abs(cheapest)
-        support.append([j for j in range(lo, hi) if y[j] > flow_tol or g[j] <= cheapest + cheap_tol * scale])
-    for _ in range(2 * len(y) + 2):
-        y = solve(support)
-        if y is None:
-            return None
-        changed = False
-        for bi, sup in enumerate(support):
-            neg = [j for j in sup if y[j] < -neg_tol]
-            if neg and len(sup) > 1:
-                worst = min(neg, key=y.__getitem__)
-                support[bi] = [j for j in sup if j != worst]
-                changed = True
-        if changed:
-            continue
-        y, g = settle(y)
-        grew = False
-        for bi, ((lo, hi), sup) in enumerate(zip(blocks, support)):
-            in_cost = max(g[j] for j in sup)
-            scale = 1 + abs(in_cost)
-            outside = [j for j in range(lo, hi) if j not in sup and g[j] < in_cost - undercut_tol * scale]
-            if outside:
-                support[bi] = sorted(sup + [min(outside, key=g.__getitem__)])
-                grew = True
-        if not grew:
-            return y
-    return None
-
-
 class _PotentialCore:
     """Minimize sum_e F_e(M x) over a product of scaled simplexes.
 
@@ -316,23 +269,56 @@ class _PotentialCore:
         return _worst_gap((y[lo:hi], g[lo:hi]) for lo, hi in self.blocks)
 
     def newton_polish(self, x):
-        """The point :func:`_support_repair` reaches from ``x`` at
-        ``_FLOAT_TOLS``, each support solved by Newton steps, or None. A
-        solved point is clipped at 0 and rescaled to the block masses."""
+        """Repair the support of ``x`` until its Newton solution is an
+        equilibrium; returns that point, or None when a support cannot be
+        solved or 2n + 2 solves, n = ``self.n``, do not settle it.
 
-        def solve(support):
-            y = self._solve_support(support, x)
-            return None if y is None else y.tolist()
-
-        def settle(ys):
-            y = np.maximum(ys, 0.0)
+        A support is one ascending list of variables per block. A block's
+        support starts as its actions with flow above 1e-8 or within 1e-6 of
+        its least cost at ``x``, relative to 1 + |least cost|. Each round
+        solves the support from ``x`` (:meth:`_solve_support`) and drops each
+        block's most negative action below -1e-12. Once none is, the point is
+        clipped at 0 and rescaled to the block masses, and each block adds
+        its cheapest action that undercuts its support's dearest cost by more
+        than 1e-10, relative likewise; a round that adds none returns the
+        point."""
+        y, g = x.tolist(), self.costs(x).tolist()
+        support = []
+        for lo, hi in self.blocks:
+            cheapest = min(g[lo:hi])
+            scale = 1 + abs(cheapest)
+            support.append([j for j in range(lo, hi) if y[j] > 1e-8 or g[j] <= cheapest + 1e-6 * scale])
+        for _ in range(2 * self.n + 2):
+            solved = self._solve_support(support, x)
+            if solved is None:
+                return None
+            y = solved.tolist()
+            changed = False
+            for bi, sup in enumerate(support):
+                neg = [j for j in sup if y[j] < -1e-12]
+                if neg and len(sup) > 1:
+                    worst = min(neg, key=y.__getitem__)
+                    support[bi] = [j for j in sup if j != worst]
+                    changed = True
+            if changed:
+                continue
+            point = np.maximum(solved, 0.0)
             for (lo, hi), mass in zip(self.blocks, self.masses):
-                total = y[lo:hi].sum()
+                total = point[lo:hi].sum()
                 if total > 0 and mass > 0:
-                    y[lo:hi] *= mass / total
-            return y, self.costs(y).tolist()
-
-        return _support_repair(self.blocks, x.tolist(), self.costs(x).tolist(), solve, settle, _FLOAT_TOLS)
+                    point[lo:hi] *= mass / total
+            g = self.costs(point).tolist()
+            grew = False
+            for bi, ((lo, hi), sup) in enumerate(zip(self.blocks, support)):
+                in_cost = max(g[j] for j in sup)
+                scale = 1 + abs(in_cost)
+                outside = [j for j in range(lo, hi) if j not in sup and g[j] < in_cost - 1e-10 * scale]
+                if outside:
+                    support[bi] = sorted(sup + [min(outside, key=g.__getitem__)])
+                    grew = True
+            if not grew:
+                return point
+        return None
 
     def _newton_plan(self, support):
         """The parts of the Newton system on ``support`` (one ascending list
@@ -723,10 +709,11 @@ def _lattice_scores(game: GameSpec, state: str, resolution: int, points: list) -
 def _snap_rational(game: GameSpec, flow: FlowProfile, state: str) -> FlowProfile:
     """Replace solver floats with a nearby exact rational equilibrium.
 
-    Affine latencies put equilibria at rational points, so a snapped flow that
-    verifies exactly is the true equilibrium (or an equally valid one on a
-    tie). Quadratic latencies can have irrational equilibria; those keep
-    their float coordinates: ``flow`` itself is returned.
+    It serves the games :func:`_affine_equilibrium` does not solve exactly:
+    higher-degree congestion latencies, whose equilibria can be irrational
+    (those keep their float coordinates: ``flow`` itself is returned), and
+    games without a potential, solved by best response. A snapped flow that
+    verifies exactly is an equilibrium (or an equally valid one on a tie).
     """
     for bound in (64, 4096, 10**6):
         flows = []
@@ -754,12 +741,21 @@ def _float_image(flow: FlowProfile) -> FlowProfile:
     return FlowProfile(tuple(_normalized(k, [float(y) for y in vec]) for k, vec in enumerate(flow.flows)))
 
 
-def _affine_costs(game: GameSpec, state: str):
-    """Every action's cost in ``state`` as an exact affine map of the flow:
-    ``(consts, slopes)`` over the actions in population order, with
-    ``slopes[j][i]`` the summed slopes of the resources actions j and i
-    share. None unless ``game`` is congestion-backed with latencies of
-    degree at most 1 in ``state``."""
+def _affine_equilibrium(game: GameSpec, state: str) -> FlowProfile | None:
+    """The exact equilibrium of ``state`` by :func:`lp._lemke`; None unless
+    ``game`` is congestion-backed with latencies of degree at most 1 in
+    ``state``, or when the run ends on a ray or its flow fails the exact
+    check of unit mass and ``verify_we`` 0.
+
+    Action j costs c0_j + (S y)_j, S_ij the summed slopes of the resources
+    actions i and j share, and E sums each population's flows. The LCP has
+    z = (y, lambda), one lambda_k per population, M = [[S, -E^T], [E, 0]]
+    and q = (c0 + 1, -1 per population): each action costs at least
+    lambda_k - 1, exactly so where it has flow, and each mass is at least 1,
+    exactly so where lambda_k > 0. Coefficients are nonnegative, so every
+    cost plus 1 is positive, each lambda_k too, and each mass 1. S is
+    positive semidefinite (the potential is convex), so M is too and the run
+    ends on a solution (Cottle, Pang & Stone 1992)."""
     spec = game.congestion
     if spec is None:
         return None
@@ -769,100 +765,36 @@ def _affine_costs(game: GameSpec, state: str):
         if any(coeffs[2:]):
             return None
         lines[e] = coeffs[:2]
-    uses = [spec.actions[(pop.name, a)] for pop in game.populations for a in pop.actions]
-    consts = [sum((lines[e][0] for e in u), Fraction(0)) for u in uses]
-    slopes = [[sum((lines[e][1] for e in u & v), Fraction(0)) for v in uses] for u in uses]
-    return consts, slopes
-
-
-def _gauss_jordan(rows: list) -> list | None:
-    """The solution of the square system given as augmented Fraction rows,
-    or None when it is singular.
-
-    Fraction-free (Bareiss 1968): each row is scaled to integers by the lcm
-    of its denominators, and eliminating below the pivot (the first row with
-    a nonzero entry in the column; none means singular) divides every entry
-    exactly by the previous pivot, so the final pivot D is the scaled
-    system's determinant. Back substitution over D gives each unknown as
-    D x_i, an int, so the result is the same Fractions as Gauss-Jordan in
-    Fractions."""
-    size = len(rows)
-    m = []
-    for row in rows:
-        scale = math.lcm(*(v.denominator for v in row))
-        m.append([v.numerator * (scale // v.denominator) for v in row])
-    prev = 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col]), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        top = m[col]
-        p = top[col]
-        for r in range(col + 1, size):
-            f = m[r][col]
-            m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], top)]
-        prev = p
-    x = [0] * size
-    for i in range(size - 1, -1, -1):
-        row = m[i]
-        x[i] = (prev * row[-1] - sum(row[j] * x[j] for j in range(i + 1, size))) // row[i]
-    return [Fraction(v, prev) for v in x]
-
-
-def _affine_equilibrium(game: GameSpec, costs, start: FlowProfile) -> FlowProfile | None:
-    """The exact equilibrium that the support of ``start`` leads to, on a game
-    whose costs are the affine ``costs`` of :func:`_affine_costs`; None when
-    a support's system is singular (a continuum of equilibria) or the support
-    repair does not settle.
-
-    This is :func:`_support_repair` with zero tolerances, the one the
-    potential core's Newton polish runs in floats. On a support, equal costs
-    within each population and unit mass are a linear system, and affine
-    costs make its Gauss-Jordan solution exact, so it is kept as solved.
-    """
-    consts, slopes = costs
-    n = len(consts)
-
-    def cost(y):
-        return [c + sum(s * v for s, v in zip(row, y) if v) for c, row in zip(consts, slopes)]
-
-    def solve(support):
-        index = [j for sup in support for j in sup]
-        rows = []
-        for sup in support:
-            base = sup[0]
-            for j in sup[1:]:
-                rows.append([slopes[j][i] - slopes[base][i] for i in index] + [consts[base] - consts[j]])
-            rows.append([Fraction(int(i in sup)) for i in index] + [Fraction(1)])
-        solution = _gauss_jordan(rows)
-        if solution is None:
-            return None
-        y = [Fraction(0)] * n
-        for i, v in zip(index, solution):
-            y[i] = v
-        return y
-
-    blocks, lo = [], 0
+    uses, blocks = [], []
     for pop in game.populations:
-        blocks.append((lo, lo + len(pop.actions)))
-        lo += len(pop.actions)
-    y = [v for vec in start.flows for v in vec]
-    y = _support_repair(blocks, y, cost(y), solve, lambda y: (y, cost(y)), (0, 0, 0, 0))
-    return None if y is None else FlowProfile(tuple(tuple(y[lo:hi]) for lo, hi in blocks))
+        blocks.append((len(uses), len(uses) + len(pop.actions)))
+        uses.extend(spec.actions[(pop.name, a)] for a in pop.actions)
+    n = len(uses)
+    columns = [
+        [(i, sum(lines[e][1] for e in u & v)) for i, v in enumerate(uses)] + [(n + k, 1)]
+        for k, (lo, hi) in enumerate(blocks)
+        for u in uses[lo:hi]
+    ]
+    columns += [[(j, -1) for j in range(lo, hi)] for lo, hi in blocks]
+    z = _lemke(columns, [sum(lines[e][0] for e in u) + 1 for u in uses] + [-1] * len(blocks))
+    if z is None or any(sum(z[lo:hi]) != 1 for lo, hi in blocks):
+        return None
+    # nonnegative by the LCP, of unit mass as checked
+    flow = _trusted_profile(tuple(tuple(z[lo:hi]) for lo, hi in blocks))
+    return flow if verify_we(game, flow, state) == 0 else None
 
 
 def _state_equilibria(game: GameSpec, state: str) -> list[FlowProfile]:
     """The equilibria of ``state`` that design grids, full disclosure and the
     ccwe grid gap start from, none when no solve converges: on affine
-    congestion latencies the exact one :func:`_affine_equilibrium` reaches
-    from the uniform flow, with no numpy; else the potential solve kept
-    within its own ``tol``, or on a game without a potential the
-    best-response multistart, each snapped where a rational one verifies,
-    and listed once."""
+    congestion latencies, any number of populations, the exact one
+    :func:`_affine_equilibrium` finds, with no numpy; else (higher degrees,
+    or where that solve has no answer) the potential solve kept within its
+    own ``tol``, or on a game without a potential the best-response
+    multistart, each snapped where a rational one verifies, and listed
+    once."""
     game.state_index(state)
-    costs = _affine_costs(game, state)
-    exact = None if costs is None else _affine_equilibrium(game, costs, uniform_flow(game))
+    exact = _affine_equilibrium(game, state)
     if exact is not None:
         return [exact]
     if game.congestion is not None:
@@ -890,9 +822,9 @@ def enumerate_we_grid(
     equilibria, and every action costs the same at all of them. So the scan
     returns the exact lattice equilibria, or, when there is none, the first
     polish that verifies within ``tol``. With affine latencies the polish is
-    exact (:func:`_affine_equilibrium`), and the float image of its
-    equilibrium is kept; it falls back to the potential solver when a
-    continuum of equilibria makes it singular. Other games are polished
+    the float image of the exact equilibrium :func:`_affine_equilibrium`
+    finds, whatever the start, so it is solved at most once per call; where
+    it has none the potential solver polishes instead. Other games are polished
     by best response, which stalls ~sqrt(tol) short of boundary equilibria:
     a polish that is new is replaced by the float image of a nearby exact
     equilibrium when one verifies. Heuristic by nature: exactness is only
@@ -903,7 +835,7 @@ def enumerate_we_grid(
     scores, spread = _lattice_scores(game, state, resolution, points)
     keep = max(tol, 4.0 * spread / resolution)
     table = [Fraction(i, resolution) for i in range(resolution + 1)]
-    affine = _affine_costs(game, state)
+    exact = functools.cache(lambda: _affine_equilibrium(game, state))
     result: list[FlowProfile] = []
 
     def known(flow):
@@ -920,9 +852,8 @@ def enumerate_we_grid(
         if scores[i] == 0:
             candidate = _float_image(f)
         elif game.congestion is not None:
-            exact = None if affine is None else _affine_equilibrium(game, affine, f)
-            if exact is not None:
-                candidate = _float_image(exact)
+            if exact() is not None:
+                candidate = _float_image(exact())
             else:
                 polished = solve_we_potential(game, state, min(tol, 1e-10), start=f)
                 if polished.max_violation > tol:
@@ -932,8 +863,8 @@ def enumerate_we_grid(
             polished = solve_we_br(game, state, f, tol)
             if polished.max_violation > tol or known(polished.flow):
                 continue
-            exact = _snap_rational(game, polished.flow, state)
-            candidate = polished.flow if exact is polished.flow else _float_image(exact)
+            snapped = _snap_rational(game, polished.flow, state)
+            candidate = polished.flow if snapped is polished.flow else _float_image(snapped)
         if known(candidate):
             continue
         result.append(candidate)

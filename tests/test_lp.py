@@ -1,6 +1,8 @@
+import collections
 import itertools
 import json
 import math
+import random
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -192,6 +194,91 @@ def test_agrees_with_vertex_enumeration():
         cert = fg.exact_solve(None, c, a_eq=a, b_eq=np.abs(b))
         assert oracle is not None
         assert abs(float(cert.objective) - oracle) <= 1e-8
+
+
+def _lcp_columns(m):
+    return [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(len(m))]
+
+
+def _complementary_solutions(m, q):
+    """Every z of a complementary basis of w = q + M z with z, w >= 0: for
+    each index set a with M[a, a] nonsingular, z_a = -M[a, a]^-1 q_a and
+    z = 0 elsewhere, kept when z and w are nonnegative (Gauss-Jordan in
+    Fractions)."""
+    n, found = len(q), []
+    for a in itertools.chain.from_iterable(itertools.combinations(range(n), k) for k in range(n + 1)):
+        rows = [[F(m[i][j]) for j in a] + [-F(q[i])] for i in a]
+        for col in range(len(a)):
+            pivot = next((r for r in range(col, len(a)) if rows[r][col]), None)
+            if pivot is None:
+                break
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            rows[col] = [v / rows[col][col] for v in rows[col]]
+            for r in range(len(a)):
+                if r != col and rows[r][col]:
+                    rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+        else:
+            z = [F(0)] * n
+            for i, row in zip(a, rows):
+                z[i] = row[-1]
+            w = [q[i] + sum(m[i][j] * z[j] for j in range(n)) for i in range(n)]
+            if min(z + w) >= 0:
+                found.append(z)
+    return found
+
+
+def test_lemke_agrees_with_complementary_basis_enumeration():
+    # monotone LCPs, M = A^T A plus a skew part, of sizes 1-5: Lemke ends on
+    # a solution exactly when a complementary basis is one, and on one of them
+    rng = random.Random(3)
+    kinds = collections.Counter()
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        m = [[sum(row[i] * row[j] for row in a) for j in range(n)] for i in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            skew = rng.randint(-2, 2)
+            m[i][j] += skew
+            m[j][i] -= skew
+        q = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        z = lp._lemke(_lcp_columns(m), q)
+        solutions = _complementary_solutions(m, q)
+        if z is None:
+            assert not solutions, (m, q)
+            kinds["ray"] += 1
+        else:
+            assert all(type(v) is F for v in z) and z in solutions, (m, q, z)
+            kinds["zero" if not any(z) else "solved"] += 1
+    assert min(kinds.values()) >= 20 and len(kinds) == 3, kinds
+
+
+def test_lemke_breaks_a_ratio_tie_lexicographically(monkeypatch):
+    # z0 enters on row 1; then z2 enters, and row 0 (w1 at 2, u 2) ties row 1
+    # (z0 at 1, u 1) at ratio 1. Their B^-1 rows over u, (1/2, -1/2) and
+    # (0, -1), put row 1 first, though it comes later, so z0 leaves and the
+    # run ends at z = (0, 1), w = (0, 0)
+    pivots = []
+    pivot = lp._pivot
+
+    def recorded(rows, den, u, leaving, d):
+        pivots.append(([row[-1] for row in rows], list(u), leaving))
+        return pivot(rows, den, u, leaving, d)
+
+    monkeypatch.setattr(lp, "_pivot", recorded)
+    assert lp._lemke(_lcp_columns([[2, -1], [-1, 1]]), [1, -1]) == [0, 1]
+    assert pivots == [([1, -1], [-1, -1], 1), ([2, 1], [2, 1], 1)]
+
+
+def test_lemke_ends_on_a_ray():
+    # w_1 = -1 - z_1 < 0 for every z >= 0: no solution
+    assert lp._lemke([[(0, -1)]], [-1]) is None
+    # M_11 = -1, so M is not copositive: z = (2, 1, 0) solves this LCP, but
+    # Lemke's run from q ends on a ray
+    m = [[-1, 1, 1], [1, 0, -2], [2, -2, 2]]
+    assert _complementary_solutions(m, [1, -2, -1]) == [[2, 1, 0]]
+    assert lp._lemke(_lcp_columns(m), [1, -2, -1]) is None
+    # q >= 0 is solved by z = 0 with no pivot
+    assert lp._lemke(_lcp_columns(m), [0, 1, 0]) == [0, 0, 0]
 
 
 SIMPLEX_GOLDEN = Path(__file__).parent / "golden" / "simplex_certificates.json"

@@ -22,10 +22,8 @@ from flowgames.generators import (
 )
 from flowgames.model import CongestionSpec, Population, _cost_fn
 from flowgames.wardrop import (
-    _affine_costs,
     _affine_equilibrium,
     _brent_root,
-    _gauss_jordan,
     _lattice_scores,
     _population_grids,
     _PotentialCore,
@@ -541,6 +539,17 @@ def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
     )
     out = fresh_python(_NUMPY_PROBE + workload + "numpy_loaded()\n")
     assert out == "optimal 1425385/781184\nnumpy loaded: False\n"
+    # two populations sharing every resource: their grid is seeded with an
+    # exact equilibrium from one Lemke run, not a float solve and a snap
+    two = (
+        "import flowgames as fg\nfrom flowgames.generators import random_congestion_game\n"
+        "game = random_congestion_game(3, n_actions=2, n_states=2, n_pops=2)\n"
+        "problem = fg.DesignerProblem(game, fg.social_cost_expr(game), fg.build_grid(game, 4))\n"
+        "solution = fg.solve_program_p(problem)\n"
+        "print(solution.status, solution.objective)\n"
+    )
+    out = fresh_python(_NUMPY_PROBE + two + "numpy_loaded()\n")
+    assert out == "optimal 121/16\nnumpy loaded: False\n"
     bcwe = (
         "from flowgames.generators import random_bcwe, random_congestion_game\n"
         "random_bcwe(random_congestion_game(0, n_actions=3, n_states=2), 0)\n"
@@ -728,124 +737,49 @@ def test_kept_lattice_equilibria_are_what_the_polish_returns(pigou_network, elfa
     assert checked == 47
 
 
-def test_affine_polish_is_the_exact_potential_minimizer():
-    # from every sixth-lattice start, the exact polish is an equilibrium and
-    # the unique one the float potential solver converges to
-    checked = 0
-    for seed in range(16):
-        for n_actions in (2, 3, 4):
-            game = random_congestion_game(seed, n_actions=n_actions)
-            costs = _affine_costs(game, "0")
-            for point in itertools.product(*_population_grids(game, 6)):
-                start = fg.FlowProfile(tuple(tuple(F(i, 6) for i in vec) for vec in point))
-                exact = _affine_equilibrium(game, costs, start)
-                assert fg.verify_we(game, exact, "0") == 0
-                solved = fg.solve_we_potential(game, "0", 1e-10, start=start)
-                assert fg.flow_linf(exact, solved.flow) <= 1e-9
-                checked += 1
-    assert checked == 16 * (7 + 28 + 84)
-    # a squared load is not affine; two populations on the same edges share
-    # every cost, so their equal-cost rows repeat and the system is singular
-    assert _affine_costs(random_congestion_game(1, n_actions=3, quadratic=True), "0") is None
-    two = random_congestion_game(0, n_actions=2, n_pops=2)
-    assert _affine_equilibrium(two, _affine_costs(two, "0"), fg.uniform_flow(two)) is None
-
-
-def _reference_gauss_jordan(rows):
-    # Gauss-Jordan in Fractions, normalizing each pivot row
-    size = len(rows)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        p = rows[col][col]
-        rows[col] = [v / p for v in rows[col]]
-        for r in range(size):
-            f = rows[r][col]
-            if r != col and f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return [row[-1] for row in rows]
-
-
-def test_fraction_free_elimination_matches_gauss_jordan_in_fractions():
-    # seeded random square systems of size 1-6, sparse enough that pivots
-    # need row swaps, with duplicate rows and zero columns mixed in: the same
-    # Fractions, or None exactly where Gauss-Jordan finds a zero column
-    rng = random.Random(0)
+def test_affine_equilibria_are_exact_and_carry_the_potential_loads():
+    # one exact flow per state, of unit mass and zero violation, with one or
+    # more populations; its loads are those the float potential solve reaches,
+    # which are the same at every equilibrium of the convex potential
     kinds = collections.Counter()
-    for _ in range(3000):
-        size = rng.randint(1, 6)
-        rows = [
-            [F(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.6 else F(0) for _ in range(size + 1)]
-            for _ in range(size)
-        ]
-        if size > 1 and rng.random() < 0.15:
-            rows[rng.randrange(size)] = list(rows[rng.randrange(size)])
-        if rng.random() < 0.1:
-            col = rng.randrange(size)
-            for row in rows:
-                row[col] = F(0)
-        want = _reference_gauss_jordan([list(row) for row in rows])
-        got = _gauss_jordan([list(row) for row in rows])
-        assert (got is None) == (want is None), rows
-        if want is not None:
-            assert [(type(v), v) for v in got] == [(type(v), v) for v in want], rows
-            kinds["swapped" if rows[0][0] == 0 else "solved"] += 1
-        else:
-            kinds["singular"] += 1
-    assert min(kinds["swapped"], kinds["solved"], kinds["singular"]) >= 100, kinds
-
-
-def test_one_support_repair(monkeypatch):
-    # the float Newton polish and the exact affine equilibrium each run the
-    # shared repair once, the polish at float tolerances and the exact one at
-    # zero tolerances
-    repair = fg.wardrop._support_repair
-    tols, polishes = [], []
-
-    def counted(*args):
-        tols.append(args[-1])
-        return repair(*args)
-
-    def polished(self, x):
-        polishes.append(x)
-        return newton_polish(self, x)
-
-    newton_polish = _PotentialCore.newton_polish
-    monkeypatch.setattr(fg.wardrop, "_support_repair", counted)
-    monkeypatch.setattr(_PotentialCore, "newton_polish", polished)
-    affine = random_congestion_game(0, n_actions=3)
-    _affine_equilibrium(affine, _affine_costs(affine, "0"), fg.uniform_flow(affine))
-    assert tols == [(0, 0, 0, 0)]
-    tols.clear()
-    fg.solve_we_potential(random_congestion_game(1, n_actions=3, quadratic=True), "0")
-    assert len(polishes) >= 1
-    assert tols == [fg.wardrop._FLOAT_TOLS] * len(polishes)
+    for seed, n_actions, n_states, n_pops in itertools.product(range(6), (2, 3, 4), (1, 2), (1, 2, 3)):
+        game = random_congestion_game(seed, n_actions, n_states, n_pops=n_pops)
+        spec = game.congestion
+        for state in game.states:
+            (exact,) = fg.wardrop._state_equilibria(game, state)
+            assert all(type(v) is F and v >= 0 for vec in exact.flows for v in vec)
+            assert all(sum(vec) == 1 for vec in exact.flows)
+            assert fg.verify_we(game, exact, state) == 0
+            solved = fg.solve_we_potential(game, state, 1e-10)
+            loads, float_loads = fg.load_profile(spec, exact), fg.load_profile(spec, solved.flow)
+            assert all(abs(loads[e] - float_loads[e]) <= 1e-9 for e in spec.resources)
+            kinds[n_pops] += 1
+    assert kinds == {1: 54, 2: 54, 3: 54}
+    # a squared load is not affine
+    assert _affine_equilibrium(random_congestion_game(1, n_actions=3, quadratic=True), "0") is None
 
 
 def test_support_repair_gives_up():
-    # a failed solve ends the repair at once; a support that loses action 1
+    # a failed solve ends the Newton polish at once; a support that loses action 1
     # to a negative flow and wins it back by its lower cost, round after
     # round, is given up after 2n + 2 solves
-    repair = fg.wardrop._support_repair
+    core = _PotentialCore(np.eye(2), [[1.0], [0.0]], [(0, 2)], [1.0])
+    x = np.array([0.5, 0.5])
     solves = []
 
-    def failed(support):
+    def failed(support, x):
         solves.append(support)
 
-    def cycling(support):
+    def cycling(support, x):
         solves.append([list(sup) for sup in support])
-        return [F(3, 2), F(-1, 2)] if support == [[0, 1]] else [F(1), F(0)]
+        return np.array([1.5, -0.5] if support == [[0, 1]] else [1.0, 0.0])
 
-    def settle(y):
-        return y, [F(1), F(0)]
-
-    start, costs = [F(1, 2), F(1, 2)], [F(1), F(1)]
-    assert repair([(0, 2)], start, costs, failed, settle, (0, 0, 0, 0)) is None
+    core._solve_support = failed
+    assert core.newton_polish(x) is None
     assert solves == [[[0, 1]]]
     solves.clear()
-    assert repair([(0, 2)], start, costs, cycling, settle, (0, 0, 0, 0)) is None
+    core._solve_support = cycling
+    assert core.newton_polish(x) is None
     assert solves == [[[0, 1]], [[0]]] * 3
 
 
