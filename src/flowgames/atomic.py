@@ -268,7 +268,8 @@ def _w1(atoms1, atoms2) -> float:
     last demand row and starts from the northwest-corner basis, whose last
     column takes whatever supply is left: float weights that sum to 1 only
     within ``MASS_TOL`` stay feasible. :func:`lp._column_solve` takes route
-    i -> j as the unit column on rows i and n1 + j (none for the last j).
+    i -> j as the unit column on rows i and n1 + j (none for the last j),
+    written over its cost's denominator d: entries d / d, cost numerator / d.
     """
     n1, n2 = len(atoms1), len(atoms2)
     if n1 == 0 or n2 == 0:
@@ -293,9 +294,13 @@ def _w1(atoms1, atoms2) -> float:
         else:
             demand[j] -= supply[i]
             i += 1
-    columns = [(1, [(i, 1), (n1 + j, 1)] if j < n2 - 1 else [(i, 1)]) for i in range(n1) for j in range(n2)]
+    columns = []
+    for i in range(n1):
+        for j in range(n2):
+            d = cost[i * n2 + j].denominator
+            columns.append((d, [(i, d), (n1 + j, d)] if j < n2 - 1 else [(i, d)]))
     weights = [w for _, w in atoms1] + [w for _, w in atoms2[:-1]]
-    return max(0.0, float(_column_solve(basis, cost, columns, weights, 0).objective))
+    return max(0.0, float(_column_solve(basis, [c.numerator for c in cost], columns, weights, 0).objective))
 
 
 def _linf(a: FlowProfile, b: FlowProfile) -> Fraction:

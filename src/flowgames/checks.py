@@ -8,7 +8,6 @@ inputs because the cost language evaluates rationals to rationals.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import random
@@ -104,17 +103,19 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, eq_rows
     (d, entries) per atom: its term in row i is v / d for an entry (i, v),
     else the integer 0. An exact atom (flows and ``shares`` ints or
     ``Fraction``s, mass a ``Fraction``) is costed by the integer backend (:func:`compile_int_cost`)
-    and has integer numerators v over d, the product of its mass' and flows'
-    denominators and its costs' common one. Any other atom has d None and
+    and has integer numerators v over d, the product of its mass' denominator,
+    its flows' (the lcm of the shares' denominators and a lattice flow's
+    resolution or any other flow's entries' denominators) and its costs'
+    common one. Any other atom has d None and
     its terms v as computed one by one through :func:`eval_cost`: floats, or
     exact terms of an int mass (so that all-int terms stay ints).
 
-    With ``eq_rows`` (a row index per atom) the columns are simplex columns,
-    which :func:`lp._column_solve` reads exactly in either form: each starts
-    with its atom's entry on row ``eq_rows[j]`` (1 / d, or 1 when d is None),
-    and obedience row i is numbered ``max(eq_rows) + 1 + i``. Every population
-    and action is then costed, and ``socials`` holds each mass times its
-    social cost.
+    With ``eq_rows`` (a row index per atom) the columns are simplex columns:
+    each starts with its atom's entry on row ``eq_rows[j]`` (1 / d, or 1 when
+    d is None), and obedience row i is numbered ``max(eq_rows) + 1 + i``.
+    Every population and action is then costed, and ``socials`` holds each
+    mass times its social cost over its column's d: the int numerator m *
+    sum(y_j c_j) of an exact atom, the value itself when d is None.
 
     The rows are numbered once per call, in a row plan: for each population
     with two or more actions, the (row, b) pairs of every recommended a, or
@@ -142,34 +143,27 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, eq_rows
         return pop.actions if social or (mass != 0 and len(pop.actions) > 1) else ()
 
     exact_shares = all(isinstance(s, (int, Fraction)) for s in shares or ())
+    share_dens = [s.denominator for s in shares or ()] if exact_shares else ()
 
     def read(flow, live):
-        # _int_flows of an exact flow, None when an entry is inexact
-        flows = flow.flows
-        if all(isinstance(v, (int, Fraction)) for vec in flows for v in vec):
-            return _int_flows(flows, [s.denominator for s in shares or () if live])
+        # (yy, dy) of an exact flow over a multiple of the shares' denominators
+        # when ``live``, None when an entry is inexact: a lattice flow's
+        # counts over its resolution (no lcm over its entries), any other
+        # flow's _int_flows
+        dens, r = share_dens if live else (), flow._resolution
+        if r is not None:
+            dy = math.lcm(r, *dens)
+            return [[v.numerator * (dy // v.denominator) for v in vec] for vec in flow.flows], dy
+        if all(isinstance(v, (int, Fraction)) for vec in flow.flows for v in vec):
+            return _int_flows(flow.flows, dens)
         return None
 
-    # build_grid shares each lattice flow between states. A flow that two or
-    # more atoms carry is read once, before any column is made, so that its
-    # read does not scatter the columns in memory; a flow that one atom
-    # carries is read where its column is made, so a single-state grid keeps
-    # no reads alive and looks none up. ``atoms`` holds every flow, so no id
-    # is reused.
-    ids = [id(flow) for _, _, flow in atoms]
-    carried = collections.Counter(ids)
-    reads = {}  # (id(flow), mass != 0) -> read
-    shared = exact_shares and len(carried) < len(ids)
-    for flow_id, (_, mass, flow) in zip(ids, atoms) if shared else ():
-        key = (flow_id, mass != 0)
-        if type(mass) is Fraction and carried[flow_id] > 1 and key not in reads:
-            reads[key] = read(flow, key[1])
     columns, socials, lifted = [], [], {}  # lifted: (state, mass != 0) -> _lifted_costs
     for j, (state, mass, flow) in enumerate(atoms):
         flows, live = flow.flows, mass != 0
         exact = exact_shares and type(mass) is Fraction
         if exact:
-            ints = reads and reads.get((id(flow), live)) or read(flow, live)
+            ints = read(flow, live)
             exact = ints is not None
         if exact:
             key = (state, live)
@@ -221,7 +215,7 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, eq_rows
             for y, cj in zip(itertools.chain(*ys), itertools.chain(*table)):
                 if y != 0:
                     total = total + y * cj
-            socials.append(Fraction(mass.numerator * total, d) if exact else mass * total)
+            socials.append(m * total)
     return witnesses, columns, socials
 
 

@@ -8,17 +8,18 @@ bound structurally: its support cannot exceed the LP row count.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from fractions import Fraction
 
 from .checks import _obedience_columns, _term_rows
-from .lp import _column_solve
+from .lp import _column, _column_solve
 from .model import (
     GameSpec,
     Outcome,
     _Record,
     compile_cost,
-    flow_sort_key,
     social_cost,
 )
 from .wardrop import _lattice_size, _state_equilibria, grid_flows
@@ -87,19 +88,23 @@ def build_grid(game: GameSpec, resolution: int) -> dict:
     A state's equilibria are :func:`~flowgames.wardrop._state_equilibria`:
     exact on affine congestion latencies, with no float solve, else a float
     solve snapped where a rational equilibrium verifies. Candidates are
-    deduplicated exactly and ordered lexicographically so LP results are
-    reproducible bit for bit.
+    ordered lexicographically by the exact values of their entries, so LP
+    results are reproducible bit for bit: the lattice comes in that order,
+    and each equilibrium is merged in by bisection unless it equals a
+    candidate exactly.
     """
     size = _lattice_size(game, resolution)
     if size > 10**6:
         raise ValueError(f"grid of size {size} exceeds the 1e6 cap")
-    lattice = {flow_sort_key(f): f for f in grid_flows(game, resolution)}
+    lattice = grid_flows(game, resolution)
     out = {}
     for state in game.states:
-        keyed = dict(lattice)
+        candidates = list(lattice)
         for we in _state_equilibria(game, state):
-            keyed.setdefault(flow_sort_key(we), we)
-        out[state] = tuple(keyed[key] for key in sorted(keyed))
+            at = bisect.bisect_left(candidates, we.flows, key=operator.attrgetter("flows"))
+            if at == len(candidates) or candidates[at] != we:
+                candidates.insert(at, we)
+        out[state] = tuple(candidates)
     return out
 
 
@@ -109,9 +114,12 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
 
     Each candidate is costed once per population and action; from that
     table the obedience builder of :mod:`flowgames.checks` gives its
-    objective term and its simplex column (integer numerators on exact
-    data), which :mod:`flowgames.lp` solves exactly from the basis of one
-    start candidate per state plus every obedience slack. The start is each
+    simplex column and its objective term (on exact data, integer
+    numerators over the column's own denominator; a designer cost other
+    than social cost is brought over a common one by :func:`lp._column`),
+    which :mod:`flowgames.lp` solves exactly from the basis of one start
+    candidate per state plus every obedience slack. A candidate of another
+    shape than the game's flows raises ValueError. The start is each
     state's first candidate with no positive obedience term (an
     equilibrium, which :func:`build_grid` seeds).
     On exact data (every cost and obedience term an int or ``Fraction``) the
@@ -127,15 +135,24 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     renormalized.
     """
     game = problem.game
-    columns = [(state, idx) for state in game.states for idx in range(len(problem.candidates[state]))]
+    shape = tuple(len(p.actions) for p in game.populations)
+    columns, atoms, eq_rows = [], [], []
     designer = {}  # state -> compiled designer cost; None means social cost
-    for state in game.states:
+    for row, state in enumerate(game.states):
         expr = problem.designer_cost[state]
         designer[state] = None if expr is None else compile_cost(game, expr, state)
-    atoms = [(state, game.prior_of(state), problem.candidates[state][idx]) for state, idx in columns]
+        p = game.prior_of(state)
+        for idx, flow in enumerate(problem.candidates[state]):
+            if tuple(map(len, flow.flows)) != shape:
+                what = f"candidate {idx} of state {state!r}, {flow!r},"
+                raise ValueError(f"{what} does not match the game's populations and actions")
+            columns.append((state, idx))
+            atoms.append((state, p, flow))
+            eq_rows.append(row)
     n_eq = len(game.states)
-    eq_rows = [game.states.index(state) for state, _ in columns]
     witnesses, obedience, social = _obedience_columns(game, atoms, eq_rows=eq_rows)
+    # an exact atom's social cost is an int numerator over its column's d;
+    # any other cost is a value, lifted with its column by _column below
     cost = [
         value if designer[state] is None else p * designer[state](flow.flows)
         for (state, p, flow), value in zip(atoms, social)
@@ -158,12 +175,19 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
     n_ub = len(witnesses)
     basis = starts + list(range(len(columns), len(columns) + n_ub))
     b_ub = [0] * n_ub if exact else [max(0, sum(Fraction(row[j]) for j in starts)) for row in rows]
+    for j, ((state, _, _), (d, entries)) in enumerate(zip(atoms, obedience)):
+        if d is None or designer[state] is not None:
+            d, cost[j], entries = _column(entries, cost[j], d or 1)
+            obedience[j] = (d, entries)
     certificate = _column_solve(basis, cost, obedience, [1] * n_eq + b_ub, n_ub)
-    x, objective, floor = certificate.x, certificate.objective, 0
+    objective, floor = certificate.objective, 0
     if not exact:
-        x, objective, floor = [float(w) for w in x], float(objective), 1e-11
+        objective, floor = float(objective), 1e-11
     per_state: dict = {state: [] for state in game.states}
-    for (state, idx), w in zip(columns, x):
+    # a nonbasic weight is 0: read the basic ones, in column order
+    for j in sorted(j for j in certificate.basis if j < len(columns)):
+        state, idx = columns[j]
+        w = certificate.x[j] if exact else float(certificate.x[j])
         if w > floor:
             per_state[state].append((problem.candidates[state][idx], w))
     # renormalize float weights (exact ones already sum to 1)
@@ -214,6 +238,8 @@ def ccwe_grid_gap(game: GameSpec, state: str, resolution: int) -> tuple[float, f
     if not found:
         raise RuntimeError(f"no equilibrium found for state {state!r}")
     we_cost = float(social_cost(game, found[0], state))
+    # lattice atoms of mass 1 are exact: every column is over its own int d,
+    # and sc holds its social cost's numerator over it
     atoms = [(state, Fraction(1), f) for f in grid_flows(game, resolution)]
     witnesses, obedience, sc = _obedience_columns(game, atoms, coarse=True, eq_rows=[0] * len(atoms))
     n = len(witnesses)

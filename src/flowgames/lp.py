@@ -5,12 +5,14 @@ solution (the returned basis bounds the support) and bit-reproducible
 tie-breaking, which off-the-shelf interior-point or presolving solvers do
 not guarantee.
 
-``exact_solve`` reads every entry as an exact rational (``Fraction(v)`` is
-exact for ints, Fractions and floats alike) into columns of integer numerators
-over a positive denominator, the form that ``_column_solve`` (which the design
-LP calls directly) solves. It keeps B^-1 and x_B fraction-free: integer
-numerators over one common denominator, with every entry and the denominator
-divided by their gcd after each pivot (integer-preserving elimination in the
+``exact_solve`` reads every entry and cost as an exact rational
+(``Fraction(v)`` is exact for ints, Fractions and floats alike) into columns
+of integer numerators over a positive denominator, each with its cost's
+numerator over the same denominator: the one form in which ``_column_solve``
+takes every LP (the design LP, the W1 transport LP and ``ccwe_grid_gap``
+call it directly). It keeps B^-1 and x_B fraction-free: integer numerators
+over one common denominator, with every entry and the denominator divided
+by their gcd after each pivot (integer-preserving elimination in the
 manner of Edmonds 1967). Duals, pricing and the ratio test are integer work
 too; ``Fraction``s are made only for the returned ``Certificate``. It starts
 from a primal feasible basis the caller gives (pivoted in from the unit basis)
@@ -76,7 +78,7 @@ import math
 from fractions import Fraction
 
 from ._numpy import np
-from .model import _Record, _floats
+from .model import _Record
 
 PIVOT_TOL = 1e-10
 # consecutive degenerate exact pivots before pricing by Bland's rule alone
@@ -110,14 +112,14 @@ def exact_solve(basis, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certifi
     right-hand side does not match ``c`` or its matrix in length, or on an
     entry that is not a finite number.
     """
-    return _column_solve(basis, c, *_exact_data(a_eq, b_eq, a_ub, b_ub, len(c)))
+    return _column_solve(basis, *_exact_data(c, a_eq, b_eq, a_ub, b_ub))
 
 
 def _column_solve(basis, c, columns, rhs, n_ub) -> Certificate:
     """:func:`exact_solve` on an LP in column form: (d, [(row, k)]) per
-    structural column (see :func:`_column`), entries k / d with integer k
-    and d > 0, or (None, [(row, v)]) with v ints, ``Fraction``s or floats,
-    read exactly by :func:`_column`; the last ``n_ub`` rows are <= rows.
+    structural column j (see :func:`_column`), entries k / d with integer k
+    and d > 0, and cost c[j] / d with c[j] an int; the last ``n_ub`` rows
+    are <= rows. ``Fraction``s are made only for the returned certificate.
 
     Pricing ranks columns by their float reduced costs over
     :func:`_float_image` (see :func:`_price`): sparse Python float rows
@@ -129,10 +131,9 @@ def _column_solve(basis, c, columns, rhs, n_ub) -> Certificate:
     exactly optimal basis."""
     n, m, total = len(c), len(rhs), len(c) + n_ub
     n_eq = m - n_ub
-    cost = [_exact(v) for v in c] + [0] * n_ub
+    cost = list(c) + [0] * n_ub
     rhs = [_exact(v) for v in rhs]
-    columns = [_column(col) if d is None else (d, col) for d, col in columns]
-    columns += [(1, [(i, 1)]) for i in range(n_eq, m)]
+    columns = list(columns) + [(1, [(i, 1)]) for i in range(n_eq, m)]
     if not m:
         raise ValueError("LP needs at least one row")
     float_a = _float_image(columns, m)
@@ -163,7 +164,8 @@ def _column_solve(basis, c, columns, rhs, n_ub) -> Certificate:
     for j, row in zip(basis, rows):
         if j < n:
             x[j] = Fraction(row[-1], den * scale)
-    objective = sum((cost[j] * x[j] for j in range(n) if x[j]), Fraction(0))
+    # c . x = c_B B^-1 b = y . b, in ints: y_int . b over y_den * scale
+    objective = Fraction(sum(v * bi for v, bi in zip(y, b)), y_den * scale)
     return Certificate(tuple(x), tuple(Fraction(v, y_den) for v in y), objective, tuple(basis))
 
 
@@ -174,18 +176,20 @@ def _simplex_phase(basis, rows, den, cost, columns, float_a):
     y_den) there, the duals being y_int / y_den.
 
     ``float_a`` is the columns' :func:`_float_image`, which :func:`_price`
-    ranks them over each round. ``cost`` may run past the columns: an
-    artificial (a basis index past the last column) costs its entry there,
-    never enters, and leaves at step 0 as soon as an entering column touches
-    its row while it sits at 0, so it stays at 0 once there.
+    ranks them over each round. Column j = (d, entries) costs cost[j] / d,
+    an int over the column's own d. ``cost`` may run past the columns: an
+    artificial (a basis index past the last column) costs its int entry
+    there, never enters, and leaves at step 0 as soon as an entering column
+    touches its row while it sits at 0, so it stays at 0 once there.
     """
     total = len(columns)
-    float_cost = _floats(cost[:total])
+    # int true division rounds correctly: the float of each exact cost
+    float_cost = [k / d for k, (d, _) in zip(cost, columns)]
     if not isinstance(float_a, list):
         float_cost = np.array(float_cost)
     stalled = 0
     while True:
-        y, y_den = _duals(basis, cost, rows, den)
+        y, y_den = _duals(basis, cost, columns, rows, den)
         entering = None
         if stalled < STALL_PIVOTS:
             # most negative float reduced cost, the first on a tie, if its
@@ -299,7 +303,7 @@ def _lemke(columns, q):
         return z
     # w_i is variable i, z_j is n + j and z0 is 2n
     cols = [(1, [(i, 1)]) for i in range(n)]
-    cols += [(d, [(i, -k) for i, k in col]) for d, col in map(_column, columns)]
+    cols += [(d, [(i, -k) for i, k in col]) for d, _, col in map(_column, columns)]
     cols.append((1, [(i, -1) for i in range(n)]))
     basis, den, entering = list(range(n)), 1, 2 * n
     while True:
@@ -323,11 +327,12 @@ def _lemke(columns, q):
     return z
 
 
-def _exact_data(a_eq, b_eq, a_ub, b_ub, n):
-    """An LP's rows as ``n`` columns, its right-hand side and its number of
-    <= rows; raises ValueError when a matrix and its right-hand side differ
-    in length or a row does not have ``n`` entries."""
-    rows, rhs = [], []
+def _exact_data(c, a_eq, b_eq, a_ub, b_ub):
+    """An LP's costs and rows as :func:`_column_solve`'s arguments after the
+    basis: its cost numerators, its columns, its right-hand side and its
+    number of <= rows; raises ValueError when a matrix and its right-hand
+    side differ in length or a row does not have ``len(c)`` entries."""
+    n, rows, rhs = len(c), [], []
     for name, a, b in (("eq", a_eq, b_eq), ("ub", a_ub, b_ub)):
         a, b = list(() if a is None else a), list(() if b is None else b)
         if len(a) != len(b):
@@ -338,14 +343,20 @@ def _exact_data(a_eq, b_eq, a_ub, b_ub, n):
         rows += a
         rhs += b
     # ``b`` is now b_ub: the <= rows come last
-    return [_column(enumerate(row[j] for row in rows)) for j in range(n)], rhs, len(b)
+    columns = [_column(enumerate(row[j] for row in rows), c[j]) for j in range(n)]
+    return [k for _, k, _ in columns], [(d, col) for d, _, col in columns], rhs, len(b)
 
 
-def _column(entries):
-    """(d, [(row, k)]) of the nonzero entries (row, v): v = k / d, d the lcm of their denominators."""
+def _column(entries, cost=0, d=1):
+    """(D, k_c, [(row, k)]) of a column whose entries (row, v) stand for
+    v / d (so v is an int where d > 1) and whose cost is ``cost``, every value
+    read exactly: integers over D, a common multiple of d and every
+    denominator, with cost = k_c / D and v / d = k / D for each nonzero v."""
+    cost = _exact(cost)
     exact = [(i, _exact(v)) for i, v in entries if v]
-    d = math.lcm(*(v.denominator for _, v in exact))
-    return d, [(i, v.numerator * (d // v.denominator)) for i, v in exact]
+    big = math.lcm(d, cost.denominator, *(v.denominator * d for _, v in exact))
+    k_c = cost.numerator * (big // cost.denominator)
+    return big, k_c, [(i, v.numerator * (big // (v.denominator * d))) for i, v in exact]
 
 
 def _factor(basis, columns, b, n_eq: int):
@@ -377,16 +388,17 @@ def _factor(basis, columns, b, n_eq: int):
     return [rows[row_of[j]] for j in basis], den
 
 
-def _duals(basis, cost, rows, den):
-    """y = c_B B^-1 as (y_int, y_den) in lowest terms, skipping zero costs; a
-    basis index past ``cost`` costs 0."""
-    cb = [(cost[j] if j < len(cost) else 0, row) for j, row in zip(basis, rows)]
-    c_den = math.lcm(*(c.denominator for c, _ in cb if c))
+def _duals(basis, cost, columns, rows, den):
+    """y = c_B B^-1 as (y_int, y_den) in lowest terms, skipping zero costs:
+    cost[j] is over column j's d, an artificial's (a basis index past the
+    columns) over 1, and a basis index past ``cost`` costs 0."""
+    total, paid = len(columns), len(cost)
+    cb = [(cost[j], columns[j][0] if j < total else 1, row) for j, row in zip(basis, rows) if j < paid and cost[j]]
+    c_den = math.lcm(*(d for _, d, _ in cb))
     y = [0] * len(rows)
-    for c, row in cb:
-        if c:
-            k = c.numerator * (c_den // c.denominator)
-            y = [a + k * v for a, v in zip(y, row)]  # zip stops before x_B
+    for c, d, row in cb:
+        k = c * (c_den // d)
+        y = [a + k * v for a, v in zip(y, row)]  # zip stops before x_B
     y_den = c_den * den
     g = math.gcd(y_den, *y)
     return [v // g for v in y], y_den // g
@@ -394,11 +406,11 @@ def _duals(basis, cost, rows, den):
 
 def _first_negative(y, y_den, cost, columns, order):
     """The first column in ``order`` whose exact reduced cost c_j - y . a_j
-    is negative, or None: with y = y_int / y_den and the column (d, entries),
-    y . a_j = sum(y_int[i] * k) / (y_den * d)."""
+    is negative, or None: with y = y_int / y_den and the column (d, entries)
+    costing cost[j] / d, y . a_j = sum(y_int[i] * k) / (y_den * d), so the
+    sign is that of cost[j] * y_den - sum(y_int[i] * k)."""
     for j in order:
-        d, entries = columns[j]
-        if cost[j].numerator * y_den * d < cost[j].denominator * sum(y[i] * k for i, k in entries):
+        if cost[j] * y_den < sum(y[i] * k for i, k in columns[j][1]):
             return j
     return None
 

@@ -561,6 +561,9 @@ class FlowProfile(_Record):
     """One flow vector per population; each population's entries sum to 1."""
 
     flows: tuple
+    # a lattice flow's resolution r, each entry an int count over r; set by
+    # _trusted_profile, and not a field, so equality, hash and repr ignore it
+    _resolution = None
 
     def __post_init__(self):
         flows = tuple(tuple(v for v in vec) for vec in self.flows)
@@ -576,10 +579,15 @@ class FlowProfile(_Record):
             _check_unit(sum(vec), "population {} flow sums", k)
 
 
-def _trusted_profile(flows: tuple) -> FlowProfile:
-    """An unchecked FlowProfile of entries nonnegative and summing to 1 by construction."""
+def _trusted_profile(flows: tuple, resolution=None) -> FlowProfile:
+    """An unchecked FlowProfile of entries nonnegative and summing to 1 by
+    construction; ``resolution``, when given, is an int r such that every
+    entry is an int count over r, which lets the exact obedience builder
+    read the counts with no lcm."""
     flow = object.__new__(FlowProfile)
     object.__setattr__(flow, "flows", flows)
+    if resolution is not None:
+        object.__setattr__(flow, "_resolution", resolution)
     return flow
 
 

@@ -639,9 +639,11 @@ def _simplex_grid(n_actions: int, resolution: int) -> list:
 
 
 def _lattice_size(game: GameSpec, resolution: int) -> int:
-    """The number of flows :func:`grid_flows` returns, counted without building them."""
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    """The number of flows :func:`grid_flows` returns, counted without
+    building them; ValueError unless ``resolution`` is an int (not a bool)
+    of at least 1."""
+    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
+        raise ValueError(f"resolution must be an int of at least 1, got {resolution!r}")
     return math.prod(
         math.comb(resolution + len(p.actions) - 1, len(p.actions) - 1) for p in game.populations
     )
@@ -657,14 +659,15 @@ def _population_grids(game: GameSpec, resolution: int) -> list:
 
 def grid_flows(game: GameSpec, resolution: int) -> list[FlowProfile]:
     """The product over populations of simplex lattices with the given
-    denominator: :func:`_simplex_grid`'s numerators i, each mapped to one
-    ``Fraction(i, resolution)`` shared by the whole lattice."""
+    denominator, in lexicographic order: :func:`_simplex_grid`'s numerators
+    i, each mapped to one ``Fraction(i, resolution)`` shared by the whole
+    lattice. Each flow carries ``resolution`` (see
+    :func:`~flowgames.model._trusted_profile`)."""
+    grids = _population_grids(game, resolution)
     table = [Fraction(i, resolution) for i in range(resolution + 1)]
-    per_pop = [
-        [tuple(table[i] for i in vec) for vec in grid] for grid in _population_grids(game, resolution)
-    ]
+    per_pop = [[tuple(table[i] for i in vec) for vec in grid] for grid in grids]
     # lattice entries are nonnegative Fractions summing to 1 by construction
-    return [_trusted_profile(combo) for combo in itertools.product(*per_pop)]
+    return [_trusted_profile(flows, resolution) for flows in itertools.product(*per_pop)]
 
 
 def _lattice_scores(game: GameSpec, state: str, resolution: int, points: list) -> tuple:

@@ -385,20 +385,53 @@ def test_obedience_rows_match_term_by_term_reference(name, request):
         got = fg.obedience_rows(game, atoms, **kwargs)
         assert _typed(got) == _typed(_reference_rows(game, atoms, **kwargs)), kwargs
     # the design LP's simplex columns: a head on each atom's equality row,
-    # the same terms after it, and each mass times its social cost
+    # the same terms after it, and each mass times its social cost: an int
+    # numerator over the column's d for an exact atom, else the value itself
     eq_rows = [game.states.index(s) for s, _, _ in atoms]
     for kwargs in ({}, {"coarse": True}):
         witnesses, columns, socials = _obedience_columns(game, atoms, eq_rows=eq_rows, **kwargs)
         assert [col[0] for _, col in columns] == [(i, d or 1) for i, (d, _) in zip(eq_rows, columns)]
         got = _term_rows(witnesses, columns, max(eq_rows) + 1)
         assert _typed(got) == _typed(_reference_rows(game, atoms, **kwargs)), kwargs
+        assert all(type(v) is int for v, (d, _) in zip(socials, columns) if d is not None)
+        got = [v if d is None else F(v, d) for v, (d, _) in zip(socials, columns)]
         want = [m * fg.social_cost(game, f, s) for s, m, f in atoms]
-        assert [(type(v), repr(v)) for v in socials] == [(type(v), repr(v)) for v in want]
+        assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in want]
     if name == "ints":
         # at (1, 0, 0) with mass 1, c_a = 1 and c_b = 0 are ints but c_c = 1
         # is a Fraction: a nonzero int term beside a Fraction one
         (_, ab), (_, ac) = fg.obedience_rows(game, atoms)[:2]
         assert (type(ab[-3]), ab[-3], type(ac[-3]), ac[-3]) == (int, 1, F, 0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lattice_counts_give_the_columns_of_their_fractions(seed):
+    # the design workload's shapes (4 actions at resolution 8, 3 at 16) and
+    # two-population grids: columns built from the counts over a lattice
+    # flow's carried resolution equal, entry by entry as Fraction(k, d), those
+    # built through _int_flows from its entries, and each int objective
+    # numerator over its d is mass * social_cost; with no shares, shares
+    # whose denominator divides the resolution and shares whose does not
+    from flowgames.generators import random_congestion_game
+
+    rng = random.Random(seed)
+    n_actions, n_pops, resolution = [(4, 1, 8), (3, 1, 16), (3, 2, 4), (2, 2, 6)][seed % 4]
+    game = random_congestion_game(seed, n_actions=n_actions, n_states=2, n_pops=n_pops)
+    flows = fg.grid_flows(game, resolution)
+    atoms = [(s, game.prior_of(s) * F(rng.randint(0, 3), rng.randint(1, 5)), f) for s in game.states for f in flows]
+    plain = [(s, m, fg.FlowProfile(f.flows)) for s, m, f in atoms]
+    assert all(f._resolution == resolution for f in flows) and all(f._resolution is None for _, _, f in plain)
+    eq_rows = [game.states.index(s) for s, _, _ in atoms]
+    off = F(1, resolution + rng.randint(1, 5))
+    for kwargs in ({}, {"coarse": True}, {"shares": [F(1, resolution)] * n_pops}, {"shares": [off] * n_pops}):
+        witnesses, columns, socials = _obedience_columns(game, atoms, eq_rows=eq_rows, **kwargs)
+        want_witnesses, want_columns, _ = _obedience_columns(game, plain, eq_rows=eq_rows, **kwargs)
+        assert witnesses == want_witnesses
+        assert [[(i, F(k, d)) for i, k in col] for d, col in columns] == [
+            [(i, F(k, d)) for i, k in col] for d, col in want_columns
+        ], kwargs
+        for (s, m, f), (d, _), v in zip(atoms, columns, socials):
+            assert type(v) is int and F(v, d) == m * fg.social_cost(game, f, s)
 
 
 def _sum_rows(game, atoms, **kwargs):

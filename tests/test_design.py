@@ -1,5 +1,6 @@
 import collections
 import itertools
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -31,6 +32,63 @@ def test_build_grid_checks_cap_before_building(elfarol, monkeypatch):
     with pytest.raises(ValueError, match="1e6 cap"):
         fg.build_grid(elfarol, 10**6)
     assert built == []
+
+
+def test_build_grid_keeps_a_seed_equal_to_a_lattice_flow_only_in_floats(elfarol, monkeypatch):
+    # 1/2 + 2**-60 rounds to the float 0.5, so float keys took this seed for
+    # the lattice flow (1/2, 1/2) and dropped it; it sorts after that flow
+    eps = F(1, 2**60)
+    seed = flow1(F(1, 2) + eps, F(1, 2) - eps)
+    monkeypatch.setattr("flowgames.design._state_equilibria", lambda game, state: [seed])
+    got = fg.build_grid(elfarol, 2)["0"]
+    assert got == (flow1(0, 1), flow1(F(1, 2), F(1, 2)), seed, flow1(1, 0))
+    # a seed equal to a lattice flow is dropped, the lattice flow kept
+    half = flow1(F(1, 2), F(1, 2))
+    monkeypatch.setattr("flowgames.design._state_equilibria", lambda game, state: [half])
+    got = fg.build_grid(elfarol, 2)["0"]
+    assert got == (flow1(0, 1), half, flow1(1, 0)) and got[1] is not half
+
+
+@pytest.mark.parametrize("resolution", [True, False, 2.0, "4", 0, -1])
+def test_resolution_must_be_an_int_of_at_least_1(resolution, elfarol):
+    message = re.escape(f"resolution must be an int of at least 1, got {resolution!r}")
+    with pytest.raises(ValueError, match=message):
+        fg.build_grid(elfarol, resolution)
+    with pytest.raises(ValueError, match=message):
+        fg.grid_flows(elfarol, resolution)
+    with pytest.raises(ValueError, match=message):
+        fg.enumerate_we_grid(elfarol, "0", resolution)
+
+
+def test_candidates_of_another_shape_are_refused():
+    # a 2-entry and a 4-entry flow on a 3-action game used to raise IndexError
+    game = random_congestion_game(0, n_actions=3, n_states=2)
+    grid = fg.build_grid(game, 2)
+    for bad in (flow1(F(1, 2), F(1, 2)), flow1(*[F(1, 4)] * 4)):
+        candidates = {**grid, "1": grid["1"] + (bad,)}
+        problem = fg.DesignerProblem(game, fg.social_cost_expr(game), candidates)
+        message = re.escape(f"candidate {len(grid['1'])} of state '1', {bad!r}, does not match")
+        with pytest.raises(ValueError, match=message):
+            fg.solve_program_p(problem)
+
+
+def test_exact_design_makes_fewer_fractions_than_columns(monkeypatch):
+    # lattice counts and integer objective numerators reach the simplex with
+    # no Fraction per atom: Fractions are made for the certificate only
+    game = random_congestion_game(0, n_actions=4, n_states=2)
+    problem = fg.DesignerProblem(game, fg.social_cost_expr(game), fg.build_grid(game, 8))
+    made, new = [], F.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    solution = fg.solve_program_p(problem)
+    monkeypatch.undo()
+    n_columns = sum(map(len, problem.candidates.values()))
+    assert solution.status == "optimal" and n_columns == 332
+    assert 0 < len(made) < n_columns
 
 
 def test_elfarol_optimal_distribution(elfarol):

@@ -119,8 +119,10 @@ def test_exact_solve_reads_floats_exactly():
     # 0.1 is not 1/10 in binary; the certificate keeps the float's exact value
     cert = fg.exact_solve(None, [0.1], a_eq=[[1.0]], b_eq=[1.0])
     assert cert.objective == F(0.1) != F(1, 10)
-    # a native column (d None), as the obedience builder gives for float atoms
-    cert = lp._column_solve(None, [1], [(None, [(0, 0.1)])], [1.0], 0)
+    # a float column, as the obedience builder gives for float atoms, lifted
+    # by lp._column to int numerators over one denominator with its cost
+    d, k, col = lp._column([(0, 0.1)], 1)
+    cert = lp._column_solve(None, [k], [(d, col)], [1.0], 0)
     assert cert.x == (1 / F(0.1),) != (F(10),)
 
 
@@ -407,7 +409,8 @@ def test_row_pricing_is_the_column_sums_bit_for_bit(golden_lps, monkeypatch):
         return image(cols, m)
 
     def phased(basis, rows, den, cost, cols, float_a):
-        exact[:] = cost[: len(cols)]
+        # each cost is an int numerator over its column's d
+        exact[:] = [F(k, d) for k, (d, _) in zip(cost, cols)]
         return phase(basis, rows, den, cost, cols, float_a)
 
     def priced(y, cost, float_a):

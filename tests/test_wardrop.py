@@ -148,6 +148,9 @@ def test_lattice_profiles_equal_validated_profiles():
                 checked = fg.FlowProfile(f.flows)
                 assert f == checked and hash(f) == hash(checked)
                 assert repr(f) == repr(checked)
+                # it carries the resolution, over which every entry is an int count
+                assert f._resolution == resolution and checked._resolution is None
+                assert all((v * resolution).denominator == 1 for vec in f.flows for v in vec)
 
 
 def test_grid_flows_share_one_fraction_per_numerator():
