@@ -1,13 +1,25 @@
-"""numpy, executed on first attribute access: most commands never need an array."""
+"""numpy, executed on first attribute access: most commands never need an array.
+
+Without numpy installed, ``np`` is a stand-in whose first attribute access
+raises the ``ModuleNotFoundError`` that ``import numpy`` would, so the
+commands that need no array still run.
+"""
 
 import importlib.util
 import sys
+
+
+class _Missing:
+    def __getattr__(self, name):
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+
 
 np = sys.modules.get("numpy")
 if np is None:
     _spec = importlib.util.find_spec("numpy")
     if _spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(np)
+        np = _Missing()
+    else:
+        _spec.loader = importlib.util.LazyLoader(_spec.loader)
+        np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+        _spec.loader.exec_module(np)

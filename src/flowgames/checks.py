@@ -23,6 +23,7 @@ from .model import (
     _cost_fn,
     _distribution,
     _evaluate,
+    _fold,
     _int_flows,
     _lifted_costs,
     eval_cost,
@@ -82,9 +83,9 @@ def _row_sums(witnesses, columns) -> list:
     """(witness, sum(terms)) per row of :func:`_term_rows`, in value and type.
     When every column is exact, a row adds its numerators v as v * (L // d)
     over L, the lcm of the columns' d, into one ``Fraction``; a row with no
-    entry is the int 0. Otherwise each row is summed left to right."""
+    entry is the int 0. Otherwise each row is summed left to right (:func:`_fold`)."""
     if any(d is None for d, _ in columns):
-        return [(witness, sum(terms)) for witness, terms in _term_rows(witnesses, columns)]
+        return [(witness, _fold(terms)) for witness, terms in _term_rows(witnesses, columns)]
     lcm, sums = math.lcm(*(d for d, _ in columns)), {}
     for d, entries in columns:
         scale = lcm // d
@@ -197,7 +198,7 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, eq_rows
         for k, rows in plan if live else ():
             c, yk = table[k], ys[k]
             if coarse:
-                own = sum(y * cj for y, cj in zip(yk, c) if y != 0)
+                own = _fold(y * cj for y, cj in zip(yk, c) if y != 0)
                 entries += [(r, m * (own - dy * c[jb])) for r, jb in rows]
                 continue
             for ja, y in enumerate(yk):

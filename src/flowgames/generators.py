@@ -23,6 +23,7 @@ from .model import (
     Mul,
     Outcome,
     Population,
+    _fold,
     congestion_to_game,
 )
 from .wardrop import _state_equilibria
@@ -78,7 +79,7 @@ def random_flow(game: GameSpec, seed) -> FlowProfile:
     flows = []
     for pop in game.populations:
         raw = [rng.random() + 1e-9 for _ in pop.actions]
-        total = sum(raw)
+        total = _fold(raw)
         flows.append(tuple(v / total for v in raw))
     return FlowProfile(tuple(flows))
 

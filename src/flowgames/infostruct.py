@@ -26,12 +26,13 @@ from .model import (
     _check_tol,
     _check_unit,
     _floats,
+    _fold,
     _round_outcome,
     _shown,
     _sum,
     eval_cost,
 )
-from .wardrop import _congestion_core
+from .wardrop import _block_sum, _congestion_core
 
 
 class InformationStructure(_Record):
@@ -384,24 +385,26 @@ def _bwe_solve(game, structure, blocks, core, tol, start) -> StrategyProfile:
     else:
         x0 = np.array(_floats(start.strategies[k][ti][j] for k, ti in blocks for j in range(len(actions))))
     x, _iters = core.minimize(x0, tol, 400)
+    xs = x.tolist()
     out = []
     pos = {blk: i for i, blk in enumerate(blocks)}
+    n = len(actions)
     for k in range(structure.population_count()):
         gamma, float_gamma = structure.sizes[k], float_sizes[k]
+        dust = 1e-9 * float_gamma
         block_vecs = []
         for ti in range(len(structure.type_sets[k])):
             total = 0  # a block with no solved mass puts all of gamma on its first action
             if (k, ti) in pos and gamma > 0:
-                lo = pos[(k, ti)] * len(actions)
-                vec = np.maximum(x[lo : lo + len(actions)], 0.0)
-                vec[vec < 1e-9 * float_gamma] = 0.0
-                total = vec.sum()
+                lo = pos[(k, ti)] * n
+                # negative flow and dust to 0 (NaN stays, as np.maximum keeps it)
+                vec = [0.0 if v < dust else v for v in xs[lo : lo + n]]
+                total = _block_sum(vec)
             if total > 0:
-                vec = vec * (float_gamma / total)
+                scale = float_gamma / total
+                block_vecs.append(tuple([v * scale for v in vec]))
             else:
-                vec = np.zeros(len(actions))
-                vec[0] = float_gamma
-            block_vecs.append(tuple(vec.tolist()))
+                block_vecs.append((float_gamma,) + (0.0,) * (n - 1))
         out.append(tuple(block_vecs))
     return StrategyProfile(tuple(out))
 
@@ -453,7 +456,7 @@ def bwe_cost_uniqueness_probe(
             vecs = []
             for _t in structure.type_sets[k]:
                 raw = [rng.random() + 1e-3 for _ in actions]
-                total = sum(raw)
+                total = _fold(raw)
                 vecs.append(tuple(gamma * v / total for v in raw))
             start_blocks.append(tuple(vecs))
         start = StrategyProfile(tuple(start_blocks))

@@ -619,12 +619,24 @@ def _check_unit(total, what: str, *args) -> None:
         raise ValueError(f"{what.format(*args)} to {_shown(total)}, expected 1")
 
 
+def _fold(values):
+    """``values`` added left to right onto the int 0, one ``+`` at a time.
+
+    This is what ``sum`` gave before Python 3.12, which adds floats with
+    compensation, so ``_fold([0.1] * 10)`` is 0.9999999999999999 where
+    ``sum`` there gives 1.0."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
 def _sum(values):
-    """``sum(values)``, left to right; when every value is an int or a
+    """:func:`_fold` of ``values``; when every value is an int or a
     ``Fraction``, the same value as int numerators over their lcm, one ``Fraction``."""
     values = list(values)
     if not all(type(v) in (int, Fraction) for v in values):
-        return sum(values)
+        return _fold(values)
     den = math.lcm(*(v.denominator for v in values))
     return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
 

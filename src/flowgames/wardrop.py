@@ -34,6 +34,7 @@ from .model import (
     _check_unit,
     _cost_fn,
     _evaluate,
+    _fold,
     _lifted_costs,
     _trusted_profile,
     eval_cost,
@@ -136,16 +137,22 @@ def _horner(terms, loads):
     return acc
 
 
-def _newton_matrix(a0, msub, eq, dvals):
+def _newton_matrix(a0, msub, fill, dvals):
     """A copy of the Newton matrix ``a0`` with its equal-cost rows filled:
     the Hessian rows of j less those of base over the support's incidence
     columns ``msub``, given the latency derivatives ``dvals`` (see
-    :meth:`_PotentialCore._newton_plan` for ``eq``)."""
-    eq_rows, jpos, bpos, _jvar, _bvar = eq
+    :meth:`_PotentialCore._newton_plan` for ``fill``)."""
+    eq_rows, jpos, bpos = fill
     hess = msub.T @ (dvals[:, None] * msub)
     a = a0.copy()
     a[eq_rows] = hess[jpos] - hess[bpos]
     return a
+
+
+def _block_sum(values):
+    """A block's list of floats summed as numpy's ``sum`` adds them: left to
+    right from 0 below 8 entries (:func:`_fold`), pairwise from 8 on."""
+    return _fold(values) if len(values) < 8 else float(np.array(values).sum())
 
 
 def _brent_root(f, a, b, fa, fb):
@@ -205,13 +212,14 @@ class _PotentialCore:
     simplex scales. Latencies are held as zero-padded coefficient columns,
     ``terms`` and their derivative's ``dterms``, evaluated by Horner's rule.
 
-    The core keeps no solver state between solves. It caches, per Newton
-    support, the index arrays and constant rows that :meth:`_solve_support`
-    reads (see :meth:`_newton_plan`), and on an affine core (one derivative
-    column, a constant Hessian) the whole system matrix's least-squares
-    inverse; they derive from ``incidence``, the latencies and the support
-    alone, so a solve returns the same floats whatever was solved on the core
-    before.
+    The core keeps no solver state between solves: the costs at a point
+    pass from step to step by return value. It caches, per Newton support,
+    the index arrays and lists and the constant rows that
+    :meth:`_solve_support` reads (see :meth:`_newton_plan`), and on an
+    affine core (one derivative column, a constant Hessian) the whole system
+    matrix's least-squares inverse; they derive from ``incidence``, the
+    latencies and the support alone, so a solve returns the same floats
+    whatever was solved on the core before.
     """
 
     def __init__(self, incidence, polys, blocks, masses):
@@ -226,7 +234,7 @@ class _PotentialCore:
         self.terms = tuple(coef.T[::-1].copy())
         self.dterms = tuple(dcoef.T[::-1].copy())
         self.blocks = blocks
-        self.masses = np.asarray(masses, dtype=float)
+        self.masses = [float(mass) for mass in masses]
         self.n = self.m.shape[1]
         self._plans = {}
 
@@ -243,35 +251,50 @@ class _PotentialCore:
         return s
 
     def line_search(self, x, d, h0):
-        """Step in [0, 1] to the potential's minimum along ``d``, given its
-        slope ``h0 < 0`` at ``x``."""
+        """The step t in [0, 1] to the potential's minimum along ``d``, given
+        its slope ``h0 < 0`` at ``x``, and the costs at ``x + t * d``, kept
+        from the search when it evaluated them there."""
+        seen = {}
 
         def h(t):
-            return float(self.costs(x + t * d) @ d)
+            g = seen[t] = self.costs(x + t * d)
+            return float(g @ d)
 
         h1 = h(1.0)
-        if h1 <= 0:
-            return 1.0
-        return _brent_root(h, 0.0, 1.0, h0, h1)
+        t = 1.0 if h1 <= 0 else _brent_root(h, 0.0, 1.0, h0, h1)
+        return t, seen[t] if t in seen else self.costs(x + t * d)
 
-    def frank_wolfe(self, x, iters):
+    def frank_wolfe(self, x, iters, g):
+        """At most ``iters`` steps from ``x``, whose costs are ``g``; returns
+        the point reached, the steps made and the costs there."""
         for t in range(iters):
-            g = self.costs(x)
             d = self.fw_vertex(g) - x
             slope = float(g @ d)
             if slope >= -1e-14:
-                return x, t
-            x = x + self.line_search(x, d, slope) * d
-        return x, iters
+                return x, t, g
+            step, g = self.line_search(x, d, slope)
+            x = x + step * d
+        return x, iters, g
 
-    def violation(self, x):
-        g, y = self.costs(x).tolist(), x.tolist()
-        return _worst_gap((y[lo:hi], g[lo:hi]) for lo, hi in self.blocks)
+    def violation(self, x, g):
+        """:func:`_worst_gap` of the blocks of ``x``, whose costs are ``g``,
+        read off the two float lists."""
+        y, g = x.tolist(), g.tolist()
+        worst = None
+        for lo, hi in self.blocks:
+            cheapest = min(g[lo:hi])
+            for j in range(lo, hi):
+                if y[j] != 0:
+                    gap = y[j] * (g[j] - cheapest)
+                    if worst is None or gap > worst:
+                        worst = gap
+        return 0 if worst is None else worst
 
-    def newton_polish(self, x):
-        """Repair the support of ``x`` until its Newton solution is an
-        equilibrium; returns that point, or None when a support cannot be
-        solved or 2n + 2 solves, n = ``self.n``, do not settle it.
+    def newton_polish(self, x, g):
+        """Repair the support of ``x``, whose costs are ``g``, until its
+        Newton solution is an equilibrium; returns that point with its costs,
+        or None when a support cannot be solved or 2n + 2 solves, n =
+        ``self.n``, do not settle it.
 
         A support is one ascending list of variables per block. A block's
         support starts as its actions with flow above 1e-8 or within 1e-6 of
@@ -282,7 +305,7 @@ class _PotentialCore:
         its cheapest action that undercuts its support's dearest cost by more
         than 1e-10, relative likewise; a round that adds none returns the
         point."""
-        y, g = x.tolist(), self.costs(x).tolist()
+        y, g = x.tolist(), g.tolist()
         support = []
         for lo, hi in self.blocks:
             cheapest = min(g[lo:hi])
@@ -302,12 +325,17 @@ class _PotentialCore:
                     changed = True
             if changed:
                 continue
-            point = np.maximum(solved, 0.0)
+            # np.maximum(y, 0.0): NaN stays, -0.0 becomes 0.0
+            point = [0.0 if v <= 0.0 else v for v in y]
             for (lo, hi), mass in zip(self.blocks, self.masses):
-                total = point[lo:hi].sum()
+                block = point[lo:hi]
+                total = _block_sum(block)
                 if total > 0 and mass > 0:
-                    point[lo:hi] *= mass / total
-            g = self.costs(point).tolist()
+                    scale = mass / total
+                    point[lo:hi] = [v * scale for v in block]
+            point = np.array(point)
+            costs = self.costs(point)
+            g = costs.tolist()
             grew = False
             for bi, ((lo, hi), sup) in enumerate(zip(self.blocks, support)):
                 in_cost = max(g[j] for j in sup)
@@ -317,7 +345,7 @@ class _PotentialCore:
                     support[bi] = sorted(sup + [min(outside, key=g.__getitem__)])
                     grew = True
             if not grew:
-                return point
+                return point, costs
         return None
 
     def _newton_plan(self, support):
@@ -330,40 +358,42 @@ class _PotentialCore:
         ``index``: an equal-cost row for each variable j after the block's
         first variable ``base``, then the block's mass row, 1 on each of its
         variables. The plan holds ``index``, the incidence columns over it,
-        the system matrix with only the mass rows filled, the equal-cost
-        rows' numbers with the positions of j and base in ``index`` and
-        among all variables, the mass rows' numbers, each block's [start,
-        end) span of ``index``, and ``inverse``. On an affine core every row
-        is constant, so the matrix is filled here and ``inverse`` is its
-        least-squares inverse, ``lstsq(a, I)``: the same SVD and rank cutoff
-        as ``lstsq(a, b)``, so ``inverse @ b`` is its step up to rounding.
-        Otherwise ``inverse`` is None and the equal-cost rows are filled per
-        point.
+        the system matrix with only the mass rows filled, ``fill`` (the
+        equal-cost rows' numbers and the positions of j and base in
+        ``index``, for :func:`_newton_matrix`), the (row, j, base) list of
+        the equal-cost rows and the (row, start, end, mass) list of the mass
+        rows, with start and end the block's span of ``index``, and
+        ``inverse``. On an affine core every row is constant, so the matrix
+        is filled here and ``inverse`` is its least-squares inverse,
+        ``lstsq(a, I)``: the same SVD and rank cutoff as ``lstsq(a, b)``, so
+        ``inverse @ b`` is its step up to rounding. Otherwise ``inverse`` is
+        None and the equal-cost rows are filled per point.
         """
         key = tuple(map(tuple, support))
         plan = self._plans.get(key)
         if plan is None:
             index = np.array([j for sup in support for j in sup], dtype=np.intp)
             a = np.zeros((len(index), len(index)))
-            eq, spans = [], []
+            fill, eq, mass_rows = [], [], []
             start = 0
-            for sup in support:
+            for sup, mass in zip(support, self.masses):
                 end = start + len(sup)
-                eq.extend((start + r, start + r + 1, start, j, sup[0]) for r, j in enumerate(sup[1:]))
+                for r, j in enumerate(sup[1:]):
+                    fill.append((start + r, start + r + 1, start))
+                    eq.append((start + r, j, sup[0]))
                 a[end - 1, start:end] = 1.0
-                spans.append((start, end))
+                mass_rows.append((end - 1, start, end, mass))
                 start = end
-            eq = np.array(eq, dtype=np.intp).reshape(-1, 5).T
-            mass_rows = np.array([end - 1 for _start, end in spans], dtype=np.intp)
+            fill = np.array(fill, dtype=np.intp).reshape(-1, 3).T
             msub = self.m[:, index]
             inverse = None
             if len(self.dterms) == 1:
-                a = _newton_matrix(a, msub, eq, self.dterms[0])
+                a = _newton_matrix(a, msub, fill, self.dterms[0])
                 try:
                     inverse = np.linalg.lstsq(a, np.eye(len(index)), rcond=None)[0]
                 except np.linalg.LinAlgError:
                     return None
-            plan = self._plans[key] = (index, msub, a, eq, mass_rows, spans, inverse)
+            plan = self._plans[key] = (index, msub, a, fill, eq, mass_rows, inverse)
         return plan
 
     def _solve_support(self, support, x):
@@ -372,15 +402,17 @@ class _PotentialCore:
         a step cannot be solved. A step is the least-squares solution of the
         support's system (:meth:`_newton_plan`): its kept inverse times the
         right-hand side on an affine core, else ``lstsq`` on the rows
-        rebuilt from the Hessian at each point."""
+        rebuilt from the Hessian at each point. The right-hand side, the
+        steps and their maxima are Python floats; a block's mass is summed
+        left to right (:func:`_fold`)."""
         if not any(support):
             return None
         plan = self._newton_plan(support)
         if plan is None:
             return None
-        index, msub, a0, eq, mass_rows, spans, inverse = plan
-        eq_rows, _jpos, _bpos, jvar, bvar = eq
-        sub = np.asarray(x, dtype=float)[index]
+        index, msub, a0, fill, eq, mass_rows, inverse = plan
+        sub = np.asarray(x, dtype=float)[index].tolist()
+        b = [0.0] * len(sub)
 
         def embed(values):
             y = np.zeros(self.n)
@@ -390,24 +422,24 @@ class _PotentialCore:
         for _round in range(60):
             y = embed(sub)
             loads = self.m @ y
-            g = self.mt @ _horner(self.terms, loads)
-            b = np.empty(len(index))
-            b[eq_rows] = -(g[jvar] - g[bvar])
-            subs = sub.tolist()
-            # each block's mass summed left to right, as numpy does not for 8 or more
-            b[mass_rows] = self.masses - [sum(subs[lo:hi]) for lo, hi in spans]
-            if np.abs(b).max() < 1e-14:
+            g = (self.mt @ _horner(self.terms, loads)).tolist()
+            for r, j, base in eq:
+                b[r] = -(g[j] - g[base])
+            for r, lo, hi, mass in mass_rows:
+                b[r] = mass - _fold(sub[lo:hi])
+            if all(abs(v) < 1e-14 for v in b):
                 return y
             if inverse is not None:
                 step = inverse @ b
             else:
-                a = _newton_matrix(a0, msub, eq, _horner(self.dterms, loads))
+                a = _newton_matrix(a0, msub, fill, _horner(self.dterms, loads))
                 try:
-                    step, *_ = np.linalg.lstsq(a, b, rcond=None)
+                    step, *_ = np.linalg.lstsq(a, np.array(b), rcond=None)
                 except np.linalg.LinAlgError:
                     return None
-            sub = sub + step
-            if np.abs(step).max() < 1e-15:
+            step = step.tolist()
+            sub = [v + t for v, t in zip(sub, step)]
+            if all(abs(t) < 1e-15 for t in step):
                 return embed(sub)
         return embed(sub)
 
@@ -421,26 +453,29 @@ class _PotentialCore:
         cheap: on affine latencies the potential is quadratic, so Newton on
         the right support lands on the minimizer, and one step from the
         start usually reveals that support. Each polish is re-measured and
-        kept only if it lowers the violation."""
+        kept only if it lowers the violation. The costs at each point are
+        evaluated once and handed on with it."""
         x = np.asarray(x0, dtype=float)
+        g = self.costs(x)
         best = x
-        best_v = self.violation(x)
+        best_v = self.violation(x, g)
         done = 0
         chunk = 1
         while done < max_iter:
             if best_v <= tol:
                 break
             steps = min(chunk, max_iter - done)
-            x, used = self.frank_wolfe(x, steps)
+            x, used, g = self.frank_wolfe(x, steps, g)
             done += used
-            v = self.violation(x)
+            v = self.violation(x, g)
             if v < best_v:
                 best, best_v = x, v
-            polished = self.newton_polish(x)
+            polished = self.newton_polish(x, g)
             if polished is not None:
-                pv = self.violation(polished)
+                point, costs = polished
+                pv = self.violation(point, costs)
                 if pv < best_v:
-                    best, best_v = polished, pv
+                    best, best_v = point, pv
             if used < steps:
                 break
             chunk = min(chunk * 2, 80)
@@ -597,9 +632,9 @@ def solve_we_br(
 def _normalized(k: int, vec) -> tuple:
     """Population ``k``'s flow clipped at 0 and scaled to unit mass."""
     clipped = [max(0.0, v) for v in vec]
-    total = sum(clipped)
+    total = _fold(clipped)
     out = tuple(v / total for v in clipped) if total > 0 else tuple(clipped)
-    _check_unit(sum(out), "population {} flow sums", k)
+    _check_unit(_fold(out), "population {} flow sums", k)
     return out
 
 

@@ -435,7 +435,14 @@ def test_lattice_counts_give_the_columns_of_their_fractions(seed):
 
 
 def _sum_rows(game, atoms, **kwargs):
-    return [(w, sum(terms)) for w, terms in fg.obedience_rows(game, atoms, **kwargs)]
+    """Each obedience row's terms added left to right onto the int 0."""
+    rows = []
+    for w, terms in fg.obedience_rows(game, atoms, **kwargs):
+        total = 0
+        for term in terms:
+            total = total + term
+        rows.append((w, total))
+    return rows
 
 
 def _typed_sums(rows):
@@ -470,6 +477,25 @@ def test_row_sums_are_the_sums_of_the_rows_terms(seed):
         for kwargs in ({}, {"coarse": True}, {"shares": shares}):
             got = _row_sums(*_obedience_columns(game, atoms, **kwargs)[:2])
             assert _typed_sums(got) == _typed_sums(_sum_rows(game, atoms, **kwargs)), kwargs
+
+
+def test_float_sums_add_left_to_right():
+    # from Python 3.12 on, sum() adds floats with compensation and gives 1.0
+    # for ten 0.1s; the sums that promise left-to-right order give 1 - 2**-53
+    # on every version
+    from flowgames.generators import random_congestion_game
+    from flowgames.model import _fold, _sum
+
+    terms = [0.1] * 10
+    assert _fold(terms) == _sum(terms) == 0.9999999999999999
+    assert _row_sums(["w"], [(None, [(0, 0.1)])] * 10) == [("w", 0.9999999999999999)]
+    # so does a coarse row's own cost sum(y_j c_j), 1.1625000000000003 with sum()
+    flow = fg.FlowProfile(((0.1, 0.2, 0.3, 0.15, 0.25),))
+    report = fg.check_ccwe(random_congestion_game(21, n_actions=5), [(flow, 1)], "0")
+    assert report.worst_violation == 1.1624999999999999
+    # mixed terms add one at a time, as ints, Fractions and floats add
+    assert _fold([1, F(1, 2), 0.25]) == 1.75 and type(_fold([1, F(1, 2)])) is F
+    assert _fold([]) == 0 and type(_fold([])) is int
 
 
 def test_row_sums_of_rows_without_entries_or_with_zero_entries():

@@ -788,14 +788,14 @@ def test_probe_solves_polish_after_one_frank_wolfe_step(monkeypatch):
     counts = []
     frank_wolfe, newton_polish, minimize = core.frank_wolfe, core.newton_polish, core.minimize
 
-    def stepped(self, x, iters):
-        x, used = frank_wolfe(self, x, iters)
+    def stepped(self, x, iters, g):
+        x, used, g = frank_wolfe(self, x, iters, g)
         counts[-1][0] += used
-        return x, used
+        return x, used, g
 
-    def polished(self, x):
+    def polished(self, x, g):
         counts[-1][1] += 1
-        return newton_polish(self, x)
+        return newton_polish(self, x, g)
 
     def solved(self, *args):
         counts.append([0, 0])

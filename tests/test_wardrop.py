@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -23,6 +24,7 @@ from flowgames.generators import (
 from flowgames.model import CongestionSpec, Population, _cost_fn
 from flowgames.wardrop import (
     _affine_equilibrium,
+    _block_sum,
     _brent_root,
     _lattice_scores,
     _population_grids,
@@ -491,6 +493,50 @@ def numpy_loaded():
 """
 
 
+# hides numpy from every import, as an environment without numpy does: the
+# path finder finds every module but numpy (find_spec gives None for it)
+_WITHOUT_NUMPY = """
+import importlib.machinery
+import sys
+
+class WithoutNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            return None
+        return importlib.machinery.PathFinder.find_spec(name, path, target)
+
+sys.meta_path = [WithoutNumpy() if f is importlib.machinery.PathFinder else f for f in sys.meta_path]
+"""
+
+# commands that need no array
+_COMMANDS_WITHOUT_ARRAYS = (
+    ["check", "--game", "pigou_info", "--outcome", "pigou_bcwe", "--concept", "bcwe"],
+    ["design", "--game", "pigou_info"],
+    ["implement", "--game", "pigou_info", "--outcome", "pigou_bcwe", "--denominator", "64"],
+    ["converge", "--game", "elfarol", "--outcome", "elfarol_cwe"],
+    ["we", "--game", "elfarol"],
+    ["we", "--game", "random-congestion", "--seed", "3"],
+)
+
+
+def test_commands_without_arrays_run_without_numpy(fresh_python):
+    # without numpy installed, import flowgames and the commands that need no
+    # array run and print what they print with it; a float potential solve
+    # raises the ModuleNotFoundError that names numpy
+    commands = "from flowgames.cli import main\n" + "".join(
+        f"assert main({argv!r}) == 0\n" for argv in _COMMANDS_WITHOUT_ARRAYS
+    )
+    solve = (
+        "import flowgames as fg\nfrom flowgames.generators import random_congestion_game\n"
+        "try:\n    fg.solve_we_potential(random_congestion_game(0, n_actions=3, quadratic=True), '0')\n"
+        "except ModuleNotFoundError as exc:\n    print('raised', exc.name, exc)\n"
+    )
+    out = fresh_python(_WITHOUT_NUMPY + commands + solve)
+    assert out == fresh_python(commands) + "raised numpy No module named 'numpy'\n"
+    blocked = _WITHOUT_NUMPY + "try:\n    import numpy\nexcept ModuleNotFoundError:\n    print('blocked')\n"
+    assert fresh_python(blocked) == "blocked\n"
+
+
 def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
     # the import and the commands that touch no array leave numpy unexecuted
     out = fresh_python(
@@ -762,6 +808,37 @@ def test_affine_equilibria_are_exact_and_carry_the_potential_loads():
     assert _affine_equilibrium(random_congestion_game(1, n_actions=3, quadratic=True), "0") is None
 
 
+@pytest.mark.parametrize("quadratic, seed", [(False, 7), (False, 13), (True, 3), (True, 15)])
+def test_core_keeps_no_solver_state(quadratic, seed):
+    # start a, then b, then a again on one core: the second solve of a
+    # returns the first one's point to the bit and its step count, though b
+    # added a Newton plan to the core in between
+    game = random_congestion_game(seed, n_actions=4, quadratic=quadratic, n_pops=2)
+    core = _spec_core(game.congestion, "0")
+    a, b = (_vector_of(random_flow(game, r)) for r in (0, 1))
+    first, steps = core.minimize(a, 1e-12, 100)
+    plans = len(core._plans)
+    core.minimize(b, 1e-12, 100)
+    assert len(core._plans) > plans
+    again, again_steps = core.minimize(a, 1e-12, 100)
+    assert again.tobytes() == first.tobytes() and again_steps == steps
+
+
+def test_block_sums_add_as_numpy_sums():
+    # below 8 entries numpy adds left to right from 0, as _fold does; from 8
+    # on it adds pairwise, and _block_sum keeps that order
+    rng = random.Random(0)
+    differs = collections.Counter()
+    for n in range(1, 13):
+        for _ in range(300):
+            values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
+            total = _block_sum(values)
+            assert type(total) is float and total == np.array(values).sum(), values
+            differs[n] += fg.model._fold(values) != total
+    assert all(differs[n] == 0 for n in range(1, 8)) and all(differs[n] > 0 for n in range(8, 13))
+    assert _block_sum([-0.0]) == 0.0 and math.copysign(1.0, _block_sum([-0.0])) == 1.0
+
+
 def test_support_repair_gives_up():
     # a failed solve ends the Newton polish at once; a support that loses action 1
     # to a negative flow and wins it back by its lower cost, round after
@@ -778,11 +855,11 @@ def test_support_repair_gives_up():
         return np.array([1.5, -0.5] if support == [[0, 1]] else [1.0, 0.0])
 
     core._solve_support = failed
-    assert core.newton_polish(x) is None
+    assert core.newton_polish(x, core.costs(x)) is None
     assert solves == [[[0, 1]]]
     solves.clear()
     core._solve_support = cycling
-    assert core.newton_polish(x) is None
+    assert core.newton_polish(x, core.costs(x)) is None
     assert solves == [[[0, 1]], [[0]]] * 3
 
 
@@ -852,12 +929,13 @@ def _assert_inverse_solves_like_lstsq(core, plan, rng):
     """The plan's system matrix is the Jacobian of its equal-cost and mass
     rows, read off the core's costs, and its kept inverse times a right-hand
     side is lstsq's solution."""
-    index, _msub, a, (eq_rows, _jpos, _bpos, jvar, bvar), mass_rows, spans, inverse = plan
+    index, _msub, a, _fill, eq, mass_rows, inverse = plan
+    eq_rows, jvar, bvar = ([row[i] for row in eq] for i in range(3))
     base = core.costs(np.zeros(core.n))
     jac = np.array([core.costs(np.eye(core.n)[i]) - base for i in range(core.n)]).T
     ref = np.zeros_like(a)
     ref[eq_rows] = (jac[jvar] - jac[bvar])[:, index]
-    for row, (lo, hi) in zip(mass_rows, spans):
+    for row, lo, hi, _mass in mass_rows:
         ref[row, lo:hi] = 1.0
     assert np.allclose(a, ref, rtol=0, atol=1e-12)
     for _ in range(5):
@@ -1119,6 +1197,15 @@ def _potential_solver_cases():
     for seed in range(6):
         structure = random_structure(game, seed, 1 + seed % 3, 1 + seed // 2)
         yield "bayes", f"idle1-bwe{seed}", game, structure
+    # nine actions a block: numpy sums 8 or more entries pairwise, not left
+    # to right, and these solves change in their last bits if a block's
+    # clip-and-rescale or solved read-back adds in the other order, or the
+    # Newton mass rows add pairwise (every game above has at most 3 actions)
+    game = random_congestion_game(26, n_actions=9, quadratic=True)
+    starts = [("uniform", None)] + [(f"random{r}", random_flow(game, r)) for r in (0, 1)]
+    yield "complete", "we26-quad-p1-a9", game, starts
+    game = random_congestion_game(1, n_actions=9, n_states=2)
+    yield "bayes", "bwe1-linear-s2-a9", game, random_structure(game, 1)
 
 
 def _potential_solver_outputs():
