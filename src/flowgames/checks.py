@@ -118,121 +118,109 @@ def _obedience_columns(game: GameSpec, atoms, coarse=False, shares=None, eq_rows
     mass times its social cost over its column's d: the int numerator m *
     sum(y_j c_j) of an exact atom, the value itself when d is None.
 
-    The rows are numbered once per call, in a row plan: for each population
-    with two or more actions, the (row, b) pairs of every recommended a, or
-    under ``coarse`` of every deviation b. An atom is costed once into a
-    table, and its entries are read off the plan.
+    The rows are numbered once per call, over flat action indices (every
+    costed population's actions in turn): the pairwise rows as (row, a, b)
+    triples, the coarse ones as each population's (row, b) pairs. What an
+    atom's costs need that its flow does not change (the lifted costs, the
+    actions to cost, a lattice resolution's lcm with the shares) is looked up
+    once per run of atoms that share their state and whether their mass is
+    nonzero. An atom is costed once into a flat list, its masses m * y_a are
+    taken once per action, and its entries are read off the plan.
     """
     if coarse and shares is not None:
         raise ValueError("shares apply to pairwise rows only")
     pops, social = game.populations, eq_rows is not None
     offset = 0 if eq_rows is None else max(eq_rows, default=-1) + 1
-    witnesses, plan = [], []  # plan: (k, [(row, b)]) under coarse, else (k, [[(row, b)] per a])
-    for k, pop in enumerate(pops):
-        n, i = len(pop.actions), offset + len(witnesses)
-        if n < 2:
-            continue
-        if coarse:
+    # flat action a is action ja of population k, (k, ja) = at[a], over the
+    # populations that are costed: all for socials, else those with two or more actions
+    costed = [k for k, pop in enumerate(pops) if social or len(pop.actions) > 1]
+    at = [(k, ja) for k in costed for ja in range(len(pops[k].actions))]
+    names = [(pops[k].name, pops[k].actions[ja]) for k, ja in at]
+    witnesses, pairs, blocks = [], [], []  # pairs: (row, a, b); blocks: (lo, hi, [(row, b)])
+    start = 0
+    for k in costed:
+        pop, n, i = pops[k], len(pops[k].actions), offset + len(witnesses)
+        if n > 1 and coarse:
             witnesses += [(pop.name, b) for b in pop.actions]
-            plan.append((k, [(i + jb, jb) for jb in range(n)]))
-        else:
+            blocks.append((start, start + n, [(i + jb, start + jb) for jb in range(n)]))
+        elif n > 1:
             witnesses += [(pop.name, *pair) for pair in itertools.permutations(pop.actions, 2)]
-            rows = [(i + r, jb) for r, (_, jb) in enumerate(itertools.permutations(range(n), 2))]
-            plan.append((k, [rows[ja * (n - 1) : (ja + 1) * (n - 1)] for ja in range(n)]))
-
-    def acts(pop, mass):
-        return pop.actions if social or (mass != 0 and len(pop.actions) > 1) else ()
+            pairs += [(i + r, start + ja, start + jb) for r, (ja, jb) in enumerate(itertools.permutations(range(n), 2))]
+        start += n
 
     exact_shares = all(isinstance(s, (int, Fraction)) for s in shares or ())
     share_dens = [s.denominator for s in shares or ()] if exact_shares else ()
-
-    def read(flow, live):
-        # (yy, dy) of an exact flow over a multiple of the shares' denominators
-        # when ``live``, None when an entry is inexact: a lattice flow's
-        # counts over its resolution (no lcm over its entries), any other
-        # flow's _int_flows
-        dens, r = share_dens if live else (), flow._resolution
-        if r is not None:
-            dy = math.lcm(r, *dens)
-            return [[v.numerator * (dy // v.denominator) for v in vec] for vec in flow.flows], dy
-        if all(isinstance(v, (int, Fraction)) for vec in flow.flows for v in vec):
-            return _int_flows(flow.flows, dens)
-        return None
-
-    columns, socials, lifted = [], [], {}  # lifted: (state, mass != 0) -> _lifted_costs
+    columns, socials, run_state, run_live = [], [], None, None
     for j, (state, mass, flow) in enumerate(atoms):
-        flows, live = flow.flows, mass != 0
+        flows = flow.flows
         exact = exact_shares and type(mass) is Fraction
+        m = mass.numerator if exact else mass
+        live = m != 0
+        if state != run_state or live != run_live:
+            # a new run: every flat action is costed, or none is
+            run_state, run_live, lifted, run_r = state, live, None, None
+            acts = [p.actions if social or (live and len(p.actions) > 1) else () for p in pops]
+            run_names = names if social or live else ()
+            dens = share_dens if live else ()
         if exact:
-            ints = read(flow, live)
-            exact = ints is not None
+            r = flow._resolution
+            if r is not None:
+                # a lattice flow's counts over its resolution, with no lcm over its entries
+                if r != run_r:
+                    run_r, run_dy = r, math.lcm(r, *dens)
+                dy = run_dy
+                ys = [[v.numerator * (dy // v.denominator) for v in vec] for vec in flows]
+            elif all(isinstance(v, (int, Fraction)) for vec in flows for v in vec):
+                ys, dy = _int_flows(flows, dens)
+            else:
+                exact = False
+                m = mass
         if exact:
-            key = (state, live)
-            if key not in lifted:
-                lifted[key] = _lifted_costs(game, state, [acts(pop, mass) for pop in pops])
-            fns, deg, q = lifted[key]
-            ys, dy = ints
-            table = [[f(ys, dy) for f in costs] or None for costs in fns]
-            m, d = mass.numerator, mass.denominator * dy ** (deg + 1) * q
+            if lifted is None:
+                fns, deg, q = _lifted_costs(game, state, acts)
+                lifted = [f for k in costed for f in fns[k]]
+            cs = [f(ys, dy) for f in lifted]
+            d = mass.denominator * dy ** (deg + 1) * q
             if shares is not None:
                 steps = [s.numerator * (dy // s.denominator) for s in shares]
-
-                def cost(k, jb, ys):
-                    return fns[k][jb](ys, dy)
-
         else:
-            ys, dy, m, d, steps = flows, 1, mass, None, shares
-            table = [
-                [eval_cost(game, p.name, a, flow, state) for a in acts(p, mass)] or None for p in pops
-            ]
-            if shares is not None:
+            ys, dy, d, steps = flows, 1, None, shares
+            cs = [eval_cost(game, pop, a, flow, state) for pop, a in run_names]
+        fy = ys[costed[0]] if len(costed) == 1 else [y for k in costed for y in ys[k]]
 
-                def cost(k, jb, ys):
-                    pop, b = pops[k].name, pops[k].actions[jb]
-                    return _evaluate(_cost_fn(game, pop, b, state), ys, pop, b)
-
-        # terms mass y_a (c_a - c_b), or mass (sum y_j c_j - dy c_b) with dy
-        # putting c_b over the flows' denominator too; under shares c_b is
-        # read at the flow the deviator shifts
+        # terms m y_a (c_a - c_b), or m (sum y_j c_j - dy c_b) with dy putting
+        # c_b over the flows' denominator too; under shares c_b is read at the
+        # flow the deviator shifts
         entries = [] if eq_rows is None else [(eq_rows[j], d or 1)]
-        for k, rows in plan if live else ():
-            c, yk = table[k], ys[k]
-            if coarse:
-                own = _fold(y * cj for y, cj in zip(yk, c) if y != 0)
-                entries += [(r, m * (own - dy * c[jb])) for r, jb in rows]
-                continue
-            for ja, y in enumerate(yk):
-                if y != 0:
-                    if shares is not None:
-                        if shares[k] > flows[k][ja]:
-                            share, a, y = shares[k], pops[k].actions[ja], flows[k][ja]
-                            raise ValueError(f"player share {share} exceeds the flow {y} on {a!r}")
-                        c = _deviation_costs(ys, k, ja, steps[k], table[k], cost)
-                    my, ca = m * y, c[ja]
-                    entries += [(r, my * (ca - c[jb])) for r, jb in rows[ja]]
+        if live and coarse:
+            for lo, hi, rows in blocks:
+                own = _fold([y * c for y, c in zip(fy[lo:hi], cs[lo:hi]) if y])
+                entries += [(r, m * (own - dy * cs[b])) for r, b in rows]
+        elif live:
+            my = [m * y for y in fy]
+            if shares is None:
+                entries += [(r, my[a] * (cs[a] - cs[b])) for r, a, b in pairs if fy[a]]
+            else:
+                checked = None
+                for r, a, b in pairs:
+                    if fy[a]:
+                        (k, ja), jb = at[a], at[b][1]
+                        if a != checked and shares[k] > flows[k][ja]:
+                            share, y = shares[k], flows[k][ja]
+                            raise ValueError(f"player share {share} exceeds the flow {y} on {names[a][1]!r}")
+                        checked, shifted = a, [list(vec) for vec in ys]
+                        shifted[k][ja] -= steps[k]
+                        shifted[k][jb] += steps[k]
+                        if exact:
+                            cb = lifted[b](shifted, dy)
+                        else:
+                            pop, action = names[b]
+                            cb = _evaluate(_cost_fn(game, pop, action, state), shifted, pop, action)
+                        entries.append((r, my[a] * (cs[a] - cb)))
         columns.append((d, entries))
         if social:
-            total = 0
-            for y, cj in zip(itertools.chain(*ys), itertools.chain(*table)):
-                if y != 0:
-                    total = total + y * cj
-            socials.append(m * total)
+            socials.append(m * _fold([y * c for y, c in zip(fy, cs) if y]))
     return witnesses, columns, socials
-
-
-def _deviation_costs(flows, k: int, ja: int, step, costs, cost) -> list:
-    """``costs`` of population ``k`` at ``flows`` with c_b (b != a) swapped
-    for ``cost(k, b, shifted)``, b's cost after one player moves from a to b,
-    shifting ``step`` (its share, in the units of ``flows``). The shifted flow
-    keeps its mass."""
-    c = list(costs)
-    for jb in range(len(costs)):
-        if jb != ja:
-            shifted = [list(vec) for vec in flows]
-            shifted[k][ja] -= step
-            shifted[k][jb] += step
-            c[jb] = cost(k, jb, shifted)
-    return c
 
 
 def _worst_row(concept: str, rows) -> CheckReport:

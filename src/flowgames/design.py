@@ -19,6 +19,7 @@ from .model import (
     GameSpec,
     Outcome,
     _Record,
+    _fold,
     compile_cost,
     social_cost,
 )
@@ -190,9 +191,10 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
         w = certificate.x[j] if exact else float(certificate.x[j])
         if w > floor:
             per_state[state].append((problem.candidates[state][idx], w))
-    # renormalize float weights (exact ones already sum to 1)
+    # renormalize float weights by their left-to-right sum, on every Python
+    # version (exact ones already sum to 1)
     for state, atoms in per_state.items():
-        total = sum(w for _, w in atoms)
+        total = _fold(w for _, w in atoms)
         per_state[state] = tuple((f, w / total) for f, w in atoms)
     return LPSolution(Outcome(per_state), objective, "optimal")
 

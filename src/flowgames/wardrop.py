@@ -35,6 +35,7 @@ from .model import (
     _cost_fn,
     _evaluate,
     _fold,
+    _int_flows,
     _lifted_costs,
     _trusted_profile,
     eval_cost,
@@ -91,8 +92,28 @@ def verify_we(game: GameSpec, flow: FlowProfile, state: str):
     Nonpositive iff the flow is a Wardrop equilibrium. Returned raw and
     signed; callers compare against their own tolerance. A flow of another
     shape than the game's is a ValueError.
+
+    On an exact flow the gap is a ``Fraction`` taken in ints: the flow's
+    numerators over their lcm dy and the game's lifted integer costs
+    (:func:`model._lifted_costs`), so y_a (c_a - min c) has the numerator
+    yy_a (N_a - N_min) over dy * dy**deg * q.
     """
     _check_shape(game, flow)
+    pops = game.populations
+    if all(type(v) in (int, Fraction) for vec in flow.flows for v in vec):
+        # the costs of one-action populations are never read, as below
+        acts = [p.actions if len(p.actions) >= 2 else () for p in pops]
+        costs, deg, q = _lifted_costs(game, state, acts)
+        ys, dy = _int_flows(flow.flows)
+        worst = None
+        for vec, fns in zip(ys, costs):
+            ns = [f(ys, dy) for f in fns]
+            if ns:
+                cheapest = min(ns)
+                for y, n in zip(vec, ns):
+                    if y and (worst is None or y * (n - cheapest) > worst):
+                        worst = y * (n - cheapest)
+        return 0 if worst is None else Fraction(worst, dy ** (deg + 1) * q)
     return _worst_gap(
         (flow.flows[k], [eval_cost(game, pop.name, a, flow, state) for a in pop.actions])
         for k, pop in enumerate(game.populations)
@@ -793,32 +814,43 @@ def _affine_equilibrium(game: GameSpec, state: str) -> FlowProfile | None:
     exactly so where lambda_k > 0. Coefficients are nonnegative, so every
     cost plus 1 is positive, each lambda_k too, and each mass 1. S is
     positive semidefinite (the potential is convex), so M is too and the run
-    ends on a solution (Cottle, Pang & Stone 1992)."""
+    ends on a solution (Cottle, Pang & Stone 1992).
+
+    M and q go to ``_lemke`` scaled by the lcm of the latencies'
+    denominators, as ints; scaling M and q by one positive number changes
+    neither z nor the pivots. Unit mass is checked in ints on the flow's
+    numerators over their lcm, and ``verify_we`` of an exact flow runs in
+    ints too."""
     spec = game.congestion
     if spec is None:
         return None
     lines = {}
     for e in spec.resources:
-        coeffs = [Fraction(c) for c in spec.latencies[(e, state)]] + [Fraction(0)] * 2
+        coeffs = [c if type(c) in (int, Fraction) else Fraction(c) for c in spec.latencies[(e, state)]]
         if any(coeffs[2:]):
             return None
-        lines[e] = coeffs[:2]
+        lines[e] = (coeffs + [0, 0])[:2]
+    den = math.lcm(*(c.denominator for line in lines.values() for c in line))
+    lines = {e: [c.numerator * (den // c.denominator) for c in line] for e, line in lines.items()}
     uses, blocks = [], []
     for pop in game.populations:
         blocks.append((len(uses), len(uses) + len(pop.actions)))
         uses.extend(spec.actions[(pop.name, a)] for a in pop.actions)
     n = len(uses)
     columns = [
-        [(i, sum(lines[e][1] for e in u & v)) for i, v in enumerate(uses)] + [(n + k, 1)]
+        [(i, sum(lines[e][1] for e in u & v)) for i, v in enumerate(uses)] + [(n + k, den)]
         for k, (lo, hi) in enumerate(blocks)
         for u in uses[lo:hi]
     ]
-    columns += [[(j, -1) for j in range(lo, hi)] for lo, hi in blocks]
-    z = _lemke(columns, [sum(lines[e][0] for e in u) + 1 for u in uses] + [-1] * len(blocks))
-    if z is None or any(sum(z[lo:hi]) != 1 for lo, hi in blocks):
+    columns += [[(j, -den) for j in range(lo, hi)] for lo, hi in blocks]
+    z = _lemke(columns, [sum(lines[e][0] for e in u) + den for u in uses] + [-den] * len(blocks))
+    if z is None:
         return None
     # nonnegative by the LCP, of unit mass as checked
     flow = _trusted_profile(tuple(tuple(z[lo:hi]) for lo, hi in blocks))
+    ys, dy = _int_flows(flow.flows)
+    if any(sum(vec) != dy for vec in ys):
+        return None
     return flow if verify_we(game, flow, state) == 0 else None
 
 

@@ -434,6 +434,64 @@ def test_lattice_counts_give_the_columns_of_their_fractions(seed):
             assert type(v) is int and F(v, d) == m * fg.social_cost(game, f, s)
 
 
+# two states, a one-action population beside a three-action one, and costs
+# that cross populations, read theta or take a max
+MIXED_GAME = (
+    "[populations]\ncrowd = a, b, c\nsolo = s\n\n[states]\nnames = 0, 1\n\n[prior]\n0 = 1/3\n1 = 2/3\n\n"
+    "[costs]\ncrowd.a = 1/3 + 2*y[crowd][a] + y[solo][s]\ncrowd.b = theta*y[crowd][b] + 1/2\n"
+    "crowd.c = max(1/6, 3/4*y[crowd][c])\nsolo.s = y[crowd][a] + 1\n"
+)
+
+
+@pytest.mark.parametrize("name", ["mixed", "two_pops"])
+def test_builder_setup_per_run_leaks_into_no_other_run(name):
+    # one call over atoms that change state, live or zero mass and kind from
+    # one to the next: lattice flows of two resolutions, exact flows off the
+    # lattice, float flows, int masses and Fraction masses on float flows.
+    # The rows equal the term-by-term reference, each column the one its atom
+    # gets alone, and each social mass * social_cost
+    from flowgames.generators import random_congestion_game, random_rational_flow
+
+    if name == "mixed":
+        game = fg.parse_game_file(MIXED_GAME)
+    else:
+        game = random_congestion_game(5, n_actions=3, n_states=2, n_pops=2)
+    rng = random.Random(1)
+    lattice = [f for r in (2, 4) for f in fg.grid_flows(game, r)]
+
+    def floated(f):
+        return fg.FlowProfile(tuple(tuple(float(v) for v in vec) for vec in f.flows))
+
+    kinds = [
+        lambda f: (F(rng.randint(1, 5), 7), f),
+        lambda f: (F(rng.randint(1, 5), 7), fg.FlowProfile(f.flows)),
+        lambda f: (F(rng.randint(1, 5), 7), random_rational_flow(game, rng.randrange(99), denominator=6)),
+        lambda f: (F(0), f),
+        lambda f: (rng.random(), floated(f)),
+        lambda f: (F(1, 3), floated(f)),
+        lambda f: (rng.randint(1, 2), f),
+        lambda f: (0, f),
+        lambda f: (0.0, floated(f)),
+    ]
+    atoms = [(rng.choice(game.states), *rng.choice(kinds)(rng.choice(lattice))) for _ in range(60)]
+    assert any(f._resolution == 2 for _, _, f in atoms) and any(f._resolution == 4 for _, _, f in atoms)
+    n_pops = len(game.populations)
+    for kwargs in ({}, {"coarse": True}, {"shares": [F(1, 8)] * n_pops}, {"shares": [0.125] * n_pops}):
+        got = fg.obedience_rows(game, atoms, **kwargs)
+        assert _typed(got) == _typed(_reference_rows(game, atoms, **kwargs)), kwargs
+        columns = _obedience_columns(game, atoms, **kwargs)[1]
+        alone = [_obedience_columns(game, [atom], **kwargs)[1][0] for atom in atoms]
+        assert repr(columns) == repr(alone), kwargs
+    eq_rows = [game.states.index(s) for s, _, _ in atoms]
+    for kwargs in ({}, {"coarse": True}):
+        witnesses, columns, socials = _obedience_columns(game, atoms, eq_rows=eq_rows, **kwargs)
+        got = _term_rows(witnesses, columns, max(eq_rows) + 1)
+        assert _typed(got) == _typed(_reference_rows(game, atoms, **kwargs)), kwargs
+        got = [v if d is None else F(v, d) for v, (d, _) in zip(socials, columns)]
+        want = [m * fg.social_cost(game, f, s) for s, m, f in atoms]
+        assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in want]
+
+
 def _sum_rows(game, atoms, **kwargs):
     """Each obedience row's terms added left to right onto the int 0."""
     rows = []

@@ -1,5 +1,7 @@
+import builtins
 import collections
 import itertools
+import math
 import re
 from fractions import Fraction as F
 
@@ -214,6 +216,9 @@ def test_design_costs_each_candidate_once(monkeypatch):
     # action), shared by the objective and the obedience rows
     game = random_congestion_game(2, n_actions=3, n_states=2, n_pops=2)
     grid = fg.build_grid(game, 3)
+    # the exact seeds of build_grid keep the game's lifted costs, which would
+    # bypass the counting compiler patched in below
+    game._compiled.clear()
     calls = collections.Counter()
     real, real_int = fg.model._cost_fn, fg.model._int_cost_fn
 
@@ -245,6 +250,37 @@ def test_design_costs_each_candidate_once(monkeypatch):
     assert calls == collections.Counter(
         (s, f.flows, pop.name, a) for s in game.states for f in grid[s] for pop in game.populations for a in pop.actions
     )
+
+
+def test_float_weights_renormalize_left_to_right(monkeypatch):
+    # float candidates make float data, and state "0" has three weights whose
+    # sum left to right is another float than their compensated sum, which
+    # sum() gives from Python 3.12 on: under such a sum the renormalized
+    # weights stay those of the left-to-right one
+    game = random_congestion_game(22, n_actions=4, n_states=2)
+    grid = fg.build_grid(game, 4)
+    floats = {
+        s: tuple(fg.FlowProfile(tuple(tuple(float(v) for v in vec) for vec in f.flows)) for f in grid[s])
+        for s in game.states
+    }
+    designer = fg.parse_cost("-2*y[a0]*y[a1] + -2*y[a1]*y[a2] + -3*y[a2]*y[a3] + 1*y[a3]*y[a0]")
+    problem = fg.DesignerProblem(game, {s: designer for s in game.states}, floats)
+    real_sum = builtins.sum
+
+    def compensated(values, start=0):
+        values = list(values)
+        if values and all(type(v) is float for v in values):
+            return start + math.fsum(values)
+        return real_sum(values, start)
+
+    monkeypatch.setattr(builtins, "sum", compensated)
+    solution = fg.solve_program_p(problem)
+    assert solution.status == "optimal"
+    weights = {s: [w for _, w in atoms] for s, atoms in solution.outcome.per_state.items()}
+    assert weights == {
+        "0": [0.10094637223974766, 0.24290220820189273, 0.6561514195583595],
+        "1": [0.7823343848580442, 0.21766561514195584],
+    }
 
 
 def _reference_solution(game, grid):

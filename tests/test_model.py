@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -314,6 +315,89 @@ def test_int_cost_is_the_compiled_cost(expr, fractions, scale):
     game = fg.GameSpec((pop,), ("3/2",), (F(1),), {("p", a): Const(0) for a in "abc"})
     want = compile_cost(game, expr, "3/2")((fractions,))
     assert _int_value(game, expr, "3/2", (fractions,), scale) == want
+
+
+# one population p of actions a, b, c, or also r of actions c, d
+_POPS = (Population("p", ("a", "b", "c")), Population("r", ("c", "d")))
+_LINEAR_GAMES = [
+    fg.GameSpec(pops, ("3/2", "x"), (F(1, 2), F(1, 2)), {(p.name, a): Const(0) for p in pops for a in p.actions})
+    for pops in (_POPS[:1], _POPS)
+]
+
+
+@functools.cache
+def _flow_vars(two):
+    return st.sampled_from([FlowVar(p.name, a) for p in _POPS[: 1 + two] for a in p.actions])
+
+
+@functools.cache
+def _affine_trees(two):
+    """Cost trees of degree at most 1 with no max or min: constants, flow
+    variables, and their negations, sums, differences, products with a
+    constant, and powers 0 and 1."""
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+    constants = st.one_of(
+        st.builds(Const, small),
+        st.just(ThetaVal()),
+        st.builds(lambda u, v: StateCoef((("3/2", u), ("x", v))), small, small),
+    )
+
+    def extend(sub):
+        constant = st.one_of(constants, st.builds(Pow, sub, st.just(0)))
+        return st.one_of(
+            st.builds(Add, sub, sub),
+            st.builds(Sub, sub, sub),
+            st.builds(Mul, constant, sub),
+            st.builds(Mul, sub, constant),
+            st.builds(Neg, sub),
+            st.builds(Pow, sub, st.sampled_from((0, 1))),
+        )
+
+    flows = _flow_vars(two)
+    return st.recursive(st.one_of(flows, st.builds(Mul, constants, flows), constants), extend, max_leaves=12)
+
+
+def _int_point(data, game):
+    sizes = [len(p.actions) for p in game.populations]
+    yy = [data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)) for n in sizes]
+    return yy, data.draw(st.integers(1, 60))
+
+
+def _is_linear_closure(fn):
+    return fn.__qualname__.startswith("_linear.")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_affine_int_cost_is_one_linear_closure(data):
+    # a cost of degree 1 with no max or min is one closure k0*dy + sum k*yy;
+    # max(e, e) is e by the tree's nested functions, with the same (deg, q)
+    two = data.draw(st.booleans())
+    game, a, b = _LINEAR_GAMES[two], data.draw(_affine_trees(two)), data.draw(_affine_trees(two))
+    points = [_int_point(data, game) for _ in range(3)]
+    for expr in (a, Add(a, b), Sub(b, a)):
+        fn, deg, q = compile_int_cost(game, expr, "3/2")
+        tree, tree_deg, tree_q = compile_int_cost(game, MaxOf((expr, expr)), "3/2")
+        assert (deg, q) == (tree_deg, tree_q) and deg <= 1
+        assert _is_linear_closure(fn) == (deg == 1)
+        assert not _is_linear_closure(tree)
+        for yy, dy in points:
+            assert fn(yy, dy) == tree(yy, dy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_max_min_and_higher_degree_costs_keep_the_tree(data):
+    two = data.draw(st.booleans())
+    game = _LINEAR_GAMES[two]
+    # each side reads a flow, so that its degree is 1
+    a, b = (Add(data.draw(_affine_trees(two)), data.draw(_flow_vars(two))) for _ in range(2))
+    expr = data.draw(st.sampled_from([MaxOf((a, b)), MinOf((a, b)), Mul(a, b), Pow(a, 2), Add(Pow(b, 3), a)]))
+    fn, deg, q = compile_int_cost(game, expr, "3/2")
+    assert not _is_linear_closure(fn)
+    yy, dy = _int_point(data, game)
+    flows = [[F(v, dy) for v in vec] for vec in yy]
+    assert F(fn(yy, dy), dy**deg * q) == compile_cost(game, expr, "3/2")(flows)
 
 
 @pytest.mark.parametrize(

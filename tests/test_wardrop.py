@@ -808,6 +808,88 @@ def test_affine_equilibria_are_exact_and_carry_the_potential_loads():
     assert _affine_equilibrium(random_congestion_game(1, n_actions=3, quadratic=True), "0") is None
 
 
+AFFINE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "affine_equilibria.json").read_text())
+
+
+def _affine_sweep() -> dict:
+    """_affine_equilibrium's flow in every state of random_congestion_game(seed,
+    A, S, n_pops=P) over A 2-5, S 1-2, P 1-3 and seeds 0-9, as text. With two
+    or more populations the split of a load between them follows the pivots."""
+    out = {}
+    for n_actions, n_states, n_pops, seed in itertools.product((2, 3, 4, 5), (1, 2), (1, 2, 3), range(10)):
+        game = random_congestion_game(seed, n_actions, n_states, n_pops=n_pops)
+        for state in game.states:
+            flow = _affine_equilibrium(game, state)
+            text = None if flow is None else "; ".join(", ".join(map(str, vec)) for vec in flow.flows)
+            out[f"A{n_actions}-S{n_states}-P{n_pops}-{seed}/{state}"] = text
+    return out
+
+
+def test_affine_equilibria_match_golden():
+    # the exact seeds of design grids, multi-population splits included
+    assert _affine_sweep() == AFFINE_GOLDEN
+
+
+def test_affine_equilibrium_makes_few_fractions(monkeypatch):
+    # the seeds' LCP and checks run in ints: a call makes at most one
+    # Fraction per entry of z = (y, lambda), _lemke's zero and the gap
+    # verify_we returns, none per latency coefficient, slope sum or mass check
+    games = [random_congestion_game(seed, 4, 2) for seed in range(10)]
+    for game in games:
+        for state in game.states:
+            _affine_equilibrium(game, state)  # compiles the game's costs
+    made = []
+    real = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    per_call = []
+    for game in games:
+        for state in game.states:
+            made.clear()
+            assert _affine_equilibrium(game, state) is not None
+            per_call.append(len(made))
+    assert max(per_call) <= 4 + 1 + 1 + 1, per_call
+
+
+# two states, a one-action population whose cost misses state 1 in its
+# table, and costs that cross populations, square a flow or take a max
+SOLO_GAME = (
+    "[populations]\ncrowd = a, b, c\nsolo = s\n\n[states]\nnames = 0, 1\n\n[prior]\n0 = 1/3\n1 = 2/3\n\n"
+    "[costs]\ncrowd.a = 1/3 + 2*y[crowd][a]^2 + y[solo][s]\ncrowd.b = theta*y[crowd][b] + 1/2\n"
+    "crowd.c = max(1/6, 3/4*y[crowd][c])\nsolo.s = theta[0=1]\n"
+)
+
+
+def test_exact_violation_is_the_fraction_gap():
+    # verify_we of an exact flow, taken in ints, is the gap of the Fraction
+    # costs eval_cost gives, in value and type; the costs of a one-action
+    # population are not read, as on float flows
+    from flowgames.wardrop import _worst_gap
+
+    games = [fg.parse_game_file(SOLO_GAME)] + [
+        random_congestion_game(seed, n_actions, 2, quadratic=quadratic, n_pops=n_pops)
+        for seed, n_actions, quadratic, n_pops in itertools.product(range(3), (2, 4), (False, True), (1, 2))
+    ]
+    for game in games:
+        for state in game.states:
+            for seed in range(6):
+                flow = random_rational_flow(game, seed, denominator=6)
+                want = _worst_gap(
+                    (flow.flows[k], [fg.eval_cost(game, pop.name, a, flow, state) for a in pop.actions])
+                    for k, pop in enumerate(game.populations)
+                    if len(pop.actions) >= 2
+                )
+                got = fg.verify_we(game, flow, state)
+                assert got == want and type(got) is type(want), (state, flow)
+    # in state 1, where solo.s has no value
+    solo = games[0]
+    assert fg.verify_we(solo, fg.FlowProfile(((F(1), 0, 0), (F(1),))), "1") == F(10, 3) - F(1, 6)
+
+
 @pytest.mark.parametrize("quadratic, seed", [(False, 7), (False, 13), (True, 3), (True, 15)])
 def test_core_keeps_no_solver_state(quadratic, seed):
     # start a, then b, then a again on one core: the second solve of a
