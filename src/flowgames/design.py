@@ -87,12 +87,12 @@ def build_grid(game: GameSpec, resolution: int) -> dict:
     """Per-state candidate lists: lattice flows and solved equilibria.
 
     A state's equilibria are :func:`~flowgames.wardrop._state_equilibria`:
-    exact on affine congestion latencies, with no float solve, else a float
-    solve snapped where a rational equilibrium verifies. Candidates are
-    ordered lexicographically by the exact values of their entries, so LP
-    results are reproducible bit for bit: the lattice comes in that order,
-    and each equilibrium is merged in by bisection unless it equals a
-    candidate exactly.
+    exact on affine costs with a convex potential, in either input format,
+    with no float solve, else a float solve snapped where a rational one
+    verifies. Candidates are ordered lexicographically by the exact values
+    of their entries, so LP results are reproducible bit for bit: the
+    lattice comes in that order, and each equilibrium is merged in by
+    bisection unless it equals a candidate exactly.
     """
     size = _lattice_size(game, resolution)
     if size > 10**6:

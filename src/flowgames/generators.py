@@ -174,8 +174,8 @@ def full_disclosure_outcome(game: GameSpec) -> Outcome:
     """Per-state equilibrium flows with weight 1 (always state-obedient).
 
     A state's flow is the first equilibrium that seeds :func:`build_grid`,
-    exact ``Fraction``s wherever a rational one verifies, as on affine
-    congestion latencies. Raises RuntimeError where none is found.
+    exact ``Fraction``s wherever a rational one verifies, as on affine costs
+    with a convex potential. Raises RuntimeError where none is found.
     """
     per_state = {}
     for s in game.states:

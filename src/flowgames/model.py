@@ -530,9 +530,9 @@ class GameSpec(_Record):
             "_act_index",
             {(p.name, a): j for p in self.populations for j, a in enumerate(p.actions)},
         )
-        # (pop, action, state) -> compiled cost, filled by eval_cost, and (pop,
-        # action, state, int) -> its integer backend; valid only while
-        # ``costs`` is left as constructed. None of the three caches is a field.
+        # (pop, action, state) -> compiled cost, (pop, action, state, int) -> its
+        # integer backend, an affine integer function -> its (k0, terms); valid
+        # only while ``costs`` is left as constructed. None of the three caches is a field.
         object.__setattr__(self, "_compiled", {})
 
     def population_index(self, pop: str) -> int:
@@ -911,15 +911,16 @@ def compile_int_cost(game: GameSpec, expr: CostExpr, state: str):
     is the same ``Fraction``. ``deg`` and ``q`` are fixed per node: a
     constant p/q has degree 0 and q; a flow variable degree 1 and q 1;
     ``+ - max min`` bring their operands to the largest degree and the lcm
-    of their q; ``*`` adds degrees and multiplies q; ``^e`` multiplies the
-    degree by e and raises q to e. Subtrees that read no flow fold to ints.
+    of their q; ``*`` adds degrees and multiplies q, except that a product
+    with the constant 0 is that constant; ``^e`` multiplies the degree by e
+    and raises q to e. Subtrees that read no flow fold to ints.
 
     Each node's function is a homogeneous polynomial of degree ``deg`` in
     (yy, dy), except under ``max`` or ``min``. So a cost of degree 1 with no
     ``max`` or ``min`` is linear: it comes as one closure k0*dy + sum of
     k*yy[i][j] (:func:`_linear`), its coefficients read off the tree's own
-    function, with ``deg``, ``q`` and every value the tree's.
-    """
+    function, with ``deg``, ``q`` and every value the tree's. Its form (k0,
+    terms), or (k0, ()) for a constant, is kept in ``game._compiled`` under it."""
     linear = True
 
     def build(node):
@@ -939,6 +940,8 @@ def compile_int_cost(game: GameSpec, expr: CostExpr, state: str):
             return (f**e if type(f) is int else lambda yy, dy: f(yy, dy) ** e), deg * e, q**e
         if isinstance(node, Mul):
             (a, da, qa), (b, db, qb) = build(node.left), build(node.right)
+            if 0 in (a, b):  # as a latency's square in a state where it has none
+                return 0, 0, 1
             if type(a) is int and type(b) is int:
                 return a * b, da + db, qa * qb
             if type(a) is int:
@@ -967,15 +970,17 @@ def compile_int_cost(game: GameSpec, expr: CostExpr, state: str):
         raise TypeError(f"unknown expression node {type(node).__name__}")
 
     f, deg, q = build(expr)
-    if deg == 1 and linear:
-        return _linear(f, [len(p.actions) for p in game.populations]), deg, q
-    return _call(f), deg, q
+    if type(f) is not int and (deg != 1 or not linear):
+        return f, deg, q
+    form = (f, ()) if type(f) is int else _form(f, [len(p.actions) for p in game.populations])
+    fn = _linear(*form) if deg else _call(f)
+    game._compiled[fn] = form
+    return fn, deg, q
 
 
-def _linear(f, shape):
-    """The function ``f`` of (yy, dy), linear in them, as one closure
-    k0*dy + sum of k*yy[i][j] over the nonzero k, where k0 = f(0, 1) and
-    k = f(unit vector (i, j), 0); ``shape`` gives each population's action count."""
+def _form(f, shape) -> tuple:
+    """(k0, terms) of ``f``, linear in (yy, dy): k0 = f(0, 1) and (i, j, k) for
+    each nonzero k = f(unit vector (i, j), 0), over ``shape``'s action counts."""
     point = [[0] * n for n in shape]
     k0, terms = f(point, 1), []
     for i, n in enumerate(shape):
@@ -985,6 +990,11 @@ def _linear(f, shape):
             point[i][j] = 0
             if k:
                 terms.append((i, j, k))
+    return k0, tuple(terms)
+
+
+def _linear(k0: int, terms):
+    """One closure k0*dy + sum of k*yy[i][j] over ``terms`` (i, j, k)."""
     if len(terms) == 1:
         # one flow read, as by every cost of a one-population parallel-edge
         # game: no list to build and sum, about 10% of a design op there
@@ -1035,15 +1045,39 @@ def _lifted_costs(game: GameSpec, state: str, actions) -> tuple:
     """The integer costs in ``state`` of ``actions[k]`` in each population k
     over one common denominator: (fns, deg, q) such that the cost of
     ``actions[k][a]`` at the flow yy / dy is fns[k][a](yy, dy) / (dy**deg * q).
-    Lifted once per game, kept like :func:`_kept_cost` under (state, actions)."""
+    Lifted once per game, kept like :func:`_kept_cost` under (state, actions);
+    at ``deg`` <= 1 a cost with a kept form comes as one closure, its form kept."""
     key = (state, tuple(map(tuple, actions)))
     if key not in game._compiled:
         pops = game.populations
         compiled = [[_int_cost_fn(game, p.name, a, state) for a in acts] for p, acts in zip(pops, key[1])]
         deg = max((d for costs in compiled for _, d, _ in costs), default=0)
         q = math.lcm(*(cq for costs in compiled for _, _, cq in costs))
-        game._compiled[key] = [[_scaled(f, deg - d, q // cq) for f, d, cq in costs] for costs in compiled], deg, q
+
+        def lift(f, d, cq):
+            form, m = game._compiled.get(f), q // cq
+            if deg > 1 or form is None or (d, m) == (deg, 1):
+                return _scaled(f, deg - d, m)
+            form = form[0] * m, tuple((i, j, k * m) for i, j, k in form[1])
+            fn = _linear(*form) if deg else _call(form[0])
+            game._compiled[fn] = form
+            return fn
+
+        game._compiled[key] = [[lift(*cost) for cost in costs] for costs in compiled], deg, q
     return game._compiled[key]
+
+
+def _affine_form(game: GameSpec, state: str):
+    """The costs in ``state`` as ints (k0, J, q), action a costing (k0[a] +
+    sum_b J[a][b] y_b) / q over the populations' actions in order, read off
+    the lifted costs' kept forms; None unless each cost is affine."""
+    fns, _, q = _lifted_costs(game, state, [p.actions for p in game.populations])
+    forms = [game._compiled.get(f) for costs in fns for f in costs]
+    if None in forms:
+        return None
+    flat = [(i, j) for i, costs in enumerate(fns) for j in range(len(costs))]
+    J = [[row.get(ij, 0) for ij in flat] for row in ({(i, j): k for i, j, k in terms} for _, terms in forms)]
+    return [k0 for k0, _ in forms], J, q
 
 
 def _kept_cost(game: GameSpec, key: tuple, compiler):

@@ -6,8 +6,9 @@ Newton polish on the detected support, which brings equilibrium violations
 down to solver precision. The first polish comes after one Frank-Wolfe step,
 then after chunks that double to 80 steps: on affine latencies the potential
 is quadratic, so Newton on the right support is exact, and a single step
-usually finds that support. On affine latencies the equilibria that design
-grids and the lattice scan start from are solved exactly instead, as a
+usually finds that support. The equilibria that design grids start from,
+on affine costs with a convex potential in either input format, and the
+lattice scan's polish on affine latencies are solved exactly instead, as a
 linear complementarity problem (:func:`_affine_equilibrium`). Games without
 a potential are handled by damped best-response iteration, which reports
 rather than hides non-convergence.
@@ -29,6 +30,7 @@ from .model import (
     FlowProfile,
     GameSpec,
     _Record,
+    _affine_form,
     _check_shape,
     _check_tol,
     _check_unit,
@@ -771,8 +773,8 @@ def _snap_rational(game: GameSpec, flow: FlowProfile, state: str) -> FlowProfile
     It serves the games :func:`_affine_equilibrium` does not solve exactly:
     higher-degree congestion latencies, whose equilibria can be irrational
     (those keep their float coordinates: ``flow`` itself is returned), and
-    games without a potential, solved by best response. A snapped flow that
-    verifies exactly is an equilibrium (or an equally valid one on a tie).
+    costs without an affine convex potential, solved by best response. A
+    snapped flow that verifies exactly is an equilibrium (or one on a tie).
     """
     for bound in (64, 4096, 10**6):
         flows = []
@@ -801,49 +803,25 @@ def _float_image(flow: FlowProfile) -> FlowProfile:
 
 
 def _affine_equilibrium(game: GameSpec, state: str) -> FlowProfile | None:
-    """The exact equilibrium of ``state`` by :func:`lp._lemke`; None unless
-    ``game`` is congestion-backed with latencies of degree at most 1 in
-    ``state``, or when the run ends on a ray or its flow fails the exact
-    check of unit mass and ``verify_we`` 0.
-
-    Action j costs c0_j + (S y)_j, S_ij the summed slopes of the resources
-    actions i and j share, and E sums each population's flows. The LCP has
-    z = (y, lambda), one lambda_k per population, M = [[S, -E^T], [E, 0]]
-    and q = (c0 + 1, -1 per population): each action costs at least
-    lambda_k - 1, exactly so where it has flow, and each mass is at least 1,
-    exactly so where lambda_k > 0. Coefficients are nonnegative, so every
-    cost plus 1 is positive, each lambda_k too, and each mass 1. S is
-    positive semidefinite (the potential is convex), so M is too and the run
-    ends on a solution (Cottle, Pang & Stone 1992).
-
-    M and q go to ``_lemke`` scaled by the lcm of the latencies'
-    denominators, as ints; scaling M and q by one positive number changes
-    neither z nor the pivots. Unit mass is checked in ints on the flow's
-    numerators over their lcm, and ``verify_we`` of an exact flow runs in
-    ints too."""
-    spec = game.congestion
-    if spec is None:
+    """The exact equilibrium of ``state`` by :func:`lp._lemke`, whatever the
+    input format; None unless the costs (k0 + J y) / q are affine with a
+    convex potential (:func:`model._affine_form`, :func:`_convex`), or when
+    the run ends on a ray or its flow fails the exact check of unit mass and
+    ``verify_we`` 0. With E summing each population's flows, the LCP has z =
+    (y, lambda), M = [[J, -q E^T], [q E, 0]] and q-vector (k0 + t, -q), t =
+    q - min(0, k0): each action costs at least lambda_k - t/q, exactly so
+    where it has flow, and each mass is at least 1, exactly so where lambda_k
+    > 0, which it is where J >= 0, as in every congestion game. On a positive
+    semidefinite M the run ends on a solution (Cottle, Pang & Stone 1992)."""
+    form = _affine_form(game, state)
+    blocks = list(itertools.pairwise([0, *itertools.accumulate(len(p.actions) for p in game.populations)]))
+    if form is None or not _convex(form[1], blocks):
         return None
-    lines = {}
-    for e in spec.resources:
-        coeffs = [c if type(c) in (int, Fraction) else Fraction(c) for c in spec.latencies[(e, state)]]
-        if any(coeffs[2:]):
-            return None
-        lines[e] = (coeffs + [0, 0])[:2]
-    den = math.lcm(*(c.denominator for line in lines.values() for c in line))
-    lines = {e: [c.numerator * (den // c.denominator) for c in line] for e, line in lines.items()}
-    uses, blocks = [], []
-    for pop in game.populations:
-        blocks.append((len(uses), len(uses) + len(pop.actions)))
-        uses.extend(spec.actions[(pop.name, a)] for a in pop.actions)
-    n = len(uses)
-    columns = [
-        [(i, sum(lines[e][1] for e in u & v)) for i, v in enumerate(uses)] + [(n + k, den)]
-        for k, (lo, hi) in enumerate(blocks)
-        for u in uses[lo:hi]
-    ]
-    columns += [[(j, -den) for j in range(lo, hi)] for lo, hi in blocks]
-    z = _lemke(columns, [sum(lines[e][0] for e in u) + den for u in uses] + [-den] * len(blocks))
+    k0, J, q = form
+    n, t = len(k0), q - min(0, *k0)
+    columns = [[*enumerate(row), (n + k, q)] for k, (lo, hi) in enumerate(blocks) for row in J[lo:hi]]
+    columns += [[(j, -q) for j in range(lo, hi)] for lo, hi in blocks]
+    z = _lemke(columns, [c + t for c in k0] + [-q] * len(blocks))
     if z is None:
         return None
     # nonnegative by the LCP, of unit mass as checked
@@ -854,15 +832,33 @@ def _affine_equilibrium(game: GameSpec, state: str) -> FlowProfile | None:
     return flow if verify_we(game, flow, state) == 0 else None
 
 
+def _convex(J, blocks) -> bool:
+    """Whether the int matrix ``J`` is symmetric and positive semidefinite on
+    the flows that sum to 0 in each of the populations' index ``blocks``:
+    exact, by Bareiss's elimination of its form in the basis e_a - e_lo."""
+    if J != [list(col) for col in zip(*J)]:
+        return False
+    basis = [(lo, a) for lo, hi in blocks for a in range(lo + 1, hi)]
+    rows, p0 = [[J[a][b] - J[a][g] - J[f][b] + J[f][g] for g, b in basis] for f, a in basis], 1
+    while rows:
+        (p, *r), rows = rows[0], rows[1:]
+        if p < 0 or (not p and any(r)):
+            return False  # a flow of negative curvature
+        # each entry stays a minor, so the division is exact; a zero row drops out
+        rest = [row[1:] for row in rows]
+        rows = [[(p * v - ri * w) // p0 for v, w in zip(row, r)] for ri, row in zip(r, rest)] if p else rest
+        p0 = p or p0
+    return True
+
+
 def _state_equilibria(game: GameSpec, state: str) -> list[FlowProfile]:
     """The equilibria of ``state`` that design grids, full disclosure and the
-    ccwe grid gap start from, none when no solve converges: on affine
-    congestion latencies, any number of populations, the exact one
-    :func:`_affine_equilibrium` finds, with no numpy; else (higher degrees,
-    or where that solve has no answer) the potential solve kept within its
-    own ``tol``, or on a game without a potential the best-response
-    multistart, each snapped where a rational one verifies, and listed
-    once."""
+    ccwe grid gap start from, none when no solve converges: on affine costs
+    with a convex potential, any input format and number of populations, the
+    exact one :func:`_affine_equilibrium` finds, with no numpy; else the
+    potential solve of a congestion game kept within its own ``tol``, or the
+    best-response multistart, each snapped where a rational one verifies,
+    and listed once."""
     game.state_index(state)
     exact = _affine_equilibrium(game, state)
     if exact is not None:

@@ -284,7 +284,8 @@ def test_usage_errors_exit_one(capsys, tmp_path, monkeypatch):
         assert err.startswith("error:"), argv
         assert "Traceback" not in err
     # design meets the float overflow past its grid, so build_grid is restored:
-    # in a cost, which names it, or in the simplex's float pricing of the objective;
+    # in the simplex's float pricing, of the huge game's exact equilibrium seed
+    # (a = 1/10**400) or of the objective;
     # we names the state and the lattice flow whose violation overflows;
     # converge names an obedience violation exactly when it is beyond float range
     monkeypatch.undo()
@@ -303,7 +304,7 @@ def test_usage_errors_exit_one(capsys, tmp_path, monkeypatch):
         ),
         (
             ["design", "--game", str(huge), "--resolution", "4"],
-            "cost of ('crowd', 'a') is too large for a float at ((0.5, 0.5),)",
+            "integer division result too large for a float",
         ),
         (
             ["design", "--game", "elfarol", "--objective", f"{10**400}*y[a]", "--resolution", "4"],

@@ -13,6 +13,7 @@ import flowgames as fg
 from flowgames.generators import full_disclosure_outcome, random_congestion_game, random_rational_flow
 from flowgames.model import (
     Add,
+    CongestionSpec,
     Const,
     CostParseError,
     EvaluationError,
@@ -27,7 +28,9 @@ from flowgames.model import (
     StateCoef,
     Sub,
     ThetaVal,
+    _int_flows,
     _largest_remainder_counts,
+    _lifted_costs,
     _Record,
     _round_outcome,
     _trusted_profile,
@@ -398,6 +401,30 @@ def test_max_min_and_higher_degree_costs_keep_the_tree(data):
     yy, dy = _int_point(data, game)
     flows = [[F(v, dy) for v in vec] for vec in yy]
     assert F(fn(yy, dy), dy**deg * q) == compile_cost(game, expr, "3/2")(flows)
+
+
+def test_lifted_affine_costs_are_one_linear_closure(pigou_network):
+    # latencies 1/2 + y, 1 + y/3 and 2y have q = 2, 3 and 1, so each is lifted
+    # to q = 6, and pigou_network's constant road to degree 1: every lifted
+    # cost is one closure k0*dy + sum k*yy, not a wrapper around its compiled one
+    spec = CongestionSpec(
+        resources=("e0", "e1", "e2"),
+        latencies={("e0", "0"): (F(1, 2), F(1)), ("e1", "0"): (F(1), F(1, 3)), ("e2", "0"): (F(0), F(2))},
+        actions={("p", f"a{j}"): {f"e{j}"} for j in range(3)},
+        populations=(Population("p", ("a0", "a1", "a2")),),
+        states=("0",),
+        prior=(F(1),),
+    )
+    three = fg.congestion_to_game(spec)
+    for game, common in ((three, (1, 6)), (pigou_network, (1, 1))):
+        pop = game.populations[0]
+        fns, deg, q = _lifted_costs(game, "0", [pop.actions])
+        assert (deg, q) == common
+        assert all(_is_linear_closure(f) for f in fns[0])
+        for flow in fg.grid_flows(game, 6):
+            ys, dy = _int_flows(flow.flows)
+            for f, action in zip(fns[0], pop.actions):
+                assert F(f(ys, dy), dy**deg * q) == fg.eval_cost(game, pop.name, action, flow, "0")
 
 
 @pytest.mark.parametrize(

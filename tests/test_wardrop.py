@@ -21,7 +21,7 @@ from flowgames.generators import (
     random_rational_flow,
     random_structure,
 )
-from flowgames.model import CongestionSpec, Population, _cost_fn
+from flowgames.model import CongestionSpec, Population, _affine_form, _cost_fn
 from flowgames.wardrop import (
     _affine_equilibrium,
     _block_sum,
@@ -355,7 +355,7 @@ def test_flows_of_another_shape_are_refused(elfarol):
             fg.solve_we_br(elfarol, "0", flow)
 
 
-def test_one_equilibrium_source(monkeypatch, elfarol):
+def test_one_equilibrium_source(monkeypatch, elfarol, pigou_info):
     # design seeds, full disclosure and the ccwe grid gap all take a state's
     # equilibria from wardrop._state_equilibria, once per state, and no other
     # module reaches a solver behind it
@@ -383,6 +383,17 @@ def test_one_equilibrium_source(monkeypatch, elfarol):
         calls.clear()
         run()
         assert calls == states
+    # pigou_info's costs ([costs], constant in each state) are affine with a
+    # convex potential: its seeds are exact, with no best response or snap
+    solvers = collections.Counter()
+    for name in ("solve_we_br", "_snap_rational"):
+        real = getattr(fg.wardrop, name)
+        monkeypatch.setattr(fg.wardrop, name, lambda *a, real=real, name=name: solvers.update([name]) or real(*a))
+    for resolution in (1, 4, 8):
+        fg.build_grid(pigou_info, resolution)
+    seeds = [fg.wardrop._state_equilibria(pigou_info, s) for s in pigou_info.states]
+    assert seeds == [[flow1(0, 1)], [flow1(1, 0)]]
+    assert solvers == {}
 
 
 def _one_state_spec(latencies, actions):
@@ -811,23 +822,135 @@ def test_affine_equilibria_are_exact_and_carry_the_potential_loads():
 AFFINE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "affine_equilibria.json").read_text())
 
 
-def _affine_sweep() -> dict:
-    """_affine_equilibrium's flow in every state of random_congestion_game(seed,
-    A, S, n_pops=P) over A 2-5, S 1-2, P 1-3 and seeds 0-9, as text. With two
-    or more populations the split of a load between them follows the pivots."""
-    out = {}
+def _affine_games():
+    """(key, game) for random_congestion_game(seed, A, S, n_pops=P) over A
+    2-5, S 1-2, P 1-3 and seeds 0-9: 240 games."""
     for n_actions, n_states, n_pops, seed in itertools.product((2, 3, 4, 5), (1, 2), (1, 2, 3), range(10)):
         game = random_congestion_game(seed, n_actions, n_states, n_pops=n_pops)
+        yield f"A{n_actions}-S{n_states}-P{n_pops}-{seed}", game
+
+
+def _affine_sweep() -> dict:
+    """_affine_equilibrium's flow in every state of the :func:`_affine_games`,
+    as text. With two or more populations the split of a load between them
+    follows the pivots."""
+    out = {}
+    for key, game in _affine_games():
         for state in game.states:
             flow = _affine_equilibrium(game, state)
             text = None if flow is None else "; ".join(", ".join(map(str, vec)) for vec in flow.flows)
-            out[f"A{n_actions}-S{n_states}-P{n_pops}-{seed}/{state}"] = text
+            out[f"{key}/{state}"] = text
     return out
 
 
 def test_affine_equilibria_match_golden():
     # the exact seeds of design grids, multi-population splits included
     assert _affine_sweep() == AFFINE_GOLDEN
+
+
+def _crowd_game(cost_a, cost_b):
+    return fg.parse_game_file(
+        "[populations]\ncrowd = a, b\n\n[states]\nnames = 0\n\n"
+        f"[prior]\n0 = 1\n\n[costs]\ncrowd.a = {cost_a}\ncrowd.b = {cost_b}\n"
+    )
+
+
+def _slope_sums(spec: CongestionSpec, state: str) -> tuple:
+    """A congestion game's affine costs c0 + S y read off its latencies: c0_a
+    sums the constant terms of a's resources, and S_ab the slopes of the
+    resources actions a and b share (actions over the populations in order)."""
+    lines = {e: (tuple(spec.latencies[(e, state)]) + (0, 0))[:2] for e in spec.resources}
+    uses = [spec.actions[(pop.name, a)] for pop in spec.populations for a in pop.actions]
+    c0 = [sum(lines[e][0] for e in u) for u in uses]
+    return c0, [[sum(lines[e][1] for e in u & v) for v in uses] for u in uses]
+
+
+def test_affine_form_is_the_slope_sums():
+    # the form read off the compiled costs is the latencies' slope sums, over
+    # the costs' common denominator q
+    for _, game in _affine_games():
+        for state in game.states:
+            k0, J, q = _affine_form(game, state)
+            c0, S = _slope_sums(game.congestion, state)
+            assert [F(k, q) for k in k0] == c0
+            assert [[F(k, q) for k in row] for row in J] == S
+    # a latency quadratic in another state only is affine in this one
+    spec = _one_state_spec({"e0": (1, 1), "e1": (0, 2)}, {"a": {"e0"}, "b": {"e1"}})
+    latencies = {**spec.latencies, ("e0", "1"): (F(1), F(1)), ("e1", "1"): (F(0), F(2), F(1))}
+    prior = (F(1, 2), F(1, 2))
+    spec = CongestionSpec(spec.resources, latencies, spec.actions, spec.populations, ("0", "1"), prior)
+    game = fg.congestion_to_game(spec)
+    assert _affine_form(game, "0") == ([1, 0], [[1, 0], [0, 2]], 1)
+    assert _affine_equilibrium(game, "0") == fg.FlowProfile(((F(1, 3), F(2, 3)),))
+    assert _affine_form(game, "1") is None
+    # negative constant costs: the LCP's q-vector is shifted so that every
+    # cost is positive where J >= 0, and each mass comes out 1
+    assert _affine_equilibrium(_crowd_game("y[a] - 5", "y[b] - 21/4"), "0") == flow1(F(3, 8), F(5, 8))
+
+
+def _det(m):
+    """The determinant of a square matrix, by Gaussian elimination in Fractions."""
+    m, det = [[F(v) for v in row] for row in m], F(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            m[c], m[p], det = m[p], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            m[r] = [x - m[r][c] / m[c][c] * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def test_convex_is_every_principal_minor_of_the_reduced_form():
+    # a symmetric matrix is positive semidefinite iff each principal minor
+    # is >= 0: the oracle for _convex on J's form over flows of mass 0
+    rng = random.Random(5)
+    kinds = collections.Counter()
+    for _ in range(400):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+        n = sum(sizes)
+        blocks = list(itertools.pairwise([0, *itertools.accumulate(sizes)]))
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        # M^T M, some diagonal entries lowered by 1, and now and then one
+        # entry off the diagonal raised by 1
+        J = [[sum(r[i] * r[j] for r in m) - (i == j and rng.random() < 0.25) for j in range(n)] for i in range(n)]
+        if rng.random() < 0.1:
+            i, j = rng.randrange(n), rng.randrange(n)
+            J[i][j] += i != j
+        basis = [(lo, a) for lo, hi in blocks for a in range(lo + 1, hi)]
+        rows = [[J[a][b] - J[a][g] - J[f][b] + J[f][g] for g, b in basis] for f, a in basis]
+        minors = (
+            _det([[rows[i][j] for j in idx] for i in idx])
+            for k in range(1, len(rows) + 1)
+            for idx in itertools.combinations(range(len(rows)), k)
+        )
+        want = J == [list(col) for col in zip(*J)] and all(d >= 0 for d in minors)
+        assert fg.wardrop._convex(J, blocks) == want, (J, blocks)
+        kinds[want] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_affine_costs_without_a_convex_potential_keep_the_float_path(monkeypatch):
+    multistarts = []
+    real = fg.wardrop.solve_we_multistart
+    monkeypatch.setattr(fg.wardrop, "solve_we_multistart", lambda *a: multistarts.append(a) or real(*a))
+    # a symmetric J that is not positive semidefinite on flows of mass 0:
+    # the coordination game keeps the multistart's three equilibria
+    coordination = _crowd_game("2*y[b]", "2*y[a]")
+    assert _affine_form(coordination, "0") == ([0, 0], [[0, 2], [2, 0]], 1)
+    assert _affine_equilibrium(coordination, "0") is None
+    assert fg.wardrop._state_equilibria(coordination, "0") == [flow1(0, 1), flow1(F(1, 2), F(1, 2)), flow1(1, 0)]
+    # a monotone game (J + J^T positive definite) whose J is not symmetric
+    monotone = fg.parse_game_file(
+        "[populations]\nP = a, b\nQ = a, b\n[states]\nnames = 0\n[prior]\n0 = 1\n[costs]\n"
+        "P.a = y[P][a] + y[Q][a]\nP.b = 1/2\nQ.a = y[Q][a] - y[P][a]\nQ.b = 1/2\n"
+    )
+    assert _affine_form(monotone, "0") == ([0, 1, 0, 1], [[2, 0, 2, 0], [0] * 4, [-2, 0, 2, 0], [0] * 4], 2)
+    assert _affine_equilibrium(monotone, "0") is None
+    assert fg.wardrop._state_equilibria(monotone, "0") == [fg.FlowProfile(((0, 1), (F(1, 2), F(1, 2))))]
+    assert len(multistarts) == 2
 
 
 def test_affine_equilibrium_makes_few_fractions(monkeypatch):
