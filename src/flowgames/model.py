@@ -1070,14 +1070,18 @@ def _lifted_costs(game: GameSpec, state: str, actions) -> tuple:
 def _affine_form(game: GameSpec, state: str):
     """The costs in ``state`` as ints (k0, J, q), action a costing (k0[a] +
     sum_b J[a][b] y_b) / q over the populations' actions in order, read off
-    the lifted costs' kept forms; None unless each cost is affine."""
-    fns, _, q = _lifted_costs(game, state, [p.actions for p in game.populations])
-    forms = [game._compiled.get(f) for costs in fns for f in costs]
+    the lifted costs' kept forms; None unless each cost is affine. A
+    one-action population's costs 0, as ``verify_we`` never reads it, and its
+    flow, which is 1, folds its terms into k0."""
+    sizes = [len(p.actions) for p in game.populations]
+    fns, _, q = _lifted_costs(game, state, [p.actions if n > 1 else () for p, n in zip(game.populations, sizes)])
+    flat = [(i, j) for i, n in enumerate(sizes) for j in range(n)]
+    forms = [game._compiled.get(fns[i][j]) if sizes[i] > 1 else (0, ()) for i, j in flat]
     if None in forms:
         return None
-    flat = [(i, j) for i, costs in enumerate(fns) for j in range(len(costs))]
-    J = [[row.get(ij, 0) for ij in flat] for row in ({(i, j): k for i, j, k in terms} for _, terms in forms)]
-    return [k0 for k0, _ in forms], J, q
+    rows = [{(i, j): k for i, j, k in terms if sizes[i] > 1} for _, terms in forms]
+    k0 = [k0 + sum(k for i, _, k in terms if sizes[i] < 2) for k0, terms in forms]
+    return k0, [[row.get(ij, 0) for ij in flat] for row in rows], q
 
 
 def _kept_cost(game: GameSpec, key: tuple, compiler):

@@ -6,12 +6,12 @@ Newton polish on the detected support, which brings equilibrium violations
 down to solver precision. The first polish comes after one Frank-Wolfe step,
 then after chunks that double to 80 steps: on affine latencies the potential
 is quadratic, so Newton on the right support is exact, and a single step
-usually finds that support. The equilibria that design grids start from,
-on affine costs with a convex potential in either input format, and the
-lattice scan's polish on affine latencies are solved exactly instead, as a
-linear complementarity problem (:func:`_affine_equilibrium`). Games without
-a potential are handled by damped best-response iteration, which reports
-rather than hides non-convergence.
+usually finds that support. Affine costs with a convex potential, in
+either input format, are solved exactly instead, for design grids' seeds
+and the lattice scan's polish, as a linear complementarity problem
+(:func:`_affine_equilibrium`). Games without a potential are handled by
+damped best-response iteration, which reports rather than hides
+non-convergence.
 """
 
 from __future__ import annotations
@@ -740,10 +740,10 @@ def _lattice_scores(game: GameSpec, state: str, resolution: int, points: list) -
     ``float(Fraction)`` does: the scores are the floats of the exact violations.
     A score beyond float range raises EvaluationError naming the lattice flow.
     """
-    pops = game.populations
-    costs, deg, q = _lifted_costs(game, state, [p.actions for p in pops])
+    # one-action populations lifted as empty: their costs are never read
+    costs, deg, q = _lifted_costs(game, state, [p.actions if len(p.actions) >= 2 else () for p in game.populations])
     r, den = resolution, resolution**deg * q
-    movers = [(k, costs[k]) for k, p in enumerate(pops) if len(p.actions) >= 2]
+    movers = [(k, fs) for k, fs in enumerate(costs) if fs]
     scores = []
     for point in points:
         worst = 0
@@ -761,7 +761,7 @@ def _lattice_scores(game: GameSpec, state: str, resolution: int, points: list) -
             raise EvaluationError(message) from None
     spread = 0.0
     for point in points[:: max(1, len(points) // 128)]:
-        for fs in costs:
+        for _, fs in movers:
             floats = [f(point, r) / den for f in fs]
             spread = max(spread, max(floats) - min(floats))
     return scores, spread
@@ -806,29 +806,29 @@ def _affine_equilibrium(game: GameSpec, state: str) -> FlowProfile | None:
     """The exact equilibrium of ``state`` by :func:`lp._lemke`, whatever the
     input format; None unless the costs (k0 + J y) / q are affine with a
     convex potential (:func:`model._affine_form`, :func:`_convex`), or when
-    the run ends on a ray or its flow fails the exact check of unit mass and
-    ``verify_we`` 0. With E summing each population's flows, the LCP has z =
-    (y, lambda), M = [[J, -q E^T], [q E, 0]] and q-vector (k0 + t, -q), t =
-    q - min(0, k0): each action costs at least lambda_k - t/q, exactly so
-    where it has flow, and each mass is at least 1, exactly so where lambda_k
-    > 0, which it is where J >= 0, as in every congestion game. On a positive
-    semidefinite M the run ends on a solution (Cottle, Pang & Stone 1992)."""
+    the run ends on a ray. J plus c = max(0, -min J) in every entry adds c
+    per population to each cost: the same equilibria, and J >= 0. With E
+    summing each population's flows, the LCP has z = (y, lambda), M = [[J,
+    -q E^T], [q E, 0]] and q-vector (k0 + t, -q), t = q - min(0, k0): each
+    action costs at least lambda_k - t/q, exactly so where it has flow, so
+    lambda_k >= 1, each mass is 1 and every solution is an equilibrium. Where
+    J is positive semidefinite on all flows, as with nondecreasing congestion
+    latencies, M is and the run ends on one (Cottle, Pang & Stone 1992), as
+    it did on every sampled game whose J is so on flows of mass 0 only."""
     form = _affine_form(game, state)
     blocks = list(itertools.pairwise([0, *itertools.accumulate(len(p.actions) for p in game.populations)]))
     if form is None or not _convex(form[1], blocks):
         return None
     k0, J, q = form
-    n, t = len(k0), q - min(0, *k0)
-    columns = [[*enumerate(row), (n + k, q)] for k, (lo, hi) in enumerate(blocks) for row in J[lo:hi]]
+    c, n, t = max(0, -min(map(min, J))), len(k0), q - min(0, *k0)
+    rows = [(k, row) for k, (lo, hi) in enumerate(blocks) for row in J[lo:hi]]
+    columns = [[*((j, v + c) for j, v in enumerate(row)), (n + k, q)] for k, row in rows]
     columns += [[(j, -q) for j in range(lo, hi)] for lo, hi in blocks]
-    z = _lemke(columns, [c + t for c in k0] + [-q] * len(blocks))
+    z = _lemke(columns, [v + t for v in k0] + [-q] * len(blocks))
     if z is None:
         return None
-    # nonnegative by the LCP, of unit mass as checked
+    # nonnegative and of unit mass by the LCP
     flow = _trusted_profile(tuple(tuple(z[lo:hi]) for lo, hi in blocks))
-    ys, dy = _int_flows(flow.flows)
-    if any(sum(vec) != dy for vec in ys):
-        return None
     return flow if verify_we(game, flow, state) == 0 else None
 
 
@@ -853,12 +853,10 @@ def _convex(J, blocks) -> bool:
 
 def _state_equilibria(game: GameSpec, state: str) -> list[FlowProfile]:
     """The equilibria of ``state`` that design grids, full disclosure and the
-    ccwe grid gap start from, none when no solve converges: on affine costs
-    with a convex potential, any input format and number of populations, the
-    exact one :func:`_affine_equilibrium` finds, with no numpy; else the
-    potential solve of a congestion game kept within its own ``tol``, or the
-    best-response multistart, each snapped where a rational one verifies,
-    and listed once."""
+    ccwe grid gap start from, none when no solve converges: the exact one of
+    :func:`_affine_equilibrium`, with no numpy, else a congestion game's
+    potential solve within its own ``tol`` or the best-response multistart,
+    each snapped where a rational one verifies, and listed once."""
     game.state_index(state)
     exact = _affine_equilibrium(game, state)
     if exact is not None:
@@ -884,17 +882,16 @@ def enumerate_we_grid(
     flows within an adaptive threshold of equilibrium are polished; kept
     flows are deduplicated within L-infinity 10*tol.
 
-    A congestion-backed game's potential is convex: its minimizers are the
-    equilibria, and every action costs the same at all of them. So the scan
-    returns the exact lattice equilibria, or, when there is none, the first
-    polish that verifies within ``tol``. With affine latencies the polish is
-    the float image of the exact equilibrium :func:`_affine_equilibrium`
-    finds, whatever the start, so it is solved at most once per call; where
-    it has none the potential solver polishes instead. Other games are polished
-    by best response, which stalls ~sqrt(tol) short of boundary equilibria:
-    a polish that is new is replaced by the float image of a nearby exact
-    equilibrium when one verifies. Heuristic by nature: exactness is only
-    claimed for equilibria on or near the lattice.
+    A congestion-backed game's potential is convex, as is that of the
+    affine costs :func:`_affine_equilibrium` solves: its minimizers are the
+    equilibria. So the scan returns the exact lattice equilibria, or, when
+    there is none, the first polish that verifies within ``tol``: the float
+    image of that exact equilibrium, whatever the start, solved at most once
+    per call, else a congestion-backed game's potential solve. Other games
+    are polished by best response, which stalls ~sqrt(tol) short of boundary
+    equilibria: a polish that is new is replaced by the float image of a
+    nearby exact equilibrium when one verifies. Heuristic by nature:
+    exactness is only claimed for equilibria on or near the lattice.
     """
     _check_tol(tol)
     points = list(itertools.product(*_population_grids(game, resolution)))
@@ -911,20 +908,19 @@ def enumerate_we_grid(
     # ties) so an exact lattice equilibrium, not a polished neighbor, is the
     # kept representative of its cluster
     for i in sorted(range(len(points)), key=scores.__getitem__):
-        if scores[i] > keep or (scores[i] > 0 and result and game.congestion is not None):
+        if scores[i] > keep or (scores[i] > 0 and result and (game.congestion is not None or exact() is not None)):
             break
         # lattice entries are nonnegative Fractions summing to 1 by construction
         f = _trusted_profile(tuple(tuple(table[y] for y in vec) for vec in points[i]))
         if scores[i] == 0:
             candidate = _float_image(f)
+        elif exact() is not None:
+            candidate = _float_image(exact())
         elif game.congestion is not None:
-            if exact() is not None:
-                candidate = _float_image(exact())
-            else:
-                polished = solve_we_potential(game, state, min(tol, 1e-10), start=f)
-                if polished.max_violation > tol:
-                    continue
-                candidate = polished.flow
+            polished = solve_we_potential(game, state, min(tol, 1e-10), start=f)
+            if polished.max_violation > tol:
+                continue
+            candidate = polished.flow
         else:
             polished = solve_we_br(game, state, f, tol)
             if polished.max_violation > tol or known(polished.flow):

@@ -953,6 +953,81 @@ def test_affine_costs_without_a_convex_potential_keep_the_float_path(monkeypatch
     assert len(multistarts) == 2
 
 
+def _affine_game(sizes, k0, J):
+    """A one-state [costs] game whose action a costs k0[a] + sum_b J[a][b] y_b,
+    populations P0, P1, ... of ``sizes`` actions a0, a1, ..."""
+    flat = [f"P{p}][a{j}" for p, n in enumerate(sizes) for j in range(n)]
+    costs = "".join(
+        f"{name.replace('][', '.')} = {k0[r]}" + "".join(f" + {k}*y[{b}]" for k, b in zip(J[r], flat)) + "\n"
+        for r, name in enumerate(flat)
+    )
+    pops = "".join(f"P{p} = {', '.join(f'a{j}' for j in range(n))}\n" for p, n in enumerate(sizes))
+    return fg.parse_game_file(f"[populations]\n{pops}[states]\nnames = 0\n[prior]\n0 = 1\n[costs]\n{costs}")
+
+
+def test_costs_convex_on_flows_of_mass_0_only_are_solved_exactly():
+    # J symmetric and positive semidefinite on flows of mass 0 but not on all
+    # flows, with negative entries: adding -min J to each entry keeps the
+    # equilibria and makes J >= 0, and the run ends on the exact equilibrium
+    swap = _crowd_game("-y[b]", "-y[a]")
+    assert _affine_form(swap, "0") == ([0, 0], [[0, -1], [-1, 0]], 1)
+    assert _affine_equilibrium(swap, "0") == flow1(F(1, 2), F(1, 2))
+    rng, solved = random.Random(11), 0
+    while solved < 150:
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        n = sum(sizes)
+        J = [[0] * n for _ in range(n)]
+        for a, b in itertools.combinations_with_replacement(range(n), 2):
+            J[a][b] = J[b][a] = rng.randint(-3, 3)
+        game = _affine_game(sizes, [rng.randint(-4, 4) for _ in range(n)], J)
+        J, blocks = _affine_form(game, "0")[1], list(itertools.pairwise([0, *itertools.accumulate(sizes)]))
+        if min(map(min, J)) >= 0 or not fg.wardrop._convex(J, blocks):
+            continue
+        flow = _affine_equilibrium(game, "0")
+        assert flow is not None and all(sum(vec) == 1 for vec in flow.flows), (sizes, J)
+        assert fg.verify_we(game, flow, "0") == 0
+        solved += 1
+
+
+def test_one_action_populations_are_not_read():
+    # as in verify_we, a one-action population's cost is never read and its
+    # flow is 1: solo.s has no value in state 1 of SOLO_GAME, whose seeds
+    # there are those of the multistart and whose lattice scan runs, and an
+    # affine game's terms in the solo flow are folded into k0
+    solo = fg.parse_game_file(SOLO_GAME)
+    seed = fg.FlowProfile(((0, F(1, 7), F(6, 7)), (1,)))
+    assert fg.wardrop._state_equilibria(solo, "1") == [seed]
+    assert fg.build_grid(solo, 4)["1"] == tuple(sorted([*fg.grid_flows(solo, 4), seed], key=lambda f: f.flows))
+    assert fg.enumerate_we_grid(solo, "1", 8) == [fg.wardrop._float_image(seed)]
+    affine = fg.parse_game_file(
+        "[populations]\ncrowd = a, b\nsolo = s\n\n[states]\nnames = 0, 1\n\n[prior]\n0 = 1/3\n1 = 2/3\n\n[costs]\n"
+        "crowd.a = y[crowd][a] + 2*y[solo][s]\ncrowd.b = 2*y[crowd][b] + theta[0=1, 1=0]*y[solo][s]\n"
+        "solo.s = theta[0=1]\n"
+    )
+    assert _affine_form(affine, "0") == ([2, 1, 0], [[1, 0, 0], [0, 2, 0], [0, 0, 0]], 1)
+    assert _affine_form(affine, "1") == ([2, 0, 0], [[1, 0, 0], [0, 2, 0], [0, 0, 0]], 1)
+    assert _affine_equilibrium(affine, "0") == fg.FlowProfile(((F(1, 3), F(2, 3)), (1,)))
+    assert _affine_equilibrium(affine, "1") == fg.FlowProfile(((0, 1), (1,)))
+
+
+def test_scan_polishes_convex_affine_costs_exactly(monkeypatch):
+    # the lattice scan of a [costs] game with affine costs and a convex
+    # potential polishes to the float image of its Lemke equilibrium, with
+    # no best response, potential solve or snap
+    calls = collections.Counter()
+    for name in ("solve_we_br", "solve_we_potential", "_snap_rational"):
+        real = getattr(fg.wardrop, name)
+
+        def counted(*a, real=real, name=name, **k):
+            calls[name] += 1
+            return real(*a, **k)
+
+        monkeypatch.setattr(fg.wardrop, name, counted)
+    game = _crowd_game("1/3 + y[a]", "2*y[b]")
+    assert fg.enumerate_we_grid(game, "0", 64) == [fg.wardrop._float_image(flow1(F(5, 9), F(4, 9)))]
+    assert calls == {}
+
+
 def test_affine_equilibrium_makes_few_fractions(monkeypatch):
     # the seeds' LCP and checks run in ints: a call makes at most one
     # Fraction per entry of z = (y, lambda), _lemke's zero and the gap
