@@ -1,4 +1,6 @@
-"""numpy, executed on first attribute access: most commands never need an array.
+"""numpy, executed on first attribute access: only the float potential core
+(``wardrop._PotentialCore`` and the solves over it, ``infostruct._bwe_solve``
+among them) needs arrays.
 
 Without numpy installed, ``np`` is a stand-in whose first attribute access
 raises the ``ModuleNotFoundError`` that ``import numpy`` would, so the

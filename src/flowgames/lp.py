@@ -27,45 +27,14 @@ tie-break, so the solve always terminates (Bland 1977). It stops where exact
 pricing finds no negative reduced cost, so the returned basis is exactly
 optimal.
 
-The float reduced costs only rank candidates, so their arithmetic is free to
-follow the LP's size. An LP with fewer than ``NUMPY_NNZ`` nonzeros
-(structural entries plus slacks) prices in plain Python over sparse float
-rows, adding y_i times row i for each nonzero dual y_i, so a round costs at
-most one multiply-add per nonzero; a larger one prices a dense numpy image
-with one matrix product per round. Executing numpy costs 0.07-0.19 s in a
-fresh process, and below the cutoff a solve that prices in Python takes
-about 1.1 times as long as one that prices in numpy (at most 1.3 times)
-even once numpy is loaded. Warm solve time, Python over numpy, on two LP
-shapes (the median over g = 0, 1, 2 of each LP's median of 15 interleaved
-solves, 7 from 30 x 30 atoms, on a 2-core x86 host): the design
-LP of ``random_congestion_game(g, A, 2)`` at resolution r, and the W1
-transport LP between n atoms and n others, drawn at random ("far") or
-moved by at most 2/60 from the first ("near"):
-
-    nonzeros  design A, r  Python / numpy    nonzeros  W1 n  far   near
-         199  2, 32        0.96                    45     5  0.96  0.94
-         391  2, 64        1.05                   190    10  1.09  1.05
-         538  3, 8         0.94                   435    15  1.16  1.11
-       1,134  3, 12        1.06                   780    20  1.23  1.16
-       1,541  4, 6         0.99                 1,225    25  1.29  1.16
-       1,954  3, 16        1.17                 1,770    30  1.28  1.14
-       2,988  3, 20        1.23                 2,415    35  1.16  1.07
-       3,239  4, 8         1.06                 3,160    40  1.26  1.02
-       4,266  3, 24        1.42                 4,005    45  1.25  1.04
-       5,502  5, 6         1.09
-       5,874  4, 10        1.22
-       7,474  3, 32        1.55
-       9,675  4, 12        1.41
-      14,232  5, 8         1.11
-      21,551  4, 16        1.37
-      58,282  5, 12        1.64
-
-Below the cutoff the ratio is 0.94-1.23 (median 1.06) on design LPs and
-0.94-1.29 (median 1.15) on W1 LPs; design LPs from it read 1.09-1.64
-(median 1.39). So every bundled design at its default resolution, every W1
-transport LP of up to 45 x 45 atoms (the bundled outcomes' convergence
-runs included) and the design LPs of generated 3- and 4-action games at
-resolution 16 and 8 (1,944-3,242 nonzeros) run without numpy.
+The float reduced costs only rank candidates, so one path serves every LP:
+sparse Python float rows, adding y_i times row i for each nonzero dual y_i,
+so a round costs at most one multiply-add per nonzero. A dense array image
+prices a warm solve of a large LP faster (on a 2-core x86 host, design LPs of
+7,474 to 1.1 million nonzeros took 1.2-1.6 times as long in Python), but
+loading the array library costs 0.07-0.19 s in a fresh process, which is
+how the CLI runs, and there no design measured, up to 1.1 million
+nonzeros, was slower.
 
 ``_lemke`` solves a linear complementarity problem, the form of an affine
 equilibrium, on the same integer rows and :func:`_pivot`.
@@ -77,14 +46,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from ._numpy import np
 from .model import _Record
 
 PIVOT_TOL = 1e-10
 # consecutive degenerate exact pivots before pricing by Bland's rule alone
 STALL_PIVOTS = 30
-# nonzeros (structural entries plus slacks) from which pricing runs in numpy
-NUMPY_NNZ = 4096
 
 
 class Certificate(_Record):
@@ -121,14 +87,11 @@ def _column_solve(basis, c, columns, rhs, n_ub) -> Certificate:
     and d > 0, and cost c[j] / d with c[j] an int; the last ``n_ub`` rows
     are <= rows. ``Fraction``s are made only for the returned certificate.
 
-    Pricing ranks columns by their float reduced costs over
-    :func:`_float_image` (see :func:`_price`): sparse Python float rows
-    below ``NUMPY_NNZ`` nonzeros, a dense numpy array from there (see the
-    module docstring for why the cutoff sits there). Both take the first
-    least reduced cost; their sums may round apart, which can only change
-    the pick between near-tied columns. Every pick is confirmed by exact
-    pricing and optimality by an exact scan, so either path returns an
-    exactly optimal basis."""
+    Pricing ranks columns by their float reduced costs over the sparse
+    rows of :func:`_float_image` (see :func:`_price`); every pick is
+    confirmed by exact pricing and optimality by an exact scan, so the
+    floats' rounding can only change the pick between near-tied columns,
+    never the exactness of the returned basis."""
     n, m, total = len(c), len(rhs), len(c) + n_ub
     n_eq = m - n_ub
     cost = list(c) + [0] * n_ub
@@ -176,22 +139,21 @@ def _simplex_phase(basis, rows, den, cost, columns, float_a):
     y_den) there, the duals being y_int / y_den.
 
     ``float_a`` is the columns' :func:`_float_image`, which :func:`_price`
-    ranks them over each round. Column j = (d, entries) costs cost[j] / d,
-    an int over the column's own d. ``cost`` may run past the columns: an
-    artificial (a basis index past the last column) costs its int entry
-    there, never enters, and leaves at step 0 as soon as an entering column
-    touches its row while it sits at 0, so it stays at 0 once there.
+    ranks them over each round; with no column there is nothing to rank.
+    Column j = (d, entries) costs cost[j] / d, an int over the column's own
+    d. ``cost`` may run past the columns: an artificial (a basis index past
+    the last column) costs its int entry there, never enters, and leaves at
+    step 0 as soon as an entering column touches its row while it sits at 0,
+    so it stays at 0 once there.
     """
     total = len(columns)
     # int true division rounds correctly: the float of each exact cost
     float_cost = [k / d for k, (d, _) in zip(cost, columns)]
-    if not isinstance(float_a, list):
-        float_cost = np.array(float_cost)
     stalled = 0
     while True:
         y, y_den = _duals(basis, cost, columns, rows, den)
         entering = None
-        if stalled < STALL_PIVOTS:
+        if total and stalled < STALL_PIVOTS:
             # most negative float reduced cost, the first on a tie, if its
             # exact one is negative; int true division rounds correctly, so
             # these are y's floats
@@ -224,14 +186,11 @@ def _price(y_f, float_cost, float_a):
     """(reduced, j): the float reduced costs ``float_cost - y_f . a`` of the
     columns of :func:`_float_image` and the index of the first least one.
 
-    A numpy image takes one matrix product. Python rows are added up row by
-    row in ascending order, skipping zero duals, so a round costs the
-    entries of the rows with a nonzero dual, and each column's y_f . a is
-    bit for bit the left-to-right float sum of y_f[i] * a over its entries
-    (i, a) in ascending row order: a skipped row adds an exact zero."""
-    if not isinstance(float_a, list):
-        reduced = float_cost - np.array(y_f) @ float_a
-        return reduced, int(np.argmin(reduced))
+    The rows are added up in ascending order, skipping zero duals, so a
+    round costs the entries of the rows with a nonzero dual, and each
+    column's y_f . a is bit for bit the left-to-right float sum of
+    y_f[i] * a over its entries (i, a) in ascending row order: a skipped row
+    adds an exact zero."""
     acc = [0.0] * len(float_cost)
     for yi, (js, values) in zip(y_f, float_a):
         if yi:
@@ -244,23 +203,13 @@ def _price(y_f, float_cost, float_a):
 def _float_image(columns, m: int):
     """The float image of the columns (d, [(row, k)]) that pricing ranks
     with: a list of ``m`` sparse float rows, each the pair ([column],
-    [k / d]), when the columns hold fewer than ``NUMPY_NNZ`` entries, else a
-    dense (m, len(columns)) numpy array."""
-    size = [len(col) for _, col in columns]
-    nnz = sum(size)
-    if nnz < NUMPY_NNZ:
-        js, values = [[] for _ in range(m)], [[] for _ in range(m)]
-        for j, (d, col) in enumerate(columns):
-            for i, v in col:
-                js[i].append(j)
-                values[i].append(v / d)
-        return list(zip(js, values))
-    float_a = np.zeros((m, len(columns)))
-    float_a[
-        np.fromiter((i for _, col in columns for i, _ in col), np.intp, nnz),
-        np.repeat(np.arange(len(columns)), size),
-    ] = np.fromiter((v / d for d, col in columns for _, v in col), float, nnz)
-    return float_a
+    [k / d])."""
+    js, values = [[] for _ in range(m)], [[] for _ in range(m)]
+    for j, (d, col) in enumerate(columns):
+        for i, v in col:
+            js[i].append(j)
+            values[i].append(v / d)
+    return list(zip(js, values))
 
 
 def _pivot(rows, den: int, u, leaving: int, d: int) -> int:

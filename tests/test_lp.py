@@ -95,6 +95,15 @@ def test_needs_at_least_one_row():
         fg.exact_solve(None, [1, 2])
 
 
+def test_equality_rows_without_a_column():
+    # no structural column and no slack, so nothing to price: b = 0 is the
+    # empty optimum, its artificial left at 0 in the basis, and b = 1 is
+    # infeasible
+    assert fg.exact_solve(None, [], [[]], [0]) == lp.Certificate((), (0,), 0, (0,))
+    with pytest.raises(ValueError, match="LP is infeasible"):
+        fg.exact_solve(None, [], [[]], [1])
+
+
 def test_strong_duality_at_optimum():
     # the certificate's x is exactly feasible, y is dual feasible and c.x == y.b
     rng = np.random.default_rng(7)
@@ -360,32 +369,40 @@ def golden_lps():
     return _golden_lps()
 
 
-def test_pricing_cutoff_parts_desk_lps_from_the_design_workload(golden_lps, monkeypatch):
-    # the design workload's 40 LPs (1,944-3,242 nonzeros), the W1 transport
-    # LPs and the cli designs (52 and 15 nonzeros) price in Python floats; a
-    # ladder LP of 4 actions at resolution 16 keeps numpy
+@pytest.fixture(scope="module")
+def ladder_lp():
+    """(group, solve, args) of the design LP of a 4-action, 2-state game at
+    resolution 16, a rung of the design ladder past the workload's LPs."""
     from flowgames.generators import random_congestion_game
 
+    game = random_congestion_game(0, n_actions=4, n_states=2)
+    problem = fg.DesignerProblem(game, fg.social_cost_expr(game), fg.build_grid(game, 16))
+    return "ladder", fg.solve_program_p, (problem,)
+
+
+def test_every_lp_is_priced_over_python_rows(golden_lps, ladder_lp, monkeypatch):
+    # one pricing path: the design workload's 40 LPs (1,944-3,242 nonzeros),
+    # the W1 transport LPs, the cli designs (52 and 15 nonzeros) and the
+    # ladder LP (21,554) all rank columns over sparse Python float rows
     image, sizes = lp._float_image, {}
 
     def sized(columns, m):
         out = image(columns, m)
-        # slacks included; True where pricing runs in Python
-        sizes[group].append((sum(len(col) for _, col in columns), isinstance(out, list)))
+        # slacks included
+        nnz = sum(len(col) for _, col in columns)
+        assert type(out) is list and len(out) == m, group
+        assert sum(len(js) for js, _ in out) == nnz == sum(len(values) for _, values in out), group
+        assert all(type(v) is float for _, values in out for v in values), group
+        sizes[group].append(nnz)
         return out
 
-    game = random_congestion_game(0, n_actions=4, n_states=2)
-    ladder = fg.DesignerProblem(game, fg.social_cost_expr(game), fg.build_grid(game, 16))
     monkeypatch.setattr(lp, "_float_image", sized)
-    for group, solve, args in [*golden_lps, ("ladder", fg.solve_program_p, (ladder,))]:
+    for group, solve, args in [*golden_lps, ladder_lp]:
         sizes.setdefault(group, [])
         solve(*args)
-    design = [n for n, _ in sizes["design"]]
-    assert len(design) == 40 and (min(design), max(design)) == (1944, 3242)
-    assert len(sizes["w1"]) == 15 and sizes["cli"] == [(52, True), (15, True)]
-    below = sizes["design"] + sizes["w1"] + sizes["cli"] + sizes["ccwe_grid_gap"]
-    assert all(python and n < lp.NUMPY_NNZ for n, python in below)
-    assert sizes["ladder"] == [(21554, False)] and lp.NUMPY_NNZ <= 21554
+    assert len(sizes["design"]) == 40 and (min(sizes["design"]), max(sizes["design"])) == (1944, 3242)
+    assert len(sizes["w1"]) == 15 and sizes["cli"] == [52, 15] and sizes["ladder"] == [21554]
+    assert set(sizes) == {"design", "ccwe_grid_gap", "w1", "cli", "ladder"}
 
 
 def _column_sum(terms) -> float:
@@ -397,8 +414,8 @@ def _column_sum(terms) -> float:
     return total
 
 
-def test_row_pricing_is_the_column_sums_bit_for_bit(golden_lps, monkeypatch):
-    # every Python pricing round of the golden LPs and of an LP with an
+def test_row_pricing_is_the_column_sums_bit_for_bit(golden_lps, ladder_lp, monkeypatch):
+    # every pricing round of the golden LPs, the ladder LP and an LP with an
     # all-zero column prices at float(v) of each exact cost v and gives the
     # reduced costs, and so the pick, of summing each column's entries in
     # row order
@@ -421,23 +438,11 @@ def test_row_pricing_is_the_column_sums_bit_for_bit(golden_lps, monkeypatch):
         rounds[group] = rounds.get(group, 0) + 1
         return reduced, j
 
-    monkeypatch.setattr(lp, "NUMPY_NNZ", 10**9)
     monkeypatch.setattr(lp, "_float_image", imaged)
     monkeypatch.setattr(lp, "_price", priced)
     monkeypatch.setattr(lp, "_simplex_phase", phased)
     # column 1 has no entry
     zero = ("zero column", fg.exact_solve, (None, [2, 0, 1], [[1, 0, 1]], [1], [[1, 0, -1]], [F(1, 2)]))
-    for group, solve, args in [*golden_lps, zero]:
+    for group, solve, args in [*golden_lps, ladder_lp, zero]:
         solve(*args)
-    assert set(rounds) == {"design", "ccwe_grid_gap", "w1", "cli", "zero column"}
-
-
-def test_both_pricing_paths_give_the_same_certificates(golden_lps, monkeypatch):
-    # the cutoff picks only the float arithmetic that ranks columns: forced
-    # to either side, every golden LP ends at the same result
-    for group, solve, args in golden_lps:
-        monkeypatch.setattr(lp, "NUMPY_NNZ", 0)
-        dense = repr(solve(*args))
-        monkeypatch.setattr(lp, "NUMPY_NNZ", 10**9)
-        assert repr(solve(*args)) == dense, group
-    assert {group for group, _, _ in golden_lps} == {"design", "ccwe_grid_gap", "w1", "cli"}
+    assert set(rounds) == {"design", "ccwe_grid_gap", "w1", "cli", "ladder", "zero column"}

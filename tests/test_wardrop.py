@@ -527,6 +527,8 @@ _COMMANDS_WITHOUT_ARRAYS = (
     ["converge", "--game", "elfarol", "--outcome", "elfarol_cwe"],
     ["we", "--game", "elfarol"],
     ["we", "--game", "random-congestion", "--seed", "3"],
+    # a design LP of 6,151 nonzeros
+    ["design", "--game", "random-congestion", "--seed", "3", "--resolution", "1024"],
 )
 
 
@@ -568,8 +570,8 @@ def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
         lines = fresh_python(_NUMPY_PROBE + random_we.format(seed) + "numpy_loaded()\n").splitlines()
         assert f"flow = {flow}" in lines
         assert lines[-1] == "numpy loaded: False"
-    # a desk-sized design LP (52 nonzeros) and the W1 transport LPs of a
-    # convergence run are priced in Python floats, below lp.NUMPY_NNZ
+    # every LP is priced in Python floats: a desk-sized design LP (52
+    # nonzeros) here, the W1 transport LPs of a convergence run below
     out = fresh_python(_NUMPY_PROBE + "main(['design', '--game', 'pigou_info'])\nnumpy_loaded()\n")
     assert out == (
         "[report]\ncommand = design\nobjective = social\nstatus = optimal\nvalue = 1/2\n"
@@ -599,6 +601,10 @@ def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
     )
     out = fresh_python(_NUMPY_PROBE + workload + "numpy_loaded()\n")
     assert out == "optimal 1425385/781184\nnumpy loaded: False\n"
+    # and the same game's design at resolution 16 (21,554 nonzeros)
+    workload = workload.replace("build_grid(game, 8)", "build_grid(game, 16)")
+    out = fresh_python(_NUMPY_PROBE + workload + "numpy_loaded()\n")
+    assert out == "optimal 217461/120320\nnumpy loaded: False\n"
     # two populations sharing every resource: their grid is seeded with an
     # exact equilibrium from one Lemke run, not a float solve and a snap
     two = (
