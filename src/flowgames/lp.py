@@ -18,23 +18,12 @@ too; ``Fraction``s are made only for the returned ``Certificate``. It starts
 from a primal feasible basis the caller gives (pivoted in from the unit basis)
 or, without one, runs phase 1 from artificials on the equality rows and
 slacks on the <= rows. Both phases share one pivot loop. It enters the column
-with the most negative float reduced cost (the first on a tie), once that
-column's exact reduced cost is confirmed negative; the duals' floats are int
-quotients, correctly rounded like a ``Fraction``'s. When floats see no such
-column, or after ``STALL_PIVOTS`` consecutive degenerate pivots, it enters by
-Bland's rule on exact prices. The ratio test is exact, with Bland's
-tie-break, so the solve always terminates (Bland 1977). It stops where exact
-pricing finds no negative reduced cost, so the returned basis is exactly
-optimal.
-
-The float reduced costs only rank candidates, so one path serves every LP:
-sparse Python float rows, adding y_i times row i for each nonzero dual y_i,
-so a round costs at most one multiply-add per nonzero. A dense array image
-prices a warm solve of a large LP faster (on a 2-core x86 host, design LPs of
-7,474 to 1.1 million nonzeros took 1.2-1.6 times as long in Python), but
-loading the array library costs 0.07-0.19 s in a fresh process, which is
-how the CLI runs, and there no design measured, up to 1.1 million
-nonzeros, was slower.
+of least exact reduced cost among the negative ones, the first on a tie
+(Dantzig's rule), or, after ``STALL_PIVOTS`` consecutive degenerate pivots,
+the first column whose reduced cost is negative (Bland's rule). The ratio
+test is exact, with Bland's tie-break, so the solve always terminates (Bland
+1977). It stops where no reduced cost is negative, so the returned basis is
+exactly optimal.
 
 ``_lemke`` solves a linear complementarity problem, the form of an affine
 equilibrium, on the same integer rows and :func:`_pivot`.
@@ -48,7 +37,6 @@ from fractions import Fraction
 
 from .model import _Record
 
-PIVOT_TOL = 1e-10
 # consecutive degenerate exact pivots before pricing by Bland's rule alone
 STALL_PIVOTS = 30
 
@@ -86,12 +74,8 @@ def _column_solve(basis, c, columns, rhs, n_ub) -> Certificate:
     structural column j (see :func:`_column`), entries k / d with integer k
     and d > 0, and cost c[j] / d with c[j] an int; the last ``n_ub`` rows
     are <= rows. ``Fraction``s are made only for the returned certificate.
-
-    Pricing ranks columns by their float reduced costs over the sparse
-    rows of :func:`_float_image` (see :func:`_price`); every pick is
-    confirmed by exact pricing and optimality by an exact scan, so the
-    floats' rounding can only change the pick between near-tied columns,
-    never the exactness of the returned basis."""
+    Both phases enter by Dantzig's rule on exact reduced costs over one
+    :func:`_row_view` of the columns (see :func:`_simplex_phase`)."""
     n, m, total = len(c), len(rhs), len(c) + n_ub
     n_eq = m - n_ub
     cost = list(c) + [0] * n_ub
@@ -99,7 +83,7 @@ def _column_solve(basis, c, columns, rhs, n_ub) -> Certificate:
     columns = list(columns) + [(1, [(i, 1)]) for i in range(n_eq, m)]
     if not m:
         raise ValueError("LP needs at least one row")
-    float_a = _float_image(columns, m)
+    by_row = _row_view(columns, m)
     # b: the right-hand side times its common denominator, so x_B = row[-1] / (den * scale)
     scale = math.lcm(*(v.denominator for v in rhs))
     b = [v.numerator * (scale // v.denominator) for v in rhs]
@@ -109,7 +93,7 @@ def _column_solve(basis, c, columns, rhs, n_ub) -> Certificate:
         basis = [total + i for i in range(n_eq)] + list(range(n, total))
         rows, den = _factor(basis, columns, b, n_eq)
         # phase 1: minimize the sum of the artificials
-        den = _simplex_phase(basis, rows, den, [0] * total + [1] * n_eq, columns, float_a)[0]
+        den = _simplex_phase(basis, rows, den, [0] * total + [1] * n_eq, columns, by_row)[0]
         if any(row[-1] for j, row in zip(basis, rows) if j >= total):
             raise ValueError("LP is infeasible")
     else:
@@ -122,7 +106,7 @@ def _column_solve(basis, c, columns, rhs, n_ub) -> Certificate:
         rows, den = factored
         if any(row[-1] < 0 for row in rows):
             raise ValueError("basis is not primal feasible")
-    den, y, y_den = _simplex_phase(basis, rows, den, cost, columns, float_a)
+    den, y, y_den = _simplex_phase(basis, rows, den, cost, columns, by_row)
     x = [Fraction(0)] * n
     for j, row in zip(basis, rows):
         if j < n:
@@ -132,38 +116,29 @@ def _column_solve(basis, c, columns, rhs, n_ub) -> Certificate:
     return Certificate(tuple(x), tuple(Fraction(v, y_den) for v in y), objective, tuple(basis))
 
 
-def _simplex_phase(basis, rows, den, cost, columns, float_a):
+def _simplex_phase(basis, rows, den, cost, columns, by_row):
     """Pivot from a primal feasible basis, updating ``basis`` and the rows
-    [B^-1 | B^-1 b] over ``den`` (see :func:`_factor`) in place, until exact
-    pricing finds no column with a negative reduced cost; returns (den, y_int,
-    y_den) there, the duals being y_int / y_den.
+    [B^-1 | B^-1 b] over ``den`` (see :func:`_factor`) in place, until no
+    column has a negative exact reduced cost; returns (den, y_int, y_den)
+    there, the duals being y_int / y_den. Each round enters by Dantzig's
+    rule (:func:`_price` over ``by_row``) or, after ``STALL_PIVOTS``
+    consecutive degenerate pivots, by Bland's rule (:func:`_first_negative`).
 
-    ``float_a`` is the columns' :func:`_float_image`, which :func:`_price`
-    ranks them over each round; with no column there is nothing to rank.
     Column j = (d, entries) costs cost[j] / d, an int over the column's own
     d. ``cost`` may run past the columns: an artificial (a basis index past
     the last column) costs its int entry there, never enters, and leaves at
     step 0 as soon as an entering column touches its row while it sits at 0,
     so it stays at 0 once there.
     """
-    total = len(columns)
-    # int true division rounds correctly: the float of each exact cost
-    float_cost = [k / d for k, (d, _) in zip(cost, columns)]
-    stalled = 0
+    total, stalled = len(columns), 0
     while True:
         y, y_den = _duals(basis, cost, columns, rows, den)
-        entering = None
-        if total and stalled < STALL_PIVOTS:
-            # most negative float reduced cost, the first on a tie, if its
-            # exact one is negative; int true division rounds correctly, so
-            # these are y's floats
-            reduced, j = _price([v / y_den for v in y], float_cost, float_a)
-            if reduced[j] < -PIVOT_TOL:
-                entering = _first_negative(y, y_den, cost, columns, (j,))
+        if stalled < STALL_PIVOTS:
+            entering = _price(y, y_den, cost, columns, by_row)
+        else:
+            entering = _first_negative(y, y_den, cost, columns)
         if entering is None:
-            entering = _first_negative(y, y_den, cost, columns, range(total))
-            if entering is None:
-                return den, y, y_den
+            return den, y, y_den
         d, col = columns[entering]
         u = [sum(row[i] * v for i, v in col) for row in rows]  # B^-1 a_j times den * d
         # exact ratio test on x_i / u_i; ties leave by the smallest basic column (Bland)
@@ -182,34 +157,36 @@ def _simplex_phase(basis, rows, den, cost, columns, float_a):
         stalled = stalled + 1 if num == 0 else 0
 
 
-def _price(y_f, float_cost, float_a):
-    """(reduced, j): the float reduced costs ``float_cost - y_f . a`` of the
-    columns of :func:`_float_image` and the index of the first least one.
-
-    The rows are added up in ascending order, skipping zero duals, so a
-    round costs the entries of the rows with a nonzero dual, and each
-    column's y_f . a is bit for bit the left-to-right float sum of
-    y_f[i] * a over its entries (i, a) in ascending row order: a skipped row
-    adds an exact zero."""
-    acc = [0.0] * len(float_cost)
-    for yi, (js, values) in zip(y_f, float_a):
+def _price(y, y_den, cost, columns, by_row):
+    """Dantzig's rule: the column of least exact reduced cost among the
+    negative ones, the first on a tie, or None. With y = y_int / y_den, column
+    j = (d_j, entries) costing cost[j] / d_j has reduced cost r_j / (y_den *
+    d_j) for the int r_j = cost[j] * y_den - sum(y_int[i] * k), summed over
+    the rows of ``by_row`` with a nonzero dual; j ranks before i when r_j *
+    d_i < r_i * d_j."""
+    reduced = [c * y_den for c, _ in zip(cost, columns)]
+    for yi, (js, ks) in zip(y, by_row):
         if yi:
-            for j, a in zip(js, values):
-                acc[j] += yi * a
-    reduced = [c - a for c, a in zip(float_cost, acc)]
-    return reduced, reduced.index(min(reduced))
+            for j, k in zip(js, ks):
+                reduced[j] -= yi * k
+    # 0 / 1 ranks after every negative reduced cost
+    entering, least, least_d = None, 0, 1
+    for j in [j for j, r in enumerate(reduced) if r < 0]:
+        r, d = reduced[j], columns[j][0]
+        if r * least_d < least * d:
+            entering, least, least_d = j, r, d
+    return entering
 
 
-def _float_image(columns, m: int):
-    """The float image of the columns (d, [(row, k)]) that pricing ranks
-    with: a list of ``m`` sparse float rows, each the pair ([column],
-    [k / d])."""
-    js, values = [[] for _ in range(m)], [[] for _ in range(m)]
-    for j, (d, col) in enumerate(columns):
-        for i, v in col:
+def _row_view(columns, m: int):
+    """The columns (d, [(row, k)]) as a list of ``m`` sparse int rows, each
+    the pair ([column], [k]) in ascending column order."""
+    js, ks = [[] for _ in range(m)], [[] for _ in range(m)]
+    for j, (_, col) in enumerate(columns):
+        for i, k in col:
             js[i].append(j)
-            values[i].append(v / d)
-    return list(zip(js, values))
+            ks[i].append(k)
+    return list(zip(js, ks))
 
 
 def _pivot(rows, den: int, u, leaving: int, d: int) -> int:
@@ -353,13 +330,13 @@ def _duals(basis, cost, columns, rows, den):
     return [v // g for v in y], y_den // g
 
 
-def _first_negative(y, y_den, cost, columns, order):
-    """The first column in ``order`` whose exact reduced cost c_j - y . a_j
+def _first_negative(y, y_den, cost, columns):
+    """Bland's rule: the first column whose exact reduced cost c_j - y . a_j
     is negative, or None: with y = y_int / y_den and the column (d, entries)
     costing cost[j] / d, y . a_j = sum(y_int[i] * k) / (y_den * d), so the
     sign is that of cost[j] * y_den - sum(y_int[i] * k)."""
-    for j in order:
-        if cost[j] * y_den < sum(y[i] * k for i, k in columns[j][1]):
+    for j, (_, col) in enumerate(columns):
+        if cost[j] * y_den < sum(y[i] * k for i, k in col):
             return j
     return None
 

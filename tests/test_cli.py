@@ -248,6 +248,15 @@ def test_random_game_is_seed_deterministic(capsys):
     assert other[1] != first[1]
 
 
+def _huge_game(tmp_path):
+    huge = tmp_path / "huge.game"
+    huge.write_text(
+        "[populations]\ncrowd = a, b\n\n[states]\nnames = 0\n\n"
+        f"[prior]\n0 = 1\n\n[costs]\ncrowd.a = {10**400}*y[a]\ncrowd.b = 1\n"
+    )
+    return huge
+
+
 def test_usage_errors_exit_one(capsys, tmp_path, monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("a usage error reached build_grid")
@@ -260,11 +269,7 @@ def test_usage_errors_exit_one(capsys, tmp_path, monkeypatch):
         "[prior]\nwet = 1/2\ndry = 1/2\n\n[costs]\ncrowd.a = theta*y[a]\ncrowd.b = 1\n"
     )
     # a cost beyond float range once ended in an OverflowError traceback
-    huge, half = tmp_path / "huge.game", tmp_path / "half.outcome"
-    huge.write_text(
-        "[populations]\ncrowd = a, b\n\n[states]\nnames = 0\n\n"
-        f"[prior]\n0 = 1\n\n[costs]\ncrowd.a = {10**400}*y[a]\ncrowd.b = 1\n"
-    )
+    huge, half = _huge_game(tmp_path), tmp_path / "half.outcome"
     half.write_text("[outcome.0]\n(1/2, 1/2) = 1\n")
     pure = tmp_path / "pure.outcome"
     pure.write_text("[outcome.0]\n(0, 1) = 1\n")
@@ -283,12 +288,8 @@ def test_usage_errors_exit_one(capsys, tmp_path, monkeypatch):
         assert rc == 1, argv
         assert err.startswith("error:"), argv
         assert "Traceback" not in err
-    # design meets the float overflow past its grid, so build_grid is restored:
-    # in the simplex's float pricing, of the huge game's exact equilibrium seed
-    # (a = 1/10**400) or of the objective;
     # we names the state and the lattice flow whose violation overflows;
     # converge names an obedience violation exactly when it is beyond float range
-    monkeypatch.undo()
     for argv, message in [
         (
             ["converge", "--game", str(huge), "--outcome", str(half), "--n-list", "4"],
@@ -302,20 +303,28 @@ def test_usage_errors_exit_one(capsys, tmp_path, monkeypatch):
             ["we", "--game", str(huge)],
             "violation in state '0' is too large for a float at lattice flow (1/64, 63/64)",
         ),
-        (
-            ["design", "--game", str(huge), "--resolution", "4"],
-            "integer division result too large for a float",
-        ),
-        (
-            ["design", "--game", "elfarol", "--objective", f"{10**400}*y[a]", "--resolution", "4"],
-            "integer division result too large for a float",
-        ),
     ]:
         assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
     # check compares the exact violation with --tol, so it never overflows
     rc, out, err = run_cli(["check", "--game", str(huge), "--outcome", str(half), "--concept", "cwe"], capsys)
     assert (rc, err) == (0, "")
     assert f"violation = {F(10**400 - 2, 4)}\nok = false\n" in out
+
+
+def test_design_beyond_float_range_is_exact(tmp_path, capsys):
+    # both once stopped in the simplex's float pricing with an OverflowError:
+    # the huge game's exact equilibrium seed puts 1/10**400 on a, and the
+    # objective 10**400*y[a] is priced exactly at elfarol's seed (1/4, 3/4)
+    tiny = F(1, 10**400)
+    rc, out, err = run_cli(["design", "--game", str(_huge_game(tmp_path)), "--resolution", "4"], capsys)
+    assert (rc, err) == (0, "")
+    assert "status = optimal\nvalue = 1\n" in out
+    assert f"[outcome.0]\n({tiny}, {1 - tiny}) = 1\n" in out
+    argv = ["design", "--game", "elfarol", "--objective", f"{10**400}*y[a]", "--resolution", "4"]
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, err) == (0, "")
+    assert f"status = optimal\nvalue = {10**400 // 4}\n" in out
+    assert "[outcome.0]\n(1/4, 3/4) = 1\n" in out
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])

@@ -1,3 +1,4 @@
+import ast
 import collections
 import itertools
 import json
@@ -102,6 +103,14 @@ def test_equality_rows_without_a_column():
     assert fg.exact_solve(None, [], [[]], [0]) == lp.Certificate((), (0,), 0, (0,))
     with pytest.raises(ValueError, match="LP is infeasible"):
         fg.exact_solve(None, [], [[]], [1])
+
+
+def test_data_beyond_float_range_solve_exactly():
+    # a cost or an entry of 10**400 once stopped pricing with an OverflowError
+    assert fg.exact_solve(None, [10**400, 1], [[1, 1]], [1]) == lp.Certificate((0, 1), (1,), 1, (1,))
+    # column 0 enters first, at x_0 = 1 / 10**400, and then leaves for column 1
+    cert = fg.exact_solve(None, [-1, -1], a_ub=[[10**400, 1]], b_ub=[1])
+    assert cert == lp.Certificate((0, 1), (-1,), -1, (1,))
 
 
 def test_strong_duality_at_optimum():
@@ -380,69 +389,50 @@ def ladder_lp():
     return "ladder", fg.solve_program_p, (problem,)
 
 
-def test_every_lp_is_priced_over_python_rows(golden_lps, ladder_lp, monkeypatch):
-    # one pricing path: the design workload's 40 LPs (1,944-3,242 nonzeros),
-    # the W1 transport LPs, the cli designs (52 and 15 nonzeros) and the
-    # ladder LP (21,554) all rank columns over sparse Python float rows
-    image, sizes = lp._float_image, {}
-
-    def sized(columns, m):
-        out = image(columns, m)
-        # slacks included
-        nnz = sum(len(col) for _, col in columns)
-        assert type(out) is list and len(out) == m, group
-        assert sum(len(js) for js, _ in out) == nnz == sum(len(values) for _, values in out), group
-        assert all(type(v) is float for _, values in out for v in values), group
-        sizes[group].append(nnz)
-        return out
-
-    monkeypatch.setattr(lp, "_float_image", sized)
-    for group, solve, args in [*golden_lps, ladder_lp]:
-        sizes.setdefault(group, [])
-        solve(*args)
-    assert len(sizes["design"]) == 40 and (min(sizes["design"]), max(sizes["design"])) == (1944, 3242)
-    assert len(sizes["w1"]) == 15 and sizes["cli"] == [52, 15] and sizes["ladder"] == [21554]
-    assert set(sizes) == {"design", "ccwe_grid_gap", "w1", "cli", "ladder"}
+def test_lp_module_makes_no_float():
+    # pricing is exact: no true division and no float() call in lp.py
+    tree = ast.parse(Path(lp.__file__).read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Div)]
+    calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert not [f for f in calls if isinstance(f, ast.Name) and f.id == "float"]
 
 
-def _column_sum(terms) -> float:
-    # left to right from 0.0, as the builtin sum adds floats before Python
-    # 3.12, which compensates the rounding
-    total = 0.0
-    for term in terms:
-        total += term
-    return total
+def _reference_pick(y, y_den, cost, columns):
+    """(least, first): the column of least reduced cost c_j - y . a_j among
+    the negative ones, the first on a tie, and the first column with a
+    negative one, each None when none is; every reduced cost is a Fraction,
+    y . a_j = sum(y_int[i] * k) / (y_den * d) summed column by column."""
+    reduced = [F(c, d) - F(sum(y[i] * k for i, k in col), y_den * d) for c, (d, col) in zip(cost, columns)]
+    negative = [j for j, r in enumerate(reduced) if r < 0]
+    least = min(negative, key=reduced.__getitem__, default=None)
+    return least, negative[0] if negative else None
 
 
-def test_row_pricing_is_the_column_sums_bit_for_bit(golden_lps, ladder_lp, monkeypatch):
-    # every pricing round of the golden LPs, the ladder LP and an LP with an
-    # all-zero column prices at float(v) of each exact cost v and gives the
-    # reduced costs, and so the pick, of summing each column's entries in
-    # row order
-    image, price, phase, columns, rounds, exact = lp._float_image, lp._price, lp._simplex_phase, [], {}, []
+def test_every_round_enters_the_exact_reference_pick(golden_lps, ladder_lp, monkeypatch):
+    # every pricing round of the golden LPs, the ladder LP, an LP with an
+    # all-zero column and Beale's cycling LP enters the least exact reduced
+    # cost (Dantzig's rule) or, past STALL_PIVOTS degenerate pivots, the
+    # first negative one (Bland's rule), and stops only when none is negative
+    price, first_negative, rounds = lp._price, lp._first_negative, collections.Counter()
 
-    def imaged(cols, m):
-        columns[:] = [[(i, k / d) for i, k in col] for d, col in cols]
-        return image(cols, m)
+    def priced(y, y_den, cost, columns, by_row):
+        entering = price(y, y_den, cost, columns, by_row)
+        assert entering == _reference_pick(y, y_den, cost, columns)[0], group
+        rounds[group, "dantzig"] += 1
+        return entering
 
-    def phased(basis, rows, den, cost, cols, float_a):
-        # each cost is an int numerator over its column's d
-        exact[:] = [F(k, d) for k, (d, _) in zip(cost, cols)]
-        return phase(basis, rows, den, cost, cols, float_a)
+    def bland(y, y_den, cost, columns):
+        entering = first_negative(y, y_den, cost, columns)
+        assert entering == _reference_pick(y, y_den, cost, columns)[1], group
+        rounds[group, "bland"] += 1
+        return entering
 
-    def priced(y, cost, float_a):
-        assert [v.hex() for v in cost] == [float(v).hex() for v in exact], group
-        reduced, j = price(y, cost, float_a)
-        expected = [c - _column_sum(y[i] * a for i, a in col) for c, col in zip(cost, columns)]
-        assert reduced == expected and j == expected.index(min(expected)), group
-        rounds[group] = rounds.get(group, 0) + 1
-        return reduced, j
-
-    monkeypatch.setattr(lp, "_float_image", imaged)
     monkeypatch.setattr(lp, "_price", priced)
-    monkeypatch.setattr(lp, "_simplex_phase", phased)
+    monkeypatch.setattr(lp, "_first_negative", bland)
     # column 1 has no entry
     zero = ("zero column", fg.exact_solve, (None, [2, 0, 1], [[1, 0, 1]], [1], [[1, 0, -1]], [F(1, 2)]))
-    for group, solve, args in [*golden_lps, ladder_lp, zero]:
+    beale = ("beale", fg.exact_solve, (None, BEALE_C, None, None, BEALE_A, BEALE_B))
+    for group, solve, args in [*golden_lps, ladder_lp, zero, beale]:
         solve(*args)
-    assert set(rounds) == {"design", "ccwe_grid_gap", "w1", "cli", "ladder", "zero column"}
+    assert {group for group, _ in rounds} == {"design", "ccwe_grid_gap", "w1", "cli", "ladder", "zero column", "beale"}
+    assert rounds["beale", "bland"] > 0
