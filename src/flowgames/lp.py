@@ -19,14 +19,14 @@ from a primal feasible basis the caller gives (pivoted in from the unit basis)
 or, without one, runs phase 1 from artificials on the equality rows and
 slacks on the <= rows. Both phases share one pivot loop. It enters the column
 of least exact reduced cost among the negative ones, the first on a tie
-(Dantzig's rule), or, after ``STALL_PIVOTS`` consecutive degenerate pivots,
-the first column whose reduced cost is negative (Bland's rule). The ratio
-test is exact, with Bland's tie-break, so the solve always terminates (Bland
-1977). It stops where no reduced cost is negative, so the returned basis is
-exactly optimal.
+(Dantzig's rule), and stops where none is negative, so the returned basis is
+exactly optimal. It leaves by the lexicographic ratio test relative to B_0,
+the basis the phase starts from (:func:`_leaving`): the ratio test of the
+right-hand side b + B_0 (e, e^2, ...), under which no basis repeats, so the
+solve always terminates (Dantzig, Orden & Wolfe 1955).
 
 ``_lemke`` solves a linear complementarity problem, the form of an affine
-equilibrium, on the same integer rows and :func:`_pivot`.
+equilibrium, on the same integer rows, :func:`_leaving` and :func:`_pivot`.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ import math
 from fractions import Fraction
 
 from .model import _Record
-
-# consecutive degenerate exact pivots before pricing by Bland's rule alone
-STALL_PIVOTS = 30
 
 
 class Certificate(_Record):
@@ -56,12 +53,12 @@ def exact_solve(basis, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> Certifi
     a_ub x <= b_ub and x >= 0, with every entry read as an exact rational.
 
     ``basis`` names one column per row, structural (index < len(c)) or slack
-    (len(c) + i for the i-th <= row). Raises ValueError when it is not such
-    a list, its matrix is singular or its x_B has a negative entry. With
-    ``basis`` None, phase 1 starts from an artificial on each equality row
-    and the slack of each <= row, and raises ValueError on a negative
-    right-hand side or an infeasible LP; an artificial left at 0 on a
-    redundant equality row stays in the returned basis, past the slacks.
+    (len(c) + i for the i-th <= row), each an int. Raises ValueError when it
+    is not such a list, its matrix is singular or its x_B has a negative
+    entry. With ``basis`` None, phase 1 starts from an artificial on each
+    equality row and the slack of each <= row, and raises ValueError on a
+    negative right-hand side or an infeasible LP; an artificial left at 0 on
+    a redundant equality row stays in the returned basis, past the slacks.
     Raises ValueError when the LP has no rows or is unbounded, when a row or
     right-hand side does not match ``c`` or its matrix in length, or on an
     entry that is not a finite number.
@@ -98,8 +95,8 @@ def _column_solve(basis, c, columns, rhs, n_ub) -> Certificate:
             raise ValueError("LP is infeasible")
     else:
         basis = list(basis)
-        if len(basis) != m or len(set(basis)) != m or not all(0 <= j < total for j in basis):
-            raise ValueError(f"a basis names {m} distinct columns below {total}")
+        if len(basis) != m or len(set(basis)) != m or not all(type(j) is int and 0 <= j < total for j in basis):
+            raise ValueError(f"a basis names {m} distinct columns below {total}, each an int")
         factored = _factor(basis, columns, b, n_eq)
         if factored is None:
             raise ValueError("singular basis")
@@ -121,40 +118,35 @@ def _simplex_phase(basis, rows, den, cost, columns, by_row):
     [B^-1 | B^-1 b] over ``den`` (see :func:`_factor`) in place, until no
     column has a negative exact reduced cost; returns (den, y_int, y_den)
     there, the duals being y_int / y_den. Each round enters by Dantzig's
-    rule (:func:`_price` over ``by_row``) or, after ``STALL_PIVOTS``
-    consecutive degenerate pivots, by Bland's rule (:func:`_first_negative`).
+    rule (:func:`_price` over ``by_row``) and leaves by :func:`_leaving`
+    relative to B_0, the basis the phase starts from.
 
     Column j = (d, entries) costs cost[j] / d, an int over the column's own
     d. ``cost`` may run past the columns: an artificial (a basis index past
     the last column) costs its int entry there, never enters, and leaves at
     step 0 as soon as an entering column touches its row while it sits at 0,
-    so it stays at 0 once there.
+    so it stays at 0 once there. B_0 then restarts from the new basis, as
+    that pivot may leave a row lexicographically negative.
     """
-    total, stalled = len(columns), 0
+    total, start = len(columns), None
     while True:
+        if start is None:
+            start = [columns[j] if j < total else (1, [(j - total, 1)]) for j in basis]
         y, y_den = _duals(basis, cost, columns, rows, den)
-        if stalled < STALL_PIVOTS:
-            entering = _price(y, y_den, cost, columns, by_row)
-        else:
-            entering = _first_negative(y, y_den, cost, columns)
+        entering = _price(y, y_den, cost, columns, by_row)
         if entering is None:
             return den, y, y_den
         d, col = columns[entering]
         u = [sum(row[i] * v for i, v in col) for row in rows]  # B^-1 a_j times den * d
-        # exact ratio test on x_i / u_i; ties leave by the smallest basic column (Bland)
-        leaving, num, step_den = -1, 0, 1
-        for i, (ui, row) in enumerate(zip(u, rows)):
-            xi = row[-1]
-            if ui > 0 or (ui and not xi and basis[i] >= total):
-                p, q = (xi, ui) if ui > 0 else (0, 1)
-                lhs, rhs = p * step_den, num * q
-                if leaving < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
-                    leaving, num, step_den = i, p, q
-        if leaving < 0:
-            raise ValueError("LP is unbounded")
+        leaving = next((i for i, j in enumerate(basis) if j >= total and u[i] and not rows[i][-1]), None)
+        if leaving is None:
+            leaving = _leaving(rows, u, start)
+            if leaving is None:
+                raise ValueError("LP is unbounded")
+        else:
+            start = None
         den = _pivot(rows, den, u, leaving, d)
         basis[leaving] = entering
-        stalled = stalled + 1 if num == 0 else 0
 
 
 def _price(y, y_den, cost, columns, by_row):
@@ -176,6 +168,24 @@ def _price(y, y_den, cost, columns, by_row):
         if r * least_d < least * d:
             entering, least, least_d = j, r, d
     return entering
+
+
+def _leaving(rows, u, start):
+    """The lexicographic ratio test: the row i of least (x_i, (B^-1 B_0)_i)
+    / u_i among the u_i > 0, or None, for the rows [B^-1 | x_B] over one
+    denominator, u = B^-1 a times a positive int and ``start`` the columns
+    (d, [(row, k)]) of B_0. B^-1 B_0 is nonsingular, so one row is least;
+    each column of B_0 is read only while rows are still tied."""
+    tied = [i for i, ui in enumerate(u) if ui > 0]
+    big = math.lcm(*(u[i] for i in tied))
+    # x_B first, as the pseudo-column reading the rows' last entry
+    keys = itertools.chain([[(len(u), 1)]], (col for _, col in start))
+    while len(tied) > 1:
+        col = next(keys)
+        key = {i: sum(rows[i][r] * v for r, v in col) * (big // u[i]) for i in tied}
+        least = min(key.values())
+        tied = [i for i in tied if key[i] == least]
+    return tied[0] if tied else None
 
 
 def _row_view(columns, m: int):
@@ -215,9 +225,9 @@ def _lemke(columns, q):
     columns of (row, value) entries and ``q`` by its values, all exact.
 
     The tableau w - M z - e z0 = q keeps the simplex's rows [B^-1 | B^-1 q]
-    over one denominator (see :func:`_pivot`), from the basis of w. The
-    ratio test is Eaves's (1971): the least (x_B, B^-1) row over u_i among
-    u_i > 0, unique as B^-1 is nonsingular, so no basis repeats. On a
+    over one denominator (see :func:`_pivot`), from the basis of w, and leaves
+    by :func:`_leaving` with B_0 that basis, the identity: Eaves's (1971)
+    least (x_B, B^-1) row over u_i among u_i > 0, so no basis repeats. On a
     positive semidefinite M a ray means there is no solution (Cottle, Pang &
     Stone 1992)."""
     n = len(q)
@@ -235,13 +245,11 @@ def _lemke(columns, q):
     while True:
         d, col = cols[entering]
         u = [sum(row[i] * v for i, v in col) for row in rows]  # B^-1 a times den * d
-        # z0 enters first, each u_i -1, on the least row: the least level at
-        # which every w is nonnegative
-        rivals = [i for i, ui in enumerate(u) if ui > 0 or entering == 2 * n]
-        if not rivals:
+        # z0 enters first, each u_i -1, on the least row by -u: the least
+        # level at which every w is nonnegative
+        leaving = _leaving(rows, [-v for v in u] if entering == 2 * n else u, cols[:n])
+        if leaving is None:
             return None
-        big = math.lcm(*(abs(u[i]) for i in rivals))
-        leaving = min(rivals, key=lambda i: [v * (big // abs(u[i])) for v in rows[i][-1:] + rows[i][:-1]])
         den = _pivot(rows, den, u, leaving, d)
         out, basis[leaving] = basis[leaving], entering
         if out == 2 * n:
@@ -328,17 +336,6 @@ def _duals(basis, cost, columns, rows, den):
     y_den = c_den * den
     g = math.gcd(y_den, *y)
     return [v // g for v in y], y_den // g
-
-
-def _first_negative(y, y_den, cost, columns):
-    """Bland's rule: the first column whose exact reduced cost c_j - y . a_j
-    is negative, or None: with y = y_int / y_den and the column (d, entries)
-    costing cost[j] / d, y . a_j = sum(y_int[i] * k) / (y_den * d), so the
-    sign is that of cost[j] * y_den - sum(y_int[i] * k)."""
-    for j, (_, col) in enumerate(columns):
-        if cost[j] * y_den < sum(y[i] * k for i, k in col):
-            return j
-    return None
 
 
 def _exact(v):

@@ -149,13 +149,9 @@ BEALE_A = [[F(1, 4), F(-8), F(-1), F(9)], [F(1, 2), F(-12), F(-1, 2), F(3)], [F(
 BEALE_B = [F(0), F(0), F(1)]
 
 
-@pytest.mark.parametrize("pure_bland", [False, True])
-def test_beale_cycling_example(pure_bland, monkeypatch):
-    # Beale (1955): Dantzig's rule cycles here (six degenerate pivots) until
-    # STALL_PIVOTS of them hand over to Bland's rule; with STALL_PIVOTS at 0
-    # every entering column is chosen by Bland's rule
-    if pure_bland:
-        monkeypatch.setattr(lp, "STALL_PIVOTS", 0)
+def test_beale_cycling_example():
+    # Beale (1955): Dantzig's rule can cycle here through six degenerate
+    # pivots; the lexicographic ratio test never repeats a basis
     # phase 1 starts at the slacks (4, 5, 6), already feasible
     cert = fg.exact_solve(None, BEALE_C, a_ub=BEALE_A, b_ub=BEALE_B)
     assert cert.objective == F(-5, 4)
@@ -176,6 +172,11 @@ def test_exact_solve_needs_a_feasible_nonsingular_start():
         fg.exact_solve((0, 1), c, [[F(1), F(0)], [F(2), F(0)]], [F(1), F(2)])
     with pytest.raises(ValueError, match="distinct columns"):
         fg.exact_solve((1, 1), c, a_eq, b_eq, a_ub, b_ub)
+    # each entry is an int: not a float, a string or a bool, though 1.0 and
+    # True equal 1
+    for basis in ((1.0, 2), ("1", 2), (True, 2)):
+        with pytest.raises(ValueError, match="distinct columns"):
+            fg.exact_solve(basis, c, a_eq, b_eq, a_ub, b_ub)
     # min -x1 with x1 - x2 <= 1 grows without bound along x1 = x2 + 1
     with pytest.raises(ValueError, match="unbounded"):
         fg.exact_solve((2,), [F(-1), F(0)], a_ub=[[F(1), F(-1)]], b_ub=[F(1)])
@@ -216,6 +217,39 @@ def test_agrees_with_vertex_enumeration():
         assert abs(float(cert.objective) - oracle) <= 1e-8
 
 
+def test_agrees_with_highs_on_degenerate_lps_and_restarts():
+    # small LPs whose right-hand sides are mostly 0, solved from phase 1 and
+    # again from the optimal basis of another cost, a feasible start that is
+    # often degenerate: the optimum, or infeasibility, is scipy's HiGHS's
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(5)
+    kinds = collections.Counter()
+    for _ in range(300):
+        n, n_eq, n_ub = rng.randint(2, 6), rng.randint(0, 2), rng.randint(1, 3)
+        a_eq = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n_eq)]
+        b_eq = [rng.choice((0, 0, 0, 1)) for _ in range(n_eq)]
+        # the last row, sum x <= b, bounds the LP
+        a_ub = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n_ub)] + [[1] * n]
+        b_ub = [rng.choice((0, 0, 0, 1, 2)) for _ in range(n_ub)] + [rng.randint(1, 3)]
+        c, other = ([rng.randint(-3, 3) for _ in range(n)] for _ in range(2))
+        highs = optimize.linprog(c, a_ub, b_ub, a_eq or None, b_eq or None, method="highs")
+        if highs.status == 2:
+            with pytest.raises(ValueError, match="infeasible"):
+                fg.exact_solve(None, c, a_eq, b_eq, a_ub, b_ub)
+            kinds["infeasible"] += 1
+            continue
+        assert highs.status == 0
+        cert = fg.exact_solve(None, c, a_eq, b_eq, a_ub, b_ub)
+        assert abs(float(cert.objective) - highs.fun) <= 1e-9
+        kinds["optimal"] += 1
+        start = fg.exact_solve(None, other, a_eq, b_eq, a_ub, b_ub).basis
+        # a basis that keeps an artificial on a redundant row is no start
+        if max(start) < n + n_ub + 1:
+            assert fg.exact_solve(start, c, a_eq, b_eq, a_ub, b_ub).objective == cert.objective
+            kinds["restarted"] += 1
+    assert min(kinds.values()) >= 30 and len(kinds) == 3, kinds
+
+
 def _lcp_columns(m):
     return [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(len(m))]
 
@@ -227,24 +261,34 @@ def _complementary_solutions(m, q):
     Fractions)."""
     n, found = len(q), []
     for a in itertools.chain.from_iterable(itertools.combinations(range(n), k) for k in range(n + 1)):
-        rows = [[F(m[i][j]) for j in a] + [-F(q[i])] for i in a]
-        for col in range(len(a)):
-            pivot = next((r for r in range(col, len(a)) if rows[r][col]), None)
-            if pivot is None:
-                break
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            rows[col] = [v / rows[col][col] for v in rows[col]]
-            for r in range(len(a)):
-                if r != col and rows[r][col]:
-                    rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
-        else:
+        solved = _fraction_solve([[F(m[i][j]) for i in a] for j in a], [[-F(q[i]) for i in a]])
+        if solved is not None:
             z = [F(0)] * n
-            for i, row in zip(a, rows):
-                z[i] = row[-1]
+            for i, v in zip(a, solved[0]):
+                z[i] = v
             w = [q[i] + sum(m[i][j] * z[j] for j in range(n)) for i in range(n)]
             if min(z + w) >= 0:
                 found.append(z)
     return found
+
+
+def _fraction_solve(columns, rhs):
+    """X with B X = R, B the square matrix of ``columns`` and R that of the
+    columns ``rhs``, all Fractions, by Gauss-Jordan elimination; None when B
+    is singular."""
+    m = len(columns)
+    rows = [[col[i] for col in columns] + [v[i] for v in rhs] for i in range(m)]
+    for c in range(m):
+        pivot = next((r for r in range(c, m) if rows[r][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(m):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [a - f * b if b else a for a, b in zip(rows[r], rows[c])]
+    return [[row[m + k] for row in rows] for k in range(len(rhs))]
 
 
 def test_lemke_agrees_with_complementary_basis_enumeration():
@@ -354,10 +398,37 @@ def simplex_certificates(solves=None) -> dict:
     return out
 
 
+def _assert_exactly_optimal(record, c, columns, rhs, n_ub):
+    """The certificate ``record`` of the column-form LP (see
+    lp._column_solve) is exactly optimal, checked in Fractions: x is
+    feasible, every structural and slack reduced cost is >= 0, and c . x =
+    y . b = the objective."""
+    n_eq = len(rhs) - n_ub
+    x = [F(record["x"].get(str(j), 0)) for j in range(len(c))]
+    y, b = [F(v) for v in record["y"]], [F(v) for v in rhs]
+    activity = [F(0)] * len(b)
+    for xj, (d, col) in zip(x, columns):
+        for i, k in col:
+            activity[i] += xj * F(k, d)
+    assert min(x, default=0) >= 0
+    assert activity[:n_eq] == b[:n_eq] and all(v <= bi for v, bi in zip(activity[n_eq:], b[n_eq:]))
+    assert all(F(cj, d) >= sum(y[i] * F(k, d) for i, k in col) for cj, (d, col) in zip(c, columns))
+    assert all(v <= 0 for v in y[n_eq:])  # a slack's reduced cost is -y_i
+    objective = F(record["objective"])
+    assert objective == sum(F(cj, d) * xj for cj, (d, _), xj in zip(c, columns, x)) == sum(map(F.__mul__, y, b))
+
+
 def test_simplex_certificates_match_golden():
     # the golden file was recorded from an independent (Fraction) B^-1: every
     # basis, primal, dual and objective must come out the same
-    assert simplex_certificates() == json.loads(SIMPLEX_GOLDEN.read_text())
+    solves = []
+    certificates = simplex_certificates(solves)
+    assert certificates == json.loads(SIMPLEX_GOLDEN.read_text())
+    # and, whatever the golden file says, each certificate is exactly optimal
+    records = [(group, record) for group, records in certificates.items() for record in records]
+    assert [group for group, _ in records] == [group for group, _, _ in solves]
+    for (_, record), (_, _, (_, c, columns, rhs, n_ub)) in zip(records, solves):
+        _assert_exactly_optimal(record, c, columns, rhs, n_ub)
 
 
 def _golden_lps():
@@ -398,41 +469,128 @@ def test_lp_module_makes_no_float():
 
 
 def _reference_pick(y, y_den, cost, columns):
-    """(least, first): the column of least reduced cost c_j - y . a_j among
-    the negative ones, the first on a tie, and the first column with a
-    negative one, each None when none is; every reduced cost is a Fraction,
+    """The column of least reduced cost c_j - y . a_j among the negative
+    ones, the first on a tie, or None; every reduced cost is a Fraction,
     y . a_j = sum(y_int[i] * k) / (y_den * d) summed column by column."""
     reduced = [F(c, d) - F(sum(y[i] * k for i, k in col), y_den * d) for c, (d, col) in zip(cost, columns)]
-    negative = [j for j, r in enumerate(reduced) if r < 0]
-    least = min(negative, key=reduced.__getitem__, default=None)
-    return least, negative[0] if negative else None
+    return min((j for j, r in enumerate(reduced) if r < 0), key=reduced.__getitem__, default=None)
+
+
+# column 1 has no entry
+ZERO_COLUMN_LP = ("zero column", fg.exact_solve, (None, [2, 0, 1], [[1, 0, 1]], [1], [[1, 0, -1]], [F(1, 2)]))
 
 
 def test_every_round_enters_the_exact_reference_pick(golden_lps, ladder_lp, monkeypatch):
     # every pricing round of the golden LPs, the ladder LP, an LP with an
     # all-zero column and Beale's cycling LP enters the least exact reduced
-    # cost (Dantzig's rule) or, past STALL_PIVOTS degenerate pivots, the
-    # first negative one (Bland's rule), and stops only when none is negative
-    price, first_negative, rounds = lp._price, lp._first_negative, collections.Counter()
+    # cost (Dantzig's rule), and stops only when none is negative
+    price, rounds = lp._price, collections.Counter()
 
     def priced(y, y_den, cost, columns, by_row):
         entering = price(y, y_den, cost, columns, by_row)
-        assert entering == _reference_pick(y, y_den, cost, columns)[0], group
-        rounds[group, "dantzig"] += 1
-        return entering
-
-    def bland(y, y_den, cost, columns):
-        entering = first_negative(y, y_den, cost, columns)
-        assert entering == _reference_pick(y, y_den, cost, columns)[1], group
-        rounds[group, "bland"] += 1
+        assert entering == _reference_pick(y, y_den, cost, columns), group
+        rounds[group] += 1
         return entering
 
     monkeypatch.setattr(lp, "_price", priced)
-    monkeypatch.setattr(lp, "_first_negative", bland)
-    # column 1 has no entry
-    zero = ("zero column", fg.exact_solve, (None, [2, 0, 1], [[1, 0, 1]], [1], [[1, 0, -1]], [F(1, 2)]))
     beale = ("beale", fg.exact_solve, (None, BEALE_C, None, None, BEALE_A, BEALE_B))
-    for group, solve, args in [*golden_lps, ladder_lp, zero, beale]:
+    for group, solve, args in [*golden_lps, ladder_lp, ZERO_COLUMN_LP, beale]:
         solve(*args)
-    assert {group for group, _ in rounds} == {"design", "ccwe_grid_gap", "w1", "cli", "ladder", "zero column", "beale"}
-    assert rounds["beale", "bland"] > 0
+    assert set(rounds) == {"design", "ccwe_grid_gap", "w1", "cli", "ladder", "zero column", "beale"}
+
+
+def _dense(column, m):
+    d, entries = column
+    dense = [F(0)] * m
+    for i, k in entries:
+        dense[i] = F(k, d)
+    return dense
+
+
+def _northwest_transport():
+    """A 3 x 3 transport LP with unit supplies and demands (the last demand
+    row, redundant, dropped) and its northwest-corner basis, which steps
+    down where a supply and a demand run out together: (c, a_eq, b_eq,
+    basis). Its rows (x_i, B^-1_i) are not all lexicographically positive."""
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    a_eq = [[int(i == r) for i, _ in cells] for r in range(3)] + [[int(j == r) for _, j in cells] for r in range(2)]
+    c = [4, 1, 3, 2, 5, 1, 3, 2, 6]
+    basis = [cells.index(cell) for cell in ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2))]
+    return c, a_eq, [1] * 5, basis
+
+
+def test_every_pivot_leaves_by_the_lexicographic_reference(golden_lps, ladder_lp, monkeypatch):
+    # every ratio test leaves by the least (x_i, (B^-1 B_0)_i) / u_i over
+    # u_i > 0, each computed anew in Fractions from the LP's columns, B_0
+    # being the basis the phase started from or, after an artificial at 0
+    # left, the basis that pivot made; and no basis repeats within a phase
+    factor, phase, price, leave = lp._factor, lp._simplex_phase, lp._price, lp._leaving
+    now, pivots = {}, collections.Counter()
+
+    def column(j):
+        m, total = len(now["b"]), len(now["columns"])
+        return _dense(now["columns"][j] if j < total else (1, [(j - total, 1)]), m)
+
+    def factored(basis, columns, b, n_eq):
+        now["b"] = [F(v) for v in b]
+        return factor(basis, columns, b, n_eq)
+
+    def phased(basis, rows, den, cost, columns, by_row):
+        now.update(basis=basis, columns=columns, start=list(basis), seen=set(), entered=None)
+        return phase(basis, rows, den, cost, columns, by_row)
+
+    def priced(y, y_den, cost, columns, by_row):
+        basis = now["basis"]
+        if now["entered"] is not None:
+            # the last pivot made no ratio test: an artificial at 0 left
+            (gone,) = set(now["last"]) - set(basis)
+            x = _fraction_solve([column(j) for j in now["last"]], [now["b"]])[0]
+            assert gone >= len(columns) and x[now["last"].index(gone)] == 0, group
+            now["start"] = list(basis)
+            pivots[group, "restart"] += 1
+        assert frozenset(basis) not in now["seen"], group
+        now["seen"].add(frozenset(basis))
+        entering = price(y, y_den, cost, columns, by_row)
+        now.update(entered=entering, last=list(basis))
+        return entering
+
+    def leaving(rows, u, start):
+        pick, m = leave(rows, u, start), len(u)
+        assert [_dense(col, m) for col in start] == [column(j) for j in now["start"]], group
+        x, w, *b0 = _fraction_solve(
+            [column(j) for j in now["basis"]], [now["b"], column(now["entered"])] + [column(j) for j in now["start"]]
+        )
+        # u is B^-1 a times a positive number
+        k = next(i for i, v in enumerate(w) if v)
+        assert u[k] * w[k] > 0 and all(ui * w[k] == u[k] * wi for ui, wi in zip(u, w)), group
+        rivals = [i for i in range(m) if w[i] > 0]
+        assert pick == min(rivals, key=lambda i: [x[i] / w[i]] + [v[i] / w[i] for v in b0], default=None), group
+        now["entered"] = None
+        pivots[group, "tied" if [x[i] / w[i] for i in rivals].count(x[pick] / w[pick]) > 1 else "unique"] += 1
+        return pick
+
+    for name, f in (("_factor", factored), ("_simplex_phase", phased), ("_price", priced), ("_leaving", leaving)):
+        monkeypatch.setattr(lp, name, f)
+    c, a_eq, b_eq, northwest = _northwest_transport()
+    start = [[F(row[j]) for row in a_eq] for j in northwest]
+    inverse = _fraction_solve(start, [[F(int(i == k)) for i in range(5)] for k in range(5)])
+    x = _fraction_solve(start, [[F(v) for v in b_eq]])[0]
+    assert any(next(v for v in [x[i]] + [col[i] for col in inverse] if v) < 0 for i in range(5))
+    lps = [
+        *golden_lps,
+        ladder_lp,
+        ZERO_COLUMN_LP,
+        ("beale", fg.exact_solve, (None, BEALE_C, None, None, BEALE_A, BEALE_B)),
+        ("beale", fg.exact_solve, ((4, 5, 6), BEALE_C, None, None, BEALE_A, BEALE_B)),
+        ("northwest", fg.exact_solve, (northwest, c, a_eq, b_eq)),
+        ("transport", fg.exact_solve, (None, c, a_eq, b_eq)),
+    ]
+    objectives = {}
+    for group, solve, args in lps:
+        objectives[group] = solve(*args).objective
+    assert objectives["northwest"] == objectives["transport"] == 5
+    groups = {"design", "ccwe_grid_gap", "w1", "cli", "ladder", "zero column", "beale", "northwest", "transport"}
+    assert {group for group, _ in pivots} == groups
+    # ties past x_B, and from phase 1 artificials that leave at 0
+    assert min(pivots[group, "tied"] for group in ("design", "w1", "beale", "northwest")) > 0
+    assert pivots["northwest", "unique"] > 0 and pivots["transport", "restart"] > 0
