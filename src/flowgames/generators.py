@@ -171,11 +171,13 @@ def _random_designer_cost(game: GameSpec, rng: random.Random) -> dict:
 
 
 def full_disclosure_outcome(game: GameSpec) -> Outcome:
-    """Per-state equilibrium flows with weight 1 (always state-obedient).
+    """Per-state equilibrium flows with weight 1, state-obedient up to each
+    seed's exact :func:`~flowgames.wardrop.verify_we` gap.
 
-    A state's flow is the first equilibrium that seeds :func:`build_grid`,
-    exact ``Fraction``s wherever a rational one verifies, as on affine costs
-    with a convex potential. Raises RuntimeError where none is found.
+    A state's flow is the first equilibrium that seeds :func:`build_grid`: a
+    rational flow, exactly an equilibrium wherever a rational one verifies,
+    as on affine costs with a convex potential, else the rounding of an
+    irrational one. Raises RuntimeError where none is found.
     """
     per_state = {}
     for s in game.states:
@@ -187,15 +189,10 @@ def full_disclosure_outcome(game: GameSpec) -> Outcome:
 
 
 def random_bcwe(game: GameSpec, seed, resolution: int = 4) -> Outcome:
-    """A state-averaged-obedient outcome from a random designer solve.
-
-    Falls back to full disclosure when the program degenerates.
-    """
+    """A state-averaged-obedient outcome from a random designer solve,
+    obedient up to the solve's ``slack`` (0 on affine games)."""
     rng = _rng(seed)
     problem = DesignerProblem(
         game, _random_designer_cost(game, rng), build_grid(game, resolution)
     )
-    solution = solve_program_p(problem)
-    if solution.outcome is not None:
-        return solution.outcome
-    return full_disclosure_outcome(game)
+    return solve_program_p(problem).outcome

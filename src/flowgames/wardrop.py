@@ -768,14 +768,21 @@ def _lattice_scores(game: GameSpec, state: str, resolution: int, points: list) -
 
 
 def _snap_rational(game: GameSpec, flow: FlowProfile, state: str) -> FlowProfile:
-    """Replace solver floats with a nearby exact rational equilibrium.
+    """Replace solver floats with a nearby rational flow.
 
     It serves the games :func:`_affine_equilibrium` does not solve exactly:
-    higher-degree congestion latencies, whose equilibria can be irrational
-    (those keep their float coordinates: ``flow`` itself is returned), and
-    costs without an affine convex potential, solved by best response. A
-    snapped flow that verifies exactly is an equilibrium (or one on a tie).
+    higher-degree congestion latencies, whose equilibria can be irrational,
+    and costs without an affine convex potential, solved by best response.
+    Each population's floats are rounded to denominators of at most 64,
+    4096 and 10^6 in turn, the drift going to the largest entry, and the
+    first rounding that verifies exactly is returned: an equilibrium (or one
+    on a tie). When none verifies, as at an irrational equilibrium, the 10^6
+    rounding is returned, an equilibrium up to its exact :func:`verify_we`
+    gap. A rounding whose drift would make an entry negative is skipped,
+    as the 10^6 one never is below 1,415 actions a population; ``flow``
+    itself comes back only when all three are.
     """
+    candidate = flow
     for bound in (64, 4096, 10**6):
         flows = []
         ok = True
@@ -793,7 +800,7 @@ def _snap_rational(game: GameSpec, flow: FlowProfile, state: str) -> FlowProfile
         candidate = FlowProfile(tuple(flows))
         if verify_we(game, candidate, state) <= 0:
             return candidate
-    return flow
+    return candidate
 
 
 def _float_image(flow: FlowProfile) -> FlowProfile:
@@ -856,7 +863,9 @@ def _state_equilibria(game: GameSpec, state: str) -> list[FlowProfile]:
     ccwe grid gap start from, none when no solve converges: the exact one of
     :func:`_affine_equilibrium`, with no numpy, else a congestion game's
     potential solve within its own ``tol`` or the best-response multistart,
-    each snapped where a rational one verifies, and listed once."""
+    each rounded to a rational flow by :func:`_snap_rational` (exactly an
+    equilibrium where one verifies, else up to its exact gap) and listed
+    once."""
     game.state_index(state)
     exact = _affine_equilibrium(game, state)
     if exact is not None:
@@ -926,7 +935,7 @@ def enumerate_we_grid(
             if polished.max_violation > tol or known(polished.flow):
                 continue
             snapped = _snap_rational(game, polished.flow, state)
-            candidate = polished.flow if snapped is polished.flow else _float_image(snapped)
+            candidate = _float_image(snapped) if verify_we(game, snapped, state) <= 0 else polished.flow
         if known(candidate):
             continue
         result.append(candidate)

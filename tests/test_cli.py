@@ -178,16 +178,24 @@ def test_implement_csv_kernel_table(tmp_path, capsys):
     assert csv_path.read_text() == "state,types,weight\n0,a a,1/3\n0,a b,1/3\n0,b a,1/3\n"
 
 
-def test_unsolved_program_exits_two(tmp_path, capsys):
+def test_design_reports_the_slack_of_an_irrational_equilibrium(tmp_path, capsys):
     # the equilibrium y_a = 1/sqrt(2) is irrational: no grid candidate is
-    # obedient, so the exact solve has no certified start
+    # obedient, so the design starts from its 10^6 rounding and reports that
+    # seed's exact violation as the slack after the value
     game = tmp_path / "root.game"
     game.write_text(
         "[populations]\ncrowd = a, b\n\n[states]\nnames = 0\n\n"
         "[prior]\n0 = 1\n\n[costs]\ncrowd.a = 2*y[a]^2\ncrowd.b = 1\n"
     )
     argv = ["design", "--game", str(game), "--resolution", "4"]
-    assert run_cli(argv, capsys) == (2, "", "error: program not solved: status uncertified\n")
+    assert run_cli(argv, capsys) == (
+        0,
+        "[report]\ncommand = design\nobjective = social\nstatus = optimal\n"
+        "value = 935936397825269325/935937855012863717\nslack = 603589133261/935937855012863717\n"
+        "support = 1\nsupport-bound-quadratic = 5\nsupport-bound-bfs = 3\nwithin-bounds = true\n\n"
+        "[outcome.0]\n(691672/978173, 286501/978173) = 1\n",
+        "",
+    )
 
 
 def test_readme_library_example_prints_its_comments(monkeypatch, capsys):

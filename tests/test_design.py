@@ -1,7 +1,5 @@
-import builtins
 import collections
 import itertools
-import math
 import re
 from fractions import Fraction as F
 
@@ -252,70 +250,36 @@ def test_design_costs_each_candidate_once(monkeypatch):
     )
 
 
-def test_float_weights_renormalize_left_to_right(monkeypatch):
-    # float candidates make float data, and state "0" has three weights whose
-    # sum left to right is another float than their compensated sum, which
-    # sum() gives from Python 3.12 on: under such a sum the renormalized
-    # weights stay those of the left-to-right one
-    game = random_congestion_game(22, n_actions=4, n_states=2)
-    grid = fg.build_grid(game, 4)
-    floats = {
-        s: tuple(fg.FlowProfile(tuple(tuple(float(v) for v in vec) for vec in f.flows)) for f in grid[s])
-        for s in game.states
-    }
-    designer = fg.parse_cost("-2*y[a0]*y[a1] + -2*y[a1]*y[a2] + -3*y[a2]*y[a3] + 1*y[a3]*y[a0]")
-    problem = fg.DesignerProblem(game, {s: designer for s in game.states}, floats)
-    real_sum = builtins.sum
-
-    def compensated(values, start=0):
-        values = list(values)
-        if values and all(type(v) is float for v in values):
-            return start + math.fsum(values)
-        return real_sum(values, start)
-
-    monkeypatch.setattr(builtins, "sum", compensated)
-    solution = fg.solve_program_p(problem)
-    assert solution.status == "optimal"
-    weights = {s: [w for _, w in atoms] for s, atoms in solution.outcome.per_state.items()}
-    assert weights == {
-        "0": [0.10094637223974766, 0.24290220820189273, 0.6561514195583595],
-        "1": [0.7823343848580442, 0.21766561514195584],
-    }
-
-
-def _reference_solution(game, grid):
-    """solve_program_p's LP assembled from the public obedience_rows,
-    social_cost and exact_solve, with its start rule and float conversion."""
+def _reference_program(game, grid):
+    """solve_program_p's LP assembled from the public obedience_rows and
+    social_cost, with its start rule: (columns, cost, rows, starts, b_ub),
+    each obedience row relaxed to the starts' activity on it where positive."""
     columns = [(s, f) for s in game.states for f in grid[s]]
     cost = [game.prior_of(s) * fg.social_cost(game, f, s) for s, f in columns]
     rows = [terms for _, terms in fg.obedience_rows(game, [(s, game.prior_of(s), f) for s, f in columns])]
-    exact = all(isinstance(v, (int, F)) for v in itertools.chain(cost, *rows))
     starts = []
     for state in game.states:
         own = [j for j, (s, _) in enumerate(columns) if s == state]
         start = next((j for j in own if all(row[j] <= 0 for row in rows)), None)
-        if start is None and not exact:
-            start = min(own, key=lambda j: max((row[j] for row in rows), default=0))
-            if max(row[start] for row in rows) > fg.design.ROUNDOFF:
-                start = None
         if start is None:
-            return fg.LPSolution(None, None, "uncertified")
+            start = min(own, key=lambda j: max(row[j] for row in rows))
         starts.append(start)
+    b_ub = [max(0, sum(row[j] for j in starts)) for row in rows]
+    return columns, cost, rows, starts, b_ub
+
+
+def _reference_solution(game, grid):
+    """solve_program_p's solution of :func:`_reference_program` by exact_solve."""
+    columns, cost, rows, starts, b_ub = _reference_program(game, grid)
     basis = starts + list(range(len(columns), len(columns) + len(rows)))
     a_eq = [[int(s == state) for s, _ in columns] for state in game.states]
-    b_ub = [max(0, sum(F(row[j]) for j in starts)) for row in rows]
     certificate = lp.exact_solve(basis, cost, a_eq, [1] * len(game.states), rows, b_ub)
-    x, objective, floor = certificate.x, certificate.objective, 0
-    if not exact:
-        x, objective, floor = [float(w) for w in x], float(objective), 1e-11
     per_state = {state: [] for state in game.states}
-    for (s, f), w in zip(columns, x):
-        if w > floor:
+    for (s, f), w in zip(columns, certificate.x):
+        if w:
             per_state[s].append((f, w))
-    for s, atoms in per_state.items():
-        total = sum(w for _, w in atoms)
-        per_state[s] = tuple((f, w / total) for f, w in atoms)
-    return fg.LPSolution(fg.Outcome(per_state), objective, "optimal")
+    outcome = fg.Outcome({s: tuple(atoms) for s, atoms in per_state.items()})
+    return fg.LPSolution(outcome, certificate.objective, "optimal", max(b_ub, default=0))
 
 
 # design-benchmark instances (n_actions, n_states, resolution, game seed) on
@@ -345,16 +309,16 @@ def test_degenerate_design_lp_is_certified(n_actions, n_states, resolution, seed
     assert fg.check_bcwe(game, solution.outcome).worst_violation <= 0
 
 
-def _highs_design_optimum(game, grid):
-    """The design LP's optimum by HiGHS, on its float image."""
+def _highs_design_optimum(game, grid, b_ub=None):
+    """The design LP's optimum by HiGHS, on its float image, with the
+    obedience rows <= ``b_ub`` (default 0)."""
     optimize = pytest.importorskip("scipy.optimize")
     columns = [(s, f) for s in game.states for f in grid[s]]
     c = [float(game.prior_of(s) * fg.social_cost(game, f, s)) for s, f in columns]
     a_eq = [[1.0 if s == t else 0.0 for s, _ in columns] for t in game.states]
     a_ub = _reference_obedience_rows(game, grid)
-    res = optimize.linprog(
-        c, A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=a_eq, b_eq=np.ones(len(a_eq)), method="highs"
-    )
+    b_ub = np.zeros(len(a_ub)) if b_ub is None else [float(v) for v in b_ub]
+    res = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(len(a_eq)), method="highs")
     assert res.status == 0
     return res.fun
 
@@ -406,17 +370,20 @@ def test_design_seeds_are_the_snapped_potential_equilibria(monkeypatch):
     assert floats["quadratic"] >= 1
 
 
-def test_float_design_data_give_float_results():
-    # quadratic latencies put this game's equilibrium at an irrational flow,
-    # so the LP data are floats and the exact optimum is reported in floats
+def test_irrational_equilibrium_design_is_exact_with_slack():
+    # quadratic latencies put this game's equilibrium at an irrational flow:
+    # its seed is the 10^6 rounding, a little disobedient, so the design is
+    # the exact optimum of rows relaxed by that seed's violation, which the
+    # outcome meets exactly
     game = random_congestion_game(0, n_actions=3, quadratic=True)
     solution = fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), fg.build_grid(game, 8)))
     assert solution.status == "optimal"
-    assert isinstance(solution.objective, float)
-    assert format_quantity(solution.objective) == "3.65683700211"
-    # a document writes each float by repr, so it reads back bit for bit
+    assert solution.objective == F(7235699257942903553284654507, 1978676997024085387977945088)
+    assert solution.slack == F(33759034835673267, 13850738979168597715845615616)
+    assert format_quantity(float(solution.objective)) == "3.65683700211"
+    assert fg.check_bcwe(game, solution.outcome).worst_violation == solution.slack
     assert write_outcome_file(solution.outcome, game) == (
-        "[outcome.0]\n(0.45227989693709425, 0.2871818061604674, 0.26053829690243835) = 1.0\n"
+        "[outcome.0]\n(66971448707/148075227664, 67318/234409, 164581/631696) = 1\n"
     )
 
 
@@ -429,19 +396,48 @@ QUADRATIC_SWEEP = [
 
 
 def test_float_design_data_agree_with_highs():
-    # quadratic latencies: most of these grids seed an irrational equilibrium,
-    # so their LPs carry float data; the exact solve of that data must match
-    # HiGHS on the same float LP and stay obedient to 1e-12
-    floats = 0
+    # quadratic latencies: most of these grids seed a rounded irrational
+    # equilibrium, so their rows are relaxed by that seed's violation; the
+    # exact optimum must match HiGHS on the float image of the same relaxed
+    # LP, and the slack stay below 1e-9
+    relaxed = 0
     for seed, n_states, n_actions, resolution in QUADRATIC_SWEEP:
         game = random_congestion_game(seed, n_actions=n_actions, n_states=n_states, quadratic=True)
         grid = fg.build_grid(game, resolution)
         solution = fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
-        assert solution.status == "optimal"
-        floats += isinstance(solution.objective, float)
-        assert abs(float(solution.objective) - _highs_design_optimum(game, grid)) <= 1e-9
-        assert fg.check_bcwe(game, solution.outcome).worst_violation <= 1e-12
-    assert floats >= len(QUADRATIC_SWEEP) // 2
+        assert solution.status == "optimal" and 0 <= solution.slack <= 1e-9
+        relaxed += solution.slack > 0
+        b_ub = _reference_program(game, grid)[-1]
+        assert abs(float(solution.objective) - _highs_design_optimum(game, grid, b_ub)) <= 1e-9
+    assert relaxed >= len(QUADRATIC_SWEEP) // 2
+
+
+AFFINE_LADDERS = [(n_actions, resolution, seed) for n_actions, resolution in ((4, 8), (3, 16)) for seed in range(20)]
+
+
+def test_designs_are_exact_and_obedient_up_to_their_slack():
+    # every design is exact, and its outcome violates obedience by at most
+    # its slack, exactly; on affine games every seed is an exact equilibrium,
+    # so the slack is 0
+    designs = [
+        (random_congestion_game(seed, n_actions=n_actions, n_states=n_states, quadratic=True), resolution, False)
+        for seed, n_states, n_actions, resolution in QUADRATIC_SWEEP
+    ]
+    designs += [
+        (random_congestion_game(p.values[3], n_actions=p.values[0], n_states=p.values[1]), p.values[2], True)
+        for p in DEGENERATE_DESIGN_LPS
+    ]
+    designs += [
+        (random_congestion_game(seed, n_actions=n_actions, n_states=2), resolution, True)
+        for n_actions, resolution, seed in AFFINE_LADDERS
+    ]
+    for game, resolution, affine in designs:
+        grid = fg.build_grid(game, resolution)
+        solution = fg.solve_program_p(fg.DesignerProblem(game, fg.social_cost_expr(game), grid))
+        weights = [w for atoms in solution.outcome.per_state.values() for _, w in atoms]
+        assert all(type(v) in (int, F) for v in [solution.objective, solution.slack, *weights])
+        assert fg.check_bcwe(game, solution.outcome).worst_violation <= solution.slack
+        assert solution.slack == 0 or not affine
 
 
 def _assert_matches_public_assembly(game, resolution):
@@ -464,16 +460,21 @@ def test_quadratic_design_matches_public_assembly(seed):
             _assert_matches_public_assembly(game, resolution)
 
 
-def test_uncertified_program_has_no_outcome(elfarol):
+def test_disobedient_start_is_reported_as_slack(elfarol):
     # the one candidate (1/2, 1/2) is no equilibrium (the crowd at home would
-    # rather go out), so no obedient basis starts the exact solve
-    problem = fg.DesignerProblem(elfarol, fg.social_cost_expr(elfarol), {"0": (flow1(F(1, 2), F(1, 2)),)})
-    assert fg.verify_we(elfarol, problem.candidates["0"][0], "0") > 0
-    assert fg.solve_program_p(problem) == fg.LPSolution(None, None, "uncertified")
-    # as float data its positive obedience term is far above roundoff, so the
-    # solve must not loosen the rows to admit it either
-    problem = fg.DesignerProblem(elfarol, fg.social_cost_expr(elfarol), {"0": (fg.FlowProfile(((0.5, 0.5),)),)})
-    assert fg.solve_program_p(problem) == fg.LPSolution(None, None, "uncertified")
+    # rather go out), so it starts the solve with the rows relaxed by its
+    # exact violation, reported as the slack
+    half = flow1(F(1, 2), F(1, 2))
+    problem = fg.DesignerProblem(elfarol, fg.social_cost_expr(elfarol), {"0": (half,)})
+    assert fg.verify_we(elfarol, half, "0") == F(1, 2)
+    outcome = fg.Outcome({"0": ((half, F(1)),)})
+    assert fg.solve_program_p(problem) == fg.LPSolution(outcome, F(1, 2), "optimal", F(1, 2))
+    assert fg.check_bcwe(elfarol, outcome).worst_violation == F(1, 2)
+    # as float data its terms are read exactly: the same slack, not roundoff
+    floats = fg.FlowProfile(((0.5, 0.5),))
+    problem = fg.DesignerProblem(elfarol, fg.social_cost_expr(elfarol), {"0": (floats,)})
+    outcome = fg.Outcome({"0": ((floats, F(1)),)})
+    assert fg.solve_program_p(problem) == fg.LPSolution(outcome, F(1, 2), "optimal", F(1, 2))
 
 
 def test_ccwe_gap_shrinks_off_grid():

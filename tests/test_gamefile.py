@@ -149,23 +149,32 @@ def test_outcome_weights_must_sum(pigou_info):
         fg.parse_outcome_file(text, pigou_info)
 
 
-def test_float_outcomes_round_trip():
-    # quadratic latencies give float designs; at 12 significant digits a
-    # flow or a state's weights would sum 1e-12 off 1 on seeds 10, 20, 25, 26
-    # and 29; repr reads back every float, and the weights are summed by
-    # Outcome's rule
-    floats = 0
+def test_float_outcomes_round_trip(monkeypatch):
+    # each state mixes the float potential equilibria of a quadratic game's
+    # two states with float weights; at 12 significant digits a flow would
+    # sum 1e-12 off 1 on seeds 20, 25, 29, 38 and 51, and be refused; repr
+    # reads back every float, and the weights are summed by Outcome's rule
+    refused = 0
     for seed in range(60):
         game = random_congestion_game(seed, n_actions=3, n_states=2, quadratic=True)
-        problem = fg.DesignerProblem(game, fg.social_cost_expr(game), fg.build_grid(game, 4))
-        outcome = fg.solve_program_p(problem).outcome
+        flows = [fg.solve_we_potential(game, s).flow for s in game.states]
+        weights = [f.flows[0][0] for f in flows]
+        assert all(type(w) is float for w in weights)
+        pairs = zip(game.states, flows, weights, flows[::-1])
+        outcome = fg.Outcome({s: ((f, w), (other, 1 - w)) for s, f, w, other in pairs})
         parsed = fg.parse_outcome_file(fg.write_outcome_file(outcome, game), game)
         for state in game.states:
             got = [(flow_sort_key(f), float(w)) for f, w in parsed.per_state[state]]
             want = [(flow_sort_key(f), float(w)) for f, w in outcome.per_state[state]]
             assert got == want, seed
-        floats += any(type(w) is float for atoms in outcome.per_state.values() for _f, w in atoms)
-    assert floats >= 5
+        with monkeypatch.context() as m:
+            m.setattr("flowgames.gamefile._document_quantity", fg.format_quantity)
+            short = fg.write_outcome_file(outcome, game)
+        try:
+            fg.parse_outcome_file(short, game)
+        except GameFileError:
+            refused += 1
+    assert refused >= 5
 
 
 def test_flow_literal_round_trip():

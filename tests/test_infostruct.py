@@ -302,12 +302,16 @@ def test_float_kernel_weights_take_the_float_path():
 
 def designed_outcomes(name):
     """(game, outcome) pairs over random_congestion_game(s, 3, 2): the sixteen
-    exact random_bcwe outcomes, or the social-cost designs at resolution 4 of
-    the twelve quadratic variants, eleven of which carry floats."""
+    exact random_bcwe outcomes; the social-cost designs at resolution 4 of
+    the twelve quadratic variants, exact as every design is; or, for
+    "quadratic_float", each of those variants' float potential equilibria
+    with weight 1."""
     for s in range(16 if name == "random_bcwe" else 12):
-        game = random_congestion_game(s, n_actions=3, n_states=2, quadratic=name == "quadratic_design")
+        game = random_congestion_game(s, n_actions=3, n_states=2, quadratic=name != "random_bcwe")
         if name == "random_bcwe":
             yield game, random_bcwe(game, s)
+        elif name == "quadratic_float":
+            yield game, fg.Outcome({t: ((fg.solve_we_potential(game, t).flow, 1.0),) for t in game.states})
         else:
             problem = fg.DesignerProblem(game, fg.social_cost_expr(game), fg.build_grid(game, 4))
             yield game, fg.solve_program_p(problem).outcome
@@ -318,6 +322,7 @@ EPS_CASES = (
     + SYNTHESIS_CASES
     + [("random_bcwe", None, d) for d in (5, 12, 13)]
     + [("quadratic_design", None, d) for d in (3, 12, 40)]
+    + [("quadratic_float", None, d) for d in (3, 12, 40)]
 )
 
 
@@ -334,7 +339,7 @@ def test_direct_structure_eps_is_the_bwe_violation(request, name, outcome_name, 
     for game, outcome in cases:
         structure, strategies, eps = fg.direct_structure_from_bcwe(game, outcome, denominator, symmetrize)
         want = fg.bwe_violation(game, structure, strategies)
-        if name == "quadratic_design":
+        if name == "quadratic_float":
             assert abs(eps - want) <= 1e-12
         else:
             assert eps == want

@@ -684,7 +684,7 @@ def _record_samples(game):
         (fg.Certificate, dict(x=(F(1),), y=(F(0),), objective=F(1), basis=(0,))),
         (fg.WESolveResult, dict(flow=flow, max_violation=0.0, iterations=3)),
         (fg.DesignerProblem, dict(game=game, designer_cost={"0": None}, candidates={"0": [flow]})),
-        (fg.LPSolution, dict(outcome=outcome, objective=F(1), status="optimal")),
+        (fg.LPSolution, dict(outcome=outcome, objective=F(1), status="optimal", slack=F(1, 8))),
         (fg.SupportBoundReport, dict(
             ok=True, support=1, caratheodory_bound=2, bfs_bound=1, within_bfs=True
         )),
