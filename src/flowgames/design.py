@@ -86,9 +86,10 @@ def build_grid(game: GameSpec, resolution: int) -> dict:
 
     A state's equilibria are :func:`~flowgames.wardrop._state_equilibria`:
     exact on affine costs with a convex potential, in either input format,
-    with no float solve, else a float solve snapped where a rational one
-    verifies. Candidates are ordered lexicographically by the exact values
-    of their entries, so LP results are reproducible bit for bit: the
+    else an exact solve or a float one snapped to a rational flow, which is
+    an equilibrium where one verifies. Candidates are ordered
+    lexicographically by the exact values of their entries, so LP results
+    are reproducible bit for bit: the
     lattice comes in that order, and each equilibrium is merged in by
     bisection unless it equals a candidate exactly.
     """
@@ -213,7 +214,7 @@ def ccwe_grid_gap(game: GameSpec, state: str, resolution: int) -> tuple[float, f
     then push expected social cost both ways subject to that slack. Returns
     (slack, gap) where gap is the worst deviation of the achievable expected
     social cost from that of the equilibrium seeding :func:`build_grid`
-    (exact on affine latencies, else the rational rounding of a float solve;
+    (exact on affine latencies, else the rational rounding of an exact solve;
     RuntimeError if none is found). Both shrink
     as the lattice refines, turning the equilibrium-uniqueness property into
     a measurable grid-scale statement.

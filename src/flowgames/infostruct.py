@@ -4,18 +4,17 @@ A structure splits the unit player mass into sub-populations with type sets
 and a state-conditional kernel over joint type profiles. Strategies map each
 sub-population's types to flows of that sub-population's mass; the game is
 evaluated at the aggregate flow. Synthesis follows the direct-recommendation
-construction (types are actions, strategies obey), and solving works through
-the auxiliary complete-information game whose populations are (sub-
-population, type) pairs weighted by the kernel.
+construction (types are actions, strategies obey). Solving is exact: the
+auxiliary complete-information congestion game, whose populations are (sub-
+population, type) pairs weighted by the kernel, goes through the Lemke runs
+and Josephy-Newton steps of :func:`wardrop._josephy`.
 """
 
 from __future__ import annotations
 
 import operator
-import random
 from fractions import Fraction
 
-from ._numpy import np
 from .checks import _state_atoms, _sums
 from .model import (
     FlowProfile,
@@ -25,14 +24,13 @@ from .model import (
     _check_states,
     _check_tol,
     _check_unit,
-    _floats,
-    _fold,
+    _off_unit,
     _round_outcome,
     _shown,
     _sum,
     eval_cost,
 )
-from .wardrop import _block_sum, _congestion_core
+from .wardrop import _josephy
 
 
 class InformationStructure(_Record):
@@ -100,6 +98,10 @@ def _require_single_population(game: GameSpec):
 def validate_strategies(
     structure: InformationStructure, strategies: StrategyProfile, n_actions: int
 ):
+    """Raise ValueError unless each sub-population k plays one nonnegative
+    vector of ``n_actions`` entries per type, of mass gamma_k: within
+    ``MASS_TOL`` of it relative to gamma_k (:func:`model._off_unit` of their
+    ratio), and exactly 0 where gamma_k is."""
     if len(strategies.strategies) != structure.population_count():
         raise ValueError("strategy blocks do not match sub-population count")
     for k, block in enumerate(strategies.strategies):
@@ -112,7 +114,7 @@ def validate_strategies(
                 raise ValueError("negative strategy mass")
             total = sum(vec)
             gamma = structure.sizes[k]
-            if abs(total - gamma) > 1e-9:
+            if total != 0 if gamma == 0 else _off_unit(total / gamma):
                 raise ValueError(
                     f"sub-population {k} plays mass {_shown(total)}, expected {_shown(gamma)}"
                 )
@@ -274,9 +276,19 @@ def direct_structure_from_bcwe(
         raise ValueError(f"denominator must be an int of at least 1, got {denominator!r}")
     k_count = denominator
     actions = pop.actions
+    rounded = _round_outcome(game, outcome, (k_count,))[0]
+    # type entries of the kernel: k_count rotations of k_count types for a
+    # flow of two or more actions, one profile for the others
+    size = sum(
+        k_count * (k_count if symmetrize and max(flow.flows[0]) < 1 else 1)
+        for atoms in rounded.per_state.values()
+        for flow, w in atoms
+        if w != 0
+    )
+    if size > 10**7:
+        raise ValueError(f"kernel of {size} type entries exceeds the 1e7 cap")
     sizes = (Fraction(1, k_count),) * k_count
     type_sets = tuple(tuple(actions) for _ in range(k_count))
-    rounded = _round_outcome(game, outcome, (k_count,))[0]
     kernel = {}
     for state in game.states:
         items = []  # rounded flows differ in their counts, so no two share a profile
@@ -316,39 +328,28 @@ def direct_structure_from_bcwe(
 # ---------------------------------------------------------------------------
 
 
-def solve_bwe(
-    game: GameSpec,
-    structure: InformationStructure,
-    tol: float = 1e-8,
-    start: StrategyProfile | None = None,
-) -> StrategyProfile:
-    """Equilibrium strategies for an information structure over a congestion
-    game, found by minimizing the kernel-weighted auxiliary potential.
-
-    Types with zero kernel marginal are unconstrained and get all mass on the
-    first action. Tiny solver dust below 1e-9 of a block's mass is snapped to
-    zero so positivity checks in :func:`bwe_violation` see honest supports.
-    A ``start`` that :func:`validate_strategies` rejects raises ValueError.
+def solve_bwe(game: GameSpec, structure: InformationStructure, tol: float = 1e-8) -> StrategyProfile:
+    """Exact equilibrium strategies for an information structure over a
+    congestion game: the minimizer of the kernel-weighted auxiliary
+    potential, by Josephy-Newton steps that are one Lemke run each
+    (:func:`wardrop._josephy`), until :func:`bwe_violation`'s gap is within
+    ``tol``. On affine latencies the first step is exact and the gap 0. Types with zero kernel marginal, and every type
+    of a sub-population of size 0, get all their mass on the first action.
     """
     _check_tol(tol)
-    blocks, core, _plan = _bwe_setup(game, structure)
-    if start is not None:
-        validate_strategies(structure, start, len(game.populations[0].actions))
-    return _bwe_solve(game, structure, blocks, core, tol, start)
+    return _bwe_solve(game, structure, tol)[0]
 
 
-def _bwe_setup(game: GameSpec, structure: InformationStructure):
-    """The (k, type index) blocks with positive kernel marginal, the
-    potential core of the auxiliary game over them, and the structure's
-    :func:`_atom_plan`; all three depend only on the game and the structure.
-    The core keeps per-support Newton plans derived from its own matrix, and
-    no solver state, between solves.
+def _bwe_solve(game: GameSpec, structure: InformationStructure, tol) -> tuple:
+    """:func:`solve_bwe`'s strategies and their exact gap.
 
-    The auxiliary game is a congestion game whose populations are the blocks,
-    of mass gamma_k; each positive-weight kernel atom is one piece over the
-    blocks it assigns, with latencies scaled by prior times kernel weight, so
-    its potential is the kernel-weighted sum of per-state potentials at the
-    realized aggregates.
+    The auxiliary game is a congestion game whose populations are the (k,
+    type index) blocks with positive kernel marginal and positive size
+    gamma_k, of mass gamma_k; each positive-weight kernel atom is one piece
+    over the blocks it assigns, with latencies scaled by prior times kernel
+    weight, so its potential is the kernel-weighted sum of per-state
+    potentials at the realized aggregates, and its costs are the
+    conditional costs times each type's marginal.
     """
     if game.congestion is None:
         raise ValueError("solving needs a congestion backing")
@@ -364,53 +365,29 @@ def _bwe_setup(game: GameSpec, structure: InformationStructure):
         if (k, ti) in marginals
     ]
     index = {key: b for b, key in enumerate(blocks)}
-    pieces = [
-        (float(weight), state, [index[key] for key in keys if key in index])
-        for state, _profile, weight, _fw, keys in atoms
-    ]
-    core = _congestion_core(game.congestion, [(pop, structure.sizes[k]) for k, _ in blocks], pieces)
-    return blocks, core, plan
+    pieces = [(weight, state, [index[key] for key in keys if key in index]) for state, _p, weight, _fw, keys in atoms]
+    idle = (Fraction(0),) * (len(pop.actions) - 1)
 
-
-def _bwe_solve(game, structure, blocks, core, tol, start) -> StrategyProfile:
-    actions = game.populations[0].actions
-    float_sizes = _floats(structure.sizes)
-    if start is None:
-        x0 = np.concatenate(
-            [
-                np.full(len(actions), float_sizes[k] / len(actions))
-                for k, _ in blocks
-            ]
+    def strategies(flows) -> StrategyProfile:
+        solved = dict(zip(blocks, flows))
+        return StrategyProfile(
+            tuple(
+                tuple(solved.get((k, ti), (gamma, *idle)) for ti in range(len(types)))
+                for k, (gamma, types) in enumerate(zip(structure.sizes, structure.type_sets))
+            )
         )
-    else:
-        x0 = np.array(_floats(start.strategies[k][ti][j] for k, ti in blocks for j in range(len(actions))))
-    x, _iters = core.minimize(x0, tol, 400)
-    xs = x.tolist()
-    out = []
-    pos = {blk: i for i, blk in enumerate(blocks)}
-    n = len(actions)
-    for k in range(structure.population_count()):
-        gamma, float_gamma = structure.sizes[k], float_sizes[k]
-        dust = 1e-9 * float_gamma
-        block_vecs = []
-        for ti in range(len(structure.type_sets[k])):
-            total = 0  # a block with no solved mass puts all of gamma on its first action
-            if (k, ti) in pos and gamma > 0:
-                lo = pos[(k, ti)] * n
-                # negative flow and dust to 0 (NaN stays, as np.maximum keeps it)
-                vec = [0.0 if v < dust else v for v in xs[lo : lo + n]]
-                total = _block_sum(vec)
-            if total > 0:
-                scale = float_gamma / total
-                block_vecs.append(tuple([v * scale for v in vec]))
-            else:
-                block_vecs.append((float_gamma,) + (0.0,) * (n - 1))
-        out.append(tuple(block_vecs))
-    return StrategyProfile(tuple(out))
+
+    def gap(flows):
+        played = strategies(flows)
+        return _max_gap(_conditional_costs(game, structure, played, plan)[1], played)
+
+    masses = [(pop, structure.sizes[k]) for k, _ in blocks]
+    flows, violation, _steps = _josephy(game.congestion, masses, pieces, tol, gap)
+    return strategies(flows), violation
 
 
 class UniquenessProbeReport(_Record):
-    """Spread of solved equilibria across random restarts.
+    """Spread of solved equilibria across restarts.
 
     ``flow_deviation`` compares the realized aggregate flows per kernel
     atom, not the per-sub-population decomposition: whenever two
@@ -425,62 +402,25 @@ class UniquenessProbeReport(_Record):
     worst_violation: float
 
 
-_PROBE_SEED = 0
-
-
 def bwe_cost_uniqueness_probe(
     game: GameSpec,
     structure: InformationStructure,
     trials: int = 20,
     tol: float = 1e-8,
 ) -> UniquenessProbeReport:
-    """Solve from random interior starts and measure how much the per-type
-    positive-flow conditional costs (and the realized flows) spread.
-    ``trials`` must be an int (not a bool) of at least 1."""
+    """How much the per-type conditional costs of played actions, and the
+    realized flows, spread across ``trials`` equilibrium solves, with the
+    worst :func:`bwe_violation` among them. ``trials`` must be an int (not a
+    bool) of at least 1.
+
+    The solve is :func:`solve_bwe`'s, made once: it takes no start, as its
+    first step is at load 0, and it is exact, so every restart would return
+    the same strategies, and both deviations are 0.
+    """
     if type(trials) is not int:
         raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_tol(tol)
-    rng = random.Random(_PROBE_SEED)
-    pop = _require_single_population(game)
-    actions = pop.actions
-    blocks, core, plan = _bwe_setup(game, structure)
-    float_sizes = _floats(structure.sizes)
-    runs = []  # (solved strategies, aggregate flows, conditional costs)
-    worst_violation = 0.0
-    for _ in range(trials):
-        start_blocks = []
-        for k in range(structure.population_count()):
-            gamma = float_sizes[k]
-            vecs = []
-            for _t in structure.type_sets[k]:
-                raw = [rng.random() + 1e-3 for _ in actions]
-                total = _fold(raw)
-                vecs.append(tuple(gamma * v / total for v in raw))
-            start_blocks.append(tuple(vecs))
-        start = StrategyProfile(tuple(start_blocks))
-        solved = _bwe_solve(game, structure, blocks, core, tol=tol, start=start)
-        flows, conditional = _conditional_costs(game, structure, solved, plan)
-        worst_violation = max(worst_violation, float(_max_gap(conditional, solved)))
-        runs.append((solved, flows, conditional))
-    # the largest pairwise |x1 - x2| of each coordinate is fl(max - min), as
-    # float subtraction is monotone; a cost counts in the pairs where either
-    # run plays its action
-    cost_dev = flow_dev = 0.0
-    for (k, ti), costs in runs[0][2].items():
-        for j in range(len(costs)):
-            xs = [float(c[(k, ti)][j]) for _s, _f, c in runs]
-            played = [x for x, (s, _f, _c) in zip(xs, runs) if s.strategies[k][ti][j] > 1e-7]
-            if played:
-                d = max(max(xs) - min(played), max(played) - min(xs))
-                if d > cost_dev:
-                    cost_dev = d
-    for profile, flow in runs[0][1].items():
-        for p, vec in enumerate(flow.flows):
-            for j in range(len(vec)):
-                xs = [float(f[profile].flows[p][j]) for _s, f, _c in runs]
-                d = max(xs) - min(xs)
-                if d > flow_dev:
-                    flow_dev = d
-    return UniquenessProbeReport(cost_dev, flow_dev, trials, worst_violation)
+    violation = _bwe_solve(game, structure, tol)[1]
+    return UniquenessProbeReport(0.0, 0.0, trials, float(violation))

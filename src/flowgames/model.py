@@ -606,16 +606,20 @@ def _shown(x) -> str:
         return str(x)
 
 
-def _check_unit(total, what: str, *args) -> None:
-    """Raise ValueError unless ``total`` is within ``MASS_TOL`` of 1, compared
-    exactly: an int or ``Fraction`` n / d in ints, |n - d| * den > num * d for
-    MASS_TOL = num / den. The message is ``what.format(*args)`` and the sum."""
+def _off_unit(total) -> bool:
+    """Whether ``total`` misses 1 by more than ``MASS_TOL``, compared exactly:
+    an int or ``Fraction`` n / d in ints, |n - d| * den > num * d for
+    MASS_TOL = num / den."""
     if type(total) in (int, Fraction):
         n, d = total.numerator, total.denominator
-        off = abs(n - d) * _TOL_DEN > _TOL_NUM * d
-    else:
-        off = abs(total - 1) > MASS_TOL
-    if off:
+        return abs(n - d) * _TOL_DEN > _TOL_NUM * d
+    return abs(total - 1) > MASS_TOL
+
+
+def _check_unit(total, what: str, *args) -> None:
+    """Raise ValueError when ``total`` is :func:`_off_unit`; the message is
+    ``what.format(*args)`` and the sum."""
+    if _off_unit(total):
         raise ValueError(f"{what.format(*args)} to {_shown(total)}, expected 1")
 
 

@@ -1,17 +1,15 @@
 """Equilibrium computation for single-state slices of a game.
 
-Congestion-backed games are solved by minimizing the convex potential (the
-sum over resources of latency antiderivatives) with Frank-Wolfe steps plus a
-Newton polish on the detected support, which brings equilibrium violations
-down to solver precision. The first polish comes after one Frank-Wolfe step,
-then after chunks that double to 80 steps: on affine latencies the potential
-is quadratic, so Newton on the right support is exact, and a single step
-usually finds that support. Affine costs with a convex potential, in
-either input format, are solved exactly instead, for design grids' seeds
-and the lattice scan's polish, as a linear complementarity problem
-(:func:`_affine_equilibrium`). Games without a potential are handled by
-damped best-response iteration, which reports rather than hides
-non-convergence.
+Every equilibrium of a congestion-backed game is exact: one linear
+complementarity problem over the populations' simplexes, solved by Lemke's
+method (:func:`_block_lcp`). Affine costs with a convex potential, in either
+input format, are solved in one run (:func:`_affine_equilibrium`); higher
+latency degrees by Josephy-Newton steps (:func:`_josephy`), each one run on
+the latencies linearized at the last iterate, until the exact gap is within
+tolerance. The Bayes-Wardrop solve of :mod:`flowgames.infostruct` takes the
+same steps on the kernel-weighted auxiliary game. Games without a potential
+are handled by damped best-response iteration, which reports rather than
+hides non-convergence.
 """
 
 from __future__ import annotations
@@ -19,10 +17,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from fractions import Fraction
 
-from ._numpy import np
 from .lp import _lemke
 from .model import (
     CongestionSpec,
@@ -43,7 +39,6 @@ from .model import (
     eval_cost,
     flow_linf,
     flow_sort_key,
-    load_profile,
     uniform_flow,
     vertex_flow,
 )
@@ -53,9 +48,9 @@ class WESolveResult(_Record):
     """A solver's best flow with its certified equilibrium violation.
 
     ``max_violation`` is the raw signed worst violation as reported by
-    :func:`verify_we` on the returned flow. ``iterations`` counts the
-    solver's steps: Frank-Wolfe steps for :func:`solve_we_potential`, and
-    for :func:`solve_we_br` the steps it made before it stopped (converged,
+    :func:`verify_we` on the returned flow, as a float. ``iterations`` counts
+    the solver's steps: Lemke runs for :func:`solve_we_potential`, and for
+    :func:`solve_we_br` the steps it made before it stopped (converged,
     stalled at its step floor, or at ``_BR_MAX_ITER``), 0 from a start
     within ``tol``.
     """
@@ -68,24 +63,14 @@ class WESolveResult(_Record):
 def potential_value(spec: CongestionSpec, flow: FlowProfile, state: str):
     """Potential: sum over resources of the latency antiderivative at the load.
 
-    Uses the exact closed form of the polynomial antiderivative, so rational
-    flows give exact rational values.
+    Uses the exact closed form of the polynomial antiderivative
+    (:func:`_potential`), so rational flows give exact rational values.
     """
     if state not in spec.states:
         raise ValueError(f"unknown state {state!r}")
-    loads = load_profile(spec, flow)
-    total = 0
-    for e in spec.resources:
-        x = loads[e]
-        coeffs = spec.latencies[(e, state)]
-        term = 0
-        power = x
-        for j, c in enumerate(coeffs):
-            # dividing by Fraction keeps rational inputs exact and floats float
-            term = term + c * power / Fraction(j + 1)
-            power = power * x
-        total = total + term
-    return total
+    blocks = [(pop, 1) for pop in spec.populations]
+    rows = _congestion_rows(spec, blocks, [(1, state, range(len(blocks)))])[1]
+    return _potential(rows, [v for vec in flow.flows for v in vec])
 
 
 def verify_we(game: GameSpec, flow: FlowProfile, state: str):
@@ -107,20 +92,30 @@ def verify_we(game: GameSpec, flow: FlowProfile, state: str):
         acts = [p.actions if len(p.actions) >= 2 else () for p in pops]
         costs, deg, q = _lifted_costs(game, state, acts)
         ys, dy = _int_flows(flow.flows)
-        worst = None
-        for vec, fns in zip(ys, costs):
-            ns = [f(ys, dy) for f in fns]
-            if ns:
-                cheapest = min(ns)
-                for y, n in zip(vec, ns):
-                    if y and (worst is None or y * (n - cheapest) > worst):
-                        worst = y * (n - cheapest)
+        worst = _worst_int_gap(ys, dy, costs)
         return 0 if worst is None else Fraction(worst, dy ** (deg + 1) * q)
     return _worst_gap(
         (flow.flows[k], [eval_cost(game, pop.name, a, flow, state) for a in pop.actions])
         for k, pop in enumerate(game.populations)
         if len(pop.actions) >= 2
     )
+
+
+def _worst_int_gap(ys, dy: int, costs):
+    """The numerator of the worst y_a (c_a - min c) at the int flows ``ys``
+    over ``dy``, given the lifted costs ``costs`` (see
+    :func:`model._lifted_costs`), whose cost_a = N_a / (dy**deg * q): the
+    max of yy_a (N_a - N_min) over populations with costs, or None when no
+    action of theirs has flow."""
+    worst = None
+    for vec, fns in zip(ys, costs):
+        if fns:
+            ns = [f(ys, dy) for f in fns]
+            cheapest = min(ns)
+            for y, n in zip(vec, ns):
+                if y and (worst is None or y * (n - cheapest) > worst):
+                    worst = y * (n - cheapest)
+    return worst
 
 
 def _worst_gap(populations):
@@ -146,433 +141,135 @@ def _worst_gap(populations):
     return 0 if worst is None else worst
 
 
-# ---------------------------------------------------------------------------
-# Shared block-simplex potential minimizer
-# ---------------------------------------------------------------------------
+def solve_we_potential(game: GameSpec, state: str, tol: float = 1e-8) -> WESolveResult:
+    """The exact equilibrium of a congestion-backed game: the minimizer of its
+    convex potential.
 
-
-def _horner(terms, loads):
-    """Evaluate every row's polynomial at its own load, given its coefficient
-    columns ``terms`` from the highest power down."""
-    acc = terms[0]
-    for column in terms[1:]:
-        acc = acc * loads + column
-    return acc
-
-
-def _newton_matrix(a0, msub, fill, dvals):
-    """A copy of the Newton matrix ``a0`` with its equal-cost rows filled:
-    the Hessian rows of j less those of base over the support's incidence
-    columns ``msub``, given the latency derivatives ``dvals`` (see
-    :meth:`_PotentialCore._newton_plan` for ``fill``)."""
-    eq_rows, jpos, bpos = fill
-    hess = msub.T @ (dvals[:, None] * msub)
-    a = a0.copy()
-    a[eq_rows] = hess[jpos] - hess[bpos]
-    return a
-
-
-def _block_sum(values):
-    """A block's list of floats summed as numpy's ``sum`` adds them: left to
-    right from 0 below 8 entries (:func:`_fold`), pairwise from 8 on."""
-    return _fold(values) if len(values) < 8 else float(np.array(values).sum())
-
-
-def _brent_root(f, a, b, fa, fb):
-    """Root of f on [a, b] by Brent's method, given fa = f(a) and fb = f(b).
-
-    A step-for-step port of scipy's ``brentq`` (``brentq.c``) called with
-    ``xtol=1e-14`` and its default ``rtol`` and ``maxiter``, so it returns
-    the same float for the same inputs; raises RuntimeError if it does not
-    converge in 100 iterations.
-    """
-    xpre, xcur, fpre, fcur = a, b, fa, fb
-    xblk = fblk = spre = scur = 0.0
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        # scipy's brentq with xtol=1e-14 and its default rtol of 4 eps
-        delta = (1e-14 + 4 * sys.float_info.epsilon * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError("Brent root search failed to converge after 100 iterations")
-
-
-class _PotentialCore:
-    """Minimize sum_e F_e(M x) over a product of scaled simplexes.
-
-    ``incidence`` is the dense 0/1 row-by-variable matrix, ``polys`` the
-    per-row latency coefficient lists (ascending powers, floats), ``blocks``
-    the [start, end) variable ranges of each simplex, and ``masses`` the
-    simplex scales. Latencies are held as zero-padded coefficient columns,
-    ``terms`` and their derivative's ``dterms``, evaluated by Horner's rule.
-
-    The core keeps no solver state between solves: the costs at a point
-    pass from step to step by return value. It caches, per Newton support,
-    the index arrays and lists and the constant rows that
-    :meth:`_solve_support` reads (see :meth:`_newton_plan`), and on an
-    affine core (one derivative column, a constant Hessian) the whole system
-    matrix's least-squares inverse; they derive from ``incidence``, the
-    latencies and the support alone, so a solve returns the same floats
-    whatever was solved on the core before.
-    """
-
-    def __init__(self, incidence, polys, blocks, masses):
-        self.m = incidence
-        self.mt = incidence.T
-        # at least two columns, so the derivative matrix has one
-        width = max([2] + [len(p) for p in polys])
-        coef = np.zeros((len(polys), width))
-        for i, p in enumerate(polys):
-            coef[i, : len(p)] = p
-        dcoef = coef[:, 1:] * np.arange(1, width)
-        self.terms = tuple(coef.T[::-1].copy())
-        self.dterms = tuple(dcoef.T[::-1].copy())
-        self.blocks = blocks
-        self.masses = [float(mass) for mass in masses]
-        self.n = self.m.shape[1]
-        self._plans = {}
-
-    def costs(self, x):
-        return self.mt @ _horner(self.terms, self.m @ x)
-
-    def fw_vertex(self, g):
-        s = np.zeros(self.n)
-        g = g.tolist()
-        for (lo, hi), mass in zip(self.blocks, self.masses):
-            block = g[lo:hi]
-            # the first minimum, as np.argmin takes it
-            s[lo + block.index(min(block))] = mass
-        return s
-
-    def line_search(self, x, d, h0):
-        """The step t in [0, 1] to the potential's minimum along ``d``, given
-        its slope ``h0 < 0`` at ``x``, and the costs at ``x + t * d``, kept
-        from the search when it evaluated them there."""
-        seen = {}
-
-        def h(t):
-            g = seen[t] = self.costs(x + t * d)
-            return float(g @ d)
-
-        h1 = h(1.0)
-        t = 1.0 if h1 <= 0 else _brent_root(h, 0.0, 1.0, h0, h1)
-        return t, seen[t] if t in seen else self.costs(x + t * d)
-
-    def frank_wolfe(self, x, iters, g):
-        """At most ``iters`` steps from ``x``, whose costs are ``g``; returns
-        the point reached, the steps made and the costs there."""
-        for t in range(iters):
-            d = self.fw_vertex(g) - x
-            slope = float(g @ d)
-            if slope >= -1e-14:
-                return x, t, g
-            step, g = self.line_search(x, d, slope)
-            x = x + step * d
-        return x, iters, g
-
-    def violation(self, x, g):
-        """:func:`_worst_gap` of the blocks of ``x``, whose costs are ``g``,
-        read off the two float lists."""
-        y, g = x.tolist(), g.tolist()
-        worst = None
-        for lo, hi in self.blocks:
-            cheapest = min(g[lo:hi])
-            for j in range(lo, hi):
-                if y[j] != 0:
-                    gap = y[j] * (g[j] - cheapest)
-                    if worst is None or gap > worst:
-                        worst = gap
-        return 0 if worst is None else worst
-
-    def newton_polish(self, x, g):
-        """Repair the support of ``x``, whose costs are ``g``, until its
-        Newton solution is an equilibrium; returns that point with its costs,
-        or None when a support cannot be solved or 2n + 2 solves, n =
-        ``self.n``, do not settle it.
-
-        A support is one ascending list of variables per block. A block's
-        support starts as its actions with flow above 1e-8 or within 1e-6 of
-        its least cost at ``x``, relative to 1 + |least cost|. Each round
-        solves the support from ``x`` (:meth:`_solve_support`) and drops each
-        block's most negative action below -1e-12. Once none is, the point is
-        clipped at 0 and rescaled to the block masses, and each block adds
-        its cheapest action that undercuts its support's dearest cost by more
-        than 1e-10, relative likewise; a round that adds none returns the
-        point."""
-        y, g = x.tolist(), g.tolist()
-        support = []
-        for lo, hi in self.blocks:
-            cheapest = min(g[lo:hi])
-            scale = 1 + abs(cheapest)
-            support.append([j for j in range(lo, hi) if y[j] > 1e-8 or g[j] <= cheapest + 1e-6 * scale])
-        for _ in range(2 * self.n + 2):
-            solved = self._solve_support(support, x)
-            if solved is None:
-                return None
-            y = solved.tolist()
-            changed = False
-            for bi, sup in enumerate(support):
-                neg = [j for j in sup if y[j] < -1e-12]
-                if neg and len(sup) > 1:
-                    worst = min(neg, key=y.__getitem__)
-                    support[bi] = [j for j in sup if j != worst]
-                    changed = True
-            if changed:
-                continue
-            # np.maximum(y, 0.0): NaN stays, -0.0 becomes 0.0
-            point = [0.0 if v <= 0.0 else v for v in y]
-            for (lo, hi), mass in zip(self.blocks, self.masses):
-                block = point[lo:hi]
-                total = _block_sum(block)
-                if total > 0 and mass > 0:
-                    scale = mass / total
-                    point[lo:hi] = [v * scale for v in block]
-            point = np.array(point)
-            costs = self.costs(point)
-            g = costs.tolist()
-            grew = False
-            for bi, ((lo, hi), sup) in enumerate(zip(self.blocks, support)):
-                in_cost = max(g[j] for j in sup)
-                scale = 1 + abs(in_cost)
-                outside = [j for j in range(lo, hi) if j not in sup and g[j] < in_cost - 1e-10 * scale]
-                if outside:
-                    support[bi] = sorted(sup + [min(outside, key=g.__getitem__)])
-                    grew = True
-            if not grew:
-                return point, costs
-        return None
-
-    def _newton_plan(self, support):
-        """The parts of the Newton system on ``support`` (one ascending list
-        of variables per block) that do not depend on the point, built once
-        per support and kept on the core; None if the plan cannot be built.
-
-        The system has one row per support variable, and a block's rows are
-        numbered as its variables' positions in the flattened support
-        ``index``: an equal-cost row for each variable j after the block's
-        first variable ``base``, then the block's mass row, 1 on each of its
-        variables. The plan holds ``index``, the incidence columns over it,
-        the system matrix with only the mass rows filled, ``fill`` (the
-        equal-cost rows' numbers and the positions of j and base in
-        ``index``, for :func:`_newton_matrix`), the (row, j, base) list of
-        the equal-cost rows and the (row, start, end, mass) list of the mass
-        rows, with start and end the block's span of ``index``, and
-        ``inverse``. On an affine core every row is constant, so the matrix
-        is filled here and ``inverse`` is its least-squares inverse,
-        ``lstsq(a, I)``: the same SVD and rank cutoff as ``lstsq(a, b)``, so
-        ``inverse @ b`` is its step up to rounding. Otherwise ``inverse`` is
-        None and the equal-cost rows are filled per point.
-        """
-        key = tuple(map(tuple, support))
-        plan = self._plans.get(key)
-        if plan is None:
-            index = np.array([j for sup in support for j in sup], dtype=np.intp)
-            a = np.zeros((len(index), len(index)))
-            fill, eq, mass_rows = [], [], []
-            start = 0
-            for sup, mass in zip(support, self.masses):
-                end = start + len(sup)
-                for r, j in enumerate(sup[1:]):
-                    fill.append((start + r, start + r + 1, start))
-                    eq.append((start + r, j, sup[0]))
-                a[end - 1, start:end] = 1.0
-                mass_rows.append((end - 1, start, end, mass))
-                start = end
-            fill = np.array(fill, dtype=np.intp).reshape(-1, 3).T
-            msub = self.m[:, index]
-            inverse = None
-            if len(self.dterms) == 1:
-                a = _newton_matrix(a, msub, fill, self.dterms[0])
-                try:
-                    inverse = np.linalg.lstsq(a, np.eye(len(index)), rcond=None)[0]
-                except np.linalg.LinAlgError:
-                    return None
-            plan = self._plans[key] = (index, msub, a, fill, eq, mass_rows, inverse)
-        return plan
-
-    def _solve_support(self, support, x):
-        """Newton steps from ``x`` to the point where each block's support
-        costs the same and carries its mass, at most 60 of them; None when
-        a step cannot be solved. A step is the least-squares solution of the
-        support's system (:meth:`_newton_plan`): its kept inverse times the
-        right-hand side on an affine core, else ``lstsq`` on the rows
-        rebuilt from the Hessian at each point. The right-hand side, the
-        steps and their maxima are Python floats; a block's mass is summed
-        left to right (:func:`_fold`)."""
-        if not any(support):
-            return None
-        plan = self._newton_plan(support)
-        if plan is None:
-            return None
-        index, msub, a0, fill, eq, mass_rows, inverse = plan
-        sub = np.asarray(x, dtype=float)[index].tolist()
-        b = [0.0] * len(sub)
-
-        def embed(values):
-            y = np.zeros(self.n)
-            y[index] = values
-            return y
-
-        for _round in range(60):
-            y = embed(sub)
-            loads = self.m @ y
-            g = (self.mt @ _horner(self.terms, loads)).tolist()
-            for r, j, base in eq:
-                b[r] = -(g[j] - g[base])
-            for r, lo, hi, mass in mass_rows:
-                b[r] = mass - _fold(sub[lo:hi])
-            if all(abs(v) < 1e-14 for v in b):
-                return y
-            if inverse is not None:
-                step = inverse @ b
-            else:
-                a = _newton_matrix(a0, msub, fill, _horner(self.dterms, loads))
-                try:
-                    step, *_ = np.linalg.lstsq(a, np.array(b), rcond=None)
-                except np.linalg.LinAlgError:
-                    return None
-            step = step.tolist()
-            sub = [v + t for v, t in zip(sub, step)]
-            if all(abs(t) < 1e-15 for t in step):
-                return embed(sub)
-        return embed(sub)
-
-    def minimize(self, x0, tol, max_iter):
-        """Alternate Frank-Wolfe chunks with polish attempts; returns the
-        least-violating point and the Frank-Wolfe iterations used.
-
-        The chunks are 1, 2, 4, ..., 64, then 80 steps, until the violation
-        is within ``tol``, a chunk stops early (no descent left) or
-        ``max_iter`` steps are made. Polishing after the first step is
-        cheap: on affine latencies the potential is quadratic, so Newton on
-        the right support lands on the minimizer, and one step from the
-        start usually reveals that support. Each polish is re-measured and
-        kept only if it lowers the violation. The costs at each point are
-        evaluated once and handed on with it."""
-        x = np.asarray(x0, dtype=float)
-        g = self.costs(x)
-        best = x
-        best_v = self.violation(x, g)
-        done = 0
-        chunk = 1
-        while done < max_iter:
-            if best_v <= tol:
-                break
-            steps = min(chunk, max_iter - done)
-            x, used, g = self.frank_wolfe(x, steps, g)
-            done += used
-            v = self.violation(x, g)
-            if v < best_v:
-                best, best_v = x, v
-            polished = self.newton_polish(x, g)
-            if polished is not None:
-                point, costs = polished
-                pv = self.violation(point, costs)
-                if pv < best_v:
-                    best, best_v = point, pv
-            if used < steps:
-                break
-            chunk = min(chunk * 2, 80)
-        return best, done
-
-
-def _congestion_core(spec: CongestionSpec, blocks, pieces) -> _PotentialCore:
-    """The potential core of congestion flows over ``blocks``, one
-    (population, mass) pair per simplex, whose loads add up in ``pieces``.
-
-    Each piece is a (weight, state, member block indices) triple. Every
-    resource that some member action uses gives the piece one row: 1 in the
-    columns of those actions, and the state's latency scaled by the weight.
-    """
-    uses, ranges = [], []
-    for pop, _mass in blocks:
-        ranges.append((len(uses), len(uses) + len(pop.actions)))
-        uses.extend(spec.actions[(pop.name, a)] for a in pop.actions)
-    rows, polys = [], []
-    for weight, state, members in pieces:
-        for e in spec.resources:
-            cols = [j for b in members for j in range(*ranges[b]) if e in uses[j]]
-            if cols:
-                rows.append(cols)
-                polys.append([weight * float(c) for c in spec.latencies[(e, state)]])
-    m = np.zeros((len(rows), len(uses)))
-    for i, cols in enumerate(rows):
-        m[i, cols] = 1.0
-    return _PotentialCore(m, polys, ranges, [mass for _pop, mass in blocks])
-
-
-def _spec_core(spec: CongestionSpec, state: str) -> _PotentialCore:
-    """The complete-information core: one piece over every population."""
-    blocks = [(pop, 1) for pop in spec.populations]
-    return _congestion_core(spec, blocks, [(1.0, state, range(len(blocks)))])
-
-
-def _vector_of(flow: FlowProfile) -> np.ndarray:
-    return np.array([float(v) for vec in flow.flows for v in vec])
-
-
-def solve_we_potential(
-    game: GameSpec,
-    state: str,
-    tol: float = 1e-8,
-    start: FlowProfile | None = None,
-) -> WESolveResult:
-    """Equilibrium of a congestion-backed game by potential minimization.
-
-    Frank-Wolfe iterations localize the support, and a Newton polish on the
-    equal-cost system finishes the job, tried first after one Frank-Wolfe
-    step and then after chunks doubling to 80 steps, within 500 steps (see
-    :meth:`_PotentialCore.minimize`); on affine latencies the potential is
-    quadratic and the polish on the right support is exact. The reported
-    violation is always re-measured by :func:`verify_we` on the returned
-    flow. Raises ValueError when ``game.congestion`` is None or ``start``
-    has another shape than the game's flows.
+    Affine latencies take one Lemke run (:func:`_affine_equilibrium`), higher
+    degrees Josephy-Newton steps (:func:`_josephy`), each a Lemke run on the
+    latencies linearized at the last iterate, until the exact
+    :func:`verify_we` gap is within ``tol``. The flow is exact,
+    ``max_violation`` the float of its gap and ``iterations`` the Lemke runs
+    made. Raises ValueError when ``game.congestion`` is None.
     """
     _check_tol(tol)
     spec = game.congestion
     if spec is None:
         raise ValueError("needs a congestion-backed game")
     game.state_index(state)
-    if start is not None:
-        _check_shape(game, start, "start flow")
-    if all(len(p.actions) == 1 for p in spec.populations):
-        return WESolveResult(uniform_flow(game), 0.0, 0)
-    core = _spec_core(spec, state)
-    x0 = _vector_of(start if start is not None else uniform_flow(game))
-    x, iters = core.minimize(x0, tol, 500)
-    flow = FlowProfile(
-        tuple(_normalized(k, x[lo:hi].tolist()) for k, (lo, hi) in enumerate(core.blocks))
-    )
-    return WESolveResult(flow, float(verify_we(game, flow, state)), iters)
+    flow, steps = _affine_equilibrium(game, state), 1
+    if flow is None:
+        blocks = [(pop, 1) for pop in spec.populations]
+        pieces = [(1, state, range(len(blocks)))]
+        flows, _gap, steps = _josephy(spec, blocks, pieces, tol, lambda f: verify_we(game, _trusted_profile(f), state))
+        flow = _trusted_profile(flows)
+    return WESolveResult(flow, float(verify_we(game, flow, state)), steps)
+
+
+def _josephy(spec: CongestionSpec, blocks, pieces, tol, gap) -> tuple:
+    """Congestion flows solved by Josephy-Newton steps: (flows, their gap,
+    the steps made).
+
+    ``blocks`` are (population, mass) pairs, one simplex of flows each, whose
+    loads add up in ``pieces`` (see :func:`_congestion_rows`). Each step is
+    one Lemke run (:func:`_block_lcp`) on the latencies linearized at loads
+    (:func:`_linearized`): the first at load 0, on their linear parts, the
+    next ones at the last iterate's loads rounded to multiples of 1 / s, s =
+    ceil(1 / tol). Latency coefficients are nonnegative, so each
+    linearization's J is positive semidefinite, its run ends on a solution
+    z, and z minimizes the potential's quadratic model there (Josephy 1979;
+    Cottle, Pang & Stone 1992). The next iterate is z, or, where z does not
+    lower the exact potential (:func:`_potential`), the first point 1/2,
+    1/4, ... of the way to it that does, as Newton's method is only locally
+    convergent. The steps stop at the first flows whose ``gap`` is within
+    ``tol``, or when no step of at least 1 / s of the way lowers the
+    potential, and the flows of least gap are returned.
+    """
+    ranges, rows = _congestion_rows(spec, blocks, pieces)
+    masses, scale = [mass for _pop, mass in blocks], math.ceil(1 / tol)
+    y = level = best = None
+    steps = 0
+    while True:
+        if y is None:
+            loads = [0] * len(rows)
+        else:
+            loads = [Fraction(round(sum(y[j] for j in cols) * scale), scale) for *_, cols in rows]
+        z = [v for vec in _block_lcp(*_linearized(rows, loads, ranges[-1][1]), ranges, masses) for v in vec]
+        steps += 1
+        if y is not None:
+            if level is None:
+                level = _potential(rows, y)
+            shrink = 1
+            while (value := _potential(rows, z)) >= level:
+                shrink *= 2
+                if shrink > scale:
+                    return (*best, steps)
+                z = [(a + b) / 2 for a, b in zip(y, z)]  # halfway back to y
+            level = value
+        y = z
+        flows = tuple(tuple(y[lo:hi]) for lo, hi in ranges)
+        violation = gap(flows)
+        if best is None or violation < best[1]:
+            best = flows, violation
+        if violation <= tol:
+            return (*best, steps)
+
+
+def _potential(rows, y):
+    """The potential at the flows ``y`` of the variables of ``rows`` (see
+    :func:`_congestion_rows`): each row's weight times its latency's
+    antiderivative at its load, exact on rational flows."""
+    total = 0
+    for weight, coeffs, cols in rows:
+        x, value = sum(y[j] for j in cols), 0
+        for j in reversed(range(len(coeffs))):
+            value = value * x + coeffs[j] / (j + 1)
+        total += weight * value * x
+    return total
+
+
+def _congestion_rows(spec: CongestionSpec, blocks, pieces) -> tuple:
+    """The [start, end) variable range of each (population, mass) block, and
+    the rows of ``pieces``: (weight, state, member block indices) triples,
+    in which each resource that some member action uses adds the weight
+    times the state's latency at its load to those actions' costs. A row is
+    (weight, latency coefficients, the variables using the resource), every
+    number a ``Fraction``."""
+    ranges, uses = [], []
+    for pop, _mass in blocks:
+        ranges.append((len(uses), len(uses) + len(pop.actions)))
+        uses.extend(spec.actions[(pop.name, a)] for a in pop.actions)
+    rows = [
+        (Fraction(weight), [Fraction(c) for c in spec.latencies[(e, state)]], cols)
+        for weight, state, members in pieces
+        for e in spec.resources
+        if (cols := [j for b in members for j in range(*ranges[b]) if e in uses[j]])
+    ]
+    return ranges, rows
+
+
+def _linearized(rows, loads, n: int) -> tuple:
+    """The costs of ``n`` variables as ints (k0, J, q), variable a costing
+    (k0[a] + sum_b J[a][b] y_b) / q, when each row's latency l is replaced by
+    its tangent at the row's load x, l(x) + l'(x) (load - x): exact on
+    rational loads, and the costs themselves at flows of those loads."""
+    lines = []
+    for (weight, coeffs, cols), x in zip(rows, loads):
+        value = slope = 0
+        for c in reversed(coeffs):  # Horner's rule for l(x) and l'(x)
+            slope = slope * x + value
+            value = value * x + c
+        lines.append((weight * (value - slope * x), weight * slope, cols))
+    q = math.lcm(*(v.denominator for a, b, _ in lines for v in (a, b)))
+    k0, J = [0] * n, [[0] * n for _ in range(n)]
+    for a, b, cols in lines:
+        a, b = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+        for i in cols:
+            k0[i] += a
+            row = J[i]
+            for j in cols:
+                row[j] += b
+    return k0, J, q
 
 
 # the step budget of a best-response solve
@@ -743,44 +440,38 @@ def _lattice_scores(game: GameSpec, state: str, resolution: int, points: list) -
     # one-action populations lifted as empty: their costs are never read
     costs, deg, q = _lifted_costs(game, state, [p.actions if len(p.actions) >= 2 else () for p in game.populations])
     r, den = resolution, resolution**deg * q
-    movers = [(k, fs) for k, fs in enumerate(costs) if fs]
     scores = []
     for point in points:
-        worst = 0
-        for k, fs in movers:
-            ns = [f(point, r) for f in fs]
-            cheapest = min(ns)
-            for i, n in zip(point[k], ns):
-                if i and i * (n - cheapest) > worst:
-                    worst = i * (n - cheapest)
         try:
-            scores.append(worst / (r * den))
+            scores.append((_worst_int_gap(point, r, costs) or 0) / (r * den))
         except OverflowError:
             flow = "; ".join(", ".join(str(Fraction(i, r)) for i in vec) for vec in point)
             message = f"violation in state {state!r} is too large for a float at lattice flow ({flow})"
             raise EvaluationError(message) from None
     spread = 0.0
     for point in points[:: max(1, len(points) // 128)]:
-        for _, fs in movers:
+        for fs in filter(None, costs):
             floats = [f(point, r) / den for f in fs]
             spread = max(spread, max(floats) - min(floats))
     return scores, spread
 
 
 def _snap_rational(game: GameSpec, flow: FlowProfile, state: str) -> FlowProfile:
-    """Replace solver floats with a nearby rational flow.
+    """Replace a solver's flow with a nearby rational flow of small
+    denominators.
 
     It serves the games :func:`_affine_equilibrium` does not solve exactly:
-    higher-degree congestion latencies, whose equilibria can be irrational,
-    and costs without an affine convex potential, solved by best response.
-    Each population's floats are rounded to denominators of at most 64,
-    4096 and 10^6 in turn, the drift going to the largest entry, and the
-    first rounding that verifies exactly is returned: an equilibrium (or one
-    on a tie). When none verifies, as at an irrational equilibrium, the 10^6
-    rounding is returned, an equilibrium up to its exact :func:`verify_we`
-    gap. A rounding whose drift would make an entry negative is skipped,
-    as the 10^6 one never is below 1,415 actions a population; ``flow``
-    itself comes back only when all three are.
+    higher-degree congestion latencies, whose equilibria can be irrational
+    and whose exact potential solve returns ever larger denominators, and
+    costs without an affine convex potential, solved by best response in
+    floats. Each population's entries, as floats, are rounded to
+    denominators of at most 64, 4096 and 10^6 in turn, the drift going to
+    the largest entry, and the first rounding that verifies exactly is
+    returned: an equilibrium (or one on a tie). When none verifies, as at an
+    irrational equilibrium, the 10^6 rounding is returned, an equilibrium up
+    to its exact :func:`verify_we` gap. A rounding whose drift would make an
+    entry negative is skipped, as the 10^6 one never is below 1,415 actions
+    a population; ``flow`` itself comes back only when all three are.
     """
     candidate = flow
     for bound in (64, 4096, 10**6):
@@ -810,33 +501,43 @@ def _float_image(flow: FlowProfile) -> FlowProfile:
 
 
 def _affine_equilibrium(game: GameSpec, state: str) -> FlowProfile | None:
-    """The exact equilibrium of ``state`` by :func:`lp._lemke`, whatever the
+    """The exact equilibrium of ``state`` by :func:`_block_lcp`, whatever the
     input format; None unless the costs (k0 + J y) / q are affine with a
     convex potential (:func:`model._affine_form`, :func:`_convex`), or when
-    the run ends on a ray. J plus c = max(0, -min J) in every entry adds c
-    per population to each cost: the same equilibria, and J >= 0. With E
-    summing each population's flows, the LCP has z = (y, lambda), M = [[J,
-    -q E^T], [q E, 0]] and q-vector (k0 + t, -q), t = q - min(0, k0): each
-    action costs at least lambda_k - t/q, exactly so where it has flow, so
-    lambda_k >= 1, each mass is 1 and every solution is an equilibrium. Where
-    J is positive semidefinite on all flows, as with nondecreasing congestion
-    latencies, M is and the run ends on one (Cottle, Pang & Stone 1992), as
-    it did on every sampled game whose J is so on flows of mass 0 only."""
+    the run ends on a ray, as it did on no sampled game whose J is positive
+    semidefinite on flows of mass 0 only."""
     form = _affine_form(game, state)
     blocks = list(itertools.pairwise([0, *itertools.accumulate(len(p.actions) for p in game.populations)]))
     if form is None or not _convex(form[1], blocks):
         return None
-    k0, J, q = form
+    flows = _block_lcp(*form, blocks, [1] * len(blocks))
+    if flows is None:
+        return None
+    # nonnegative and of unit mass by the LCP
+    flow = _trusted_profile(flows)
+    return flow if verify_we(game, flow, state) == 0 else None
+
+
+def _block_lcp(k0, J, q, blocks, masses):
+    """The flows of an affine equilibrium by :func:`lp._lemke`, one tuple per
+    index range of ``blocks``, or None when its run ends on a ray.
+
+    Action a costs (k0[a] + sum_b J[a][b] y_b) / q, all ints with J
+    symmetric, and block k carries ``masses[k]`` > 0. J plus c = max(0, -min
+    J) in every entry adds c times the total mass to each cost: the same
+    equilibria, and J >= 0. With E summing each block's flows, the LCP has z
+    = (y, lambda), M = [[J, -q E^T], [q E, 0]] and q-vector (k0 + t, -q m),
+    t = q - min(0, k0): each action costs at least lambda_k - t/q, exactly so
+    where it has flow, so lambda_k >= 1, each block carries its mass and
+    every solution is an equilibrium. Where J is positive semidefinite, as
+    with nondecreasing congestion latencies, M is and the run ends on one
+    (Cottle, Pang & Stone 1992)."""
     c, n, t = max(0, -min(map(min, J))), len(k0), q - min(0, *k0)
     rows = [(k, row) for k, (lo, hi) in enumerate(blocks) for row in J[lo:hi]]
     columns = [[*((j, v + c) for j, v in enumerate(row)), (n + k, q)] for k, row in rows]
     columns += [[(j, -q) for j in range(lo, hi)] for lo, hi in blocks]
-    z = _lemke(columns, [v + t for v in k0] + [-q] * len(blocks))
-    if z is None:
-        return None
-    # nonnegative and of unit mass by the LCP
-    flow = _trusted_profile(tuple(tuple(z[lo:hi]) for lo, hi in blocks))
-    return flow if verify_we(game, flow, state) == 0 else None
+    z = _lemke(columns, [v + t for v in k0] + [-q * m for m in masses])
+    return None if z is None else tuple(tuple(z[lo:hi]) for lo, hi in blocks)
 
 
 def _convex(J, blocks) -> bool:
@@ -861,19 +562,19 @@ def _convex(J, blocks) -> bool:
 def _state_equilibria(game: GameSpec, state: str) -> list[FlowProfile]:
     """The equilibria of ``state`` that design grids, full disclosure and the
     ccwe grid gap start from, none when no solve converges: the exact one of
-    :func:`_affine_equilibrium`, with no numpy, else a congestion game's
-    potential solve within its own ``tol`` or the best-response multistart,
-    each rounded to a rational flow by :func:`_snap_rational` (exactly an
-    equilibrium where one verifies, else up to its exact gap) and listed
-    once."""
+    :func:`_affine_equilibrium`, else a congestion game's exact potential
+    solve, kept within 1e-8, or the best-response multistart, each rounded to
+    a rational flow by :func:`_snap_rational` (exactly an equilibrium where
+    one verifies, else up to its exact gap) and listed once. The potential
+    solve asks for a gap of 1e-15, far below the 1e-12 spacing of the 10^6
+    rounding, so the rounding is that of the equilibrium itself."""
     game.state_index(state)
     exact = _affine_equilibrium(game, state)
     if exact is not None:
         return [exact]
     if game.congestion is not None:
-        tol = 1e-8
-        result = solve_we_potential(game, state, tol)
-        found = [result.flow] if result.max_violation <= tol else []
+        result = solve_we_potential(game, state, 1e-15)
+        found = [result.flow] if result.max_violation <= 1e-8 else []
     else:
         found = [r.flow for r in solve_we_multistart(game, state)]
     return list(dict.fromkeys(_snap_rational(game, f, state) for f in found))
@@ -887,27 +588,35 @@ def enumerate_we_grid(
     Every grid flow is scored by its :func:`verify_we` violation, computed in
     integers (see :func:`_lattice_scores`), best score first. A flow whose
     score is exactly 0 is an equilibrium and final: it is kept as its float
-    image, the flow either polish returns from it, with no solver run. Other
-    flows within an adaptive threshold of equilibrium are polished; kept
-    flows are deduplicated within L-infinity 10*tol.
+    image, with no solver run. Other flows within an adaptive threshold of
+    equilibrium are polished; kept flows are deduplicated within L-infinity
+    10*tol.
 
     A congestion-backed game's potential is convex, as is that of the
     affine costs :func:`_affine_equilibrium` solves: its minimizers are the
     equilibria. So the scan returns the exact lattice equilibria, or, when
-    there is none, the first polish that verifies within ``tol``: the float
-    image of that exact equilibrium, whatever the start, solved at most once
-    per call, else a congestion-backed game's potential solve. Other games
-    are polished by best response, which stalls ~sqrt(tol) short of boundary
-    equilibria: a polish that is new is replaced by the float image of a
-    nearby exact equilibrium when one verifies. Heuristic by nature:
-    exactness is only claimed for equilibria on or near the lattice.
+    there is none, the float image of the exact equilibrium, whatever the
+    candidate, solved at most once per call: :func:`solve_we_potential`'s
+    within min(``tol``, 1e-10) on a congestion-backed game, kept if within
+    ``tol``. Other games are polished by best response, which stalls
+    ~sqrt(tol) short of boundary equilibria: a polish that is new is
+    replaced by the float image of a nearby exact equilibrium when one
+    verifies. Heuristic by nature: exactness is only claimed for equilibria
+    on or near the lattice.
     """
     _check_tol(tol)
     points = list(itertools.product(*_population_grids(game, resolution)))
     scores, spread = _lattice_scores(game, state, resolution, points)
     keep = max(tol, 4.0 * spread / resolution)
     table = [Fraction(i, resolution) for i in range(resolution + 1)]
-    exact = functools.cache(lambda: _affine_equilibrium(game, state))
+
+    @functools.cache
+    def exact():
+        if game.congestion is None:
+            return _affine_equilibrium(game, state)
+        solved = solve_we_potential(game, state, min(tol, 1e-10))
+        return solved.flow if solved.max_violation <= tol else None
+
     result: list[FlowProfile] = []
 
     def known(flow):
@@ -926,10 +635,7 @@ def enumerate_we_grid(
         elif exact() is not None:
             candidate = _float_image(exact())
         elif game.congestion is not None:
-            polished = solve_we_potential(game, state, min(tol, 1e-10), start=f)
-            if polished.max_violation > tol:
-                continue
-            candidate = polished.flow
+            continue
         else:
             polished = solve_we_br(game, state, f, tol)
             if polished.max_violation > tol or known(polished.flow):

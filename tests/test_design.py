@@ -330,10 +330,10 @@ def test_degenerate_design_optimum_agrees_with_highs(n_actions, n_states, resolu
 
 
 def test_design_seeds_are_the_snapped_potential_equilibria(monkeypatch):
-    # the exact affine seed is the point the float potential solve snaps to;
-    # two populations sharing every resource have a continuum of equilibria,
-    # so their exact seed is one of them, with the loads of the float solve;
-    # the float solve runs only on higher-degree latencies
+    # the exact affine seed is the point the potential solve snaps to; two
+    # populations sharing every resource have a continuum of equilibria, so
+    # their exact seed is one of them, with the loads of the potential solve;
+    # the potential solve runs, within 1e-15, only on higher-degree latencies
     from flowgames.wardrop import _snap_rational, _state_equilibria
 
     solves = []
@@ -350,8 +350,8 @@ def test_design_seeds_are_the_snapped_potential_equilibria(monkeypatch):
         game = random_congestion_game(seed, n_actions, n_states, quadratic, n_pops)
         kind = "quadratic" if quadratic else "affine" if n_pops == 1 else "two-population"
         for state in game.states:
-            result = fg.solve_we_potential(game, state)
-            assert result.max_violation <= 1e-7
+            result = fg.solve_we_potential(game, state, 1e-15)
+            assert result.max_violation <= 1e-15
             reference = _snap_rational(game, result.flow, state)
             solves.clear()
             seeds = _state_equilibria(game, state)

@@ -8,6 +8,7 @@ import flowgames as fg
 from flowgames.gamefile import GameFileError
 from flowgames.generators import random_congestion_game
 from flowgames.model import flow_sort_key
+from flowgames.wardrop import _float_image
 
 from conftest import bundled_text
 
@@ -150,14 +151,14 @@ def test_outcome_weights_must_sum(pigou_info):
 
 
 def test_float_outcomes_round_trip(monkeypatch):
-    # each state mixes the float potential equilibria of a quadratic game's
-    # two states with float weights; at 12 significant digits a flow would
-    # sum 1e-12 off 1 on seeds 20, 25, 29, 38 and 51, and be refused; repr
-    # reads back every float, and the weights are summed by Outcome's rule
+    # each state mixes the floats of a quadratic game's equilibria in its
+    # two states with float weights; at 12 significant digits some flows
+    # would sum 1e-12 off 1 and be refused; repr reads back every float,
+    # and the weights are summed by Outcome's rule
     refused = 0
     for seed in range(60):
         game = random_congestion_game(seed, n_actions=3, n_states=2, quadratic=True)
-        flows = [fg.solve_we_potential(game, s).flow for s in game.states]
+        flows = [_float_image(fg.solve_we_potential(game, s).flow) for s in game.states]
         weights = [f.flows[0][0] for f in flows]
         assert all(type(w) is float for w in weights)
         pairs = zip(game.states, flows, weights, flows[::-1])

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import flowgames as fg
-from flowgames import infostruct, wardrop
+from flowgames import infostruct
+from flowgames.cli import main
 from flowgames.generators import random_bcwe, random_congestion_game, random_structure
 from flowgames.model import CongestionSpec, Population, _round_outcome
 
@@ -200,8 +201,8 @@ def test_bwe_violation_matches_reference_formula():
             assert got == reference_bwe_violation(game, structure, strategies)
         solved = fg.solve_bwe(game, structure, tol=1e-10)
         got = fg.bwe_violation(game, structure, solved)
-        assert isinstance(got, float)
-        assert got.hex() == reference_bwe_violation(game, structure, solved).hex()
+        assert got == reference_bwe_violation(game, structure, solved)
+        assert 0 <= got <= 1e-10
 
 
 SYNTHESIS_CASES = [
@@ -441,25 +442,6 @@ def test_aggregate_flow_float_entries_keep_their_bits():
     assert [repr(v) for v in got] == [repr(F(1, 2) + 0.25), repr(F(1, 2) + 0.75)]
 
 
-def test_solve_bwe_validates_its_start():
-    game = random_congestion_game(0, n_actions=2, n_states=2)
-    structure = random_structure(game, 0)
-    solved = fg.solve_bwe(game, structure)
-    # too few blocks used to raise a bare IndexError
-    short = fg.StrategyProfile(solved.strategies[:-1])
-    with pytest.raises(ValueError, match="strategy blocks do not match"):
-        fg.solve_bwe(game, structure, start=short)
-    # a negative mass used to be solved from without complaint
-    negative = fg.StrategyProfile(
-        tuple(
-            tuple((-1.0, 1 + float(gamma)) for _ in structure.type_sets[k])
-            for k, gamma in enumerate(structure.sizes)
-        )
-    )
-    with pytest.raises(ValueError, match="negative strategy mass"):
-        fg.solve_bwe(game, structure, start=negative)
-
-
 def counted_atom_costs(monkeypatch):
     """Record (state, action) for every cost evaluation that
     _conditional_costs makes."""
@@ -510,8 +492,9 @@ def test_bwe_violation_costs_each_atom_once(elfarol, elfarol_cwe, monkeypatch):
 
 
 def test_exact_path_keeps_the_aggregate_mass_check(elfarol):
-    # each sub-population plays 1e-10 too much: within validate_strategies'
-    # 1e-9, but the aggregate misses the unit mass by more than MASS_TOL
+    # each sub-population plays 1e-10 too much: refused by
+    # validate_strategies, and by the aggregate FlowProfile, which misses
+    # the unit mass by more than MASS_TOL, where nothing validates
     structure = fg.InformationStructure(
         sizes=(F(1, 2), F(1, 2)),
         type_sets=(("t",), ("t",)),
@@ -519,8 +502,10 @@ def test_exact_path_keeps_the_aggregate_mass_check(elfarol):
     )
     heavy = F(1, 2) + F(1, 10**10)
     strategies = fg.StrategyProfile((((heavy, F(0)),),) * 2)
-    with pytest.raises(ValueError, match=re.escape("population 0 flow sums to 1.0000000002, expected 1") + "$"):
+    with pytest.raises(ValueError, match=re.escape("sub-population 0 plays mass 0.5000000001, expected 0.5") + "$"):
         fg.bwe_violation(elfarol, structure, strategies)
+    with pytest.raises(ValueError, match=re.escape("population 0 flow sums to 1.0000000002, expected 1") + "$"):
+        planned_costs(elfarol, structure, strategies)
     # within MASS_TOL the aggregate is costed where it is
     close = fg.StrategyProfile((((F(1, 2) + F(1, 10**14), F(0)),),) * 2)
     assert fg.bwe_violation(elfarol, structure, close) == 0
@@ -677,95 +662,34 @@ def test_probe_deviations_are_the_pairwise_extremes(g, tol, trials, monkeypatch)
 
     monkeypatch.setattr(infostruct, "_conditional_costs", recorded)
     report = fg.bwe_cost_uniqueness_probe(game, structure, trials=trials, tol=tol)
-    assert len(runs) == trials
+    # one exact solve, whose one Josephy step costs the strategies once
+    assert len(runs) == 1
     cost_dev, flow_dev = _pairwise_deviations(runs)
     assert (repr(report.cost_deviation), repr(report.flow_deviation)) == (repr(cost_dev), repr(flow_dev))
-
-
-@pytest.mark.parametrize("trials", [1, 2, 9])
-def test_probe_deviations_of_scattered_runs(trials, monkeypatch):
-    # runs that play an action in some trials and not in others, at costs far
-    # apart: solves replaced by random strategies with zero entries
-    game = random_congestion_game(1, n_actions=3, n_states=2)
-    structure = random_structure(game, 1)
-    rng = random.Random(trials)
-
-    def scattered(game, structure, blocks, core, tol, start):
-        out = []
-        for gamma, types in zip(structure.sizes, structure.type_sets):
-            vecs = []
-            for _ in types:
-                raw = [rng.choice([0.0, rng.random()]) for _ in range(3)]
-                raw[rng.randrange(3)] += 1e-3
-                vecs.append(tuple(float(gamma) * v / sum(raw) for v in raw))
-            out.append(tuple(vecs))
-        return fg.StrategyProfile(tuple(out))
-
-    runs = []
-    conditional_costs = infostruct._conditional_costs
-
-    def recorded(game, structure, strategies, plan):
-        runs.append((strategies, *conditional_costs(game, structure, strategies, plan)))
-        return runs[-1][1:]
-
-    monkeypatch.setattr(infostruct, "_bwe_solve", scattered)
-    monkeypatch.setattr(infostruct, "_conditional_costs", recorded)
-    report = fg.bwe_cost_uniqueness_probe(game, structure, trials=trials)
-    cost_dev, flow_dev = _pairwise_deviations(runs)
-    assert (repr(report.cost_deviation), repr(report.flow_deviation)) == (repr(cost_dev), repr(flow_dev))
-    assert trials == 1 or cost_dev > 0.1
 
 
 def test_probe_sets_up_auxiliary_core_once(monkeypatch):
+    # the probe sets the auxiliary game up once and solves it once, as
+    # solve_bwe does: its violation is that of solve_bwe's strategies
     game = random_congestion_game(0, n_actions=2, n_states=2)
     structure = random_structure(game, 0)
-    cores = []
-    congestion_core = infostruct._congestion_core
-
-    def counted(*args):
-        cores.append(congestion_core(*args))
-        return cores[-1]
-
-    plans = []
-    atom_plan = infostruct._atom_plan
+    plans, solves = [], []
+    atom_plan, josephy = infostruct._atom_plan, infostruct._josephy
 
     def planned(*args):
         plans.append(atom_plan(*args))
         return plans[-1]
 
-    monkeypatch.setattr(infostruct, "_congestion_core", counted)
+    def solved(*args):
+        solves.append(josephy(*args))
+        return solves[-1]
+
     monkeypatch.setattr(infostruct, "_atom_plan", planned)
-    fg.bwe_cost_uniqueness_probe(game, structure, trials=5, tol=1e-9)
-    assert len(cores) == 1
-    assert len(plans) == 1
-    # a core solved from several starts gives what fresh set-ups give
-    blocks, core, _plan = infostruct._bwe_setup(game, structure)
-    rng = random.Random(1)
-    for _ in range(3):
-        start = random_rational_strategies(structure, 2, rng)
-        shared = infostruct._bwe_solve(game, structure, blocks, core, 1e-9, start)
-        assert shared == fg.solve_bwe(game, structure, tol=1e-9, start=start)
-
-
-def test_support_plans_carry_no_order():
-    # one core solved from a then b returns what fresh cores return for b
-    # then a: the Newton plans a core keeps per support hold nothing of the
-    # solves that built them
-    game = random_congestion_game(3, n_actions=3, n_states=2)
-    structure = random_structure(game, 302)
-    rng = random.Random(2)
-    a, b = (random_rational_strategies(structure, 3, rng) for _ in range(2))
-    blocks, one, _plan = infostruct._bwe_setup(game, structure)
-    forward = [repr(infostruct._bwe_solve(game, structure, blocks, one, 1e-9, s)) for s in (a, b)]
-    fresh, supports = [], []
-    for start in (b, a):
-        core = infostruct._bwe_setup(game, structure)[1]
-        fresh.append(repr(infostruct._bwe_solve(game, structure, blocks, core, 1e-9, start)))
-        supports.append(set(core._plans))
-    assert forward == fresh[::-1]
-    # the two solves share a support and differ in another
-    assert supports[0] & supports[1] and supports[0] != supports[1]
-    assert set(one._plans) == supports[0] | supports[1]
+    monkeypatch.setattr(infostruct, "_josephy", solved)
+    report = fg.bwe_cost_uniqueness_probe(game, structure, trials=5, tol=1e-9)
+    assert len(plans) == len(solves) == 1
+    strategies = fg.solve_bwe(game, structure, tol=1e-9)
+    assert report.worst_violation == float(fg.bwe_violation(game, structure, strategies)) == 0.0
 
 
 def _probe_structures():
@@ -785,40 +709,9 @@ def _probe_report_outputs():
     }
 
 
-def test_probe_solves_polish_after_one_frank_wolfe_step(monkeypatch):
-    # the first polish comes after one Frank-Wolfe step, and on these
-    # structures it lands: each of the 600 solves makes one step and one
-    # polish
-    core = wardrop._PotentialCore
-    counts = []
-    frank_wolfe, newton_polish, minimize = core.frank_wolfe, core.newton_polish, core.minimize
-
-    def stepped(self, x, iters, g):
-        x, used, g = frank_wolfe(self, x, iters, g)
-        counts[-1][0] += used
-        return x, used, g
-
-    def polished(self, x, g):
-        counts[-1][1] += 1
-        return newton_polish(self, x, g)
-
-    def solved(self, *args):
-        counts.append([0, 0])
-        return minimize(self, *args)
-
-    monkeypatch.setattr(core, "frank_wolfe", stepped)
-    monkeypatch.setattr(core, "newton_polish", polished)
-    monkeypatch.setattr(core, "minimize", solved)
-    for case, game, structure in _probe_structures():
-        before = len(counts)
-        fg.bwe_cost_uniqueness_probe(game, structure, trials=20, tol=1e-9)
-        assert counts[before:] == [[1, 1]] * 20, case
-    assert len(counts) == 600
-
-
 def test_probe_reports_match_golden():
-    # every float of the probe's solves and conditional costs must survive
-    # changes to how the solve and the costs are set up
+    # the probe's one exact solve must report the same gap through changes
+    # to how the solve and the costs are set up
     golden = json.loads((Path(__file__).parent / "golden" / "probe_reports.json").read_text())
     assert _probe_report_outputs() == golden
 
@@ -893,6 +786,48 @@ def test_validate_strategies_checks_masses(elfarol, elfarol_cwe):
     # compared exactly: a mass beyond float range is named, not an OverflowError
     with pytest.raises(ValueError, match=f"^sub-population 0 plays mass {10**400}, expected 1.0$"):
         fg.validate_strategies(one, fg.StrategyProfile((((F(10**400), F(0)),),)), 2)
+
+
+def test_validate_strategies_uses_one_mass_rule():
+    # a mass within MASS_TOL of gamma_k relative to it, compared exactly as
+    # model._check_unit compares; 1 + 1e-10 was within the former 1e-9
+    one = fg.InformationStructure(sizes=(F(1),), type_sets=(("t",),), kernel={"0": ((("t",), F(1)),)})
+    for heavy in (1 + F(1, 10**10), 1 + 1e-10):
+        with pytest.raises(ValueError, match=r"^sub-population 0 plays mass 1.0000000001, expected 1.0$"):
+            fg.validate_strategies(one, fg.StrategyProfile((((heavy, F(0)),),)), 2)
+    fg.validate_strategies(one, fg.StrategyProfile((((1 + F(1, 10**13), F(0)),),)), 2)
+    # relative to gamma_k: 1e-13 on a mass of 1e-3 is 1e-10 of it
+    small = fg.InformationStructure(
+        sizes=(F(1, 1000), F(999, 1000)), type_sets=(("t",), ("t",)), kernel={"0": ((("t", "t"), F(1)),)}
+    )
+    off = fg.StrategyProfile((((F(1, 1000) + F(1, 10**13), F(0)),), ((F(999, 1000), F(0)),)))
+    with pytest.raises(ValueError, match=r"^sub-population 0 plays mass 0.0010000000001, expected 0.001$"):
+        fg.validate_strategies(small, off, 2)
+    # a sub-population of size 0 plays exactly 0
+    empty = fg.InformationStructure(
+        sizes=(F(0), F(1)), type_sets=(("t",), ("t",)), kernel={"0": ((("t", "t"), F(1)),)}
+    )
+    fg.validate_strategies(empty, fg.StrategyProfile((((F(0), F(0)),), ((F(1), F(0)),))), 2)
+    for dust in (F(1, 10**10), 1e-10):
+        with pytest.raises(ValueError, match=r"^sub-population 0 plays mass 1e-10, expected 0.0$"):
+            fg.validate_strategies(empty, fg.StrategyProfile((((dust, F(0)),), ((F(1), F(0)),))), 2)
+
+
+def test_direct_structure_size_is_capped_before_building(elfarol, elfarol_cwe, monkeypatch):
+    # elfarol_cwe's two-action flow takes d rotations of d types and its
+    # one-action flow one profile: d * d + d entries, just above 1e7 at d =
+    # 3162; the CLI reports the cap and exits 1
+    def build(*args):
+        raise AssertionError("the structure was built")
+
+    monkeypatch.setattr(infostruct, "InformationStructure", build)
+    with pytest.raises(ValueError, match=r"^kernel of 10001406 type entries exceeds the 1e7 cap$"):
+        fg.direct_structure_from_bcwe(elfarol, elfarol_cwe, 3162)
+    argv = ["implement", "--game", "elfarol", "--outcome", "elfarol_cwe", "--denominator", "100000"]
+    assert main(argv) == 1
+    # without rotation each flow is one profile of d types
+    with pytest.raises(AssertionError, match="the structure was built"):
+        fg.direct_structure_from_bcwe(elfarol, elfarol_cwe, 3162, symmetrize=False)
 
 
 def test_solve_bwe_needs_congestion(elfarol, elfarol_cwe):

@@ -1,19 +1,17 @@
+import ast
 import collections
 import itertools
 import json
-import math
 import random
 import re
 from fractions import Fraction as F
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowgames as fg
-from flowgames import infostruct
 from flowgames.generators import (
     full_disclosure_outcome,
     random_congestion_game,
@@ -24,13 +22,12 @@ from flowgames.generators import (
 from flowgames.model import CongestionSpec, Population, _affine_form, _cost_fn
 from flowgames.wardrop import (
     _affine_equilibrium,
-    _block_sum,
-    _brent_root,
+    _congestion_rows,
+    _float_image,
     _lattice_scores,
+    _linearized,
     _population_grids,
-    _PotentialCore,
-    _spec_core,
-    _vector_of,
+    _potential,
 )
 
 
@@ -104,11 +101,11 @@ def test_identical_parallel_edges_split_evenly(monkeypatch):
     # the solve runs on the caller's game and compiles no other game's costs
     monkeypatch.setattr("flowgames.model.congestion_to_game", derive)
     res = fg.solve_we_potential(game, "0", tol=1e-10)
-    assert ("p", "a", "0") in game._compiled
+    assert ("p", "a", "0", int) in game._compiled
     assert fg.flow_linf(res.flow, flow1(F(1, 2), F(1, 2))) <= 1e-8
     for act in ("a", "b"):
         assert abs(float(fg.eval_cost(game, "p", act, res.flow, "0")) - 0.5) <= 1e-8
-    assert fg.solve_we_potential(game, "0", tol=1e-10, start=res.flow) == res
+    assert res.flow == flow1(F(1, 2), F(1, 2)) and res.max_violation == 0.0
 
 
 def test_zero_latencies_make_everything_an_equilibrium():
@@ -319,19 +316,6 @@ def test_solver_input_validation(elfarol, pigou_network):
         fg.solve_we_potential(elfarol, "0")
 
 
-def test_solve_we_potential_rejects_a_start_of_another_shape(pigou_network):
-    # a three-action flow, and a flow of two populations, on a game of one
-    # two-action population; both used to fail inside numpy's matmul
-    starts = (
-        flow1(F(1, 3), F(1, 3), F(1, 3)),
-        fg.FlowProfile(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))),
-        fg.uniform_flow(random_congestion_game(0, n_actions=3)),
-    )
-    for start in starts:
-        with pytest.raises(ValueError, match="start flow does not match"):
-            fg.solve_we_potential(pigou_network, "0", start=start)
-
-
 def test_flows_of_another_shape_are_refused(elfarol):
     # an extra entry, an extra population and a missing entry on a game of one
     # two-action population; the first two used to pass as obedient
@@ -484,7 +468,7 @@ def test_unknown_state_is_a_value_error(pigou_network):
 
 
 def test_import_leaves_scipy_unloaded(fresh_python):
-    # numpy is the only runtime dependency; a fresh interpreter shows it
+    # flowgames has no runtime dependency; a fresh interpreter shows it
     probe = (
         "import sys, flowgames; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
@@ -492,15 +476,14 @@ def test_import_leaves_scipy_unloaded(fresh_python):
     assert fresh_python(probe).strip() == "[]"
 
 
-# imports the CLI and defines numpy_loaded(), which prints whether numpy's
-# compiled core has been executed (numpy<2 names it numpy.core._multiarray_umath)
+# imports the CLI and defines numpy_loaded(), which prints whether any
+# numpy module has been imported
 _NUMPY_PROBE = """
 import sys
 from flowgames.cli import main
 
 def numpy_loaded():
-    core = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath")
-    print("numpy loaded:", any(name in sys.modules for name in core))
+    print("numpy loaded:", any(name.partition(".")[0] == "numpy" for name in sys.modules))
 """
 
 
@@ -532,26 +515,53 @@ _COMMANDS_WITHOUT_ARRAYS = (
 )
 
 
+# solves on quadratic latencies: the lattice scan's exact polish, the
+# Wardrop solve, the Bayes-Wardrop solve and the probe
+_QUADRATIC_SOLVES = """
+import flowgames as fg
+from flowgames.generators import random_congestion_game, random_structure
+game = random_congestion_game(0, n_actions=3, n_states=2, quadratic=True)
+print(len(fg.enumerate_we_grid(game, '0', 32)))
+print(fg.solve_we_potential(game, '1', 1e-12).iterations)
+structure = random_structure(game, 0)
+print(fg.bwe_violation(game, structure, fg.solve_bwe(game, structure, 1e-12)) <= 1e-12)
+print(fg.bwe_cost_uniqueness_probe(game, structure, trials=3))
+"""
+
+
 def test_commands_without_arrays_run_without_numpy(fresh_python):
-    # without numpy installed, import flowgames and the commands that need no
-    # array run and print what they print with it; a float potential solve
-    # raises the ModuleNotFoundError that names numpy
+    # flowgames never imports numpy: without numpy installed, import
+    # flowgames, the commands and the solves on quadratic latencies run and
+    # print what they print with it
     commands = "from flowgames.cli import main\n" + "".join(
         f"assert main({argv!r}) == 0\n" for argv in _COMMANDS_WITHOUT_ARRAYS
     )
-    solve = (
-        "import flowgames as fg\nfrom flowgames.generators import random_congestion_game\n"
-        "try:\n    fg.solve_we_potential(random_congestion_game(0, n_actions=3, quadratic=True), '0')\n"
-        "except ModuleNotFoundError as exc:\n    print('raised', exc.name, exc)\n"
-    )
-    out = fresh_python(_WITHOUT_NUMPY + commands + solve)
-    assert out == fresh_python(commands) + "raised numpy No module named 'numpy'\n"
+    out = fresh_python(_WITHOUT_NUMPY + commands + _QUADRATIC_SOLVES)
+    assert out == fresh_python(commands + _QUADRATIC_SOLVES)
+    probe = "UniquenessProbeReport(cost_deviation=0.0, flow_deviation=0.0, trials=3, worst_violation="
+    assert f"\n1\n4\nTrue\n{probe}" in out
     blocked = _WITHOUT_NUMPY + "try:\n    import numpy\nexcept ModuleNotFoundError:\n    print('blocked')\n"
     assert fresh_python(blocked) == "blocked\n"
 
 
+def test_flowgames_modules_import_no_numpy():
+    # no module of the package imports numpy, or the lazy loader it had
+    for path in sorted(Path(fg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        imported += [
+            node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        ]
+        imported += [
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+        ]
+        assert not [m for m in imported if m.partition(".")[0] in ("numpy", "_numpy")], path.name
+    assert not (Path(fg.__file__).parent / "_numpy.py").exists()
+
+
 def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
-    # the import and the commands that touch no array leave numpy unexecuted
+    # no solver needs numpy: the import, the commands and every solve below
+    # never import it
     out = fresh_python(
         _NUMPY_PROBE
         + "numpy_loaded()\n"
@@ -563,14 +573,14 @@ def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
     assert lines[0] == lines[-1] == "numpy loaded: False"
     assert "equilibria = 3" in lines and "ok = true" in lines
     # the lattice point (1, 0) is an exact equilibrium, kept with no polish;
-    # seed 3's equilibrium (1/6, 5/6) is off the lattice, and its latencies
-    # are affine, so the polish is exact
+    # seed 3's equilibrium (1/6, 5/6) is off the lattice, and its polish is
+    # the exact solve
     random_we = "main(['we', '--game', 'random-congestion', '--seed', '{}', '--resolution', '16'])\n"
     for seed, flow in ((0, "(1, 0)"), (3, "(0.166666666667, 0.833333333333)")):
         lines = fresh_python(_NUMPY_PROBE + random_we.format(seed) + "numpy_loaded()\n").splitlines()
         assert f"flow = {flow}" in lines
         assert lines[-1] == "numpy loaded: False"
-    # every LP is priced in Python floats: a desk-sized design LP (52
+    # every LP is priced in Python ints: a desk-sized design LP (52
     # nonzeros) here, the W1 transport LPs of a convergence run below
     out = fresh_python(_NUMPY_PROBE + "main(['design', '--game', 'pigou_info'])\nnumpy_loaded()\n")
     assert out == (
@@ -580,8 +590,8 @@ def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
         "numpy loaded: False\n"
     )
     # a random affine congestion game's design seeds its grid with the exact
-    # equilibrium, with no float potential solve; its LP at resolution 64
-    # (391 nonzeros) prices in Python floats too
+    # equilibrium; its LP at resolution 64 (391 nonzeros) prices in Python
+    # ints too
     design = "main(['design', '--game', 'random-congestion', '--seed', '3'{}])\n"
     for resolution in ("", ", '--resolution', '64'"):
         out = fresh_python(_NUMPY_PROBE + design.format(resolution) + "numpy_loaded()\n")
@@ -606,7 +616,7 @@ def test_numpy_loads_only_when_a_solver_needs_it(fresh_python):
     out = fresh_python(_NUMPY_PROBE + workload + "numpy_loaded()\n")
     assert out == "optimal 217461/120320\nnumpy loaded: False\n"
     # two populations sharing every resource: their grid is seeded with an
-    # exact equilibrium from one Lemke run, not a float solve and a snap
+    # exact equilibrium from one Lemke run
     two = (
         "import flowgames as fg\nfrom flowgames.generators import random_congestion_game\n"
         "game = random_congestion_game(3, n_actions=2, n_states=2, n_pops=2)\n"
@@ -659,87 +669,26 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(fresh_python):
     assert not {"dataclasses", "inspect"} & set(added)
 
 
-def _monotone_polynomials(seed, count):
-    """Increasing polynomials on [0, 1] with a sign change, as the line search sees."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        degree = int(rng.integers(1, 6))
-        slopes = rng.lognormal(0.0, 2.0, degree) * (rng.random(degree) < 0.8)
-        slopes[0] += 1e-3
-        top = float(np.sum(slopes))
-        # root anywhere in (0, 1), sometimes pressed against either end
-        root_at = rng.choice([rng.random(), rng.random() * 1e-9, 1 - rng.random() * 1e-9])
-        coeffs = [-top * float(root_at)] + [float(c) for c in slopes]
-        yield coeffs
-
-
-def test_brent_root_matches_scipy_bit_for_bit():
-    optimize = pytest.importorskip("scipy.optimize")
-    checked = 0
-    for coeffs in _monotone_polynomials(3, 3000):
-        calls = {"ours": 0, "scipy": 0}
-
-        def make(name):
-            def f(t):
-                calls[name] += 1
-                total = 0.0
-                for c in reversed(coeffs):
-                    total = total * t + c
-                return total
-
-            return f
-
-        fa, fb = make("ours")(0.0), make("ours")(1.0)
-        if not (fa < 0 < fb):
-            continue
-        calls["ours"] = 0
-        ours = _brent_root(make("ours"), 0.0, 1.0, fa, fb)
-        theirs = optimize.brentq(make("scipy"), 0.0, 1.0, xtol=1e-14)
-        assert ours == theirs, coeffs
-        # scipy evaluates both ends itself; ours is handed them
-        assert calls["ours"] + 2 == calls["scipy"], coeffs
-        checked += 1
-    assert checked > 2500
-
-
-def test_brent_root_raises_when_not_converged():
-    optimize = pytest.importorskip("scipy.optimize")
-
-    def step(t):
-        # no root to home in on: the bracket only halves, from 2e300 wide
-        return 1.0 if t > 0.3 else -1.0
-
-    with pytest.raises(RuntimeError):
-        optimize.brentq(step, -1e300, 1e300, xtol=1e-14)
-    with pytest.raises(RuntimeError):
-        _brent_root(step, -1e300, 1e300, -1.0, 1.0)
-
-    def f(t):
-        return t**3 - 0.3
-
-    assert _brent_root(f, 0.0, 1.0, f(0.0), f(1.0)) == optimize.brentq(f, 0.0, 1.0, xtol=1e-14)
-
-
 @pytest.mark.parametrize("quadratic", [False, True])
 def test_core_costs_match_exact_gradient(quadratic):
-    worst = 0.0
+    # the latencies linearized at a flow's loads cost that flow exactly as
+    # the game does, on one population or several
     for seed in range(60):
         game = random_congestion_game(
             seed, n_actions=2 + seed % 3, n_states=2, quadratic=quadratic, n_pops=1 + seed % 3
         )
         spec = game.congestion
+        blocks = [(pop, 1) for pop in game.populations]
         for state in game.states:
-            core = _spec_core(spec, state)
+            ranges, rows = _congestion_rows(spec, blocks, [(1, state, range(len(blocks)))])
             flow = random_rational_flow(game, seed, denominator=7 + seed % 5)
-            exact = [
-                float(fg.eval_cost(game, pop.name, a, flow, state))
-                for pop in game.populations
-                for a in pop.actions
-            ]
-            got = core.costs(_vector_of(flow))
-            assert len(got) == core.n == len(exact)
-            worst = max(worst, float(np.max(np.abs(got - np.array(exact)))))
-    assert worst <= 1e-12
+            y = [v for vec in flow.flows for v in vec]
+            loads = [sum(y[j] for j in cols) for *_, cols in rows]
+            k0, J, q = _linearized(rows, loads, len(y))
+            exact = [fg.eval_cost(game, pop.name, a, flow, state) for pop in game.populations for a in pop.actions]
+            assert [F(k + sum(v * w for v, w in zip(row, y)), q) for k, row in zip(k0, J)] == exact
+            assert ranges[-1][1] == len(y) and J == [list(col) for col in zip(*J)]
+            assert _potential(rows, y) == fg.potential_value(spec, flow, state)
 
 
 def _enumeration_cases(pigou_network, elfarol):
@@ -773,9 +722,11 @@ def test_enumerate_we_grid_matches_golden(pigou_network, elfarol):
 
 
 def test_kept_lattice_equilibria_are_what_the_polish_returns(pigou_network, elfarol):
-    # a lattice point of integer score 0 is kept unpolished; the polish it
-    # skips returns the same flow, and a violation within tol that is the
-    # kept flow's verify_we, bit for bit
+    # a lattice point of integer score 0 is kept unpolished, as its float
+    # image; the polish it skips returns the same loads on a congestion game
+    # (the exact solve, whose equilibrium loads are unique), and on elfarol
+    # best response from the point returns the same flow and a violation
+    # that is the kept flow's verify_we, bit for bit
     cases = [*_enumeration_cases(pigou_network, elfarol), ("elfarol-r64", elfarol, "0", 64)]
     checked = 0
     for case, game, state, resolution in cases:
@@ -791,13 +742,16 @@ def test_kept_lattice_equilibria_are_what_the_polish_returns(pigou_network, elfa
             if point is None:
                 continue
             start = fg.FlowProfile(tuple(tuple(F(i, resolution) for i in vec) for vec in point))
+            assert repr(_float_image(start)) == repr(flow), case
             if game.congestion is not None:
-                polished = fg.solve_we_potential(game, state, 1e-10, start=start)
+                spec = game.congestion
+                solved = fg.solve_we_potential(game, state, 1e-10)
+                kept, loads = fg.load_profile(spec, start), fg.load_profile(spec, solved.flow)
+                assert all(kept[e] == loads[e] for e in spec.resources if any(spec.latencies[(e, state)][1:])), case
             else:
                 polished = fg.solve_we_br(game, state, start)
-            assert repr(polished.flow.flows) == repr(flow.flows), case
-            assert repr(polished.max_violation) == repr(float(fg.verify_we(game, flow, state))), case
-            assert polished.max_violation <= 1e-6, case
+                assert repr(polished.flow.flows) == repr(flow.flows), case
+                assert repr(polished.max_violation) == repr(float(fg.verify_we(game, flow, state))), case
             checked += 1
     # 47 of the flows these scans return are exact lattice equilibria
     assert checked == 47
@@ -1096,166 +1050,82 @@ def test_exact_violation_is_the_fraction_gap():
 
 @pytest.mark.parametrize("quadratic, seed", [(False, 7), (False, 13), (True, 3), (True, 15)])
 def test_core_keeps_no_solver_state(quadratic, seed):
-    # start a, then b, then a again on one core: the second solve of a
-    # returns the first one's point to the bit and its step count, though b
-    # added a Newton plan to the core in between
-    game = random_congestion_game(seed, n_actions=4, quadratic=quadratic, n_pops=2)
-    core = _spec_core(game.congestion, "0")
-    a, b = (_vector_of(random_flow(game, r)) for r in (0, 1))
-    first, steps = core.minimize(a, 1e-12, 100)
-    plans = len(core._plans)
-    core.minimize(b, 1e-12, 100)
-    assert len(core._plans) > plans
-    again, again_steps = core.minimize(a, 1e-12, 100)
-    assert again.tobytes() == first.tobytes() and again_steps == steps
+    # a game whose kept costs other solves and scans have filled solves as
+    # a fresh copy of it does: the same flow, violation and step count
+    def game():
+        return random_congestion_game(seed, n_actions=4, quadratic=quadratic, n_pops=2)
+
+    used = game()
+    fg.enumerate_we_grid(used, "0", 4)
+    fg.wardrop._state_equilibria(used, "0")
+    fg.solve_we_potential(used, "0", 1e-6)
+    assert repr(fg.solve_we_potential(used, "0", 1e-12)) == repr(fg.solve_we_potential(game(), "0", 1e-12))
 
 
-def test_block_sums_add_as_numpy_sums():
-    # below 8 entries numpy adds left to right from 0, as _fold does; from 8
-    # on it adds pairwise, and _block_sum keeps that order
-    rng = random.Random(0)
-    differs = collections.Counter()
-    for n in range(1, 13):
-        for _ in range(300):
-            values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
-            total = _block_sum(values)
-            assert type(total) is float and total == np.array(values).sum(), values
-            differs[n] += fg.model._fold(values) != total
-    assert all(differs[n] == 0 for n in range(1, 8)) and all(differs[n] > 0 for n in range(8, 13))
-    assert _block_sum([-0.0]) == 0.0 and math.copysign(1.0, _block_sum([-0.0])) == 1.0
+def _counted_lemke(monkeypatch):
+    """Count the runs of ``lp._lemke`` made through the equilibrium LCP."""
+    runs = []
+    lemke = fg.wardrop._lemke
 
+    def counted(columns, q):
+        runs.append(len(q))
+        return lemke(columns, q)
 
-def test_support_repair_gives_up():
-    # a failed solve ends the Newton polish at once; a support that loses action 1
-    # to a negative flow and wins it back by its lower cost, round after
-    # round, is given up after 2n + 2 solves
-    core = _PotentialCore(np.eye(2), [[1.0], [0.0]], [(0, 2)], [1.0])
-    x = np.array([0.5, 0.5])
-    solves = []
-
-    def failed(support, x):
-        solves.append(support)
-
-    def cycling(support, x):
-        solves.append([list(sup) for sup in support])
-        return np.array([1.5, -0.5] if support == [[0, 1]] else [1.0, 0.0])
-
-    core._solve_support = failed
-    assert core.newton_polish(x, core.costs(x)) is None
-    assert solves == [[[0, 1]]]
-    solves.clear()
-    core._solve_support = cycling
-    assert core.newton_polish(x, core.costs(x)) is None
-    assert solves == [[[0, 1]], [[0]]] * 3
-
-
-def _counting_lstsq(monkeypatch):
-    """Wrap ``np.linalg.lstsq``; returns the list of right-hand sides it was called with."""
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def counted(a, b, rcond=None):
-        calls.append(b)
-        return lstsq(a, b, rcond=rcond)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    return calls
-
-
-def test_affine_cores_factor_each_support_once(monkeypatch):
-    # on affine latencies the Newton system of a support is the same at every
-    # point: one lstsq per support plan, for its inverse, however many
-    # solves and rounds reuse it
-    calls = _counting_lstsq(monkeypatch)
-    solves = []
-    solve_support = _PotentialCore._solve_support
-
-    def counted(self, support, x):
-        solves.append(support)
-        return solve_support(self, support, x)
-
-    monkeypatch.setattr(_PotentialCore, "_solve_support", counted)
-    game = random_congestion_game(3, n_actions=3, n_states=2)
-    structure = random_structure(game, 302)
-    blocks, core, _plan = infostruct._bwe_setup(game, structure)
-    rng = random.Random(5)
-    for _ in range(20):
-        start = fg.StrategyProfile(
-            tuple(
-                tuple(
-                    tuple(gamma * F(w, sum(raw)) for w in raw)
-                    for raw in ([rng.randint(1, 9) for _ in range(3)] for _ in types)
-                )
-                for gamma, types in zip(structure.sizes, structure.type_sets)
-            )
-        )
-        infostruct._bwe_solve(game, structure, blocks, core, 1e-9, start)
-    assert len(solves) > len(core._plans) > 1
-    assert len(calls) == len(core._plans)
-    assert all(b.shape == (len(plan[0]), len(plan[0])) for b, plan in zip(calls, core._plans.values()))
-    assert all(plan[-1] is not None for plan in core._plans.values())
+    monkeypatch.setattr(fg.wardrop, "_lemke", counted)
+    return runs
 
 
 @pytest.mark.parametrize("seed", [0, 2, 3])
 def test_higher_degree_cores_solve_each_newton_round(monkeypatch, seed):
-    # a quadratic latency's Hessian moves with the point: no inverse is kept,
-    # and each Newton round solves its own right-hand side (the seeds'
-    # equilibria have two or three actions in use)
-    calls = _counting_lstsq(monkeypatch)
+    # each Josephy step on quadratic latencies is one Lemke run on their
+    # tangents, and the seeds' equilibria, with two or three actions in use,
+    # take more than one
+    runs = _counted_lemke(monkeypatch)
     game = random_congestion_game(seed, 3, quadratic=True)
-    core = _spec_core(game.congestion, "0")
-    for r in range(4):
-        core.minimize(_vector_of(random_flow(game, r)), 1e-12, 100)
-    assert len(calls) > len(core._plans) >= 1
-    assert all(b.ndim == 1 for b in calls)
-    assert all(plan[-1] is None for plan in core._plans.values())
+    solved = fg.solve_we_potential(game, "0", 1e-12)
+    assert len(runs) == solved.iterations > 1
+    assert 0 <= solved.max_violation <= 1e-12
+    assert solved.max_violation == float(fg.verify_we(game, solved.flow, "0"))
 
 
-def _assert_inverse_solves_like_lstsq(core, plan, rng):
-    """The plan's system matrix is the Jacobian of its equal-cost and mass
-    rows, read off the core's costs, and its kept inverse times a right-hand
-    side is lstsq's solution."""
-    index, _msub, a, _fill, eq, mass_rows, inverse = plan
-    eq_rows, jvar, bvar = ([row[i] for row in eq] for i in range(3))
-    base = core.costs(np.zeros(core.n))
-    jac = np.array([core.costs(np.eye(core.n)[i]) - base for i in range(core.n)]).T
-    ref = np.zeros_like(a)
-    ref[eq_rows] = (jac[jvar] - jac[bvar])[:, index]
-    for row, lo, hi, _mass in mass_rows:
-        ref[row, lo:hi] = 1.0
-    assert np.allclose(a, ref, rtol=0, atol=1e-12)
-    for _ in range(5):
-        b = rng.uniform(-2.0, 2.0, len(index))
-        want = np.linalg.lstsq(a, b, rcond=None)[0]
-        assert np.abs(inverse @ b - want).max() <= 1e-12 * (1 + np.abs(b).max())
+def test_josephy_damps_steps_that_raise_the_potential(monkeypatch):
+    # latencies with no linear part: undamped steps from load 0 reach gaps
+    # 6, 3/4 and then 0.895, and stalled there; halving a step until the
+    # exact potential falls converges
+    spec = _one_state_spec(
+        {"e0": (0, 0, F(29, 7), F(25, 4)), "e1": (0, 0, F(3, 7)), "e2": (F(3, 4), 0, 3), "e3": (0, 0, 6)},
+        {f"a{i}": (f"e{i}",) for i in range(4)},
+    )
+    game = fg.congestion_to_game(spec)
+    levels = []
+    potential = fg.wardrop._potential
+
+    def recorded(rows, y):
+        levels.append(potential(rows, y))
+        return levels[-1]
+
+    monkeypatch.setattr(fg.wardrop, "_potential", recorded)
+    solved = fg.solve_we_potential(game, "0", 1e-12)
+    assert 0 <= solved.max_violation <= 1e-12
+    # more trial points than steps: some step was halved
+    assert len(levels) > solved.iterations
 
 
-def test_kept_inverse_solves_like_lstsq(monkeypatch):
-    cores = []
-    setup = infostruct._bwe_setup
-
-    def kept(game, structure):
-        out = setup(game, structure)
-        cores.append(out[1])
-        return out
-
-    monkeypatch.setattr(infostruct, "_bwe_setup", kept)
-    # the 30 probe structures of acceptance criterion 8
-    for g in range(1, 20, 2):
-        game = random_congestion_game(g, n_actions=2 + g % 2, n_states=1 + g % 2)
-        for s in range(3):
-            fg.bwe_cost_uniqueness_probe(game, random_structure(game, 100 * g + s), trials=20, tol=1e-9)
-    rng = np.random.default_rng(0)
-    plans = [(core, plan) for core in cores for plan in core._plans.values()]
-    assert len(cores) == 30 and len(plans) >= 30
-    for core, plan in plans:
-        _assert_inverse_solves_like_lstsq(core, plan, rng)
-    # two populations sharing every edge: a continuum of equilibria, and a
-    # rank-deficient system on the full support
-    core = _spec_core(random_congestion_game(0, n_actions=2, n_pops=2).congestion, "0")
-    plan = core._newton_plan([[0, 1], [2, 3]])
-    assert np.linalg.matrix_rank(plan[2]) < len(plan[0])
-    _assert_inverse_solves_like_lstsq(core, plan, rng)
+def test_affine_solves_take_one_lemke_run(monkeypatch):
+    # on affine latencies the first step, at load 0, is exact: one Lemke run
+    # per solve, complete-information or Bayes, with a gap of exactly 0
+    runs = _counted_lemke(monkeypatch)
+    game = random_congestion_game(3, n_actions=3, n_states=2)
+    for state in game.states:
+        runs.clear()
+        solved = fg.solve_we_potential(game, state)
+        assert len(runs) == solved.iterations == 1 and solved.max_violation == 0.0
+    for seed in (302, 303):
+        structure = random_structure(game, seed)
+        runs.clear()
+        strategies = fg.solve_bwe(game, structure)
+        assert len(runs) == 1
+        assert fg.bwe_violation(game, structure, strategies) == 0
 
 
 def test_state_equilibria_lists_each_equilibrium_once():
@@ -1441,18 +1311,9 @@ action.q.y = e2, e4
 """
 
 
-def _dusted(vec, dust):
-    """``vec`` with ``dust`` moved from its largest entry onto its first zero."""
-    vec = list(vec)
-    if 0.0 in vec:
-        vec[vec.index(max(vec))] -= dust
-        vec[vec.index(0.0)] += dust
-    return tuple(vec)
-
-
 def _potential_solver_cases():
     """The solves pinned in potential_solvers.json: ("bayes", id, game,
-    structure) and ("complete", id, game, [(start name, start flow)])."""
+    structure) and ("complete", id, game)."""
     seed = 0
     for n_states in (1, 2, 3):
         for sub_pops in (1, 2, 3):
@@ -1471,89 +1332,56 @@ def _potential_solver_cases():
                 game = random_congestion_game(
                     seed, n_actions=n_actions, n_states=2, quadratic=kind == "quad", n_pops=n_pops
                 )
-                starts = [("uniform", None)]
-                starts += [(f"random{r}", random_flow(game, r)) for r in (seed, seed + 100)]
-                yield "complete", f"we{seed}-{kind}-p{n_pops}-a{n_actions}", game, starts
+                yield "complete", f"we{seed}-{kind}-p{n_pops}-a{n_actions}", game, None
                 seed += 1
     for name, text in (("idle1", _IDLE_ONE_POPULATION), ("idle2", _IDLE_TWO_POPULATIONS)):
-        game = fg.parse_game_file(text)
-        starts = [("uniform", None)] + [(f"random{r}", random_flow(game, r)) for r in range(4)]
-        yield "complete", name, game, starts
+        yield "complete", name, fg.parse_game_file(text), None
     game = fg.parse_game_file(_IDLE_ONE_POPULATION)
     for seed in range(6):
         structure = random_structure(game, seed, 1 + seed % 3, 1 + seed // 2)
         yield "bayes", f"idle1-bwe{seed}", game, structure
-    # nine actions a block: numpy sums 8 or more entries pairwise, not left
-    # to right, and these solves change in their last bits if a block's
-    # clip-and-rescale or solved read-back adds in the other order, or the
-    # Newton mass rows add pairwise (every game above has at most 3 actions)
-    game = random_congestion_game(26, n_actions=9, quadratic=True)
-    starts = [("uniform", None)] + [(f"random{r}", random_flow(game, r)) for r in (0, 1)]
-    yield "complete", "we26-quad-p1-a9", game, starts
+    # nine actions a block, where every game above has at most three
+    yield "complete", "we26-quad-p1-a9", random_congestion_game(26, n_actions=9, quadratic=True), None
     game = random_congestion_game(1, n_actions=9, n_states=2)
     yield "bayes", "bwe1-linear-s2-a9", game, random_structure(game, 1)
 
 
 def _potential_solver_outputs():
-    """repr of every float potential solve pinned in potential_solvers.json."""
+    """repr of every exact potential solve pinned in potential_solvers.json."""
     out = {}
-    for kind, case, game, data in _potential_solver_cases():
+    for kind, case, game, structure in _potential_solver_cases():
         if kind == "complete":
             for state in game.states:
-                for name, start in data:
-                    res = fg.solve_we_potential(game, state, start=start)
-                    out[f"{case}-s{state}-{name}"] = repr(
-                        (res.flow.flows, res.max_violation, res.iterations)
-                    )
+                res = fg.solve_we_potential(game, state)
+                out[f"{case}-s{state}"] = repr((res.flow.flows, res.max_violation, res.iterations))
             continue
-        structure = data
-        solved = fg.solve_bwe(game, structure)
-        out[f"{case}-solve"] = repr(solved)
+        out[f"{case}-solve"] = repr(fg.solve_bwe(game, structure))
         out[f"{case}-probe"] = repr(fg.bwe_cost_uniqueness_probe(game, structure, trials=4))
-        # a start within tol of equilibrium is returned as it is, so only the
-        # rule that snaps mass below 1e-9 of gamma_k to zero acts on its dust
-        start = fg.StrategyProfile(
-            tuple(
-                tuple(
-                    _dusted(vec, (3e-10 if (k + ti) % 2 else 3e-8) * float(gamma))
-                    for ti, vec in enumerate(block)
-                )
-                for k, (gamma, block) in enumerate(zip(structure.sizes, solved.strategies))
-            )
-        )
-        out[f"{case}-dust"] = repr(fg.solve_bwe(game, structure, tol=1e-6, start=start))
     return out
 
 
-def test_potential_solvers_reach_the_equilibrium_from_every_start():
-    # what the solvers guarantee whatever their step schedule: a violation
-    # at float noise, and, where the potential is strictly convex in the
-    # loads, the same load on every strictly increasing resource from every
-    # start; the per-population flows may differ where populations trade
-    # mass without changing a load
-    for kind, case, game, data in _potential_solver_cases():
+def _affine_in(spec, state) -> bool:
+    return not any(c for e in spec.resources for c in spec.latencies[(e, state)][2:])
+
+
+def test_potential_solvers_reach_the_equilibrium():
+    # exactly an equilibrium where every latency of the state is affine, and
+    # within the default tol of 1e-8 on higher degrees; the probe's one
+    # solve spreads nothing
+    for kind, case, game, structure in _potential_solver_cases():
         spec = game.congestion
         if kind == "bayes":
-            solved = fg.solve_bwe(game, data)
-            assert fg.bwe_violation(game, data, solved) <= 1e-12, case
-            report = fg.bwe_cost_uniqueness_probe(game, data, trials=4)
-            assert report.cost_deviation <= 1e-12, case
-            assert report.flow_deviation <= 1e-12, case
+            violation = fg.bwe_violation(game, structure, fg.solve_bwe(game, structure))
+            assert violation == 0 if all(_affine_in(spec, s) for s in game.states) else 0 <= violation <= 1e-8, case
+            report = fg.bwe_cost_uniqueness_probe(game, structure, trials=4)
+            assert report.cost_deviation == report.flow_deviation == 0.0, case
+            assert report.worst_violation == float(violation), case
             continue
         for state in game.states:
-            increasing = [
-                e
-                for e in spec.resources
-                if min(spec.latencies[(e, state)]) >= 0 and any(spec.latencies[(e, state)][1:])
-            ]
-            loads = []
-            for name, start in data:
-                res = fg.solve_we_potential(game, state, start=start)
-                assert res.max_violation <= 1e-12, (case, state, name)
-                loads.append(fg.load_profile(spec, res.flow))
-            for e in increasing:
-                spread = max(load[e] for load in loads) - min(load[e] for load in loads)
-                assert spread <= 1e-12, (case, state, e)
+            res = fg.solve_we_potential(game, state)
+            violation = fg.verify_we(game, res.flow, state)
+            assert res.max_violation == float(violation), (case, state)
+            assert violation == 0 if _affine_in(spec, state) else 0 <= violation <= 1e-8, (case, state)
 
 
 POTENTIAL_GOLDEN = json.loads(
@@ -1563,6 +1391,6 @@ POTENTIAL_GOLDEN = json.loads(
 
 def test_potential_solvers_match_golden():
     # repr of solve_bwe, the uniqueness probe and solve_we_potential outputs:
-    # both potential cores must keep every float through changes to how they
-    # are assembled
+    # every exact flow and step count must survive changes to how the
+    # Lemke runs are assembled
     assert _potential_solver_outputs() == POTENTIAL_GOLDEN
